@@ -35,6 +35,12 @@
 // behavior exactly: 88 answers served from cache, and the cache's own
 // hit counter agreeing with the service's answer accounting.
 //
+// The shared lane also records its air rounds (simulated time) per epoch.
+// Every stats group due fresh in an epoch rides one multiplexed
+// convergecast, so an epoch may spend at most 2 * tree height + 2 rounds
+// beyond its mark wave; more means collections ran one after another, and
+// is FATAL.
+//
 // Usage: exp_query_service [--quick] [--out PATH] [--threads N]
 //                          [--trace PATH]
 //   --quick    smaller deployment / fewer epochs (CI smoke lane)
@@ -199,6 +205,9 @@ struct LaneResult {
   std::uint64_t cache_answers_checked = 0;
   std::uint64_t bound_violations = 0;
   std::uint64_t checksum = 0;
+  std::uint64_t air_rounds = 0;             // simulated rounds, all epochs
+  std::uint64_t max_collection_rounds = 0;  // worst epoch beyond its marks
+  std::uint64_t tree_height = 0;
   service::TelemetrySnapshot telemetry;  // full cost-attribution ledger
 };
 
@@ -244,13 +253,23 @@ LaneResult run_continuous_lane(const Scale& s, unsigned threads, bool shared) {
     // Rotate through the deployment: a quarter of the nodes drift each
     // epoch, so collections always have clean subtrees to skip.
     std::vector<SensorUpdate> batch;
+    SimTime mark_rounds = 0;  // the deepest changed reading's climb
     for (NodeId u = e % 4; u < n; u += 4) {
       const Value delta = (u + e) % 2 == 0 ? 3 : -3;
       const Value v = std::clamp<Value>(mirror[u] + delta, 0, kBound);
+      if (v != mirror[u]) {
+        mark_rounds = std::max<SimTime>(mark_rounds, tree.depth[u]);
+      }
       mirror[u] = v;
       batch.push_back(SensorUpdate{u, v});
     }
-    for (const Answer& a : svc.run_epoch(batch)) {
+    const SimTime t0 = net.now();
+    const std::vector<Answer> answers = svc.run_epoch(batch);
+    const SimTime rounds = net.now() - t0;
+    lane.air_rounds += rounds;
+    lane.max_collection_rounds = std::max<std::uint64_t>(
+        lane.max_collection_rounds, rounds - std::min(rounds, mark_rounds));
+    for (const Answer& a : answers) {
       sum.mix_answer(a);
       if (a.from_cache) {
         ++lane.cache_answers_checked;
@@ -269,6 +288,7 @@ LaneResult run_continuous_lane(const Scale& s, unsigned threads, bool shared) {
     }
   }
 
+  lane.tree_height = tree.height();
   lane.total_bits = net.summary(/*include_headers=*/true).total_bits;
   lane.answers = svc.telemetry().answers;
   lane.cache_hits = svc.telemetry().cache_hits;
@@ -409,7 +429,13 @@ void write_json(std::ostream& os, const Scale& s, bool quick, unsigned threads,
      << "    \"stats_waves\": " << shared.stats_waves << ",\n"
      << "    \"edges_descended\": " << shared.edges_descended << ",\n"
      << "    \"edges_skipped\": " << shared.edges_skipped << ",\n"
-     << "    \"mark_messages\": " << shared.mark_messages << "\n"
+     << "    \"mark_messages\": " << shared.mark_messages << ",\n"
+     << "    \"air_rounds_per_epoch\": " << std::setprecision(1)
+     << static_cast<double>(shared.air_rounds) / s.epochs << ",\n"
+     << "    \"max_collection_rounds\": " << shared.max_collection_rounds
+     << ",\n"
+     << "    \"collection_rounds_bound\": " << 2 * shared.tree_height + 2
+     << "\n"
      << "  },\n"
      << "  \"cache_bounds\": {\n"
      << "    \"cache_answers_checked\": " << shared.cache_answers_checked
@@ -625,6 +651,14 @@ int main(int argc, char** argv) {
     std::cerr << "FATAL: shared aggregation shipped " << shared.total_bits
               << " bits vs " << naive.total_bits
               << " naive — the 2x claim does not hold\n";
+    return 1;
+  }
+  // Stats-only lane: one collection convergecast per epoch, never several.
+  if (shared.max_collection_rounds > 2 * shared.tree_height + 2) {
+    std::cerr << "FATAL: an epoch spent " << shared.max_collection_rounds
+              << " rounds beyond its mark wave (bound "
+              << 2 * shared.tree_height + 2
+              << ") — stats collections ran serially\n";
     return 1;
   }
   if (shared.bound_violations != 0) {

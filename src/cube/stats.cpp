@@ -1,8 +1,10 @@
 #include "src/cube/stats.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "src/common/codec.hpp"
+#include "src/common/error.hpp"
 
 namespace sensornet::cube {
 
@@ -48,8 +50,16 @@ RangeStats decode_range_stats(BitReader& r) {
   rs.count = decode_uint(r);
   if (rs.count == 0) return rs;
   rs.sum = decode_uint(r);
-  rs.min = static_cast<Value>(decode_uint(r));
-  rs.max = rs.min + static_cast<Value>(decode_uint(r));
+  // Readings are non-negative Values; a corrupt min or span must not wrap.
+  constexpr auto kMaxValue =
+      static_cast<std::uint64_t>(std::numeric_limits<Value>::max());
+  const std::uint64_t min = decode_uint(r);
+  const std::uint64_t span = decode_uint(r);
+  if (min > kMaxValue || span > kMaxValue - min) {
+    throw WireFormatError("range stats: value out of range");
+  }
+  rs.min = static_cast<Value>(min);
+  rs.max = static_cast<Value>(min + span);
   return rs;
 }
 

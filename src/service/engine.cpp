@@ -385,8 +385,9 @@ Answer QueryService::answer_fresh(const LiveQuery& lq) {
   ++telemetry_.answers;
 
   // Marginal-cost attribution: a collection is idempotent per (group,
-  // epoch), so the first due subscriber pays the whole wave here and later
-  // groupmates see a zero delta.
+  // epoch), so the first due subscriber pays it here and later groupmates
+  // see a zero delta. (Continuous stats groups were already collected and
+  // charged by run_epoch's multiplexed wave; their delta here is zero.)
   const CostDelta d = cost_since(deployment_.net, before);
   QueryCost& qc = query_costs_[lq.id];
   ++qc.answers;
@@ -448,20 +449,41 @@ std::vector<Answer> QueryService::run_epoch(
     mark_messages_ += d.messages;
   }
 
-  // Which stats groups can be served entirely from cache this epoch? A
-  // single subscriber whose tolerance the cache cannot meet forces a fresh
-  // collection — and once it is paid, every due subscriber of the group
-  // rides it for free, so "partially cached" never happens within a group.
+  // Which stats groups must collect fresh this epoch? A single subscriber
+  // whose tolerance the cache cannot meet forces a fresh collection — and
+  // once it is paid, every due subscriber of the group rides it for free,
+  // so "partially cached" never happens within a group. With the cache off
+  // every due group collects.
   std::vector<GroupId> fresh_needed;
+  std::map<GroupId, QueryId> first_due;  // each due group's first subscriber
   const auto is_due = [&](const LiveQuery& lq) {
     return lq.every != 0 && epoch_ > lq.registered_epoch &&
            (epoch_ - lq.registered_epoch) % lq.every == 0;
   };
-  if (config_.share_aggregation && config_.use_cache) {
-    for (const auto& [id, lq] : live_) {
-      if (lq.path != Path::kStats || !is_due(lq)) continue;
-      if (!cache_could_serve(lq)) fresh_needed.push_back(lq.group);
+  for (const auto& [id, lq] : live_) {
+    if (lq.path != Path::kStats || !is_due(lq)) continue;
+    first_due.try_emplace(lq.group, id);
+    if (!config_.use_cache || !cache_could_serve(lq)) {
+      fresh_needed.push_back(lq.group);
     }
+  }
+  std::sort(fresh_needed.begin(), fresh_needed.end());
+  fresh_needed.erase(std::unique(fresh_needed.begin(), fresh_needed.end()),
+                     fresh_needed.end());
+
+  // One multiplexed wave collects every fresh group; the answers below
+  // re-read the collected bundles at zero cost. Each group's share of the
+  // wave goes to its first due subscriber (the marginal-cost rule).
+  const std::vector<WaveShare> shares =
+      scheduler_->collect_stats_batch(fresh_needed, epoch_);
+  for (std::size_t i = 0; i < fresh_needed.size(); ++i) {
+    QueryCost& qc = query_costs_[first_due.at(fresh_needed[i])];
+    qc.bits_on_air += shares[i].bits;
+    qc.messages += shares[i].messages;
+    GroupCost& gc = group_costs_[fresh_needed[i]];
+    gc.bits_on_air += shares[i].bits;
+    gc.messages += shares[i].messages;
+    gc.collections += shares[i].collected ? 1 : 0;
   }
 
   std::vector<Answer> answers;
@@ -472,10 +494,9 @@ std::vector<Answer> QueryService::run_epoch(
       continue;
     }
     const bool cacheable =
-        lq.path == Path::kStats && config_.share_aggregation &&
-        config_.use_cache &&
-        std::find(fresh_needed.begin(), fresh_needed.end(), lq.group) ==
-            fresh_needed.end();
+        lq.path == Path::kStats &&
+        !std::binary_search(fresh_needed.begin(), fresh_needed.end(),
+                            lq.group);
     if (cacheable) {
       // Every due subscriber of a non-fresh group probed successfully in
       // the planning pass, and nothing moved since — the lookup must hit.

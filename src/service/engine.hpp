@@ -7,8 +7,9 @@
 // and due queries are answered each epoch with four cost levers:
 //
 //   1. Shared aggregation — live queries are grouped by (region, aggregate
-//      family); one spanning-tree collection per epoch serves every
-//      subscriber of a group (see shared_plan.hpp).
+//      family), and every subscriber of a group rides its one collection
+//      per epoch. All stats groups due fresh in an epoch share a single
+//      multiplexed convergecast (see shared_plan.hpp).
 //   2. Incremental re-evaluation — collections descend only into subtrees
 //      that changed since the group's last visit, driven by the scheduler's
 //      dirty marks.
@@ -122,9 +123,11 @@ struct ServiceTelemetry {
 
 /// Where one query's cost went, accumulated over its lifetime. Bits and
 /// messages follow the marginal-cost rule: the first due subscriber of a
-/// group each epoch pays the whole shared wave, and everyone after rides
-/// the warmed partials for free — so summing bits_on_air over queries (plus
-/// the service-level mark wave) reproduces the network total.
+/// group each epoch pays the group's collection — for stats groups, its
+/// share of the epoch's multiplexed wave (see WaveShare) — and everyone
+/// after rides it for free, so summing bits_on_air over queries (plus the
+/// service-level mark wave and the groups' install broadcasts) reproduces
+/// the network total.
 struct QueryCost {
   std::uint64_t answers = 0;
   std::uint64_t cache_hits = 0;    // answered from the result cache
@@ -139,9 +142,9 @@ struct QueryCost {
 };
 
 /// One shared group's cost, accumulated over its lifetime. Bits include the
-/// install broadcast at creation and every collection wave since.
+/// install broadcast at creation and every collection (or wave share) since.
 struct GroupCost {
-  std::uint64_t collections = 0;  // fresh waves the group paid
+  std::uint64_t collections = 0;  // fresh collections the group paid
   std::uint64_t bits_on_air = 0;
   std::uint64_t messages = 0;
   std::uint32_t subscribers = 0;  // live continuous subscribers (snapshot)

@@ -19,9 +19,27 @@
 // from the parent-side cache without a single message. A fully quiescent
 // network collects for free.
 //
+// Collections are *multiplexed*. Every stats group that must be collected
+// fresh in an epoch rides one convergecast (collect_stats_batch); a single
+// collect_stats() is the k = 1 case. For a batch of k groups, in ascending
+// group order:
+//
+//   request  (u -> child)   k-bit mask; bit i set iff group i is active at
+//                           u and its partial for that edge is stale. An
+//                           all-zero mask is never sent.
+//   response (child -> u)   the images of the masked groups, concatenated
+//                           in group order: one RangeStats for a
+//                           whole-domain group, core/inner/outer for a
+//                           ranged one.
+//
+// A node's subtree bundle is formed when it responds, from its local bundle
+// and its child partials, so the wave keeps no per-node bundle state. At
+// k = 1 the wire image is the single-group wave's: a 1-bit request and the
+// same bundle image.
+//
 // The scheduler assumes the service's deployment discipline: lossless links
-// (tree waves stall under loss) and serial execution (one collection at a
-// time on the shared simulated medium).
+// (tree waves stall under loss) and one wave on the shared simulated medium
+// at a time.
 #pragma once
 
 #include <cstdint>
@@ -31,8 +49,10 @@
 #include <span>
 #include <vector>
 
+#include "src/common/bitio.hpp"
 #include "src/common/types.hpp"
 #include "src/cube/dirty.hpp"
+#include "src/cube/stats.hpp"
 #include "src/net/spanning_tree.hpp"
 #include "src/query/plan.hpp"
 #include "src/service/result_cache.hpp"
@@ -44,13 +64,52 @@ using GroupId = std::uint32_t;
 
 /// Scheduler telemetry — the sharing/incrementality story in numbers.
 struct SharedPlanStats {
-  std::uint64_t stats_waves = 0;       // stats-bundle collections executed
+  std::uint64_t stats_waves = 0;       // stats-group collections executed
   std::uint64_t distinct_waves = 0;    // distinct collections executed
-  std::uint64_t edges_descended = 0;   // request messages sent by stats waves
+  std::uint64_t edges_descended = 0;   // (group, edge) pairs requested
   std::uint64_t edges_skipped = 0;     // child partials served from cache
   std::uint64_t mark_messages = 0;     // dirty-mark messages shipped
   std::uint64_t groups_created = 0;
 };
+
+/// One group's share of a multiplexed stats wave: the response image bits
+/// it encoded plus an even split of the header and mask bits of every
+/// message that carried it (remainder to the lowest carried group, which
+/// also counts the message). Shares sum exactly to the wave's bits and
+/// messages on air.
+struct WaveShare {
+  std::uint64_t bits = 0;      // payload + header bits
+  std::uint64_t messages = 0;
+  /// False when the group was already collected this epoch: it rode
+  /// nothing and owes nothing.
+  bool collected = false;
+};
+
+/// A parent-side cache entry: one child edge's subtree bundle for a stats
+/// group and the epoch it was taken at (kInvalidEpoch: never collected).
+struct EdgePartial {
+  StatsBundle bundle;
+  std::uint32_t epoch = 0;
+};
+
+/// Stats-wave wire images. One group's image is its RangeStats (whole
+/// domain: the margins collapse) or core/inner/outer (ranged).
+void encode_stats_image(BitWriter& w, const StatsBundle& b, bool whole_domain);
+StatsBundle decode_stats_image(BitReader& r, bool whole_domain);
+
+/// Group masks and shapes are one flag byte per batch group (nonzero = set).
+/// Reads a request's mask into `mask` (k = mask.size() bits). An all-zero
+/// mask is malformed (such a request is never sent) and throws
+/// WireFormatError.
+void decode_stats_request(BitReader& r, std::vector<std::uint8_t>& mask);
+
+/// Reads a response into `images`: the images of the groups set in `mask`,
+/// in group order, shaped by `whole_domain` (both of size k). Throws
+/// WireFormatError on a truncated image or trailing bits. (Out-parameters
+/// let a wave reuse its buffers across messages.)
+void decode_stats_response(BitReader& r, const std::vector<std::uint8_t>& mask,
+                           const std::vector<std::uint8_t>& whole_domain,
+                           std::vector<StatsBundle>& images);
 
 class SharedPlanScheduler {
  public:
@@ -81,9 +140,20 @@ class SharedPlanScheduler {
   /// the same epoch.
   void note_updates(std::span<const NodeId> updated, std::uint32_t epoch);
 
-  /// One shared stats collection; idempotent within an epoch (the second
-  /// call returns the cached root bundle without touching the network).
+  /// Collects every listed stats group (strictly ascending ids) in one
+  /// multiplexed convergecast — see the file comment. Groups already
+  /// collected this epoch are skipped; if none is left, nothing is sent.
+  /// Returns each group's share of the wave, aligned with `groups`.
+  std::vector<WaveShare> collect_stats_batch(std::span<const GroupId> groups,
+                                             std::uint32_t epoch);
+
+  /// One shared stats collection — the k = 1 batch; idempotent within an
+  /// epoch (the second call returns the cached root bundle without touching
+  /// the network).
   const StatsBundle& collect_stats(GroupId group, std::uint32_t epoch);
+
+  /// A stats group's parent-side partial for the node's ci-th child edge.
+  EdgePartial edge_partial(GroupId group, NodeId node, std::size_t ci) const;
 
   /// One shared distinct collection; idempotent within an epoch. Returns
   /// the estimate (exact count for register-less groups).
@@ -98,7 +168,7 @@ class SharedPlanScheduler {
 
  private:
   struct Group;
-  class StatsWave;
+  class BatchWave;
   class RegionView;
 
   StatsBundle local_bundle(NodeId node, const Group& g) const;

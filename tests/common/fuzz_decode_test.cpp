@@ -4,12 +4,17 @@
 // length prefix must not OOM a mote.)
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+
 #include "src/baseline/quantile_summary.hpp"
 #include "src/common/codec.hpp"
 #include "src/common/error.hpp"
 #include "src/common/rng.hpp"
+#include "src/cube/stats.hpp"
 #include "src/proto/aggregations.hpp"
 #include "src/proto/predicate.hpp"
+#include "src/service/shared_plan.hpp"
 #include "src/sketch/hll.hpp"
 #include "src/sketch/registers.hpp"
 
@@ -138,6 +143,136 @@ TEST(FuzzDecode, BitFlippedValidPayloadsStaySafe) {
       (void)s.valid();  // may be invalid; must simply not blow up
     } catch (const WireFormatError&) {
     } catch (const PreconditionError&) {
+    }
+  }
+}
+
+/// Bit soup for the stats-wave decoders, which must either decode or throw
+/// WireFormatError — any other outcome (another exception, a crash, a read
+/// past the payload) fails the test.
+template <typename Fn>
+void fuzz_strict(Fn decode, int trials = 2000, std::uint64_t seed = 17) {
+  Xoshiro256 rng(seed);
+  for (int t = 0; t < trials; ++t) {
+    const std::size_t len = 1 + rng.next_below(64);
+    const auto bytes = random_bytes(rng, len);
+    BitReader r(bytes.data(), len * 8 - rng.next_below(8));
+    try {
+      decode(rng, r);
+    } catch (const WireFormatError&) {
+    }
+  }
+}
+
+TEST(FuzzDecode, RangeStats) {
+  fuzz_strict([](Xoshiro256&, BitReader& r) {
+    const cube::RangeStats rs = cube::decode_range_stats(r);
+    if (rs.count > 0) {
+      EXPECT_GE(rs.min, 0);
+      EXPECT_GE(rs.max, rs.min);
+    }
+  });
+}
+
+TEST(FuzzDecode, RangeStatsRejectsValuesPastTheValueRange) {
+  // Well-formed codes whose min, or min + span, leave the Value range: a
+  // corrupt image must not decode to a negative or wrapped reading.
+  constexpr std::uint64_t kTop = (std::uint64_t{1} << 63) - 1;
+  for (const auto& [min, span] : {std::pair{kTop + 1, std::uint64_t{0}},
+                                 std::pair{kTop, std::uint64_t{1}},
+                                 std::pair{std::uint64_t{5}, kTop}}) {
+    BitWriter w;
+    encode_uint(w, 1);  // count
+    encode_uint(w, 7);  // sum
+    encode_uint(w, min);
+    encode_uint(w, span);
+    BitReader r(w.bytes().data(), w.bit_count());
+    EXPECT_THROW(cube::decode_range_stats(r), WireFormatError);
+  }
+  BitWriter w;
+  encode_uint(w, 1);
+  encode_uint(w, 7);
+  encode_uint(w, kTop - 3);
+  encode_uint(w, 3);
+  BitReader r(w.bytes().data(), w.bit_count());
+  EXPECT_EQ(cube::decode_range_stats(r).max, static_cast<Value>(kTop));
+}
+
+TEST(FuzzDecode, StatsImages) {
+  fuzz_strict([](Xoshiro256& rng, BitReader& r) {
+    (void)service::decode_stats_image(r, rng.next_below(2) == 0);
+  });
+}
+
+TEST(FuzzDecode, StatsRequestMask) {
+  fuzz_strict([](Xoshiro256& rng, BitReader& r) {
+    std::vector<std::uint8_t> mask(1 + rng.next_below(96));
+    service::decode_stats_request(r, mask);
+    EXPECT_NE(std::count(mask.begin(), mask.end(), 1), 0);
+  });
+}
+
+TEST(FuzzDecode, MultiplexedStatsResponse) {
+  // A random group mask and shape per trial, then bit soup as the payload.
+  fuzz_strict([](Xoshiro256& rng, BitReader& r) {
+    const std::size_t k = 1 + rng.next_below(8);
+    std::vector<std::uint8_t> mask(k);
+    std::vector<std::uint8_t> whole_domain(k);
+    for (std::size_t i = 0; i < k; ++i) {
+      mask[i] = rng.next_below(2) == 0;
+      whole_domain[i] = rng.next_below(2) == 0;
+    }
+    std::vector<service::StatsBundle> images(3);  // stale contents are dropped
+    service::decode_stats_response(r, mask, whole_domain, images);
+    EXPECT_EQ(images.size(),
+              static_cast<std::size_t>(
+                  std::count(mask.begin(), mask.end(), 1)));
+    EXPECT_EQ(r.remaining(), 0u);
+  });
+}
+
+TEST(FuzzDecode, MultiplexedStatsResponseRoundTripsAndRejectsTruncation) {
+  // A valid response decodes to exactly its images; every strict prefix
+  // and every one-bit extension is rejected.
+  Xoshiro256 rng(29);
+  for (int t = 0; t < 50; ++t) {
+    const std::size_t k = 1 + rng.next_below(6);
+    std::vector<std::uint8_t> mask(k);
+    std::vector<std::uint8_t> whole_domain(k);
+    std::vector<service::StatsBundle> sent;
+    BitWriter w;
+    for (std::size_t i = 0; i < k; ++i) {
+      mask[i] = i == 0 || rng.next_below(2) == 0;
+      whole_domain[i] = rng.next_below(2) == 0;
+      if (!mask[i]) continue;
+      service::StatsBundle b;
+      for (int v = 0; v < 3; ++v) {
+        b.core.observe(static_cast<Value>(rng.next_below(1000)));
+      }
+      b.inner = whole_domain[i] ? b.core : service::StatsBundle{}.core;
+      b.outer = b.core;
+      if (!whole_domain[i]) {
+        b.outer.observe(static_cast<Value>(rng.next_below(1000)));
+      }
+      service::encode_stats_image(w, b, whole_domain[i]);
+      sent.push_back(b);
+    }
+    w.write_bit(false);  // one spare bit for the extension case
+    const std::vector<std::uint8_t> bytes(w.bytes().begin(), w.bytes().end());
+    const std::size_t bits = w.bit_count() - 1;
+    std::vector<service::StatsBundle> images;
+    BitReader exact(bytes.data(), bits);
+    service::decode_stats_response(exact, mask, whole_domain, images);
+    EXPECT_EQ(images, sent);
+    BitReader longer(bytes.data(), bits + 1);
+    EXPECT_THROW(
+        service::decode_stats_response(longer, mask, whole_domain, images),
+        WireFormatError);
+    for (std::size_t cut = 0; cut < bits; ++cut) {
+      BitReader shorter(bytes.data(), cut);
+      EXPECT_THROW(
+          service::decode_stats_response(shorter, mask, whole_domain, images),
+          WireFormatError);
     }
   }
 }

@@ -346,6 +346,61 @@ TEST(QueryService, AttributedBitsPlusMarksEqualNetworkTotal) {
   EXPECT_EQ(attributed_msgs, total.total_messages);
 }
 
+TEST(QueryService, MultiplexedWaveSplitsBitsExactlyAmongGroups) {
+  Fixture f;
+  // Two overlapping ranged groups (one with two subscribers) and one
+  // whole-domain group, all exact: every due group goes fresh in the same
+  // epoch and rides the same wave.
+  f.svc.submit("SELECT SUM(v) FROM s WHERE v BETWEEN 20 AND 200 "
+               "EVERY 1 EPOCHS").value();
+  f.svc.submit("SELECT COUNT(v) FROM s WHERE v BETWEEN 100 AND 280 "
+               "EVERY 1 EPOCHS").value();
+  f.svc.submit("SELECT MAX(v) FROM s WHERE v BETWEEN 100 AND 280 "
+               "EVERY 2 EPOCHS").value();
+  f.svc.submit("SELECT SUM(v) FROM s EVERY 2 EPOCHS").value();
+  const std::uint64_t install_bits = f.net.summary(true).total_bits;
+  const std::uint64_t install_msgs = f.net.summary(true).total_messages;
+  EXPECT_GT(install_bits, 0u);  // two ranged groups paid their installs
+
+  for (int e = 0; e < 4; ++e) {
+    const SimTime t0 = f.net.now();
+    const std::vector<SensorUpdate> batch{f.drift(7, 3), f.drift(29, -3)};
+    f.svc.run_epoch(batch);
+    // One mark wave plus one collection convergecast, never more.
+    EXPECT_LE(f.net.now() - t0, 3 * f.tree.height() + 2);
+  }
+
+  const TelemetrySnapshot snap = f.svc.telemetry_snapshot();
+  const auto total = f.net.summary(true);
+  ASSERT_EQ(snap.groups.size(), 3u);
+
+  // Query side: shares, marks and installs cover the network exactly.
+  std::uint64_t query_bits = snap.mark_bits_on_air + install_bits;
+  std::uint64_t query_msgs = snap.mark_messages + install_msgs;
+  for (const auto& [id, qc] : snap.queries) {
+    query_bits += qc.bits_on_air;
+    query_msgs += qc.messages;
+  }
+  EXPECT_EQ(query_bits, total.total_bits);
+  EXPECT_EQ(query_msgs, total.total_messages);
+
+  // Group side: installs sit in the group ledger, so groups plus marks do.
+  std::uint64_t group_bits = snap.mark_bits_on_air;
+  std::uint64_t group_msgs = snap.mark_messages;
+  std::uint64_t collections = 0;
+  for (const auto& [gid, gc] : snap.groups) {
+    group_bits += gc.bits_on_air;
+    group_msgs += gc.messages;
+    collections += gc.collections;
+    EXPECT_GT(gc.bits_on_air, 0u);
+  }
+  EXPECT_EQ(group_bits, total.total_bits);
+  EXPECT_EQ(group_msgs, total.total_messages);
+  EXPECT_EQ(collections, snap.plan.stats_waves);
+  // Whole-domain group: due at epochs 2 and 4; ranged groups every epoch.
+  EXPECT_EQ(collections, 4u + 4u + 2u);
+}
+
 TEST(QueryService, CubeModeAnswersMatchTheNaiveOracle) {
   ServiceConfig cube_cfg;
   cube_cfg.use_cube = true;

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
 
+#include "src/common/rng.hpp"
 #include "src/net/topology.hpp"
 
 namespace sensornet::service {
@@ -55,6 +57,54 @@ struct Fixture {
     net.set_one_item_per_node(vs);
   }
 };
+
+/// One epoch of seeded drift: `count` random nodes (repeats collapse) move
+/// by +-kDelta within [0, kBound]. Returns the new readings.
+std::vector<std::pair<NodeId, Value>> random_drift(Xoshiro256& rng,
+                                                   const sim::Network& net,
+                                                   std::size_t count) {
+  std::vector<std::pair<NodeId, Value>> out;
+  for (std::size_t i = 0; i < count; ++i) {
+    const auto u = static_cast<NodeId>(rng.next_below(net.node_count()));
+    if (std::any_of(out.begin(), out.end(),
+                    [u](const auto& p) { return p.first == u; })) {
+      continue;
+    }
+    const Value old = net.items(u)[0];
+    const Value v = rng.next_below(2) == 0 ? std::max<Value>(0, old - kDelta)
+                                           : std::min(kBound, old + kDelta);
+    out.emplace_back(u, v);
+  }
+  return out;
+}
+
+/// Writes `updates` into the fixture's network and ships the dirty marks.
+void apply_drift(Fixture& f,
+                 const std::vector<std::pair<NodeId, Value>>& updates,
+                 std::uint32_t epoch) {
+  std::vector<NodeId> touched;
+  for (const auto& [u, v] : updates) {
+    f.net.update_item(u, 0, v);
+    touched.push_back(u);
+  }
+  f.sched.note_updates(touched, epoch);
+}
+
+/// A seeded mix of whole-domain and overlapping ranged regions.
+std::vector<query::RegionSignature> random_regions(Xoshiro256& rng,
+                                                   std::size_t count) {
+  std::vector<query::RegionSignature> out;
+  for (std::size_t i = 0; i < count; ++i) {
+    if (rng.next_below(3) == 0) {
+      out.push_back({0, kBound, true});
+      continue;
+    }
+    const auto lo = static_cast<Value>(rng.next_below(150));
+    out.push_back({lo, lo + 20 + static_cast<Value>(rng.next_below(100)),
+                   false});
+  }
+  return out;
+}
 
 TEST(SharedPlan, GroupsDeduplicateByRegion) {
   Fixture f;
@@ -173,6 +223,162 @@ TEST(SharedPlan, DistinctCollectionsAnswerOverTheRegion) {
   f.sched.collect_distinct(g, 0);
   EXPECT_EQ(f.net.summary().total_messages, msgs);
   EXPECT_EQ(f.sched.stats().distinct_waves, 1u);
+}
+
+TEST(SharedPlan, BatchMatchesSequentialCollections) {
+  int multi_group_runs = 0;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE(seed);
+    Xoshiro256 rng(seed);
+    Fixture batch;
+    Fixture seq;
+    // Repeated regions map to one group.
+    const auto regions = random_regions(rng, 1 + rng.next_below(5));
+    std::vector<GroupId> ids;
+    for (const auto& region : regions) {
+      ids.push_back(batch.sched.ensure_stats_group(region));
+      ASSERT_EQ(seq.sched.ensure_stats_group(region), ids.back());
+    }
+    std::vector<GroupId> distinct = ids;
+    std::sort(distinct.begin(), distinct.end());
+    distinct.erase(std::unique(distinct.begin(), distinct.end()),
+                   distinct.end());
+    multi_group_runs += distinct.size() >= 2 ? 1 : 0;
+
+    // Epochs 1-6 collect every group, in lockstep: a request carries all k
+    // groups or none. Later epochs collect a random subset, so the groups'
+    // partials age apart and requests carry partial masks.
+    for (std::uint32_t epoch = 1; epoch <= 12; ++epoch) {
+      SCOPED_TRACE(epoch);
+      if (epoch > 1) {
+        const auto updates =
+            random_drift(rng, batch.net, 1 + rng.next_below(6));
+        apply_drift(batch, updates, epoch);
+        apply_drift(seq, updates, epoch);
+      }
+      const bool lockstep = epoch <= 6;
+      std::vector<GroupId> chosen;
+      for (const GroupId g : distinct) {
+        if (lockstep || rng.next_below(2) == 0) chosen.push_back(g);
+      }
+      const auto b0 = batch.net.summary(true);
+      const auto s0 = seq.net.summary(true);
+      const SimTime bt0 = batch.net.now();
+      const SimTime st0 = seq.net.now();
+      const auto shares = batch.sched.collect_stats_batch(chosen, epoch);
+      for (const GroupId g : chosen) seq.sched.collect_stats(g, epoch);
+      const auto b1 = batch.net.summary(true);
+      const auto s1 = seq.net.summary(true);
+
+      // The shares sum to the wave exactly.
+      ASSERT_EQ(shares.size(), chosen.size());
+      WaveShare sum;
+      for (const WaveShare& ws : shares) {
+        EXPECT_TRUE(ws.collected);
+        sum.bits += ws.bits;
+        sum.messages += ws.messages;
+      }
+      EXPECT_EQ(sum.bits, b1.total_bits - b0.total_bits);
+      EXPECT_EQ(sum.messages, b1.total_messages - b0.total_messages);
+
+      for (std::size_t i = 0; i < ids.size(); ++i) {
+        if (!std::binary_search(chosen.begin(), chosen.end(), ids[i])) {
+          continue;  // re-reading it would collect it
+        }
+        const StatsBundle& got = batch.sched.collect_stats(ids[i], epoch);
+        EXPECT_EQ(got, seq.sched.collect_stats(ids[i], epoch));
+        EXPECT_EQ(got, direct_bundle(batch.net, regions[i]));
+      }
+      for (const GroupId g : distinct) {
+        for (NodeId u = 0; u < batch.tree.node_count(); ++u) {
+          for (std::size_t ci = 0; ci < batch.tree.children[u].size(); ++ci) {
+            const EdgePartial a = batch.sched.edge_partial(g, u, ci);
+            const EdgePartial b = seq.sched.edge_partial(g, u, ci);
+            EXPECT_EQ(a.bundle, b.bundle);
+            EXPECT_EQ(a.epoch, b.epoch);
+          }
+        }
+      }
+      EXPECT_EQ(batch.sched.stats().edges_descended,
+                seq.sched.stats().edges_descended);
+      EXPECT_EQ(batch.sched.stats().edges_skipped,
+                seq.sched.stats().edges_skipped);
+      EXPECT_EQ(batch.sched.stats().stats_waves,
+                seq.sched.stats().stats_waves);
+
+      // In lockstep all groups descend the same dirty edges: one wave
+      // undercuts k waves in bits and in time.
+      if (!lockstep) {
+        EXPECT_LE(batch.net.now() - bt0, seq.net.now() - st0);
+      } else if (distinct.size() >= 2) {
+        EXPECT_LT(b1.total_bits - b0.total_bits, s1.total_bits - s0.total_bits);
+        EXPECT_LT(batch.net.now() - bt0, seq.net.now() - st0);
+      } else {
+        EXPECT_EQ(b1.total_bits - b0.total_bits, s1.total_bits - s0.total_bits);
+        EXPECT_EQ(batch.net.now() - bt0, seq.net.now() - st0);
+      }
+    }
+  }
+  EXPECT_GE(multi_group_runs, 4);  // the seeds exercise real multiplexing
+}
+
+TEST(SharedPlan, SingleGroupBatchKeepsTheWireCost) {
+  // The k = 1 wave is the single-group wave bit for bit: these totals were
+  // taken from the per-group collection it replaced.
+  for (const query::RegionSignature region :
+       {query::RegionSignature{0, kBound, true},
+        query::RegionSignature{30, 120, false}}) {
+    Fixture f;
+    Xoshiro256 rng(5);
+    const GroupId g = f.sched.ensure_stats_group(region);
+    const auto before = f.net.summary(true);
+    for (std::uint32_t epoch = 1; epoch <= 6; ++epoch) {
+      if (epoch > 1) apply_drift(f, random_drift(rng, f.net, 4), epoch);
+      f.sched.collect_stats_batch(std::span(&g, 1), epoch);
+    }
+    const auto after = f.net.summary(true);
+    const std::uint64_t bits = after.total_bits - before.total_bits;
+    const std::uint64_t messages = after.total_messages - before.total_messages;
+    if (region.whole_domain) {
+      EXPECT_EQ(bits, 15603u);
+      EXPECT_EQ(messages, 381u);
+    } else {
+      EXPECT_EQ(bits, 22887u);
+      EXPECT_EQ(messages, 381u);
+    }
+  }
+}
+
+TEST(SharedPlan, BatchSkipsGroupsAlreadyCollected) {
+  Fixture f;
+  const GroupId whole =
+      f.sched.ensure_stats_group(query::RegionSignature{0, kBound, true});
+  const GroupId ranged =
+      f.sched.ensure_stats_group(query::RegionSignature{30, 120, false});
+  const auto msgs = f.net.summary().total_messages;
+  EXPECT_TRUE(f.sched.collect_stats_batch({}, 1).empty());
+  EXPECT_EQ(f.net.summary().total_messages, msgs);
+
+  // `whole` was collected this epoch: the batch rides only `ranged`, as a
+  // k = 1 wave over every edge.
+  f.sched.collect_stats(whole, 1);
+  const auto before = f.net.summary(true);
+  const std::vector<GroupId> both{whole, ranged};
+  const auto shares = f.sched.collect_stats_batch(both, 1);
+  const auto after = f.net.summary(true);
+  ASSERT_EQ(shares.size(), 2u);
+  EXPECT_FALSE(shares[0].collected);
+  EXPECT_EQ(shares[0].bits, 0u);
+  EXPECT_TRUE(shares[1].collected);
+  EXPECT_EQ(shares[1].bits, after.total_bits - before.total_bits);
+  EXPECT_EQ(shares[1].messages, 2u * 63u);  // a request and a response per edge
+  EXPECT_EQ(f.sched.stats().stats_waves, 2u);
+
+  // Everything is collected now: nothing is sent.
+  const auto shares_again = f.sched.collect_stats_batch(both, 1);
+  EXPECT_EQ(f.net.summary(true).total_bits, after.total_bits);
+  EXPECT_FALSE(shares_again[0].collected);
+  EXPECT_FALSE(shares_again[1].collected);
 }
 
 }  // namespace
