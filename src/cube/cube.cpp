@@ -8,7 +8,7 @@
 #include "src/obs/metrics.hpp"
 #include "src/obs/trace.hpp"
 #include "src/proto/tree_broadcast.hpp"
-#include "src/sim/message.hpp"
+#include "src/proto/tree_wave.hpp"
 
 namespace sensornet::cube {
 
@@ -17,33 +17,6 @@ namespace {
 constexpr std::uint32_t kRefreshSessionBase = 0x7800;
 constexpr std::uint32_t kResidueSessionBase = 0x7C00;
 constexpr std::uint32_t kGeometrySession = 0x7BFF;
-constexpr std::uint16_t kRequestKind = 1;
-constexpr std::uint16_t kResponseKind = 2;
-/// The oracle's hash salt: a fresh approx-counting service issues its first
-/// (and, per query, only) wave with salt 1, so cube HLL partials use the
-/// same constant to reproduce its registers exactly.
-constexpr std::uint64_t kHllSalt = 1;
-
-void encode_bundle(BitWriter& w, const StatsBundle& b, bool whole_domain) {
-  encode_range_stats(w, b.core);
-  if (!whole_domain) {
-    encode_range_stats(w, b.inner);
-    encode_range_stats(w, b.outer);
-  }
-}
-
-StatsBundle decode_bundle(BitReader& r, bool whole_domain) {
-  StatsBundle b;
-  b.core = decode_range_stats(r);
-  if (whole_domain) {
-    b.inner = b.core;
-    b.outer = b.core;
-  } else {
-    b.inner = decode_range_stats(r);
-    b.outer = decode_range_stats(r);
-  }
-  return b;
-}
 
 void mirror_cube_stats(const CubeStats& s) {
   obs::Registry& reg = obs::Registry::global();
@@ -62,33 +35,6 @@ void mirror_cube_stats(const CubeStats& s) {
 
 }  // namespace
 
-// ---- cell state -----------------------------------------------------------
-
-struct Cube::CellState {
-  std::size_t ordinal = 0;
-  query::RegionSignature region;
-  StatsBundle root;
-  std::optional<sketch::Hll> root_hll;
-  std::uint32_t epoch = DirtyTracker::kInvalidEpoch;  // last refresh
-  // Parent-side caches, indexed [node][child_index]; sized lazily at the
-  // first refresh so untouched cells cost no memory on wide trees.
-  std::vector<std::vector<StatsBundle>> child_partial;
-  std::vector<std::vector<std::uint32_t>> child_epoch;
-  std::vector<std::vector<std::optional<sketch::Hll>>> child_hll;
-};
-
-Cube::CellState& Cube::cell(query::CubeCellRef ref) {
-  SENSORNET_EXPECTS(ref.level < config_.levels &&
-                    ref.index < (1u << ref.level));
-  return *cells_[cell_ordinal(ref)];
-}
-
-const Cube::CellState& Cube::cell(query::CubeCellRef ref) const {
-  SENSORNET_EXPECTS(ref.level < config_.levels &&
-                    ref.index < (1u << ref.level));
-  return *cells_[cell_ordinal(ref)];
-}
-
 // ---- construction ---------------------------------------------------------
 
 Cube::Cube(sim::Network& net, const net::SpanningTree& tree,
@@ -96,11 +42,11 @@ Cube::Cube(sim::Network& net, const net::SpanningTree& tree,
     : net_(net),
       tree_(tree),
       max_value_bound_(max_value_bound),
-      dirty_(dirty),
       config_(config),
-      hll_width_(0),
+      store_(net, tree, dirty,
+             static_cast<Value>(config.horizon_epochs) * config.max_delta,
+             config.distinct_registers),
       next_residue_session_(kResidueSessionBase) {
-  SENSORNET_EXPECTS(net.node_count() == tree.node_count());
   SENSORNET_EXPECTS(max_value_bound >= 0);
   SENSORNET_EXPECTS(config_.levels >= 1 && config_.levels <= 16);
   // The finest level must not out-resolve the domain, or cells go empty.
@@ -108,23 +54,17 @@ Cube::Cube(sim::Network& net, const net::SpanningTree& tree,
                     static_cast<std::uint64_t>(max_value_bound) + 1);
   SENSORNET_EXPECTS(config_.max_delta >= 0);
   SENSORNET_EXPECTS(config_.horizon_epochs >= 1);
-  if (config_.distinct_registers > 0) {
-    hll_width_ = static_cast<std::uint8_t>(sketch::packed_width_for(
-        static_cast<std::uint64_t>(net.node_count()) + 1));
-    (void)empty_hll();  // validates registers/width geometry once, up front
-  }
   const auto domain = static_cast<std::uint64_t>(max_value_bound) + 1;
   for (unsigned level = 0; level < config_.levels; ++level) {
     for (unsigned index = 0; index < (1u << level); ++index) {
-      auto c = std::make_unique<CellState>();
-      c->ordinal = cells_.size();
-      const std::uint64_t lo = index * domain >> level;
-      const std::uint64_t hi = ((index + 1ull) * domain >> level) - 1;
-      c->region.lo = static_cast<Value>(lo);
-      c->region.hi = static_cast<Value>(hi);
-      c->region.whole_domain =
-          c->region.lo == 0 && c->region.hi == max_value_bound;
-      cells_.push_back(std::move(c));
+      query::RegionSignature region;
+      region.lo = static_cast<Value>(index * domain >> level);
+      region.hi = static_cast<Value>(((index + 1ull) * domain >> level) - 1);
+      region.whole_domain = region.lo == 0 && region.hi == max_value_bound;
+      // Session identifies the cell: stable across epochs, disjoint from
+      // the scheduler's 0x7000 group range and the residue range.
+      const auto ordinal = static_cast<std::uint32_t>(store_.slot_count());
+      store_.add_slot(region, kRefreshSessionBase + ordinal);
     }
   }
   // Construction ships zero bits: the geometry install broadcast is lazy,
@@ -134,274 +74,119 @@ Cube::Cube(sim::Network& net, const net::SpanningTree& tree,
 
 Cube::~Cube() = default;
 
-query::RegionSignature Cube::cell_region(query::CubeCellRef ref) const {
-  return cell(ref).region;
-}
-
-// ---- node-local evaluation ------------------------------------------------
-
-StatsBundle Cube::local_bundle(NodeId node,
-                               const query::RegionSignature& region) const {
-  StatsBundle b;
-  if (region.whole_domain) {
-    for (const Value v : net_.items(node)) b.core.observe(v);
-    b.inner = b.core;
-    b.outer = b.core;
-    return b;
-  }
-  const Value margin =
-      static_cast<Value>(config_.horizon_epochs) * config_.max_delta;
-  for (const Value v : net_.items(node)) {
-    if (v >= region.lo && v <= region.hi) b.core.observe(v);
-    if (v >= region.lo + margin && v <= region.hi - margin) b.inner.observe(v);
-    if (v >= region.lo - margin && v <= region.hi + margin) b.outer.observe(v);
-  }
-  return b;
-}
-
-sketch::Hll Cube::empty_hll() const {
-  return sketch::Hll::make_by_registers(
-             config_.distinct_registers,
-             sketch::HllOptions{.width = hll_width_, .sparse = true})
-      .value();
-}
-
-sketch::Hll Cube::local_hll(NodeId node,
-                            const query::RegionSignature& region) const {
-  sketch::Hll h = empty_hll();
-  for (const Value v : net_.items(node)) {
-    if (v >= region.lo && v <= region.hi) {
-      h.add(static_cast<std::uint64_t>(v), kHllSalt);
-    }
-  }
-  return h;
-}
-
 // ---- pruning oracle -------------------------------------------------------
 
-bool Cube::subtree_provably_empty(NodeId node, std::size_t ci,
+bool Cube::subtree_provably_empty(NodeId child,
                                   const query::RegionSignature& region) const {
-  for (const auto& cs : cells_) {
-    if (cs->child_partial.empty()) continue;  // cell never refreshed
-    if (cs->region.lo > region.lo || cs->region.hi < region.hi) continue;
+  for (SlotId s = 0; s < store_.slot_count(); ++s) {
+    if (!store_.has_edges(s)) continue;  // cell never refreshed
+    const query::RegionSignature& cell = store_.region(s);
+    if (cell.lo > region.lo || cell.hi < region.hi) continue;
     // The partial's outer region contains the residue's outer region (same
     // margin, containing core). edge_fresh certifies the subtree's items are
     // *identical* to when the partial was taken, so an empty outer then is
     // an empty outer now — the subtree contributes nothing, exactly.
-    if (!dirty_.edge_fresh(node, ci, cs->child_epoch[node][ci])) continue;
-    if (cs->child_partial[node][ci].outer.count == 0) return true;
+    if (!store_.edge_fresh(s, child)) continue;
+    if (store_.edge_bundle(s, child).outer.count == 0) return true;
   }
   return false;
 }
 
-// ---- cell refresh wave ----------------------------------------------------
+// ---- cell refresh ---------------------------------------------------------
 
-class Cube::RefreshWave final : public sim::ProtocolHandler {
- public:
-  RefreshWave(Cube& cube, CellState& c, std::uint32_t epoch)
-      : cube_(cube),
-        c_(c),
-        epoch_(epoch),
-        // Session identifies the cell: stable across epochs, disjoint from
-        // the scheduler's 0x7000 group range and the residue range.
-        session_(kRefreshSessionBase + static_cast<std::uint32_t>(c.ordinal)),
-        want_hll_(cube.config_.distinct_registers > 0),
-        pending_(cube.tree_.node_count(), 0),
-        accum_(cube.tree_.node_count()),
-        accum_hll_(cube.tree_.node_count()) {}
-
-  void execute(sim::Network& net) {
-    activate(net, cube_.tree_.root);
-    net.run(*this);
-    SENSORNET_EXPECTS(pending_[cube_.tree_.root] == 0);
-    c_.root = accum_[cube_.tree_.root];
-    if (want_hll_) c_.root_hll = std::move(accum_hll_[cube_.tree_.root]);
-    c_.epoch = epoch_;
-  }
-
-  void on_message(sim::Network& net, NodeId receiver,
-                  const sim::Message& msg) override {
-    SENSORNET_EXPECTS(msg.session == session_);
-    if (msg.kind == kRequestKind) {
-      activate(net, receiver);
-      return;
-    }
-    SENSORNET_EXPECTS(msg.kind == kResponseKind);
-    BitReader r = msg.reader();
-    StatsBundle child = decode_bundle(r, c_.region.whole_domain);
-    const std::size_t ci = child_index(cube_.tree_, receiver, msg.from);
-    c_.child_partial[receiver][ci] = child;
-    c_.child_epoch[receiver][ci] = epoch_;
-    accum_[receiver].combine(child);
-    if (want_hll_) {
-      sketch::Hll h = sketch::Hll::decode(r).value();
-      accum_hll_[receiver]->merge(h).value();
-      c_.child_hll[receiver][ci] = std::move(h);
-    }
-    SENSORNET_EXPECTS(pending_[receiver] > 0);
-    if (--pending_[receiver] == 0) respond(net, receiver);
-  }
-
- private:
-  void activate(sim::Network& net, NodeId node) {
-    accum_[node] = cube_.local_bundle(node, c_.region);
-    if (want_hll_) accum_hll_[node] = cube_.local_hll(node, c_.region);
-    const auto& kids = cube_.tree_.children[node];
-    for (std::size_t ci = 0; ci < kids.size(); ++ci) {
-      if (cube_.dirty_.edge_fresh(node, ci, c_.child_epoch[node][ci])) {
-        accum_[node].combine(c_.child_partial[node][ci]);
-        if (want_hll_) {
-          accum_hll_[node]->merge(*c_.child_hll[node][ci]).value();
-        }
-        ++cube_.stats_.cell_edges_skipped;
-        continue;
-      }
-      BitWriter w;
-      w.write_bit(true);
-      net.send(sim::Message::make(node, kids[ci], session_, kRequestKind,
-                                  std::move(w)));
-      ++pending_[node];
-      ++cube_.stats_.cell_edges_descended;
-    }
-    if (pending_[node] == 0) respond(net, node);
-  }
-
-  void respond(sim::Network& net, NodeId node) {
-    if (node == cube_.tree_.root) return;  // root keeps the result
-    BitWriter w;
-    encode_bundle(w, accum_[node], c_.region.whole_domain);
-    if (want_hll_) accum_hll_[node]->encode(w);
-    net.send(sim::Message::make(node, cube_.tree_.parent[node], session_,
-                                kResponseKind, std::move(w)));
-  }
-
-  Cube& cube_;
-  CellState& c_;
-  std::uint32_t epoch_;
-  std::uint32_t session_;
-  bool want_hll_;
-  std::vector<std::uint32_t> pending_;
-  std::vector<StatsBundle> accum_;
-  std::vector<std::optional<sketch::Hll>> accum_hll_;
-};
-
-void Cube::refresh_cell(CellState& c, std::uint32_t epoch) {
-  if (c.epoch == epoch) return;  // idempotent per epoch
-  if (c.child_partial.empty()) {
-    c.child_partial.resize(tree_.node_count());
-    c.child_epoch.resize(tree_.node_count());
-    c.child_hll.resize(tree_.node_count());
-    for (NodeId u = 0; u < tree_.node_count(); ++u) {
-      const std::size_t n = tree_.children[u].size();
-      c.child_partial[u].resize(n);
-      c.child_epoch[u].assign(n, DirtyTracker::kInvalidEpoch);
-      c.child_hll[u].resize(n);
-    }
-  }
+void Cube::refresh_cell(SlotId s, std::uint32_t epoch) {
+  if (store_.epoch(s) == epoch) return;  // idempotent per epoch
   const SimTime t0 = net_.now();
-  RefreshWave wave(*this, c, epoch);
-  wave.execute(net_);
+  store_.collect(std::span(&s, 1), epoch);
+  stats_.cell_edges_descended = store_.edges_descended();
+  stats_.cell_edges_skipped = store_.edges_skipped();
   ++stats_.refresh_waves;
   obs::TraceRing& ring = obs::TraceRing::global();
   if (ring.enabled()) {
     ring.complete("cube.refresh", "service", t0, net_.now() - t0, 0, "epoch",
-                  epoch, "lo", c.region.lo);
+                  epoch, "lo", store_.region(s).lo);
   }
   mirror_stats();
 }
 
 // ---- residue collection ---------------------------------------------------
 
-class Cube::ResidueWave final : public sim::ProtocolHandler {
+/// The residue's EdgeWave policy: a one-shot collection over a range that no
+/// node has installed, so the request carries the range. An edge is pruned
+/// when the cell partials prove its subtree empty for the range.
+class Cube::Residue {
  public:
-  ResidueWave(Cube& cube, const query::RegionSignature& region,
-              std::uint32_t session, bool want_hll)
+  Residue(Cube& cube, const query::RegionSignature& region, bool want_hll)
       : cube_(cube),
         region_(region),
-        session_(session),
-        want_hll_(want_hll),
-        pending_(cube.tree_.node_count(), 0),
         accum_(cube.tree_.node_count()),
-        accum_hll_(cube.tree_.node_count()) {}
-
-  StatsBundle execute(sim::Network& net) {
-    activate(net, cube_.tree_.root);
-    net.run(*this);
-    SENSORNET_EXPECTS(pending_[cube_.tree_.root] == 0);
-    return accum_[cube_.tree_.root];
+        accum_hll_(want_hll ? cube.tree_.node_count() : 0) {
+    if (want_hll) geometry_ = cube.store_.empty_hll();
+    BitWriter w;
+    encode_uint(w, static_cast<std::uint64_t>(region.lo));
+    encode_uint(w, static_cast<std::uint64_t>(region.hi - region.lo));
+    w.write_bit(want_hll);
+    request_bits_ = static_cast<std::uint32_t>(w.bit_count());
+    request_ = sim::Payload(w.bytes().data(), w.bytes().size());
   }
 
-  std::optional<sketch::Hll> take_root_hll() {
-    return std::move(accum_hll_[cube_.tree_.root]);
+  StatsBundle& root_bundle() { return accum_[cube_.tree_.root]; }
+  std::optional<sketch::Hll>& root_hll() {
+    return accum_hll_[cube_.tree_.root];
   }
 
-  void on_message(sim::Network& net, NodeId receiver,
-                  const sim::Message& msg) override {
-    SENSORNET_EXPECTS(msg.session == session_);
-    if (msg.kind == kRequestKind) {
-      activate(net, receiver);
-      return;
-    }
-    SENSORNET_EXPECTS(msg.kind == kResponseKind);
-    BitReader r = msg.reader();
-    const StatsBundle child = decode_bundle(r, region_.whole_domain);
-    accum_[receiver].combine(child);
-    if (want_hll_) {
-      const sketch::Hll h = sketch::Hll::decode(r).value();
-      accum_hll_[receiver]->merge(h).value();
-    }
-    SENSORNET_EXPECTS(pending_[receiver] > 0);
-    if (--pending_[receiver] == 0) respond(net, receiver);
-  }
+  // Every node's copy of the range is region_.
+  void on_request(NodeId /*node*/, BitReader& /*r*/) {}
 
- private:
-  void activate(sim::Network& net, NodeId node) {
-    accum_[node] = cube_.local_bundle(node, region_);
-    if (want_hll_) accum_hll_[node] = cube_.local_hll(node, region_);
-    const auto& kids = cube_.tree_.children[node];
-    for (std::size_t ci = 0; ci < kids.size(); ++ci) {
-      if (cube_.subtree_provably_empty(node, ci, region_)) {
+  void fan_out(proto::Fanout& out) {
+    const NodeId node = out.node();
+    accum_[node] = cube_.store_.local_bundle(node, region_);
+    if (geometry_) accum_hll_[node] = cube_.store_.local_hll(node, region_);
+    for (const NodeId child : cube_.tree_.children[node]) {
+      if (cube_.subtree_provably_empty(child, region_)) {
         ++cube_.stats_.residue_edges_pruned;
         continue;
       }
-      // One-shot wave: the request carries the range (residues have no
-      // installed group state to lean on).
-      BitWriter w;
-      encode_uint(w, static_cast<std::uint64_t>(region_.lo));
-      encode_uint(w, static_cast<std::uint64_t>(region_.hi - region_.lo));
-      w.write_bit(want_hll_);
-      net.send(sim::Message::make(node, kids[ci], session_, kRequestKind,
-                                  std::move(w)));
-      ++pending_[node];
+      out.send(child, request_, request_bits_);
       ++cube_.stats_.residue_edges_descended;
     }
-    if (pending_[node] == 0) respond(net, node);
   }
 
-  void respond(sim::Network& net, NodeId node) {
-    if (node == cube_.tree_.root) return;
-    BitWriter w;
-    encode_bundle(w, accum_[node], region_.whole_domain);
-    if (want_hll_) accum_hll_[node]->encode(w);
-    net.send(sim::Message::make(node, cube_.tree_.parent[node], session_,
-                                kResponseKind, std::move(w)));
+  void on_response(NodeId node, NodeId /*child*/, BitReader& r) {
+    decode_stats_response(r, kOneSlot, whole_domain_, images_,
+                          geometry_ ? &*geometry_ : nullptr,
+                          geometry_ ? &sketches_ : nullptr);
+    accum_[node].combine(images_[0]);
+    if (geometry_) accum_hll_[node]->merge(sketches_[0]).value();
   }
+
+  void respond(NodeId node, BitWriter& w) {
+    encode_stats_image(w, accum_[node], region_.whole_domain);
+    if (geometry_) accum_hll_[node]->encode(w);
+  }
+
+ private:
+  inline static const std::vector<std::uint8_t> kOneSlot{1};
 
   Cube& cube_;
   query::RegionSignature region_;
-  std::uint32_t session_;
-  bool want_hll_;
-  std::vector<std::uint32_t> pending_;
+  std::vector<std::uint8_t> whole_domain_{region_.whole_domain};
+  std::optional<sketch::Hll> geometry_;
+  sim::Payload request_;
+  std::uint32_t request_bits_ = 0;
   std::vector<StatsBundle> accum_;
   std::vector<std::optional<sketch::Hll>> accum_hll_;
+  std::vector<StatsBundle> images_;
+  std::vector<sketch::Hll> sketches_;
 };
 
 StatsBundle Cube::collect_range(const query::RegionSignature& region,
                                 std::optional<sketch::Hll>* hll) {
   const SimTime t0 = net_.now();
-  ResidueWave wave(*this, region, next_residue_session_++, hll != nullptr);
-  const StatsBundle b = wave.execute(net_);
-  if (hll != nullptr) *hll = wave.take_root_hll();
+  Residue policy(*this, region, hll != nullptr);
+  proto::EdgeWave<Residue> wave(tree_, next_residue_session_++, policy);
+  wave.execute(net_);
+  if (hll != nullptr) *hll = std::move(policy.root_hll());
   ++stats_.residue_waves;
   obs::TraceRing& ring = obs::TraceRing::global();
   if (ring.enabled()) {
@@ -409,7 +194,7 @@ StatsBundle Cube::collect_range(const query::RegionSignature& region,
                   region.lo, "hi", region.hi);
   }
   mirror_stats();
-  return b;
+  return policy.root_bundle();
 }
 
 // ---- geometry install -----------------------------------------------------
@@ -428,7 +213,7 @@ void Cube::ensure_geometry_installed() {
                      static_cast<std::uint64_t>(config_.max_delta));
   encode_uint(w, config_.distinct_registers);
   if (config_.distinct_registers > 0) {
-    encode_uint(w, hll_width_);
+    encode_uint(w, store_.hll_width());
     encode_uint(w, kHllSalt);
   }
   install.execute(net_, std::move(w));
@@ -446,14 +231,14 @@ ServeResult Cube::serve(const query::CostedPlan& plan, std::uint32_t epoch) {
   if (want_hll) {
     SENSORNET_EXPECTS(config_.distinct_registers > 0 &&
                       plan.registers == config_.distinct_registers);
-    merged = empty_hll();
+    merged = store_.empty_hll();
   }
   for (const query::PlanStep& step : plan.steps) {
     if (step.kind == query::StepKind::kCubeCell) {
-      CellState& c = cell(step.cell);
-      refresh_cell(c, epoch);
-      out.bundle.combine(c.root);
-      if (want_hll) merged->merge(*c.root_hll).value();
+      const SlotId s = slot(step.cell);
+      refresh_cell(s, epoch);
+      out.bundle.combine(store_.root(s));
+      if (want_hll) merged->merge(store_.root_hll(s)).value();
       ++out.cells_used;
     } else {
       std::optional<sketch::Hll> h;
@@ -482,19 +267,21 @@ std::optional<BracketedAnswer> Cube::stale_bracket(
   StatsBundle core;  // the answer's point value: the frozen composition
   for (const query::PlanStep& step : plan.steps) {
     if (step.kind != query::StepKind::kCubeCell) return std::nullopt;
-    const CellState& c = cell(step.cell);
-    if (c.epoch == DirtyTracker::kInvalidEpoch || now_epoch < c.epoch) {
+    const SlotId s = slot(step.cell);
+    const std::uint32_t epoch = store_.epoch(s);
+    if (epoch == DirtyTracker::kInvalidEpoch || now_epoch < epoch) {
       return std::nullopt;
     }
-    const std::uint32_t staleness = now_epoch - c.epoch;
-    if (!c.region.whole_domain && staleness > config_.horizon_epochs) {
+    const query::RegionSignature& region = store_.region(s);
+    const std::uint32_t staleness = now_epoch - epoch;
+    if (!region.whole_domain && staleness > config_.horizon_epochs) {
       return std::nullopt;  // margins no longer bracket this cell
     }
     const double d = static_cast<double>(staleness) *
                      static_cast<double>(config_.max_delta);
     const BundleBracket br = bracket_bundle(
-        c.root, c.region.whole_domain, d,
-        static_cast<double>(c.region.lo), static_cast<double>(c.region.hi));
+        store_.root(s), region.whole_domain, d,
+        static_cast<double>(region.lo), static_cast<double>(region.hi));
     count_lo += br.count_lo;
     count_hi += br.count_hi;
     sum_lo += br.sum_lo;
@@ -512,7 +299,7 @@ std::optional<BracketedAnswer> Cube::stale_bracket(
       max_lo = defined ? std::max(max_lo, br.max_lo) : br.max_lo;
       defined = true;
     }
-    core.combine(c.root);
+    core.combine(store_.root(s));
   }
   std::optional<BracketedAnswer> out;
   switch (agg) {
@@ -563,15 +350,11 @@ std::uint64_t Cube::edge_cost_bits(bool whole_domain,
   return request + response;
 }
 
-std::uint64_t Cube::count_stale_edges(const CellState& c, NodeId node) const {
+std::uint64_t Cube::count_stale_edges(SlotId s, NodeId node) const {
   std::uint64_t edges = 0;
-  const auto& kids = tree_.children[node];
-  for (std::size_t ci = 0; ci < kids.size(); ++ci) {
-    const std::uint32_t have = c.child_partial.empty()
-                                   ? DirtyTracker::kInvalidEpoch
-                                   : c.child_epoch[node][ci];
-    if (dirty_.edge_fresh(node, ci, have)) continue;
-    edges += 1 + count_stale_edges(c, kids[ci]);
+  for (const NodeId child : tree_.children[node]) {
+    if (store_.edge_fresh(s, child)) continue;
+    edges += 1 + count_stale_edges(s, child);
   }
   return edges;
 }
@@ -579,18 +362,18 @@ std::uint64_t Cube::count_stale_edges(const CellState& c, NodeId node) const {
 std::uint64_t Cube::count_residue_edges(
     NodeId node, const query::RegionSignature& region) const {
   std::uint64_t edges = 0;
-  const auto& kids = tree_.children[node];
-  for (std::size_t ci = 0; ci < kids.size(); ++ci) {
-    if (subtree_provably_empty(node, ci, region)) continue;
-    edges += 1 + count_residue_edges(kids[ci], region);
+  for (const NodeId child : tree_.children[node]) {
+    if (subtree_provably_empty(child, region)) continue;
+    edges += 1 + count_residue_edges(child, region);
   }
   return edges;
 }
 
 std::uint64_t Cube::cell_refresh_bits(query::CubeCellRef ref) const {
-  const CellState& c = cell(ref);
-  return count_stale_edges(c, tree_.root) *
-         edge_cost_bits(c.region.whole_domain, /*carries_region=*/false);
+  const SlotId s = slot(ref);
+  return count_stale_edges(s, tree_.root) *
+         edge_cost_bits(store_.region(s).whole_domain,
+                        /*carries_region=*/false);
 }
 
 std::uint64_t Cube::residue_collect_bits(

@@ -10,11 +10,12 @@
 // cell maintains a per-subtree partial aggregate at each tree node: a
 // PASS-style StatsBundle (COUNT/SUM/MIN/MAX over the cell, its margin-shrunk
 // inner and margin-grown outer companions) and, when configured, an HLL
-// sketch for COUNT_DISTINCT. Partials are kept incrementally fresh by the
-// same coalesced dirty-mark wave the shared-plan scheduler rides
-// (cube::DirtyTracker): a cell refresh descends only into subtrees that
-// changed since the cached partial was taken, so a quiescent network
-// refreshes for free.
+// sketch for COUNT_DISTINCT. Each cell is one slot of a cube::PartialStore
+// (see partials.hpp for the per-edge partials, edges named by their child
+// node, and the wire format): a cell refresh is a one-slot collect(), which
+// descends only into subtrees that changed since the cached partial was
+// taken (the same coalesced dirty marks the shared-plan scheduler rides),
+// so a quiescent network refreshes for free.
 //
 // The planner sees the cube through the query::CubeCatalog interface —
 // geometry plus a deterministic bit-cost model — and decomposes a range
@@ -33,12 +34,13 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <vector>
 
+#include "src/common/error.hpp"
 #include "src/common/types.hpp"
 #include "src/cube/dirty.hpp"
+#include "src/cube/partials.hpp"
 #include "src/cube/stats.hpp"
 #include "src/net/spanning_tree.hpp"
 #include "src/query/aggregate.hpp"
@@ -100,7 +102,9 @@ class Cube final : public query::CubeCatalog {
   // ---- query::CubeCatalog (the planner's window) -------------------------
   unsigned levels() const override { return config_.levels; }
   Value domain_bound() const override { return max_value_bound_; }
-  query::RegionSignature cell_region(query::CubeCellRef ref) const override;
+  query::RegionSignature cell_region(query::CubeCellRef ref) const override {
+    return store_.region(slot(ref));
+  }
   unsigned distinct_registers() const override {
     return config_.distinct_registers;
   }
@@ -130,34 +134,29 @@ class Cube final : public query::CubeCatalog {
                                                std::uint32_t now_epoch) const;
 
   const CubeStats& stats() const { return stats_; }
-  std::size_t cell_count() const { return cells_.size(); }
+  std::size_t cell_count() const { return store_.slot_count(); }
   /// Row-major cell numbering: level 0 first, 2^l cells per level.
   static std::size_t cell_ordinal(query::CubeCellRef ref) {
     return ((std::size_t{1} << ref.level) - 1) + ref.index;
   }
 
  private:
-  struct CellState;
-  class RefreshWave;
-  class ResidueWave;
+  class Residue;
 
-  CellState& cell(query::CubeCellRef ref);
-  const CellState& cell(query::CubeCellRef ref) const;
-  /// Node-local bundle over `region` with the cube's margins.
-  StatsBundle local_bundle(NodeId node, const query::RegionSignature& region)
-      const;
-  /// Node-local HLL over `region` in the oracle's exact sketch geometry.
-  sketch::Hll local_hll(NodeId node, const query::RegionSignature& region)
-      const;
-  sketch::Hll empty_hll() const;
-  /// True when the cached cell partials prove the subtree below
-  /// (node, child ci) holds nothing relevant to `region` — exact, because
-  /// the dirty tracker certifies the subtree is unchanged since the proof.
-  bool subtree_provably_empty(NodeId node, std::size_t ci,
+  /// Cell `ref`'s store slot: slots are numbered by cell_ordinal.
+  SlotId slot(query::CubeCellRef ref) const {
+    SENSORNET_EXPECTS(ref.level < config_.levels &&
+                      ref.index < (1u << ref.level));
+    return static_cast<SlotId>(cell_ordinal(ref));
+  }
+  /// True when the cached cell partials prove the subtree below edge
+  /// `child` holds nothing relevant to `region` — exact, because the dirty
+  /// tracker certifies the subtree is unchanged since the proof.
+  bool subtree_provably_empty(NodeId child,
                               const query::RegionSignature& region) const;
   void ensure_geometry_installed();
   /// Incremental refresh of one cell to `epoch`; no-op when already there.
-  void refresh_cell(CellState& c, std::uint32_t epoch);
+  void refresh_cell(SlotId s, std::uint32_t epoch);
   /// One-shot pruned collection; fills `hll` when it is non-null.
   StatsBundle collect_range(const query::RegionSignature& region,
                             std::optional<sketch::Hll>* hll);
@@ -166,7 +165,7 @@ class Cube final : public query::CubeCatalog {
   /// Estimated wire bits of one descend-and-respond edge for a region
   /// (request + response, headers included).
   std::uint64_t edge_cost_bits(bool whole_domain, bool carries_region) const;
-  std::uint64_t count_stale_edges(const CellState& c, NodeId node) const;
+  std::uint64_t count_stale_edges(SlotId s, NodeId node) const;
   std::uint64_t count_residue_edges(NodeId node,
                                     const query::RegionSignature& region)
       const;
@@ -174,11 +173,9 @@ class Cube final : public query::CubeCatalog {
   sim::Network& net_;
   const net::SpanningTree& tree_;
   Value max_value_bound_;
-  const DirtyTracker& dirty_;
   CubeConfig config_;
-  std::uint8_t hll_width_;  // packed rank width: the oracle's geometry
+  PartialStore store_;  // one slot per cell
   bool geometry_installed_ = false;
-  std::vector<std::unique_ptr<CellState>> cells_;  // by cell_ordinal
   std::uint32_t next_residue_session_;
   // Telemetry, not state: the zero-bit stale path counts from const context.
   mutable CubeStats stats_;

@@ -1,6 +1,6 @@
 #include "src/cube/dirty.hpp"
 
-#include <algorithm>
+#include <utility>
 
 #include "src/common/error.hpp"
 #include "src/obs/trace.hpp"
@@ -14,14 +14,6 @@ constexpr std::uint32_t kMarkSession = 0x7F00;
 constexpr std::uint16_t kMarkKind = 1;
 
 }  // namespace
-
-std::size_t child_index(const net::SpanningTree& tree, NodeId node,
-                        NodeId child) {
-  const auto& kids = tree.children[node];
-  const auto it = std::lower_bound(kids.begin(), kids.end(), child);
-  SENSORNET_EXPECTS(it != kids.end() && *it == child);
-  return static_cast<std::size_t>(it - kids.begin());
-}
 
 class DirtyTracker::MarkWave final : public sim::ProtocolHandler {
  public:
@@ -43,8 +35,6 @@ class DirtyTracker::MarkWave final : public sim::ProtocolHandler {
   void on_message(sim::Network& net, NodeId receiver,
                   const sim::Message& msg) override {
     SENSORNET_EXPECTS(msg.session == kMarkSession && msg.kind == kMarkKind);
-    const std::size_t ci = child_index(tracker_.tree_, receiver, msg.from);
-    tracker_.child_changed_epoch_[receiver][ci] = epoch_;
     tracker_.subtree_changed_epoch_[receiver] = epoch_;
     emit_mark(net, receiver);
   }
@@ -58,12 +48,8 @@ class DirtyTracker::MarkWave final : public sim::ProtocolHandler {
 DirtyTracker::DirtyTracker(sim::Network& net, const net::SpanningTree& tree)
     : net_(net),
       tree_(tree),
-      subtree_changed_epoch_(tree.node_count(), kNever),
-      child_changed_epoch_(tree.node_count()) {
+      subtree_changed_epoch_(tree.node_count(), kNever) {
   SENSORNET_EXPECTS(net.node_count() == tree.node_count());
-  for (NodeId u = 0; u < tree.node_count(); ++u) {
-    child_changed_epoch_[u].assign(tree.children[u].size(), kNever);
-  }
 }
 
 void DirtyTracker::note_updates(std::span<const NodeId> updated,

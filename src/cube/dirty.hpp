@@ -6,9 +6,12 @@
 // (each node forwards at most one mark per epoch, so a batch costs at most
 // one message per distinct root-path edge). Every interior node then knows,
 // per child edge, the epoch of the last change below it — the freshness
-// oracle that lets any incremental collection (scheduler stats waves, cube
-// cell refreshes) skip subtrees that have not changed since their cached
-// partial was taken.
+// oracle that lets any incremental collection (cube::PartialStore's
+// collections for scheduler groups and cube cells) skip subtrees that have
+// not changed since their cached partial was taken. Edges are named by their
+// child node: edge c is parent(c) -> c. Once a mark wave drains, the epoch
+// the parent heard on edge c is exactly c's own subtree change epoch, so the
+// tracker keeps one epoch per node.
 #pragma once
 
 #include <cstdint>
@@ -21,10 +24,6 @@
 #include "src/sim/network.hpp"
 
 namespace sensornet::cube {
-
-/// Index of `child` within the node's sorted children list.
-std::size_t child_index(const net::SpanningTree& tree, NodeId node,
-                        NodeId child);
 
 class DirtyTracker {
  public:
@@ -45,20 +44,15 @@ class DirtyTracker {
   /// the same epoch.
   void note_updates(std::span<const NodeId> updated, std::uint32_t epoch);
 
-  /// Epoch of the last change heard from the node's ci-th child edge.
-  std::uint32_t child_changed_epoch(NodeId node, std::size_t ci) const {
-    return child_changed_epoch_[node][ci];
-  }
-
   /// Epoch of the last change at or below the node.
   std::uint32_t subtree_changed_epoch(NodeId node) const {
     return subtree_changed_epoch_[node];
   }
 
-  /// True when nothing at or below the edge changed after `have` (the epoch
-  /// a cached partial was taken at) — the partial is still exact.
-  bool edge_fresh(NodeId node, std::size_t ci, std::uint32_t have) const {
-    return have != kInvalidEpoch && child_changed_epoch_[node][ci] <= have;
+  /// True when nothing at or below edge `child` changed after `have` (the
+  /// epoch a cached partial was taken at) — the partial is still exact.
+  bool edge_fresh(NodeId child, std::uint32_t have) const {
+    return have != kInvalidEpoch && subtree_changed_epoch_[child] <= have;
   }
 
   std::uint64_t mark_messages() const { return mark_messages_; }
@@ -69,9 +63,6 @@ class DirtyTracker {
   sim::Network& net_;
   const net::SpanningTree& tree_;
   std::vector<std::uint32_t> subtree_changed_epoch_;
-  /// Parallel to tree_.children[n]: epoch of the last change heard from
-  /// each child edge.
-  std::vector<std::vector<std::uint32_t>> child_changed_epoch_;
   std::uint64_t mark_messages_ = 0;
 };
 

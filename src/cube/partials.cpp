@@ -1,0 +1,320 @@
+#include "src/cube/partials.hpp"
+
+#include <algorithm>
+#include <utility>
+
+#include "src/common/error.hpp"
+#include "src/obs/trace.hpp"
+#include "src/proto/tree_wave.hpp"
+
+namespace sensornet::cube {
+
+// ---- wire images ---------------------------------------------------------
+
+void encode_stats_image(BitWriter& w, const StatsBundle& b,
+                        bool whole_domain) {
+  encode_range_stats(w, b.core);
+  if (whole_domain) return;
+  encode_range_stats(w, b.inner);
+  encode_range_stats(w, b.outer);
+}
+
+StatsBundle decode_stats_image(BitReader& r, bool whole_domain) {
+  StatsBundle b;
+  b.core = decode_range_stats(r);
+  if (whole_domain) {
+    b.inner = b.core;
+    b.outer = b.core;
+  } else {
+    b.inner = decode_range_stats(r);
+    b.outer = decode_range_stats(r);
+  }
+  return b;
+}
+
+void decode_stats_request(BitReader& r, std::vector<std::uint8_t>& mask) {
+  bool any = false;
+  for (std::size_t i = 0; i < mask.size(); ++i) {
+    mask[i] = r.read_bit();
+    any = any || mask[i];
+  }
+  if (!any) throw WireFormatError("stats request: empty slot mask");
+}
+
+void decode_stats_response(BitReader& r,
+                           const std::vector<std::uint8_t>& mask,
+                           const std::vector<std::uint8_t>& whole_domain,
+                           std::vector<StatsBundle>& images,
+                           const sketch::Hll* sketch,
+                           std::vector<sketch::Hll>* sketches) {
+  SENSORNET_EXPECTS(mask.size() == whole_domain.size());
+  SENSORNET_EXPECTS((sketch == nullptr) == (sketches == nullptr));
+  images.clear();
+  if (sketches != nullptr) sketches->clear();
+  for (std::size_t i = 0; i < mask.size(); ++i) {
+    if (!mask[i]) continue;
+    images.push_back(decode_stats_image(r, whole_domain[i]));
+    if (sketch == nullptr) continue;
+    Result<sketch::Hll> h = sketch::Hll::decode(r);
+    if (!h.ok()) throw WireFormatError("stats response: " + h.error());
+    if (!h.value().same_geometry(*sketch)) {
+      throw WireFormatError("stats response: sketch of another geometry");
+    }
+    sketches->push_back(std::move(h).value());
+  }
+  if (r.remaining() != 0) {
+    throw WireFormatError("stats response: trailing bits");
+  }
+}
+
+// ---- the multiplexed collection -----------------------------------------
+
+/// The EdgeWave policy of collect(): per node it keeps only the mask of the
+/// request it received.
+class PartialStore::Collect {
+ public:
+  Collect(PartialStore& store, std::span<const SlotId> batch,
+          std::uint32_t epoch)
+      : store_(store),
+        batch_(batch),  // ascending id == wire order
+        k_(batch.size()),
+        epoch_(epoch),
+        whole_domain_(k_),
+        requested_(store.tree_.node_count() * k_, 0),
+        mask_(k_),
+        shares_(k_) {
+    for (std::size_t i = 0; i < k_; ++i) {
+      whole_domain_[i] = slot(i).region.whole_domain;
+    }
+    std::fill_n(requested_.begin() + store.tree_.root * k_, k_, 1);
+    if (store.hll_registers_ > 0) geometry_ = store.empty_hll();
+  }
+
+  std::vector<WaveShare>& shares() { return shares_; }
+
+  void on_request(NodeId node, BitReader& r) {
+    decode_stats_request(r, mask_);
+    std::copy(mask_.begin(), mask_.end(), requested_.begin() + node * k_);
+  }
+
+  /// Serves fresh edges from the partials and sends one request per edge
+  /// that is stale for at least one active slot.
+  void fan_out(proto::Fanout& out) {
+    const NodeId node = out.node();
+    const auto active = static_cast<std::size_t>(
+        std::count(requested_.begin() + node * k_,
+                   requested_.begin() + (node + 1) * k_, 1));
+    obs::TraceRing& ring = obs::TraceRing::global();
+    for (const NodeId child : store_.tree_.children[node]) {
+      const std::size_t carried = stale_slots(node, child);
+      store_.edges_skipped_ += active - carried;
+      if (ring.enabled()) {
+        ring.instant(carried == 0 ? "edge.cached" : "edge.descend", "service",
+                     out.net().now(), 0, "node", node, "child", child);
+      }
+      if (carried == 0) continue;
+      BitWriter w;
+      for (const auto bit : mask_) w.write_bit(bit != 0);
+      charge_overhead(carried, w.bit_count() + sim::kHeaderBits);
+      out.send(child, std::move(w));
+      store_.edges_descended_ += carried;
+    }
+  }
+
+  void on_response(NodeId node, NodeId child, BitReader& r) {
+    // Nothing but this response refreshes the edge, so its mask is still
+    // the one the request carried.
+    stale_slots(node, child);
+    decode_stats_response(r, mask_, whole_domain_, images_,
+                          geometry_ ? &*geometry_ : nullptr,
+                          geometry_ ? &sketches_ : nullptr);
+    std::size_t j = 0;
+    for (std::size_t i = 0; i < k_; ++i) {
+      if (!mask_[i]) continue;
+      Slot& s = slot(i);
+      s.edge_bundle[child] = images_[j];
+      s.edge_epoch[child] = epoch_;
+      if (geometry_) s.edge_hll[child] = std::move(sketches_[j]);
+      ++j;
+    }
+  }
+
+  void respond(NodeId node, BitWriter& w) {
+    std::copy_n(requested_.begin() + node * k_, k_, mask_.begin());
+    std::size_t carried = 0;
+    for (std::size_t i = 0; i < k_; ++i) {
+      if (!mask_[i]) continue;
+      const std::size_t before = w.bit_count();
+      encode_stats_image(w, store_.subtree_bundle(slot(i), node),
+                         whole_domain_[i]);
+      if (geometry_) store_.subtree_hll(slot(i), node).encode(w);
+      shares_[i].bits += w.bit_count() - before;
+      ++carried;
+    }
+    charge_overhead(carried, sim::kHeaderBits);
+  }
+
+ private:
+  Slot& slot(std::size_t i) { return store_.slots_[batch_[i]]; }
+
+  /// Sets mask_ to the slots active at `node` whose partial for edge
+  /// `child` is stale; returns how many there are.
+  std::size_t stale_slots(NodeId node, NodeId child) {
+    std::size_t carried = 0;
+    for (std::size_t i = 0; i < k_; ++i) {
+      mask_[i] = requested_[node * k_ + i] &&
+                 !store_.dirty_.edge_fresh(child, slot(i).edge_epoch[child]);
+      carried += mask_[i] ? 1 : 0;
+    }
+    return carried;
+  }
+
+  /// Charges one message's `overhead` bits (header, plus the mask on a
+  /// request) to the `carried` slots set in mask_: equal shares, the
+  /// remainder and the message itself to the lowest carried slot.
+  void charge_overhead(std::size_t carried, std::uint64_t overhead) {
+    std::size_t first = k_;
+    for (std::size_t i = 0; i < k_; ++i) {
+      if (!mask_[i]) continue;
+      if (first == k_) first = i;
+      shares_[i].bits += overhead / carried;
+    }
+    shares_[first].bits += overhead % carried;
+    ++shares_[first].messages;
+  }
+
+  PartialStore& store_;
+  std::span<const SlotId> batch_;
+  std::size_t k_;
+  std::uint32_t epoch_;
+  std::vector<std::uint8_t> whole_domain_;
+  std::vector<std::uint8_t> requested_;  // [node * k + i]: request names i
+  std::vector<std::uint8_t> mask_;       // scratch: one message's mask
+  std::optional<sketch::Hll> geometry_;  // sketch-keeping stores only
+  std::vector<StatsBundle> images_;      // scratch: one response's images
+  std::vector<sketch::Hll> sketches_;    // scratch: their sketches
+  std::vector<WaveShare> shares_;
+};
+
+// ---- the store ----------------------------------------------------------
+
+PartialStore::PartialStore(sim::Network& net, const net::SpanningTree& tree,
+                           const DirtyTracker& dirty, Value margin,
+                           unsigned hll_registers)
+    : net_(net),
+      tree_(tree),
+      dirty_(dirty),
+      margin_(margin),
+      hll_registers_(hll_registers) {
+  SENSORNET_EXPECTS(net.node_count() == tree.node_count());
+  SENSORNET_EXPECTS(margin >= 0);
+  if (hll_registers_ > 0) {
+    hll_width_ = static_cast<std::uint8_t>(sketch::packed_width_for(
+        static_cast<std::uint64_t>(net.node_count()) + 1));
+    (void)empty_hll();  // validates registers/width geometry once, up front
+  }
+}
+
+SlotId PartialStore::add_slot(const query::RegionSignature& region,
+                              std::uint32_t session) {
+  Slot s;
+  s.region = region;
+  s.session = session;
+  slots_.push_back(std::move(s));
+  return static_cast<SlotId>(slots_.size() - 1);
+}
+
+StatsBundle PartialStore::local_bundle(
+    NodeId node, const query::RegionSignature& region) const {
+  StatsBundle b;
+  if (region.whole_domain) {
+    // Membership is static over the whole domain: the margins collapse and
+    // one RangeStats describes all three regions.
+    for (const Value v : net_.items(node)) b.core.observe(v);
+    b.inner = b.core;
+    b.outer = b.core;
+    return b;
+  }
+  for (const Value v : net_.items(node)) {
+    if (v >= region.lo && v <= region.hi) b.core.observe(v);
+    if (v >= region.lo + margin_ && v <= region.hi - margin_) {
+      b.inner.observe(v);
+    }
+    if (v >= region.lo - margin_ && v <= region.hi + margin_) {
+      b.outer.observe(v);
+    }
+  }
+  return b;
+}
+
+sketch::Hll PartialStore::empty_hll() const {
+  return sketch::Hll::make_by_registers(
+             hll_registers_,
+             sketch::HllOptions{.width = hll_width_, .sparse = true})
+      .value();
+}
+
+sketch::Hll PartialStore::local_hll(
+    NodeId node, const query::RegionSignature& region) const {
+  sketch::Hll h = empty_hll();
+  for (const Value v : net_.items(node)) {
+    if (v >= region.lo && v <= region.hi) {
+      h.add(static_cast<std::uint64_t>(v), kHllSalt);
+    }
+  }
+  return h;
+}
+
+StatsBundle PartialStore::subtree_bundle(const Slot& slot, NodeId node) const {
+  StatsBundle b = local_bundle(node, slot.region);
+  for (const NodeId child : tree_.children[node]) {
+    b.combine(slot.edge_bundle[child]);
+  }
+  return b;
+}
+
+sketch::Hll PartialStore::subtree_hll(const Slot& slot, NodeId node) const {
+  sketch::Hll h = local_hll(node, slot.region);
+  for (const NodeId child : tree_.children[node]) {
+    h.merge(*slot.edge_hll[child]).value();
+  }
+  return h;
+}
+
+std::vector<WaveShare> PartialStore::collect(std::span<const SlotId> slots,
+                                             std::uint32_t epoch) {
+  std::vector<WaveShare> out(slots.size());
+  std::vector<SlotId> batch;
+  std::vector<std::size_t> at;  // batch entry -> index into `slots`
+  for (std::size_t j = 0; j < slots.size(); ++j) {
+    SENSORNET_EXPECTS(slots[j] < slots_.size());
+    SENSORNET_EXPECTS(j == 0 || slots[j - 1] < slots[j]);  // wire order
+    if (slots_[slots[j]].epoch == epoch) continue;  // idempotent
+    batch.push_back(slots[j]);
+    at.push_back(j);
+  }
+  if (batch.empty()) return out;
+
+  const std::size_t n = tree_.node_count();
+  for (const SlotId id : batch) {
+    Slot& s = slots_[id];
+    if (!s.edge_epoch.empty()) continue;
+    s.edge_epoch.assign(n, DirtyTracker::kInvalidEpoch);
+    s.edge_bundle.resize(n);
+    if (hll_registers_ > 0) s.edge_hll.resize(n);
+  }
+  Collect policy(*this, batch, epoch);
+  proto::EdgeWave<Collect> wave(tree_, slots_[batch.front()].session, policy);
+  wave.execute(net_);
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    Slot& s = slots_[batch[i]];
+    s.root = subtree_bundle(s, tree_.root);
+    if (hll_registers_ > 0) s.root_hll = subtree_hll(s, tree_.root);
+    s.epoch = epoch;
+    out[at[i]] = policy.shares()[i];
+    out[at[i]].collected = true;
+  }
+  return out;
+}
+
+}  // namespace sensornet::cube

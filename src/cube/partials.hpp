@@ -1,0 +1,182 @@
+// Per-edge partial store and its multiplexed collection wave.
+//
+// A *slot* is one maintained region: a shared-plan stats group or a cube
+// cell (Meliou et al. treat both as the same object). For every tree edge a
+// slot keeps the subtree partial last collected below that edge — a
+// StatsBundle plus, when the store keeps sketches, an HLL — stamped with the
+// epoch it was taken at. Edges are named by their child node: edge c is the
+// edge parent(c) -> c, and its partial sits at the parent.
+//
+// collect() brings any set of slots up to an epoch in ONE convergecast that
+// descends only edges whose partial is stale for at least one slot (the
+// DirtyTracker proves every other edge's subtree unchanged since its partial
+// was taken). Wire format, for k slots in ascending slot order:
+//
+//   request  (u -> c)   k-bit mask; bit i set iff slot i is active at u and
+//                       its partial for edge c is stale. An all-zero mask is
+//                       never sent (the edge is served from the partials).
+//   response (c -> u)   the images of the masked slots, concatenated in slot
+//                       order. One image is a RangeStats for a whole-domain
+//                       region or core/inner/outer for a ranged one,
+//                       followed by the slot's HLL image when the store
+//                       keeps sketches.
+//
+// At k = 1 the request is the single bit 1 and the response one image. A
+// node's subtree partial is formed when it responds, from its local partial
+// and its edges' partials, so the wave keeps no per-node accumulator. Every
+// response on the service path — collections and the cube's one-shot
+// residues alike — is read by decode_stats_response().
+#pragma once
+
+#include <cstdint>
+#include <optional>
+#include <span>
+#include <vector>
+
+#include "src/common/bitio.hpp"
+#include "src/common/types.hpp"
+#include "src/cube/dirty.hpp"
+#include "src/cube/stats.hpp"
+#include "src/net/spanning_tree.hpp"
+#include "src/query/plan.hpp"
+#include "src/sim/network.hpp"
+#include "src/sketch/hll.hpp"
+
+namespace sensornet::cube {
+
+using SlotId = std::uint32_t;
+
+/// The oracle's hash salt: a fresh approx-counting service issues its first
+/// (and, per query, only) wave with salt 1, so HLL partials use the same
+/// constant to reproduce its registers exactly.
+inline constexpr std::uint64_t kHllSalt = 1;
+
+/// One slot's share of a multiplexed wave: the response image bits it
+/// encoded plus an even split of the header and mask bits of every message
+/// that carried it (remainder to the lowest carried slot, which also counts
+/// the message). Shares sum exactly to the wave's bits and messages on air.
+struct WaveShare {
+  std::uint64_t bits = 0;  // payload + header bits
+  std::uint64_t messages = 0;
+  /// False when the slot was already collected this epoch: it rode nothing
+  /// and owes nothing.
+  bool collected = false;
+};
+
+/// Wire images (see the file comment). Masks and shapes are one flag byte
+/// per slot (nonzero = set).
+void encode_stats_image(BitWriter& w, const StatsBundle& b, bool whole_domain);
+StatsBundle decode_stats_image(BitReader& r, bool whole_domain);
+
+/// Reads a request's mask into `mask` (k = mask.size() bits). An all-zero
+/// mask is malformed and throws WireFormatError.
+void decode_stats_request(BitReader& r, std::vector<std::uint8_t>& mask);
+
+/// Reads a response into `images`: the images of the slots set in `mask`,
+/// in slot order, shaped by `whole_domain` (both of size k). When `sketch`
+/// is non-null every image also carries an HLL of the sketch's geometry,
+/// read into `sketches`. Throws WireFormatError on a truncated or corrupt
+/// image, a sketch of another geometry, or trailing bits. (Out-parameters
+/// let a wave reuse its buffers across messages.)
+void decode_stats_response(BitReader& r, const std::vector<std::uint8_t>& mask,
+                           const std::vector<std::uint8_t>& whole_domain,
+                           std::vector<StatsBundle>& images,
+                           const sketch::Hll* sketch = nullptr,
+                           std::vector<sketch::Hll>* sketches = nullptr);
+
+class PartialStore {
+ public:
+  /// `margin` sets ranged bundles' inner/outer margin. `hll_registers` > 0
+  /// keeps an HLL per partial in the oracle's exact geometry (salt
+  /// kHllSalt, width for node_count + 1 ranks). Tree, network and tracker
+  /// must outlive the store.
+  PartialStore(sim::Network& net, const net::SpanningTree& tree,
+               const DirtyTracker& dirty, Value margin,
+               unsigned hll_registers = 0);
+
+  /// Adds a slot over `region`; its waves carry `session`. Costs no bits
+  /// and no per-edge memory until its first collection.
+  SlotId add_slot(const query::RegionSignature& region, std::uint32_t session);
+
+  /// Collects every listed slot (strictly ascending ids) in one multiplexed
+  /// convergecast, on the first collected slot's session. Slots already
+  /// collected this epoch are skipped; if none is left, nothing is sent.
+  /// Returns each slot's share of the wave, aligned with `slots`. Throws
+  /// ProtocolError when a message is lost; edges whose responses arrived
+  /// keep their new partials, so a retry re-descends only the rest.
+  std::vector<WaveShare> collect(std::span<const SlotId> slots,
+                                 std::uint32_t epoch);
+
+  std::size_t slot_count() const { return slots_.size(); }
+  const query::RegionSignature& region(SlotId s) const {
+    return slots_[s].region;
+  }
+  /// Epoch of the slot's last collection (DirtyTracker::kInvalidEpoch:
+  /// never collected).
+  std::uint32_t epoch(SlotId s) const { return slots_[s].epoch; }
+  /// The slot's bundle over the whole tree at its last collection.
+  const StatsBundle& root(SlotId s) const { return slots_[s].root; }
+  /// The slot's HLL at its last collection (sketch-keeping stores only).
+  const sketch::Hll& root_hll(SlotId s) const { return *slots_[s].root_hll; }
+
+  /// True once the slot holds per-edge partials (after its first collect).
+  bool has_edges(SlotId s) const { return !slots_[s].edge_epoch.empty(); }
+  /// Epoch of edge c's partial (kInvalidEpoch: none).
+  std::uint32_t edge_epoch(SlotId s, NodeId child) const {
+    const Slot& slot = slots_[s];
+    return slot.edge_epoch.empty() ? DirtyTracker::kInvalidEpoch
+                                   : slot.edge_epoch[child];
+  }
+  /// Edge c's partial bundle; requires has_edges(s).
+  const StatsBundle& edge_bundle(SlotId s, NodeId child) const {
+    return slots_[s].edge_bundle[child];
+  }
+  /// True when edge c's partial is still exact.
+  bool edge_fresh(SlotId s, NodeId child) const {
+    return dirty_.edge_fresh(child, edge_epoch(s, child));
+  }
+
+  /// Node-local evaluation over `region` with the store's margin / sketch
+  /// geometry.
+  StatsBundle local_bundle(NodeId node,
+                           const query::RegionSignature& region) const;
+  sketch::Hll local_hll(NodeId node,
+                        const query::RegionSignature& region) const;
+  sketch::Hll empty_hll() const;
+  std::uint8_t hll_width() const { return hll_width_; }
+
+  /// Cumulative (slot, edge) pairs requested / served from partials.
+  std::uint64_t edges_descended() const { return edges_descended_; }
+  std::uint64_t edges_skipped() const { return edges_skipped_; }
+
+ private:
+  struct Slot {
+    query::RegionSignature region;
+    std::uint32_t session = 0;
+    std::uint32_t epoch = DirtyTracker::kInvalidEpoch;
+    StatsBundle root;
+    std::optional<sketch::Hll> root_hll;
+    // Per-edge partials indexed by child node, sized at the first collect.
+    std::vector<std::uint32_t> edge_epoch;
+    std::vector<StatsBundle> edge_bundle;
+    std::vector<std::optional<sketch::Hll>> edge_hll;
+  };
+  class Collect;
+
+  /// The slot's partial over the node's subtree: its local partial plus
+  /// every edge partial below the node.
+  StatsBundle subtree_bundle(const Slot& slot, NodeId node) const;
+  sketch::Hll subtree_hll(const Slot& slot, NodeId node) const;
+
+  sim::Network& net_;
+  const net::SpanningTree& tree_;
+  const DirtyTracker& dirty_;
+  Value margin_;
+  unsigned hll_registers_;
+  std::uint8_t hll_width_ = 0;
+  std::vector<Slot> slots_;
+  std::uint64_t edges_descended_ = 0;
+  std::uint64_t edges_skipped_ = 0;
+};
+
+}  // namespace sensornet::cube

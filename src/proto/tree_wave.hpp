@@ -1,11 +1,21 @@
-// Generic broadcast-convergecast wave over a spanning tree.
+// Broadcast-convergecast waves over a spanning tree.
 //
-// One wave = the root floods an encoded request down the tree; every node
-// computes a local partial aggregate from its (view of its) items; leaves
-// answer immediately and internal nodes fold children's partials into their
-// own before answering — the TAG-style in-network aggregation that Fact 2.1
-// builds on. The engine is a template over an AggregationSpec, so the same
-// carefully-tested state machine carries every protocol in the library.
+// One wave = the root floods a request down the tree; every node computes a
+// local partial aggregate from its (view of its) items; leaves answer
+// immediately and internal nodes fold children's partials into their own
+// before answering — the TAG-style in-network aggregation that Fact 2.1
+// builds on.
+//
+// EdgeWave<Policy> is the one state machine behind every such wave in the
+// library: it routes requests and responses, counts each node's outstanding
+// children, detects the end of the wave and rejects anything a well-formed
+// wave never delivers. The policy owns the payloads and decides, per child
+// edge, whether to send a request or to serve the edge without a message
+// (from a cached partial, or by pruning a subtree known to contribute
+// nothing). TreeWave<Spec> is the always-descend policy over an
+// AggregationSpec, which carries the library's one-shot protocols;
+// cube::PartialStore's incremental collections and the cube's pruned
+// residues are the other policies.
 //
 // Individual communication per wave: each node sends/receives one request
 // per tree edge it touches and one response, so a node of tree-degree d pays
@@ -14,7 +24,9 @@
 #pragma once
 
 #include <concepts>
+#include <cstdint>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "src/common/error.hpp"
@@ -24,7 +36,129 @@
 
 namespace sensornet::proto {
 
-/// What a type must provide to ride the wave engine.
+/// A node's child edges while it fans out. EdgeWave hands one to its policy,
+/// which sends a request on every edge it descends; the wave then waits for
+/// exactly that many responses.
+class Fanout {
+ public:
+  Fanout(sim::Network& net, NodeId node, std::uint32_t session,
+         std::uint32_t& pending)
+      : net_(net), node_(node), session_(session), pending_(pending) {}
+
+  sim::Network& net() const { return net_; }
+  NodeId node() const { return node_; }
+
+  /// Sends `w` as the request on the edge to `child`.
+  void send(NodeId child, BitWriter&& w) {
+    net_.send(sim::Message::make(node_, child, session_, kRequestKind,
+                                 std::move(w)));
+    ++pending_;
+  }
+
+  /// Sends a shared payload slab: one encode serves every child (identical
+  /// wire bits, no per-child re-encode).
+  void send(NodeId child, const sim::Payload& slab, std::uint32_t bits) {
+    net_.send(sim::Message::with_payload(node_, child, session_, kRequestKind,
+                                         slab, bits));
+    ++pending_;
+  }
+
+  static constexpr std::uint16_t kRequestKind = 1;
+  static constexpr std::uint16_t kResponseKind = 2;
+
+ private:
+  sim::Network& net_;
+  NodeId node_;
+  std::uint32_t session_;
+  std::uint32_t& pending_;
+};
+
+/// What a policy must provide to ride EdgeWave. The root starts without a
+/// request, so the policy seeds the root's state before execute().
+template <typename P>
+concept EdgePolicy = requires(P& p, NodeId node, BitReader& r, BitWriter& w,
+                              Fanout& out) {
+  { p.on_request(node, r) };         // a non-root node learned its request
+  { p.fan_out(out) };                // descend, serve or prune each edge
+  { p.on_response(node, node, r) };  // (node, child): a child answered
+  { p.respond(node, w) };            // a non-root node's response payload
+};
+
+template <EdgePolicy P>
+class EdgeWave final : public sim::ProtocolHandler {
+ public:
+  /// The tree and policy must outlive the wave.
+  EdgeWave(const net::SpanningTree& tree, std::uint32_t session, P& policy)
+      : tree_(tree), policy_(policy), session_(session) {}
+
+  /// Runs one complete wave. Throws ProtocolError when the network drains
+  /// before the root has heard from every child it asked (a lost message).
+  void execute(sim::Network& net) {
+    SENSORNET_EXPECTS(net.node_count() == tree_.node_count());
+    phase_.assign(tree_.node_count(), kIdle);
+    pending_.assign(tree_.node_count(), 0);
+    start(net, tree_.root);
+    net.run(*this);
+    if (phase_[tree_.root] != kAnswered) {
+      throw ProtocolError("EdgeWave: wave drained without a root result");
+    }
+  }
+
+  void on_message(sim::Network& net, NodeId receiver,
+                  const sim::Message& msg) override {
+    if (msg.session != session_) {
+      throw ProtocolError("EdgeWave: message for a foreign session");
+    }
+    BitReader r = msg.reader();
+    if (msg.kind == Fanout::kRequestKind) {
+      if (phase_[receiver] != kIdle || tree_.parent[receiver] != msg.from) {
+        throw ProtocolError("EdgeWave: second or misrouted request");
+      }
+      policy_.on_request(receiver, r);
+      start(net, receiver);
+    } else if (msg.kind == Fanout::kResponseKind) {
+      const NodeId child = msg.from;
+      if (child >= tree_.node_count() || tree_.parent[child] != receiver ||
+          phase_[child] != kAnswered || pending_[receiver] == 0) {
+        throw ProtocolError("EdgeWave: unexpected response");
+      }
+      phase_[child] = kConsumed;
+      policy_.on_response(receiver, child, r);
+      if (--pending_[receiver] == 0) finish(net, receiver);
+    } else {
+      throw ProtocolError("EdgeWave: unknown message kind");
+    }
+  }
+
+ private:
+  enum Phase : std::uint8_t { kIdle, kActive, kAnswered, kConsumed };
+
+  void start(sim::Network& net, NodeId node) {
+    phase_[node] = kActive;
+    Fanout out(net, node, session_, pending_[node]);
+    policy_.fan_out(out);
+    if (pending_[node] == 0) finish(net, node);
+  }
+
+  /// Every descended child answered: report to the parent (the root keeps
+  /// its result in the policy).
+  void finish(sim::Network& net, NodeId node) {
+    phase_[node] = kAnswered;
+    if (node == tree_.root) return;
+    BitWriter w;
+    policy_.respond(node, w);
+    net.send(sim::Message::make(node, tree_.parent[node], session_,
+                                Fanout::kResponseKind, std::move(w)));
+  }
+
+  const net::SpanningTree& tree_;
+  P& policy_;
+  std::uint32_t session_;
+  std::vector<Phase> phase_;
+  std::vector<std::uint32_t> pending_;
+};
+
+/// What a type must provide to ride TreeWave.
 template <typename A>
 concept AggregationSpec = requires(BitWriter& w, BitReader& r,
                                    const typename A::Request& req,
@@ -40,8 +174,10 @@ concept AggregationSpec = requires(BitWriter& w, BitReader& r,
   { A::combine(acc, in, req) };
 };
 
+/// The always-descend wave: every node forwards the request to every child
+/// and folds their partials into its own.
 template <AggregationSpec A>
-class TreeWave final : public sim::ProtocolHandler {
+class TreeWave {
  public:
   using Request = typename A::Request;
   using Partial = typename A::Partial;
@@ -49,99 +185,61 @@ class TreeWave final : public sim::ProtocolHandler {
   /// The tree and view must outlive the wave.
   TreeWave(const net::SpanningTree& tree, std::uint32_t session,
            const LocalItemView& view = raw_item_view())
-      : tree_(tree), view_(view), session_(session) {}
+      : policy_{tree, view, {}}, wave_(tree, session, policy_) {}
 
   /// Runs one complete wave; returns the root's aggregate.
   Partial execute(sim::Network& net, const Request& request) {
-    SENSORNET_EXPECTS(net.node_count() == tree_.node_count());
     // clear+resize instead of assign: Partial may be move-only (e.g. the
     // LogLog sketch), and assign requires a copyable prototype.
-    state_.clear();
-    state_.resize(tree_.node_count());
-    root_result_.reset();
-    start_node(net, tree_.root, request);
-    net.run(*this);
-    if (!root_result_) {
-      throw ProtocolError("TreeWave: wave drained without a root result");
-    }
-    return std::move(*root_result_);
-  }
-
-  void on_message(sim::Network& net, NodeId receiver,
-                  const sim::Message& msg) override {
-    if (msg.session != session_) {
-      throw ProtocolError("TreeWave: message for a foreign session");
-    }
-    if (msg.kind == kRequestKind) {
-      BitReader r = msg.reader();
-      start_node(net, receiver, A::decode_request(r));
-    } else if (msg.kind == kResponseKind) {
-      NodeState& st = state_[receiver];
-      if (!st.request || st.pending == 0) {
-        throw ProtocolError("TreeWave: unexpected response");
-      }
-      BitReader r = msg.reader();
-      Partial in = A::decode_partial(r, *st.request);
-      A::combine(*st.acc, in, *st.request);
-      if (--st.pending == 0) finish_node(net, receiver);
-    } else {
-      throw ProtocolError("TreeWave: unknown message kind");
-    }
+    policy_.state.clear();
+    policy_.state.resize(policy_.tree.node_count());
+    policy_.state[policy_.tree.root].request = request;
+    wave_.execute(net);
+    return std::move(*policy_.state[policy_.tree.root].acc);
   }
 
  private:
-  static constexpr std::uint16_t kRequestKind = 1;
-  static constexpr std::uint16_t kResponseKind = 2;
-
   struct NodeState {
     std::optional<Request> request;
     std::optional<Partial> acc;
-    std::size_t pending = 0;
   };
 
-  /// A node learns the request: compute local contribution, forward the
-  /// request to children, or answer right away at a leaf.
-  void start_node(sim::Network& net, NodeId node, Request request) {
-    NodeState& st = state_[node];
-    if (st.request) throw ProtocolError("TreeWave: node started twice");
-    st.request = std::move(request);
-    st.acc = A::local(net, node, *st.request, view_);
-    const auto& children = tree_.children[node];
-    st.pending = children.size();
-    if (st.pending == 0) {
-      finish_node(net, node);
-      return;
-    }
-    // Encode the request once; every child gets a refcounted view of the
-    // same payload slab (identical wire bits, no per-child re-encode).
-    BitWriter w;
-    A::encode_request(w, *st.request);
-    const auto bits = static_cast<std::uint32_t>(w.bit_count());
-    const sim::Payload slab(w.bytes().data(), w.bytes().size());
-    for (const NodeId child : children) {
-      net.send(sim::Message::with_payload(node, child, session_, kRequestKind,
-                                          slab, bits));
-    }
-  }
+  struct Descend {
+    const net::SpanningTree& tree;
+    const LocalItemView& view;
+    std::vector<NodeState> state;
 
-  /// All children answered: report to the parent (or finish at the root).
-  void finish_node(sim::Network& net, NodeId node) {
-    NodeState& st = state_[node];
-    if (node == tree_.root) {
-      root_result_ = std::move(st.acc);
-      return;
+    void on_request(NodeId node, BitReader& r) {
+      state[node].request = A::decode_request(r);
     }
-    BitWriter w;
-    A::encode_partial(w, *st.acc, *st.request);
-    net.send(sim::Message::make(node, tree_.parent[node], session_,
-                                kResponseKind, std::move(w)));
-  }
 
-  const net::SpanningTree& tree_;
-  const LocalItemView& view_;
-  std::uint32_t session_;
-  std::vector<NodeState> state_;
-  std::optional<Partial> root_result_;
+    /// Computes the local contribution and forwards the request, encoded
+    /// once, to every child.
+    void fan_out(Fanout& out) {
+      NodeState& st = state[out.node()];
+      st.acc = A::local(out.net(), out.node(), *st.request, view);
+      const auto& children = tree.children[out.node()];
+      if (children.empty()) return;
+      BitWriter w;
+      A::encode_request(w, *st.request);
+      const auto bits = static_cast<std::uint32_t>(w.bit_count());
+      const sim::Payload slab(w.bytes().data(), w.bytes().size());
+      for (const NodeId child : children) out.send(child, slab, bits);
+    }
+
+    void on_response(NodeId node, NodeId /*child*/, BitReader& r) {
+      NodeState& st = state[node];
+      Partial in = A::decode_partial(r, *st.request);
+      A::combine(*st.acc, in, *st.request);
+    }
+
+    void respond(NodeId node, BitWriter& w) {
+      A::encode_partial(w, *state[node].acc, *state[node].request);
+    }
+  };
+
+  Descend policy_;
+  EdgeWave<Descend> wave_;
 };
 
 }  // namespace sensornet::proto

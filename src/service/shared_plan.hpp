@@ -19,27 +19,16 @@
 // from the parent-side cache without a single message. A fully quiescent
 // network collects for free.
 //
-// Collections are *multiplexed*. Every stats group that must be collected
-// fresh in an epoch rides one convergecast (collect_stats_batch); a single
-// collect_stats() is the k = 1 case. For a batch of k groups, in ascending
-// group order:
-//
-//   request  (u -> child)   k-bit mask; bit i set iff group i is active at
-//                           u and its partial for that edge is stale. An
-//                           all-zero mask is never sent.
-//   response (child -> u)   the images of the masked groups, concatenated
-//                           in group order: one RangeStats for a
-//                           whole-domain group, core/inner/outer for a
-//                           ranged one.
-//
-// A node's subtree bundle is formed when it responds, from its local bundle
-// and its child partials, so the wave keeps no per-node bundle state. At
-// k = 1 the wire image is the single-group wave's: a 1-bit request and the
-// same bundle image.
+// Collections are *multiplexed*. Stats groups are slots of one
+// cube::PartialStore, and every stats group that must be collected fresh in
+// an epoch rides one convergecast (collect_stats_batch); a single
+// collect_stats() is the k = 1 case. The k-bit request mask, the response
+// images and the per-group cost split are documented once, in
+// cube/partials.hpp.
 //
 // The scheduler assumes the service's deployment discipline: lossless links
-// (tree waves stall under loss) and one wave on the shared simulated medium
-// at a time.
+// (a lost message makes the collection throw ProtocolError) and one wave on
+// the shared simulated medium at a time.
 #pragma once
 
 #include <cstdint>
@@ -49,9 +38,9 @@
 #include <span>
 #include <vector>
 
-#include "src/common/bitio.hpp"
 #include "src/common/types.hpp"
 #include "src/cube/dirty.hpp"
+#include "src/cube/partials.hpp"
 #include "src/cube/stats.hpp"
 #include "src/net/spanning_tree.hpp"
 #include "src/query/plan.hpp"
@@ -72,44 +61,15 @@ struct SharedPlanStats {
   std::uint64_t groups_created = 0;
 };
 
-/// One group's share of a multiplexed stats wave: the response image bits
-/// it encoded plus an even split of the header and mask bits of every
-/// message that carried it (remainder to the lowest carried group, which
-/// also counts the message). Shares sum exactly to the wave's bits and
-/// messages on air.
-struct WaveShare {
-  std::uint64_t bits = 0;      // payload + header bits
-  std::uint64_t messages = 0;
-  /// False when the group was already collected this epoch: it rode
-  /// nothing and owes nothing.
-  bool collected = false;
-};
+/// One group's share of a multiplexed stats wave (see cube::WaveShare).
+using cube::WaveShare;
 
-/// A parent-side cache entry: one child edge's subtree bundle for a stats
-/// group and the epoch it was taken at (kInvalidEpoch: never collected).
+/// A parent-side cache entry: a stats group's subtree bundle for one edge
+/// and the epoch it was taken at (kInvalidEpoch: never collected).
 struct EdgePartial {
   StatsBundle bundle;
   std::uint32_t epoch = 0;
 };
-
-/// Stats-wave wire images. One group's image is its RangeStats (whole
-/// domain: the margins collapse) or core/inner/outer (ranged).
-void encode_stats_image(BitWriter& w, const StatsBundle& b, bool whole_domain);
-StatsBundle decode_stats_image(BitReader& r, bool whole_domain);
-
-/// Group masks and shapes are one flag byte per batch group (nonzero = set).
-/// Reads a request's mask into `mask` (k = mask.size() bits). An all-zero
-/// mask is malformed (such a request is never sent) and throws
-/// WireFormatError.
-void decode_stats_request(BitReader& r, std::vector<std::uint8_t>& mask);
-
-/// Reads a response into `images`: the images of the groups set in `mask`,
-/// in group order, shaped by `whole_domain` (both of size k). Throws
-/// WireFormatError on a truncated image or trailing bits. (Out-parameters
-/// let a wave reuse its buffers across messages.)
-void decode_stats_response(BitReader& r, const std::vector<std::uint8_t>& mask,
-                           const std::vector<std::uint8_t>& whole_domain,
-                           std::vector<StatsBundle>& images);
 
 class SharedPlanScheduler {
  public:
@@ -152,8 +112,9 @@ class SharedPlanScheduler {
   /// the network).
   const StatsBundle& collect_stats(GroupId group, std::uint32_t epoch);
 
-  /// A stats group's parent-side partial for the node's ci-th child edge.
-  EdgePartial edge_partial(GroupId group, NodeId node, std::size_t ci) const;
+  /// A stats group's parent-side partial for edge `child` (named by its
+  /// child node).
+  EdgePartial edge_partial(GroupId group, NodeId child) const;
 
   /// One shared distinct collection; idempotent within an epoch. Returns
   /// the estimate (exact count for register-less groups).
@@ -168,10 +129,7 @@ class SharedPlanScheduler {
 
  private:
   struct Group;
-  class BatchWave;
   class RegionView;
-
-  StatsBundle local_bundle(NodeId node, const Group& g) const;
 
   sim::Network& net_;
   const net::SpanningTree& tree_;
@@ -182,6 +140,8 @@ class SharedPlanScheduler {
   /// Per-node dirty tracking, physically resident at nodes (extracted to
   /// cube::DirtyTracker in PR 10 so the cube can share the mark wave).
   cube::DirtyTracker dirty_;
+  /// One slot per stats group, in group order.
+  cube::PartialStore store_;
 
   std::vector<std::unique_ptr<Group>> groups_;
   std::map<std::pair<query::RegionSignature, unsigned>, GroupId>

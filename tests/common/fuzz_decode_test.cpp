@@ -11,6 +11,7 @@
 #include "src/common/codec.hpp"
 #include "src/common/error.hpp"
 #include "src/common/rng.hpp"
+#include "src/cube/partials.hpp"
 #include "src/cube/stats.hpp"
 #include "src/proto/aggregations.hpp"
 #include "src/proto/predicate.hpp"
@@ -200,14 +201,14 @@ TEST(FuzzDecode, RangeStatsRejectsValuesPastTheValueRange) {
 
 TEST(FuzzDecode, StatsImages) {
   fuzz_strict([](Xoshiro256& rng, BitReader& r) {
-    (void)service::decode_stats_image(r, rng.next_below(2) == 0);
+    (void)cube::decode_stats_image(r, rng.next_below(2) == 0);
   });
 }
 
 TEST(FuzzDecode, StatsRequestMask) {
   fuzz_strict([](Xoshiro256& rng, BitReader& r) {
     std::vector<std::uint8_t> mask(1 + rng.next_below(96));
-    service::decode_stats_request(r, mask);
+    cube::decode_stats_request(r, mask);
     EXPECT_NE(std::count(mask.begin(), mask.end(), 1), 0);
   });
 }
@@ -223,7 +224,7 @@ TEST(FuzzDecode, MultiplexedStatsResponse) {
       whole_domain[i] = rng.next_below(2) == 0;
     }
     std::vector<service::StatsBundle> images(3);  // stale contents are dropped
-    service::decode_stats_response(r, mask, whole_domain, images);
+    cube::decode_stats_response(r, mask, whole_domain, images);
     EXPECT_EQ(images.size(),
               static_cast<std::size_t>(
                   std::count(mask.begin(), mask.end(), 1)));
@@ -254,7 +255,7 @@ TEST(FuzzDecode, MultiplexedStatsResponseRoundTripsAndRejectsTruncation) {
       if (!whole_domain[i]) {
         b.outer.observe(static_cast<Value>(rng.next_below(1000)));
       }
-      service::encode_stats_image(w, b, whole_domain[i]);
+      cube::encode_stats_image(w, b, whole_domain[i]);
       sent.push_back(b);
     }
     w.write_bit(false);  // one spare bit for the extension case
@@ -262,17 +263,148 @@ TEST(FuzzDecode, MultiplexedStatsResponseRoundTripsAndRejectsTruncation) {
     const std::size_t bits = w.bit_count() - 1;
     std::vector<service::StatsBundle> images;
     BitReader exact(bytes.data(), bits);
-    service::decode_stats_response(exact, mask, whole_domain, images);
+    cube::decode_stats_response(exact, mask, whole_domain, images);
     EXPECT_EQ(images, sent);
     BitReader longer(bytes.data(), bits + 1);
     EXPECT_THROW(
-        service::decode_stats_response(longer, mask, whole_domain, images),
+        cube::decode_stats_response(longer, mask, whole_domain, images),
         WireFormatError);
     for (std::size_t cut = 0; cut < bits; ++cut) {
       BitReader shorter(bytes.data(), cut);
       EXPECT_THROW(
-          service::decode_stats_response(shorter, mask, whole_domain, images),
+          cube::decode_stats_response(shorter, mask, whole_domain, images),
           WireFormatError);
+    }
+  }
+}
+
+// ---- sketch-carrying responses (cube cells and residues) -------------------
+
+/// A valid response carrying a bundle and an HLL per masked slot: k slots,
+/// sketches of `registers` registers at rank width `width` (dense when
+/// `dense`, sparse otherwise).
+struct SketchResponse {
+  std::vector<std::uint8_t> mask;
+  std::vector<std::uint8_t> whole_domain;
+  std::vector<service::StatsBundle> bundles;
+  std::vector<sketch::Hll> sketches;
+  std::vector<std::uint8_t> bytes;
+  std::size_t bits = 0;  // bytes hold one spare zero bit past the image
+};
+
+SketchResponse sketch_response(Xoshiro256& rng, unsigned registers,
+                               unsigned width) {
+  SketchResponse out;
+  const std::size_t k = 1 + rng.next_below(4);
+  BitWriter w;
+  for (std::size_t i = 0; i < k; ++i) {
+    out.mask.push_back(i == 0 || rng.next_below(2) == 0);
+    out.whole_domain.push_back(rng.next_below(2) == 0);
+    if (!out.mask.back()) continue;
+    service::StatsBundle b;
+    b.core.observe(static_cast<Value>(rng.next_below(1000)));
+    b.inner = b.core;
+    b.outer = b.core;
+    auto h = sketch::Hll::make_by_registers(
+                 registers, {.width = width, .sparse = rng.next_below(2) == 0})
+                 .value();
+    const std::uint64_t items = rng.next_below(3 * registers);
+    for (std::uint64_t j = 0; j < items; ++j) h.add(rng.next_u64(), 1);
+    cube::encode_stats_image(w, b, out.whole_domain.back() != 0);
+    h.encode(w);
+    out.bundles.push_back(b);
+    out.sketches.push_back(std::move(h));
+  }
+  out.bits = w.bit_count();
+  w.write_bit(false);
+  out.bytes.assign(w.bytes().begin(), w.bytes().end());
+  return out;
+}
+
+TEST(FuzzDecode, MultiplexedSketchResponse) {
+  // Random masks, shapes and sketch geometry, then bit soup as the payload.
+  fuzz_strict([](Xoshiro256& rng, BitReader& r) {
+    const std::size_t k = 1 + rng.next_below(4);
+    std::vector<std::uint8_t> mask(k);
+    std::vector<std::uint8_t> whole_domain(k);
+    for (std::size_t i = 0; i < k; ++i) {
+      mask[i] = rng.next_below(2) == 0;
+      whole_domain[i] = rng.next_below(2) == 0;
+    }
+    const auto geometry =
+        sketch::Hll::make_by_registers(16u << rng.next_below(3),
+                                       {.width = 5, .sparse = true})
+            .value();
+    std::vector<service::StatsBundle> images;
+    std::vector<sketch::Hll> sketches;
+    cube::decode_stats_response(r, mask, whole_domain, images, &geometry,
+                                &sketches);
+    ASSERT_EQ(sketches.size(), images.size());
+    for (const sketch::Hll& h : sketches) {
+      EXPECT_TRUE(h.same_geometry(geometry));
+    }
+  });
+}
+
+TEST(FuzzDecode, MultiplexedSketchResponseRoundTripsAndRejectsTruncation) {
+  Xoshiro256 rng(31);
+  const auto geometry =
+      sketch::Hll::make_by_registers(16, {.width = 5, .sparse = true}).value();
+  const auto other =
+      sketch::Hll::make_by_registers(32, {.width = 5, .sparse = true}).value();
+  for (int t = 0; t < 40; ++t) {
+    const SketchResponse sent = sketch_response(rng, 16, 5);
+    std::vector<service::StatsBundle> images;
+    std::vector<sketch::Hll> sketches;
+    BitReader exact(sent.bytes.data(), sent.bits);
+    cube::decode_stats_response(exact, sent.mask, sent.whole_domain, images,
+                                &geometry, &sketches);
+    EXPECT_EQ(images, sent.bundles);
+    ASSERT_EQ(sketches.size(), sent.sketches.size());
+    for (std::size_t i = 0; i < sketches.size(); ++i) {
+      EXPECT_TRUE(sketches[i] == sent.sketches[i]);
+    }
+    // A sketch of another geometry is a wire error, not a merge failure.
+    BitReader mismatched(sent.bytes.data(), sent.bits);
+    EXPECT_THROW(cube::decode_stats_response(mismatched, sent.mask,
+                                             sent.whole_domain, images, &other,
+                                             &sketches),
+                 WireFormatError);
+    BitReader longer(sent.bytes.data(), sent.bits + 1);
+    EXPECT_THROW(cube::decode_stats_response(longer, sent.mask,
+                                             sent.whole_domain, images,
+                                             &geometry, &sketches),
+                 WireFormatError);
+    for (std::size_t cut = 0; cut < sent.bits; ++cut) {
+      BitReader shorter(sent.bytes.data(), cut);
+      EXPECT_THROW(cube::decode_stats_response(shorter, sent.mask,
+                                               sent.whole_domain, images,
+                                               &geometry, &sketches),
+                   WireFormatError);
+    }
+  }
+}
+
+TEST(FuzzDecode, BitFlippedSketchResponsesAreWireErrors) {
+  // Every one-bit corruption of a valid sketch-carrying response decodes to
+  // well-formed sketches of the expected geometry or throws WireFormatError.
+  Xoshiro256 rng(37);
+  const auto geometry =
+      sketch::Hll::make_by_registers(16, {.width = 5, .sparse = true}).value();
+  for (int t = 0; t < 12; ++t) {
+    const SketchResponse sent = sketch_response(rng, 16, 5);
+    for (std::size_t flip = 0; flip < sent.bits; ++flip) {
+      auto corrupted = sent.bytes;
+      corrupted[flip / 8] ^= static_cast<std::uint8_t>(0x80u >> (flip % 8));
+      BitReader r(corrupted.data(), sent.bits);
+      std::vector<service::StatsBundle> images;
+      std::vector<sketch::Hll> sketches;
+      try {
+        cube::decode_stats_response(r, sent.mask, sent.whole_domain, images,
+                                    &geometry, &sketches);
+        for (const sketch::Hll& h : sketches) (void)h.estimate();
+      } catch (const WireFormatError&) {
+      }
     }
   }
 }

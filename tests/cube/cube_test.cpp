@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
+#include "src/common/error.hpp"
+#include "src/common/rng.hpp"
 #include "src/core/count_distinct.hpp"
 #include "src/net/topology.hpp"
 #include "src/proto/item_view.hpp"
@@ -337,6 +340,95 @@ TEST(Cube, CostModelTracksActualRefreshState) {
   const query::RegionSignature whole{0, kBound, true};
   EXPECT_GT(f.cube.tree_collect_bits(whole), 0u);
   EXPECT_EQ(f.cube.tree_collect_bits(whole) % 63u, 0u);
+}
+
+/// One epoch of seeded drift: `count` random nodes (repeats collapse) move
+/// by +-kDelta within [0, kBound]; the dirty tracker hears of each move.
+void drift(Fixture& f, Xoshiro256& rng, std::size_t count,
+           std::uint32_t epoch) {
+  std::vector<NodeId> touched;
+  for (std::size_t i = 0; i < count; ++i) {
+    const auto u = static_cast<NodeId>(rng.next_below(f.net.node_count()));
+    if (std::find(touched.begin(), touched.end(), u) != touched.end()) {
+      continue;
+    }
+    const Value old = f.net.items(u)[0];
+    f.net.update_item(u, 0,
+                      rng.next_below(2) == 0 ? std::max<Value>(0, old - kDelta)
+                                             : std::min(kBound, old + kDelta));
+    touched.push_back(u);
+  }
+  f.dirty.note_updates(touched, epoch);
+}
+
+TEST(Cube, ServesKeepTheWireCost) {
+  // Cell refreshes, pruned residues and HLL-carrying partials over six
+  // drift epochs: these totals pin the cube's wire format and pruning.
+  CubeConfig cfg;
+  cfg.levels = 4;
+  cfg.distinct_registers = 16;
+  Fixture f(cfg);
+  const auto before = f.net.summary(true);
+  // Cells (1, 0) = [0, 499] and (1, 1) = [500, 1000]. Every reading is below
+  // 200, so once the upper cell is fresh its partials prove the upper half
+  // empty and the unaligned plans below prune their residue against it.
+  const query::CostedPlan lower =
+      f.plan_for("SELECT SUM(v) FROM s WHERE v BETWEEN 0 AND 499");
+  const query::CostedPlan upper =
+      f.plan_for("SELECT COUNT(v) FROM s WHERE v BETWEEN 500 AND 1000");
+  for (const query::CostedPlan* plan : {&lower, &upper}) {
+    ASSERT_EQ(plan->steps.size(), 1u);
+    ASSERT_EQ(plan->steps[0].kind, query::StepKind::kCubeCell);
+    f.cube.serve(*plan, 0);
+  }
+  const query::CostedPlan residues =
+      f.plan_for("SELECT MAX(v) FROM s WHERE v BETWEEN 0 AND 560");
+  const query::CostedPlan distinct = f.plan_for(
+      "SELECT COUNT_DISTINCT(v) FROM s WHERE v BETWEEN 0 AND 560 ERROR 0.3");
+  ASSERT_EQ(distinct.registers, 16u);
+  for (const query::CostedPlan* plan : {&residues, &distinct}) {
+    ASSERT_EQ(plan->steps.size(), 2u);
+    ASSERT_EQ(plan->steps[0].kind, query::StepKind::kCubeCell);
+    ASSERT_EQ(plan->steps[1].kind, query::StepKind::kResidueCollect);
+  }
+
+  Xoshiro256 rng(5);
+  for (std::uint32_t epoch = 1; epoch <= 6; ++epoch) {
+    drift(f, rng, 4, epoch);
+    // The upper cell goes last: the residues meet its partials stale on
+    // the drifted paths and must descend there.
+    for (const query::CostedPlan* plan :
+         {&lower, &residues, &distinct, &upper}) {
+      const ServeResult r = f.cube.serve(*plan, epoch);
+      EXPECT_EQ(r.bundle.core, direct_core(f.net, plan->region));
+    }
+  }
+  const auto after = f.net.summary(true);
+  const CubeStats& s = f.cube.stats();
+  EXPECT_EQ(after.total_bits - before.total_bits, 80196u);
+  EXPECT_EQ(after.total_messages - before.total_messages, 1287u);
+  EXPECT_EQ(s.cell_edges_descended, 342u);
+  EXPECT_EQ(s.cell_edges_skipped, 80u);
+  EXPECT_EQ(s.residue_edges_descended, 216u);
+  EXPECT_EQ(s.residue_edges_pruned, 80u);
+}
+
+TEST(Cube, LostMessageFailsTheServeAndTheRetryIsExact) {
+  Fixture f;
+  // Install the geometry over lossless links first.
+  f.cube.serve(f.plan_for("SELECT COUNT(v) FROM s WHERE v BETWEEN 0 AND 499"),
+               0);
+  for (const char* text :
+       {"SELECT SUM(v) FROM s",  // a cold cell refresh
+        "SELECT SUM(v) FROM s WHERE v BETWEEN 77 AND 901"}) {  // residues
+    SCOPED_TRACE(text);
+    const query::CostedPlan plan = f.plan_for(text);
+    f.net.set_message_loss(0.3);
+    EXPECT_THROW(f.cube.serve(plan, 0), ProtocolError);
+    f.net.set_message_loss(0.0);
+    EXPECT_EQ(f.cube.serve(plan, 0).bundle.core,
+              direct_core(f.net, plan.region));
+  }
 }
 
 }  // namespace

@@ -18,25 +18,15 @@ struct Fixture {
         dirty(net, tree) {}
 };
 
-TEST(DirtyTracker, ChildIndexFindsEachChild) {
-  Fixture f;
-  for (NodeId u = 0; u < f.tree.node_count(); ++u) {
-    const auto& kids = f.tree.children[u];
-    for (std::size_t ci = 0; ci < kids.size(); ++ci) {
-      EXPECT_EQ(child_index(f.tree, u, kids[ci]), ci);
-    }
-  }
-}
-
 TEST(DirtyTracker, EverythingIsFreshBeforeAnyChange) {
   Fixture f;
   for (NodeId u = 0; u < f.tree.node_count(); ++u) {
     EXPECT_EQ(f.dirty.subtree_changed_epoch(u), DirtyTracker::kNever);
-    for (std::size_t ci = 0; ci < f.tree.children[u].size(); ++ci) {
+    for (const NodeId child : f.tree.children[u]) {
       // A partial taken at epoch 0 is still exact...
-      EXPECT_TRUE(f.dirty.edge_fresh(u, ci, 0));
+      EXPECT_TRUE(f.dirty.edge_fresh(child, 0));
       // ...but "no partial" never reads as fresh.
-      EXPECT_FALSE(f.dirty.edge_fresh(u, ci, DirtyTracker::kInvalidEpoch));
+      EXPECT_FALSE(f.dirty.edge_fresh(child, DirtyTracker::kInvalidEpoch));
     }
   }
   EXPECT_EQ(f.dirty.mark_messages(), 0u);
@@ -59,18 +49,15 @@ TEST(DirtyTracker, MarkPropagatesAlongTheRootPathOnly) {
   }
   std::uint64_t stale_edges = 0;
   for (NodeId u = 0; u < f.tree.node_count(); ++u) {
-    const auto& kids = f.tree.children[u];
-    for (std::size_t ci = 0; ci < kids.size(); ++ci) {
-      const bool fresh = f.dirty.edge_fresh(u, ci, 0);
-      EXPECT_EQ(fresh, !on_path[kids[ci]]);
+    for (const NodeId child : f.tree.children[u]) {
+      const bool fresh = f.dirty.edge_fresh(child, 0);
+      EXPECT_EQ(fresh, !on_path[child]);
       if (!fresh) ++stale_edges;
     }
   }
   EXPECT_EQ(stale_edges, f.tree.depth[changed]);
   // A partial taken at the change epoch is fresh again.
-  const NodeId parent = f.tree.parent[changed];
-  EXPECT_TRUE(
-      f.dirty.edge_fresh(parent, child_index(f.tree, parent, changed), 1));
+  EXPECT_TRUE(f.dirty.edge_fresh(changed, 1));
   // One mark message per root-path edge.
   EXPECT_EQ(f.dirty.mark_messages(), f.tree.depth[changed]);
 }
@@ -97,12 +84,10 @@ TEST(DirtyTracker, LaterEpochsStaleEarlierPartials) {
   const std::vector<NodeId> touched{63};
   f.dirty.note_updates(touched, 1);
   f.dirty.note_updates(touched, 3);
-  const NodeId parent = f.tree.parent[63];
-  const std::size_t ci = child_index(f.tree, parent, 63);
-  EXPECT_EQ(f.dirty.child_changed_epoch(parent, ci), 3u);
-  EXPECT_FALSE(f.dirty.edge_fresh(parent, ci, 1));
-  EXPECT_FALSE(f.dirty.edge_fresh(parent, ci, 2));
-  EXPECT_TRUE(f.dirty.edge_fresh(parent, ci, 3));
+  EXPECT_EQ(f.dirty.subtree_changed_epoch(63), 3u);
+  EXPECT_FALSE(f.dirty.edge_fresh(63, 1));
+  EXPECT_FALSE(f.dirty.edge_fresh(63, 2));
+  EXPECT_TRUE(f.dirty.edge_fresh(63, 3));
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <span>
 
+#include "src/common/error.hpp"
 #include "src/common/rng.hpp"
 #include "src/net/topology.hpp"
 
@@ -291,9 +292,9 @@ TEST(SharedPlan, BatchMatchesSequentialCollections) {
       }
       for (const GroupId g : distinct) {
         for (NodeId u = 0; u < batch.tree.node_count(); ++u) {
-          for (std::size_t ci = 0; ci < batch.tree.children[u].size(); ++ci) {
-            const EdgePartial a = batch.sched.edge_partial(g, u, ci);
-            const EdgePartial b = seq.sched.edge_partial(g, u, ci);
+          for (const NodeId child : batch.tree.children[u]) {
+            const EdgePartial a = batch.sched.edge_partial(g, child);
+            const EdgePartial b = seq.sched.edge_partial(g, child);
             EXPECT_EQ(a.bundle, b.bundle);
             EXPECT_EQ(a.epoch, b.epoch);
           }
@@ -379,6 +380,16 @@ TEST(SharedPlan, BatchSkipsGroupsAlreadyCollected) {
   EXPECT_EQ(f.net.summary(true).total_bits, after.total_bits);
   EXPECT_FALSE(shares_again[0].collected);
   EXPECT_FALSE(shares_again[1].collected);
+}
+
+TEST(SharedPlan, LostMessageFailsTheCollectionAndTheRetryIsExact) {
+  Fixture f;
+  const query::RegionSignature ranged{30, 120, false};
+  const GroupId g = f.sched.ensure_stats_group(ranged);  // lossless install
+  f.net.set_message_loss(0.3);
+  EXPECT_THROW(f.sched.collect_stats(g, 1), ProtocolError);
+  f.net.set_message_loss(0.0);
+  EXPECT_EQ(f.sched.collect_stats(g, 1), direct_bundle(f.net, ranged));
 }
 
 }  // namespace
