@@ -6,12 +6,12 @@
 // BENCH_PR6.json: bits-on-the-wire per precision for the sketch layer
 // (legacy flat register image vs sketch::Hll sparse/dense v1 wire format)
 // and dense-merge throughput per packed width — the PR-6 acceptance
-// numbers, consumed by the CI bench-smoke lane.
+// numbers. It exits nonzero if a sparse image is not cheaper than the flat
+// one, an estimate degrades, or the report cannot be written.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -21,6 +21,7 @@
 #include "src/sketch/hll.hpp"
 #include "src/sketch/registers.hpp"
 #include "util/experiment.hpp"
+#include "util/report.hpp"
 #include "util/table.hpp"
 
 namespace sensornet::bench {
@@ -222,7 +223,10 @@ MergeRow measure_dense_merge(unsigned m, unsigned width, int iters) {
   return row;
 }
 
-void write_bench_json(const std::string& path) {
+/// Measures the BENCH_PR6 rows, gates their claims and writes the report.
+/// The wire claims are bit arithmetic, so they are gated; merge ns/op is
+/// timing, so only its sign is.
+int write_bench_json(const std::string& path, unsigned threads) {
   std::vector<WireRow> wire;
   for (const unsigned p : {4u, 6u, 8u, 10u}) {
     wire.push_back(measure_wire(p, /*trials=*/5));
@@ -231,48 +235,60 @@ void write_bench_json(const std::string& path) {
   for (const unsigned w : {4u, 5u, 6u, 8u}) {
     merges.push_back(measure_dense_merge(1024, w, /*iters=*/20000));
   }
-
-  std::ofstream out(path);
-  out << "{\n  \"bench\": \"BENCH_PR6\",\n  \"schema_version\": 1,\n";
-  out << "  \"wire\": [\n";
-  for (std::size_t i = 0; i < wire.size(); ++i) {
-    const auto& r = wire[i];
-    out << "    {\n"
-        << "      \"precision\": " << r.precision << ",\n"
-        << "      \"registers\": " << r.m << ",\n"
-        << "      \"width\": " << r.width << ",\n"
-        << "      \"legacy_flat_bits\": " << r.legacy_flat_bits << ",\n"
-        << "      \"hll_dense_bits\": " << r.hll_dense_bits << ",\n"
-        << "      \"hll_sparse_bits_8_items\": " << r.hll_sparse_bits << ",\n"
-        << "      \"sparse_vs_legacy_ratio\": " << fmt(r.sparse_vs_legacy, 4)
-        << ",\n"
-        << "      \"mean_abs_rel_err\": " << fmt(r.mean_abs_rel_err, 4)
-        << "\n    }" << (i + 1 < wire.size() ? "," : "") << "\n";
-  }
-  out << "  ],\n  \"dense_merge\": [\n";
-  for (std::size_t i = 0; i < merges.size(); ++i) {
-    const auto& r = merges[i];
-    out << "    {\n"
-        << "      \"registers\": " << r.m << ",\n"
-        << "      \"width\": " << r.width << ",\n"
-        << "      \"ns_per_merge\": " << fmt(r.ns_per_merge, 2) << ",\n"
-        << "      \"ns_per_merge_legacy\": " << fmt(r.ns_per_merge_legacy, 2)
-        << ",\n"
-        << "      \"speedup\": " << fmt(r.speedup, 3) << "\n    }"
-        << (i + 1 < merges.size() ? "," : "") << "\n";
-  }
   bool sparse_always_cheaper = true;
   for (const auto& r : wire) {
     if (r.hll_sparse_bits >= r.legacy_flat_bits) sparse_always_cheaper = false;
   }
   double min_speedup = merges.empty() ? 0.0 : merges.front().speedup;
   for (const auto& r : merges) min_speedup = std::min(min_speedup, r.speedup);
-  out << "  ],\n  \"summary\": {\n"
-      << "    \"sparse_cheaper_than_legacy_at_low_cardinality\": "
-      << (sparse_always_cheaper ? "true" : "false") << ",\n"
-      << "    \"dense_merge_min_speedup\": " << fmt(min_speedup, 3)
-      << "\n  }\n}\n";
-  std::cout << "wrote " << path << "\n";
+
+  Gates gates;
+  gates.gate(!wire.empty() && !merges.empty(), "empty wire or merge section");
+  for (const auto& r : wire) {
+    gates.gate(r.hll_sparse_bits < r.legacy_flat_bits,
+               "sparse not cheaper at p=", r.precision);
+    gates.gate(r.mean_abs_rel_err < 0.5, "estimate degraded at p=",
+               r.precision);
+  }
+  for (const auto& r : merges) {
+    gates.gate(r.ns_per_merge > 0, "no dense-merge time at width ", r.width);
+  }
+
+  write_report(path, [&](Json& j) {
+    write_header(j, "BENCH_PR6", /*quick=*/false,
+                 resolve_thread_count(threads));
+    j.key("wire").array();
+    for (const auto& r : wire) {
+      j.object()
+          .field("precision", r.precision)
+          .field("registers", r.m)
+          .field("width", r.width)
+          .field("legacy_flat_bits", r.legacy_flat_bits)
+          .field("hll_dense_bits", r.hll_dense_bits)
+          .field("hll_sparse_bits_8_items", r.hll_sparse_bits)
+          .field("sparse_vs_legacy_ratio", r.sparse_vs_legacy, 4)
+          .field("mean_abs_rel_err", r.mean_abs_rel_err, 4)
+          .end();
+    }
+    j.end().key("dense_merge").array();
+    for (const auto& r : merges) {
+      j.object()
+          .field("registers", r.m)
+          .field("width", r.width)
+          .field("ns_per_merge", r.ns_per_merge, 2)
+          .field("ns_per_merge_legacy", r.ns_per_merge_legacy, 2)
+          .field("speedup", r.speedup, 3)
+          .end();
+    }
+    j.end()
+        .key("summary")
+        .object()
+        .field("sparse_cheaper_than_legacy_at_low_cardinality",
+               sparse_always_cheaper)
+        .field("dense_merge_min_speedup", min_speedup, 3)
+        .end();
+  });
+  return gates.exit_code();
 }
 
 void run(unsigned threads) {
@@ -309,6 +325,6 @@ int main(int argc, char** argv) {
     }
   }
   if (!json_only) sensornet::bench::run(threads);
-  if (!out_path.empty()) sensornet::bench::write_bench_json(out_path);
-  return 0;
+  if (out_path.empty()) return 0;
+  return sensornet::bench::write_bench_json(out_path, threads);
 }

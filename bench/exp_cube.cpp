@@ -8,8 +8,8 @@
 //     identical deployments twice: once with the cube enabled (cell covers
 //     kept incrementally fresh off the dirty-mark wave, drift brackets for
 //     tolerant subscribers) and once in naive mode (every due query re-runs
-//     the one-shot tree executor). The claim gated here and in CI: the cube
-//     ships at least 5x fewer total bits on this lane.
+//     the one-shot tree executor). The claim gated here: the cube ships at
+//     least 5x fewer total bits on this lane.
 //
 //  2. Oracle identity — every exact (ERROR-free) answer from the cube run
 //     must be BYTE-identical (bit_cast of the double) to the naive
@@ -40,7 +40,6 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <fstream>
 #include <iomanip>
 #include <iostream>
 #include <sstream>
@@ -53,6 +52,8 @@
 #include "src/net/topology.hpp"
 #include "src/service/engine.hpp"
 #include "src/sim/network.hpp"
+#include "util/report.hpp"
+#include "util/service_lane.hpp"
 
 namespace sensornet::bench {
 namespace {
@@ -61,8 +62,6 @@ using service::Answer;
 using service::QueryService;
 using service::SensorUpdate;
 using service::ServiceConfig;
-
-constexpr Value kBound = 1000;
 
 struct Scale {
   unsigned grid_side;    // cached-range deployment is side x side
@@ -75,36 +74,9 @@ struct Scale {
 constexpr Scale kFull = {24, 32, 16, 16, 10};
 constexpr Scale kQuick = {12, 10, 10, 10, 6};
 
-struct Fnv1a {
-  std::uint64_t h = 1469598103934665603ull;
-  void mix_bytes(const void* p, std::size_t n) {
-    const auto* b = static_cast<const unsigned char*>(p);
-    for (std::size_t i = 0; i < n; ++i) {
-      h ^= b[i];
-      h *= 1099511628211ull;
-    }
-  }
-  void mix_u64(std::uint64_t v) { mix_bytes(&v, sizeof v); }
-  void mix_answer(const Answer& a) {
-    mix_u64(a.id);
-    mix_u64(a.epoch);
-    mix_u64(std::bit_cast<std::uint64_t>(a.value));
-    mix_u64(std::bit_cast<std::uint64_t>(a.error_bound));
-    mix_u64((a.exact ? 1u : 0u) | (a.from_cache ? 2u : 0u) |
-            (a.empty_selection ? 4u : 0u));
-  }
-};
-
 // ---------------------------------------------------------------------------
 // Cached-range lane.
 // ---------------------------------------------------------------------------
-struct ContinuousSpec {
-  query::AggregateKind agg;
-  Value lo, hi;  // region (0..kBound == whole domain)
-  unsigned every;
-  double error;  // 0 = exact subscriber (byte-compared against the oracle)
-};
-
 /// Whole-domain and dyadic-aligned regions dominate — the cube's home turf —
 /// with two unaligned stragglers so residue collection stays on the path.
 std::vector<ContinuousSpec> continuous_specs() {
@@ -129,27 +101,6 @@ std::vector<ContinuousSpec> continuous_specs() {
       {AggregateKind::kSum, 100, 580, 4, 0.2},
       {AggregateKind::kCount, 730, 900, 4, 0.2},
   };
-}
-
-std::string spec_text(const ContinuousSpec& s) {
-  using query::AggregateKind;
-  std::ostringstream os;
-  os << "SELECT ";
-  switch (s.agg) {
-    case AggregateKind::kCount: os << "COUNT"; break;
-    case AggregateKind::kSum: os << "SUM"; break;
-    case AggregateKind::kAvg: os << "AVG"; break;
-    case AggregateKind::kMin: os << "MIN"; break;
-    case AggregateKind::kMax: os << "MAX"; break;
-    default: os << "COUNT"; break;
-  }
-  os << "(v) FROM s";
-  if (s.lo != 0 || s.hi != kBound) {
-    os << " WHERE v BETWEEN " << s.lo << " AND " << s.hi;
-  }
-  os << " EVERY " << s.every << " EPOCHS";
-  if (s.error > 0.0) os << " ERROR " << s.error;
-  return os.str();
 }
 
 double exact_over(const std::vector<Value>& mirror, const ContinuousSpec& s,
@@ -444,118 +395,130 @@ DistinctLane run_distinct_lane(const Scale& s, unsigned threads) {
 }
 
 // ---------------------------------------------------------------------------
-// Report.
+// Report and gates.
 // ---------------------------------------------------------------------------
-struct DeterminismRow {
-  unsigned threads = 0;
-  std::uint64_t checksum = 0;
+struct Totals {
+  std::uint64_t exact_compared = 0;  // exact answers byte-compared
+  std::uint64_t mismatches = 0;      // oracle + sweep + distinct
+  std::uint64_t aligned_free = 0;    // sweep regions re-served at 0 bits
 };
 
-void write_json(std::ostream& os, const Scale& s, bool quick, unsigned threads,
+Totals totals_of(const LaneRun& cube, std::uint64_t oracle_mismatches,
+                 const std::vector<SweepRow>& sweep,
+                 const DistinctLane& distinct) {
+  Totals tot;
+  const auto specs = continuous_specs();
+  for (const Answer& a : cube.answers) {
+    if (specs[a.id - 1].error == 0.0) ++tot.exact_compared;
+  }
+  tot.mismatches = oracle_mismatches + distinct.mismatches;
+  for (const auto& r : sweep) {
+    tot.mismatches += r.mismatches;
+    if (r.repeat_bits == 0) ++tot.aligned_free;
+  }
+  return tot;
+}
+
+void gate_claims(Gates& gates, const LaneRun& cube, const LaneRun& naive,
+                 const std::vector<SweepRow>& sweep,
+                 const DistinctLane& distinct, const Determinism& det,
+                 const Totals& tot) {
+  const service::TelemetrySnapshot& t = cube.telemetry;
+  gates.gate(!cube.answers.empty(), "no continuous answers produced");
+  gates.gate(cube.total_bits > 0 && naive.total_bits > 0, "no bits shipped");
+  gates.gate(cube.total_bits * 5 <= naive.total_bits, "cube shipped ",
+             cube.total_bits, " bits vs ", naive.total_bits,
+             " tree — the 5x claim does not hold");
+  gates.gate(t.cube.refresh_waves > 0, "cube never refreshed a cell");
+  gates.gate(t.cube.cell_edges_skipped > 0,
+             "incremental refresh never skipped a clean subtree");
+  gates.gate(tot.exact_compared > 0, "oracle never exercised");
+  gates.gate(tot.mismatches == 0, "cube answers differ from the tree oracle");
+  gates.gate(cube.bound_checked > 0, "brackets never exercised");
+  gates.gate(cube.bound_violations == 0, cube.bound_violations,
+             " bracket-served answer(s) violated their bound");
+  gates.gate(!sweep.empty(), "empty region sweep");
+  for (const SweepRow& r : sweep) {
+    gates.gate(r.tree_bits > 0, "sweep [", r.lo, ",", r.hi,
+               "] collected no tree bits");
+  }
+  // The cost cliff: warm re-serves of pure-cell covers are free.
+  gates.gate(tot.aligned_free > 0, "no region re-served at zero bits");
+  gates.gate(distinct.answers > 0, "distinct lane produced no estimates");
+  det.gate(gates);
+}
+
+void write_pr10(Json& j, const Scale& s, bool quick, unsigned threads,
                 const LaneRun& cube, const LaneRun& naive,
                 std::uint64_t oracle_mismatches,
                 const std::vector<SweepRow>& sweep,
-                const DistinctLane& distinct,
-                const std::vector<DeterminismRow>& det) {
-  const double ratio =
-      cube.total_bits > 0
-          ? static_cast<double>(naive.total_bits) / cube.total_bits
-          : 0.0;
-  bool deterministic = true;
-  for (const auto& row : det) {
-    deterministic = deterministic && row.checksum == det.front().checksum;
-  }
-  const std::uint64_t sweep_mismatches = [&] {
-    std::uint64_t m = 0;
-    for (const auto& r : sweep) m += r.mismatches;
-    return m;
-  }();
-  const std::uint64_t total_mismatches =
-      oracle_mismatches + sweep_mismatches + distinct.mismatches;
+                const DistinctLane& distinct, const Determinism& det,
+                const Totals& tot) {
   const service::TelemetrySnapshot& t = cube.telemetry;
-
-  os << "{\n"
-     << "  \"bench\": \"BENCH_PR10\",\n"
-     << "  \"schema_version\": 1,\n"
-     << "  \"quick\": " << (quick ? "true" : "false") << ",\n"
-     << "  \"threads\": " << threads << ",\n"
-     << "  \"hardware_threads\": " << resolve_thread_count(0) << ",\n"
-     << "  \"cached_range\": {\n"
-     << "    \"nodes\": " << s.grid_side * s.grid_side << ",\n"
-     << "    \"epochs\": " << s.epochs << ",\n"
-     << "    \"continuous_queries\": " << continuous_specs().size() << ",\n"
-     << "    \"bits_cube\": " << cube.total_bits << ",\n"
-     << "    \"bits_tree\": " << naive.total_bits << ",\n"
-     << "    \"bits_ratio\": " << std::setprecision(3) << std::fixed << ratio
-     << ",\n"
-     << "    \"answers\": " << cube.answers.size() << ",\n"
-     << "    \"cube_fresh_answers\": " << t.totals.cube_fresh_answers << ",\n"
-     << "    \"cube_stale_answers\": " << t.totals.cube_stale_answers << ",\n"
-     << "    \"cache_hits\": " << t.totals.cache_hits << ",\n"
-     << "    \"refresh_waves\": " << t.cube.refresh_waves << ",\n"
-     << "    \"residue_waves\": " << t.cube.residue_waves << ",\n"
-     << "    \"cell_edges_descended\": " << t.cube.cell_edges_descended
-     << ",\n"
-     << "    \"cell_edges_skipped\": " << t.cube.cell_edges_skipped << ",\n"
-     << "    \"residue_edges_pruned\": " << t.cube.residue_edges_pruned
-     << ",\n"
-     << "    \"mark_messages\": " << t.mark_messages << "\n"
-     << "  },\n"
-     << "  \"oracle\": {\n"
-     << "    \"exact_answers_compared\": " << [&] {
-          std::uint64_t c = 0;
-          const auto specs = continuous_specs();
-          for (const Answer& a : cube.answers) {
-            if (specs[a.id - 1].error == 0.0) ++c;
-          }
-          return c;
-        }() << ",\n"
-     << "    \"mismatches\": " << oracle_mismatches << ",\n"
-     << "    \"bound_checked\": " << cube.bound_checked << ",\n"
-     << "    \"bound_violations\": " << cube.bound_violations << "\n"
-     << "  },\n"
-     << "  \"region_sweep\": [\n";
-  for (std::size_t i = 0; i < sweep.size(); ++i) {
-    const SweepRow& r = sweep[i];
+  const double ratio = ratio_of(naive.total_bits, cube.total_bits);
+  write_header(j, "BENCH_PR10", quick, threads);
+  j.key("cached_range")
+      .object()
+      .field("nodes", s.grid_side * s.grid_side)
+      .field("epochs", s.epochs)
+      .field("continuous_queries", continuous_specs().size())
+      .field("bits_cube", cube.total_bits)
+      .field("bits_tree", naive.total_bits)
+      .field("bits_ratio", ratio, 3)
+      .field("answers", cube.answers.size())
+      .field("cube_fresh_answers", t.totals.cube_fresh_answers)
+      .field("cube_stale_answers", t.totals.cube_stale_answers)
+      .field("cache_hits", t.totals.cache_hits)
+      .field("refresh_waves", t.cube.refresh_waves)
+      .field("residue_waves", t.cube.residue_waves)
+      .field("cell_edges_descended", t.cube.cell_edges_descended)
+      .field("cell_edges_skipped", t.cube.cell_edges_skipped)
+      .field("residue_edges_pruned", t.cube.residue_edges_pruned)
+      .field("mark_messages", t.mark_messages)
+      .end()
+      .key("oracle")
+      .object()
+      .field("exact_answers_compared", tot.exact_compared)
+      .field("mismatches", oracle_mismatches)
+      .field("bound_checked", cube.bound_checked)
+      .field("bound_violations", cube.bound_violations)
+      .end()
+      .key("region_sweep")
+      .array();
+  for (const SweepRow& r : sweep) {
     const double reduction =
         static_cast<double>(r.tree_bits) /
         static_cast<double>(std::max<std::uint64_t>(1, r.repeat_bits));
-    os << "    {\"lo\": " << r.lo << ", \"hi\": " << r.hi << ", \"width\": "
-       << (r.hi - r.lo + 1) << ", \"first_bits\": " << r.first_bits
-       << ", \"repeat_bits\": " << r.repeat_bits << ", \"tree_bits\": "
-       << r.tree_bits << ", \"warm_reduction\": " << std::setprecision(1)
-       << std::fixed << reduction << "}" << (i + 1 < sweep.size() ? "," : "")
-       << "\n";
+    j.object(Json::kLine)
+        .field("lo", r.lo)
+        .field("hi", r.hi)
+        .field("width", r.hi - r.lo + 1)
+        .field("first_bits", r.first_bits)
+        .field("repeat_bits", r.repeat_bits)
+        .field("tree_bits", r.tree_bits)
+        .field("warm_reduction", reduction, 1)
+        .end();
   }
-  os << "  ],\n"
-     << "  \"distinct\": {\n"
-     << "    \"answers\": " << distinct.answers << ",\n"
-     << "    \"mismatches\": " << distinct.mismatches << ",\n"
-     << "    \"bits_cube\": " << distinct.cube_bits << ",\n"
-     << "    \"bits_tree\": " << distinct.tree_bits << "\n"
-     << "  },\n"
-     << "  \"determinism\": [\n";
-  for (std::size_t i = 0; i < det.size(); ++i) {
-    os << "    {\"threads\": " << det[i].threads << ", \"checksum\": \""
-       << std::hex << det[i].checksum << std::dec << "\"}"
-       << (i + 1 < det.size() ? "," : "") << "\n";
-  }
-  os << "  ],\n"
-     << "  \"summary\": {\n"
-     << "    \"bits_ratio\": " << std::setprecision(3) << std::fixed << ratio
-     << ",\n"
-     << "    \"bits_target\": 5.0,\n"
-     << "    \"bits_target_met\": "
-     << (cube.total_bits * 5 <= naive.total_bits ? "true" : "false") << ",\n"
-     << "    \"oracle_mismatches\": " << total_mismatches << ",\n"
-     << "    \"oracle_identical\": "
-     << (total_mismatches == 0 ? "true" : "false") << ",\n"
-     << "    \"bound_violations\": " << cube.bound_violations << ",\n"
-     << "    \"bounds_sound\": "
-     << (cube.bound_violations == 0 ? "true" : "false") << ",\n"
-     << "    \"deterministic_across_thread_counts\": "
-     << (deterministic ? "true" : "false") << "\n"
-     << "  }\n}\n";
+  j.end()
+      .key("distinct")
+      .object()
+      .field("answers", distinct.answers)
+      .field("mismatches", distinct.mismatches)
+      .field("bits_cube", distinct.cube_bits)
+      .field("bits_tree", distinct.tree_bits)
+      .end();
+  det.write(j);
+  j.key("summary")
+      .object()
+      .field("bits_ratio", ratio, 3)
+      .field("bits_target", 5.0, 1)
+      .field("bits_target_met", cube.total_bits * 5 <= naive.total_bits)
+      .field("oracle_mismatches", tot.mismatches)
+      .field("oracle_identical", tot.mismatches == 0)
+      .field("bound_violations", cube.bound_violations)
+      .field("bounds_sound", cube.bound_violations == 0)
+      .field("deterministic_across_thread_counts", det.agree())
+      .end();
 }
 
 }  // namespace
@@ -590,10 +553,7 @@ int main(int argc, char** argv) {
             << " nodes, " << s.epochs << " epochs)\n";
   const LaneRun cube = run_cached_lane(s, resolved, /*with_cube=*/true);
   const LaneRun naive = run_cached_lane(s, resolved, /*with_cube=*/false);
-  const double ratio =
-      cube.total_bits
-          ? static_cast<double>(naive.total_bits) / cube.total_bits
-          : 0.0;
+  const double ratio = ratio_of(naive.total_bits, cube.total_bits);
   std::cout << "  cube: " << cube.total_bits << " bits ("
             << cube.telemetry.totals.cube_stale_answers << " bracket + "
             << cube.telemetry.totals.cache_hits << " cached of "
@@ -630,48 +590,19 @@ int main(int argc, char** argv) {
             << distinct.mismatches << " mismatch(es)\n";
 
   std::cout << "## determinism across farm workers\n";
-  std::vector<DeterminismRow> det;
+  Determinism det;
   for (const unsigned t : {1u, 2u, 8u}) {
-    const LaneRun r = t == resolved
-                          ? cube
-                          : run_cached_lane(s, t, /*with_cube=*/true);
-    det.push_back({t, r.checksum});
-    std::cout << "  threads=" << t << " checksum=" << std::hex << r.checksum
-              << std::dec << "\n";
+    det.add(t, t == resolved ? cube.checksum
+                             : run_cached_lane(s, t, true).checksum);
   }
 
-  std::ofstream out(out_path);
-  if (!out) {
-    std::cerr << "cannot open " << out_path << " for writing\n";
-    return 1;
-  }
-  write_json(out, s, quick, resolved, cube, naive, oracle_mismatches, sweep,
-             distinct, det);
-  std::cout << "wrote " << out_path << "\n";
-
-  std::uint64_t sweep_mismatches = 0;
-  for (const auto& r : sweep) sweep_mismatches += r.mismatches;
-  if (oracle_mismatches + sweep_mismatches + distinct.mismatches != 0) {
-    std::cerr << "FATAL: cube answers are not byte-identical to the "
-                 "tree-collected oracle\n";
-    return 1;
-  }
-  if (cube.bound_violations != 0) {
-    std::cerr << "FATAL: " << cube.bound_violations
-              << " bracket-served answer(s) violated their bound\n";
-    return 1;
-  }
-  if (cube.total_bits * 5 > naive.total_bits) {
-    std::cerr << "FATAL: cube shipped " << cube.total_bits << " bits vs "
-              << naive.total_bits << " tree — the 5x claim does not hold\n";
-    return 1;
-  }
-  for (const auto& row : det) {
-    if (row.checksum != det.front().checksum) {
-      std::cerr << "FATAL: answer-stream checksum diverged at " << row.threads
-                << " workers\n";
-      return 1;
-    }
-  }
-  return 0;
+  const Totals tot =
+      totals_of(cube, oracle_mismatches, sweep, distinct);
+  Gates gates;
+  gate_claims(gates, cube, naive, sweep, distinct, det, tot);
+  write_report(out_path, [&](Json& j) {
+    write_pr10(j, s, quick, resolved, cube, naive, oracle_mismatches, sweep,
+               distinct, det, tot);
+  });
+  return gates.exit_code();
 }

@@ -8,8 +8,8 @@
 //     identical deployments: once through the shared-plan scheduler
 //     (grouped collections, dirty-mark incremental descent, bounded-error
 //     cache) and once in naive mode (every due query re-runs the one-shot
-//     executor). The claim gated here and in CI: shared ships at least 2x
-//     fewer total bits.
+//     executor). The claim gated here: shared ships at least 2x fewer
+//     total bits.
 //
 //  2. Cache-bound soundness — during the shared run the driver maintains
 //     a mirror of every sensor value and recomputes the exact aggregate
@@ -48,7 +48,6 @@
 //   --threads  submit_batch farm workers; 0 = hardware concurrency
 //   --trace    export a Chrome trace of a small shared run to PATH
 #include <algorithm>
-#include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -66,6 +65,8 @@
 #include "src/obs/trace.hpp"
 #include "src/service/engine.hpp"
 #include "src/sim/network.hpp"
+#include "util/report.hpp"
+#include "util/service_lane.hpp"
 
 namespace sensornet::bench {
 namespace {
@@ -74,8 +75,6 @@ using service::Answer;
 using service::QueryService;
 using service::SensorUpdate;
 using service::ServiceConfig;
-
-constexpr Value kBound = 1000;
 
 struct Scale {
   unsigned grid_side;        // shared-vs-naive deployment is side x side
@@ -88,39 +87,8 @@ constexpr Scale kFull = {32, 32, 24, 40};
 constexpr Scale kQuick = {16, 12, 12, 8};
 
 // ---------------------------------------------------------------------------
-// Answer-stream checksum (determinism lane).
-// ---------------------------------------------------------------------------
-struct Fnv1a {
-  std::uint64_t h = 1469598103934665603ull;
-  void mix_bytes(const void* p, std::size_t n) {
-    const auto* b = static_cast<const unsigned char*>(p);
-    for (std::size_t i = 0; i < n; ++i) {
-      h ^= b[i];
-      h *= 1099511628211ull;
-    }
-  }
-  void mix_u64(std::uint64_t v) { mix_bytes(&v, sizeof v); }
-  void mix_answer(const Answer& a) {
-    mix_u64(a.id);
-    mix_u64(a.epoch);
-    mix_u64(std::bit_cast<std::uint64_t>(a.value));
-    mix_u64(std::bit_cast<std::uint64_t>(a.error_bound));
-    mix_u64((a.exact ? 1u : 0u) | (a.from_cache ? 2u : 0u) |
-            (a.empty_selection ? 4u : 0u));
-  }
-  void mix_str(const std::string& s) { mix_bytes(s.data(), s.size()); }
-};
-
-// ---------------------------------------------------------------------------
 // Overlapping continuous-query lane.
 // ---------------------------------------------------------------------------
-struct ContinuousSpec {
-  query::AggregateKind agg;
-  Value lo, hi;       // region (0..kBound == whole domain)
-  unsigned every;
-  double error;       // 0 = exact subscriber
-};
-
 std::vector<ContinuousSpec> continuous_specs() {
   using query::AggregateKind;
   return {
@@ -146,27 +114,6 @@ std::vector<ContinuousSpec> continuous_specs() {
       {AggregateKind::kMax, 400, 900, 2, 0.05},
       {AggregateKind::kAvg, 400, 900, 2, 0.1},
   };
-}
-
-std::string spec_text(const ContinuousSpec& s) {
-  using query::AggregateKind;
-  std::ostringstream os;
-  os << "SELECT ";
-  switch (s.agg) {
-    case AggregateKind::kCount: os << "COUNT"; break;
-    case AggregateKind::kSum: os << "SUM"; break;
-    case AggregateKind::kAvg: os << "AVG"; break;
-    case AggregateKind::kMin: os << "MIN"; break;
-    case AggregateKind::kMax: os << "MAX"; break;
-    default: os << "COUNT"; break;
-  }
-  os << "(v) FROM s";
-  if (s.lo != 0 || s.hi != kBound) {
-    os << " WHERE v BETWEEN " << s.lo << " AND " << s.hi;
-  }
-  os << " EVERY " << s.every << " EPOCHS";
-  if (s.error > 0.0) os << " ERROR " << s.error;
-  return os.str();
 }
 
 /// Exact aggregate over the mirror, for lane-2 soundness checks.
@@ -384,149 +331,163 @@ ChurnResult run_churn_lane(const Scale& s, unsigned threads) {
 }
 
 // ---------------------------------------------------------------------------
-// Report.
+// Report and gates.
 // ---------------------------------------------------------------------------
-struct DeterminismRow {
-  unsigned threads = 0;
-  std::uint64_t checksum = 0;
-};
+/// Cost-attribution ledger of the shared run. Query bits follow the
+/// marginal-cost rule (first due subscriber pays the shared wave), so
+/// sum(query bits) + mark bits accounts for everything except the
+/// one-time group-install broadcasts, which sit in the group ledger.
+std::uint64_t attributed_bits(const service::TelemetrySnapshot& t) {
+  std::uint64_t bits = t.mark_bits_on_air;
+  for (const auto& [qid, qc] : t.queries) bits += qc.bits_on_air;
+  return bits;
+}
 
-void write_json(std::ostream& os, const Scale& s, bool quick, unsigned threads,
-                const LaneResult& shared, const LaneResult& naive,
-                const std::vector<DeterminismRow>& det,
-                const ChurnResult& churn) {
-  const double ratio =
-      shared.total_bits > 0
-          ? static_cast<double>(naive.total_bits) / shared.total_bits
-          : 0.0;
-  bool deterministic = true;
-  for (const auto& row : det) {
-    deterministic = deterministic && row.checksum == det.front().checksum;
-  }
-  const double hit_rate =
-      shared.answers > 0
-          ? static_cast<double>(shared.cache_hits) / shared.answers
-          : 0.0;
-
-  os << "{\n"
-     << "  \"bench\": \"BENCH_PR8\",\n"
-     << "  \"schema_version\": 1,\n"
-     << "  \"quick\": " << (quick ? "true" : "false") << ",\n"
-     << "  \"threads\": " << threads << ",\n"
-     << "  \"hardware_threads\": " << resolve_thread_count(0) << ",\n"
-     << "  \"shared_vs_naive\": {\n"
-     << "    \"nodes\": " << s.grid_side * s.grid_side << ",\n"
-     << "    \"epochs\": " << s.epochs << ",\n"
-     << "    \"continuous_queries\": " << continuous_specs().size() << ",\n"
-     << "    \"bits_shared\": " << shared.total_bits << ",\n"
-     << "    \"bits_naive\": " << naive.total_bits << ",\n"
-     << "    \"bits_ratio\": " << std::setprecision(3) << std::fixed << ratio
-     << ",\n"
-     << "    \"answers\": " << shared.answers << ",\n"
-     << "    \"cache_hits\": " << shared.cache_hits << ",\n"
-     << "    \"cache_hit_rate\": " << std::setprecision(4) << hit_rate
-     << ",\n"
-     << "    \"stats_waves\": " << shared.stats_waves << ",\n"
-     << "    \"edges_descended\": " << shared.edges_descended << ",\n"
-     << "    \"edges_skipped\": " << shared.edges_skipped << ",\n"
-     << "    \"mark_messages\": " << shared.mark_messages << ",\n"
-     << "    \"air_rounds_per_epoch\": " << std::setprecision(1)
-     << static_cast<double>(shared.air_rounds) / s.epochs << ",\n"
-     << "    \"max_collection_rounds\": " << shared.max_collection_rounds
-     << ",\n"
-     << "    \"collection_rounds_bound\": " << 2 * shared.tree_height + 2
-     << "\n"
-     << "  },\n"
-     << "  \"cache_bounds\": {\n"
-     << "    \"cache_answers_checked\": " << shared.cache_answers_checked
-     << ",\n"
-     << "    \"bound_violations\": " << shared.bound_violations << "\n"
-     << "  },\n";
-  // Cost-attribution ledger for the shared run. Query bits follow the
-  // marginal-cost rule (first due subscriber pays the shared wave), so
-  // sum(query bits) + mark bits accounts for everything except the
-  // one-time group-install broadcasts, which sit in the group ledger.
+void gate_claims(Gates& gates, bool quick, const LaneResult& shared,
+                 const LaneResult& naive, const Determinism& det,
+                 const ChurnResult& churn) {
   const service::TelemetrySnapshot& t = shared.telemetry;
-  std::uint64_t attributed_bits = t.mark_bits_on_air;
-  for (const auto& [qid, qc] : t.queries) attributed_bits += qc.bits_on_air;
-  os << "  \"telemetry\": {\n"
-     << "    \"cache\": {\n"
-     << "      \"probes\": " << t.cache.probes << ",\n"
-     << "      \"lookups\": " << t.cache.lookups << ",\n"
-     << "      \"hits\": " << t.cache.hits << ",\n"
-     << "      \"exact_hits\": " << t.cache.exact_hits << ",\n"
-     << "      \"zero_bit_answers\": " << t.cache.hits << ",\n"
-     << "      \"misses\": " << t.cache.misses << ",\n"
-     << "      \"expired\": " << t.cache.expired << ",\n"
-     << "      \"absent\": " << t.cache.absent << "\n"
-     << "    },\n"
-     << "    \"mark_bits_on_air\": " << t.mark_bits_on_air << ",\n"
-     << "    \"mark_messages\": " << t.mark_messages << ",\n"
-     << "    \"queries\": [\n";
-  for (auto it = t.queries.begin(); it != t.queries.end(); ++it) {
-    const auto& qc = it->second;
-    os << "      {\"id\": " << it->first << ", \"answers\": " << qc.answers
-       << ", \"cache_hits\": " << qc.cache_hits << ", \"fresh\": " << qc.fresh
-       << ", \"bits_on_air\": " << qc.bits_on_air << ", \"messages\": "
-       << qc.messages << ", \"bound_slack\": " << std::setprecision(4)
-       << std::fixed << qc.bound_slack << "}"
-       << (std::next(it) != t.queries.end() ? "," : "") << "\n";
+  gates.gate(shared.answers > 0, "no continuous answers produced");
+  gates.gate(shared.total_bits > 0 && naive.total_bits > 0, "no bits shipped");
+  gates.gate(shared.total_bits * 2 <= naive.total_bits,
+             "shared aggregation shipped ", shared.total_bits, " bits vs ",
+             naive.total_bits, " naive — the 2x claim does not hold");
+  // Stats-only lane: one collection convergecast per epoch, never several.
+  gates.gate(shared.max_collection_rounds <= 2 * shared.tree_height + 2,
+             "an epoch spent ", shared.max_collection_rounds,
+             " rounds beyond its mark wave — stats collections ran serially");
+  gates.gate(shared.cache_answers_checked > 0, "cache never exercised");
+  gates.gate(shared.bound_violations == 0, shared.bound_violations,
+             " cache-served answer(s) violated their error bound");
+  // The cache's own counters must agree with the service's answer-level
+  // accounting: a counted hit that was never served (or the reverse) means
+  // the probe/lookup split leaked.
+  gates.gate(t.cache.hits == shared.cache_hits, "cache counted ",
+             t.cache.hits, " hit(s) but the service served ",
+             shared.cache_hits, " cached answer(s)");
+  // The full lane is a committed workload: 16 subscribers, 32 epochs on a
+  // 32x32 grid serve exactly 88 answers from cache. Any drift here is a
+  // semantic change to the cache or scheduler and must be deliberate.
+  gates.gate(quick || t.cache.hits == 88, "full lane served ", t.cache.hits,
+             " answers from cache, expected the committed 88");
+  const auto& c = t.cache;
+  gates.gate(c.hits + c.misses + c.expired + c.absent <= c.probes + c.lookups,
+             "cache outcomes outnumber its probes and lookups");
+  std::uint64_t ledger_hits = 0;
+  for (const auto& [qid, qc] : t.queries) ledger_hits += qc.cache_hits;
+  gates.gate(!t.queries.empty() && ledger_hits == c.hits, "per-query hits ",
+             ledger_hits, " != cache hits ", c.hits);
+  std::uint64_t subscribers = 0;
+  for (const auto& [gid, gc] : t.groups) subscribers += gc.subscribers;
+  gates.gate(subscribers == continuous_specs().size(), "groups hold ",
+             subscribers, " subscribers");
+  const double attribution = ratio_of(attributed_bits(t), shared.total_bits);
+  gates.gate(attribution >= 0.9 && attribution <= 1.0001,
+             "cost ledger accounts for ", attribution, " of bits");
+  det.gate(gates);
+  gates.gate(churn.answers > 0 && churn.qps() > 0, "churn lane answered none");
+}
+
+void write_pr8(Json& j, const Scale& s, bool quick, unsigned threads,
+               const LaneResult& shared, const LaneResult& naive,
+               const Determinism& det, const ChurnResult& churn) {
+  const service::TelemetrySnapshot& t = shared.telemetry;
+  const double ratio = ratio_of(naive.total_bits, shared.total_bits);
+  write_header(j, "BENCH_PR8", quick, threads);
+  j.key("shared_vs_naive")
+      .object()
+      .field("nodes", s.grid_side * s.grid_side)
+      .field("epochs", s.epochs)
+      .field("continuous_queries", continuous_specs().size())
+      .field("bits_shared", shared.total_bits)
+      .field("bits_naive", naive.total_bits)
+      .field("bits_ratio", ratio, 3)
+      .field("answers", shared.answers)
+      .field("cache_hits", shared.cache_hits)
+      .field("cache_hit_rate", ratio_of(shared.cache_hits, shared.answers), 4)
+      .field("stats_waves", shared.stats_waves)
+      .field("edges_descended", shared.edges_descended)
+      .field("edges_skipped", shared.edges_skipped)
+      .field("mark_messages", shared.mark_messages)
+      .field("air_rounds_per_epoch",
+             static_cast<double>(shared.air_rounds) / s.epochs, 1)
+      .field("max_collection_rounds", shared.max_collection_rounds)
+      .field("collection_rounds_bound", 2 * shared.tree_height + 2)
+      .end()
+      .key("cache_bounds")
+      .object()
+      .field("cache_answers_checked", shared.cache_answers_checked)
+      .field("bound_violations", shared.bound_violations)
+      .end()
+      .key("telemetry")
+      .object()
+      .key("cache")
+      .object()
+      .field("probes", t.cache.probes)
+      .field("lookups", t.cache.lookups)
+      .field("hits", t.cache.hits)
+      .field("exact_hits", t.cache.exact_hits)
+      .field("zero_bit_answers", t.cache.hits)
+      .field("misses", t.cache.misses)
+      .field("expired", t.cache.expired)
+      .field("absent", t.cache.absent)
+      .end()
+      .field("mark_bits_on_air", t.mark_bits_on_air)
+      .field("mark_messages", t.mark_messages)
+      .key("queries")
+      .array();
+  for (const auto& [qid, qc] : t.queries) {
+    j.object(Json::kLine)
+        .field("id", qid)
+        .field("answers", qc.answers)
+        .field("cache_hits", qc.cache_hits)
+        .field("fresh", qc.fresh)
+        .field("bits_on_air", qc.bits_on_air)
+        .field("messages", qc.messages)
+        .field("bound_slack", qc.bound_slack, 4)
+        .end();
   }
-  os << "    ],\n"
-     << "    \"groups\": [\n";
-  for (auto it = t.groups.begin(); it != t.groups.end(); ++it) {
-    const auto& gc = it->second;
-    os << "      {\"id\": " << it->first << ", \"subscribers\": "
-       << gc.subscribers << ", \"collections\": " << gc.collections
-       << ", \"bits_on_air\": " << gc.bits_on_air << ", \"messages\": "
-       << gc.messages << "}" << (std::next(it) != t.groups.end() ? "," : "")
-       << "\n";
+  j.end().key("groups").array();
+  for (const auto& [gid, gc] : t.groups) {
+    j.object(Json::kLine)
+        .field("id", gid)
+        .field("subscribers", gc.subscribers)
+        .field("collections", gc.collections)
+        .field("bits_on_air", gc.bits_on_air)
+        .field("messages", gc.messages)
+        .end();
   }
-  os << "    ],\n"
-     << "    \"attributed_bits\": " << attributed_bits << ",\n"
-     << "    \"total_bits\": " << shared.total_bits << ",\n"
-     << "    \"attribution_ratio\": " << std::setprecision(4) << std::fixed
-     << (shared.total_bits > 0
-             ? static_cast<double>(attributed_bits) / shared.total_bits
-             : 0.0)
-     << ",\n"
-     << "    \"cache_hits_match_answers\": "
-     << (t.cache.hits == shared.cache_hits ? "true" : "false") << "\n"
-     << "  },\n"
-     << "  \"determinism\": [\n";
-  for (std::size_t i = 0; i < det.size(); ++i) {
-    os << "    {\"threads\": " << det[i].threads << ", \"checksum\": \""
-       << std::hex << det[i].checksum << std::dec << "\"}"
-       << (i + 1 < det.size() ? "," : "") << "\n";
-  }
-  os << "  ],\n"
-     << "  \"qps\": {\n"
-     << "    \"nodes\": " << s.churn_side * s.churn_side << ",\n"
-     << "    \"bursts\": " << s.churn_bursts << ",\n"
-     << "    \"queries_submitted\": " << churn.submitted << ",\n"
-     << "    \"admission_errors\": " << churn.admission_errors << ",\n"
-     << "    \"cancels\": " << churn.cancels << ",\n"
-     << "    \"answers\": " << churn.answers << ",\n"
-     << "    \"seconds\": " << std::setprecision(6) << std::fixed
-     << churn.seconds << ",\n"
-     << "    \"qps\": " << std::setprecision(1) << churn.qps() << "\n"
-     << "  },\n"
-     << "  \"summary\": {\n"
-     << "    \"bits_ratio\": " << std::setprecision(3) << ratio << ",\n"
-     << "    \"bits_target\": 2.0,\n"
-     << "    \"bits_target_met\": "
-     << (shared.total_bits * 2 <= naive.total_bits ? "true" : "false")
-     << ",\n"
-     << "    \"bound_violations\": " << shared.bound_violations << ",\n"
-     << "    \"bounds_sound\": "
-     << (shared.bound_violations == 0 ? "true" : "false") << ",\n"
-     << "    \"cache_served\": " << t.cache.hits << ",\n"
-     << "    \"cache_hits_match_answers\": "
-     << (t.cache.hits == shared.cache_hits ? "true" : "false") << ",\n"
-     << "    \"deterministic_across_thread_counts\": "
-     << (deterministic ? "true" : "false") << ",\n"
-     << "    \"qps\": " << std::setprecision(1) << churn.qps() << "\n"
-     << "  }\n}\n";
+  j.end()
+      .field("attributed_bits", attributed_bits(t))
+      .field("total_bits", shared.total_bits)
+      .field("attribution_ratio",
+             ratio_of(attributed_bits(t), shared.total_bits), 4)
+      .field("cache_hits_match_answers", t.cache.hits == shared.cache_hits)
+      .end();
+  det.write(j);
+  j.key("qps")
+      .object()
+      .field("nodes", s.churn_side * s.churn_side)
+      .field("bursts", s.churn_bursts)
+      .field("queries_submitted", churn.submitted)
+      .field("admission_errors", churn.admission_errors)
+      .field("cancels", churn.cancels)
+      .field("answers", churn.answers)
+      .field("seconds", churn.seconds, 6)
+      .field("qps", churn.qps(), 1)
+      .end()
+      .key("summary")
+      .object()
+      .field("bits_ratio", ratio, 3)
+      .field("bits_target", 2.0, 1)
+      .field("bits_target_met", shared.total_bits * 2 <= naive.total_bits)
+      .field("bound_violations", shared.bound_violations)
+      .field("bounds_sound", shared.bound_violations == 0)
+      .field("cache_served", t.cache.hits)
+      .field("cache_hits_match_answers", t.cache.hits == shared.cache_hits)
+      .field("deterministic_across_thread_counts", det.agree())
+      .field("qps", churn.qps(), 1)
+      .end();
 }
 
 /// Replays a tiny shared run with the global trace ring live and exports
@@ -589,23 +550,16 @@ int main(int argc, char** argv) {
             << " answers from cache\n"
             << "  naive:  " << naive.total_bits << " bits ("
             << std::setprecision(2) << std::fixed
-            << (shared.total_bits
-                    ? static_cast<double>(naive.total_bits) / shared.total_bits
-                    : 0.0)
-            << "x)\n";
+            << ratio_of(naive.total_bits, shared.total_bits) << "x)\n";
 
   std::cout << "## determinism across thread counts\n";
   std::vector<unsigned> counts = {1, 2, resolved};
   std::sort(counts.begin(), counts.end());
   counts.erase(std::unique(counts.begin(), counts.end()), counts.end());
-  std::vector<DeterminismRow> det;
+  Determinism det;
   for (const unsigned t : counts) {
-    const LaneResult r = t == resolved
-                             ? shared
-                             : run_continuous_lane(s, t, /*shared=*/true);
-    det.push_back({t, r.checksum});
-    std::cout << "  threads=" << t << " checksum=" << std::hex << r.checksum
-              << std::dec << "\n";
+    det.add(t, t == resolved ? shared.checksum
+                             : run_continuous_lane(s, t, true).checksum);
   }
 
   std::cout << "## churn / qps (" << s.churn_side * s.churn_side
@@ -616,62 +570,14 @@ int main(int argc, char** argv) {
             << " qps (" << churn.admission_errors << " admission errors, "
             << churn.cancels << " cancels)\n";
 
-  std::ofstream out(out_path);
-  if (!out) {
-    std::cerr << "cannot open " << out_path << " for writing\n";
-    return 1;
+  Gates gates;
+  gate_claims(gates, quick, shared, naive, det, churn);
+  write_report(out_path, [&](Json& j) {
+    write_pr8(j, s, quick, resolved, shared, naive, det, churn);
+  });
+  if (!trace_path.empty()) {
+    gates.gate(export_trace(trace_path), "cannot open ", trace_path,
+               " for writing");
   }
-  write_json(out, s, quick, resolved, shared, naive, det, churn);
-  std::cout << "wrote " << out_path << "\n";
-
-  if (!trace_path.empty() && !export_trace(trace_path)) {
-    std::cerr << "cannot open " << trace_path << " for writing\n";
-    return 1;
-  }
-
-  // The cache's global hit counter must agree with the service's
-  // answer-level accounting: a counted hit that was never served (or the
-  // reverse) means the probe/lookup split leaked.
-  if (shared.telemetry.cache.hits != shared.cache_hits) {
-    std::cerr << "FATAL: cache counted " << shared.telemetry.cache.hits
-              << " hit(s) but the service served " << shared.cache_hits
-              << " cached answer(s)\n";
-    return 1;
-  }
-  // The full lane is a committed workload: 16 subscribers, 32 epochs on a
-  // 32x32 grid serve exactly 88 answers from cache. Any drift here is a
-  // semantic change to the cache or scheduler and must be deliberate.
-  if (!quick && shared.telemetry.cache.hits != 88) {
-    std::cerr << "FATAL: full lane served " << shared.telemetry.cache.hits
-              << " answers from cache, expected the committed 88\n";
-    return 1;
-  }
-
-  if (shared.total_bits * 2 > naive.total_bits) {
-    std::cerr << "FATAL: shared aggregation shipped " << shared.total_bits
-              << " bits vs " << naive.total_bits
-              << " naive — the 2x claim does not hold\n";
-    return 1;
-  }
-  // Stats-only lane: one collection convergecast per epoch, never several.
-  if (shared.max_collection_rounds > 2 * shared.tree_height + 2) {
-    std::cerr << "FATAL: an epoch spent " << shared.max_collection_rounds
-              << " rounds beyond its mark wave (bound "
-              << 2 * shared.tree_height + 2
-              << ") — stats collections ran serially\n";
-    return 1;
-  }
-  if (shared.bound_violations != 0) {
-    std::cerr << "FATAL: " << shared.bound_violations
-              << " cache-served answer(s) violated their error bound\n";
-    return 1;
-  }
-  for (const auto& row : det) {
-    if (row.checksum != det.front().checksum) {
-      std::cerr << "FATAL: answer-stream checksum diverged at "
-                << row.threads << " workers\n";
-      return 1;
-    }
-  }
-  return 0;
+  return gates.exit_code();
 }

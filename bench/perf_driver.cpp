@@ -28,9 +28,10 @@
 // metrics registry (farm.steals / farm.cells must agree with the farm's
 // own stats), measures the registry's runtime overhead on a 2^17-node grid
 // wave (registry enabled vs runtime-disabled, identical deliveries and
-// checksums required, events/s penalty gated at 3%), and dumps the final
-// registry snapshot. With --trace PATH it also runs a small traced wave
-// and exports the Chrome trace_event JSON for chrome://tracing/Perfetto.
+// checksums required, events/s penalty gated at 3% on full runs), and dumps
+// the final registry snapshot. With --trace PATH it also runs a small
+// traced wave and exports the Chrome trace_event JSON for
+// chrome://tracing/Perfetto.
 //
 // Usage: perf_driver [--quick] [--out PATH] [--out9 PATH] [--threads N]
 //                    [--trace PATH]
@@ -44,10 +45,12 @@
 #include <chrono>
 #include <cstdint>
 #include <fstream>
+#include <functional>
 #include <iomanip>
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/common/rng.hpp"
@@ -58,6 +61,7 @@
 #include "src/obs/trace.hpp"
 #include "src/sim/network.hpp"
 #include "util/legacy_sim.hpp"
+#include "util/report.hpp"
 
 namespace sensornet::bench {
 namespace {
@@ -711,7 +715,8 @@ struct OverheadResult {
 /// One wave workload on a 2^obs_exp-node grid, run with the registry
 /// enabled and runtime-disabled. The two modes must produce identical
 /// deliveries and checksums (metrics have zero semantic footprint), and
-/// the enabled mode may cost at most 3% events/s — both gated in main().
+/// the enabled mode may cost at most 3% events/s (full runs) — both gated
+/// in gate_claims().
 /// Repetitions alternate modes and keep the best time per mode, so a
 /// one-off scheduler hiccup cannot fake (or mask) an overhead.
 OverheadResult run_obs_overhead(const Scale& s) {
@@ -787,217 +792,233 @@ TraceInfo export_trace(const std::string& path) {
 }
 
 // ---------------------------------------------------------------------------
-// JSON emission (schema validated by the CI bench-smoke lane).
+// Reports (BENCH_PR7.json, BENCH_PR9.json) and the claims gated on them.
 // ---------------------------------------------------------------------------
-void write_metrics(std::ostream& os, const char* key, const RunMetrics& m,
-                   const char* trailing) {
-  os << "      \"" << key << "\": {\n"
-     << "        \"deliveries\": " << m.deliveries << ",\n"
-     << "        \"seconds\": " << std::setprecision(6) << std::fixed
-     << m.seconds << ",\n"
-     << "        \"deliveries_per_sec\": " << std::setprecision(1)
-     << m.deliveries_per_sec() << ",\n"
-     << "        \"ns_per_delivery\": " << std::setprecision(2)
-     << m.ns_per_delivery() << ",\n"
-     << "        \"peak_in_flight_bytes\": " << m.peak_in_flight_bytes
-     << "\n      }" << trailing << "\n";
+/// Wall-clock speedup of a thread-scaling row over the serial first row.
+double speedup_vs_serial(const std::vector<ScalingRow>& scaling,
+                         const ScalingRow& row) {
+  const double serial = scaling.front().seconds;
+  return row.seconds > 0.0 && serial > 0.0 ? serial / row.seconds : 0.0;
 }
 
-void write_json(std::ostream& os, const std::vector<ScenarioResult>& results,
-                const std::vector<ScalingRow>& scaling,
-                const std::vector<ScaleRow>& scale, bool quick,
-                unsigned threads) {
-  double broadcast_min = 0.0;
-  double wave_min = 0.0;
-  bool all_match = true;
+double best_parallel_speedup(const std::vector<ScalingRow>& scaling) {
+  double best = 0.0;
+  for (const auto& row : scaling) {
+    best = std::max(best, speedup_vs_serial(scaling, row));
+  }
+  return best;
+}
+
+/// Minimum speedup over one protocol's scenarios (0 when none ran).
+double min_speedup(const std::vector<ScenarioResult>& results,
+                   std::string_view protocol) {
+  double lo = 0.0;
   for (const auto& r : results) {
-    all_match = all_match && r.deliveries_match;
-    if (r.protocol == "broadcast-storm") {
-      broadcast_min =
-          broadcast_min == 0.0 ? r.speedup() : std::min(broadcast_min, r.speedup());
-    }
-    if (r.protocol == "tree-wave") {
-      wave_min = wave_min == 0.0 ? r.speedup() : std::min(wave_min, r.speedup());
-    }
+    if (r.protocol != protocol) continue;
+    lo = lo == 0.0 ? r.speedup() : std::min(lo, r.speedup());
   }
-  bool deterministic = true;
-  for (const auto& row : scaling) {
-    deterministic = deterministic && row.checksum == scaling.front().checksum;
-  }
-  const double serial_seconds = scaling.empty() ? 0.0 : scaling.front().seconds;
-  double best_parallel_speedup = 0.0;
-  for (const auto& row : scaling) {
-    if (row.seconds > 0.0 && serial_seconds > 0.0) {
-      best_parallel_speedup =
-          std::max(best_parallel_speedup, serial_seconds / row.seconds);
-    }
-  }
-
-  os << "{\n"
-     << "  \"bench\": \"BENCH_PR7\",\n"
-     << "  \"schema_version\": 1,\n"
-     << "  \"quick\": " << (quick ? "true" : "false") << ",\n"
-     << "  \"threads\": " << threads << ",\n"
-     << "  \"hardware_threads\": " << resolve_thread_count(0) << ",\n"
-     << "  \"scenarios\": [\n";
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const auto& r = results[i];
-    os << "    {\n"
-       << "      \"name\": \"" << r.name << "\",\n"
-       << "      \"topology\": \"" << r.topology << "\",\n"
-       << "      \"protocol\": \"" << r.protocol << "\",\n"
-       << "      \"nodes\": " << r.nodes << ",\n"
-       << "      \"loss\": " << std::setprecision(2) << std::fixed << r.loss
-       << ",\n"
-       << "      \"deliveries_match\": " << (r.deliveries_match ? "true" : "false")
-       << ",\n";
-    write_metrics(os, "new", r.fresh, ",");
-    write_metrics(os, "legacy", r.legacy, ",");
-    os << "      \"speedup\": " << std::setprecision(3) << std::fixed
-       << r.speedup() << "\n    }" << (i + 1 < results.size() ? "," : "")
-       << "\n";
-  }
-  os << "  ],\n"
-     << "  \"thread_scaling\": [\n";
-  for (std::size_t i = 0; i < scaling.size(); ++i) {
-    const auto& row = scaling[i];
-    os << "    {\n"
-       << "      \"threads\": " << row.threads << ",\n"
-       << "      \"seconds\": " << std::setprecision(6) << std::fixed
-       << row.seconds << ",\n"
-       << "      \"deliveries\": " << row.deliveries << ",\n"
-       << "      \"events_per_sec\": " << std::setprecision(1)
-       << row.events_per_sec() << ",\n"
-       << "      \"speedup_vs_serial\": " << std::setprecision(3)
-       << (row.seconds > 0.0 && serial_seconds > 0.0
-               ? serial_seconds / row.seconds
-               : 0.0)
-       << ",\n"
-       << "      \"steals\": " << row.steals << ",\n"
-       << "      \"checksum\": \"" << std::hex << row.checksum << std::dec
-       << "\"\n    }" << (i + 1 < scaling.size() ? "," : "") << "\n";
-  }
-  os << "  ],\n"
-     << "  \"scale\": [\n";
-  for (std::size_t i = 0; i < scale.size(); ++i) {
-    const auto& row = scale[i];
-    os << "    {\n"
-       << "      \"topology\": \"" << row.topology << "\",\n"
-       << "      \"nodes\": " << row.nodes << ",\n"
-       << "      \"build_seconds\": " << std::setprecision(6) << std::fixed
-       << row.build_seconds << ",\n"
-       << "      \"run_seconds\": " << row.run_seconds << ",\n"
-       << "      \"deliveries\": " << row.deliveries << ",\n"
-       << "      \"events_per_sec\": " << std::setprecision(1)
-       << row.events_per_sec() << ",\n"
-       << "      \"peak_in_flight_bytes\": " << row.peak_in_flight_bytes
-       << ",\n"
-       << "      \"vm_hwm_kb\": " << row.vm_hwm_kb << "\n    }"
-       << (i + 1 < scale.size() ? "," : "") << "\n";
-  }
-  os << "  ],\n"
-     << "  \"summary\": {\n"
-     << "    \"all_deliveries_match\": " << (all_match ? "true" : "false")
-     << ",\n"
-     << "    \"broadcast_min_speedup\": " << std::setprecision(3)
-     << broadcast_min << ",\n"
-     << "    \"tree_wave_min_speedup\": " << wave_min << ",\n"
-     << "    \"broadcast_speedup_target\": 3.0,\n"
-     << "    \"tree_wave_speedup_target\": 1.5,\n"
-     << "    \"broadcast_target_met\": "
-     << (broadcast_min >= 3.0 ? "true" : "false") << ",\n"
-     << "    \"tree_wave_target_met\": " << (wave_min >= 1.5 ? "true" : "false")
-     << ",\n"
-     << "    \"deterministic_across_thread_counts\": "
-     << (deterministic ? "true" : "false") << ",\n"
-     << "    \"best_parallel_speedup\": " << best_parallel_speedup
-     << "\n  }\n}\n";
+  return lo;
 }
 
-void write_overhead_run(std::ostream& os, const char* key,
-                        const OverheadRun& r, const char* trailing) {
-  os << "    \"" << key << "\": {\n"
-     << "      \"deliveries\": " << r.deliveries << ",\n"
-     << "      \"seconds\": " << std::setprecision(6) << std::fixed
-     << r.seconds << ",\n"
-     << "      \"events_per_sec\": " << std::setprecision(1)
-     << r.events_per_sec() << ",\n"
-     << "      \"checksum\": \"" << std::hex << r.checksum << std::dec
-     << "\"\n    }" << trailing << "\n";
+void write_run(Json& j, std::string_view key, const RunMetrics& m) {
+  j.key(key)
+      .object()
+      .field("deliveries", m.deliveries)
+      .field("seconds", m.seconds, 6)
+      .field("deliveries_per_sec", m.deliveries_per_sec(), 1)
+      .field("ns_per_delivery", m.ns_per_delivery(), 2)
+      .field("peak_in_flight_bytes", m.peak_in_flight_bytes)
+      .end();
 }
 
-void write_pr9_json(std::ostream& os, const std::vector<ScalingRow>& scaling,
-                    const OverheadResult& overhead, const TraceInfo* trace,
-                    bool quick, unsigned threads) {
-  bool registry_consistent = true;
-  for (const auto& row : scaling) {
-    registry_consistent = registry_consistent && row.registry_consistent;
+void write_pr7(Json& j, const std::vector<ScenarioResult>& results,
+               const std::vector<ScalingRow>& scaling,
+               const std::vector<ScaleRow>& scale, bool quick,
+               unsigned threads) {
+  const double broadcast_min = min_speedup(results, "broadcast-storm");
+  const double wave_min = min_speedup(results, "tree-wave");
+  write_header(j, "BENCH_PR7", quick, threads);
+  j.key("scenarios").array();
+  for (const auto& r : results) {
+    j.object()
+        .field("name", r.name)
+        .field("topology", r.topology)
+        .field("protocol", r.protocol)
+        .field("nodes", r.nodes)
+        .field("loss", r.loss, 2)
+        .field("deliveries_match", r.deliveries_match);
+    write_run(j, "new", r.fresh);
+    write_run(j, "legacy", r.legacy);
+    j.field("speedup", r.speedup(), 3).end();
   }
+  j.end().key("thread_scaling").array();
+  for (const auto& row : scaling) {
+    j.object()
+        .field("threads", row.threads)
+        .field("seconds", row.seconds, 6)
+        .field("deliveries", row.deliveries)
+        .field("events_per_sec", row.events_per_sec(), 1)
+        .field("speedup_vs_serial", speedup_vs_serial(scaling, row), 3)
+        .field("steals", row.steals)
+        .field("checksum", hex(row.checksum))
+        .end();
+  }
+  j.end().key("scale").array();
+  for (const auto& row : scale) {
+    j.object()
+        .field("topology", row.topology)
+        .field("nodes", row.nodes)
+        .field("build_seconds", row.build_seconds, 6)
+        .field("run_seconds", row.run_seconds, 6)
+        .field("deliveries", row.deliveries)
+        .field("events_per_sec", row.events_per_sec(), 1)
+        .field("peak_in_flight_bytes", row.peak_in_flight_bytes)
+        .field("vm_hwm_kb", row.vm_hwm_kb)
+        .end();
+  }
+  j.end()
+      .key("summary")
+      .object()
+      .field("all_deliveries_match",
+             std::ranges::all_of(results, std::identity{},
+                                 &ScenarioResult::deliveries_match))
+      .field("broadcast_min_speedup", broadcast_min, 3)
+      .field("tree_wave_min_speedup", wave_min, 3)
+      .field("broadcast_speedup_target", 3.0, 1)
+      .field("tree_wave_speedup_target", 1.5, 1)
+      .field("broadcast_target_met", broadcast_min >= 3.0)
+      .field("tree_wave_target_met", wave_min >= 1.5)
+      .field("deterministic_across_thread_counts",
+             std::ranges::all_of(scaling,
+                                 [&](const ScalingRow& row) {
+                                   return row.checksum ==
+                                          scaling.front().checksum;
+                                 }))
+      .field("best_parallel_speedup", best_parallel_speedup(scaling), 3)
+      .end();
+}
+
+void write_overhead_run(Json& j, std::string_view key, const OverheadRun& r) {
+  j.key(key)
+      .object()
+      .field("deliveries", r.deliveries)
+      .field("seconds", r.seconds, 6)
+      .field("events_per_sec", r.events_per_sec(), 1)
+      .field("checksum", hex(r.checksum))
+      .end();
+}
+
+void write_pr9(Json& j, const std::vector<ScalingRow>& scaling,
+               const OverheadResult& overhead, const obs::Snapshot& registry,
+               const TraceInfo* trace, bool quick, unsigned threads) {
   const bool target_met = overhead.overhead_pct() <= 3.0;
-
-  os << "{\n"
-     << "  \"bench\": \"BENCH_PR9\",\n"
-     << "  \"schema_version\": 1,\n"
-     << "  \"quick\": " << (quick ? "true" : "false") << ",\n"
-     << "  \"threads\": " << threads << ",\n"
-     << "  \"obs_compiled_in\": " << (obs::kObsEnabled ? "true" : "false")
-     << ",\n"
-     << "  \"farm_scaling\": [\n";
-  for (std::size_t i = 0; i < scaling.size(); ++i) {
-    const auto& row = scaling[i];
-    os << "    {\n"
-       << "      \"threads\": " << row.threads << ",\n"
-       << "      \"steals\": " << row.steals << ",\n"
-       << "      \"blocks_dealt\": " << row.blocks_dealt << ",\n"
-       << "      \"registry_steals\": " << row.registry_steals << ",\n"
-       << "      \"registry_cells\": " << row.registry_cells << ",\n"
-       << "      \"registry_consistent\": "
-       << (row.registry_consistent ? "true" : "false") << "\n    }"
-       << (i + 1 < scaling.size() ? "," : "") << "\n";
+  write_header(j, "BENCH_PR9", quick, threads);
+  j.field("obs_compiled_in", obs::kObsEnabled).key("farm_scaling").array();
+  for (const auto& row : scaling) {
+    j.object()
+        .field("threads", row.threads)
+        .field("steals", row.steals)
+        .field("blocks_dealt", row.blocks_dealt)
+        .field("registry_steals", row.registry_steals)
+        .field("registry_cells", row.registry_cells)
+        .field("registry_consistent", row.registry_consistent)
+        .end();
   }
-  os << "  ],\n"
-     << "  \"obs_overhead\": {\n"
-     << "    \"topology\": \"grid\",\n"
-     << "    \"nodes\": " << overhead.nodes << ",\n"
-     << "    \"lanes\": " << overhead.lanes << ",\n"
-     << "    \"batches\": " << overhead.batches << ",\n"
-     << "    \"reps\": " << overhead.reps << ",\n";
-  write_overhead_run(os, "registry_enabled", overhead.enabled, ",");
-  write_overhead_run(os, "registry_disabled", overhead.disabled, ",");
-  os << "    \"deliveries_match\": "
-     << (overhead.deliveries_match() ? "true" : "false") << ",\n"
-     << "    \"checksums_match\": "
-     << (overhead.checksums_match() ? "true" : "false") << ",\n"
-     << "    \"overhead_pct\": " << std::setprecision(3) << std::fixed
-     << overhead.overhead_pct() << ",\n"
-     << "    \"overhead_target_pct\": 3.0,\n"
-     << "    \"overhead_target_met\": " << (target_met ? "true" : "false")
-     << "\n  },\n"
-     << "  \"registry\": ";
-  obs::Registry::global().snapshot().write_json(os, 2);
-  os << ",\n"
-     << "  \"trace\": ";
+  j.end()
+      .key("obs_overhead")
+      .object()
+      .field("topology", "grid")
+      .field("nodes", overhead.nodes)
+      .field("lanes", overhead.lanes)
+      .field("batches", overhead.batches)
+      .field("reps", overhead.reps);
+  write_overhead_run(j, "registry_enabled", overhead.enabled);
+  write_overhead_run(j, "registry_disabled", overhead.disabled);
+  j.field("deliveries_match", overhead.deliveries_match())
+      .field("checksums_match", overhead.checksums_match())
+      .field("overhead_pct", overhead.overhead_pct(), 3)
+      .field("overhead_target_pct", 3.0, 1)
+      .field("overhead_target_met", target_met)
+      .end();
+  std::ostringstream snapshot;
+  registry.write_json(snapshot, static_cast<int>(2 * j.depth()));
+  j.key("registry").raw(snapshot.str()).key("trace");
   if (trace == nullptr) {
-    os << "null";
+    j.raw("null");
   } else {
-    os << "{\n"
-       << "    \"path\": \"" << trace->path << "\",\n"
-       << "    \"exported\": " << (trace->exported ? "true" : "false")
-       << ",\n"
-       << "    \"events\": " << trace->events << ",\n"
-       << "    \"dropped\": " << trace->dropped << "\n  }";
+    j.object()
+        .field("path", trace->path)
+        .field("exported", trace->exported)
+        .field("events", trace->events)
+        .field("dropped", trace->dropped)
+        .end();
   }
-  os << ",\n"
-     << "  \"summary\": {\n"
-     << "    \"registry_consistent\": "
-     << (registry_consistent ? "true" : "false") << ",\n"
-     << "    \"overhead_pct\": " << overhead.overhead_pct() << ",\n"
-     << "    \"overhead_target_met\": " << (target_met ? "true" : "false")
-     << ",\n"
-     << "    \"on_off_semantics_identical\": "
-     << (overhead.deliveries_match() && overhead.checksums_match() ? "true"
-                                                                   : "false")
-     << "\n  }\n}\n";
+  j.key("summary")
+      .object()
+      .field("registry_consistent",
+             std::ranges::all_of(scaling, std::identity{},
+                                 &ScalingRow::registry_consistent))
+      .field("overhead_pct", overhead.overhead_pct(), 3)
+      .field("overhead_target_met", target_met)
+      .field("on_off_semantics_identical",
+             overhead.deliveries_match() && overhead.checksums_match())
+      .end();
+}
+
+/// Every semantic claim of both reports. Timing claims are limited to the
+/// thread-scaling speedup (only where more than one core exists) and the
+/// registry overhead (full runs only: a quick lane is too short to time).
+/// Claims that read the obs registry apply only when it is compiled in.
+void gate_claims(Gates& gates, const std::vector<ScenarioResult>& results,
+                 const std::vector<ScalingRow>& scaling,
+                 const std::vector<ScaleRow>& scale,
+                 const OverheadResult& overhead, const obs::Snapshot& registry,
+                 bool quick) {
+  gates.gate(!results.empty(), "empty scenario list");
+  for (const auto& r : results) {
+    gates.gate(r.deliveries_match, "delivery count mismatch in ", r.name,
+               " — semantics drift between simulator generations");
+    gates.gate(r.fresh.deliveries > 0 && r.legacy.deliveries > 0, r.name,
+               ": no deliveries");
+  }
+  gates.gate(scaling.size() == 4, "need 4 thread-scaling rows");
+  for (const auto& row : scaling) {
+    gates.gate(row.checksum == scaling.front().checksum,
+               "thread-scaling checksum diverged at ", row.threads,
+               " workers — scheduling leaked into trial outcomes");
+    gates.gate(row.deliveries > 0, "no deliveries at ", row.threads,
+               " workers");
+    // Includes registry_steals == steals when the registry is compiled in.
+    gates.gate(row.registry_consistent,
+               "obs registry disagrees with the farm's own accounting at ",
+               row.threads, " workers");
+    gates.gate(row.blocks_dealt == row.threads &&
+                   (row.threads > 1 || row.steals == 0),
+               "farm dealt ", row.blocks_dealt, " block(s) with ",
+               row.steals, " steal(s) to ", row.threads, " workers");
+  }
+  const unsigned cores = resolve_thread_count(0);
+  gates.gate(cores == 1 || best_parallel_speedup(scaling) > 1.0,
+             "no parallel speedup on ", cores, " cores");
+  gates.gate(!scale.empty(), "empty scale section");
+  for (const auto& row : scale) {
+    gates.gate(row.topology == "grid" || row.topology == "geometric",
+               "scale row has topology ", row.topology);
+    gates.gate(row.nodes >= (std::size_t{1} << 14) && row.deliveries > 0,
+               "scale row of ", row.nodes, " nodes: too small or silent");
+  }
+  gates.gate(overhead.deliveries_match() && overhead.checksums_match(),
+             "enabling the metrics registry changed simulation semantics "
+             "(deliveries or checksum drifted)");
+  gates.gate(overhead.enabled.deliveries > 0, "overhead lane delivered none");
+  gates.gate(quick || overhead.overhead_pct() <= 3.0, "registry overhead ",
+             overhead.overhead_pct(), "% > 3%");
+  if (obs::kObsEnabled) {
+    for (const char* name : {"sim.deliveries", "farm.runs", "farm.cells"}) {
+      gates.gate(registry.find(name) != nullptr, "registry missing ", name);
+    }
+    gates.gate(registry.value("sim.deliveries") > 0, "no sim.deliveries");
+  }
 }
 
 }  // namespace
@@ -1050,52 +1071,20 @@ int main(int argc, char** argv) {
               << (trace.exported ? "" : "   [WRITE FAILED]") << "\n";
   }
 
-  std::ofstream out(out_path);
-  if (!out) {
-    std::cerr << "cannot open " << out_path << " for writing\n";
-    return 1;
-  }
-  write_json(out, results, scaling, scale_rows, quick, farm.threads());
-  std::cout << "\nwrote " << out_path << "\n";
+  const sensornet::obs::Snapshot registry =
+      sensornet::obs::Registry::global().snapshot();
+  Gates gates;
+  gate_claims(gates, results, scaling, scale_rows, overhead, registry, quick);
+  gates.gate(trace_path.empty() || trace.exported, "cannot open ", trace_path,
+             " for writing");
 
-  std::ofstream out9(out9_path);
-  if (!out9) {
-    std::cerr << "cannot open " << out9_path << " for writing\n";
-    return 1;
-  }
-  write_pr9_json(out9, scaling, overhead,
-                 trace_path.empty() ? nullptr : &trace, quick,
-                 farm.threads());
-  std::cout << "wrote " << out9_path << "\n";
-
-  for (const auto& r : results) {
-    if (!r.deliveries_match) {
-      std::cerr << "FATAL: delivery count mismatch in " << r.name
-                << " — semantics drift between simulator generations\n";
-      return 1;
-    }
-  }
-  for (const auto& row : scaling) {
-    if (row.checksum != scaling.front().checksum) {
-      std::cerr << "FATAL: thread-scaling checksum diverged at "
-                << row.threads << " workers — scheduling leaked into "
-                << "trial outcomes\n";
-      return 1;
-    }
-    if (!row.registry_consistent) {
-      std::cerr << "FATAL: obs registry disagrees with the farm's own "
-                << "accounting at " << row.threads << " workers\n";
-      return 1;
-    }
-  }
-  if (!overhead.deliveries_match() || !overhead.checksums_match()) {
-    std::cerr << "FATAL: enabling the metrics registry changed simulation "
-              << "semantics (deliveries or checksum drifted)\n";
-    return 1;
-  }
-  if (!trace_path.empty() && !trace.exported) {
-    std::cerr << "cannot open " << trace_path << " for writing\n";
-    return 1;
-  }
-  return 0;
+  std::cout << "\n";
+  write_report(out_path, [&](Json& j) {
+    write_pr7(j, results, scaling, scale_rows, quick, farm.threads());
+  });
+  write_report(out9_path, [&](Json& j) {
+    write_pr9(j, scaling, overhead, registry,
+              trace_path.empty() ? nullptr : &trace, quick, farm.threads());
+  });
+  return gates.exit_code();
 }

@@ -324,10 +324,10 @@ Answer QueryService::serve_cube(const LiveQuery& lq) {
   // the region's inner; cell outers cover its outer), so it is storable
   // under the cache's drift model like any collected bundle.
   if (config_.use_cache && stats_family &&
-      std::find(cube_stored_this_epoch_.begin(), cube_stored_this_epoch_.end(),
-                lq.region) == cube_stored_this_epoch_.end()) {
+      std::find(stored_this_epoch_.begin(), stored_this_epoch_.end(),
+                lq.region) == stored_this_epoch_.end()) {
     cache_.store(lq.region, epoch_, r.bundle);
-    cube_stored_this_epoch_.push_back(lq.region);
+    stored_this_epoch_.push_back(lq.region);
   }
   ++telemetry_.answers;
   ++telemetry_.cube_fresh_answers;
@@ -356,9 +356,9 @@ Answer QueryService::answer_fresh(const LiveQuery& lq) {
       const StatsBundle& b = scheduler_->collect_stats(lq.group, epoch_);
       if (config_.use_cache &&
           std::find(stored_this_epoch_.begin(), stored_this_epoch_.end(),
-                    lq.group) == stored_this_epoch_.end()) {
+                    lq.region) == stored_this_epoch_.end()) {
         cache_.store(lq.region, epoch_, b);
-        stored_this_epoch_.push_back(lq.group);
+        stored_this_epoch_.push_back(lq.region);
       }
       a = bundle_answer(lq.q.agg, b);
       ++telemetry_.fresh_stats_answers;
@@ -416,7 +416,6 @@ std::vector<Answer> QueryService::run_epoch(
     std::span<const SensorUpdate> updates) {
   ++epoch_;
   stored_this_epoch_.clear();
-  cube_stored_this_epoch_.clear();
   const SimTime epoch_t0 = deployment_.net.now();
 
   // Apply the batch under the drift model the cache's soundness rests on.

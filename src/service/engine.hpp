@@ -267,11 +267,12 @@ class QueryService {
   QueryId next_id_ = 1;
   std::map<QueryId, LiveQuery> live_;  // ordered: answers come out by id
   std::vector<std::uint32_t> last_update_epoch_;  // per node, 0 = never
-  /// Stats groups already collected-and-stored this epoch (store-once guard).
-  std::vector<GroupId> stored_this_epoch_;
-  /// Regions already stored by the cube path this epoch (its store-once
-  /// guard — cube serves have no group id).
-  std::vector<query::RegionSignature> cube_stored_this_epoch_;
+  /// Regions already stored in the cache this epoch (store-once guard).
+  /// Keyed by region for both Path::kStats (stats groups map 1:1 to
+  /// regions) and Path::kCube (cube serves have no group id); the two
+  /// paths never store in the same service, since with use_cube every
+  /// stats-family plan is cube-eligible.
+  std::vector<query::RegionSignature> stored_this_epoch_;
   ServiceTelemetry telemetry_;
 
   // ---- cost attribution ledgers (see TelemetrySnapshot) -----------------

@@ -98,8 +98,7 @@ SharedPlanScheduler::~SharedPlanScheduler() = default;
 
 GroupId SharedPlanScheduler::ensure_stats_group(
     const query::RegionSignature& region) {
-  const auto key = std::make_pair(region, 0u);
-  if (const auto it = stats_index_.find(key); it != stats_index_.end()) {
+  if (const auto it = stats_index_.find(region); it != stats_index_.end()) {
     return it->second;
   }
   const auto id = static_cast<GroupId>(groups_.size());
@@ -122,7 +121,7 @@ GroupId SharedPlanScheduler::ensure_stats_group(
     install.execute(net_, std::move(w));
   }
   groups_.push_back(std::move(g));
-  stats_index_.emplace(key, id);
+  stats_index_.emplace(region, id);
   ++stats_.groups_created;
   return id;
 }

@@ -144,10 +144,9 @@ class SharedPlanScheduler {
   cube::PartialStore store_;
 
   std::vector<std::unique_ptr<Group>> groups_;
+  std::map<query::RegionSignature, GroupId> stats_index_;
   std::map<std::pair<query::RegionSignature, unsigned>, GroupId>
-      stats_index_;  // unused unsigned slot keeps one map type for both
-  std::map<std::pair<query::RegionSignature, unsigned>, GroupId>
-      distinct_index_;
+      distinct_index_;  // keyed by (region, registers)
 
   std::uint32_t next_session_ = 0x7000;
   SharedPlanStats stats_;
