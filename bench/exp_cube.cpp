@@ -32,6 +32,12 @@
 // cube's maintained HLL partials replicate the one-shot protocol's sketch
 // geometry, so estimates must match bit for bit too.
 //
+// The cached-range lane also records its air rounds (simulated time) per
+// epoch. Every due query's cells ride one multiplexed collect and its
+// residues one multiplexed residue wave, so an epoch may spend at most two
+// convergecasts, 2 * (2 * tree height + 2) rounds, beyond its mark wave;
+// more means serves ran one after another, and is FATAL.
+//
 // Usage: exp_cube [--quick] [--out PATH] [--threads N]
 //   --quick    smaller deployment / fewer epochs (CI smoke lane)
 //   --out      output JSON path (default: BENCH_PR10.json)
@@ -125,6 +131,9 @@ double exact_over(const std::vector<Value>& mirror, const ContinuousSpec& s,
 struct LaneRun {
   std::vector<Answer> answers;  // flattened, epoch-major, admission order
   std::uint64_t total_bits = 0;
+  std::uint64_t air_rounds = 0;             // simulated rounds, all epochs
+  std::uint64_t max_collection_rounds = 0;  // worst epoch beyond its marks
+  std::uint64_t tree_height = 0;
   std::uint64_t bound_checked = 0;
   std::uint64_t bound_violations = 0;
   std::uint64_t checksum = 0;
@@ -173,13 +182,23 @@ LaneRun run_cached_lane(const Scale& s, unsigned threads, bool with_cube) {
     // A quarter of the deployment drifts each epoch: incremental refresh
     // always has clean subtrees to skip, but never goes fully quiescent.
     std::vector<SensorUpdate> batch;
+    SimTime mark_rounds = 0;  // the deepest changed reading's climb
     for (NodeId u = e % 4; u < n; u += 4) {
       const Value delta = (u + e) % 2 == 0 ? 3 : -3;
       const Value v = std::clamp<Value>(mirror[u] + delta, 0, kBound);
+      if (v != mirror[u]) {
+        mark_rounds = std::max<SimTime>(mark_rounds, tree.depth[u]);
+      }
       mirror[u] = v;
       batch.push_back(SensorUpdate{u, v});
     }
-    for (const Answer& a : svc.run_epoch(batch)) {
+    const SimTime t0 = net.now();
+    const std::vector<Answer> answers = svc.run_epoch(batch);
+    const SimTime rounds = net.now() - t0;
+    lane.air_rounds += rounds;
+    lane.max_collection_rounds = std::max<std::uint64_t>(
+        lane.max_collection_rounds, rounds - std::min(rounds, mark_rounds));
+    for (const Answer& a : answers) {
       sum.mix_answer(a);
       const ContinuousSpec& spec = specs[a.id - ids.front()];
       // Deterministic-bound soundness applies to the cube run only: in
@@ -201,6 +220,7 @@ LaneRun run_cached_lane(const Scale& s, unsigned threads, bool with_cube) {
     }
   }
 
+  lane.tree_height = tree.height();
   lane.total_bits = net.summary(/*include_headers=*/true).total_bits;
   lane.telemetry = svc.telemetry_snapshot();
   sum.mix_u64(lane.total_bits);
@@ -430,6 +450,10 @@ void gate_claims(Gates& gates, const LaneRun& cube, const LaneRun& naive,
              cube.total_bits, " bits vs ", naive.total_bits,
              " tree — the 5x claim does not hold");
   gates.gate(t.cube.refresh_waves > 0, "cube never refreshed a cell");
+  // One cell collect and one residue wave per epoch, never more.
+  gates.gate(cube.max_collection_rounds <= 2 * (2 * cube.tree_height + 2),
+             "an epoch spent ", cube.max_collection_rounds,
+             " rounds beyond its mark wave — cube serves ran serially");
   gates.gate(t.cube.cell_edges_skipped > 0,
              "incremental refresh never skipped a clean subtree");
   gates.gate(tot.exact_compared > 0, "oracle never exercised");
@@ -470,11 +494,17 @@ void write_pr10(Json& j, const Scale& s, bool quick, unsigned threads,
       .field("cube_stale_answers", t.totals.cube_stale_answers)
       .field("cache_hits", t.totals.cache_hits)
       .field("refresh_waves", t.cube.refresh_waves)
+      .field("cells_refreshed", t.cube.cells_refreshed)
       .field("residue_waves", t.cube.residue_waves)
+      .field("residues_run", t.cube.residues_run)
       .field("cell_edges_descended", t.cube.cell_edges_descended)
       .field("cell_edges_skipped", t.cube.cell_edges_skipped)
       .field("residue_edges_pruned", t.cube.residue_edges_pruned)
       .field("mark_messages", t.mark_messages)
+      .field("air_rounds_per_epoch",
+             static_cast<double>(cube.air_rounds) / s.epochs, 1)
+      .field("max_collection_rounds", cube.max_collection_rounds)
+      .field("collection_rounds_bound", 2 * (2 * cube.tree_height + 2))
       .end()
       .key("oracle")
       .object()
@@ -559,7 +589,12 @@ int main(int argc, char** argv) {
             << cube.telemetry.totals.cache_hits << " cached of "
             << cube.answers.size() << " answers zero-bit)\n"
             << "  tree: " << naive.total_bits << " bits ("
-            << std::setprecision(2) << std::fixed << ratio << "x)\n";
+            << std::setprecision(2) << std::fixed << ratio << "x)\n"
+            << "  rounds: " << std::setprecision(1)
+            << static_cast<double>(cube.air_rounds) / s.epochs
+            << " per epoch, worst " << cube.max_collection_rounds
+            << " beyond the mark wave (bound "
+            << 2 * (2 * cube.tree_height + 2) << ")\n";
 
   const std::uint64_t oracle_mismatches =
       count_oracle_mismatches(cube, naive);

@@ -12,19 +12,26 @@
 // inner and margin-grown outer companions) and, when configured, an HLL
 // sketch for COUNT_DISTINCT. Each cell is one slot of a cube::PartialStore
 // (see partials.hpp for the per-edge partials, edges named by their child
-// node, and the wire format): a cell refresh is a one-slot collect(), which
-// descends only into subtrees that changed since the cached partial was
-// taken (the same coalesced dirty marks the shared-plan scheduler rides),
-// so a quiescent network refreshes for free.
+// node, and the wire format). A refresh descends only into subtrees that
+// changed since the cached partial was taken (the same coalesced dirty marks
+// the shared-plan scheduler rides), so a quiescent network refreshes for
+// free.
 //
 // The planner sees the cube through the query::CubeCatalog interface —
 // geometry plus a deterministic bit-cost model — and decomposes a range
 // query into the fewest covering cells plus *residue* collections for the
-// unaligned ends. A residue collection is a one-shot wave that prunes
+// unaligned ends. A residue collection is a one-shot collection that prunes
 // subtrees provably empty for its range: an edge is skipped when some
 // containing cell's cached partial shows an empty outer region and the
 // dirty tracker proves nothing below changed since — the subtree's items
 // are literally identical, so the prune is exact, not approximate.
+//
+// Serves are batched per epoch: claim() queues each fresh plan (pricing its
+// cells at 0 for the plans planned after it), and serve_claimed() brings
+// the union of the batch's cells up to date in ONE multiplexed collect(),
+// then runs every distinct residue of the batch in ONE multiplexed residue
+// wave (sketch-carrying residues in a second), pruned against the fresh
+// cells. serve() is the batch of one.
 //
 // Answers composed from fresh cells + residues are byte-identical to a
 // whole-tree collection: cell regions partition the query range, stats
@@ -64,16 +71,18 @@ struct CubeConfig {
   std::uint32_t horizon_epochs = 8;
 };
 
-/// Cumulative cube telemetry, mirrored into obs gauges after every wave.
+/// Cumulative cube telemetry, mirrored into obs gauges after every serve.
 struct CubeStats {
-  std::uint64_t refresh_waves = 0;       // cell refreshes that ran
+  std::uint64_t refresh_waves = 0;    // cell collect() waves that ran
+  std::uint64_t cells_refreshed = 0;  // cells those waves brought up to date
   std::uint64_t cell_edges_descended = 0;
   std::uint64_t cell_edges_skipped = 0;  // served from cached partials
-  std::uint64_t residue_waves = 0;
-  std::uint64_t residue_edges_descended = 0;
-  std::uint64_t residue_edges_pruned = 0;  // subtrees proven empty
+  std::uint64_t residue_waves = 0;       // multiplexed residue waves
+  std::uint64_t residues_run = 0;        // residues those waves collected
+  std::uint64_t residue_edges_descended = 0;  // per (residue, edge)
+  std::uint64_t residue_edges_pruned = 0;     // subtrees proven empty
   std::uint64_t fresh_serves = 0;
-  std::uint64_t stale_serves = 0;
+  std::uint64_t stale_serves = 0;  // brackets served by serve_stale()
   std::uint64_t geometry_installs = 0;  // lazy one-time broadcast
 };
 
@@ -85,6 +94,12 @@ struct ServeResult {
   bool has_distinct = false;
   std::size_t cells_used = 0;
   std::size_t residues_run = 0;
+  /// This plan's share of its batch's bits on air: the wave shares of every
+  /// cell and residue it claimed first, plus the geometry install when it is
+  /// the cube's first fresh serve. Over a batch the shares sum to the bits
+  /// and messages the batch put on the air.
+  std::uint64_t bits = 0;
+  std::uint64_t messages = 0;
 };
 
 class Cube final : public query::CubeCatalog {
@@ -118,30 +133,63 @@ class Cube final : public query::CubeCatalog {
   }
 
   // ---- serving -----------------------------------------------------------
-  /// Executes the plan's steps at `epoch`: brings each cube-cell step's cell
-  /// up to the epoch (incremental descent), runs pruned residue collections
-  /// for the rest, and composes the exact bundle (plus the HLL estimate for
-  /// approx-distinct plans). The first serve pays a one-time geometry
-  /// install broadcast.
+  /// Queues a plan for the next serve_claimed() and returns its position
+  /// in the batch; every step that is not a cube cell runs as a residue.
+  /// Until then cell_refresh_bits() prices the plan's cells at 0: they will
+  /// be fresh when the batch is served, so a plan planned after this one
+  /// reuses them for free.
+  std::size_t claim(const query::CostedPlan& plan);
+
+  /// Serves every claimed plan at `epoch` and clears the claims: one
+  /// collect() over the union of their cells (ascending slot order), one
+  /// multiplexed wave over their distinct residues — approx-distinct plans'
+  /// sketch-carrying residues ride a second — each pruned per edge against
+  /// the now-fresh cells, then each plan's exact bundle (plus the HLL
+  /// estimate for approx-distinct plans). Results come in claim order. The
+  /// cube's first serve pays a one-time geometry install broadcast. Throws
+  /// ProtocolError when a message is lost; the claims are cleared anyway.
+  std::vector<ServeResult> serve_claimed(std::uint32_t epoch);
+
+  /// The batch of one: claim(plan), then serve_claimed(epoch). Requires no
+  /// pending claims.
   ServeResult serve(const query::CostedPlan& plan, std::uint32_t epoch);
 
-  /// Zero-bit serve attempt: composes per-cell drift brackets at each
-  /// cell's own staleness. Returns nullopt when the plan has non-cell steps,
-  /// a cell was never refreshed, a ranged cell is staler than the horizon,
-  /// or the aggregate is not bracketable from stats bundles.
+  /// Zero-bit composition of per-cell drift brackets at each cell's own
+  /// staleness. Returns nullopt when the plan has non-cell steps, a cell was
+  /// never refreshed, a ranged cell is staler than the horizon, or the
+  /// aggregate is not bracketable from stats bundles.
   std::optional<BracketedAnswer> stale_bracket(const query::CostedPlan& plan,
                                                query::AggregateKind agg,
                                                std::uint32_t now_epoch) const;
 
+  /// stale_bracket() gated on the query's ERROR tolerance (tolerance_for).
+  /// A success is a zero-bit answer the caller serves, and counts in
+  /// CubeStats::stale_serves.
+  std::optional<BracketedAnswer> serve_stale(const query::CostedPlan& plan,
+                                             query::AggregateKind agg,
+                                             std::optional<double> error,
+                                             std::uint32_t now_epoch);
+
   const CubeStats& stats() const { return stats_; }
   std::size_t cell_count() const { return store_.slot_count(); }
+  /// The cells' partials: slot cell_ordinal(ref) is cell `ref`.
+  const PartialStore& cells() const { return store_; }
   /// Row-major cell numbering: level 0 first, 2^l cells per level.
   static std::size_t cell_ordinal(query::CubeCellRef ref) {
     return ((std::size_t{1} << ref.level) - 1) + ref.index;
   }
 
  private:
-  class Residue;
+  class Residues;
+  /// One distinct residue of a batch: its range, whether it carries a
+  /// sketch, the plan that claimed it first, and what its wave collected.
+  struct ResidueJob {
+    query::RegionSignature region;
+    bool sketch = false;
+    std::size_t owner = 0;
+    StatsBundle bundle;
+    std::optional<sketch::Hll> hll;
+  };
 
   /// Cell `ref`'s store slot: slots are numbered by cell_ordinal.
   SlotId slot(query::CubeCellRef ref) const {
@@ -154,12 +202,13 @@ class Cube final : public query::CubeCatalog {
   /// tracker certifies the subtree is unchanged since the proof.
   bool subtree_provably_empty(NodeId child,
                               const query::RegionSignature& region) const;
-  void ensure_geometry_installed();
-  /// Incremental refresh of one cell to `epoch`; no-op when already there.
-  void refresh_cell(SlotId s, std::uint32_t epoch);
-  /// One-shot pruned collection; fills `hll` when it is non-null.
-  StatsBundle collect_range(const query::RegionSignature& region,
-                            std::optional<sketch::Hll>* hll);
+  /// The lazy geometry install broadcast; returns what it cost.
+  WaveShare install_geometry();
+  /// One multiplexed, pruned wave over the jobs whose sketch flag is
+  /// `sketch` (none: nothing is sent); charges each job's wave share to
+  /// its owner in `out`.
+  void collect_residues(std::vector<ResidueJob>& jobs, bool sketch,
+                        std::vector<ServeResult>& out);
   void mirror_stats() const;
 
   /// Estimated wire bits of one descend-and-respond edge for a region
@@ -175,10 +224,11 @@ class Cube final : public query::CubeCatalog {
   Value max_value_bound_;
   CubeConfig config_;
   PartialStore store_;  // one slot per cell
+  std::vector<query::CostedPlan> claimed_;  // the pending batch
+  std::vector<std::uint8_t> cell_claimed_;  // per slot: claimed this batch
   bool geometry_installed_ = false;
   std::uint32_t next_residue_session_;
-  // Telemetry, not state: the zero-bit stale path counts from const context.
-  mutable CubeStats stats_;
+  CubeStats stats_;
 };
 
 }  // namespace sensornet::cube

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "src/common/codec.hpp"
 #include "src/common/error.hpp"
 #include "src/obs/trace.hpp"
 #include "src/proto/tree_wave.hpp"
@@ -41,6 +42,41 @@ void decode_stats_request(BitReader& r, std::vector<std::uint8_t>& mask) {
   if (!any) throw WireFormatError("stats request: empty slot mask");
 }
 
+void encode_residue_request(BitWriter& w, const std::vector<std::uint8_t>& mask,
+                            std::span<const query::RegionSignature> ranges) {
+  SENSORNET_EXPECTS(mask.size() == ranges.size());
+  for (const auto bit : mask) w.write_bit(bit != 0);
+  for (std::size_t i = 0; i < mask.size(); ++i) {
+    if (!mask[i]) continue;
+    SENSORNET_EXPECTS(ranges[i].lo >= 0 && ranges[i].lo <= ranges[i].hi);
+    encode_uint(w, static_cast<std::uint64_t>(ranges[i].lo));
+    encode_uint(w, static_cast<std::uint64_t>(ranges[i].hi - ranges[i].lo));
+  }
+}
+
+void decode_residue_request(BitReader& r, Value domain_bound,
+                            std::vector<std::uint8_t>& mask,
+                            std::vector<query::RegionSignature>& ranges) {
+  decode_stats_request(r, mask);
+  ranges.resize(mask.size());
+  const auto bound = static_cast<std::uint64_t>(domain_bound);
+  for (std::size_t i = 0; i < mask.size(); ++i) {
+    if (!mask[i]) continue;
+    const std::uint64_t lo = decode_uint(r);
+    const std::uint64_t span = decode_uint(r);
+    if (lo > bound || span > bound - lo) {
+      throw WireFormatError("residue request: range outside the domain");
+    }
+    query::RegionSignature& range = ranges[i];
+    range.lo = static_cast<Value>(lo);
+    range.hi = static_cast<Value>(lo + span);
+    range.whole_domain = range.lo == 0 && range.hi == domain_bound;
+  }
+  if (r.remaining() != 0) {
+    throw WireFormatError("residue request: trailing bits");
+  }
+}
+
 void decode_stats_response(BitReader& r,
                            const std::vector<std::uint8_t>& mask,
                            const std::vector<std::uint8_t>& whole_domain,
@@ -67,6 +103,22 @@ void decode_stats_response(BitReader& r,
   }
 }
 
+void ShareLedger::charge(const std::vector<std::uint8_t>& mask,
+                         std::uint64_t overhead) {
+  SENSORNET_EXPECTS(mask.size() == shares_.size());
+  const auto carried = static_cast<std::uint64_t>(
+      std::count_if(mask.begin(), mask.end(), [](auto b) { return b != 0; }));
+  SENSORNET_EXPECTS(carried > 0);
+  std::size_t first = mask.size();
+  for (std::size_t i = 0; i < mask.size(); ++i) {
+    if (!mask[i]) continue;
+    if (first == mask.size()) first = i;
+    shares_[i].bits += overhead / carried;
+  }
+  shares_[first].bits += overhead % carried;
+  ++shares_[first].messages;
+}
+
 // ---- the multiplexed collection -----------------------------------------
 
 /// The EdgeWave policy of collect(): per node it keeps only the mask of the
@@ -82,7 +134,7 @@ class PartialStore::Collect {
         whole_domain_(k_),
         requested_(store.tree_.node_count() * k_, 0),
         mask_(k_),
-        shares_(k_) {
+        ledger_(k_) {
     for (std::size_t i = 0; i < k_; ++i) {
       whole_domain_[i] = slot(i).region.whole_domain;
     }
@@ -90,7 +142,7 @@ class PartialStore::Collect {
     if (store.hll_registers_ > 0) geometry_ = store.empty_hll();
   }
 
-  std::vector<WaveShare>& shares() { return shares_; }
+  std::vector<WaveShare>& shares() { return ledger_.shares(); }
 
   void on_request(NodeId node, BitReader& r) {
     decode_stats_request(r, mask_);
@@ -115,7 +167,7 @@ class PartialStore::Collect {
       if (carried == 0) continue;
       BitWriter w;
       for (const auto bit : mask_) w.write_bit(bit != 0);
-      charge_overhead(carried, w.bit_count() + sim::kHeaderBits);
+      ledger_.charge(mask_, w.bit_count() + sim::kHeaderBits);
       out.send(child, std::move(w));
       store_.edges_descended_ += carried;
     }
@@ -141,17 +193,15 @@ class PartialStore::Collect {
 
   void respond(NodeId node, BitWriter& w) {
     std::copy_n(requested_.begin() + node * k_, k_, mask_.begin());
-    std::size_t carried = 0;
     for (std::size_t i = 0; i < k_; ++i) {
       if (!mask_[i]) continue;
       const std::size_t before = w.bit_count();
       encode_stats_image(w, store_.subtree_bundle(slot(i), node),
                          whole_domain_[i]);
       if (geometry_) store_.subtree_hll(slot(i), node).encode(w);
-      shares_[i].bits += w.bit_count() - before;
-      ++carried;
+      ledger_.add(i, w.bit_count() - before);
     }
-    charge_overhead(carried, sim::kHeaderBits);
+    ledger_.charge(mask_, sim::kHeaderBits);
   }
 
  private:
@@ -169,20 +219,6 @@ class PartialStore::Collect {
     return carried;
   }
 
-  /// Charges one message's `overhead` bits (header, plus the mask on a
-  /// request) to the `carried` slots set in mask_: equal shares, the
-  /// remainder and the message itself to the lowest carried slot.
-  void charge_overhead(std::size_t carried, std::uint64_t overhead) {
-    std::size_t first = k_;
-    for (std::size_t i = 0; i < k_; ++i) {
-      if (!mask_[i]) continue;
-      if (first == k_) first = i;
-      shares_[i].bits += overhead / carried;
-    }
-    shares_[first].bits += overhead % carried;
-    ++shares_[first].messages;
-  }
-
   PartialStore& store_;
   std::span<const SlotId> batch_;
   std::size_t k_;
@@ -193,7 +229,7 @@ class PartialStore::Collect {
   std::optional<sketch::Hll> geometry_;  // sketch-keeping stores only
   std::vector<StatsBundle> images_;      // scratch: one response's images
   std::vector<sketch::Hll> sketches_;    // scratch: their sketches
-  std::vector<WaveShare> shares_;
+  ShareLedger ledger_;
 };
 
 // ---- the store ----------------------------------------------------------

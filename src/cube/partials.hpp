@@ -23,9 +23,25 @@
 //
 // At k = 1 the request is the single bit 1 and the response one image. A
 // node's subtree partial is formed when it responds, from its local partial
-// and its edges' partials, so the wave keeps no per-node accumulator. Every
-// response on the service path — collections and the cube's one-shot
-// residues alike — is read by decode_stats_response().
+// and its edges' partials, so the wave keeps no per-node accumulator.
+//
+// The cube's residues — one-shot collections over ranges no node has
+// installed — multiplex the same way, k residues per wave, but the request
+// also carries the ranges:
+//
+//   request  (u -> c)   k-bit mask, then (lo, hi - lo) as encode_uint pairs
+//                       for the masked residues, in residue order.
+//   response (c -> u)   as above: the masked residues' images in order,
+//                       each with an HLL image when the wave carries
+//                       sketches.
+//
+// k and whether images carry sketches are fixed per wave (its session),
+// like collect()'s k, so at k = 1 a request is the bit 1 and one range.
+// Every response on the service path is read by decode_stats_response().
+//
+// Each wave's bits are split among the slots or residues it carried
+// (WaveShare, ShareLedger), so a caller can charge every bit on the air to
+// the query that made it travel.
 #pragma once
 
 #include <cstdint>
@@ -63,6 +79,26 @@ struct WaveShare {
   bool collected = false;
 };
 
+/// Splits one multiplexed wave's bits and messages among its k entries
+/// (slots or residues): bits encoded for one entry alone go to that entry,
+/// and a message's shared overhead (header, mask) is split evenly among the
+/// entries it carries — the remainder, and the message itself, to the
+/// lowest. The shares therefore sum exactly to the wave's bits on air.
+class ShareLedger {
+ public:
+  explicit ShareLedger(std::size_t k) : shares_(k) {}
+
+  void add(std::size_t i, std::uint64_t bits) { shares_[i].bits += bits; }
+  /// Charges one message's `overhead` bits to the entries set in `mask`
+  /// (at least one).
+  void charge(const std::vector<std::uint8_t>& mask, std::uint64_t overhead);
+
+  std::vector<WaveShare>& shares() { return shares_; }
+
+ private:
+  std::vector<WaveShare> shares_;
+};
+
 /// Wire images (see the file comment). Masks and shapes are one flag byte
 /// per slot (nonzero = set).
 void encode_stats_image(BitWriter& w, const StatsBundle& b, bool whole_domain);
@@ -71,6 +107,19 @@ StatsBundle decode_stats_image(BitReader& r, bool whole_domain);
 /// Reads a request's mask into `mask` (k = mask.size() bits). An all-zero
 /// mask is malformed and throws WireFormatError.
 void decode_stats_request(BitReader& r, std::vector<std::uint8_t>& mask);
+
+/// A residue request: `mask` (k flags, at least one set) and the ranges of
+/// the masked residues (`ranges` has k entries; unmasked ones are ignored).
+void encode_residue_request(BitWriter& w, const std::vector<std::uint8_t>& mask,
+                            std::span<const query::RegionSignature> ranges);
+
+/// Reads a residue request of k = mask.size() residues into `mask` and the
+/// masked entries of `ranges` (resized to k), deriving whole_domain from
+/// `domain_bound`. Throws WireFormatError on an empty mask, a range outside
+/// [0, domain_bound], truncation or trailing bits.
+void decode_residue_request(BitReader& r, Value domain_bound,
+                            std::vector<std::uint8_t>& mask,
+                            std::vector<query::RegionSignature>& ranges);
 
 /// Reads a response into `images`: the images of the slots set in `mask`,
 /// in slot order, shaped by `whole_domain` (both of size k). When `sketch`

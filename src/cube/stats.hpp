@@ -19,7 +19,10 @@
 // applies it per cell and composes the intervals.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <optional>
 
 #include "src/common/bitio.hpp"
 #include "src/common/types.hpp"
@@ -93,5 +96,12 @@ struct BracketedAnswer {
 /// Collapses an interval around a point answer (bound = max distance to
 /// either rail, floored at zero).
 BracketedAnswer make_answer(double value, double lo, double hi);
+
+/// The absolute slack a query's relative ERROR allows around `value`
+/// (magnitudes below 1 count as 1; no ERROR means exact only). A bracketed
+/// answer may serve the query when its bound is at most this.
+inline double tolerance_for(std::optional<double> error, double value) {
+  return error ? *error * std::max(1.0, std::abs(value)) : 0.0;
+}
 
 }  // namespace sensornet::cube

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "src/common/error.hpp"
+#include "src/obs/metrics.hpp"
 #include "src/query/lexer.hpp"
 
 namespace sensornet::query {
@@ -53,6 +54,8 @@ Planner::Planner(Value max_value_bound, const CubeCatalog* catalog)
 }
 
 Result<CostedPlan> Planner::plan(const Query& q) const {
+  obs::Registry& reg = obs::Registry::global();
+  reg.add(reg.counter("query.plans"));
   CostedPlan plan;
   plan.epsilon = std::clamp(1.0 - q.confidence, 1e-6, 0.5);
   switch (q.agg) {

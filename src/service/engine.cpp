@@ -1,7 +1,6 @@
 #include "src/service/engine.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <utility>
 
 #include "src/common/error.hpp"
@@ -205,7 +204,9 @@ Admission QueryService::admit(ParsedQuery&& parsed) {
   if (adm.continuous) {
     live_.emplace(lq.id, std::move(lq));
   } else if (lq.path == Path::kCube) {
-    adm.answer = serve_cube(lq);
+    std::vector<FreshCubeServe> fresh;
+    const CubeRoute route = route_cube(lq, fresh);
+    adm.answer = answer_cube(lq, route, cube_->serve_claimed(epoch_));
   } else {
     // Single cache interrogation per serve: a lookup() hit is always
     // consumed, so the cache's hit counter equals answers served from it.
@@ -246,9 +247,8 @@ Answer QueryService::answer_cached(const LiveQuery& lq,
   QueryCost& qc = query_costs_[lq.id];
   ++qc.answers;
   ++qc.cache_hits;
-  const double tolerance =
-      lq.q.error ? *lq.q.error * std::max(1.0, std::abs(hit.value)) : 0.0;
-  qc.bound_slack += tolerance - hit.bound;  // >= 0: the hit met the gate
+  // >= 0: the hit met the gate.
+  qc.bound_slack += cube::tolerance_for(lq.q.error, hit.value) - hit.bound;
 
   obs::TraceRing& ring = obs::TraceRing::global();
   if (ring.enabled()) {
@@ -258,93 +258,128 @@ Answer QueryService::answer_cached(const LiveQuery& lq,
   return a;
 }
 
-Answer QueryService::serve_cube(const LiveQuery& lq) {
-  // Tier 1: the region-keyed result cache (stats aggregates only) — a prior
-  // cube serve stored the composed bundle, so repeats within the drift
-  // tolerance are free.
-  const bool stats_family =
-      query::family(lq.q.agg) == query::AggregateFamily::kStats;
-  if (config_.use_cache && stats_family) {
-    if (const auto hit =
-            cache_.lookup(lq.region, lq.q.agg, lq.q.error, epoch_)) {
-      return answer_cached(lq, *hit);
+QueryService::CubeRoute QueryService::route_cube(
+    const LiveQuery& lq, std::vector<FreshCubeServe>& fresh) {
+  CubeRoute route;
+  const bool sketch = lq.q.agg == query::AggregateKind::kCountDistinct;
+  // Tier 0: an earlier query of this serve already composes the region
+  // fresh (same region, same kind): ride it, as groupmates ride a shared
+  // collection.
+  for (const FreshCubeServe& f : fresh) {
+    if (f.region == lq.region && f.sketch == sketch) {
+      route.tier = CubeRoute::Tier::kRider;
+      route.batch = f.batch;
+      return route;
     }
   }
+  // Tier 1: the region-keyed result cache (stats aggregates only) — a prior
+  // cube serve stored the composed bundle, so repeats within the drift
+  // tolerance are free. A probe: answer_cube()'s lookup counts the hit.
+  if (config_.use_cache && !sketch && cache_could_serve(lq)) {
+    route.tier = CubeRoute::Tier::kCache;
+    return route;
+  }
 
-  // Re-plan so the cover reflects the cube's current freshness: a cell
-  // refreshed for another query this epoch is free to reuse now.
-  Result<query::CostedPlan> replanned = planner_.plan(lq.q);
-  SENSORNET_EXPECTS(replanned.ok());  // admitted queries stay plannable
-  const query::CostedPlan plan = std::move(replanned).value();
+  // Plan once per serve so the cover reflects the cube's freshness: a cell
+  // claimed by an earlier query of the batch prices at 0, as it would in a
+  // re-plan after that query's serve.
+  Result<query::CostedPlan> planned = planner_.plan(lq.q);
+  SENSORNET_EXPECTS(planned.ok());  // admitted queries stay plannable
+  const query::CostedPlan plan = std::move(planned).value();
 
   // Tier 2: per-cell drift brackets — zero bits when every step is a
   // maintained cell and the composed bound fits the query's tolerance.
-  if (stats_family) {
-    if (const auto br = cube_->stale_bracket(plan, lq.q.agg, epoch_)) {
-      const double tolerance =
-          lq.q.error ? *lq.q.error * std::max(1.0, std::abs(br->value)) : 0.0;
-      if (br->bound <= tolerance) {
-        Answer a;
-        a.id = lq.id;
-        a.epoch = epoch_;
-        a.value = br->value;
-        a.error_bound = br->bound;
-        a.exact = br->exact;
-        ++telemetry_.answers;
-        ++telemetry_.cube_stale_answers;
-        QueryCost& qc = query_costs_[lq.id];
-        ++qc.answers;
-        ++qc.cube_stale;
-        qc.bound_slack += tolerance - br->bound;
-        obs::TraceRing& ring = obs::TraceRing::global();
-        if (ring.enabled()) {
-          ring.instant("query.answer", "service", deployment_.net.now(), 0,
-                       "id", lq.id, "cube_stale", 1);
-        }
-        return a;
-      }
+  // The batch has not run yet, so cells are judged as the epoch found them.
+  // A plan the model prices at 0 bits (its cells claimed or unchanged, its
+  // residues pruned away) composes exactly for free, so it skips the tier.
+  if (!sketch && plan.est_cube_bits > 0) {
+    if (const auto br =
+            cube_->serve_stale(plan, lq.q.agg, lq.q.error, epoch_)) {
+      route.tier = CubeRoute::Tier::kBracket;
+      route.bracket = *br;
+      return route;
     }
   }
 
-  // Tier 3: fresh cube serve — refresh the cover's cells (incremental
-  // descent), run pruned residues, compose.
-  const auto before = deployment_.net.summary(true);
-  const cube::ServeResult r = cube_->serve(plan, epoch_);
+  // Tier 3: a fresh serve in the cube's batch.
+  route.tier = CubeRoute::Tier::kFresh;
+  route.batch = cube_->claim(plan);
+  fresh.push_back(FreshCubeServe{lq.region, sketch, route.batch});
+  return route;
+}
+
+Answer QueryService::answer_cube(const LiveQuery& lq, const CubeRoute& route,
+                                 const std::vector<cube::ServeResult>& served) {
+  const bool sketch = lq.q.agg == query::AggregateKind::kCountDistinct;
+  if (route.tier == CubeRoute::Tier::kCache ||
+      (route.tier == CubeRoute::Tier::kRider && config_.use_cache &&
+       !sketch)) {
+    // Cache-tier queries precede their region's first fresh serve in id
+    // order, so they find the entry their probe saw; a rider finds the one
+    // that serve just stored, and may miss it.
+    const auto hit = cache_.lookup(lq.region, lq.q.agg, lq.q.error, epoch_);
+    SENSORNET_EXPECTS(hit || route.tier == CubeRoute::Tier::kRider);
+    if (hit) return answer_cached(lq, *hit);
+  }
+
+  obs::TraceRing& ring = obs::TraceRing::global();
+  QueryCost& qc = query_costs_[lq.id];
   Answer a;
-  if (lq.q.agg == query::AggregateKind::kCountDistinct) {
-    SENSORNET_EXPECTS(r.has_distinct);
-    a.value = r.distinct_estimate;
-    a.exact = false;
+  if (route.tier == CubeRoute::Tier::kBracket) {
+    const cube::BracketedAnswer& br = route.bracket;
+    a.value = br.value;
+    a.error_bound = br.bound;
+    a.exact = br.exact;
+    ++telemetry_.cube_stale_answers;
+    ++qc.cube_stale;
+    qc.bound_slack += cube::tolerance_for(lq.q.error, br.value) - br.bound;
+    if (ring.enabled()) {
+      ring.instant("query.answer", "service", deployment_.net.now(), 0, "id",
+                   lq.id, "cube_stale", 1);
+    }
   } else {
-    a = bundle_answer(lq.q.agg, r.bundle);
+    // Fresh or riding: compose from the served batch.
+    const cube::ServeResult& r = served[route.batch];
+    if (sketch) {
+      SENSORNET_EXPECTS(r.has_distinct);
+      a.value = r.distinct_estimate;
+      a.exact = false;
+    } else {
+      a = bundle_answer(lq.q.agg, r.bundle);
+      // The composed bundle brackets the whole region (cell inners nest
+      // inside the region's inner; cell outers cover its outer), so it is
+      // storable under the cache's drift model like any collected bundle.
+      if (route.tier == CubeRoute::Tier::kFresh) store_once(lq.region, r.bundle);
+    }
+    ++telemetry_.cube_fresh_answers;
+    ++qc.fresh;
+    if (route.tier == CubeRoute::Tier::kFresh) {
+      // The query's share of the batch: the waves of the cells and residues
+      // it claimed first (see cube::ServeResult). Riders pay nothing.
+      qc.bits_on_air += r.bits;
+      qc.messages += r.messages;
+    }
+    if (ring.enabled()) {
+      ring.instant("query.answer", "service", deployment_.net.now(), 0, "id",
+                   lq.id, "cube_fresh", 1);
+    }
   }
   a.id = lq.id;
   a.epoch = epoch_;
-  // The composed bundle brackets the whole region (cell inners nest inside
-  // the region's inner; cell outers cover its outer), so it is storable
-  // under the cache's drift model like any collected bundle.
-  if (config_.use_cache && stats_family &&
-      std::find(stored_this_epoch_.begin(), stored_this_epoch_.end(),
-                lq.region) == stored_this_epoch_.end()) {
-    cache_.store(lq.region, epoch_, r.bundle);
-    stored_this_epoch_.push_back(lq.region);
-  }
   ++telemetry_.answers;
-  ++telemetry_.cube_fresh_answers;
-
-  const CostDelta d = cost_since(deployment_.net, before);
-  QueryCost& qc = query_costs_[lq.id];
   ++qc.answers;
-  ++qc.fresh;
-  qc.bits_on_air += d.bits;
-  qc.messages += d.messages;
-
-  obs::TraceRing& ring = obs::TraceRing::global();
-  if (ring.enabled()) {
-    ring.instant("query.answer", "service", deployment_.net.now(), 0, "id",
-                 lq.id, "cube_fresh", 1);
-  }
   return a;
+}
+
+void QueryService::store_once(const query::RegionSignature& region,
+                              const StatsBundle& bundle) {
+  if (!config_.use_cache ||
+      std::find(stored_this_epoch_.begin(), stored_this_epoch_.end(),
+                region) != stored_this_epoch_.end()) {
+    return;
+  }
+  cache_.store(region, epoch_, bundle);
+  stored_this_epoch_.push_back(region);
 }
 
 Answer QueryService::answer_fresh(const LiveQuery& lq) {
@@ -354,12 +389,7 @@ Answer QueryService::answer_fresh(const LiveQuery& lq) {
   switch (lq.path) {
     case Path::kStats: {
       const StatsBundle& b = scheduler_->collect_stats(lq.group, epoch_);
-      if (config_.use_cache &&
-          std::find(stored_this_epoch_.begin(), stored_this_epoch_.end(),
-                    lq.region) == stored_this_epoch_.end()) {
-        cache_.store(lq.region, epoch_, b);
-        stored_this_epoch_.push_back(lq.region);
-      }
+      store_once(lq.region, b);
       a = bundle_answer(lq.q.agg, b);
       ++telemetry_.fresh_stats_answers;
       break;
@@ -371,7 +401,7 @@ Answer QueryService::answer_fresh(const LiveQuery& lq) {
       break;
     }
     case Path::kCube:
-      throw PreconditionError("cube path is served by serve_cube()");
+      throw PreconditionError("cube path is served by answer_cube()");
     case Path::kExecutor: {
       const query::QueryResult r = executor_.run(lq.q, lq.plan);
       a.value = r.value;
@@ -485,11 +515,25 @@ std::vector<Answer> QueryService::run_epoch(
     gc.collections += shares[i].collected ? 1 : 0;
   }
 
+  // The cube's planning pass routes every due cube query before any cube
+  // wave runs; the fresh ones share one batched serve (one cell collect,
+  // one residue wave), and each pays the waves of what it claimed first.
+  std::map<QueryId, CubeRoute> cube_routes;
+  std::vector<FreshCubeServe> fresh_cube;
+  for (const auto& [id, lq] : live_) {
+    if (lq.path == Path::kCube && is_due(lq)) {
+      cube_routes.emplace(id, route_cube(lq, fresh_cube));
+    }
+  }
+  const std::vector<cube::ServeResult> served =
+      cube_routes.empty() ? std::vector<cube::ServeResult>{}
+                          : cube_->serve_claimed(epoch_);
+
   std::vector<Answer> answers;
   for (const auto& [id, lq] : live_) {  // map order == id order
     if (!is_due(lq)) continue;
     if (lq.path == Path::kCube) {
-      answers.push_back(serve_cube(lq));
+      answers.push_back(answer_cube(lq, cube_routes.at(id), served));
       continue;
     }
     const bool cacheable =

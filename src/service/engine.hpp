@@ -19,9 +19,13 @@
 //      epsilon: zero bits on the air.
 //   4. Multiresolution cube — with use_cube on, cube-eligible queries route
 //      through cube::Cube: the planner decomposes the region into the
-//      bit-cheapest mix of maintained cube cells and residue collections,
-//      and a serve tries (a) the result cache, (b) per-cell drift brackets
-//      at zero bits, (c) a fresh cube serve, in that order.
+//      bit-cheapest mix of maintained cube cells and residue collections.
+//      A planning pass routes every due cube query before any cube wave
+//      runs: it rides an earlier fresh serve of its region, or is served
+//      from the result cache, or (planned once) from per-cell drift
+//      brackets at zero bits, or joins the epoch's batch of fresh serves,
+//      in that order. The batch takes one cell collect and one residue
+//      wave (see cube.hpp).
 //
 // Concurrency model: submit_batch() parses, plans and canonicalizes regions
 // on a deterministic work-stealing farm (pure, per-cell work); everything
@@ -114,8 +118,9 @@ struct ServiceTelemetry {
   std::uint64_t fresh_stats_answers = 0;
   std::uint64_t distinct_answers = 0;
   std::uint64_t executor_runs = 0;
-  /// Cube-path serves: fresh (cells refreshed / residues run) vs stale
-  /// (zero-bit per-cell drift brackets that met the tolerance).
+  /// Cube-path serves: fresh (composed from the epoch's batch, riders
+  /// included) vs stale (zero-bit per-cell drift brackets that met the
+  /// tolerance).
   std::uint64_t cube_fresh_answers = 0;
   std::uint64_t cube_stale_answers = 0;
   std::uint64_t updates_applied = 0;
@@ -125,9 +130,11 @@ struct ServiceTelemetry {
 /// messages follow the marginal-cost rule: the first due subscriber of a
 /// group each epoch pays the group's collection — for stats groups, its
 /// share of the epoch's multiplexed wave (see WaveShare) — and everyone
-/// after rides it for free, so summing bits_on_air over queries (plus the
-/// service-level mark wave and the groups' install broadcasts) reproduces
-/// the network total.
+/// after rides it for free; on the cube path, the first fresh query to
+/// claim a cell or residue pays its share of the epoch's waves (see
+/// cube::ServeResult). Summing bits_on_air over queries (plus the
+/// service-level mark wave and the groups' install broadcasts) therefore
+/// reproduces the network total.
 struct QueryCost {
   std::uint64_t answers = 0;
   std::uint64_t cache_hits = 0;    // answered from the result cache
@@ -246,9 +253,39 @@ class QueryService {
   /// Serves a lookup() hit the caller already holds — the cache is asked
   /// exactly once per serve, so its hit counter matches answers served.
   Answer answer_cached(const LiveQuery& lq, const CachedAnswer& hit);
-  /// The cube path's three-tier serve: result cache, then zero-bit per-cell
-  /// drift brackets, then a fresh cube serve under a re-costed plan.
-  Answer serve_cube(const LiveQuery& lq);
+  /// A cube query's tier for one serve, decided by the planning pass.
+  struct CubeRoute {
+    enum class Tier { kRider, kCache, kBracket, kFresh };
+    Tier tier = Tier::kFresh;
+    cube::BracketedAnswer bracket;  // kBracket: the answer to serve
+    /// kFresh: the plan's place in the cube's batch; kRider: the place of
+    /// the fresh serve it rides.
+    std::size_t batch = 0;
+  };
+  /// A fresh serve routed so far in one serve of the cube path.
+  struct FreshCubeServe {
+    query::RegionSignature region;
+    bool sketch = false;  // COUNT_DISTINCT
+    std::size_t batch = 0;
+  };
+  /// The cube path's planning pass for one query, tiers in order: ride an
+  /// earlier fresh serve of the same region and kind (in `fresh`); a cache
+  /// probe; one plan (cells claimed earlier in the batch price at 0) and
+  /// its zero-bit per-cell drift brackets; else claim the plan for the
+  /// batched fresh serve and note it in `fresh`. Runs before any cube wave
+  /// of the serve.
+  CubeRoute route_cube(const LiveQuery& lq,
+                       std::vector<FreshCubeServe>& fresh);
+  /// Answers a routed cube query, in id order after the batch was served
+  /// (`served`): the cache lookup, the planning pass's bracket, or the
+  /// batch's composition (a rider first tries the entry its fresh serve
+  /// stored).
+  Answer answer_cube(const LiveQuery& lq, const CubeRoute& route,
+                     const std::vector<cube::ServeResult>& served);
+  /// Stores a fresh bundle in the cache unless the region was already
+  /// stored this epoch (no-op with the cache off).
+  void store_once(const query::RegionSignature& region,
+                  const StatsBundle& bundle);
   bool cache_could_serve(const LiveQuery& lq) const;
 
   query::Deployment deployment_;

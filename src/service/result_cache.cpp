@@ -1,8 +1,5 @@
 #include "src/service/result_cache.hpp"
 
-#include <algorithm>
-#include <cmath>
-
 #include "src/common/error.hpp"
 
 namespace sensornet::service {
@@ -109,9 +106,7 @@ std::optional<CachedAnswer> ResultCache::check(
     ++counters_.misses;
     return std::nullopt;
   }
-  const double tolerance =
-      epsilon ? *epsilon * std::max(1.0, std::abs(br->value)) : 0.0;
-  if (br->bound > tolerance) {
+  if (br->bound > cube::tolerance_for(epsilon, br->value)) {
     ++counters_.misses;
     return std::nullopt;
   }

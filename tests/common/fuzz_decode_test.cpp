@@ -278,6 +278,80 @@ TEST(FuzzDecode, MultiplexedStatsResponseRoundTripsAndRejectsTruncation) {
   }
 }
 
+// ---- multiplexed residue requests ------------------------------------------
+
+TEST(FuzzDecode, ResidueRequest) {
+  // A random residue count and domain per trial, then bit soup: a decode
+  // names at least one residue, and every range it reads lies in the domain.
+  fuzz_strict([](Xoshiro256& rng, BitReader& r) {
+    std::vector<std::uint8_t> mask(1 + rng.next_below(12));
+    std::vector<query::RegionSignature> ranges;
+    const auto bound = static_cast<Value>(rng.next_below(5000));
+    cube::decode_residue_request(r, bound, mask, ranges);
+    EXPECT_NE(std::count(mask.begin(), mask.end(), 1), 0);
+    ASSERT_EQ(ranges.size(), mask.size());
+    for (std::size_t i = 0; i < mask.size(); ++i) {
+      if (!mask[i]) continue;
+      EXPECT_GE(ranges[i].lo, 0);
+      EXPECT_LE(ranges[i].lo, ranges[i].hi);
+      EXPECT_LE(ranges[i].hi, bound);
+      EXPECT_EQ(ranges[i].whole_domain,
+                ranges[i].lo == 0 && ranges[i].hi == bound);
+    }
+    EXPECT_EQ(r.remaining(), 0u);
+  });
+}
+
+TEST(FuzzDecode, ResidueRequestRoundTripsAndRejectsTruncation) {
+  // A valid request decodes to exactly its mask and ranges; every strict
+  // prefix, every one-bit extension and a smaller domain are rejected.
+  Xoshiro256 rng(41);
+  for (int t = 0; t < 60; ++t) {
+    const std::size_t k = 1 + rng.next_below(8);
+    const auto bound = static_cast<Value>(1 + rng.next_below(4000));
+    std::vector<std::uint8_t> mask(k);
+    std::vector<query::RegionSignature> sent(k);
+    Value top = 0;
+    for (std::size_t i = 0; i < k; ++i) {
+      mask[i] = i == k - 1 || rng.next_below(2) == 0;
+      sent[i].lo = static_cast<Value>(rng.next_below(bound + 1));
+      sent[i].hi =
+          sent[i].lo + static_cast<Value>(rng.next_below(bound - sent[i].lo + 1));
+      sent[i].whole_domain = sent[i].lo == 0 && sent[i].hi == bound;
+      if (mask[i]) top = std::max(top, sent[i].hi);
+    }
+    BitWriter w;
+    cube::encode_residue_request(w, mask, sent);
+    w.write_bit(false);  // one spare bit for the extension case
+    const std::vector<std::uint8_t> bytes(w.bytes().begin(), w.bytes().end());
+    const std::size_t bits = w.bit_count() - 1;
+
+    std::vector<std::uint8_t> got(k);
+    std::vector<query::RegionSignature> ranges;
+    BitReader exact(bytes.data(), bits);
+    cube::decode_residue_request(exact, bound, got, ranges);
+    EXPECT_EQ(got, mask);
+    for (std::size_t i = 0; i < k; ++i) {
+      if (mask[i]) {
+        EXPECT_EQ(ranges[i], sent[i]);
+      }
+    }
+    BitReader longer(bytes.data(), bits + 1);
+    EXPECT_THROW(cube::decode_residue_request(longer, bound, got, ranges),
+                 WireFormatError);
+    if (top > 0) {
+      BitReader narrower(bytes.data(), bits);
+      EXPECT_THROW(cube::decode_residue_request(narrower, top - 1, got, ranges),
+                   WireFormatError);
+    }
+    for (std::size_t cut = 0; cut < bits; ++cut) {
+      BitReader shorter(bytes.data(), cut);
+      EXPECT_THROW(cube::decode_residue_request(shorter, bound, got, ranges),
+                   WireFormatError);
+    }
+  }
+}
+
 // ---- sketch-carrying responses (cube cells and residues) -------------------
 
 /// A valid response carrying a bundle and an HLL per masked slot: k slots,

@@ -214,8 +214,13 @@ TEST(Cube, StaleBracketContainsTheDriftedTruth) {
   ASSERT_TRUE(count.has_value());
   EXPECT_TRUE(count->exact);
   EXPECT_EQ(count->value, 64.0);
-  // The zero-bit path sent nothing.
-  EXPECT_GT(f.cube.stats().stale_serves, 0u);
+  // Raw brackets serve nothing; only serve_stale() successes count.
+  EXPECT_EQ(f.cube.stats().stale_serves, 0u);
+  EXPECT_FALSE(f.cube.serve_stale(plan, query::AggregateKind::kSum,
+                                  std::nullopt, 3));
+  EXPECT_TRUE(
+      f.cube.serve_stale(plan, query::AggregateKind::kCount, std::nullopt, 3));
+  EXPECT_EQ(f.cube.stats().stale_serves, 1u);
 }
 
 TEST(Cube, StaleBracketOnARangedCellIsSoundWithinTheHorizon) {
@@ -363,7 +368,8 @@ void drift(Fixture& f, Xoshiro256& rng, std::size_t count,
 
 TEST(Cube, ServesKeepTheWireCost) {
   // Cell refreshes, pruned residues and HLL-carrying partials over six
-  // drift epochs: these totals pin the cube's wire format and pruning.
+  // drift epochs, every epoch's plans served as one batch: these totals pin
+  // the cube's wire format, its multiplexing and its pruning.
   CubeConfig cfg;
   cfg.levels = 4;
   cfg.distinct_registers = 16;
@@ -379,8 +385,9 @@ TEST(Cube, ServesKeepTheWireCost) {
   for (const query::CostedPlan* plan : {&lower, &upper}) {
     ASSERT_EQ(plan->steps.size(), 1u);
     ASSERT_EQ(plan->steps[0].kind, query::StepKind::kCubeCell);
-    f.cube.serve(*plan, 0);
+    f.cube.claim(*plan);
   }
+  f.cube.serve_claimed(0);
   const query::CostedPlan residues =
       f.plan_for("SELECT MAX(v) FROM s WHERE v BETWEEN 0 AND 560");
   const query::CostedPlan distinct = f.plan_for(
@@ -393,24 +400,128 @@ TEST(Cube, ServesKeepTheWireCost) {
   }
 
   Xoshiro256 rng(5);
+  const std::vector<const query::CostedPlan*> plans{&lower, &residues,
+                                                    &distinct, &upper};
   for (std::uint32_t epoch = 1; epoch <= 6; ++epoch) {
     drift(f, rng, 4, epoch);
-    // The upper cell goes last: the residues meet its partials stale on
-    // the drifted paths and must descend there.
-    for (const query::CostedPlan* plan :
-         {&lower, &residues, &distinct, &upper}) {
-      const ServeResult r = f.cube.serve(*plan, epoch);
-      EXPECT_EQ(r.bundle.core, direct_core(f.net, plan->region));
+    // One collect refreshes both cells; the residues then meet the upper
+    // cell's partials fresh, so both are pruned at the root's edges.
+    for (const query::CostedPlan* plan : plans) f.cube.claim(*plan);
+    const std::vector<ServeResult> served = f.cube.serve_claimed(epoch);
+    for (std::size_t i = 0; i < plans.size(); ++i) {
+      EXPECT_EQ(served[i].bundle.core, direct_core(f.net, plans[i]->region));
     }
   }
   const auto after = f.net.summary(true);
   const CubeStats& s = f.cube.stats();
-  EXPECT_EQ(after.total_bits - before.total_bits, 80196u);
-  EXPECT_EQ(after.total_messages - before.total_messages, 1287u);
+  EXPECT_EQ(after.total_bits - before.total_bits, 52980u);
+  EXPECT_EQ(after.total_messages - before.total_messages, 513u);
   EXPECT_EQ(s.cell_edges_descended, 342u);
   EXPECT_EQ(s.cell_edges_skipped, 80u);
-  EXPECT_EQ(s.residue_edges_descended, 216u);
-  EXPECT_EQ(s.residue_edges_pruned, 80u);
+  EXPECT_EQ(s.residue_edges_descended, 0u);
+  EXPECT_EQ(s.residue_edges_pruned, 24u);
+  EXPECT_EQ(s.refresh_waves, 7u);  // one per batch
+  EXPECT_EQ(s.residue_waves, 12u);  // stats + sketch per drift epoch
+}
+
+/// One seeded drift epoch's query mix for the batch differential: ranges
+/// drawn over the whole domain (cells, unaligned residues, repeats) and one
+/// COUNT_DISTINCT.
+std::vector<std::string> random_texts(Xoshiro256& rng) {
+  static const char* const kAggs[] = {"COUNT", "SUM", "MIN", "MAX", "AVG"};
+  std::vector<std::string> texts;
+  for (int i = 0; i < 7; ++i) {
+    const auto lo = static_cast<Value>(rng.next_below(kBound));
+    const auto hi = lo + static_cast<Value>(rng.next_below(kBound - lo + 1));
+    std::string text = "SELECT ";
+    text += kAggs[rng.next_below(5)];
+    text += "(v) FROM s WHERE v BETWEEN ";
+    text += std::to_string(lo);
+    text += " AND ";
+    text += std::to_string(hi);
+    texts.push_back(text);
+  }
+  texts.push_back(texts[2]);  // a repeat rides the first one's cells
+  std::string distinct = "SELECT COUNT_DISTINCT(v) FROM s WHERE v BETWEEN ";
+  distinct += std::to_string(rng.next_below(300));
+  distinct += " AND 900 ERROR 0.3";
+  texts.push_back(distinct);
+  return texts;
+}
+
+TEST(Cube, BatchedServeMatchesPerPlanServes) {
+  // The same plans, served as one batch per epoch on one deployment and one
+  // serve() each, in order, on a twin: identical answers and cell partials,
+  // and never more bits or rounds for the batch.
+  CubeConfig cfg;
+  cfg.distinct_registers = 16;
+  for (const std::uint64_t seed : {3u, 8u, 21u}) {
+    SCOPED_TRACE(seed);
+    Fixture batched(cfg, seed);
+    Fixture reference(cfg, seed);
+    ValueSet spread(64);
+    Xoshiro256 values(seed);
+    for (Value& v : spread) v = static_cast<Value>(values.next_below(kBound));
+    batched.net.set_one_item_per_node(spread);
+    reference.net.set_one_item_per_node(spread);
+    Xoshiro256 texts_rng(seed), drift_a(seed + 1), drift_b(seed + 1);
+    for (std::uint32_t epoch = 0; epoch < 5; ++epoch) {
+      if (epoch > 0) {
+        drift(batched, drift_a, 6, epoch);
+        drift(reference, drift_b, 6, epoch);
+      }
+      // Plans are made as the service makes them: each one after the
+      // earlier ones claimed their cells.
+      std::vector<query::CostedPlan> plans;
+      for (const std::string& text : random_texts(texts_rng)) {
+        plans.push_back(batched.plan_for(text));
+        batched.cube.claim(plans.back());
+      }
+      const auto a0 = batched.net.summary(true);
+      const SimTime ta = batched.net.now();
+      const std::vector<ServeResult> got = batched.cube.serve_claimed(epoch);
+      const SimTime batch_rounds = batched.net.now() - ta;
+      const auto a1 = batched.net.summary(true);
+
+      const auto b0 = reference.net.summary(true);
+      const SimTime tb = reference.net.now();
+      std::vector<ServeResult> want;
+      for (const query::CostedPlan& plan : plans) {
+        want.push_back(reference.cube.serve(plan, epoch));
+      }
+      const SimTime reference_rounds = reference.net.now() - tb;
+      const auto b1 = reference.net.summary(true);
+
+      ASSERT_EQ(got.size(), want.size());
+      std::uint64_t attributed = 0;
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].bundle, want[i].bundle) << plans[i].description;
+        EXPECT_EQ(got[i].bundle.core, direct_core(batched.net, plans[i].region));
+        EXPECT_EQ(got[i].has_distinct, want[i].has_distinct);
+        EXPECT_EQ(got[i].distinct_estimate, want[i].distinct_estimate);
+        attributed += got[i].bits;
+      }
+      const PartialStore& ca = batched.cube.cells();
+      const PartialStore& cb = reference.cube.cells();
+      for (SlotId s = 0; s < ca.slot_count(); ++s) {
+        EXPECT_EQ(ca.epoch(s), cb.epoch(s));
+        EXPECT_EQ(ca.root(s), cb.root(s));
+      }
+      EXPECT_EQ(attributed, a1.total_bits - a0.total_bits);
+      EXPECT_LE(a1.total_bits - a0.total_bits, b1.total_bits - b0.total_bits);
+      EXPECT_LE(a1.total_messages - a0.total_messages,
+                b1.total_messages - b0.total_messages);
+      EXPECT_LE(batch_rounds, reference_rounds);
+    }
+    // At most one cell wave per batch, and one residue wave per kind.
+    EXPECT_LE(batched.cube.stats().refresh_waves, 5u);
+    EXPECT_LE(batched.cube.stats().residue_waves, 10u);
+    EXPECT_EQ(batched.cube.stats().cells_refreshed,
+              reference.cube.stats().cells_refreshed);
+    // The repeated text's residues ran once per batch.
+    EXPECT_LT(batched.cube.stats().residues_run,
+              reference.cube.stats().residues_run);
+  }
 }
 
 TEST(Cube, LostMessageFailsTheServeAndTheRetryIsExact) {

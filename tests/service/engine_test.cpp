@@ -8,6 +8,8 @@
 #include <vector>
 
 #include "src/net/topology.hpp"
+#include "src/obs/metrics.hpp"
+#include "src/query/parser.hpp"
 
 namespace sensornet::service {
 namespace {
@@ -505,6 +507,127 @@ TEST(QueryService, CubeStaleBracketsServeTolerantQueriesWithZeroBits) {
   // Stale serves never touch the air: only the dirty marks cost messages.
   EXPECT_LT(f.net.summary().total_messages - msgs_before, 3u * 36u);
   EXPECT_GT(f.svc.telemetry_snapshot().cube.stale_serves, 0u);
+}
+
+TEST(QueryService, CubeStaleServesCountOnlyServedBrackets) {
+  ServiceConfig cfg;
+  cfg.use_cube = true;
+  cfg.use_cache = false;  // every tolerant answer is a bracket or fresh
+  Fixture f{cfg};
+  // A loose tolerance the whole-domain bracket meets, and a tight one the
+  // ranged cell's bracket exists for but misses: it is rejected each epoch.
+  f.svc.submit("SELECT AVG(v) FROM s EVERY 1 EPOCHS ERROR 0.2").value();
+  const char* tight =
+      "SELECT SUM(v) FROM s WHERE v BETWEEN 0 AND 499 EVERY 1 EPOCHS "
+      "ERROR 0.0001";
+  f.svc.submit(tight).value();
+  f.svc.run_epoch({});
+  const query::CostedPlan plan =
+      f.svc.planner().plan(query::parse_query(tight)).value();
+  for (int e = 0; e < 4; ++e) {
+    const std::vector<SensorUpdate> batch{f.drift(5, 2), f.drift(20, -3)};
+    const auto br = f.svc.cube()->stale_bracket(
+        plan, query::AggregateKind::kSum, f.svc.epoch() + 1);
+    ASSERT_TRUE(br.has_value());
+    EXPECT_GT(br->bound, cube::tolerance_for(0.0001, br->value));
+    f.svc.run_epoch(batch);
+  }
+  const TelemetrySnapshot snap = f.svc.telemetry_snapshot();
+  EXPECT_EQ(snap.totals.cube_stale_answers, 4u);
+  EXPECT_EQ(snap.cube.stale_serves, snap.totals.cube_stale_answers);
+  EXPECT_EQ(snap.totals.cube_fresh_answers, 2u + 4u);
+}
+
+TEST(QueryService, CubeAnswersExactlyWhenAFreshServeIsFree) {
+  ServiceConfig cfg;
+  cfg.use_cube = true;
+  cfg.use_cache = false;
+  Fixture f{cfg};
+  // The first answer refreshes the cell; with no drift the cell stays
+  // exact, so later serves cost nothing and need no drift bracket.
+  f.svc.submit("SELECT SUM(v) FROM s WHERE v BETWEEN 0 AND 499 "
+               "EVERY 1 EPOCHS ERROR 0.2").value();
+  f.svc.run_epoch({});
+  const auto bits = f.net.summary(true).total_bits;
+  for (int e = 0; e < 3; ++e) {
+    const auto answers = f.svc.run_epoch({});
+    ASSERT_EQ(answers.size(), 1u);
+    EXPECT_TRUE(answers[0].exact);
+    EXPECT_EQ(answers[0].error_bound, 0.0);
+    EXPECT_DOUBLE_EQ(answers[0].value, f.exact("SUM", 0, 499));
+  }
+  EXPECT_EQ(f.net.summary(true).total_bits, bits);
+  EXPECT_EQ(f.svc.telemetry().cube_stale_answers, 0u);
+}
+
+TEST(QueryService, CubeModeAttributedBitsPlusMarksEqualNetworkTotal) {
+  ServiceConfig cfg;
+  cfg.use_cube = true;
+  cfg.cube_distinct_registers = 64;
+  Fixture f{cfg};
+  // Ranged cells, unaligned residues (stats and sketch-carrying), a
+  // distinct subscriber, a repeat riding its twin, and the lazy geometry
+  // install paid by the first fresh serve.
+  for (const char* q : {
+           "SELECT SUM(v) FROM s EVERY 1 EPOCHS",
+           "SELECT COUNT(v) FROM s WHERE v BETWEEN 0 AND 499 EVERY 1 EPOCHS",
+           "SELECT MAX(v) FROM s WHERE v BETWEEN 40 AND 260 EVERY 1 EPOCHS",
+           "SELECT SUM(v) FROM s WHERE v BETWEEN 90 AND 280 EVERY 2 EPOCHS",
+           "SELECT MIN(v) FROM s WHERE v BETWEEN 40 AND 260 EVERY 1 EPOCHS",
+           "SELECT COUNT_DISTINCT(v) FROM s WHERE v BETWEEN 30 AND 270 "
+           "EVERY 1 EPOCHS ERROR 0.15",
+       }) {
+    ASSERT_TRUE(f.svc.submit(q).ok()) << q;
+  }
+  EXPECT_EQ(f.net.summary(true).total_bits, 0u);  // admission ships nothing
+  for (int e = 0; e < 5; ++e) {
+    const std::vector<SensorUpdate> batch{f.drift(11, 2), f.drift(23, -4)};
+    f.svc.run_epoch(batch);
+  }
+  // A one-shot is a batch of one.
+  ASSERT_TRUE(
+      f.svc.submit("SELECT AVG(v) FROM s WHERE v BETWEEN 10 AND 190").ok());
+  const TelemetrySnapshot snap = f.svc.telemetry_snapshot();
+  EXPECT_EQ(snap.cube.geometry_installs, 1u);
+  EXPECT_GT(snap.cube.cells_refreshed, 0u);
+  EXPECT_GT(snap.cube.residues_run, 0u);
+  EXPECT_GT(snap.totals.distinct_answers + snap.totals.cube_fresh_answers, 0u);
+  // At most one cell wave per epoch, plus the one-shot's.
+  EXPECT_LE(snap.cube.refresh_waves, 5u + 1u);
+  std::uint64_t attributed = snap.mark_bits_on_air;
+  std::uint64_t attributed_msgs = snap.mark_messages;
+  for (const auto& [id, qc] : snap.queries) {
+    attributed += qc.bits_on_air;
+    attributed_msgs += qc.messages;
+  }
+  const auto total = f.net.summary(true);
+  EXPECT_EQ(attributed, total.total_bits);
+  EXPECT_EQ(attributed_msgs, total.total_messages);
+}
+
+TEST(QueryService, CubePlansEachDueQueryAtMostOncePerEpoch) {
+  if (!obs::kObsEnabled) GTEST_SKIP() << "needs the obs registry";
+  ServiceConfig cfg;
+  cfg.use_cube = true;
+  Fixture f{cfg};
+  const std::vector<std::string> queries{
+      "SELECT SUM(v) FROM s EVERY 1 EPOCHS",
+      "SELECT COUNT(v) FROM s WHERE v BETWEEN 40 AND 260 EVERY 1 EPOCHS",
+      "SELECT AVG(v) FROM s WHERE v BETWEEN 40 AND 260 EVERY 1 EPOCHS "
+      "ERROR 0.1",
+      "SELECT MAX(v) FROM s WHERE v BETWEEN 0 AND 499 EVERY 2 EPOCHS",
+  };
+  for (const auto& q : queries) ASSERT_TRUE(f.svc.submit(q).ok());
+  obs::Registry& reg = obs::Registry::global();
+  const auto plans = [&reg] {
+    return reg.snapshot().value("query.plans");
+  };
+  for (int e = 0; e < 4; ++e) {
+    const std::vector<SensorUpdate> batch{f.drift(7, 3)};
+    const std::uint64_t before = plans();
+    const auto answers = f.svc.run_epoch(batch);
+    EXPECT_LE(plans() - before, answers.size());
+  }
 }
 
 TEST(QueryService, CubeServesDistinctFromMaintainedSketches) {
