@@ -137,6 +137,7 @@ struct LaneRun {
   std::uint64_t bound_checked = 0;
   std::uint64_t bound_violations = 0;
   std::uint64_t checksum = 0;
+  std::uint64_t answers_checksum = 0;  // the checksum before total bits
   service::TelemetrySnapshot telemetry;
 };
 
@@ -223,6 +224,7 @@ LaneRun run_cached_lane(const Scale& s, unsigned threads, bool with_cube) {
   lane.tree_height = tree.height();
   lane.total_bits = net.summary(/*include_headers=*/true).total_bits;
   lane.telemetry = svc.telemetry_snapshot();
+  lane.answers_checksum = sum.h;
   sum.mix_u64(lane.total_bits);
   lane.checksum = sum.h;
   return lane;
@@ -505,6 +507,7 @@ void write_pr10(Json& j, const Scale& s, bool quick, unsigned threads,
              static_cast<double>(cube.air_rounds) / s.epochs, 1)
       .field("max_collection_rounds", cube.max_collection_rounds)
       .field("collection_rounds_bound", 2 * (2 * cube.tree_height + 2))
+      .field("answers_checksum", hex(cube.answers_checksum))
       .end()
       .key("oracle")
       .object()

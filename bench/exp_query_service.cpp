@@ -152,6 +152,7 @@ struct LaneResult {
   std::uint64_t cache_answers_checked = 0;
   std::uint64_t bound_violations = 0;
   std::uint64_t checksum = 0;
+  std::uint64_t answers_checksum = 0;  // the checksum before total bits
   std::uint64_t air_rounds = 0;             // simulated rounds, all epochs
   std::uint64_t max_collection_rounds = 0;  // worst epoch beyond its marks
   std::uint64_t tree_height = 0;
@@ -244,6 +245,7 @@ LaneResult run_continuous_lane(const Scale& s, unsigned threads, bool shared) {
   lane.edges_skipped = svc.plan_stats().edges_skipped;
   lane.mark_messages = svc.plan_stats().mark_messages;
   lane.telemetry = svc.telemetry_snapshot();
+  lane.answers_checksum = sum.h;
   sum.mix_u64(lane.total_bits);
   lane.checksum = sum.h;
   return lane;
@@ -413,6 +415,7 @@ void write_pr8(Json& j, const Scale& s, bool quick, unsigned threads,
              static_cast<double>(shared.air_rounds) / s.epochs, 1)
       .field("max_collection_rounds", shared.max_collection_rounds)
       .field("collection_rounds_bound", 2 * shared.tree_height + 2)
+      .field("answers_checksum", hex(shared.answers_checksum))
       .end()
       .key("cache_bounds")
       .object()

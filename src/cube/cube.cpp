@@ -417,25 +417,15 @@ ServeResult Cube::serve(const query::CostedPlan& plan, std::uint32_t epoch) {
   return std::move(serve_claimed(epoch).front());
 }
 
-std::optional<BracketedAnswer> Cube::serve_stale(
-    const query::CostedPlan& plan, query::AggregateKind agg,
-    std::optional<double> error, std::uint32_t now_epoch) {
-  const std::optional<BracketedAnswer> br =
-      stale_bracket(plan, agg, now_epoch);
-  if (!br || br->bound > tolerance_for(error, br->value)) return std::nullopt;
+void Cube::note_stale_serve() {
   ++stats_.stale_serves;
   mirror_stats();
-  return br;
 }
 
 std::optional<BracketedAnswer> Cube::stale_bracket(
     const query::CostedPlan& plan, query::AggregateKind agg,
     std::uint32_t now_epoch) const {
-  if (query::family(agg) != query::AggregateFamily::kStats) return std::nullopt;
-  double count_lo = 0.0, count_hi = 0.0, sum_lo = 0.0, sum_hi = 0.0;
-  bool defined = false, any_possible = false;
-  double min_lo = 0.0, min_hi = 0.0, max_lo = 0.0, max_hi = 0.0;
-  StatsBundle core;  // the answer's point value: the frozen composition
+  BracketComposer composer;
   for (const query::PlanStep& step : plan.steps) {
     if (step.kind != query::StepKind::kCubeCell) return std::nullopt;
     const SlotId s = slot(step.cell);
@@ -448,58 +438,13 @@ std::optional<BracketedAnswer> Cube::stale_bracket(
     if (!region.whole_domain && staleness > config_.horizon_epochs) {
       return std::nullopt;  // margins no longer bracket this cell
     }
-    const double d = static_cast<double>(staleness) *
-                     static_cast<double>(config_.max_delta);
-    const BundleBracket br = bracket_bundle(
-        store_.root(s), region.whole_domain, d,
-        static_cast<double>(region.lo), static_cast<double>(region.hi));
-    count_lo += br.count_lo;
-    count_hi += br.count_hi;
-    sum_lo += br.sum_lo;
-    sum_hi += br.sum_hi;
-    if (br.any_possible) {
-      // Any component could host the global MIN/MAX: outward rails widen.
-      min_lo = any_possible ? std::min(min_lo, br.min_lo) : br.min_lo;
-      max_hi = any_possible ? std::max(max_hi, br.max_hi) : br.max_hi;
-      any_possible = true;
-    }
-    if (br.defined) {
-      // A surely-present element bounds the global MIN from above (and MAX
-      // from below) — take the tightest such witness across components.
-      min_hi = defined ? std::min(min_hi, br.min_hi) : br.min_hi;
-      max_lo = defined ? std::max(max_lo, br.max_lo) : br.max_lo;
-      defined = true;
-    }
-    core.combine(store_.root(s));
+    composer.add(store_.root(s), region.whole_domain,
+                 static_cast<double>(staleness) *
+                     static_cast<double>(config_.max_delta),
+                 static_cast<double>(region.lo),
+                 static_cast<double>(region.hi));
   }
-  std::optional<BracketedAnswer> out;
-  switch (agg) {
-    case query::AggregateKind::kCount:
-      out = make_answer(static_cast<double>(core.core.count), count_lo,
-                        count_hi);
-      break;
-    case query::AggregateKind::kSum:
-      out = make_answer(static_cast<double>(core.core.sum), sum_lo, sum_hi);
-      break;
-    case query::AggregateKind::kAvg: {
-      if (core.core.count == 0 || count_lo <= 0.0) return std::nullopt;
-      const double value = static_cast<double>(core.core.sum) /
-                           static_cast<double>(core.core.count);
-      out = make_answer(value, sum_lo / count_hi, sum_hi / count_lo);
-      break;
-    }
-    case query::AggregateKind::kMin:
-      if (core.core.count == 0 || !defined) return std::nullopt;
-      out = make_answer(static_cast<double>(core.core.min), min_lo, min_hi);
-      break;
-    case query::AggregateKind::kMax:
-      if (core.core.count == 0 || !defined) return std::nullopt;
-      out = make_answer(static_cast<double>(core.core.max), max_lo, max_hi);
-      break;
-    default:
-      return std::nullopt;
-  }
-  return out;
+  return composer.answer(agg);
 }
 
 // ---- cost model -----------------------------------------------------------

@@ -82,7 +82,7 @@ struct CubeStats {
   std::uint64_t residue_edges_descended = 0;  // per (residue, edge)
   std::uint64_t residue_edges_pruned = 0;     // subtrees proven empty
   std::uint64_t fresh_serves = 0;
-  std::uint64_t stale_serves = 0;  // brackets served by serve_stale()
+  std::uint64_t stale_serves = 0;  // brackets served (note_stale_serve)
   std::uint64_t geometry_installs = 0;  // lazy one-time broadcast
 };
 
@@ -155,20 +155,17 @@ class Cube final : public query::CubeCatalog {
   ServeResult serve(const query::CostedPlan& plan, std::uint32_t epoch);
 
   /// Zero-bit composition of per-cell drift brackets at each cell's own
-  /// staleness. Returns nullopt when the plan has non-cell steps, a cell was
-  /// never refreshed, a ranged cell is staler than the horizon, or the
-  /// aggregate is not bracketable from stats bundles.
+  /// staleness (see BracketComposer; a cell at its refresh epoch is exact).
+  /// Returns nullopt when the plan has non-cell steps, a cell was never
+  /// refreshed, a ranged cell is staler than the horizon, or the aggregate
+  /// is not bracketable from stats bundles.
   std::optional<BracketedAnswer> stale_bracket(const query::CostedPlan& plan,
                                                query::AggregateKind agg,
                                                std::uint32_t now_epoch) const;
 
-  /// stale_bracket() gated on the query's ERROR tolerance (tolerance_for).
-  /// A success is a zero-bit answer the caller serves, and counts in
+  /// Counts one stale_bracket() answer the caller served, in
   /// CubeStats::stale_serves.
-  std::optional<BracketedAnswer> serve_stale(const query::CostedPlan& plan,
-                                             query::AggregateKind agg,
-                                             std::optional<double> error,
-                                             std::uint32_t now_epoch);
+  void note_stale_serve();
 
   const CubeStats& stats() const { return stats_; }
   std::size_t cell_count() const { return store_.slot_count(); }

@@ -68,9 +68,9 @@ BundleBracket bracket_bundle(const StatsBundle& b, bool whole_domain,
                              double region_hi) {
   BundleBracket out;
   const double d = drift;
-  if (whole_domain) {
-    // Membership is static: values cannot leave [0, bound], so the count is
-    // exact forever and values drift in place.
+  if (whole_domain || d == 0.0) {
+    // Membership is static — values cannot leave [0, bound], or nothing
+    // moved — so the count is exact and values drift in place.
     const auto count = static_cast<double>(b.core.count);
     out.count_lo = out.count_hi = count;
     out.sum_lo = std::max(0.0, static_cast<double>(b.core.sum) - count * d);
@@ -107,6 +107,62 @@ BundleBracket bracket_bundle(const StatsBundle& b, bool whole_domain,
     out.max_hi = std::min(region_hi, static_cast<double>(b.outer.max) + d);
   }
   return out;
+}
+
+void BracketComposer::add(const StatsBundle& b, bool whole_domain,
+                          double drift, double region_lo, double region_hi) {
+  const BundleBracket br =
+      bracket_bundle(b, whole_domain, drift, region_lo, region_hi);
+  core_.combine(b.core);
+  rails_.count_lo += br.count_lo;
+  rails_.count_hi += br.count_hi;
+  rails_.sum_lo += br.sum_lo;
+  rails_.sum_hi += br.sum_hi;
+  if (br.any_possible) {
+    // Any part could host the global MIN/MAX: outward rails widen.
+    rails_.min_lo = rails_.any_possible ? std::min(rails_.min_lo, br.min_lo)
+                                        : br.min_lo;
+    rails_.max_hi = rails_.any_possible ? std::max(rails_.max_hi, br.max_hi)
+                                        : br.max_hi;
+    rails_.any_possible = true;
+  }
+  if (br.defined) {
+    // A surely-present element bounds the global MIN from above (and MAX
+    // from below) — take the tightest such witness across parts.
+    rails_.min_hi = rails_.defined ? std::min(rails_.min_hi, br.min_hi)
+                                   : br.min_hi;
+    rails_.max_lo = rails_.defined ? std::max(rails_.max_lo, br.max_lo)
+                                   : br.max_lo;
+    rails_.defined = true;
+  }
+}
+
+std::optional<BracketedAnswer> BracketComposer::answer(
+    query::AggregateKind agg) const {
+  const RangeStats& c = core_;
+  const BundleBracket& r = rails_;
+  switch (agg) {
+    case query::AggregateKind::kCount:
+      return make_answer(static_cast<double>(c.count), r.count_lo, r.count_hi);
+    case query::AggregateKind::kSum:
+      return make_answer(static_cast<double>(c.sum), r.sum_lo, r.sum_hi);
+    case query::AggregateKind::kAvg:
+      if (c.count == 0 || r.count_lo <= 0.0) return std::nullopt;
+      return make_answer(
+          static_cast<double>(c.sum) / static_cast<double>(c.count),
+          r.sum_lo / r.count_hi, r.sum_hi / r.count_lo);
+    case query::AggregateKind::kMin:
+      if (c.count == 0 || !r.defined) return std::nullopt;
+      return make_answer(static_cast<double>(c.min), r.min_lo, r.min_hi);
+    case query::AggregateKind::kMax:
+      if (c.count == 0 || !r.defined) return std::nullopt;
+      return make_answer(static_cast<double>(c.max), r.max_lo, r.max_hi);
+    case query::AggregateKind::kMedian:
+    case query::AggregateKind::kQuantile:
+    case query::AggregateKind::kCountDistinct:
+      return std::nullopt;
+  }
+  return std::nullopt;
 }
 
 BracketedAnswer make_answer(double value, double lo, double hi) {

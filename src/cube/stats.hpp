@@ -13,10 +13,13 @@
 //   MAX   in [max(lo, inner.max - d), min(hi, outer.max + d)]
 //
 // where [lo, hi] is the region itself (a range aggregate can never leave its
-// own range — both MIN/MAX rails are clamped; the pre-PR 10 result cache
-// clamped only one side of each). bracket_bundle() is the one home of this
-// arithmetic: the result cache applies it to a whole cached bundle, the cube
-// applies it per cell and composes the intervals.
+// own range, so both MIN/MAX rails are clamped). At d = 0 nothing has moved
+// since the bundle was taken, so the core itself is the current answer, for
+// ranged regions too. bracket_bundle() is the per-part arithmetic;
+// BracketComposer adds k parts (a cached region is one part, a cube cover
+// one part per cell, a fresh bundle one part at drift 0) and answers an
+// aggregate from the sum: it is the one per-aggregate switch behind every
+// bracketed and every exact stats answer.
 #pragma once
 
 #include <algorithm>
@@ -26,6 +29,7 @@
 
 #include "src/common/bitio.hpp"
 #include "src/common/types.hpp"
+#include "src/query/aggregate.hpp"
 
 namespace sensornet::cube {
 
@@ -81,7 +85,8 @@ struct BundleBracket {
 /// `region_lo`/`region_hi` are the clamp rails of the bundle's own region
 /// (for whole-domain bundles: 0 and the model's value bound). `whole_domain`
 /// collapses the margins: membership is static, so COUNT is exact at any
-/// drift and MIN/MAX drift around the core values.
+/// drift and MIN/MAX drift around the core values. Drift 0 collapses them
+/// too: every interval is the core's point.
 BundleBracket bracket_bundle(const StatsBundle& b, bool whole_domain,
                              double drift, double region_lo,
                              double region_hi);
@@ -96,6 +101,27 @@ struct BracketedAnswer {
 /// Collapses an interval around a point answer (bound = max distance to
 /// either rail, floored at zero).
 BracketedAnswer make_answer(double value, double lo, double hi);
+
+/// Sums the drift brackets of k parts with disjoint core regions, each at
+/// its own drift, and answers one aggregate over their union.
+class BracketComposer {
+ public:
+  /// Adds one part: its frozen bundle, its region's rails and whole-domain
+  /// flag, and its drift (staleness x max_delta) — see bracket_bundle.
+  void add(const StatsBundle& b, bool whole_domain, double drift,
+           double region_lo, double region_hi);
+
+  /// The frozen composition's value with the farther rail as its bound
+  /// (0 when every part was added at drift 0). nullopt when `agg` is not a
+  /// stats aggregate, when MIN/MAX/AVG are undefined on an empty selection,
+  /// or when the rails cannot bound them (AVG whose count could reach 0,
+  /// MIN/MAX with no element surely inside).
+  std::optional<BracketedAnswer> answer(query::AggregateKind agg) const;
+
+ private:
+  RangeStats core_;      // the point value: the parts' frozen cores
+  BundleBracket rails_;  // summed COUNT/SUM, composed MIN/MAX intervals
+};
 
 /// The absolute slack a query's relative ERROR allows around `value`
 /// (magnitudes below 1 count as 1; no ERROR means exact only). A bracketed

@@ -26,43 +26,22 @@ CostDelta cost_since(const sim::Network& net, const sim::CommSummary& before) {
                    after.total_messages - before.total_messages};
 }
 
-/// Exact answer for a stats aggregate from a freshly collected bundle.
-Answer bundle_answer(query::AggregateKind agg, const StatsBundle& b) {
+/// Exact answer for a stats aggregate from a bundle freshly collected over
+/// `region`: the composer's one part at drift 0, which fails only on an
+/// empty selection.
+Answer bundle_answer(query::AggregateKind agg,
+                     const query::RegionSignature& region,
+                     const StatsBundle& b) {
+  SENSORNET_EXPECTS(query::family(agg) == query::AggregateFamily::kStats);
+  cube::BracketComposer composer;
+  composer.add(b, region.whole_domain, /*drift=*/0.0,
+               static_cast<double>(region.lo), static_cast<double>(region.hi));
   Answer a;
-  const RangeStats& core = b.core;
-  switch (agg) {
-    case query::AggregateKind::kCount:
-      a.value = static_cast<double>(core.count);
-      break;
-    case query::AggregateKind::kSum:
-      a.value = static_cast<double>(core.sum);
-      break;
-    case query::AggregateKind::kAvg:
-      if (core.count == 0) {
-        a.empty_selection = true;
-      } else {
-        a.value = static_cast<double>(core.sum) /
-                  static_cast<double>(core.count);
-      }
-      break;
-    case query::AggregateKind::kMin:
-      if (core.count == 0) {
-        a.empty_selection = true;
-      } else {
-        a.value = static_cast<double>(core.min);
-      }
-      break;
-    case query::AggregateKind::kMax:
-      if (core.count == 0) {
-        a.empty_selection = true;
-      } else {
-        a.value = static_cast<double>(core.max);
-      }
-      break;
-    default:
-      throw PreconditionError("bundle_answer: not a stats aggregate");
+  if (const auto br = composer.answer(agg)) {
+    a.value = br->value;
+  } else {
+    a.empty_selection = true;
   }
-  a.exact = true;
   return a;
 }
 
@@ -161,21 +140,26 @@ Admission QueryService::admit(ParsedQuery&& parsed) {
   adm.id = lq.id;
   adm.continuous = lq.every != 0;
 
-  const bool stats_family =
-      query::family(lq.q.agg) == query::AggregateFamily::kStats;
-  if (!config_.share_aggregation && !config_.use_cube) {
-    lq.path = Path::kExecutor;
-    adm.plan = "naive: " + lq.plan.description;
-  } else if (config_.use_cube && planner_.cube_eligible(lq.plan)) {
-    lq.path = Path::kCube;
-    adm.plan = "cube: " + lq.plan.description;
-  } else if (config_.share_aggregation && stats_family) {
-    lq.path = Path::kStats;
+  // With the cube, every stats-family plan is cube-eligible (only distinct
+  // plans of a foreign sketch geometry are not), so a service's bundle path
+  // runs on the cube or on stats groups, never on both.
+  const bool bundle =
+      cube_ ? planner_.cube_eligible(lq.plan)
+            : config_.share_aggregation &&
+                  query::family(lq.q.agg) == query::AggregateFamily::kStats;
+  const auto install_group = [&](auto&& ensure) {
     const auto before = deployment_.net.summary(true);
-    lq.group = scheduler_->ensure_stats_group(lq.region);
+    lq.group = ensure();
     const CostDelta d = cost_since(deployment_.net, before);
     group_costs_[lq.group].bits_on_air += d.bits;
     group_costs_[lq.group].messages += d.messages;
+  };
+  if (bundle && cube_) {
+    lq.path = Path::kBundle;
+    adm.plan = "cube: " + lq.plan.description;
+  } else if (bundle) {
+    lq.path = Path::kBundle;
+    install_group([&] { return scheduler_->ensure_stats_group(lq.region); });
     adm.plan = "shared stats bundle, group " + std::to_string(lq.group);
   } else if (config_.share_aggregation &&
              lq.q.agg == query::AggregateKind::kCountDistinct) {
@@ -184,15 +168,14 @@ Admission QueryService::admit(ParsedQuery&& parsed) {
         lq.plan.strategy == query::Strategy::kApproxDistinct
             ? lq.plan.registers
             : 0;
-    const auto before = deployment_.net.summary(true);
-    lq.group = scheduler_->ensure_distinct_group(lq.region, registers);
-    const CostDelta d = cost_since(deployment_.net, before);
-    group_costs_[lq.group].bits_on_air += d.bits;
-    group_costs_[lq.group].messages += d.messages;
+    install_group([&] {
+      return scheduler_->ensure_distinct_group(lq.region, registers);
+    });
     adm.plan = "shared distinct group " + std::to_string(lq.group);
   } else {
     lq.path = Path::kExecutor;  // median/quantile: no shared representation
-    adm.plan = "per-query: " + lq.plan.description;
+    const bool naive = !config_.share_aggregation && !cube_;
+    adm.plan = (naive ? "naive: " : "per-query: ") + lq.plan.description;
   }
 
   obs::TraceRing& ring = obs::TraceRing::global();
@@ -203,33 +186,17 @@ Admission QueryService::admit(ParsedQuery&& parsed) {
 
   if (adm.continuous) {
     live_.emplace(lq.id, std::move(lq));
-  } else if (lq.path == Path::kCube) {
-    std::vector<FreshCubeServe> fresh;
-    const CubeRoute route = route_cube(lq, fresh);
-    adm.answer = answer_cube(lq, route, cube_->serve_claimed(epoch_));
+  } else if (lq.path == Path::kBundle) {
+    const LiveQuery* one = &lq;
+    adm.answer = serve_bundles(std::span(&one, 1)).front();
   } else {
-    // Single cache interrogation per serve: a lookup() hit is always
-    // consumed, so the cache's hit counter equals answers served from it.
-    std::optional<CachedAnswer> hit;
-    if (lq.path == Path::kStats && config_.use_cache) {
-      hit = cache_.lookup(lq.region, lq.q.agg, lq.q.error, epoch_);
-    }
-    adm.answer = hit ? answer_cached(lq, *hit) : answer_fresh(lq);
+    adm.answer = answer_fresh(lq);
   }
   return adm;
 }
 
 bool QueryService::cancel(QueryId id) {
   return live_.erase(id) != 0;
-}
-
-bool QueryService::cache_could_serve(const LiveQuery& lq) const {
-  // probe(), not lookup(): this is the planning pass, and a groupmate's
-  // veto can still force this query onto the fresh path — counting a hit
-  // here would overstate serves (see ResultCache::probe).
-  return cache_
-      .probe(lq.region, lq.q.agg, lq.q.error, epoch_)
-      .has_value();
 }
 
 Answer QueryService::answer_cached(const LiveQuery& lq,
@@ -258,180 +225,198 @@ Answer QueryService::answer_cached(const LiveQuery& lq,
   return a;
 }
 
-QueryService::CubeRoute QueryService::route_cube(
-    const LiveQuery& lq, std::vector<FreshCubeServe>& fresh) {
-  CubeRoute route;
-  const bool sketch = lq.q.agg == query::AggregateKind::kCountDistinct;
-  // Tier 0: an earlier query of this serve already composes the region
-  // fresh (same region, same kind): ride it, as groupmates ride a shared
-  // collection.
-  for (const FreshCubeServe& f : fresh) {
-    if (f.region == lq.region && f.sketch == sketch) {
-      route.tier = CubeRoute::Tier::kRider;
-      route.batch = f.batch;
-      return route;
+std::vector<Answer> QueryService::serve_bundles(
+    std::span<const LiveQuery* const> due) {
+  // One key per (region, sketch): what a fresh collection answers at once.
+  struct Key {
+    QueryId payer = 0;  // the key's first due query pays its wave shares
+    GroupId group = 0;  // stats backend
+    bool fresh = false;
+    std::size_t batch = 0;     // cube backend: the claim's place in the batch
+    cube::ServeResult served;  // a fresh key's bundle and wave shares
+  };
+  struct Route {
+    Key* key = nullptr;
+    std::optional<CachedAnswer> zero_bit;  // the cache's or the cells'
+    bool cached = false;                   // zero_bit came from the cache
+  };
+  std::map<std::pair<query::RegionSignature, bool>, Key> keys;
+  std::vector<Route> routes(due.size());
+
+  // Planning pass, in id order, before any wave: a query of a key already
+  // going fresh rides it unprobed; otherwise a cache probe (no hit counted:
+  // the key may still go fresh), then with the cube one plan and its cell
+  // brackets (cells claimed earlier price at 0, and a plan priced at 0 bits
+  // composes exactly for free, so it skips the brackets). A query with no
+  // zero-bit answer sends its key fresh.
+  for (std::size_t i = 0; i < due.size(); ++i) {
+    const LiveQuery& lq = *due[i];
+    Route& route = routes[i];
+    const bool sketch = lq.q.agg == query::AggregateKind::kCountDistinct;
+    const auto [it, added] = keys.try_emplace({lq.region, sketch});
+    route.key = &it->second;
+    if (added) {
+      route.key->payer = lq.id;
+      route.key->group = lq.group;
     }
-  }
-  // Tier 1: the region-keyed result cache (stats aggregates only) — a prior
-  // cube serve stored the composed bundle, so repeats within the drift
-  // tolerance are free. A probe: answer_cube()'s lookup counts the hit.
-  if (config_.use_cache && !sketch && cache_could_serve(lq)) {
-    route.tier = CubeRoute::Tier::kCache;
-    return route;
-  }
-
-  // Plan once per serve so the cover reflects the cube's freshness: a cell
-  // claimed by an earlier query of the batch prices at 0, as it would in a
-  // re-plan after that query's serve.
-  Result<query::CostedPlan> planned = planner_.plan(lq.q);
-  SENSORNET_EXPECTS(planned.ok());  // admitted queries stay plannable
-  const query::CostedPlan plan = std::move(planned).value();
-
-  // Tier 2: per-cell drift brackets — zero bits when every step is a
-  // maintained cell and the composed bound fits the query's tolerance.
-  // The batch has not run yet, so cells are judged as the epoch found them.
-  // A plan the model prices at 0 bits (its cells claimed or unchanged, its
-  // residues pruned away) composes exactly for free, so it skips the tier.
-  if (!sketch && plan.est_cube_bits > 0) {
-    if (const auto br =
-            cube_->serve_stale(plan, lq.q.agg, lq.q.error, epoch_)) {
-      route.tier = CubeRoute::Tier::kBracket;
-      route.bracket = *br;
-      return route;
+    if (route.key->fresh) continue;
+    if (config_.use_cache && !sketch) {
+      route.zero_bit = cache_.probe(lq.region, lq.q.agg, lq.q.error, epoch_);
+      route.cached = route.zero_bit.has_value();
+      if (route.cached) continue;
     }
+    if (cube_) {
+      Result<query::CostedPlan> planned = planner_.plan(lq.q);
+      SENSORNET_EXPECTS(planned.ok());  // admitted queries stay plannable
+      const query::CostedPlan plan = std::move(planned).value();
+      if (!sketch && plan.est_cube_bits > 0) {
+        const auto br = cube_->stale_bracket(plan, lq.q.agg, epoch_);
+        if (br && br->bound <= cube::tolerance_for(lq.q.error, br->value)) {
+          route.zero_bit = br;
+          continue;
+        }
+      }
+      route.key->batch = cube_->claim(plan);
+    }
+    route.key->fresh = true;
   }
 
-  // Tier 3: a fresh serve in the cube's batch.
-  route.tier = CubeRoute::Tier::kFresh;
-  route.batch = cube_->claim(plan);
-  fresh.push_back(FreshCubeServe{lq.region, sketch, route.batch});
-  return route;
-}
-
-Answer QueryService::answer_cube(const LiveQuery& lq, const CubeRoute& route,
-                                 const std::vector<cube::ServeResult>& served) {
-  const bool sketch = lq.q.agg == query::AggregateKind::kCountDistinct;
-  if (route.tier == CubeRoute::Tier::kCache ||
-      (route.tier == CubeRoute::Tier::kRider && config_.use_cache &&
-       !sketch)) {
-    // Cache-tier queries precede their region's first fresh serve in id
-    // order, so they find the entry their probe saw; a rider finds the one
-    // that serve just stored, and may miss it.
-    const auto hit = cache_.lookup(lq.region, lq.q.agg, lq.q.error, epoch_);
-    SENSORNET_EXPECTS(hit || route.tier == CubeRoute::Tier::kRider);
-    if (hit) return answer_cached(lq, *hit);
-  }
-
-  obs::TraceRing& ring = obs::TraceRing::global();
-  QueryCost& qc = query_costs_[lq.id];
-  Answer a;
-  if (route.tier == CubeRoute::Tier::kBracket) {
-    const cube::BracketedAnswer& br = route.bracket;
-    a.value = br.value;
-    a.error_bound = br.bound;
-    a.exact = br.exact;
-    ++telemetry_.cube_stale_answers;
-    ++qc.cube_stale;
-    qc.bound_slack += cube::tolerance_for(lq.q.error, br.value) - br.bound;
-    if (ring.enabled()) {
-      ring.instant("query.answer", "service", deployment_.net.now(), 0, "id",
-                   lq.id, "cube_stale", 1);
+  // The fresh keys' waves: the cube's one batched serve, or one
+  // multiplexed convergecast over their stats groups (ascending ids).
+  if (cube_) {
+    std::vector<cube::ServeResult> served = cube_->serve_claimed(epoch_);
+    for (auto& [k, key] : keys) {
+      if (key.fresh) key.served = std::move(served[key.batch]);
     }
   } else {
-    // Fresh or riding: compose from the served batch.
-    const cube::ServeResult& r = served[route.batch];
-    if (sketch) {
-      SENSORNET_EXPECTS(r.has_distinct);
-      a.value = r.distinct_estimate;
-      a.exact = false;
-    } else {
-      a = bundle_answer(lq.q.agg, r.bundle);
-      // The composed bundle brackets the whole region (cell inners nest
-      // inside the region's inner; cell outers cover its outer), so it is
-      // storable under the cache's drift model like any collected bundle.
-      if (route.tier == CubeRoute::Tier::kFresh) store_once(lq.region, r.bundle);
+    std::vector<std::pair<GroupId, Key*>> fresh;
+    for (auto& [k, key] : keys) {
+      if (key.fresh) fresh.emplace_back(key.group, &key);
     }
-    ++telemetry_.cube_fresh_answers;
-    ++qc.fresh;
-    if (route.tier == CubeRoute::Tier::kFresh) {
-      // The query's share of the batch: the waves of the cells and residues
-      // it claimed first (see cube::ServeResult). Riders pay nothing.
-      qc.bits_on_air += r.bits;
-      qc.messages += r.messages;
-    }
-    if (ring.enabled()) {
-      ring.instant("query.answer", "service", deployment_.net.now(), 0, "id",
-                   lq.id, "cube_fresh", 1);
+    std::sort(fresh.begin(), fresh.end());
+    std::vector<GroupId> groups;
+    for (const auto& [group, key] : fresh) groups.push_back(group);
+    const std::vector<WaveShare> shares =
+        scheduler_->collect_stats_batch(groups, epoch_);
+    for (std::size_t j = 0; j < fresh.size(); ++j) {
+      Key& key = *fresh[j].second;
+      key.served.bundle = scheduler_->collect_stats(key.group, epoch_);
+      key.served.bits = shares[j].bits;
+      key.served.messages = shares[j].messages;
+      GroupCost& gc = group_costs_[key.group];
+      gc.bits_on_air += shares[j].bits;
+      gc.messages += shares[j].messages;
+      gc.collections += shares[j].collected ? 1 : 0;
     }
   }
-  a.id = lq.id;
-  a.epoch = epoch_;
-  ++telemetry_.answers;
-  ++qc.answers;
-  return a;
-}
+  for (const auto& [k, key] : keys) {
+    if (!key.fresh) continue;
+    QueryCost& qc = query_costs_[key.payer];
+    qc.bits_on_air += key.served.bits;
+    qc.messages += key.served.messages;
+  }
 
-void QueryService::store_once(const query::RegionSignature& region,
-                              const StatsBundle& bundle) {
-  if (!config_.use_cache ||
-      std::find(stored_this_epoch_.begin(), stored_this_epoch_.end(),
-                region) != stored_this_epoch_.end()) {
-    return;
+  // Answer pass: a fresh key answers all its due queries exactly; every
+  // other query gets the zero-bit answer its own probe found.
+  obs::TraceRing& ring = obs::TraceRing::global();
+  std::vector<Answer> answers;
+  answers.reserve(due.size());
+  for (std::size_t i = 0; i < due.size(); ++i) {
+    const LiveQuery& lq = *due[i];
+    const Route& route = routes[i];
+    const Key& key = *route.key;
+    if (route.cached && !key.fresh) {
+      // The serve stores nothing before this pass ends, so the entry the
+      // probe approved is still there.
+      const auto hit = cache_.lookup(lq.region, lq.q.agg, lq.q.error, epoch_);
+      SENSORNET_EXPECTS(hit.has_value());
+      answers.push_back(answer_cached(lq, *hit));
+      continue;
+    }
+    QueryCost& qc = query_costs_[lq.id];
+    Answer a;
+    if (!key.fresh) {
+      const CachedAnswer& br = *route.zero_bit;  // the cells' drift bracket
+      a.value = br.value;
+      a.error_bound = br.bound;
+      a.exact = br.exact;
+      cube_->note_stale_serve();
+      ++telemetry_.cube_stale_answers;
+      ++qc.cube_stale;
+      qc.bound_slack += cube::tolerance_for(lq.q.error, br.value) - br.bound;
+      if (ring.enabled()) {
+        ring.instant("query.answer", "service", deployment_.net.now(), 0, "id",
+                     lq.id, "cube_stale", 1);
+      }
+    } else {
+      if (key.served.has_distinct) {
+        a.value = key.served.distinct_estimate;
+        a.exact = false;
+      } else {
+        a = bundle_answer(lq.q.agg, lq.region, key.served.bundle);
+      }
+      ++qc.fresh;
+      ++(cube_ ? telemetry_.cube_fresh_answers
+               : telemetry_.fresh_stats_answers);
+      if (ring.enabled()) {
+        ring.instant("query.answer", "service", deployment_.net.now(), 0, "id",
+                     lq.id, cube_ ? "cube_fresh" : "cached", cube_ ? 1 : 0);
+      }
+    }
+    a.id = lq.id;
+    a.epoch = epoch_;
+    ++telemetry_.answers;
+    ++qc.answers;
+    answers.push_back(a);
   }
-  cache_.store(region, epoch_, bundle);
-  stored_this_epoch_.push_back(region);
+
+  // Stores last: a store can evict, and a probe-approved entry must outlive
+  // its lookup. A composed cube bundle brackets its whole region like any
+  // collected bundle (cell inners nest inside the region's inner, cell
+  // outers cover its outer).
+  if (config_.use_cache) {
+    for (const auto& [k, key] : keys) {
+      const auto& [region, sketch] = k;
+      if (key.fresh && !sketch) cache_.store(region, epoch_, key.served.bundle);
+    }
+  }
+  return answers;
 }
 
 Answer QueryService::answer_fresh(const LiveQuery& lq) {
   const auto before = deployment_.net.summary(true);
   const SharedPlanStats waves_before = scheduler_->stats();
   Answer a;
-  switch (lq.path) {
-    case Path::kStats: {
-      const StatsBundle& b = scheduler_->collect_stats(lq.group, epoch_);
-      store_once(lq.region, b);
-      a = bundle_answer(lq.q.agg, b);
-      ++telemetry_.fresh_stats_answers;
-      break;
-    }
-    case Path::kDistinct: {
-      a.value = scheduler_->collect_distinct(lq.group, epoch_);
-      a.exact = lq.plan.strategy == query::Strategy::kExactDistinct;
-      ++telemetry_.distinct_answers;
-      break;
-    }
-    case Path::kCube:
-      throw PreconditionError("cube path is served by answer_cube()");
-    case Path::kExecutor: {
-      const query::QueryResult r = executor_.run(lq.q, lq.plan);
-      a.value = r.value;
-      a.exact = r.is_exact;
-      ++telemetry_.executor_runs;
-      break;
-    }
+  if (lq.path == Path::kDistinct) {
+    a.value = scheduler_->collect_distinct(lq.group, epoch_);
+    a.exact = lq.plan.strategy == query::Strategy::kExactDistinct;
+    ++telemetry_.distinct_answers;
+  } else {
+    SENSORNET_EXPECTS(lq.path == Path::kExecutor);
+    const query::QueryResult r = executor_.run(lq.q, lq.plan);
+    a.value = r.value;
+    a.exact = r.is_exact;
+    ++telemetry_.executor_runs;
   }
   a.id = lq.id;
   a.epoch = epoch_;
   ++telemetry_.answers;
 
-  // Marginal-cost attribution: a collection is idempotent per (group,
-  // epoch), so the first due subscriber pays it here and later groupmates
-  // see a zero delta. (Continuous stats groups were already collected and
-  // charged by run_epoch's multiplexed wave; their delta here is zero.)
+  // Marginal-cost attribution: a distinct collection is idempotent per
+  // (group, epoch), so the first due subscriber pays it here and later
+  // groupmates see a zero delta.
   const CostDelta d = cost_since(deployment_.net, before);
   QueryCost& qc = query_costs_[lq.id];
   ++qc.answers;
   ++qc.fresh;
   qc.bits_on_air += d.bits;
   qc.messages += d.messages;
-  if (lq.path == Path::kStats || lq.path == Path::kDistinct) {
-    const SharedPlanStats waves_after = scheduler_->stats();
+  if (lq.path == Path::kDistinct) {
     GroupCost& gc = group_costs_[lq.group];
     gc.bits_on_air += d.bits;
     gc.messages += d.messages;
-    gc.collections += (waves_after.stats_waves - waves_before.stats_waves) +
-                      (waves_after.distinct_waves -
-                       waves_before.distinct_waves);
+    gc.collections +=
+        scheduler_->stats().distinct_waves - waves_before.distinct_waves;
   }
 
   obs::TraceRing& ring = obs::TraceRing::global();
@@ -445,7 +430,6 @@ Answer QueryService::answer_fresh(const LiveQuery& lq) {
 std::vector<Answer> QueryService::run_epoch(
     std::span<const SensorUpdate> updates) {
   ++epoch_;
-  stored_this_epoch_.clear();
   const SimTime epoch_t0 = deployment_.net.now();
 
   // Apply the batch under the drift model the cache's soundness rests on.
@@ -478,77 +462,21 @@ std::vector<Answer> QueryService::run_epoch(
     mark_messages_ += d.messages;
   }
 
-  // Which stats groups must collect fresh this epoch? A single subscriber
-  // whose tolerance the cache cannot meet forces a fresh collection — and
-  // once it is paid, every due subscriber of the group rides it for free,
-  // so "partially cached" never happens within a group. With the cache off
-  // every due group collects.
-  std::vector<GroupId> fresh_needed;
-  std::map<GroupId, QueryId> first_due;  // each due group's first subscriber
   const auto is_due = [&](const LiveQuery& lq) {
     return lq.every != 0 && epoch_ > lq.registered_epoch &&
            (epoch_ - lq.registered_epoch) % lq.every == 0;
   };
+  std::vector<const LiveQuery*> bundles;
   for (const auto& [id, lq] : live_) {
-    if (lq.path != Path::kStats || !is_due(lq)) continue;
-    first_due.try_emplace(lq.group, id);
-    if (!config_.use_cache || !cache_could_serve(lq)) {
-      fresh_needed.push_back(lq.group);
-    }
+    if (lq.path == Path::kBundle && is_due(lq)) bundles.push_back(&lq);
   }
-  std::sort(fresh_needed.begin(), fresh_needed.end());
-  fresh_needed.erase(std::unique(fresh_needed.begin(), fresh_needed.end()),
-                     fresh_needed.end());
-
-  // One multiplexed wave collects every fresh group; the answers below
-  // re-read the collected bundles at zero cost. Each group's share of the
-  // wave goes to its first due subscriber (the marginal-cost rule).
-  const std::vector<WaveShare> shares =
-      scheduler_->collect_stats_batch(fresh_needed, epoch_);
-  for (std::size_t i = 0; i < fresh_needed.size(); ++i) {
-    QueryCost& qc = query_costs_[first_due.at(fresh_needed[i])];
-    qc.bits_on_air += shares[i].bits;
-    qc.messages += shares[i].messages;
-    GroupCost& gc = group_costs_[fresh_needed[i]];
-    gc.bits_on_air += shares[i].bits;
-    gc.messages += shares[i].messages;
-    gc.collections += shares[i].collected ? 1 : 0;
-  }
-
-  // The cube's planning pass routes every due cube query before any cube
-  // wave runs; the fresh ones share one batched serve (one cell collect,
-  // one residue wave), and each pays the waves of what it claimed first.
-  std::map<QueryId, CubeRoute> cube_routes;
-  std::vector<FreshCubeServe> fresh_cube;
-  for (const auto& [id, lq] : live_) {
-    if (lq.path == Path::kCube && is_due(lq)) {
-      cube_routes.emplace(id, route_cube(lq, fresh_cube));
-    }
-  }
-  const std::vector<cube::ServeResult> served =
-      cube_routes.empty() ? std::vector<cube::ServeResult>{}
-                          : cube_->serve_claimed(epoch_);
-
+  const std::vector<Answer> bundle_answers = serve_bundles(bundles);
+  auto next_bundle = bundle_answers.begin();
   std::vector<Answer> answers;
   for (const auto& [id, lq] : live_) {  // map order == id order
     if (!is_due(lq)) continue;
-    if (lq.path == Path::kCube) {
-      answers.push_back(answer_cube(lq, cube_routes.at(id), served));
-      continue;
-    }
-    const bool cacheable =
-        lq.path == Path::kStats &&
-        !std::binary_search(fresh_needed.begin(), fresh_needed.end(),
-                            lq.group);
-    if (cacheable) {
-      // Every due subscriber of a non-fresh group probed successfully in
-      // the planning pass, and nothing moved since — the lookup must hit.
-      const auto hit = cache_.lookup(lq.region, lq.q.agg, lq.q.error, epoch_);
-      SENSORNET_EXPECTS(hit.has_value());
-      answers.push_back(answer_cached(lq, *hit));
-    } else {
-      answers.push_back(answer_fresh(lq));
-    }
+    answers.push_back(lq.path == Path::kBundle ? *next_bundle++
+                                               : answer_fresh(lq));
   }
 
   obs::TraceRing& ring = obs::TraceRing::global();
@@ -571,7 +499,9 @@ TelemetrySnapshot QueryService::telemetry_snapshot() const {
   snap.queries = query_costs_;
   snap.groups = group_costs_;
   for (const auto& [id, lq] : live_) {
-    if (lq.path == Path::kExecutor || lq.path == Path::kCube) continue;
+    if (lq.path == Path::kExecutor || (lq.path == Path::kBundle && cube_)) {
+      continue;
+    }
     ++snap.groups[lq.group].subscribers;
   }
   return snap;

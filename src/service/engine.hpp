@@ -6,26 +6,36 @@
 // (`EVERY n EPOCHS`) queries, sensor updates arrive in per-epoch batches,
 // and due queries are answered each epoch with four cost levers:
 //
-//   1. Shared aggregation — live queries are grouped by (region, aggregate
-//      family), and every subscriber of a group rides its one collection
-//      per epoch. All stats groups due fresh in an epoch share a single
-//      multiplexed convergecast (see shared_plan.hpp).
+//   1. Shared aggregation — queries that one collection answers share it.
+//      Stats queries (and, with the cube, approximate COUNT_DISTINCT) are
+//      keyed by (region, sketch); a fresh key is one stats group, all of an
+//      epoch's fresh groups sharing a single multiplexed convergecast (see
+//      shared_plan.hpp), or, with use_cube, one plan in the cube's batch.
+//      Exact COUNT_DISTINCT shares one distinct group per region.
 //   2. Incremental re-evaluation — collections descend only into subtrees
-//      that changed since the group's last visit, driven by the scheduler's
-//      dirty marks.
+//      that changed since the group's or cell's last visit, driven by the
+//      scheduler's dirty marks.
 //   3. Bounded-error result cache — a query with an ERROR tolerance can be
 //      answered from a stale stats bundle when the deterministic drift
 //      bound (staleness x max_delta, see result_cache.hpp) fits its
 //      epsilon: zero bits on the air.
-//   4. Multiresolution cube — with use_cube on, cube-eligible queries route
-//      through cube::Cube: the planner decomposes the region into the
-//      bit-cheapest mix of maintained cube cells and residue collections.
-//      A planning pass routes every due cube query before any cube wave
-//      runs: it rides an earlier fresh serve of its region, or is served
-//      from the result cache, or (planned once) from per-cell drift
-//      brackets at zero bits, or joins the epoch's batch of fresh serves,
-//      in that order. The batch takes one cell collect and one residue
-//      wave (see cube.hpp).
+//   4. Multiresolution cube — with use_cube on, a key's collection is the
+//      planner's bit-cheapest mix of maintained cube cells and residue
+//      collections; a plan of cells alone can also answer from per-cell
+//      drift brackets at zero bits. The batch of an epoch takes one cell
+//      collect and one residue wave (see cube.hpp).
+//
+// One routing rule serves every key, an epoch's due queries or a one-shot
+// admission (a batch of one) alike. A planning pass walks the due queries
+// in id order before any wave runs: a query whose key already goes fresh
+// rides it; otherwise it probes the cache, then (with the cube) plans once
+// and tries the plan's cell brackets — skipped when the plan is priced at 0
+// bits, as it then composes exactly for free. A query with no zero-bit
+// answer sends its key fresh. A fresh key answers every due query of the
+// key exactly, and its first due query pays the key's wave shares; every
+// other query gets the zero-bit answer its own probe found. Fresh bundles
+// enter the cache only after the last answer, so no store can evict an
+// entry a probe approved.
 //
 // Concurrency model: submit_batch() parses, plans and canonicalizes regions
 // on a deterministic work-stealing farm (pure, per-cell work); everything
@@ -67,7 +77,7 @@ struct ServiceConfig {
   /// Off = the naive baseline: every due query re-runs the one-shot
   /// executor, no marks, no cache. The bench's comparator.
   bool share_aggregation = true;
-  /// Cache applies to the shared stats path and the cube path.
+  /// Cache applies to the bundle path (stats groups or cube).
   bool use_cache = true;
   /// Route cube-eligible queries through the multiresolution cube. Off by
   /// default: the cube pays cell-refresh bits, which only amortize under a
@@ -118,23 +128,22 @@ struct ServiceTelemetry {
   std::uint64_t fresh_stats_answers = 0;
   std::uint64_t distinct_answers = 0;
   std::uint64_t executor_runs = 0;
-  /// Cube-path serves: fresh (composed from the epoch's batch, riders
-  /// included) vs stale (zero-bit per-cell drift brackets that met the
-  /// tolerance).
+  /// Cube-backed answers: fresh (composed from the epoch's batch, every
+  /// due query of a fresh key included) vs stale (zero-bit per-cell drift
+  /// brackets that met the tolerance).
   std::uint64_t cube_fresh_answers = 0;
   std::uint64_t cube_stale_answers = 0;
   std::uint64_t updates_applied = 0;
 };
 
 /// Where one query's cost went, accumulated over its lifetime. Bits and
-/// messages follow the marginal-cost rule: the first due subscriber of a
-/// group each epoch pays the group's collection — for stats groups, its
-/// share of the epoch's multiplexed wave (see WaveShare) — and everyone
-/// after rides it for free; on the cube path, the first fresh query to
-/// claim a cell or residue pays its share of the epoch's waves (see
-/// cube::ServeResult). Summing bits_on_air over queries (plus the
-/// service-level mark wave and the groups' install broadcasts) therefore
-/// reproduces the network total.
+/// messages follow the marginal-cost rule: the first due query of a fresh
+/// key or group each epoch pays its collection — the stats group's share
+/// of the epoch's multiplexed wave (see WaveShare), or the key's share of
+/// the cube batch's waves, the cells and residues its plan claimed first
+/// (see cube::ServeResult) — and everyone after rides it for free. Summing
+/// bits_on_air over queries (plus the service-level mark wave and the
+/// groups' install broadcasts) therefore reproduces the network total.
 struct QueryCost {
   std::uint64_t answers = 0;
   std::uint64_t cache_hits = 0;    // answered from the result cache
@@ -221,9 +230,8 @@ class QueryService {
  private:
   /// How the service routes a query each time it is due.
   enum class Path {
-    kStats,     // shared stats-bundle group + result cache
+    kBundle,    // (region, sketch) keys: cube covers or stats groups
     kDistinct,  // shared distinct group
-    kCube,      // multiresolution cube cover (cache -> brackets -> fresh)
     kExecutor,  // per-query one-shot executor (median/quantile, naive mode)
   };
 
@@ -233,7 +241,7 @@ class QueryService {
     query::CostedPlan plan;
     query::RegionSignature region;
     Path path = Path::kExecutor;
-    GroupId group = 0;  // kStats/kDistinct only
+    GroupId group = 0;  // kDistinct, and kBundle without the cube
     std::uint32_t registered_epoch = 0;
     std::uint32_t every = 0;  // 0 for one-shot
   };
@@ -249,44 +257,15 @@ class QueryService {
 
   ParsedQuery parse_and_plan(const std::string& text) const;
   Admission admit(ParsedQuery&& parsed);
+  /// Answers kDistinct and kExecutor queries, charging the bits it spends.
   Answer answer_fresh(const LiveQuery& lq);
+  /// Answers the due kBundle queries (id order) of one serve — an epoch, or
+  /// a one-shot admission as a batch of one — by the routing rule in the
+  /// file comment. Answers come back aligned with `due`.
+  std::vector<Answer> serve_bundles(std::span<const LiveQuery* const> due);
   /// Serves a lookup() hit the caller already holds — the cache is asked
   /// exactly once per serve, so its hit counter matches answers served.
   Answer answer_cached(const LiveQuery& lq, const CachedAnswer& hit);
-  /// A cube query's tier for one serve, decided by the planning pass.
-  struct CubeRoute {
-    enum class Tier { kRider, kCache, kBracket, kFresh };
-    Tier tier = Tier::kFresh;
-    cube::BracketedAnswer bracket;  // kBracket: the answer to serve
-    /// kFresh: the plan's place in the cube's batch; kRider: the place of
-    /// the fresh serve it rides.
-    std::size_t batch = 0;
-  };
-  /// A fresh serve routed so far in one serve of the cube path.
-  struct FreshCubeServe {
-    query::RegionSignature region;
-    bool sketch = false;  // COUNT_DISTINCT
-    std::size_t batch = 0;
-  };
-  /// The cube path's planning pass for one query, tiers in order: ride an
-  /// earlier fresh serve of the same region and kind (in `fresh`); a cache
-  /// probe; one plan (cells claimed earlier in the batch price at 0) and
-  /// its zero-bit per-cell drift brackets; else claim the plan for the
-  /// batched fresh serve and note it in `fresh`. Runs before any cube wave
-  /// of the serve.
-  CubeRoute route_cube(const LiveQuery& lq,
-                       std::vector<FreshCubeServe>& fresh);
-  /// Answers a routed cube query, in id order after the batch was served
-  /// (`served`): the cache lookup, the planning pass's bracket, or the
-  /// batch's composition (a rider first tries the entry its fresh serve
-  /// stored).
-  Answer answer_cube(const LiveQuery& lq, const CubeRoute& route,
-                     const std::vector<cube::ServeResult>& served);
-  /// Stores a fresh bundle in the cache unless the region was already
-  /// stored this epoch (no-op with the cache off).
-  void store_once(const query::RegionSignature& region,
-                  const StatsBundle& bundle);
-  bool cache_could_serve(const LiveQuery& lq) const;
 
   query::Deployment deployment_;
   ServiceConfig config_;
@@ -304,12 +283,6 @@ class QueryService {
   QueryId next_id_ = 1;
   std::map<QueryId, LiveQuery> live_;  // ordered: answers come out by id
   std::vector<std::uint32_t> last_update_epoch_;  // per node, 0 = never
-  /// Regions already stored in the cache this epoch (store-once guard).
-  /// Keyed by region for both Path::kStats (stats groups map 1:1 to
-  /// regions) and Path::kCube (cube serves have no group id); the two
-  /// paths never store in the same service, since with use_cube every
-  /// stats-family plan is cube-eligible.
-  std::vector<query::RegionSignature> stored_this_epoch_;
   ServiceTelemetry telemetry_;
 
   // ---- cost attribution ledgers (see TelemetrySnapshot) -----------------

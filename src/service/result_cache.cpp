@@ -18,7 +18,6 @@ ResultCache::ResultCache(Value max_value_bound, Value max_delta,
 void ResultCache::store(const query::RegionSignature& region,
                         std::uint32_t epoch, const StatsBundle& bundle) {
   entries_[region] = Entry{epoch, bundle};
-  ++stores_;
   if (entries_.size() > capacity_) {
     // Evict the stalest entry — it is both the least likely to satisfy a
     // tolerance and the first to expire outright.
@@ -43,46 +42,14 @@ std::optional<CachedAnswer> ResultCache::bracket(
   if (!region.whole_domain && staleness > horizon_epochs_) return std::nullopt;
   const double d =
       static_cast<double>(staleness) * static_cast<double>(max_delta_);
-  const StatsBundle& b = e.bundle;
   // Whole-domain entries clamp to the full value domain; ranged entries to
   // their own region (a range aggregate cannot leave its range).
-  const double rail_lo =
-      region.whole_domain ? 0.0 : static_cast<double>(region.lo);
-  const double rail_hi = region.whole_domain
-                             ? static_cast<double>(max_value_bound_)
-                             : static_cast<double>(region.hi);
-  const cube::BundleBracket br =
-      cube::bracket_bundle(b, region.whole_domain, d, rail_lo, rail_hi);
-
-  switch (agg) {
-    case query::AggregateKind::kCount:
-      return cube::make_answer(static_cast<double>(b.core.count), br.count_lo,
-                               br.count_hi);
-    case query::AggregateKind::kSum:
-      return cube::make_answer(static_cast<double>(b.core.sum), br.sum_lo,
-                               br.sum_hi);
-    case query::AggregateKind::kAvg: {
-      if (b.core.count == 0) return std::nullopt;  // empty selection
-      if (br.count_lo <= 0.0) return std::nullopt;  // count could hit zero
-      const double value = static_cast<double>(b.core.sum) /
-                           static_cast<double>(b.core.count);
-      return cube::make_answer(value, br.sum_lo / br.count_hi,
-                               br.sum_hi / br.count_lo);
-    }
-    case query::AggregateKind::kMin:
-      if (b.core.count == 0 || !br.defined) return std::nullopt;
-      return cube::make_answer(static_cast<double>(b.core.min), br.min_lo,
-                               br.min_hi);
-    case query::AggregateKind::kMax:
-      if (b.core.count == 0 || !br.defined) return std::nullopt;
-      return cube::make_answer(static_cast<double>(b.core.max), br.max_lo,
-                               br.max_hi);
-    case query::AggregateKind::kMedian:
-    case query::AggregateKind::kQuantile:
-    case query::AggregateKind::kCountDistinct:
-      return std::nullopt;
-  }
-  return std::nullopt;
+  cube::BracketComposer composer;
+  composer.add(e.bundle, region.whole_domain, d,
+               region.whole_domain ? 0.0 : static_cast<double>(region.lo),
+               static_cast<double>(region.whole_domain ? max_value_bound_
+                                                       : region.hi));
+  return composer.answer(agg);
 }
 
 std::optional<CachedAnswer> ResultCache::check(

@@ -1,21 +1,23 @@
 // Result cache with deterministic error bounds (the PASS idea).
 //
-// The query service collects, per shared-aggregation group, a *stats bundle*
+// The query service collects, per bundle-path key, a *stats bundle*
 // (cube::StatsBundle): COUNT/SUM/MIN/MAX over the query region plus the same
 // four aggregates over a margin-shrunk ("inner") and margin-grown ("outer")
 // copy of the region. Under the model's drift assumption — a sensor's
 // reading moves by at most `max_delta` per epoch and stays in
 // [0, max_value_bound] — a bundle frozen at epoch t still brackets the
-// *current* aggregate at epoch t + s. The bracket arithmetic itself lives in
-// cube::bracket_bundle (one home, shared with the multiresolution cube's
-// per-cell staleness bounds); this file is the region-keyed store and the
-// hit/miss policy on top of it.
+// *current* aggregate at epoch t + s. An entry is one part of
+// cube::BracketComposer at drift s * max_delta (one home of the bracket
+// arithmetic, shared with the cube's per-cell brackets and the service's
+// exact answers); this file is the region-keyed store and the hit/miss
+// policy on top of it.
 //
 // A lookup is a *hit* when the bracket's half-width satisfies the query's
 // requested ERROR tolerance (interpreted relative to the answer); queries
-// without ERROR only hit when the bound is exactly zero (e.g. a repeated
-// query within the same epoch, or whole-domain COUNT). Hits are answered
-// without touching the network — zero bits.
+// without ERROR only hit when the bound is exactly zero: at staleness 0 (a
+// repeat within the entry's epoch, ranged or not), with max_delta 0, or for
+// whole-domain COUNT. Hits are answered without touching the network —
+// zero bits.
 #pragma once
 
 #include <cstdint>
@@ -77,24 +79,22 @@ class ResultCache {
                                      std::uint32_t now_epoch) const;
 
   /// Same answer as lookup(), but a success counts nothing: the service's
-  /// planning pass probes every due subscriber to decide which groups need
-  /// a fresh collection, and a groupmate's veto can force a query whose
-  /// probe succeeded to be answered fresh anyway. Failures still classify
-  /// (miss/expired/absent) — a failed probe IS the reason bits get spent.
+  /// planning pass probes due queries to decide which keys go fresh, and a
+  /// later query of the same key can send it fresh after this one's probe
+  /// succeeded. Failures still classify (miss/expired/absent) — a failed
+  /// probe IS the reason bits get spent.
   std::optional<CachedAnswer> probe(const query::RegionSignature& region,
                                     query::AggregateKind agg,
                                     std::optional<double> epsilon,
                                     std::uint32_t now_epoch) const;
 
   /// The raw bracket (no epsilon gate) — what lookup() compares against the
-  /// tolerance. Exposed for tests and for the service's "could the cache
-  /// serve this group" probe.
+  /// tolerance.
   std::optional<CachedAnswer> bracket(const query::RegionSignature& region,
                                       query::AggregateKind agg,
                                       std::uint32_t now_epoch) const;
 
   std::size_t size() const { return entries_.size(); }
-  std::uint64_t stores() const { return stores_; }
   const CacheCounters& counters() const { return counters_; }
 
  private:
@@ -114,7 +114,6 @@ class ResultCache {
   Value max_delta_;
   std::uint32_t horizon_epochs_;
   std::size_t capacity_;
-  std::uint64_t stores_ = 0;
   // Outcome telemetry is observability, not state: const lookups may count.
   mutable CacheCounters counters_;
   std::map<query::RegionSignature, Entry> entries_;

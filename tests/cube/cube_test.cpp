@@ -214,13 +214,37 @@ TEST(Cube, StaleBracketContainsTheDriftedTruth) {
   ASSERT_TRUE(count.has_value());
   EXPECT_TRUE(count->exact);
   EXPECT_EQ(count->value, 64.0);
-  // Raw brackets serve nothing; only serve_stale() successes count.
+  EXPECT_FALSE(
+      f.cube.stale_bracket(plan, query::AggregateKind::kSum, 3)->exact);
+  // Raw brackets serve nothing; only the brackets a caller serves count.
   EXPECT_EQ(f.cube.stats().stale_serves, 0u);
-  EXPECT_FALSE(f.cube.serve_stale(plan, query::AggregateKind::kSum,
-                                  std::nullopt, 3));
-  EXPECT_TRUE(
-      f.cube.serve_stale(plan, query::AggregateKind::kCount, std::nullopt, 3));
+  f.cube.note_stale_serve();
   EXPECT_EQ(f.cube.stats().stale_serves, 1u);
+}
+
+TEST(Cube, StaleBracketAtARefreshEpochIsExact) {
+  Fixture f;
+  // [0, 499] is exactly cell (1, 0): a ranged cell, so its drift bracket
+  // would span inner to outer at any drift above zero.
+  const query::CostedPlan plan =
+      f.plan_for("SELECT SUM(v) FROM s WHERE v BETWEEN 0 AND 499");
+  ASSERT_EQ(plan.steps.size(), 1u);
+  ASSERT_EQ(plan.steps[0].kind, query::StepKind::kCubeCell);
+  f.cube.serve(plan, 3);
+  const RangeStats truth = direct_core(f.net, plan.region);
+  for (const query::AggregateKind agg :
+       {query::AggregateKind::kCount, query::AggregateKind::kSum,
+        query::AggregateKind::kAvg, query::AggregateKind::kMin,
+        query::AggregateKind::kMax}) {
+    const auto br = f.cube.stale_bracket(plan, agg, 3);
+    ASSERT_TRUE(br.has_value()) << agg_name(agg);
+    EXPECT_TRUE(br->exact) << agg_name(agg);
+    EXPECT_EQ(br->bound, 0.0) << agg_name(agg);
+  }
+  EXPECT_EQ(f.cube.stale_bracket(plan, query::AggregateKind::kSum, 3)->value,
+            static_cast<double>(truth.sum));
+  EXPECT_FALSE(
+      f.cube.stale_bracket(plan, query::AggregateKind::kSum, 4)->exact);
 }
 
 TEST(Cube, StaleBracketOnARangedCellIsSoundWithinTheHorizon) {

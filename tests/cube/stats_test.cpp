@@ -139,6 +139,76 @@ TEST(BracketBundle, AllEmptyBundleIsImpossible) {
   EXPECT_EQ(br.count_hi, 0.0);
 }
 
+TEST(BracketBundle, DriftZeroIsTheCoreForRangedBundles) {
+  StatsBundle b;
+  b.core = observed({30, 50});
+  b.inner = observed({50});
+  b.outer = observed({28, 30, 50});
+  const BundleBracket br = bracket_bundle(b, false, /*drift=*/0.0, 20.0, 80.0);
+  EXPECT_EQ(br.count_lo, 2.0);
+  EXPECT_EQ(br.count_hi, 2.0);
+  EXPECT_EQ(br.sum_lo, 80.0);
+  EXPECT_EQ(br.sum_hi, 80.0);
+  EXPECT_EQ(br.min_lo, 30.0);
+  EXPECT_EQ(br.min_hi, 30.0);
+}
+
+TEST(BracketComposer, PartsAtDriftZeroAnswerExactly) {
+  StatsBundle a;
+  a.core = observed({30, 50});
+  a.outer = observed({28, 30, 50});  // margins play no part at drift 0
+  StatsBundle b;
+  b.core = observed({90});
+  BracketComposer c;
+  c.add(a, false, 0.0, 20.0, 80.0);
+  c.add(b, false, 0.0, 81.0, 100.0);
+  const auto check = [&](query::AggregateKind agg, double value) {
+    const auto ans = c.answer(agg);
+    ASSERT_TRUE(ans.has_value()) << query::agg_name(agg);
+    EXPECT_EQ(ans->value, value) << query::agg_name(agg);
+    EXPECT_TRUE(ans->exact) << query::agg_name(agg);
+  };
+  check(query::AggregateKind::kCount, 3.0);
+  check(query::AggregateKind::kSum, 170.0);
+  check(query::AggregateKind::kAvg, 170.0 / 3.0);
+  check(query::AggregateKind::kMin, 30.0);
+  check(query::AggregateKind::kMax, 90.0);
+  EXPECT_FALSE(c.answer(query::AggregateKind::kMedian).has_value());
+  EXPECT_FALSE(c.answer(query::AggregateKind::kCountDistinct).has_value());
+}
+
+TEST(BracketComposer, SumsPartsAtTheirOwnDrift) {
+  // A fresh part adds its exact core; a stale one its drift interval.
+  StatsBundle fresh;
+  fresh.core = observed({40, 60});
+  StatsBundle stale;
+  stale.core = observed({10});
+  stale.inner = stale.core;
+  stale.outer = stale.core;
+  BracketComposer c;
+  c.add(fresh, false, 0.0, 30.0, 70.0);
+  c.add(stale, true, 3.0, 0.0, 100.0);
+  const auto sum = c.answer(query::AggregateKind::kSum);
+  ASSERT_TRUE(sum.has_value());
+  EXPECT_EQ(sum->value, 110.0);
+  EXPECT_EQ(sum->bound, 3.0);  // only the stale part's one reading drifts
+  const auto min = c.answer(query::AggregateKind::kMin);
+  ASSERT_TRUE(min.has_value());
+  EXPECT_EQ(min->value, 10.0);
+  EXPECT_EQ(min->bound, 3.0);
+}
+
+TEST(BracketComposer, EmptySelectionsRefuseValueAggregates) {
+  BracketComposer c;
+  c.add(StatsBundle{}, false, 0.0, 20.0, 80.0);
+  const auto count = c.answer(query::AggregateKind::kCount);
+  ASSERT_TRUE(count.has_value());
+  EXPECT_TRUE(count->exact);
+  EXPECT_EQ(count->value, 0.0);
+  EXPECT_FALSE(c.answer(query::AggregateKind::kMin).has_value());
+  EXPECT_FALSE(c.answer(query::AggregateKind::kAvg).has_value());
+}
+
 TEST(MakeAnswer, BoundIsTheFartherRail) {
   const BracketedAnswer a = make_answer(10.0, 7.0, 11.0);
   EXPECT_EQ(a.value, 10.0);

@@ -1,0 +1,252 @@
+// Seeded differential test of the whole service against an exact mirror.
+//
+// Each seed draws one script — submits (COUNT/SUM/AVG/MIN/MAX, with and
+// without WHERE, ERROR and EVERY), cancels, and update batches that obey
+// the drift model — and replays it on every service configuration: naive,
+// shared, shared + cache, cube, cube + cache. Every configuration must
+//   - answer exact answers with the mirror's value,
+//   - contain the mirror's value in every deterministically bounded answer,
+//   - account for every bit on the air: query bits, mark bits and group
+//     install broadcasts add up to the network total.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <map>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "src/common/rng.hpp"
+#include "src/net/topology.hpp"
+#include "src/service/engine.hpp"
+
+namespace sensornet::service {
+namespace {
+
+constexpr Value kBound = 1000;
+constexpr Value kMaxDelta = 4;  // the ServiceConfig default
+constexpr unsigned kSide = 7;
+constexpr NodeId kNodes = kSide * kSide;
+constexpr std::uint32_t kEpochs = 16;
+
+/// One submitted query: its text and what the mirror needs to check it.
+struct Submit {
+  std::string text;
+  query::AggregateKind agg = query::AggregateKind::kCount;
+  Value lo = 0, hi = kBound;
+};
+
+/// One epoch of the script: submits and cancels (by submission index, so
+/// the same query in every configuration), then the update batch.
+struct Step {
+  std::vector<Submit> submits;
+  std::vector<std::size_t> cancels;
+  std::vector<SensorUpdate> updates;
+};
+
+struct Script {
+  std::vector<Value> initial;
+  std::vector<Step> steps;
+};
+
+Script draw_script(std::uint64_t seed) {
+  Xoshiro256 rng(seed);
+  Script script;
+  script.initial.resize(kNodes);
+  for (Value& v : script.initial) v = static_cast<Value>(rng.next_below(400));
+
+  // A few shared regions, so keys collide: whole domain, cube-aligned
+  // cells, and unaligned ranges that need residues.
+  const std::vector<std::pair<Value, Value>> regions{
+      {0, kBound}, {0, 499}, {100, 300}, {150, 260}, {37, 213}, {250, kBound}};
+  const query::AggregateKind aggs[] = {
+      query::AggregateKind::kCount, query::AggregateKind::kSum,
+      query::AggregateKind::kAvg, query::AggregateKind::kMin,
+      query::AggregateKind::kMax};
+  const char* errors[] = {nullptr, "0.1", "0.5"};
+
+  // Drift near the model's worst case, so loose bounds show: most nodes
+  // keep moving the full max_delta in one direction, upward more often
+  // than not, turning back at the rails.
+  std::vector<Value> mirror = script.initial;
+  std::vector<Value> direction(kNodes);
+  for (Value& d : direction) d = rng.next_bool(0.7) ? 1 : -1;
+  std::size_t submitted = 0;
+  for (std::uint32_t e = 0; e < kEpochs; ++e) {
+    Step step;
+    for (auto k = rng.next_below(5); k > 0; --k) {
+      Submit s;
+      s.agg = aggs[rng.next_below(5)];
+      const auto [lo, hi] = regions[rng.next_below(regions.size())];
+      s.lo = lo;
+      s.hi = hi;
+      std::ostringstream os;
+      os << "SELECT " << query::agg_name(s.agg) << "(v) FROM s";
+      if (lo != 0 || hi != kBound) {
+        os << " WHERE v BETWEEN " << lo << " AND " << hi;
+      }
+      if (rng.next_below(4) != 0) {
+        os << " EVERY " << 1 + rng.next_below(3) << " EPOCHS";
+      }
+      if (const char* err = errors[rng.next_below(3)]) os << " ERROR " << err;
+      s.text = os.str();
+      step.submits.push_back(s);
+    }
+    submitted += step.submits.size();
+    if (submitted > 0 && rng.next_bool(0.3)) {
+      step.cancels.push_back(rng.next_below(submitted));
+    }
+    for (NodeId u = 0; u < kNodes; ++u) {
+      if (!rng.next_bool(0.75)) continue;
+      const Value next = mirror[u] + direction[u] * kMaxDelta;
+      if (next < 0 || next > kBound) direction[u] = -direction[u];
+      mirror[u] = std::clamp<Value>(next, 0, kBound);
+      step.updates.push_back(SensorUpdate{u, mirror[u]});
+    }
+    script.steps.push_back(std::move(step));
+  }
+  return script;
+}
+
+struct Config {
+  const char* name;
+  bool share_aggregation;
+  bool use_cache;
+  bool use_cube;
+};
+
+/// Replays `script` on one configuration and checks every answer; returns
+/// the service's totals.
+ServiceTelemetry replay(const Script& script, const Config& c) {
+  SCOPED_TRACE(c.name);
+  sim::Network net(net::make_grid(kSide, kSide), /*master_seed=*/5);
+  const net::SpanningTree tree = net::bfs_tree(net.graph(), 0);
+  net.set_one_item_per_node(script.initial);
+  ServiceConfig cfg;
+  cfg.max_delta = kMaxDelta;
+  cfg.share_aggregation = c.share_aggregation;
+  cfg.use_cache = c.use_cache;
+  cfg.use_cube = c.use_cube;
+  QueryService svc(query::Deployment{net, tree, kBound}, cfg);
+  const bool naive = !c.share_aggregation && !c.use_cube;
+
+  std::vector<Value> mirror = script.initial;
+  std::vector<Submit> submits;   // by submission index
+  std::map<QueryId, std::size_t> submit_of;
+  std::vector<QueryId> ids;      // by submission index (0: one-shot)
+  std::uint64_t install_bits = 0;
+  std::uint64_t checked = 0;
+
+  const auto check = [&](const Answer& a) {
+    const Submit& s = submits[submit_of.at(a.id)];
+    SCOPED_TRACE(s.text);
+    RangeStats truth;
+    for (const Value v : mirror) {
+      if (v >= s.lo && v <= s.hi) truth.observe(v);
+    }
+    double value = 0.0;
+    switch (s.agg) {
+      case query::AggregateKind::kCount:
+        value = static_cast<double>(truth.count);
+        break;
+      case query::AggregateKind::kSum:
+        value = static_cast<double>(truth.sum);
+        break;
+      case query::AggregateKind::kMin:
+        value = static_cast<double>(truth.min);
+        break;
+      case query::AggregateKind::kMax:
+        value = static_cast<double>(truth.max);
+        break;
+      default:
+        value = truth.count == 0 ? 0.0
+                                 : static_cast<double>(truth.sum) /
+                                       static_cast<double>(truth.count);
+    }
+    const bool undefined = truth.count == 0 &&
+                           s.agg != query::AggregateKind::kCount &&
+                           s.agg != query::AggregateKind::kSum;
+    ++checked;
+    if (a.exact) {
+      if (undefined) {
+        // The naive executor has no empty-selection flag.
+        if (!naive) {
+          EXPECT_TRUE(a.empty_selection);
+        }
+        return;
+      }
+      EXPECT_DOUBLE_EQ(a.value, value) << "epoch " << a.epoch;
+    } else if (a.error_bound > 0.0) {
+      ASSERT_FALSE(undefined);
+      EXPECT_LE(std::abs(a.value - value), a.error_bound + 1e-9)
+          << "epoch " << a.epoch;
+    } else {
+      // A randomized estimate (naive mode's approximate protocols) carries
+      // a statistical guarantee, not a deterministic bound.
+      EXPECT_TRUE(naive);
+    }
+  };
+
+  for (const Step& step : script.steps) {
+    for (const Submit& s : step.submits) {
+      const std::uint64_t before = net.summary(true).total_bits;
+      const auto r = svc.submit(s.text);
+      if (!r.ok()) {
+        ADD_FAILURE() << s.text << ": " << r.error();
+        return {};
+      }
+      submit_of[r.value().id] = submits.size();
+      submits.push_back(s);
+      ids.push_back(r.value().continuous ? r.value().id : 0);
+      // What admission shipped beyond the query's own answer is its
+      // group's install broadcast.
+      const TelemetrySnapshot snap = svc.telemetry_snapshot();
+      const auto own = snap.queries.find(r.value().id);
+      install_bits += net.summary(true).total_bits - before -
+                      (own == snap.queries.end() ? 0 : own->second.bits_on_air);
+      if (r.value().answer) check(*r.value().answer);
+    }
+    for (const std::size_t k : step.cancels) {
+      if (ids[k] != 0) svc.cancel(ids[k]);
+    }
+    for (const SensorUpdate& u : step.updates) mirror[u.node] = u.value;
+    for (const Answer& a : svc.run_epoch(step.updates)) check(a);
+  }
+  EXPECT_GT(checked, 0u);
+
+  const TelemetrySnapshot snap = svc.telemetry_snapshot();
+  std::uint64_t attributed = snap.mark_bits_on_air + install_bits;
+  for (const auto& [id, qc] : snap.queries) attributed += qc.bits_on_air;
+  EXPECT_EQ(attributed, net.summary(true).total_bits);
+  EXPECT_EQ(snap.cache.hits, snap.totals.cache_hits);
+  return snap.totals;
+}
+
+TEST(ServiceDifferential, EveryConfigurationAgreesWithTheMirror) {
+  const Config configs[] = {
+      {"naive", false, false, false},
+      {"shared", true, false, false},
+      {"shared+cache", true, true, false},
+      {"cube", true, false, true},
+      {"cube+cache", true, true, true},
+  };
+  std::uint64_t cache_hits = 0;
+  std::uint64_t brackets = 0;
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+    SCOPED_TRACE(testing::Message() << "seed " << seed);
+    const Script script = draw_script(seed);
+    for (const Config& c : configs) {
+      const ServiceTelemetry t = replay(script, c);
+      cache_hits += t.cache_hits;
+      brackets += t.cube_stale_answers;
+    }
+  }
+  // The scripts reach the zero-bit tiers, not only fresh collections.
+  EXPECT_GT(cache_hits, 0u);
+  EXPECT_GT(brackets, 0u);
+}
+
+}  // namespace
+}  // namespace sensornet::service

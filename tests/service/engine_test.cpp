@@ -165,23 +165,6 @@ TEST(QueryService, CacheServesTolerantContinuousQueries) {
   EXPECT_EQ(f.svc.telemetry().cache_hits, 3u);
 }
 
-TEST(QueryService, ExactSubscriberForcesFreshCollectionForTheGroup) {
-  Fixture f;
-  // Same region, one tolerant and one exact subscriber: the exact one
-  // forces a fresh collection each due epoch, and both then ride it.
-  f.svc.submit("SELECT AVG(v) FROM s EVERY 1 EPOCHS ERROR 0.2").value();
-  f.svc.submit("SELECT AVG(v) FROM s EVERY 1 EPOCHS").value();
-  f.svc.run_epoch({});
-  std::vector<SensorUpdate> batch{f.drift(9, 3)};
-  const auto answers = f.svc.run_epoch(batch);
-  ASSERT_EQ(answers.size(), 2u);
-  for (const Answer& a : answers) {
-    EXPECT_FALSE(a.from_cache);
-    EXPECT_TRUE(a.exact);
-    EXPECT_DOUBLE_EQ(a.value, f.exact("AVG", 0, kBound));
-  }
-}
-
 TEST(QueryService, SharedGroupsCollectOncePerEpoch) {
   Fixture f;
   // Eight exact subscribers over the same region: one wave serves all.
@@ -538,6 +521,41 @@ TEST(QueryService, CubeStaleServesCountOnlyServedBrackets) {
   EXPECT_EQ(snap.totals.cube_fresh_answers, 2u + 4u);
 }
 
+TEST(QueryService, CubeBracketOfAKeyThatGoesFreshIsNotServed) {
+  ServiceConfig cfg;
+  cfg.use_cube = true;
+  cfg.use_cache = false;
+  Fixture f{cfg};
+  // [0, 499] is one cube cell. The tolerant query's bracket fits each
+  // epoch, but the exact query on the same region sends the key fresh, so
+  // both answer exactly and no bracket counts as served.
+  const char* tolerant =
+      "SELECT SUM(v) FROM s WHERE v BETWEEN 0 AND 499 EVERY 1 EPOCHS "
+      "ERROR 0.5";
+  f.svc.submit(tolerant).value();
+  f.svc.submit("SELECT MAX(v) FROM s WHERE v BETWEEN 0 AND 499 "
+               "EVERY 1 EPOCHS")
+      .value();
+  f.svc.run_epoch({});
+  const query::CostedPlan plan =
+      f.svc.planner().plan(query::parse_query(tolerant)).value();
+  for (int e = 0; e < 3; ++e) {
+    const std::vector<SensorUpdate> batch{f.drift(5, 2)};
+    const auto br = f.svc.cube()->stale_bracket(
+        plan, query::AggregateKind::kSum, f.svc.epoch() + 1);
+    ASSERT_TRUE(br.has_value());
+    EXPECT_LE(br->bound, cube::tolerance_for(0.5, br->value));
+    const auto answers = f.svc.run_epoch(batch);
+    ASSERT_EQ(answers.size(), 2u);
+    EXPECT_TRUE(answers[0].exact);
+    EXPECT_DOUBLE_EQ(answers[0].value, f.exact("SUM", 0, 499));
+  }
+  const TelemetrySnapshot snap = f.svc.telemetry_snapshot();
+  EXPECT_EQ(snap.totals.cube_stale_answers, 0u);
+  EXPECT_EQ(snap.cube.stale_serves, 0u);
+  EXPECT_EQ(snap.totals.cube_fresh_answers, 2u * 4u);
+}
+
 TEST(QueryService, CubeAnswersExactlyWhenAFreshServeIsFree) {
   ServiceConfig cfg;
   cfg.use_cube = true;
@@ -651,6 +669,96 @@ TEST(QueryService, CubeServesDistinctFromMaintainedSketches) {
   EXPECT_DOUBLE_EQ(ca.value().answer->value, na.value().answer->value);
   EXPECT_EQ(c.svc.telemetry().cube_fresh_answers, 1u);
 }
+
+/// The bundle path's two backends, each with the result cache on.
+struct BundleBackend {
+  const char* name;
+  bool use_cube;
+  friend void PrintTo(const BundleBackend& b, std::ostream* os) {
+    *os << b.name;
+  }
+};
+
+class BundlePath : public ::testing::TestWithParam<BundleBackend> {
+ protected:
+  static ServiceConfig config() {
+    ServiceConfig cfg;
+    cfg.use_cube = GetParam().use_cube;
+    return cfg;
+  }
+};
+
+TEST_P(BundlePath, ExactSubscriberForcesFreshCollectionForTheKey) {
+  Fixture f{config()};
+  // One ranged region, a tolerant subscriber first and an exact one second:
+  // the exact one sends the key fresh each due epoch, and the tolerant one
+  // then rides that collection instead of its cache hit.
+  const auto tolerant =
+      f.svc.submit("SELECT SUM(v) FROM s WHERE v BETWEEN 20 AND 260 "
+                   "EVERY 1 EPOCHS ERROR 0.5")
+          .value();
+  const auto exact =
+      f.svc.submit("SELECT COUNT(v) FROM s WHERE v BETWEEN 20 AND 260 "
+                   "EVERY 1 EPOCHS")
+          .value();
+  const std::uint64_t install_bits = f.net.summary(true).total_bits;
+  for (int e = 0; e < 4; ++e) {
+    const std::vector<SensorUpdate> batch{f.drift(9, 3), f.drift(22, -2)};
+    const auto answers = f.svc.run_epoch(batch);
+    ASSERT_EQ(answers.size(), 2u);
+    for (const Answer& a : answers) {
+      EXPECT_FALSE(a.from_cache);
+      EXPECT_TRUE(a.exact);
+      EXPECT_EQ(a.error_bound, 0.0);
+    }
+    EXPECT_DOUBLE_EQ(answers[0].value, f.exact("SUM", 20, 260));
+    EXPECT_DOUBLE_EQ(answers[1].value, f.exact("COUNT", 20, 260));
+  }
+  const TelemetrySnapshot snap = f.svc.telemetry_snapshot();
+  // Some tolerant probe found its entry, and no entry was ever served.
+  EXPECT_GT(snap.cache.probes,
+            snap.cache.misses + snap.cache.expired + snap.cache.absent);
+  EXPECT_EQ(snap.cache.hits, 0u);
+  // The key's first due query pays its share; the other rides for free.
+  EXPECT_EQ(snap.queries.at(tolerant.id).fresh, 4u);
+  EXPECT_GT(snap.queries.at(tolerant.id).bits_on_air, 0u);
+  EXPECT_EQ(snap.queries.at(exact.id).bits_on_air, 0u);
+  // Query bits, mark bits and the group's install cover the network.
+  std::uint64_t attributed = snap.mark_bits_on_air + install_bits;
+  for (const auto& [id, qc] : snap.queries) attributed += qc.bits_on_air;
+  EXPECT_EQ(attributed, f.net.summary(true).total_bits);
+}
+
+TEST_P(BundlePath, CacheEvictionBetweenProbeAndAnswerIsHarmless) {
+  // With room for one entry, the exact subscriber's fresh store evicts the
+  // whole-domain entry the tolerant subscriber's probe approved. Stores
+  // wait until every answer of the serve is out, so the hit still serves.
+  ServiceConfig cfg = config();
+  cfg.cache_capacity = 1;
+  Fixture f{cfg};
+  f.svc.submit("SELECT SUM(v) FROM s WHERE v < 100 EVERY 1 EPOCHS").value();
+  f.svc.submit("SELECT COUNT(v) FROM s EVERY 1 EPOCHS ERROR 0.5").value();
+  std::uint64_t from_cache = 0;
+  for (int e = 0; e < 4; ++e) {
+    const std::vector<SensorUpdate> batch{f.drift(4, 2)};
+    const auto answers = f.svc.run_epoch(batch);
+    ASSERT_EQ(answers.size(), 2u);
+    EXPECT_DOUBLE_EQ(answers[0].value, f.exact("SUM", 0, 99));
+    EXPECT_DOUBLE_EQ(answers[1].value, 36.0);
+    for (const Answer& a : answers) from_cache += a.from_cache ? 1 : 0;
+  }
+  EXPECT_GT(from_cache, 0u);
+  EXPECT_EQ(f.svc.cache().counters().hits, from_cache);
+  EXPECT_EQ(f.svc.telemetry().cache_hits, from_cache);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    WithCache, BundlePath,
+    ::testing::Values(BundleBackend{"shared", false},
+                      BundleBackend{"cube", true}),
+    [](const ::testing::TestParamInfo<BundleBackend>& info) {
+      return std::string(info.param.name);
+    });
 
 }  // namespace
 }  // namespace sensornet::service

@@ -187,6 +187,43 @@ TEST(ResultCache, EmptySelectionsRefuseValueAggregates) {
   EXPECT_FALSE(cache.bracket(region, query::AggregateKind::kAvg, 0).has_value());
 }
 
+TEST(ResultCache, SameEpochRangedLookupIsExact) {
+  // Drift 0: nothing moved since the collection, so the core answers even
+  // without ERROR, though the margins (inner empty, outer wide) would
+  // bracket loosely one epoch later.
+  const query::RegionSignature region{40, 60, false};
+  ResultCache cache(kBound, kDelta, kHorizon);
+  cache.store(region, 7, ranged_bundle({30, 45, 55, 70}, 40, 60));
+  for (const query::AggregateKind agg :
+       {query::AggregateKind::kCount, query::AggregateKind::kSum,
+        query::AggregateKind::kAvg, query::AggregateKind::kMin,
+        query::AggregateKind::kMax}) {
+    const auto hit = cache.lookup(region, agg, std::nullopt, 7);
+    ASSERT_TRUE(hit.has_value()) << query::agg_name(agg);
+    EXPECT_EQ(hit->bound, 0.0) << query::agg_name(agg);
+    EXPECT_TRUE(hit->exact) << query::agg_name(agg);
+  }
+  EXPECT_EQ(cache.counters().exact_hits, 5u);
+  EXPECT_DOUBLE_EQ(
+      cache.lookup(region, query::AggregateKind::kSum, std::nullopt, 7)->value,
+      100.0);
+  EXPECT_FALSE(
+      cache.lookup(region, query::AggregateKind::kSum, std::nullopt, 8));
+}
+
+TEST(ResultCache, ZeroDriftModelIsExactAtAnyStaleness) {
+  const query::RegionSignature region{40, 60, false};
+  ResultCache cache(kBound, /*max_delta=*/0, kHorizon);
+  cache.store(region, 2, ranged_bundle({30, 45, 55, 70}, 40, 60));
+  for (const std::uint32_t now : {2u, 3u, 2 + kHorizon}) {
+    const auto hit =
+        cache.lookup(region, query::AggregateKind::kMin, std::nullopt, now);
+    ASSERT_TRUE(hit.has_value()) << now;
+    EXPECT_DOUBLE_EQ(hit->value, 45.0);
+    EXPECT_TRUE(hit->exact);
+  }
+}
+
 TEST(ResultCache, EvictsStalestBeyondCapacity) {
   ResultCache cache(kBound, kDelta, kHorizon, /*capacity=*/2);
   const query::RegionSignature r1{1, 10, false};
