@@ -26,7 +26,10 @@
 //  4. Churn / qps — bursts of one-shot admissions (including malformed
 //     text and degenerate regions) mixed with continuous register/cancel
 //     churn and epoch advancement, wall-clocked to a queries-per-second
-//     figure.
+//     figure. Each burst is one submit_batch call, and the lane records
+//     its bits on air and its multiplexed stats convergecasts: a burst's
+//     stats one-shots are one serve, so a burst taking more than one
+//     convergecast is FATAL.
 //
 // The report also carries a `telemetry` section: the shared run's
 // per-query / per-group cost ledger (QueryService::telemetry_snapshot()),
@@ -259,6 +262,10 @@ struct ChurnResult {
   std::uint64_t answers = 0;
   std::uint64_t admission_errors = 0;
   std::uint64_t cancels = 0;
+  std::uint64_t bursts = 0;
+  std::uint64_t burst_bits = 0;  // bits on air during submit_batch calls
+  std::uint64_t burst_convergecasts = 0;
+  std::uint64_t max_burst_convergecasts = 0;
   double seconds = 0.0;
   double qps() const {
     return seconds > 0.0 ? static_cast<double>(answers) / seconds : 0.0;
@@ -302,7 +309,17 @@ ChurnResult run_churn_lane(const Scale& s, unsigned threads) {
         "SELECT AVG(v) FROM s EVERY 3 EPOCHS ERROR 0.1",
     };
     churn.submitted += burst.size();
-    for (const auto& r : svc.submit_batch(burst)) {
+    const std::uint64_t bits_before = net.summary(true).total_bits;
+    const std::uint64_t casts_before = svc.plan_stats().stats_convergecasts;
+    const auto admitted = svc.submit_batch(burst);
+    const std::uint64_t casts =
+        svc.plan_stats().stats_convergecasts - casts_before;
+    ++churn.bursts;
+    churn.burst_bits += net.summary(true).total_bits - bits_before;
+    churn.burst_convergecasts += casts;
+    churn.max_burst_convergecasts =
+        std::max(churn.max_burst_convergecasts, casts);
+    for (const auto& r : admitted) {
       if (!r.ok()) {
         ++churn.admission_errors;
       } else if (r.value().answer) {
@@ -388,6 +405,11 @@ void gate_claims(Gates& gates, bool quick, const LaneResult& shared,
              "cost ledger accounts for ", attribution, " of bits");
   det.gate(gates);
   gates.gate(churn.answers > 0 && churn.qps() > 0, "churn lane answered none");
+  // A burst is one serve: its stats one-shots share one convergecast.
+  gates.gate(churn.burst_convergecasts > 0, "churn bursts never collected");
+  gates.gate(churn.max_burst_convergecasts <= 1, "a churn burst took ",
+             churn.max_burst_convergecasts,
+             " stats convergecasts — its one-shots were served one by one");
 }
 
 void write_pr8(Json& j, const Scale& s, bool quick, unsigned threads,
@@ -476,6 +498,11 @@ void write_pr8(Json& j, const Scale& s, bool quick, unsigned threads,
       .field("admission_errors", churn.admission_errors)
       .field("cancels", churn.cancels)
       .field("answers", churn.answers)
+      .field("bits_per_burst",
+             static_cast<double>(churn.burst_bits) / churn.bursts, 1)
+      .field("convergecasts_per_burst",
+             static_cast<double>(churn.burst_convergecasts) / churn.bursts, 3)
+      .field("max_convergecasts_per_burst", churn.max_burst_convergecasts)
       .field("seconds", churn.seconds, 6)
       .field("qps", churn.qps(), 1)
       .end()
@@ -571,7 +598,10 @@ int main(int argc, char** argv) {
   std::cout << "  " << churn.answers << " answers in " << std::setprecision(3)
             << churn.seconds << "s -> " << std::setprecision(1) << churn.qps()
             << " qps (" << churn.admission_errors << " admission errors, "
-            << churn.cancels << " cancels)\n";
+            << churn.cancels << " cancels)\n"
+            << "  " << churn.burst_bits / churn.bursts << " bits and "
+            << churn.max_burst_convergecasts
+            << " stats convergecast(s) at most per burst\n";
 
   Gates gates;
   gate_claims(gates, quick, shared, naive, det, churn);

@@ -1,6 +1,8 @@
 #include "src/query/lexer.hpp"
 
 #include <cctype>
+#include <charconv>
+#include <system_error>
 
 namespace sensornet::query {
 
@@ -40,7 +42,12 @@ std::vector<Token> tokenize(const std::string& text) {
       }
       t.kind = TokenKind::kNumber;
       t.text = text.substr(i, j - i);
-      t.number = std::stod(t.text);
+      // Overflow and underflow are client errors, not a library exception.
+      if (std::from_chars(t.text.data(), t.text.data() + t.text.size(),
+                          t.number)
+              .ec != std::errc()) {
+        throw QueryError("numeric literal out of range", i);
+      }
       i = j;
     } else {
       switch (c) {

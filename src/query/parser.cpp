@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cmath>
+#include <limits>
 
 #include "src/query/lexer.hpp"
 
@@ -184,6 +185,10 @@ class Parser {
                            " must be a non-negative integer",
                        previous_position_);
     }
+    // Past 2^63 a double no longer converts to Value. Such a literal lies
+    // above every reading, as Value's maximum does, so saturating keeps
+    // the region the query means.
+    if (lit >= 0x1p63) return std::numeric_limits<Value>::max();
     return static_cast<Value>(lit);
   }
 

@@ -21,14 +21,24 @@ unsigned registers_for_error(double error) {
 
 RegionSignature region_signature(const Query& q, Value max_value_bound) {
   SENSORNET_EXPECTS(max_value_bound >= 0);
+  const auto selects_nothing = [] {
+    return QueryError("WHERE range selects no representable value", 0);
+  };
   RegionSignature sig;
   sig.lo = 0;
   sig.hi = max_value_bound;
   if (q.where) {
+    // The strict comparisons test before they step, so no literal overflows.
     switch (q.where->cmp) {
-      case Condition::Cmp::kLt: sig.hi = q.where->literal - 1; break;
+      case Condition::Cmp::kLt:
+        if (q.where->literal <= 0) throw selects_nothing();
+        sig.hi = q.where->literal - 1;
+        break;
       case Condition::Cmp::kLe: sig.hi = q.where->literal; break;
-      case Condition::Cmp::kGt: sig.lo = q.where->literal + 1; break;
+      case Condition::Cmp::kGt:
+        if (q.where->literal >= max_value_bound) throw selects_nothing();
+        sig.lo = q.where->literal + 1;
+        break;
       case Condition::Cmp::kGe: sig.lo = q.where->literal; break;
       case Condition::Cmp::kBetween:
         sig.lo = q.where->literal;
@@ -41,8 +51,9 @@ RegionSignature region_signature(const Query& q, Value max_value_bound) {
     }
   }
   if (sig.hi < 0 || sig.lo > max_value_bound || sig.lo > sig.hi) {
-    throw QueryError("WHERE range selects no representable value", 0);
+    throw selects_nothing();
   }
+  sig.lo = std::max<Value>(sig.lo, 0);
   sig.hi = std::min(sig.hi, max_value_bound);
   sig.whole_domain = sig.lo == 0 && sig.hi == max_value_bound;
   return sig;

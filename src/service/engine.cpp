@@ -101,33 +101,55 @@ QueryService::ParsedQuery QueryService::parse_and_plan(
 }
 
 Result<Admission> QueryService::submit(const std::string& text) {
-  ParsedQuery parsed = parse_and_plan(text);
-  if (!parsed.ok) return Result<Admission>::failure(std::move(parsed.error));
-  return admit(std::move(parsed));
+  std::vector<ParsedQuery> one;
+  one.push_back(parse_and_plan(text));
+  return std::move(admit(std::move(one)).front());
 }
 
 std::vector<Result<Admission>> QueryService::submit_batch(
     const std::vector<std::string>& texts) {
   // Pure front half in parallel; cells share nothing and derive nothing from
   // execution order, so any worker count yields identical ParsedQuery slots.
-  std::vector<ParsedQuery> parsed = farm_.map<ParsedQuery>(
+  return admit(farm_.map<ParsedQuery>(
       texts.size(),
-      [&](std::size_t cell) { return parse_and_plan(texts[cell]); });
+      [&](std::size_t cell) { return parse_and_plan(texts[cell]); }));
+}
+
+std::vector<Result<Admission>> QueryService::admit(
+    std::vector<ParsedQuery>&& parsed) {
   // Serial back half in submission order: id allocation, group creation and
-  // install broadcasts all touch the shared network.
+  // install broadcasts all touch the shared network. One-shots wait for the
+  // batch's one serve.
   std::vector<Result<Admission>> out;
-  out.reserve(texts.size());
+  out.reserve(parsed.size());
+  std::vector<LiveQuery> one_shots;
+  one_shots.reserve(parsed.size());  // `due` points into it
+  std::vector<const LiveQuery*> due;
+  std::vector<std::size_t> admission_of;  // due index -> out index
   for (ParsedQuery& p : parsed) {
     if (!p.ok) {
       out.push_back(Result<Admission>::failure(std::move(p.error)));
-    } else {
-      out.push_back(admit(std::move(p)));
+      continue;
     }
+    Admission adm;
+    LiveQuery lq = route(std::move(p), adm);
+    if (adm.continuous) {
+      live_.emplace(lq.id, std::move(lq));
+    } else {
+      due.push_back(&one_shots.emplace_back(std::move(lq)));
+      admission_of.push_back(out.size());
+    }
+    out.push_back(std::move(adm));
+  }
+  const std::vector<Answer> answers = serve(due);
+  for (std::size_t i = 0; i < answers.size(); ++i) {
+    out[admission_of[i]].value().answer = answers[i];
   }
   return out;
 }
 
-Admission QueryService::admit(ParsedQuery&& parsed) {
+QueryService::LiveQuery QueryService::route(ParsedQuery&& parsed,
+                                           Admission& adm) {
   LiveQuery lq;
   lq.id = next_id_++;
   lq.q = std::move(parsed.q);
@@ -135,8 +157,6 @@ Admission QueryService::admit(ParsedQuery&& parsed) {
   lq.region = parsed.region;
   lq.registered_epoch = epoch_;
   lq.every = lq.q.every_epochs.value_or(0);
-
-  Admission adm;
   adm.id = lq.id;
   adm.continuous = lq.every != 0;
 
@@ -183,16 +203,7 @@ Admission QueryService::admit(ParsedQuery&& parsed) {
     ring.instant("query.admit", "service", deployment_.net.now(), 0, "id",
                  lq.id, "group", lq.group);
   }
-
-  if (adm.continuous) {
-    live_.emplace(lq.id, std::move(lq));
-  } else if (lq.path == Path::kBundle) {
-    const LiveQuery* one = &lq;
-    adm.answer = serve_bundles(std::span(&one, 1)).front();
-  } else {
-    adm.answer = answer_fresh(lq);
-  }
-  return adm;
+  return lq;
 }
 
 bool QueryService::cancel(QueryId id) {
@@ -223,6 +234,22 @@ Answer QueryService::answer_cached(const LiveQuery& lq,
                  lq.id, "cached", 1);
   }
   return a;
+}
+
+std::vector<Answer> QueryService::serve(std::span<const LiveQuery* const> due) {
+  std::vector<const LiveQuery*> bundles;
+  for (const LiveQuery* lq : due) {
+    if (lq->path == Path::kBundle) bundles.push_back(lq);
+  }
+  const std::vector<Answer> bundle_answers = serve_bundles(bundles);
+  auto next_bundle = bundle_answers.begin();
+  std::vector<Answer> answers;
+  answers.reserve(due.size());
+  for (const LiveQuery* lq : due) {
+    answers.push_back(lq->path == Path::kBundle ? *next_bundle++
+                                                : answer_fresh(*lq));
+  }
+  return answers;
 }
 
 std::vector<Answer> QueryService::serve_bundles(
@@ -466,18 +493,11 @@ std::vector<Answer> QueryService::run_epoch(
     return lq.every != 0 && epoch_ > lq.registered_epoch &&
            (epoch_ - lq.registered_epoch) % lq.every == 0;
   };
-  std::vector<const LiveQuery*> bundles;
-  for (const auto& [id, lq] : live_) {
-    if (lq.path == Path::kBundle && is_due(lq)) bundles.push_back(&lq);
-  }
-  const std::vector<Answer> bundle_answers = serve_bundles(bundles);
-  auto next_bundle = bundle_answers.begin();
-  std::vector<Answer> answers;
+  std::vector<const LiveQuery*> due;
   for (const auto& [id, lq] : live_) {  // map order == id order
-    if (!is_due(lq)) continue;
-    answers.push_back(lq.path == Path::kBundle ? *next_bundle++
-                                               : answer_fresh(lq));
+    if (is_due(lq)) due.push_back(&lq);
   }
+  const std::vector<Answer> answers = serve(due);
 
   obs::TraceRing& ring = obs::TraceRing::global();
   if (ring.enabled()) {

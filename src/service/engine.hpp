@@ -25,23 +25,28 @@
 //      drift brackets at zero bits. The batch of an epoch takes one cell
 //      collect and one residue wave (see cube.hpp).
 //
-// One routing rule serves every key, an epoch's due queries or a one-shot
-// admission (a batch of one) alike. A planning pass walks the due queries
-// in id order before any wave runs: a query whose key already goes fresh
-// rides it; otherwise it probes the cache, then (with the cube) plans once
-// and tries the plan's cell brackets — skipped when the plan is priced at 0
-// bits, as it then composes exactly for free. A query with no zero-bit
-// answer sends its key fresh. A fresh key answers every due query of the
-// key exactly, and its first due query pays the key's wave shares; every
-// other query gets the zero-bit answer its own probe found. Fresh bundles
-// enter the cache only after the last answer, so no store can evict an
-// entry a probe approved.
+// One routing rule serves every key, in every serve. A serve is an epoch's
+// due continuous queries, or one admission batch's one-shots: a
+// submit_batch() is one serve, and submit() is the batch of one. A planning
+// pass walks the serve's bundle queries in id order before any wave runs: a
+// query whose key already goes fresh rides it; otherwise it probes the
+// cache, then (with the cube) plans once and tries the plan's cell
+// brackets — skipped when the plan is priced at 0 bits, as it then composes
+// exactly for free. A query with no zero-bit answer sends its key fresh. A
+// fresh key answers every due query of the key exactly, and its first due
+// query pays the key's wave shares; every other query gets the zero-bit
+// answer its own probe found. Fresh bundles enter the cache only after the
+// last answer, so no store can evict an entry a probe approved.
 //
 // Concurrency model: submit_batch() parses, plans and canonicalizes regions
 // on a deterministic work-stealing farm (pure, per-cell work); everything
 // that touches the simulated network stays serial, in query-id order. The
-// answer stream is therefore byte-identical at any thread count — the same
-// discipline the bench farm uses.
+// serial back half admits every text in order (ids, group installs,
+// continuous registrations), then serves the batch's one-shots: all bundle
+// one-shots in one multiplexed convergecast or one cube batch, then the
+// distinct and executor one-shots. The answer stream is therefore
+// byte-identical at any thread count — the same discipline the bench farm
+// uses.
 #pragma once
 
 #include <cstdint>
@@ -117,8 +122,9 @@ struct Admission {
   QueryId id = 0;
   bool continuous = false;
   std::string plan;  // human-readable route through the service
-  /// One-shot queries are answered at admission; continuous ones first
-  /// answer at their next due epoch.
+  /// One-shot queries are answered at admission, by their batch's one
+  /// serve (so a one-shot's key may ride a batchmate's fresh collection);
+  /// continuous ones first answer at their next due epoch.
   std::optional<Answer> answer;
 };
 
@@ -189,14 +195,18 @@ class QueryService {
   QueryService(const QueryService&) = delete;
   QueryService& operator=(const QueryService&) = delete;
 
-  /// Parses, plans and admits one query. Malformed text and degenerate
-  /// WHERE regions come back as failures carrying the parser/planner
-  /// diagnostic — admission errors are expected client behavior, not bugs.
+  /// Parses, plans and admits one query — submit_batch() of one text.
+  /// Malformed text and degenerate WHERE regions come back as failures
+  /// carrying the parser/planner diagnostic — admission errors are expected
+  /// client behavior, not bugs.
   Result<Admission> submit(const std::string& text);
 
   /// Batch admission: the pure front half (parse/plan/region) runs on the
   /// work-stealing farm; admission itself is serial in submission order, so
-  /// results are independent of thread count.
+  /// results are independent of thread count. A failed text costs only its
+  /// own slot. The batch's one-shots are answered in one serve: its stats
+  /// one-shots ride one multiplexed convergecast (with the cube, one
+  /// claimed batch), and one-shots of the same key share its fresh bundle.
   std::vector<Result<Admission>> submit_batch(
       const std::vector<std::string>& texts);
 
@@ -256,12 +266,22 @@ class QueryService {
   };
 
   ParsedQuery parse_and_plan(const std::string& text) const;
-  Admission admit(ParsedQuery&& parsed);
+  /// The serial back half of submit() and submit_batch(): admits every
+  /// parsed query in order, registers the continuous ones, and answers the
+  /// one-shots in one serve.
+  std::vector<Result<Admission>> admit(std::vector<ParsedQuery>&& parsed);
+  /// Allocates the query's id, picks its path and installs its group;
+  /// fills `adm` but neither registers nor answers the query.
+  LiveQuery route(ParsedQuery&& parsed, Admission& adm);
+  /// Answers one serve's due queries (id order) — an epoch's, or an
+  /// admission batch's one-shots: every kBundle query in one
+  /// serve_bundles() call, the rest by answer_fresh(). Answers come back
+  /// aligned with `due`.
+  std::vector<Answer> serve(std::span<const LiveQuery* const> due);
   /// Answers kDistinct and kExecutor queries, charging the bits it spends.
   Answer answer_fresh(const LiveQuery& lq);
-  /// Answers the due kBundle queries (id order) of one serve — an epoch, or
-  /// a one-shot admission as a batch of one — by the routing rule in the
-  /// file comment. Answers come back aligned with `due`.
+  /// Answers a serve's kBundle queries by the routing rule in the file
+  /// comment. Answers come back aligned with `due`.
   std::vector<Answer> serve_bundles(std::span<const LiveQuery* const> due);
   /// Serves a lookup() hit the caller already holds — the cache is asked
   /// exactly once per serve, so its hit counter matches answers served.

@@ -1,6 +1,5 @@
 #include "src/service/shared_plan.hpp"
 
-#include <algorithm>
 #include <utility>
 
 #include "src/common/codec.hpp"
@@ -21,6 +20,8 @@ namespace {
 void mirror_plan_stats(const SharedPlanStats& s) {
   obs::Registry& reg = obs::Registry::global();
   reg.gauge_set(reg.gauge("svc.plan.stats_waves"), s.stats_waves);
+  reg.gauge_set(reg.gauge("svc.plan.stats_convergecasts"),
+                s.stats_convergecasts);
   reg.gauge_set(reg.gauge("svc.plan.distinct_waves"), s.distinct_waves);
   reg.gauge_set(reg.gauge("svc.plan.edges_descended"), s.edges_descended);
   reg.gauge_set(reg.gauge("svc.plan.edges_skipped"), s.edges_skipped);
@@ -166,9 +167,12 @@ std::vector<WaveShare> SharedPlanScheduler::collect_stats_batch(
   }
   const SimTime t0 = net_.now();
   std::vector<WaveShare> shares = store_.collect(slots, epoch);
-  const auto collected = static_cast<std::uint64_t>(
-      std::count_if(shares.begin(), shares.end(),
-                    [](const WaveShare& s) { return s.collected; }));
+  std::uint64_t collected = 0;
+  std::uint64_t messages = 0;  // the shares split the wave's messages
+  for (const WaveShare& s : shares) {
+    collected += s.collected ? 1 : 0;
+    messages += s.messages;
+  }
   if (collected == 0) return shares;
   obs::TraceRing& ring = obs::TraceRing::global();
   for (std::size_t j = 0; j < groups.size(); ++j) {
@@ -178,6 +182,7 @@ std::vector<WaveShare> SharedPlanScheduler::collect_stats_batch(
     }
   }
   stats_.stats_waves += collected;
+  stats_.stats_convergecasts += messages > 0 ? 1 : 0;
   stats_.edges_descended = store_.edges_descended();
   stats_.edges_skipped = store_.edges_skipped();
   mirror_plan_stats(stats_);

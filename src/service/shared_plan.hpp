@@ -54,6 +54,9 @@ using GroupId = std::uint32_t;
 /// Scheduler telemetry — the sharing/incrementality story in numbers.
 struct SharedPlanStats {
   std::uint64_t stats_waves = 0;       // stats-group collections executed
+  /// Multiplexed stats convergecasts that sent anything: one per
+  /// collect_stats_batch() call, however many groups rode it.
+  std::uint64_t stats_convergecasts = 0;
   std::uint64_t distinct_waves = 0;    // distinct collections executed
   std::uint64_t edges_descended = 0;   // (group, edge) pairs requested
   std::uint64_t edges_skipped = 0;     // child partials served from cache

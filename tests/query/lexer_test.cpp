@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace sensornet::query {
 namespace {
 
@@ -20,6 +22,28 @@ TEST(Lexer, IdentifiersAndNumbers) {
   EXPECT_EQ(toks[2].kind, TokenKind::kNumber);
   EXPECT_DOUBLE_EQ(toks[2].number, 0.25);
   EXPECT_DOUBLE_EQ(toks[3].number, 42.0);
+}
+
+TEST(Lexer, OutOfRangeLiteralsAreQueryErrors) {
+  // A literal no double holds is a client error at its offset, never a
+  // library exception escaping admission.
+  const std::string huge = "1" + std::string(400, '0');
+  const std::string tiny = "0." + std::string(400, '0') + "1";
+  for (const std::string& lit : {huge, tiny}) {
+    try {
+      tokenize("v > " + lit);
+      ADD_FAILURE() << "accepted a " << lit.size() << "-digit literal";
+    } catch (const QueryError& e) {
+      EXPECT_NE(std::string(e.what()).find("numeric literal out of range"),
+                std::string::npos);
+      EXPECT_EQ(e.position(), 4u);
+    }
+  }
+  // Long literals that do fit still lex.
+  const auto toks = tokenize("1" + std::string(300, '0') + " .5 5.");
+  EXPECT_DOUBLE_EQ(toks[0].number, 1e300);
+  EXPECT_DOUBLE_EQ(toks[1].number, 0.5);
+  EXPECT_DOUBLE_EQ(toks[2].number, 5.0);
 }
 
 TEST(Lexer, PunctuationAndOperators) {

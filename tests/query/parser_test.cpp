@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
 #include "src/query/lexer.hpp"
 
 namespace sensornet::query {
@@ -127,6 +130,25 @@ TEST(Parser, MalformedBetweenThrows) {
       QueryError);
   EXPECT_THROW(parse_query("SELECT SUM(v) FROM s WHERE v BETWEEN -3 AND 10"),
                QueryError);
+}
+
+TEST(Parser, LiteralsPastValueSaturate) {
+  // 10^20 > 2^63: no Value holds it, and converting it would be undefined.
+  // It lies above every reading, as Value's maximum does.
+  constexpr Value kMax = std::numeric_limits<Value>::max();
+  EXPECT_EQ(parse_query("SELECT COUNT(v) FROM s WHERE v > "
+                        "100000000000000000000")
+                .where->literal,
+            kMax);
+  const Query q = parse_query(
+      "SELECT COUNT(v) FROM s WHERE v BETWEEN 9223372036854775808 AND "
+      "100000000000000000000");
+  EXPECT_EQ(q.where->literal, kMax);
+  EXPECT_EQ(q.where->literal2, kMax);
+  EXPECT_NE(thrown_message("SELECT COUNT(v) FROM s WHERE v > 1" +
+                           std::string(400, '0'))
+                .find("numeric literal out of range"),
+            std::string::npos);
 }
 
 TEST(Parser, EveryClauseMakesQueryContinuous) {

@@ -176,6 +176,46 @@ TEST(RegionSignature, EmptyRangeDiagnosticIsPinned) {
       std::string::npos);
 }
 
+TEST(RegionSignature, HugeLiteralsClampOrSelectNothing) {
+  // Literals past every reading: the same regions as literals just past
+  // the bound, never a wrapped-around range.
+  const std::string huge = "100000000000000000000";
+  const std::string pinned = "WHERE range selects no representable value";
+  EXPECT_NE(region_error("SELECT COUNT(v) FROM s WHERE v > " + huge)
+                .find(pinned),
+            std::string::npos);
+  EXPECT_NE(region_error("SELECT COUNT(v) FROM s WHERE v >= " + huge)
+                .find(pinned),
+            std::string::npos);
+  const RegionSignature whole{0, 100, true};
+  EXPECT_EQ(sig_of("SELECT COUNT(v) FROM s WHERE v < " + huge), whole);
+  EXPECT_EQ(sig_of("SELECT COUNT(v) FROM s WHERE v <= " + huge), whole);
+  EXPECT_EQ(sig_of("SELECT COUNT(v) FROM s WHERE v BETWEEN 40 AND " + huge),
+            (RegionSignature{40, 100, false}));
+}
+
+TEST(RegionSignature, StrictComparisonsNeverOverflow) {
+  // Built directly: the parser only makes non-negative literals, but the
+  // planner takes any Query.
+  const auto where = [](Condition::Cmp cmp, Value literal) {
+    Query q;
+    q.where = Condition{};
+    q.where->cmp = cmp;
+    q.where->literal = literal;
+    return q;
+  };
+  constexpr Value kMin = std::numeric_limits<Value>::min();
+  constexpr Value kMax = std::numeric_limits<Value>::max();
+  EXPECT_THROW(region_signature(where(Condition::Cmp::kLt, kMin), 100),
+               QueryError);
+  EXPECT_THROW(region_signature(where(Condition::Cmp::kGt, kMax), 100),
+               QueryError);
+  EXPECT_EQ(region_signature(where(Condition::Cmp::kLt, kMax), 100),
+            (RegionSignature{0, 100, true}));
+  EXPECT_EQ(region_signature(where(Condition::Cmp::kGt, kMin), 100),
+            (RegionSignature{0, 100, true}));
+}
+
 // ---- cube cover ------------------------------------------------------------
 
 /// Catalog with dyadic geometry and hand-settable costs; the planner's only

@@ -1,9 +1,11 @@
 // Seeded differential test of the whole service against an exact mirror.
 //
 // Each seed draws one script — submits (COUNT/SUM/AVG/MIN/MAX, with and
-// without WHERE, ERROR and EVERY), cancels, and update batches that obey
-// the drift model — and replays it on every service configuration: naive,
-// shared, shared + cache, cube, cube + cache. Every configuration must
+// without WHERE, ERROR and EVERY), one-shot bursts through submit_batch
+// (keys repeat within a burst, and one text is malformed), cancels, and
+// update batches that obey the drift model — and replays it on every
+// service configuration: naive, shared, shared + cache, cube, cube +
+// cache. Every configuration must
 //   - answer exact answers with the mirror's value,
 //   - contain the mirror's value in every deterministically bounded answer,
 //   - account for every bit on the air: query bits, mark bits and group
@@ -16,6 +18,8 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "src/common/rng.hpp"
@@ -36,12 +40,15 @@ struct Submit {
   std::string text;
   query::AggregateKind agg = query::AggregateKind::kCount;
   Value lo = 0, hi = kBound;
+  bool malformed = false;  // admission must refuse it
 };
 
-/// One epoch of the script: submits and cancels (by submission index, so
-/// the same query in every configuration), then the update batch.
+/// One epoch of the script: submits, a one-shot burst and cancels (by
+/// submission index, so the same query in every configuration), then the
+/// update batch.
 struct Step {
   std::vector<Submit> submits;
+  std::vector<Submit> burst;  // one submit_batch call; may be empty
   std::vector<std::size_t> cancels;
   std::vector<SensorUpdate> updates;
 };
@@ -70,6 +77,26 @@ Script draw_script(std::uint64_t seed) {
   // Drift near the model's worst case, so loose bounds show: most nodes
   // keep moving the full max_delta in one direction, upward more often
   // than not, turning back at the rails.
+  // `every` = 0 draws a one-shot.
+  const auto draw_submit = [&](Xoshiro256& r, std::pair<Value, Value> region,
+                               std::uint64_t every) {
+    Submit s;
+    s.agg = aggs[r.next_below(5)];
+    std::tie(s.lo, s.hi) = region;
+    std::ostringstream os;
+    os << "SELECT " << query::agg_name(s.agg) << "(v) FROM s";
+    if (s.lo != 0 || s.hi != kBound) {
+      os << " WHERE v BETWEEN " << s.lo << " AND " << s.hi;
+    }
+    if (every != 0) os << " EVERY " << every << " EPOCHS";
+    if (const char* err = errors[r.next_below(3)]) os << " ERROR " << err;
+    s.text = os.str();
+    return s;
+  };
+  // Bursts draw from their own stream, so the rest of the script is the
+  // same with or without them.
+  Xoshiro256 burst_rng(seed + 1000);
+
   std::vector<Value> mirror = script.initial;
   std::vector<Value> direction(kNodes);
   for (Value& d : direction) d = rng.next_bool(0.7) ? 1 : -1;
@@ -77,22 +104,30 @@ Script draw_script(std::uint64_t seed) {
   for (std::uint32_t e = 0; e < kEpochs; ++e) {
     Step step;
     for (auto k = rng.next_below(5); k > 0; --k) {
-      Submit s;
-      s.agg = aggs[rng.next_below(5)];
-      const auto [lo, hi] = regions[rng.next_below(regions.size())];
-      s.lo = lo;
-      s.hi = hi;
-      std::ostringstream os;
-      os << "SELECT " << query::agg_name(s.agg) << "(v) FROM s";
-      if (lo != 0 || hi != kBound) {
-        os << " WHERE v BETWEEN " << lo << " AND " << hi;
+      const auto region = regions[rng.next_below(regions.size())];
+      const std::uint64_t every =
+          rng.next_below(4) != 0 ? 1 + rng.next_below(3) : 0;
+      step.submits.push_back(draw_submit(rng, region, every));
+    }
+    if (burst_rng.next_bool(0.5)) {
+      // Two or three regions for five to seven texts: keys repeat.
+      const std::size_t keys = 2 + burst_rng.next_below(2);
+      std::vector<std::pair<Value, Value>> picked;
+      for (std::size_t k = 0; k < keys; ++k) {
+        picked.push_back(regions[burst_rng.next_below(regions.size())]);
       }
-      if (rng.next_below(4) != 0) {
-        os << " EVERY " << 1 + rng.next_below(3) << " EPOCHS";
+      for (auto k = 5 + burst_rng.next_below(3); k > 0; --k) {
+        step.burst.push_back(draw_submit(
+            burst_rng, picked[burst_rng.next_below(keys)], /*every=*/0));
       }
-      if (const char* err = errors[rng.next_below(3)]) os << " ERROR " << err;
-      s.text = os.str();
-      step.submits.push_back(s);
+      Submit bad;
+      bad.text = "SELECT SUM(v) FROM s WHERE v BETWEEN";
+      bad.malformed = true;
+      step.burst.insert(
+          step.burst.begin() +
+              static_cast<std::ptrdiff_t>(
+                  burst_rng.next_below(step.burst.size() + 1)),
+          bad);
     }
     submitted += step.submits.size();
     if (submitted > 0 && rng.next_bool(0.3)) {
@@ -133,9 +168,9 @@ ServiceTelemetry replay(const Script& script, const Config& c) {
   const bool naive = !c.share_aggregation && !c.use_cube;
 
   std::vector<Value> mirror = script.initial;
-  std::vector<Submit> submits;   // by submission index
+  std::vector<Submit> submits;   // admitted, in admission order
   std::map<QueryId, std::size_t> submit_of;
-  std::vector<QueryId> ids;      // by submission index (0: one-shot)
+  std::vector<QueryId> ids;      // by scripted-submit index (0: one-shot)
   std::uint64_t install_bits = 0;
   std::uint64_t checked = 0;
 
@@ -189,25 +224,45 @@ ServiceTelemetry replay(const Script& script, const Config& c) {
     }
   };
 
-  for (const Step& step : script.steps) {
-    for (const Submit& s : step.submits) {
-      const std::uint64_t before = net.summary(true).total_bits;
-      const auto r = svc.submit(s.text);
-      if (!r.ok()) {
-        ADD_FAILURE() << s.text << ": " << r.error();
-        return {};
+  // Admits `batch` in one call (submit() for a batch of one) and checks
+  // every answer. What admission shipped beyond the batch's own answers is
+  // its groups' install broadcasts.
+  const auto admit = [&](const std::vector<Submit>& batch)
+      -> std::vector<Result<Admission>> {
+    const std::uint64_t before = net.summary(true).total_bits;
+    std::vector<Result<Admission>> results;
+    if (batch.size() == 1) {
+      results.push_back(svc.submit(batch[0].text));
+    } else {
+      std::vector<std::string> texts;
+      for (const Submit& s : batch) texts.push_back(s.text);
+      results = svc.submit_batch(texts);
+    }
+    std::uint64_t own_bits = 0;
+    const TelemetrySnapshot snap = svc.telemetry_snapshot();
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      const Submit& s = batch[i];
+      const Result<Admission>& r = results[i];
+      if (s.malformed || !r.ok()) {
+        EXPECT_EQ(r.ok(), !s.malformed) << s.text << ": " << r.error();
+        continue;
       }
       submit_of[r.value().id] = submits.size();
       submits.push_back(s);
-      ids.push_back(r.value().continuous ? r.value().id : 0);
-      // What admission shipped beyond the query's own answer is its
-      // group's install broadcast.
-      const TelemetrySnapshot snap = svc.telemetry_snapshot();
       const auto own = snap.queries.find(r.value().id);
-      install_bits += net.summary(true).total_bits - before -
-                      (own == snap.queries.end() ? 0 : own->second.bits_on_air);
+      if (own != snap.queries.end()) own_bits += own->second.bits_on_air;
       if (r.value().answer) check(*r.value().answer);
     }
+    install_bits += net.summary(true).total_bits - before - own_bits;
+    return results;
+  };
+
+  for (const Step& step : script.steps) {
+    for (const Submit& s : step.submits) {
+      const Result<Admission> r = std::move(admit({s}).front());
+      ids.push_back(r.ok() && r.value().continuous ? r.value().id : 0);
+    }
+    if (!step.burst.empty()) admit(step.burst);
     for (const std::size_t k : step.cancels) {
       if (ids[k] != 0) svc.cancel(ids[k]);
     }
@@ -237,6 +292,8 @@ TEST(ServiceDifferential, EveryConfigurationAgreesWithTheMirror) {
   for (const std::uint64_t seed : {1u, 2u, 3u, 4u}) {
     SCOPED_TRACE(testing::Message() << "seed " << seed);
     const Script script = draw_script(seed);
+    EXPECT_TRUE(std::any_of(script.steps.begin(), script.steps.end(),
+                            [](const Step& s) { return !s.burst.empty(); }));
     for (const Config& c : configs) {
       const ServiceTelemetry t = replay(script, c);
       cache_hits += t.cache_hits;

@@ -88,6 +88,36 @@ TEST(QueryService, AdmissionForwardsPinnedDiagnostics) {
   EXPECT_EQ(f.svc.live_queries(), 0u);
 }
 
+TEST(QueryService, PoisonedTextInABatchLosesOnlyItself) {
+  ServiceConfig cfg;
+  cfg.threads = 2;
+  Fixture f{cfg};
+  std::string poisoned = "SELECT SUM(v) FROM s WHERE v > 1";
+  poisoned.append(400, '0');  // no double holds it
+  const std::string huge = "100000000000000000000";  // no Value holds it
+  const auto r = f.svc.submit_batch({
+      "SELECT COUNT(v) FROM s",
+      poisoned,
+      "SELECT MAX(v) FROM s WHERE v < " + huge,
+      "SELECT COUNT(v) FROM s WHERE v > " + huge,
+      "SELECT AVG(v) FROM s WHERE v BETWEEN 20 AND 260",
+  });
+  ASSERT_EQ(r.size(), 5u);
+  ASSERT_FALSE(r[1].ok());
+  EXPECT_NE(r[1].error().find("numeric literal out of range"),
+            std::string::npos);
+  ASSERT_FALSE(r[3].ok());
+  EXPECT_NE(r[3].error().find("WHERE range selects no representable value"),
+            std::string::npos);
+  ASSERT_TRUE(r[0].ok() && r[2].ok() && r[4].ok());
+  EXPECT_DOUBLE_EQ(r[0].value().answer->value, 36.0);
+  EXPECT_DOUBLE_EQ(r[2].value().answer->value, f.exact("MAX", 0, kBound));
+  EXPECT_DOUBLE_EQ(r[4].value().answer->value, f.exact("AVG", 20, 260));
+  // Ids go to admitted texts only.
+  EXPECT_EQ(r[2].value().id, r[0].value().id + 1);
+  EXPECT_EQ(r[4].value().id, r[2].value().id + 1);
+}
+
 TEST(QueryService, ContinuousQueriesAnswerOnTheirSchedule) {
   Fixture f;
   const auto r = f.svc.submit("SELECT COUNT(v) FROM s EVERY 2 EPOCHS");
@@ -750,6 +780,68 @@ TEST_P(BundlePath, CacheEvictionBetweenProbeAndAnswerIsHarmless) {
   EXPECT_GT(from_cache, 0u);
   EXPECT_EQ(f.svc.cache().counters().hits, from_cache);
   EXPECT_EQ(f.svc.telemetry().cache_hits, from_cache);
+}
+
+TEST_P(BundlePath, SubmitBatchServesOneShotsInOneServe) {
+  // Ranged and whole-domain keys, the ranged key twice, and a MEDIAN and a
+  // COUNT_DISTINCT between them.
+  const std::vector<std::string> texts{
+      "SELECT SUM(v) FROM s WHERE v BETWEEN 20 AND 260",
+      "SELECT COUNT(v) FROM s",
+      "SELECT MEDIAN(v) FROM s",
+      "SELECT AVG(v) FROM s WHERE v BETWEEN 20 AND 260 ERROR 0.5",
+      "SELECT COUNT_DISTINCT(v) FROM s",
+      "SELECT MAX(v) FROM s WHERE v < 100",
+      "SELECT MIN(v) FROM s ERROR 0.2",
+  };
+  // What admission alone ships: the same keys' installs, as subscriptions.
+  Fixture installs{config()};
+  for (std::string t : texts) {
+    const std::size_t at = t.find(" ERROR");
+    t.insert(at == std::string::npos ? t.size() : at, " EVERY 1 EPOCHS");
+    ASSERT_TRUE(installs.svc.submit(t).ok()) << t;
+  }
+  const std::uint64_t install_bits = installs.net.summary(true).total_bits;
+
+  Fixture batch{config()};
+  Fixture twin{config()};
+  const auto admitted = batch.svc.submit_batch(texts);
+  std::vector<Answer> one_by_one;
+  for (const std::string& t : texts) {
+    one_by_one.push_back(*twin.svc.submit(t).value().answer);
+  }
+  ASSERT_EQ(admitted.size(), texts.size());
+  for (std::size_t i = 0; i < texts.size(); ++i) {
+    SCOPED_TRACE(texts[i]);
+    const Answer& a = *admitted[i].value().answer;
+    EXPECT_DOUBLE_EQ(a.value, one_by_one[i].value);
+    EXPECT_LE(a.error_bound, one_by_one[i].error_bound);
+    // Every key is cold, so every bundle one-shot's key goes fresh.
+    if (i != 2 && i != 4) {
+      EXPECT_TRUE(a.exact);
+      EXPECT_FALSE(a.from_cache);
+      EXPECT_EQ(a.error_bound, 0.0);
+    }
+  }
+
+  // The batch's bundle one-shots take one serve; the twin takes several.
+  if (GetParam().use_cube) {
+    const cube::CubeStats& b = batch.svc.cube()->stats();
+    const cube::CubeStats& t = twin.svc.cube()->stats();
+    EXPECT_EQ(b.refresh_waves, 1u);
+    EXPECT_LE(b.residue_waves, 1u);
+    EXPECT_GT(t.refresh_waves + t.residue_waves,
+              b.refresh_waves + b.residue_waves);
+  } else {
+    EXPECT_EQ(batch.svc.plan_stats().stats_convergecasts, 1u);
+    EXPECT_GT(twin.svc.plan_stats().stats_convergecasts, 1u);
+  }
+  const std::uint64_t total = batch.net.summary(true).total_bits;
+  EXPECT_LE(total, twin.net.summary(true).total_bits);
+  const TelemetrySnapshot snap = batch.svc.telemetry_snapshot();
+  std::uint64_t attributed = install_bits;
+  for (const auto& [id, qc] : snap.queries) attributed += qc.bits_on_air;
+  EXPECT_EQ(attributed, total);
 }
 
 INSTANTIATE_TEST_SUITE_P(

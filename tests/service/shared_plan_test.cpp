@@ -156,6 +156,33 @@ TEST(SharedPlan, QuiescentRecollectionIsFree) {
   EXPECT_EQ(f.net.summary().total_messages, msgs);
 }
 
+TEST(SharedPlan, ConvergecastCounterCountsWavesThatSend) {
+  Fixture f;
+  std::vector<GroupId> groups;
+  for (const auto& region : {query::RegionSignature{0, kBound, true},
+                             query::RegionSignature{10, 200, false},
+                             query::RegionSignature{300, 900, false}}) {
+    groups.push_back(f.sched.ensure_stats_group(region));
+  }
+  // Three groups ride one convergecast; each is one stats wave.
+  f.sched.collect_stats_batch(groups, 0);
+  EXPECT_EQ(f.sched.stats().stats_convergecasts, 1u);
+  EXPECT_EQ(f.sched.stats().stats_waves, 3u);
+  // A repeat within the epoch collects nothing and sends nothing.
+  f.sched.collect_stats_batch(groups, 0);
+  EXPECT_EQ(f.sched.stats().stats_convergecasts, 1u);
+  // A quiescent epoch collects from the partials without a message.
+  f.sched.collect_stats_batch(groups, 1);
+  EXPECT_EQ(f.sched.stats().stats_waves, 6u);
+  EXPECT_EQ(f.sched.stats().stats_convergecasts, 1u);
+  // After a change, one group at a time takes one convergecast each.
+  f.net.update_item(63, 0, f.net.items(63)[0] + kDelta);
+  const std::vector<NodeId> touched{63};
+  f.sched.note_updates(touched, 2);
+  for (const GroupId g : groups) f.sched.collect_stats(g, 2);
+  EXPECT_EQ(f.sched.stats().stats_convergecasts, 4u);
+}
+
 TEST(SharedPlan, IncrementalCollectionDescendsOnlyDirtySubtrees) {
   Fixture f;
   const query::RegionSignature whole{0, kBound, true};
