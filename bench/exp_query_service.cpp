@@ -34,9 +34,11 @@
 // The report also carries a `telemetry` section: the shared run's
 // per-query / per-group cost ledger (QueryService::telemetry_snapshot()),
 // the result cache's probe/hit/miss/expired counters, and the mark-wave
-// bucket. On the full lane the driver asserts the committed cache
-// behavior exactly: 88 answers served from cache, and the cache's own
-// hit counter agreeing with the service's answer accounting.
+// and group-install buckets. The ledger must account for every bit and
+// every message on the air exactly. On the full lane the binary asserts
+// the committed cache behavior exactly: 88 answers served from cache, and
+// the cache's own hit counter agreeing with the service's answer
+// accounting.
 //
 // The shared lane also records its air rounds (simulated time) per epoch.
 // Every stats group due fresh in an epoch rides one multiplexed
@@ -146,6 +148,7 @@ double exact_over(const std::vector<Value>& mirror, const ContinuousSpec& s,
 
 struct LaneResult {
   std::uint64_t total_bits = 0;
+  std::uint64_t total_messages = 0;
   std::uint64_t answers = 0;
   std::uint64_t cache_hits = 0;
   std::uint64_t stats_waves = 0;
@@ -240,7 +243,9 @@ LaneResult run_continuous_lane(const Scale& s, unsigned threads, bool shared) {
   }
 
   lane.tree_height = tree.height();
-  lane.total_bits = net.summary(/*include_headers=*/true).total_bits;
+  const sim::CommSummary total = net.summary(/*include_headers=*/true);
+  lane.total_bits = total.total_bits;
+  lane.total_messages = total.total_messages;
   lane.answers = svc.telemetry().answers;
   lane.cache_hits = svc.telemetry().cache_hits;
   lane.stats_waves = svc.plan_stats().stats_waves;
@@ -354,12 +359,18 @@ ChurnResult run_churn_lane(const Scale& s, unsigned threads) {
 // ---------------------------------------------------------------------------
 /// Cost-attribution ledger of the shared run. Query bits follow the
 /// marginal-cost rule (first due subscriber pays the shared wave), so
-/// sum(query bits) + mark bits accounts for everything except the
-/// one-time group-install broadcasts, which sit in the group ledger.
+/// sum(query bits) + mark bits + group-install bits accounts for every bit
+/// on the air — and the same sums of messages for every message.
 std::uint64_t attributed_bits(const service::TelemetrySnapshot& t) {
-  std::uint64_t bits = t.mark_bits_on_air;
+  std::uint64_t bits = t.mark_bits_on_air + t.install_bits_on_air;
   for (const auto& [qid, qc] : t.queries) bits += qc.bits_on_air;
   return bits;
+}
+
+std::uint64_t attributed_messages(const service::TelemetrySnapshot& t) {
+  std::uint64_t messages = t.mark_messages + t.install_messages;
+  for (const auto& [qid, qc] : t.queries) messages += qc.messages;
+  return messages;
 }
 
 void gate_claims(Gates& gates, bool quick, const LaneResult& shared,
@@ -400,9 +411,12 @@ void gate_claims(Gates& gates, bool quick, const LaneResult& shared,
   for (const auto& [gid, gc] : t.groups) subscribers += gc.subscribers;
   gates.gate(subscribers == continuous_specs().size(), "groups hold ",
              subscribers, " subscribers");
-  const double attribution = ratio_of(attributed_bits(t), shared.total_bits);
-  gates.gate(attribution >= 0.9 && attribution <= 1.0001,
-             "cost ledger accounts for ", attribution, " of bits");
+  gates.gate(attributed_bits(t) == shared.total_bits,
+             "cost ledger accounts for ", attributed_bits(t), " of ",
+             shared.total_bits, " bits");
+  gates.gate(attributed_messages(t) == shared.total_messages,
+             "cost ledger accounts for ", attributed_messages(t), " of ",
+             shared.total_messages, " messages");
   det.gate(gates);
   gates.gate(churn.answers > 0 && churn.qps() > 0, "churn lane answered none");
   // A burst is one serve: its stats one-shots share one convergecast.
@@ -459,6 +473,8 @@ void write_pr8(Json& j, const Scale& s, bool quick, unsigned threads,
       .end()
       .field("mark_bits_on_air", t.mark_bits_on_air)
       .field("mark_messages", t.mark_messages)
+      .field("install_bits_on_air", t.install_bits_on_air)
+      .field("install_messages", t.install_messages)
       .key("queries")
       .array();
   for (const auto& [qid, qc] : t.queries) {

@@ -1,6 +1,7 @@
 #include "src/cube/partials.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <utility>
 
 #include "src/common/codec.hpp"
@@ -12,12 +13,53 @@ namespace sensornet::cube {
 
 // ---- wire images ---------------------------------------------------------
 
+namespace {
+
+constexpr auto kMaxValue =
+    static_cast<std::uint64_t>(std::numeric_limits<Value>::max());
+constexpr auto kMaxU64 = std::numeric_limits<std::uint64_t>::max();
+
+/// Reads a delta that may not exceed `limit`: past it, the decoded stats
+/// would underflow, overflow or leave the core's span.
+std::uint64_t decode_delta(BitReader& r, std::uint64_t limit) {
+  const std::uint64_t d = decode_uint(r);
+  if (d > limit) throw WireFormatError("stats image: delta out of range");
+  return d;
+}
+
+}  // namespace
+
 void encode_stats_image(BitWriter& w, const StatsBundle& b,
                         bool whole_domain) {
   encode_range_stats(w, b.core);
   if (whole_domain) return;
-  encode_range_stats(w, b.inner);
-  encode_range_stats(w, b.outer);
+  const RangeStats& core = b.core;
+  const RangeStats& inner = b.inner;
+  const RangeStats& outer = b.outer;
+  // inner ⊆ core ⊆ outer: every delta below is non-negative.
+  SENSORNET_EXPECTS(inner.count <= core.count && core.count <= outer.count);
+  SENSORNET_EXPECTS(inner.sum <= core.sum && core.sum <= outer.sum);
+  SENSORNET_EXPECTS(inner.count == 0 ||
+                    (core.min <= inner.min && inner.min <= inner.max &&
+                     inner.max <= core.max));
+  SENSORNET_EXPECTS(core.count == 0 ||
+                    (outer.min <= core.min && core.max <= outer.max));
+  encode_uint(w, core.count - inner.count);
+  if (inner.count > 0) {
+    encode_uint(w, core.sum - inner.sum);
+    encode_uint(w, static_cast<std::uint64_t>(inner.min - core.min));
+    encode_uint(w, static_cast<std::uint64_t>(core.max - inner.max));
+  }
+  encode_uint(w, outer.count - core.count);
+  if (outer.count == 0) return;
+  encode_uint(w, outer.sum - core.sum);
+  if (core.count > 0) {
+    encode_uint(w, static_cast<std::uint64_t>(core.min - outer.min));
+    encode_uint(w, static_cast<std::uint64_t>(outer.max - core.max));
+  } else {
+    encode_uint(w, static_cast<std::uint64_t>(outer.min));
+    encode_uint(w, static_cast<std::uint64_t>(outer.max - outer.min));
+  }
 }
 
 StatsBundle decode_stats_image(BitReader& r, bool whole_domain) {
@@ -26,10 +68,37 @@ StatsBundle decode_stats_image(BitReader& r, bool whole_domain) {
   if (whole_domain) {
     b.inner = b.core;
     b.outer = b.core;
-  } else {
-    b.inner = decode_range_stats(r);
-    b.outer = decode_range_stats(r);
+    return b;
   }
+  const RangeStats& core = b.core;
+  const auto core_min = static_cast<std::uint64_t>(core.min);
+  const auto core_max = static_cast<std::uint64_t>(core.max);
+
+  RangeStats& inner = b.inner;
+  inner.count = core.count - decode_delta(r, core.count);
+  if (inner.count > 0) {
+    inner.sum = core.sum - decode_delta(r, core.sum);
+    const std::uint64_t min = core_min + decode_delta(r, core_max - core_min);
+    const std::uint64_t max = core_max - decode_delta(r, core_max - min);
+    inner.min = static_cast<Value>(min);
+    inner.max = static_cast<Value>(max);
+  }
+
+  RangeStats& outer = b.outer;
+  outer.count = core.count + decode_delta(r, kMaxU64 - core.count);
+  if (outer.count == 0) return b;
+  outer.sum = core.sum + decode_delta(r, kMaxU64 - core.sum);
+  std::uint64_t min = 0;
+  std::uint64_t max = 0;
+  if (core.count > 0) {
+    min = core_min - decode_delta(r, core_min);
+    max = core_max + decode_delta(r, kMaxValue - core_max);
+  } else {
+    min = decode_delta(r, kMaxValue);
+    max = min + decode_delta(r, kMaxValue - min);
+  }
+  outer.min = static_cast<Value>(min);
+  outer.max = static_cast<Value>(max);
   return b;
 }
 

@@ -16,10 +16,26 @@
 //                       its partial for edge c is stale. An all-zero mask is
 //                       never sent (the edge is served from the partials).
 //   response (c -> u)   the images of the masked slots, concatenated in slot
-//                       order. One image is a RangeStats for a whole-domain
-//                       region or core/inner/outer for a ranged one,
-//                       followed by the slot's HLL image when the store
-//                       keeps sketches.
+//                       order, each followed by the slot's HLL image when
+//                       the store keeps sketches.
+//
+// A stats image is the bundle's core as one RangeStats
+// (encode_range_stats). A whole-domain image ends there: its margins
+// collapse onto the core. A ranged image then sends its margins as
+// encode_uint deltas against the core, which inner ⊆ core ⊆ outer keeps
+// non-negative:
+//
+//   inner   core.count - inner.count; if the inner is non-empty,
+//           core.sum - inner.sum, inner.min - core.min, core.max - inner.max
+//   outer   outer.count - core.count; if the outer is non-empty,
+//           outer.sum - core.sum, then core.min - outer.min and
+//           outer.max - core.max — or, when the core is empty, outer.min
+//           and outer.max - outer.min in full
+//
+// Only readings within the margin of the region's ends move the deltas off
+// zero, so a ranged image costs little more than its core. The decoder
+// rejects (WireFormatError) any delta that would underflow, overflow or
+// leave the core's span.
 //
 // At k = 1 the request is the single bit 1 and the response one image. A
 // node's subtree partial is formed when it responds, from its local partial
@@ -100,7 +116,10 @@ class ShareLedger {
 };
 
 /// Wire images (see the file comment). Masks and shapes are one flag byte
-/// per slot (nonzero = set).
+/// per slot (nonzero = set). A ranged bundle must nest (inner ⊆ core ⊆
+/// outer: counts, sums and min/max rails); the encoder checks it. The
+/// decoder throws WireFormatError on a truncated image or an inconsistent
+/// delta.
 void encode_stats_image(BitWriter& w, const StatsBundle& b, bool whole_domain);
 StatsBundle decode_stats_image(BitReader& r, bool whole_domain);
 

@@ -62,9 +62,11 @@ struct StatsBundle {
   bool operator==(const StatsBundle&) const = default;
 };
 
-/// Wire codec shared by every stats-carrying wave (scheduler collections,
-/// cube cell refreshes, residue collections): count, then sum/min/(max-min)
-/// only when the range is non-empty.
+/// Plain codec of one RangeStats: count, then sum/min/(max-min) only when
+/// the range is non-empty. Every stats-carrying wave (scheduler
+/// collections, cube cell refreshes, residue collections) sends a bundle's
+/// core this way; a ranged bundle's inner and outer follow as deltas
+/// against it (cube::encode_stats_image, wire format in partials.hpp).
 void encode_range_stats(BitWriter& w, const RangeStats& rs);
 RangeStats decode_range_stats(BitReader& r);
 

@@ -173,6 +173,8 @@ QueryService::LiveQuery QueryService::route(ParsedQuery&& parsed,
     const CostDelta d = cost_since(deployment_.net, before);
     group_costs_[lq.group].bits_on_air += d.bits;
     group_costs_[lq.group].messages += d.messages;
+    install_bits_on_air_ += d.bits;
+    install_messages_ += d.messages;
   };
   if (bundle && cube_) {
     lq.path = Path::kBundle;
@@ -516,6 +518,8 @@ TelemetrySnapshot QueryService::telemetry_snapshot() const {
   if (cube_) snap.cube = cube_->stats();
   snap.mark_bits_on_air = mark_bits_on_air_;
   snap.mark_messages = mark_messages_;
+  snap.install_bits_on_air = install_bits_on_air_;
+  snap.install_messages = install_messages_;
   snap.queries = query_costs_;
   snap.groups = group_costs_;
   for (const auto& [id, lq] : live_) {

@@ -148,8 +148,8 @@ struct ServiceTelemetry {
 /// of the epoch's multiplexed wave (see WaveShare), or the key's share of
 /// the cube batch's waves, the cells and residues its plan claimed first
 /// (see cube::ServeResult) — and everyone after rides it for free. Summing
-/// bits_on_air over queries (plus the service-level mark wave and the
-/// groups' install broadcasts) therefore reproduces the network total.
+/// bits_on_air over queries plus the service-level mark and install buckets
+/// (see TelemetrySnapshot) therefore reproduces the network total.
 struct QueryCost {
   std::uint64_t answers = 0;
   std::uint64_t cache_hits = 0;    // answered from the result cache
@@ -183,6 +183,12 @@ struct TelemetrySnapshot {
   /// an update batch, so the mark wave's bits live here, not in QueryCost.
   std::uint64_t mark_bits_on_air = 0;
   std::uint64_t mark_messages = 0;
+  /// Shared-group install broadcasts, paid at admission. A group may outlive
+  /// the query whose admission created it, so installs live here too (and
+  /// in the group's own ledger). Mark, install and Σ query bits (and
+  /// messages) equal the network total exactly.
+  std::uint64_t install_bits_on_air = 0;
+  std::uint64_t install_messages = 0;
   std::map<QueryId, QueryCost> queries;
   std::map<GroupId, GroupCost> groups;
 };
@@ -232,9 +238,9 @@ class QueryService {
   const query::Planner& planner() const { return planner_; }
 
   /// Assembles the full cost-attribution view: totals, cache outcome
-  /// counters, scheduler stats, cube stats, the service-level mark-wave
-  /// bucket, and the per-query / per-group cost ledgers (with live
-  /// subscriber counts).
+  /// counters, scheduler stats, cube stats, the service-level mark-wave and
+  /// group-install buckets, and the per-query / per-group cost ledgers
+  /// (with live subscriber counts).
   TelemetrySnapshot telemetry_snapshot() const;
 
  private:
@@ -310,6 +316,8 @@ class QueryService {
   std::map<GroupId, GroupCost> group_costs_;
   std::uint64_t mark_bits_on_air_ = 0;
   std::uint64_t mark_messages_ = 0;
+  std::uint64_t install_bits_on_air_ = 0;
+  std::uint64_t install_messages_ = 0;
 };
 
 }  // namespace sensornet::service

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <initializer_list>
 #include <utility>
 
 #include "src/baseline/quantile_summary.hpp"
@@ -203,6 +204,101 @@ TEST(FuzzDecode, StatsImages) {
   fuzz_strict([](Xoshiro256& rng, BitReader& r) {
     (void)cube::decode_stats_image(r, rng.next_below(2) == 0);
   });
+}
+
+/// Decodes a ranged image whose core is 3 readings summing to 30 in
+/// [5, 15], followed by the delta fields in `deltas` (each an encode_uint);
+/// false when the decoder rejects it.
+bool ranged_image_decodes(std::initializer_list<std::uint64_t> deltas) {
+  BitWriter w;
+  cube::RangeStats core;
+  for (const Value v : {5, 10, 15}) core.observe(v);
+  cube::encode_range_stats(w, core);
+  for (const std::uint64_t d : deltas) encode_uint(w, d);
+  BitReader r(w.bytes().data(), w.bit_count());
+  try {
+    const service::StatsBundle b = cube::decode_stats_image(r, false);
+    EXPECT_EQ(r.remaining(), 0u);
+    EXPECT_LE(b.inner.count, b.core.count);
+    EXPECT_LE(b.core.count, b.outer.count);
+    return true;
+  } catch (const WireFormatError&) {
+    return false;
+  }
+}
+
+TEST(FuzzDecode, StatsImageRejectsInconsistentDeltas) {
+  // Well-formed codes whose deltas would take the inner outside the core or
+  // the outer outside the Value / uint64 range: each is a WireFormatError,
+  // never a wrapped bundle. Inner fields: count, sum, min, max deltas
+  // against the core; outer fields: count, sum, min, max deltas.
+  constexpr std::uint64_t kTop = (std::uint64_t{1} << 63) - 1;  // Value max
+  constexpr std::uint64_t kU64 = ~std::uint64_t{0};
+  // Control: the widest consistent deltas decode (inner = [15, 15], outer
+  // from 0 to the largest Value, sum and count at the uint64 limit).
+  EXPECT_TRUE(ranged_image_decodes({2, 15, 10, 0, kU64 - 3, kU64 - 31, 5,
+                                    kTop - 15}));
+  EXPECT_TRUE(ranged_image_decodes({3, 0, 0, 0, 0}));  // empty inner
+  // Inner count past the core's (the rest would decode as an empty outer
+  // margin).
+  EXPECT_FALSE(ranged_image_decodes({4, 0, 0, 0, 0, 0, 0, 0}));
+  // Inner sum past the core's.
+  EXPECT_FALSE(ranged_image_decodes({2, 31, 0, 0, 0, 0, 0, 0}));
+  // Inner min or max leaving the core's span [5, 15].
+  EXPECT_FALSE(ranged_image_decodes({2, 0, 11, 0, 0, 0, 0, 0}));
+  EXPECT_FALSE(ranged_image_decodes({2, 0, 0, 11, 0, 0, 0, 0}));
+  EXPECT_FALSE(ranged_image_decodes({2, 0, 6, 5, 0, 0, 0, 0}));  // max < min
+  // Outer count or sum past uint64.
+  EXPECT_FALSE(ranged_image_decodes({3, kU64 - 2, 0, 0, 0}));
+  EXPECT_FALSE(ranged_image_decodes({3, 0, kU64 - 29, 0, 0}));
+  // Outer min below 0, outer max past the Value range.
+  EXPECT_FALSE(ranged_image_decodes({3, 0, 0, 6, 0}));
+  EXPECT_FALSE(ranged_image_decodes({3, 0, 0, 0, kTop - 14}));
+
+  // An empty core: no inner can exist, and the outer's min and span are
+  // sent in full — and must stay inside the Value range.
+  const auto empty_core = [](std::initializer_list<std::uint64_t> deltas) {
+    BitWriter w;
+    cube::encode_range_stats(w, cube::RangeStats{});
+    for (const std::uint64_t d : deltas) encode_uint(w, d);
+    BitReader r(w.bytes().data(), w.bit_count());
+    (void)cube::decode_stats_image(r, false);
+    EXPECT_EQ(r.remaining(), 0u);
+  };
+  EXPECT_NO_THROW(empty_core({0, 2, 9, kTop - 1, 1}));
+  EXPECT_NO_THROW(empty_core({0, 0}));
+  EXPECT_THROW(empty_core({1, 0, 0, 0, 0}), WireFormatError);
+  EXPECT_THROW(empty_core({0, 1, 9, kTop + 1, 0}), WireFormatError);
+  EXPECT_THROW(empty_core({0, 1, 9, kTop, 1}), WireFormatError);
+  EXPECT_THROW(empty_core({0, 2, 9, 5, kTop - 4}), WireFormatError);
+}
+
+TEST(FuzzDecode, StatsImageEncoderRejectsBrokenNesting) {
+  // The delta code relies on inner ⊆ core ⊆ outer; a bundle that breaks it
+  // is a caller bug, caught before anything reaches the wire.
+  service::StatsBundle ok;
+  for (const Value v : {5, 10, 15}) ok.core.observe(v);
+  ok.inner.observe(10);
+  ok.outer = ok.core;
+  ok.outer.observe(2);
+  BitWriter fine;
+  cube::encode_stats_image(fine, ok, false);
+
+  std::vector<service::StatsBundle> broken(6, ok);
+  broken[0].inner.observe(10);
+  broken[0].inner.observe(10);
+  broken[0].inner.observe(10);  // inner count > core count
+  broken[1].outer = ok.inner;    // outer count < core count
+  broken[2].inner.min = 4;       // inner below the core's min
+  broken[3].inner.max = 16;      // inner above the core's max
+  broken[4].outer.max = 14;      // outer max below the core's
+  broken[5].inner.sum = 31;      // inner sum > core sum
+  for (const service::StatsBundle& b : broken) {
+    BitWriter w;
+    EXPECT_THROW(cube::encode_stats_image(w, b, false), PreconditionError);
+    BitWriter whole;  // a whole-domain image carries the core alone
+    cube::encode_stats_image(whole, b, true);
+  }
 }
 
 TEST(FuzzDecode, StatsRequestMask) {

@@ -393,7 +393,8 @@ void drift(Fixture& f, Xoshiro256& rng, std::size_t count,
 TEST(Cube, ServesKeepTheWireCost) {
   // Cell refreshes, pruned residues and HLL-carrying partials over six
   // drift epochs, every epoch's plans served as one batch: these totals pin
-  // the cube's wire format, its multiplexing and its pruning.
+  // the cube's wire format (delta-coded ranged images included), its
+  // multiplexing and its pruning.
   CubeConfig cfg;
   cfg.levels = 4;
   cfg.distinct_registers = 16;
@@ -438,7 +439,7 @@ TEST(Cube, ServesKeepTheWireCost) {
   }
   const auto after = f.net.summary(true);
   const CubeStats& s = f.cube.stats();
-  EXPECT_EQ(after.total_bits - before.total_bits, 52980u);
+  EXPECT_EQ(after.total_bits - before.total_bits, 41778u);
   EXPECT_EQ(after.total_messages - before.total_messages, 513u);
   EXPECT_EQ(s.cell_edges_descended, 342u);
   EXPECT_EQ(s.cell_edges_skipped, 80u);

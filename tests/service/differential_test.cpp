@@ -8,8 +8,8 @@
 // cache. Every configuration must
 //   - answer exact answers with the mirror's value,
 //   - contain the mirror's value in every deterministically bounded answer,
-//   - account for every bit on the air: query bits, mark bits and group
-//     install broadcasts add up to the network total.
+//   - account for every bit and message on the air: query, mark and
+//     group-install ledgers add up to the network total.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -171,7 +171,6 @@ ServiceTelemetry replay(const Script& script, const Config& c) {
   std::vector<Submit> submits;   // admitted, in admission order
   std::map<QueryId, std::size_t> submit_of;
   std::vector<QueryId> ids;      // by scripted-submit index (0: one-shot)
-  std::uint64_t install_bits = 0;
   std::uint64_t checked = 0;
 
   const auto check = [&](const Answer& a) {
@@ -225,11 +224,9 @@ ServiceTelemetry replay(const Script& script, const Config& c) {
   };
 
   // Admits `batch` in one call (submit() for a batch of one) and checks
-  // every answer. What admission shipped beyond the batch's own answers is
-  // its groups' install broadcasts.
+  // every answer.
   const auto admit = [&](const std::vector<Submit>& batch)
       -> std::vector<Result<Admission>> {
-    const std::uint64_t before = net.summary(true).total_bits;
     std::vector<Result<Admission>> results;
     if (batch.size() == 1) {
       results.push_back(svc.submit(batch[0].text));
@@ -238,8 +235,6 @@ ServiceTelemetry replay(const Script& script, const Config& c) {
       for (const Submit& s : batch) texts.push_back(s.text);
       results = svc.submit_batch(texts);
     }
-    std::uint64_t own_bits = 0;
-    const TelemetrySnapshot snap = svc.telemetry_snapshot();
     for (std::size_t i = 0; i < batch.size(); ++i) {
       const Submit& s = batch[i];
       const Result<Admission>& r = results[i];
@@ -249,11 +244,8 @@ ServiceTelemetry replay(const Script& script, const Config& c) {
       }
       submit_of[r.value().id] = submits.size();
       submits.push_back(s);
-      const auto own = snap.queries.find(r.value().id);
-      if (own != snap.queries.end()) own_bits += own->second.bits_on_air;
       if (r.value().answer) check(*r.value().answer);
     }
-    install_bits += net.summary(true).total_bits - before - own_bits;
     return results;
   };
 
@@ -272,9 +264,15 @@ ServiceTelemetry replay(const Script& script, const Config& c) {
   EXPECT_GT(checked, 0u);
 
   const TelemetrySnapshot snap = svc.telemetry_snapshot();
-  std::uint64_t attributed = snap.mark_bits_on_air + install_bits;
-  for (const auto& [id, qc] : snap.queries) attributed += qc.bits_on_air;
-  EXPECT_EQ(attributed, net.summary(true).total_bits);
+  std::uint64_t attributed = snap.mark_bits_on_air + snap.install_bits_on_air;
+  std::uint64_t attributed_msgs = snap.mark_messages + snap.install_messages;
+  for (const auto& [id, qc] : snap.queries) {
+    attributed += qc.bits_on_air;
+    attributed_msgs += qc.messages;
+  }
+  const auto total = net.summary(true);
+  EXPECT_EQ(attributed, total.total_bits);
+  EXPECT_EQ(attributed_msgs, total.total_messages);
   EXPECT_EQ(snap.cache.hits, snap.totals.cache_hits);
   return snap.totals;
 }

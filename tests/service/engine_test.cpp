@@ -325,18 +325,19 @@ TEST(QueryService, TelemetrySnapshotAttributesCostsToQueriesAndGroups) {
   EXPECT_EQ(group_collections, snap.plan.stats_waves);
 
   // Marginal-cost conservation: per-query bits plus the service-level mark
-  // wave account for every bit the network charged.
+  // and install buckets account for every bit the network charged.
   const std::uint64_t total_bits = f.net.summary(true).total_bits;
-  std::uint64_t attributed = snap.mark_bits_on_air;
-  for (const auto& [id, qc] : snap.queries) attributed += qc.bits_on_air;
-  // Group-install broadcasts are charged to groups, not queries.
+  // The ranged group's install broadcast sits in the install bucket and in
+  // its group's ledger, not in any query's.
+  EXPECT_GT(snap.install_bits_on_air, 0u);
   for (const auto& [gid, gc] : snap.groups) {
     EXPECT_GT(gc.bits_on_air, 0u);
   }
   std::uint64_t fresh_bits = 0;
   for (const auto& [id, qc] : snap.queries) fresh_bits += qc.bits_on_air;
-  EXPECT_LE(attributed, total_bits);
   EXPECT_GT(fresh_bits, 0u);
+  EXPECT_EQ(snap.mark_bits_on_air + snap.install_bits_on_air + fresh_bits,
+            total_bits);
 }
 
 TEST(QueryService, AttributedBitsPlusMarksEqualNetworkTotal) {
@@ -357,6 +358,8 @@ TEST(QueryService, AttributedBitsPlusMarksEqualNetworkTotal) {
     attributed_msgs += qc.messages;
   }
   const auto total = f.net.summary(true);
+  EXPECT_EQ(snap.install_bits_on_air, 0u);
+  EXPECT_EQ(snap.install_messages, 0u);
   EXPECT_EQ(attributed, total.total_bits);
   EXPECT_EQ(attributed_msgs, total.total_messages);
 }
@@ -373,9 +376,8 @@ TEST(QueryService, MultiplexedWaveSplitsBitsExactlyAmongGroups) {
   f.svc.submit("SELECT MAX(v) FROM s WHERE v BETWEEN 100 AND 280 "
                "EVERY 2 EPOCHS").value();
   f.svc.submit("SELECT SUM(v) FROM s EVERY 2 EPOCHS").value();
-  const std::uint64_t install_bits = f.net.summary(true).total_bits;
-  const std::uint64_t install_msgs = f.net.summary(true).total_messages;
-  EXPECT_GT(install_bits, 0u);  // two ranged groups paid their installs
+  const auto admitted = f.net.summary(true);
+  EXPECT_GT(admitted.total_bits, 0u);  // two ranged groups paid their installs
 
   for (int e = 0; e < 4; ++e) {
     const SimTime t0 = f.net.now();
@@ -389,9 +391,13 @@ TEST(QueryService, MultiplexedWaveSplitsBitsExactlyAmongGroups) {
   const auto total = f.net.summary(true);
   ASSERT_EQ(snap.groups.size(), 3u);
 
+  // Admission shipped the installs and nothing else.
+  EXPECT_EQ(snap.install_bits_on_air, admitted.total_bits);
+  EXPECT_EQ(snap.install_messages, admitted.total_messages);
+
   // Query side: shares, marks and installs cover the network exactly.
-  std::uint64_t query_bits = snap.mark_bits_on_air + install_bits;
-  std::uint64_t query_msgs = snap.mark_messages + install_msgs;
+  std::uint64_t query_bits = snap.mark_bits_on_air + snap.install_bits_on_air;
+  std::uint64_t query_msgs = snap.mark_messages + snap.install_messages;
   for (const auto& [id, qc] : snap.queries) {
     query_bits += qc.bits_on_air;
     query_msgs += qc.messages;
@@ -731,7 +737,6 @@ TEST_P(BundlePath, ExactSubscriberForcesFreshCollectionForTheKey) {
       f.svc.submit("SELECT COUNT(v) FROM s WHERE v BETWEEN 20 AND 260 "
                    "EVERY 1 EPOCHS")
           .value();
-  const std::uint64_t install_bits = f.net.summary(true).total_bits;
   for (int e = 0; e < 4; ++e) {
     const std::vector<SensorUpdate> batch{f.drift(9, 3), f.drift(22, -2)};
     const auto answers = f.svc.run_epoch(batch);
@@ -754,7 +759,7 @@ TEST_P(BundlePath, ExactSubscriberForcesFreshCollectionForTheKey) {
   EXPECT_GT(snap.queries.at(tolerant.id).bits_on_air, 0u);
   EXPECT_EQ(snap.queries.at(exact.id).bits_on_air, 0u);
   // Query bits, mark bits and the group's install cover the network.
-  std::uint64_t attributed = snap.mark_bits_on_air + install_bits;
+  std::uint64_t attributed = snap.mark_bits_on_air + snap.install_bits_on_air;
   for (const auto& [id, qc] : snap.queries) attributed += qc.bits_on_air;
   EXPECT_EQ(attributed, f.net.summary(true).total_bits);
 }
@@ -794,15 +799,6 @@ TEST_P(BundlePath, SubmitBatchServesOneShotsInOneServe) {
       "SELECT MAX(v) FROM s WHERE v < 100",
       "SELECT MIN(v) FROM s ERROR 0.2",
   };
-  // What admission alone ships: the same keys' installs, as subscriptions.
-  Fixture installs{config()};
-  for (std::string t : texts) {
-    const std::size_t at = t.find(" ERROR");
-    t.insert(at == std::string::npos ? t.size() : at, " EVERY 1 EPOCHS");
-    ASSERT_TRUE(installs.svc.submit(t).ok()) << t;
-  }
-  const std::uint64_t install_bits = installs.net.summary(true).total_bits;
-
   Fixture batch{config()};
   Fixture twin{config()};
   const auto admitted = batch.svc.submit_batch(texts);
@@ -836,12 +832,19 @@ TEST_P(BundlePath, SubmitBatchServesOneShotsInOneServe) {
     EXPECT_EQ(batch.svc.plan_stats().stats_convergecasts, 1u);
     EXPECT_GT(twin.svc.plan_stats().stats_convergecasts, 1u);
   }
-  const std::uint64_t total = batch.net.summary(true).total_bits;
-  EXPECT_LE(total, twin.net.summary(true).total_bits);
+  const auto total = batch.net.summary(true);
+  EXPECT_LE(total.total_bits, twin.net.summary(true).total_bits);
+  // Query bits and the groups' installs cover the network exactly.
   const TelemetrySnapshot snap = batch.svc.telemetry_snapshot();
-  std::uint64_t attributed = install_bits;
-  for (const auto& [id, qc] : snap.queries) attributed += qc.bits_on_air;
-  EXPECT_EQ(attributed, total);
+  EXPECT_EQ(snap.install_bits_on_air > 0, !GetParam().use_cube);
+  std::uint64_t attributed = snap.install_bits_on_air;
+  std::uint64_t attributed_msgs = snap.install_messages;
+  for (const auto& [id, qc] : snap.queries) {
+    attributed += qc.bits_on_air;
+    attributed_msgs += qc.messages;
+  }
+  EXPECT_EQ(attributed, total.total_bits);
+  EXPECT_EQ(attributed_msgs, total.total_messages);
 }
 
 INSTANTIATE_TEST_SUITE_P(
