@@ -36,7 +36,9 @@
 // epoch. Every due query's cells ride one multiplexed collect and its
 // residues one multiplexed residue wave, so an epoch may spend at most two
 // convergecasts, 2 * (2 * tree height + 2) rounds, beyond its mark wave;
-// more means serves ran one after another, and is FATAL.
+// more means serves ran one after another, and is FATAL. So is a lane that
+// runs no residue wave or never prunes a residue edge: the unaligned
+// stragglers keep the prune path on the path.
 //
 // Usage: exp_cube [--quick] [--out PATH] [--threads N]
 //   --quick    smaller deployment / fewer epochs (CI smoke lane)
@@ -44,7 +46,6 @@
 //   --threads  submit_batch farm workers; 0 = hardware concurrency
 #include <algorithm>
 #include <bit>
-#include <cmath>
 #include <cstdint>
 #include <iomanip>
 #include <iostream>
@@ -109,124 +110,38 @@ std::vector<ContinuousSpec> continuous_specs() {
   };
 }
 
-double exact_over(const std::vector<Value>& mirror, const ContinuousSpec& s,
-                  bool& empty) {
-  std::uint64_t count = 0;
-  std::int64_t sum = 0;
-  for (Value v : mirror) {
-    if (v < s.lo || v > s.hi) continue;
-    ++count;
-    sum += v;
-  }
-  empty = count == 0;
-  switch (s.agg) {
-    case query::AggregateKind::kCount: return static_cast<double>(count);
-    case query::AggregateKind::kSum: return static_cast<double>(sum);
-    case query::AggregateKind::kAvg:
-      return empty ? 0.0 : static_cast<double>(sum) / count;
-    default: return 0.0;
-  }
-}
-
-struct LaneRun {
+struct LaneRun : LaneTotals {
   std::vector<Answer> answers;  // flattened, epoch-major, admission order
-  std::uint64_t total_bits = 0;
-  std::uint64_t air_rounds = 0;             // simulated rounds, all epochs
-  std::uint64_t max_collection_rounds = 0;  // worst epoch beyond its marks
-  std::uint64_t tree_height = 0;
   std::uint64_t bound_checked = 0;
   std::uint64_t bound_violations = 0;
-  std::uint64_t checksum = 0;
-  std::uint64_t answers_checksum = 0;  // the checksum before total bits
   service::TelemetrySnapshot telemetry;
 };
 
 /// Runs the cached-range scenario once. Deterministic for a fixed scale
 /// regardless of `threads` — that invariance is lane 4.
 LaneRun run_cached_lane(const Scale& s, unsigned threads, bool with_cube) {
-  const unsigned n = s.grid_side * s.grid_side;
-  sim::Network net(net::make_grid(s.grid_side, s.grid_side),
-                   /*master_seed=*/77);
-  const net::SpanningTree tree = net::bfs_tree(net.graph(), 0);
-  std::vector<Value> mirror(n);
-  for (NodeId u = 0; u < n; ++u) {
-    mirror[u] = static_cast<Value>((u * 37) % (kBound + 1));
-  }
-  net.set_one_item_per_node(mirror);
-
   ServiceConfig cfg;
   cfg.threads = threads;
   cfg.use_cube = with_cube;
   cfg.share_aggregation = false;  // cube vs raw per-query execution
   cfg.use_cache = with_cube;
-  QueryService svc(query::Deployment{net, tree, kBound}, cfg);
-
-  const std::vector<ContinuousSpec> specs = continuous_specs();
-  std::vector<std::string> texts;
-  texts.reserve(specs.size());
-  for (const auto& spec : specs) texts.push_back(spec_text(spec));
-
-  Fnv1a sum;
   LaneRun lane;
-  std::vector<service::QueryId> ids;
-  for (const auto& r : svc.submit_batch(texts)) {
-    if (!r.ok()) {
-      std::cerr << "FATAL: cached-range admission failed: " << r.error()
-                << "\n";
-      std::exit(1);
-    }
-    ids.push_back(r.value().id);
-    sum.mix_u64(r.value().id);
-  }
-
-  for (std::uint32_t e = 1; e <= s.epochs; ++e) {
-    // A quarter of the deployment drifts each epoch: incremental refresh
-    // always has clean subtrees to skip, but never goes fully quiescent.
-    std::vector<SensorUpdate> batch;
-    SimTime mark_rounds = 0;  // the deepest changed reading's climb
-    for (NodeId u = e % 4; u < n; u += 4) {
-      const Value delta = (u + e) % 2 == 0 ? 3 : -3;
-      const Value v = std::clamp<Value>(mirror[u] + delta, 0, kBound);
-      if (v != mirror[u]) {
-        mark_rounds = std::max<SimTime>(mark_rounds, tree.depth[u]);
-      }
-      mirror[u] = v;
-      batch.push_back(SensorUpdate{u, v});
-    }
-    const SimTime t0 = net.now();
-    const std::vector<Answer> answers = svc.run_epoch(batch);
-    const SimTime rounds = net.now() - t0;
-    lane.air_rounds += rounds;
-    lane.max_collection_rounds = std::max<std::uint64_t>(
-        lane.max_collection_rounds, rounds - std::min(rounds, mark_rounds));
-    for (const Answer& a : answers) {
-      sum.mix_answer(a);
-      const ContinuousSpec& spec = specs[a.id - ids.front()];
-      // Deterministic-bound soundness applies to the cube run only: in
-      // naive mode a tolerant query runs a randomized approximation
-      // protocol whose guarantee is statistical, not a drift bracket.
-      if (with_cube && spec.error > 0.0) {
-        // Tolerant answers: the deterministic bound must contain the truth.
-        ++lane.bound_checked;
-        bool empty = false;
-        const double truth = exact_over(mirror, spec, empty);
-        if (!empty && std::abs(a.value - truth) > a.error_bound + 1e-9) {
-          ++lane.bound_violations;
-          std::cerr << "bound violation: id=" << a.id << " epoch=" << e
-                    << " value=" << a.value << " truth=" << truth
-                    << " bound=" << a.error_bound << "\n";
+  static_cast<LaneTotals&>(lane) = run_service_lane(
+      s.grid_side, s.epochs, cfg, continuous_specs(), "cached-range",
+      [&lane, with_cube](const Answer& a, const ContinuousSpec& spec,
+                         const std::vector<Value>& mirror, std::uint32_t e) {
+        // Deterministic-bound soundness applies to the cube run only: in
+        // naive mode a tolerant query runs a randomized approximation
+        // protocol whose guarantee is statistical, not a drift bracket.
+        if (with_cube && spec.error > 0.0) {
+          ++lane.bound_checked;
+          if (!within_bound(a, spec, mirror, e)) ++lane.bound_violations;
         }
-      }
-      lane.answers.push_back(a);
-    }
-  }
-
-  lane.tree_height = tree.height();
-  lane.total_bits = net.summary(/*include_headers=*/true).total_bits;
-  lane.telemetry = svc.telemetry_snapshot();
-  lane.answers_checksum = sum.h;
-  sum.mix_u64(lane.total_bits);
-  lane.checksum = sum.h;
+        lane.answers.push_back(a);
+      },
+      [&lane](const QueryService& svc) {
+        lane.telemetry = svc.telemetry_snapshot();
+      });
   return lane;
 }
 
@@ -458,6 +373,9 @@ void gate_claims(Gates& gates, const LaneRun& cube, const LaneRun& naive,
              " rounds beyond its mark wave — cube serves ran serially");
   gates.gate(t.cube.cell_edges_skipped > 0,
              "incremental refresh never skipped a clean subtree");
+  gates.gate(t.cube.residue_waves > 0, "cube never ran a residue wave");
+  gates.gate(t.cube.residue_edges_pruned > 0,
+             "residue waves never pruned a provably empty subtree");
   gates.gate(tot.exact_compared > 0, "oracle never exercised");
   gates.gate(tot.mismatches == 0, "cube answers differ from the tree oracle");
   gates.gate(cube.bound_checked > 0, "brackets never exercised");

@@ -54,7 +54,6 @@
 //   --trace    export a Chrome trace of a small shared run to PATH
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdint>
 #include <fstream>
 #include <iomanip>
@@ -121,34 +120,7 @@ std::vector<ContinuousSpec> continuous_specs() {
   };
 }
 
-/// Exact aggregate over the mirror, for lane-2 soundness checks.
-double exact_over(const std::vector<Value>& mirror, const ContinuousSpec& s,
-                  bool& empty) {
-  std::uint64_t count = 0;
-  std::int64_t sum = 0;
-  Value mn = kBound, mx = 0;
-  for (Value v : mirror) {
-    if (v < s.lo || v > s.hi) continue;
-    ++count;
-    sum += v;
-    mn = std::min(mn, v);
-    mx = std::max(mx, v);
-  }
-  empty = count == 0;
-  switch (s.agg) {
-    case query::AggregateKind::kCount: return static_cast<double>(count);
-    case query::AggregateKind::kSum: return static_cast<double>(sum);
-    case query::AggregateKind::kAvg:
-      return empty ? 0.0 : static_cast<double>(sum) / count;
-    case query::AggregateKind::kMin: return empty ? 0.0 : static_cast<double>(mn);
-    case query::AggregateKind::kMax: return empty ? 0.0 : static_cast<double>(mx);
-    default: return 0.0;
-  }
-}
-
-struct LaneResult {
-  std::uint64_t total_bits = 0;
-  std::uint64_t total_messages = 0;
+struct LaneResult : LaneTotals {
   std::uint64_t answers = 0;
   std::uint64_t cache_hits = 0;
   std::uint64_t stats_waves = 0;
@@ -157,105 +129,34 @@ struct LaneResult {
   std::uint64_t mark_messages = 0;
   std::uint64_t cache_answers_checked = 0;
   std::uint64_t bound_violations = 0;
-  std::uint64_t checksum = 0;
-  std::uint64_t answers_checksum = 0;  // the checksum before total bits
-  std::uint64_t air_rounds = 0;             // simulated rounds, all epochs
-  std::uint64_t max_collection_rounds = 0;  // worst epoch beyond its marks
-  std::uint64_t tree_height = 0;
   service::TelemetrySnapshot telemetry;  // full cost-attribution ledger
 };
 
 /// Runs the overlapping continuous-query scenario once. Deterministic for a
 /// fixed (side, epochs) regardless of `threads` — that invariance is lane 3.
 LaneResult run_continuous_lane(const Scale& s, unsigned threads, bool shared) {
-  const unsigned n = s.grid_side * s.grid_side;
-  sim::Network net(net::make_grid(s.grid_side, s.grid_side),
-                   /*master_seed=*/77);
-  const net::SpanningTree tree = net::bfs_tree(net.graph(), 0);
-  std::vector<Value> mirror(n);
-  for (NodeId u = 0; u < n; ++u) {
-    mirror[u] = static_cast<Value>((u * 37) % (kBound + 1));
-  }
-  net.set_one_item_per_node(mirror);
-
   ServiceConfig cfg;
   cfg.threads = threads;
   cfg.share_aggregation = shared;
   cfg.use_cache = shared;
-  QueryService svc(query::Deployment{net, tree, kBound}, cfg);
-
-  const std::vector<ContinuousSpec> specs = continuous_specs();
-  std::vector<std::string> texts;
-  texts.reserve(specs.size());
-  for (const auto& spec : specs) texts.push_back(spec_text(spec));
-
-  Fnv1a sum;
   LaneResult lane;
-  // Admission order == spec order, so ids map back to specs by offset.
-  std::vector<service::QueryId> ids;
-  for (const auto& r : svc.submit_batch(texts)) {
-    if (!r.ok()) {
-      std::cerr << "FATAL: continuous-lane admission failed: " << r.error()
-                << "\n";
-      std::exit(1);
-    }
-    ids.push_back(r.value().id);
-    sum.mix_u64(r.value().id);
-  }
-
-  for (std::uint32_t e = 1; e <= s.epochs; ++e) {
-    // Rotate through the deployment: a quarter of the nodes drift each
-    // epoch, so collections always have clean subtrees to skip.
-    std::vector<SensorUpdate> batch;
-    SimTime mark_rounds = 0;  // the deepest changed reading's climb
-    for (NodeId u = e % 4; u < n; u += 4) {
-      const Value delta = (u + e) % 2 == 0 ? 3 : -3;
-      const Value v = std::clamp<Value>(mirror[u] + delta, 0, kBound);
-      if (v != mirror[u]) {
-        mark_rounds = std::max<SimTime>(mark_rounds, tree.depth[u]);
-      }
-      mirror[u] = v;
-      batch.push_back(SensorUpdate{u, v});
-    }
-    const SimTime t0 = net.now();
-    const std::vector<Answer> answers = svc.run_epoch(batch);
-    const SimTime rounds = net.now() - t0;
-    lane.air_rounds += rounds;
-    lane.max_collection_rounds = std::max<std::uint64_t>(
-        lane.max_collection_rounds, rounds - std::min(rounds, mark_rounds));
-    for (const Answer& a : answers) {
-      sum.mix_answer(a);
-      if (a.from_cache) {
+  static_cast<LaneTotals&>(lane) = run_service_lane(
+      s.grid_side, s.epochs, cfg, continuous_specs(), "continuous-lane",
+      [&lane](const Answer& a, const ContinuousSpec& spec,
+              const std::vector<Value>& mirror, std::uint32_t e) {
+        if (!a.from_cache) return;
         ++lane.cache_answers_checked;
-        const ContinuousSpec& spec =
-            specs[a.id - ids.front()];  // ids are contiguous per batch
-        bool empty = false;
-        const double truth = exact_over(mirror, spec, empty);
-        if (!empty &&
-            std::abs(a.value - truth) > a.error_bound + 1e-9) {
-          ++lane.bound_violations;
-          std::cerr << "bound violation: id=" << a.id << " epoch=" << e
-                    << " value=" << a.value << " truth=" << truth
-                    << " bound=" << a.error_bound << "\n";
-        }
-      }
-    }
-  }
-
-  lane.tree_height = tree.height();
-  const sim::CommSummary total = net.summary(/*include_headers=*/true);
-  lane.total_bits = total.total_bits;
-  lane.total_messages = total.total_messages;
-  lane.answers = svc.telemetry().answers;
-  lane.cache_hits = svc.telemetry().cache_hits;
-  lane.stats_waves = svc.plan_stats().stats_waves;
-  lane.edges_descended = svc.plan_stats().edges_descended;
-  lane.edges_skipped = svc.plan_stats().edges_skipped;
-  lane.mark_messages = svc.plan_stats().mark_messages;
-  lane.telemetry = svc.telemetry_snapshot();
-  lane.answers_checksum = sum.h;
-  sum.mix_u64(lane.total_bits);
-  lane.checksum = sum.h;
+        if (!within_bound(a, spec, mirror, e)) ++lane.bound_violations;
+      },
+      [&lane](const QueryService& svc) {
+        lane.answers = svc.telemetry().answers;
+        lane.cache_hits = svc.telemetry().cache_hits;
+        lane.stats_waves = svc.plan_stats().stats_waves;
+        lane.edges_descended = svc.plan_stats().edges_descended;
+        lane.edges_skipped = svc.plan_stats().edges_skipped;
+        lane.mark_messages = svc.plan_stats().mark_messages;
+        lane.telemetry = svc.telemetry_snapshot();
+      });
   return lane;
 }
 

@@ -1,6 +1,7 @@
 #include "src/cube/cube.hpp"
 
 #include <algorithm>
+#include <array>
 #include <utility>
 
 #include "src/common/codec.hpp"
@@ -8,7 +9,6 @@
 #include "src/obs/metrics.hpp"
 #include "src/obs/trace.hpp"
 #include "src/proto/tree_broadcast.hpp"
-#include "src/proto/tree_wave.hpp"
 
 namespace sensornet::cube {
 
@@ -77,196 +77,29 @@ Cube::Cube(sim::Network& net, const net::SpanningTree& tree,
 
 Cube::~Cube() = default;
 
-// ---- pruning oracle -------------------------------------------------------
-
-bool Cube::subtree_provably_empty(NodeId child,
-                                  const query::RegionSignature& region) const {
-  for (SlotId s = 0; s < store_.slot_count(); ++s) {
-    if (!store_.has_edges(s)) continue;  // cell never refreshed
-    const query::RegionSignature& cell = store_.region(s);
-    if (cell.lo > region.lo || cell.hi < region.hi) continue;
-    // The partial's outer region contains the residue's outer region (same
-    // margin, containing core). edge_fresh certifies the subtree's items are
-    // *identical* to when the partial was taken, so an empty outer then is
-    // an empty outer now — the subtree contributes nothing, exactly.
-    if (!store_.edge_fresh(s, child)) continue;
-    if (store_.edge_bundle(s, child).outer.count == 0) return true;
-  }
-  return false;
-}
-
 // ---- residue collection ---------------------------------------------------
 
-/// The residues' EdgeWave policy: k one-shot collections over ranges no node
-/// has installed, multiplexed like collect() (see partials.hpp for the
-/// wire format). Each node learns its active residues and their ranges from
-/// the request it decodes; residue i is pruned on an edge when the cell
-/// partials prove the subtree empty for its range.
-class Cube::Residues {
- public:
-  Residues(Cube& cube, const std::vector<query::RegionSignature>& ranges,
-           bool sketch)
-      : cube_(cube),
-        k_(ranges.size()),
-        requested_(cube.tree_.node_count() * k_, 0),
-        whole_domain_(cube.tree_.node_count() * k_, 0),
-        sent_(cube.tree_.node_count() * k_, 0),
-        partials_(cube.tree_.node_count()),
-        mask_(k_),
-        ranges_(ranges),
-        shapes_(k_),
-        ledger_(k_) {
-    const NodeId root = cube.tree_.root;
-    learn(root, std::vector<std::uint8_t>(k_, 1));
-    if (sketch) geometry_ = cube.store_.empty_hll();
-  }
-
-  std::vector<WaveShare>& shares() { return ledger_.shares(); }
-  StatsBundle& root_bundle(std::size_t i) {
-    return partials_[cube_.tree_.root].bundles[i];
-  }
-  std::optional<sketch::Hll>& root_hll(std::size_t i) {
-    return partials_[cube_.tree_.root].sketches[i];
-  }
-
-  void on_request(NodeId node, BitReader& r) {
-    decode_residue_request(r, cube_.max_value_bound_, mask_, ranges_);
-    learn(node, mask_);
-  }
-
-  void fan_out(proto::Fanout& out) {
-    // EdgeWave fans a node out right after it read its request, so ranges_
-    // still holds the ranges this node learned.
-    const NodeId node = out.node();
-    SENSORNET_EXPECTS(node == ranges_node_);
-    Partials& p = partials_[node];
-    p.bundles.resize(k_);
-    if (geometry_) p.sketches.resize(k_);
-    for (std::size_t i = 0; i < k_; ++i) {
-      if (!requested_[node * k_ + i]) continue;
-      p.bundles[i] = cube_.store_.local_bundle(node, ranges_[i]);
-      if (geometry_) p.sketches[i] = cube_.store_.local_hll(node, ranges_[i]);
-    }
-    for (const NodeId child : cube_.tree_.children[node]) {
-      bool any = false;
-      for (std::size_t i = 0; i < k_; ++i) {
-        mask_[i] = requested_[node * k_ + i] &&
-                   !cube_.subtree_provably_empty(child, ranges_[i]);
-        if (!requested_[node * k_ + i]) continue;
-        ++(mask_[i] ? cube_.stats_.residue_edges_descended
-                    : cube_.stats_.residue_edges_pruned);
-        any = any || mask_[i];
-      }
-      std::copy(mask_.begin(), mask_.end(), sent_.begin() + child * k_);
-      if (!any) continue;  // every residue pruned on this edge
-      // Each range is its residue's own; header and mask are shared.
-      for (std::size_t i = 0; i < k_; ++i) {
-        if (!mask_[i]) continue;
-        ledger_.add(i, encoded_uint_bits(static_cast<std::uint64_t>(
-                           ranges_[i].lo)) +
-                           encoded_uint_bits(static_cast<std::uint64_t>(
-                               ranges_[i].hi - ranges_[i].lo)));
-      }
-      ledger_.charge(mask_, k_ + sim::kHeaderBits);
-      BitWriter w;
-      encode_residue_request(w, mask_, ranges_);
-      out.send(child, std::move(w));
-    }
-  }
-
-  void on_response(NodeId node, NodeId child, BitReader& r) {
-    std::copy_n(sent_.begin() + child * k_, k_, mask_.begin());
-    std::copy_n(whole_domain_.begin() + node * k_, k_, shapes_.begin());
-    decode_stats_response(r, mask_, shapes_, images_,
-                          geometry_ ? &*geometry_ : nullptr,
-                          geometry_ ? &sketches_ : nullptr);
-    Partials& p = partials_[node];
-    std::size_t j = 0;
-    for (std::size_t i = 0; i < k_; ++i) {
-      if (!mask_[i]) continue;
-      p.bundles[i].combine(images_[j]);
-      if (geometry_) p.sketches[i]->merge(sketches_[j]).value();
-      ++j;
-    }
-  }
-
-  void respond(NodeId node, BitWriter& w) {
-    Partials& p = partials_[node];
-    std::copy_n(requested_.begin() + node * k_, k_, mask_.begin());
-    for (std::size_t i = 0; i < k_; ++i) {
-      if (!mask_[i]) continue;
-      const std::size_t before = w.bit_count();
-      encode_stats_image(w, p.bundles[i], whole_domain_[node * k_ + i] != 0);
-      if (geometry_) p.sketches[i]->encode(w);
-      ledger_.add(i, w.bit_count() - before);
-    }
-    ledger_.charge(mask_, sim::kHeaderBits);
-    p = Partials{};  // a node's partials die with its response
-  }
-
- private:
-  /// A node's subtree partials, held from its fan-out to its response.
-  struct Partials {
-    std::vector<StatsBundle> bundles;
-    std::vector<std::optional<sketch::Hll>> sketches;
-  };
-
-  /// Records what `node` read off its request: `mask`, and the shapes of
-  /// the ranges in ranges_.
-  void learn(NodeId node, const std::vector<std::uint8_t>& mask) {
-    for (std::size_t i = 0; i < k_; ++i) {
-      requested_[node * k_ + i] = mask[i];
-      whole_domain_[node * k_ + i] = mask[i] && ranges_[i].whole_domain;
-    }
-    ranges_node_ = node;
-  }
-
-  Cube& cube_;
-  std::size_t k_;
-  // Per node, [node * k + i]: whether its request named residue i, and
-  // whether that range spans the whole domain.
-  std::vector<std::uint8_t> requested_;
-  std::vector<std::uint8_t> whole_domain_;
-  std::vector<std::uint8_t> sent_;  // [child * k + i]: its request's mask
-  std::vector<Partials> partials_;
-  std::optional<sketch::Hll> geometry_;  // sketch-carrying waves only
-  std::vector<std::uint8_t> mask_;       // scratch: one message's mask
-  std::vector<query::RegionSignature> ranges_;  // the last request's ranges
-  NodeId ranges_node_ = 0;                      // ... and who read them
-  std::vector<std::uint8_t> shapes_;     // scratch: one response's shapes
-  std::vector<StatsBundle> images_;      // scratch: its images
-  std::vector<sketch::Hll> sketches_;    // scratch: their sketches
-  ShareLedger ledger_;
-};
-
-void Cube::collect_residues(std::vector<ResidueJob>& jobs, bool sketch,
-                            std::vector<ServeResult>& out) {
-  std::vector<std::size_t> batch;  // indices into `jobs`, wire order
-  std::vector<query::RegionSignature> ranges;
-  for (std::size_t j = 0; j < jobs.size(); ++j) {
-    if (jobs[j].sketch != sketch) continue;
-    batch.push_back(j);
-    ranges.push_back(jobs[j].region);
-  }
-  if (batch.empty()) return;
+PartialStore::OnceCollection Cube::collect_residues(
+    const std::vector<query::RegionSignature>& ranges, bool sketch,
+    const std::vector<std::size_t>& owners, std::vector<ServeResult>& out) {
+  if (ranges.empty()) return {};
   const SimTime t0 = net_.now();
-  Residues policy(*this, ranges, sketch);
-  proto::EdgeWave<Residues> wave(tree_, next_residue_session_++, policy);
-  wave.execute(net_);
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    ResidueJob& job = jobs[batch[i]];
-    job.bundle = policy.root_bundle(i);
-    if (sketch) job.hll = std::move(policy.root_hll(i));
-    out[job.owner].bits += policy.shares()[i].bits;
-    out[job.owner].messages += policy.shares()[i].messages;
+  PartialStore::OnceCollection got = store_.collect_once(
+      ranges, sketch, max_value_bound_, next_residue_session_++);
+  for (std::size_t i = 0; i < ranges.size(); ++i) {
+    out[owners[i]].bits += got.shares[i].bits;
+    out[owners[i]].messages += got.shares[i].messages;
   }
   ++stats_.residue_waves;
-  stats_.residues_run += batch.size();
+  stats_.residues_run += ranges.size();
+  stats_.residue_edges_descended += got.edges_descended;
+  stats_.residue_edges_pruned += got.edges_pruned;
   obs::TraceRing& ring = obs::TraceRing::global();
   if (ring.enabled()) {
     ring.complete("cube.residue", "service", t0, net_.now() - t0, 0,
-                  "residues", batch.size(), "sketch", sketch ? 1 : 0);
+                  "residues", ranges.size(), "sketch", sketch ? 1 : 0);
   }
+  return got;
 }
 
 // ---- geometry install -----------------------------------------------------
@@ -326,15 +159,16 @@ std::vector<ServeResult> Cube::serve_claimed(std::uint32_t epoch) {
   }
 
   // Each cell and residue is owned by the first plan that claimed it: that
-  // plan pays its wave share, the later ones ride for free.
+  // plan pays its wave share, the later ones ride for free. A residue is
+  // keyed by (range, sketch): index [sketch] holds its wave's ranges.
   constexpr std::size_t kUnowned = static_cast<std::size_t>(-1);
   std::vector<std::size_t> cell_owner(store_.slot_count(), kUnowned);
-  std::vector<ResidueJob> residues;
-  const auto job_of = [&residues](const query::PlanStep& step, bool sketch) {
-    return std::find_if(residues.begin(), residues.end(),
-                        [&](const ResidueJob& j) {
-                          return j.region == step.region && j.sketch == sketch;
-                        });
+  std::array<std::vector<query::RegionSignature>, 2> ranges;
+  std::array<std::vector<std::size_t>, 2> range_owner;
+  const auto residue = [&ranges](const query::PlanStep& step, bool sketch) {
+    const std::vector<query::RegionSignature>& r = ranges[sketch];
+    return static_cast<std::size_t>(
+        std::find(r.begin(), r.end(), step.region) - r.begin());
   };
   for (std::size_t p = 0; p < plans.size(); ++p) {
     const bool sketch =
@@ -343,8 +177,9 @@ std::vector<ServeResult> Cube::serve_claimed(std::uint32_t epoch) {
       if (step.kind == query::StepKind::kCubeCell) {
         std::size_t& owner = cell_owner[slot(step.cell)];
         if (owner == kUnowned) owner = p;
-      } else if (job_of(step, sketch) == residues.end()) {
-        residues.push_back(ResidueJob{step.region, sketch, p, {}, {}});
+      } else if (residue(step, sketch) == ranges[sketch].size()) {
+        ranges[sketch].push_back(step.region);
+        range_owner[sketch].push_back(p);
       }
     }
   }
@@ -378,8 +213,11 @@ std::vector<ServeResult> Cube::serve_claimed(std::uint32_t epoch) {
   }
 
   // 2. The residues, pruned against the fresh cells.
-  collect_residues(residues, /*sketch=*/false, out);
-  collect_residues(residues, /*sketch=*/true, out);
+  std::array<PartialStore::OnceCollection, 2> residues;
+  for (const bool sketch : {false, true}) {
+    residues[sketch] =
+        collect_residues(ranges[sketch], sketch, range_owner[sketch], out);
+  }
 
   // 3. Each plan's composition.
   for (std::size_t p = 0; p < plans.size(); ++p) {
@@ -396,9 +234,9 @@ std::vector<ServeResult> Cube::serve_claimed(std::uint32_t epoch) {
         ++r.cells_used;
         continue;
       }
-      const ResidueJob& job = *job_of(step, sketch);
-      r.bundle.combine(job.bundle);
-      if (sketch) merged->merge(*job.hll).value();
+      const std::size_t i = residue(step, sketch);
+      r.bundle.combine(residues[sketch].bundles[i]);
+      if (sketch) merged->merge(residues[sketch].hlls[i]).value();
       ++r.residues_run;
     }
     if (sketch) {
@@ -477,7 +315,7 @@ std::uint64_t Cube::count_residue_edges(
     NodeId node, const query::RegionSignature& region) const {
   std::uint64_t edges = 0;
   for (const NodeId child : tree_.children[node]) {
-    if (subtree_provably_empty(child, region)) continue;
+    if (store_.provably_empty(child, region)) continue;
     edges += 1 + count_residue_edges(child, region);
   }
   return edges;

@@ -20,16 +20,18 @@
 // The planner sees the cube through the query::CubeCatalog interface —
 // geometry plus a deterministic bit-cost model — and decomposes a range
 // query into the fewest covering cells plus *residue* collections for the
-// unaligned ends. A residue collection is a one-shot collection that prunes
-// subtrees provably empty for its range: an edge is skipped when some
-// containing cell's cached partial shows an empty outer region and the
-// dirty tracker proves nothing below changed since — the subtree's items
-// are literally identical, so the prune is exact, not approximate.
+// unaligned ends. A residue is a one-shot slot of the same store
+// (PartialStore::collect_once): a range no node has installed, collected by
+// the same multiplexed wave as the cells. Its edge is pruned when
+// PartialStore::provably_empty() finds a containing cell whose cached
+// partial shows an empty outer region and the dirty tracker proves nothing
+// below changed since — the subtree's items are literally identical, so the
+// prune is exact, not approximate.
 //
 // Serves are batched per epoch: claim() queues each fresh plan (pricing its
 // cells at 0 for the plans planned after it), and serve_claimed() brings
 // the union of the batch's cells up to date in ONE multiplexed collect(),
-// then runs every distinct residue of the batch in ONE multiplexed residue
+// then collects every distinct residue of the batch in ONE collect_once()
 // wave (sketch-carrying residues in a second), pruned against the fresh
 // cells. serve() is the batch of one.
 //
@@ -142,12 +144,13 @@ class Cube final : public query::CubeCatalog {
 
   /// Serves every claimed plan at `epoch` and clears the claims: one
   /// collect() over the union of their cells (ascending slot order), one
-  /// multiplexed wave over their distinct residues — approx-distinct plans'
-  /// sketch-carrying residues ride a second — each pruned per edge against
-  /// the now-fresh cells, then each plan's exact bundle (plus the HLL
-  /// estimate for approx-distinct plans). Results come in claim order. The
-  /// cube's first serve pays a one-time geometry install broadcast. Throws
-  /// ProtocolError when a message is lost; the claims are cleared anyway.
+  /// collect_once() over their distinct residues as one-shot slots —
+  /// approx-distinct plans' sketch-carrying residues ride a second — each
+  /// pruned per edge against the now-fresh cells, then each plan's exact
+  /// bundle (plus the HLL estimate for approx-distinct plans). Results come
+  /// in claim order. The cube's first serve pays a one-time geometry install
+  /// broadcast. Throws ProtocolError when a message is lost; the claims are
+  /// cleared anyway.
   std::vector<ServeResult> serve_claimed(std::uint32_t epoch);
 
   /// The batch of one: claim(plan), then serve_claimed(epoch). Requires no
@@ -177,35 +180,20 @@ class Cube final : public query::CubeCatalog {
   }
 
  private:
-  class Residues;
-  /// One distinct residue of a batch: its range, whether it carries a
-  /// sketch, the plan that claimed it first, and what its wave collected.
-  struct ResidueJob {
-    query::RegionSignature region;
-    bool sketch = false;
-    std::size_t owner = 0;
-    StatsBundle bundle;
-    std::optional<sketch::Hll> hll;
-  };
-
   /// Cell `ref`'s store slot: slots are numbered by cell_ordinal.
   SlotId slot(query::CubeCellRef ref) const {
     SENSORNET_EXPECTS(ref.level < config_.levels &&
                       ref.index < (1u << ref.level));
     return static_cast<SlotId>(cell_ordinal(ref));
   }
-  /// True when the cached cell partials prove the subtree below edge
-  /// `child` holds nothing relevant to `region` — exact, because the dirty
-  /// tracker certifies the subtree is unchanged since the proof.
-  bool subtree_provably_empty(NodeId child,
-                              const query::RegionSignature& region) const;
   /// The lazy geometry install broadcast; returns what it cost.
   WaveShare install_geometry();
-  /// One multiplexed, pruned wave over the jobs whose sketch flag is
-  /// `sketch` (none: nothing is sent); charges each job's wave share to
-  /// its owner in `out`.
-  void collect_residues(std::vector<ResidueJob>& jobs, bool sketch,
-                        std::vector<ServeResult>& out);
+  /// One multiplexed residue wave over `ranges` (none: nothing is sent),
+  /// pruned against the fresh cells; charges range i's wave share to plan
+  /// owners[i] in `out`.
+  PartialStore::OnceCollection collect_residues(
+      const std::vector<query::RegionSignature>& ranges, bool sketch,
+      const std::vector<std::size_t>& owners, std::vector<ServeResult>& out);
   void mirror_stats() const;
 
   /// Estimated wire bits of one descend-and-respond edge for a region

@@ -190,72 +190,124 @@ void ShareLedger::charge(const std::vector<std::uint8_t>& mask,
 
 // ---- the multiplexed collection -----------------------------------------
 
-/// The EdgeWave policy of collect(): per node it keeps only the mask of the
-/// request it received.
+/// The one multiplexed EdgeWave policy, behind collect() and collect_once().
+/// Its k entries are installed slots or one-shot ranges. Per node it keeps
+/// the mask of the request it received; a one-shot wave also keeps, from a
+/// node's fan-out to its response, the node's subtree accumulator.
 class PartialStore::Collect {
  public:
+  /// collect(): the installed slots `batch` (ascending ids) at `epoch`.
   Collect(PartialStore& store, std::span<const SlotId> batch,
           std::uint32_t epoch)
-      : store_(store),
-        batch_(batch),  // ascending id == wire order
-        k_(batch.size()),
-        epoch_(epoch),
-        whole_domain_(k_),
-        requested_(store.tree_.node_count() * k_, 0),
-        mask_(k_),
-        ledger_(k_) {
+      : Collect(store, batch.size(), store.hll_registers_ > 0,
+                store.edges_descended_, store.edges_skipped_) {
+    batch_ = batch;  // ascending id == wire order
+    epoch_ = epoch;
     for (std::size_t i = 0; i < k_; ++i) {
       whole_domain_[i] = slot(i).region.whole_domain;
     }
-    std::fill_n(requested_.begin() + store.tree_.root * k_, k_, 1);
-    if (store.hll_registers_ > 0) geometry_ = store.empty_hll();
+  }
+
+  /// collect_once(): the one-shot `ranges`; the edge counters land in `got`.
+  Collect(PartialStore& store, std::span<const query::RegionSignature> ranges,
+          bool sketch, Value domain_bound, OnceCollection& got)
+      : Collect(store, ranges.size(), sketch, got.edges_descended,
+                got.edges_pruned) {
+    once_ = true;
+    domain_bound_ = domain_bound;
+    ranges_.assign(ranges.begin(), ranges.end());
+    for (std::size_t i = 0; i < k_; ++i) {
+      whole_domain_[i] = ranges_[i].whole_domain;
+    }
+    partials_.resize(store.tree_.node_count());
   }
 
   std::vector<WaveShare>& shares() { return ledger_.shares(); }
 
+  /// A one-shot wave's result: the root's accumulators.
+  void take_root(OnceCollection& got) {
+    Partials& root = partials_[store_.tree_.root];
+    got.bundles = std::move(root.bundles);
+    for (auto& h : root.sketches) got.hlls.push_back(std::move(*h));
+    got.shares = std::move(shares());
+  }
+
   void on_request(NodeId node, BitReader& r) {
-    decode_stats_request(r, mask_);
+    if (once_) {
+      decode_residue_request(r, domain_bound_, mask_, ranges_);
+    } else {
+      decode_stats_request(r, mask_);
+    }
     std::copy(mask_.begin(), mask_.end(), requested_.begin() + node * k_);
   }
 
-  /// Serves fresh edges from the partials and sends one request per edge
-  /// that is stale for at least one active slot.
+  /// Serves or prunes every edge that no active entry needs, and sends one
+  /// request per edge that carries at least one.
   void fan_out(proto::Fanout& out) {
+    // EdgeWave fans a node out right after it read its request, so ranges_
+    // still holds the ranges this node learned.
     const NodeId node = out.node();
     const auto active = static_cast<std::size_t>(
         std::count(requested_.begin() + node * k_,
                    requested_.begin() + (node + 1) * k_, 1));
+    if (once_) {
+      Partials& p = partials_[node];
+      p.bundles.resize(k_);
+      if (geometry_) p.sketches.resize(k_);
+      for (std::size_t i = 0; i < k_; ++i) {
+        if (!requested_[node * k_ + i]) continue;
+        p.bundles[i] = store_.local_bundle(node, ranges_[i]);
+        if (geometry_) p.sketches[i] = store_.local_hll(node, ranges_[i]);
+      }
+    }
     obs::TraceRing& ring = obs::TraceRing::global();
     for (const NodeId child : store_.tree_.children[node]) {
-      const std::size_t carried = stale_slots(node, child);
-      store_.edges_skipped_ += active - carried;
-      if (ring.enabled()) {
+      const std::size_t carried = carried_entries(node, child);
+      skipped_ += active - carried;
+      if (ring.enabled() && !once_) {
         ring.instant(carried == 0 ? "edge.cached" : "edge.descend", "service",
                      out.net().now(), 0, "node", node, "child", child);
       }
       if (carried == 0) continue;
       BitWriter w;
-      for (const auto bit : mask_) w.write_bit(bit != 0);
-      ledger_.charge(mask_, w.bit_count() + sim::kHeaderBits);
+      if (once_) {
+        // Each range is its entry's own; header and mask are shared.
+        for (std::size_t i = 0; i < k_; ++i) {
+          if (!mask_[i]) continue;
+          ledger_.add(i, encoded_uint_bits(static_cast<std::uint64_t>(
+                             ranges_[i].lo)) +
+                             encoded_uint_bits(static_cast<std::uint64_t>(
+                                 ranges_[i].hi - ranges_[i].lo)));
+        }
+        encode_residue_request(w, mask_, ranges_);
+      } else {
+        for (const auto bit : mask_) w.write_bit(bit != 0);
+      }
+      ledger_.charge(mask_, k_ + sim::kHeaderBits);
       out.send(child, std::move(w));
-      store_.edges_descended_ += carried;
+      descended_ += carried;
     }
   }
 
   void on_response(NodeId node, NodeId child, BitReader& r) {
-    // Nothing but this response refreshes the edge, so its mask is still
-    // the one the request carried.
-    stale_slots(node, child);
+    // The child's request row is the mask this edge's request carried.
+    std::copy_n(requested_.begin() + child * k_, k_, mask_.begin());
     decode_stats_response(r, mask_, whole_domain_, images_,
                           geometry_ ? &*geometry_ : nullptr,
                           geometry_ ? &sketches_ : nullptr);
     std::size_t j = 0;
     for (std::size_t i = 0; i < k_; ++i) {
       if (!mask_[i]) continue;
-      Slot& s = slot(i);
-      s.edge_bundle[child] = images_[j];
-      s.edge_epoch[child] = epoch_;
-      if (geometry_) s.edge_hll[child] = std::move(sketches_[j]);
+      if (once_) {
+        Partials& p = partials_[node];
+        p.bundles[i].combine(images_[j]);
+        if (geometry_) p.sketches[i]->merge(sketches_[j]).value();
+      } else {
+        Slot& s = slot(i);
+        s.edge_bundle[child] = images_[j];
+        s.edge_epoch[child] = epoch_;
+        if (geometry_) s.edge_hll[child] = std::move(sketches_[j]);
+      }
       ++j;
     }
   }
@@ -265,40 +317,77 @@ class PartialStore::Collect {
     for (std::size_t i = 0; i < k_; ++i) {
       if (!mask_[i]) continue;
       const std::size_t before = w.bit_count();
-      encode_stats_image(w, store_.subtree_bundle(slot(i), node),
-                         whole_domain_[i]);
-      if (geometry_) store_.subtree_hll(slot(i), node).encode(w);
+      if (once_) {
+        encode_stats_image(w, partials_[node].bundles[i], whole_domain_[i]);
+        if (geometry_) partials_[node].sketches[i]->encode(w);
+      } else {
+        encode_stats_image(w, store_.subtree_bundle(slot(i), node),
+                           whole_domain_[i]);
+        if (geometry_) store_.subtree_hll(slot(i), node).encode(w);
+      }
       ledger_.add(i, w.bit_count() - before);
     }
     ledger_.charge(mask_, sim::kHeaderBits);
+    if (once_) partials_[node] = Partials{};  // dies with its response
   }
 
  private:
+  /// A one-shot node's subtree accumulators, per entry.
+  struct Partials {
+    std::vector<StatsBundle> bundles;
+    std::vector<std::optional<sketch::Hll>> sketches;
+  };
+
+  Collect(PartialStore& store, std::size_t k, bool sketch,
+          std::uint64_t& descended, std::uint64_t& skipped)
+      : store_(store),
+        k_(k),
+        whole_domain_(k),
+        requested_(store.tree_.node_count() * k, 0),
+        mask_(k),
+        ledger_(k),
+        descended_(descended),
+        skipped_(skipped) {
+    std::fill_n(requested_.begin() + store.tree_.root * k_, k_, 1);
+    if (sketch) geometry_ = store.empty_hll();
+  }
+
   Slot& slot(std::size_t i) { return store_.slots_[batch_[i]]; }
 
-  /// Sets mask_ to the slots active at `node` whose partial for edge
-  /// `child` is stale; returns how many there are.
-  std::size_t stale_slots(NodeId node, NodeId child) {
+  /// Sets mask_ to the entries active at `node` that edge `child` must
+  /// carry: an installed slot whose partial for the edge is stale, a
+  /// one-shot range the subtree is not provably empty for. Returns how many
+  /// there are.
+  std::size_t carried_entries(NodeId node, NodeId child) {
     std::size_t carried = 0;
     for (std::size_t i = 0; i < k_; ++i) {
-      mask_[i] = requested_[node * k_ + i] &&
-                 !store_.dirty_.edge_fresh(child, slot(i).edge_epoch[child]);
+      mask_[i] =
+          requested_[node * k_ + i] &&
+          (once_ ? !store_.provably_empty(child, ranges_[i])
+                 : !store_.dirty_.edge_fresh(child, slot(i).edge_epoch[child]));
       carried += mask_[i] ? 1 : 0;
     }
     return carried;
   }
 
   PartialStore& store_;
-  std::span<const SlotId> batch_;
   std::size_t k_;
-  std::uint32_t epoch_;
-  std::vector<std::uint8_t> whole_domain_;
+  bool once_ = false;
+  std::span<const SlotId> batch_;  // installed slots (collect() only)
+  std::uint32_t epoch_ = 0;        // ... and their epoch
+  Value domain_bound_ = 0;         // one-shot requests' range bound
+  // One-shot waves: the ranges of the last request read.
+  std::vector<query::RegionSignature> ranges_;
+  std::vector<std::uint8_t> whole_domain_;  // per entry: the response shape
   std::vector<std::uint8_t> requested_;  // [node * k + i]: request names i
   std::vector<std::uint8_t> mask_;       // scratch: one message's mask
-  std::optional<sketch::Hll> geometry_;  // sketch-keeping stores only
+  std::optional<sketch::Hll> geometry_;  // sketch-carrying waves only
   std::vector<StatsBundle> images_;      // scratch: one response's images
   std::vector<sketch::Hll> sketches_;    // scratch: their sketches
+  std::vector<Partials> partials_;       // one-shot waves only
   ShareLedger ledger_;
+  std::uint64_t& descended_;  // (entry, edge) pairs requested
+  std::uint64_t& skipped_;    // ... served from partials or pruned
 };
 
 // ---- the store ----------------------------------------------------------
@@ -420,6 +509,34 @@ std::vector<WaveShare> PartialStore::collect(std::span<const SlotId> slots,
     out[at[i]].collected = true;
   }
   return out;
+}
+
+PartialStore::OnceCollection PartialStore::collect_once(
+    std::span<const query::RegionSignature> ranges, bool sketch,
+    Value domain_bound, std::uint32_t session) {
+  SENSORNET_EXPECTS(!ranges.empty());
+  SENSORNET_EXPECTS(!sketch || hll_registers_ > 0);
+  OnceCollection got;
+  Collect policy(*this, ranges, sketch, domain_bound, got);
+  proto::EdgeWave<Collect> wave(tree_, session, policy);
+  wave.execute(net_);
+  policy.take_root(got);
+  return got;
+}
+
+bool PartialStore::provably_empty(NodeId child,
+                                  const query::RegionSignature& region) const {
+  for (const Slot& slot : slots_) {
+    if (slot.edge_epoch.empty()) continue;  // never collected
+    if (slot.region.lo > region.lo || slot.region.hi < region.hi) continue;
+    // The partial's outer region contains the range's outer region (same
+    // margin, containing core). A fresh edge certifies the subtree's items
+    // are *identical* to when the partial was taken, so an empty outer then
+    // is an empty outer now: the subtree contributes nothing, exactly.
+    if (!dirty_.edge_fresh(child, slot.edge_epoch[child])) continue;
+    if (slot.edge_bundle[child].outer.count == 0) return true;
+  }
+  return false;
 }
 
 }  // namespace sensornet::cube

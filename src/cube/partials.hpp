@@ -38,26 +38,29 @@
 // leave the core's span.
 //
 // At k = 1 the request is the single bit 1 and the response one image. A
-// node's subtree partial is formed when it responds, from its local partial
-// and its edges' partials, so the wave keeps no per-node accumulator.
+// node forms a slot's subtree partial when it responds, from its local
+// partial and its edges' partials, so the wave keeps no per-node
+// accumulator.
 //
-// The cube's residues — one-shot collections over ranges no node has
-// installed — multiplex the same way, k residues per wave, but the request
-// also carries the ranges:
+// collect_once() runs the same wave over *one-shot slots*: ranges no node
+// has installed (the cube's residues). Their request also carries the
+// ranges, and an edge whose subtree the installed slots prove empty for a
+// range (provably_empty()) is pruned instead of served from a partial. A
+// one-shot slot has no edge partials: each node sums its local partial and
+// its children's images in an accumulator that dies with its response.
 //
 //   request  (u -> c)   k-bit mask, then (lo, hi - lo) as encode_uint pairs
-//                       for the masked residues, in residue order.
-//   response (c -> u)   as above: the masked residues' images in order,
-//                       each with an HLL image when the wave carries
-//                       sketches.
+//                       for the masked ranges, in range order.
+//   response (c -> u)   as above: the masked ranges' images in order, each
+//                       with an HLL image when the wave carries sketches.
 //
-// k and whether images carry sketches are fixed per wave (its session),
-// like collect()'s k, so at k = 1 a request is the bit 1 and one range.
-// Every response on the service path is read by decode_stats_response().
+// k and whether images carry sketches are fixed per wave (its session), so
+// at k = 1 a one-shot request is the bit 1 and one range. Every response on
+// the service path is read by decode_stats_response().
 //
-// Each wave's bits are split among the slots or residues it carried
-// (WaveShare, ShareLedger), so a caller can charge every bit on the air to
-// the query that made it travel.
+// Each wave's bits are split among the slots it carried (WaveShare,
+// ShareLedger), so a caller can charge every bit on the air to the query
+// that made it travel.
 #pragma once
 
 #include <cstdint>
@@ -96,10 +99,11 @@ struct WaveShare {
 };
 
 /// Splits one multiplexed wave's bits and messages among its k entries
-/// (slots or residues): bits encoded for one entry alone go to that entry,
-/// and a message's shared overhead (header, mask) is split evenly among the
-/// entries it carries — the remainder, and the message itself, to the
-/// lowest. The shares therefore sum exactly to the wave's bits on air.
+/// (installed or one-shot slots): bits encoded for one entry alone go to
+/// that entry, and a message's shared overhead (header, mask) is split
+/// evenly among the entries it carries — the remainder, and the message
+/// itself, to the lowest. The shares therefore sum exactly to the wave's
+/// bits on air.
 class ShareLedger {
  public:
   explicit ShareLedger(std::size_t k) : shares_(k) {}
@@ -127,12 +131,12 @@ StatsBundle decode_stats_image(BitReader& r, bool whole_domain);
 /// mask is malformed and throws WireFormatError.
 void decode_stats_request(BitReader& r, std::vector<std::uint8_t>& mask);
 
-/// A residue request: `mask` (k flags, at least one set) and the ranges of
-/// the masked residues (`ranges` has k entries; unmasked ones are ignored).
+/// A one-shot request: `mask` (k flags, at least one set) and the ranges of
+/// the masked slots (`ranges` has k entries; unmasked ones are ignored).
 void encode_residue_request(BitWriter& w, const std::vector<std::uint8_t>& mask,
                             std::span<const query::RegionSignature> ranges);
 
-/// Reads a residue request of k = mask.size() residues into `mask` and the
+/// Reads a one-shot request of k = mask.size() ranges into `mask` and the
 /// masked entries of `ranges` (resized to k), deriving whole_domain from
 /// `domain_bound`. Throws WireFormatError on an empty mask, a range outside
 /// [0, domain_bound], truncation or trailing bits.
@@ -174,6 +178,34 @@ class PartialStore {
   /// keep their new partials, so a retry re-descends only the rest.
   std::vector<WaveShare> collect(std::span<const SlotId> slots,
                                  std::uint32_t epoch);
+
+  /// What collect_once() gathered, per range in order: its bundle (and
+  /// HLL, on sketch-carrying waves) over the whole tree and its share of the
+  /// wave; and over all (range, edge) pairs, how many were requested and
+  /// how many were pruned as provably empty.
+  struct OnceCollection {
+    std::vector<StatsBundle> bundles;
+    std::vector<sketch::Hll> hlls;
+    std::vector<WaveShare> shares;
+    std::uint64_t edges_descended = 0;
+    std::uint64_t edges_pruned = 0;
+  };
+
+  /// Collects the one-shot slots `ranges` (at least one) in one multiplexed
+  /// convergecast on `session`, pruning each edge that provably_empty()
+  /// clears for a range; requests are decoded against `domain_bound`.
+  /// Images carry HLLs when `sketch` (sketch-keeping stores only). Keeps no
+  /// state. Throws ProtocolError when a message is lost.
+  OnceCollection collect_once(std::span<const query::RegionSignature> ranges,
+                              bool sketch, Value domain_bound,
+                              std::uint32_t session);
+
+  /// True when some installed slot containing `region` holds a fresh
+  /// partial for edge `child` with an empty outer region: the subtree below
+  /// the edge holds nothing in `region`, exactly (the DirtyTracker
+  /// certifies its items are unchanged since the partial was taken).
+  bool provably_empty(NodeId child,
+                      const query::RegionSignature& region) const;
 
   std::size_t slot_count() const { return slots_.size(); }
   const query::RegionSignature& region(SlotId s) const {

@@ -12,10 +12,11 @@
 // wave never delivers. The policy owns the payloads and decides, per child
 // edge, whether to send a request or to serve the edge without a message
 // (from a cached partial, or by pruning a subtree known to contribute
-// nothing). TreeWave<Spec> is the always-descend policy over an
-// AggregationSpec, which carries the library's one-shot protocols;
-// cube::PartialStore's incremental collections and the cube's pruned
-// residues are the other policies.
+// nothing). There are two policies: TreeWave<Spec>'s Descend, the
+// always-descend policy over an AggregationSpec, which carries the
+// library's one-shot protocols; and cube::PartialStore's Collect, the
+// multiplexed stats collection behind stats groups, cube cells and the
+// cube's pruned residues.
 //
 // Individual communication per wave: each node sends/receives one request
 // per tree edge it touches and one response, so a node of tree-degree d pays

@@ -29,19 +29,19 @@ void ResultCache::store(const query::RegionSignature& region,
   }
 }
 
-std::optional<CachedAnswer> ResultCache::bracket(
-    const query::RegionSignature& region, query::AggregateKind agg,
-    std::uint32_t now_epoch) const {
-  const auto it = entries_.find(region);
-  if (it == entries_.end()) return std::nullopt;
-  const Entry& e = it->second;
+bool ResultCache::expired(const query::RegionSignature& region,
+                          const Entry& e, std::uint32_t now_epoch) const {
   SENSORNET_EXPECTS(now_epoch >= e.epoch);
-  const std::uint32_t staleness = now_epoch - e.epoch;
   // Ranged regions are bracketed by the inner/outer margins, which only
   // cover drifts up to the collection horizon.
-  if (!region.whole_domain && staleness > horizon_epochs_) return std::nullopt;
-  const double d =
-      static_cast<double>(staleness) * static_cast<double>(max_delta_);
+  return !region.whole_domain && now_epoch - e.epoch > horizon_epochs_;
+}
+
+std::optional<CachedAnswer> ResultCache::compose(
+    const query::RegionSignature& region, const Entry& e,
+    query::AggregateKind agg, std::uint32_t now_epoch) const {
+  const double d = static_cast<double>(now_epoch - e.epoch) *
+                   static_cast<double>(max_delta_);
   // Whole-domain entries clamp to the full value domain; ranged entries to
   // their own region (a range aggregate cannot leave its range).
   cube::BracketComposer composer;
@@ -50,6 +50,16 @@ std::optional<CachedAnswer> ResultCache::bracket(
                static_cast<double>(region.whole_domain ? max_value_bound_
                                                        : region.hi));
   return composer.answer(agg);
+}
+
+std::optional<CachedAnswer> ResultCache::bracket(
+    const query::RegionSignature& region, query::AggregateKind agg,
+    std::uint32_t now_epoch) const {
+  const auto it = entries_.find(region);
+  if (it == entries_.end() || expired(region, it->second, now_epoch)) {
+    return std::nullopt;
+  }
+  return compose(region, it->second, agg, now_epoch);
 }
 
 std::optional<CachedAnswer> ResultCache::check(
@@ -61,13 +71,11 @@ std::optional<CachedAnswer> ResultCache::check(
     ++counters_.absent;
     return std::nullopt;
   }
-  SENSORNET_EXPECTS(now_epoch >= it->second.epoch);
-  if (!region.whole_domain &&
-      now_epoch - it->second.epoch > horizon_epochs_) {
+  if (expired(region, it->second, now_epoch)) {
     ++counters_.expired;
     return std::nullopt;
   }
-  const auto br = bracket(region, agg, now_epoch);
+  const auto br = compose(region, it->second, agg, now_epoch);
   if (!br) {
     // Unbracketable aggregate or empty selection: the entry was no help.
     ++counters_.misses;

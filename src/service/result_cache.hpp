@@ -103,7 +103,15 @@ class ResultCache {
     StatsBundle bundle;
   };
 
-  /// Shared classify path behind lookup() and probe().
+  /// True when `e` is too stale to bracket `region` at `now_epoch`.
+  bool expired(const query::RegionSignature& region, const Entry& e,
+               std::uint32_t now_epoch) const;
+  /// The bracket of a live entry (nullopt: not bracketable).
+  std::optional<CachedAnswer> compose(const query::RegionSignature& region,
+                                      const Entry& e, query::AggregateKind agg,
+                                      std::uint32_t now_epoch) const;
+  /// Shared classify path behind lookup() and probe(): one map lookup and
+  /// one horizon test.
   std::optional<CachedAnswer> check(const query::RegionSignature& region,
                                     query::AggregateKind agg,
                                     std::optional<double> epsilon,

@@ -1,0 +1,250 @@
+// PartialStore::collect_once: the one-shot slots of the multiplexed
+// collection. These tests run it directly on random ranges, with and
+// without sketches, against oracles computed from every node's items: the
+// root bundles and HLLs are exact, the wave's shares account for every bit
+// on the air, the installed slots are left as they were, and an edge that a
+// fresh containing slot proves empty sends no message.
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <vector>
+
+#include "src/common/rng.hpp"
+#include "src/cube/dirty.hpp"
+#include "src/cube/partials.hpp"
+#include "src/net/spanning_tree.hpp"
+#include "src/net/topology.hpp"
+
+namespace sensornet::cube {
+namespace {
+
+constexpr Value kBound = 1000;
+constexpr Value kMargin = 32;
+constexpr unsigned kRegisters = 64;
+
+/// An 8x8 grid whose nodes hold one to three readings each.
+struct Fixture {
+  sim::Network net;
+  net::SpanningTree tree;
+  DirtyTracker dirty;
+  PartialStore store;
+
+  Fixture(std::uint64_t seed, unsigned registers)
+      : net(net::make_grid(8, 8), seed),
+        tree(net::bfs_tree(net.graph(), 0)),
+        dirty(net, tree),
+        store(net, tree, dirty, kMargin, registers) {
+    Xoshiro256 rng(seed);
+    for (NodeId u = 0; u < net.node_count(); ++u) {
+      ValueSet items(1 + rng.next_below(3));
+      for (Value& v : items) {
+        v = static_cast<Value>(rng.next_below(kBound + 1));
+      }
+      net.set_items(u, items);
+    }
+  }
+
+  /// The oracle bundle: every node's local bundle, combined.
+  StatsBundle oracle_bundle(const query::RegionSignature& region) const {
+    StatsBundle b;
+    for (NodeId u = 0; u < net.node_count(); ++u) {
+      b.combine(store.local_bundle(u, region));
+    }
+    return b;
+  }
+
+  /// The oracle HLL: every item in the range, added once.
+  sketch::Hll oracle_hll(const query::RegionSignature& region) const {
+    sketch::Hll h = store.empty_hll();
+    for (NodeId u = 0; u < net.node_count(); ++u) {
+      for (const Value v : net.items(u)) {
+        if (v >= region.lo && v <= region.hi) {
+          h.add(static_cast<std::uint64_t>(v), kHllSalt);
+        }
+      }
+    }
+    return h;
+  }
+
+  std::uint64_t subtree_size(NodeId node) const {
+    std::uint64_t size = 1;
+    for (const NodeId child : tree.children[node]) size += subtree_size(child);
+    return size;
+  }
+};
+
+query::RegionSignature range_of(Value lo, Value hi) {
+  return query::RegionSignature{lo, hi, lo == 0 && hi == kBound};
+}
+
+/// One to five random ranges, a whole-domain one now and then.
+std::vector<query::RegionSignature> random_ranges(Xoshiro256& rng) {
+  std::vector<query::RegionSignature> ranges(1 + rng.next_below(5));
+  for (auto& r : ranges) {
+    if (rng.next_below(6) == 0) {
+      r = range_of(0, kBound);
+      continue;
+    }
+    const auto lo = static_cast<Value>(rng.next_below(kBound + 1));
+    const auto hi =
+        lo + static_cast<Value>(
+                 rng.next_below(static_cast<std::uint64_t>(kBound - lo) + 1));
+    r = range_of(lo, hi);
+  }
+  return ranges;
+}
+
+TEST(CollectOnce, RootsEqualTheOraclesAndSharesSumToTheWave) {
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    for (const unsigned registers : {0u, kRegisters}) {
+      Fixture f(seed, registers);
+      Xoshiro256 rng(seed * 31 + registers);
+      std::uint32_t session = 0x7C00;
+      for (const bool sketch : {false, true}) {
+        if (sketch && registers == 0) continue;
+        const auto ranges = random_ranges(rng);
+        const sim::CommSummary before = f.net.summary(true);
+        const PartialStore::OnceCollection got =
+            f.store.collect_once(ranges, sketch, kBound, session++);
+        const sim::CommSummary after = f.net.summary(true);
+
+        ASSERT_EQ(got.bundles.size(), ranges.size());
+        ASSERT_EQ(got.shares.size(), ranges.size());
+        ASSERT_EQ(got.hlls.size(), sketch ? ranges.size() : 0u);
+        std::uint64_t bits = 0;
+        std::uint64_t messages = 0;
+        for (std::size_t i = 0; i < ranges.size(); ++i) {
+          EXPECT_EQ(got.bundles[i], f.oracle_bundle(ranges[i]))
+              << "seed " << seed << " range " << i;
+          if (sketch) {
+            EXPECT_TRUE(got.hlls[i] == f.oracle_hll(ranges[i]))
+                << "seed " << seed << " range " << i;
+          }
+          bits += got.shares[i].bits;
+          messages += got.shares[i].messages;
+        }
+        EXPECT_EQ(bits, after.total_bits - before.total_bits);
+        EXPECT_EQ(messages, after.total_messages - before.total_messages);
+        // No slot is installed: nothing can be pruned.
+        EXPECT_EQ(got.edges_pruned, 0u);
+        EXPECT_EQ(got.edges_descended,
+                  ranges.size() * (f.tree.node_count() - 1));
+      }
+    }
+  }
+}
+
+TEST(CollectOnce, LeavesTheInstalledSlotsUntouched) {
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    Fixture f(seed, kRegisters);
+    Xoshiro256 rng(seed);
+    std::vector<SlotId> slots;
+    for (const auto& region : random_ranges(rng)) {
+      slots.push_back(f.store.add_slot(
+          region, 0x7800 + static_cast<std::uint32_t>(slots.size())));
+    }
+    // Drift one reading between two collections so edge epochs differ.
+    f.store.collect(slots, 1);
+    f.net.update_item(63, 0, f.net.items(63)[0] / 2);
+    const std::vector<NodeId> touched{63};
+    f.dirty.note_updates(touched, 2);
+    f.store.collect(slots, 2);
+
+    struct Snapshot {
+      std::uint32_t epoch;
+      StatsBundle root;
+      sketch::Hll root_hll;
+      std::vector<std::uint32_t> edge_epoch;
+      std::vector<StatsBundle> edge_bundle;
+    };
+    const auto snapshot = [&f](SlotId s) {
+      Snapshot snap{f.store.epoch(s), f.store.root(s),
+                    f.store.root_hll(s).clone(), {}, {}};
+      for (NodeId c = 0; c < f.tree.node_count(); ++c) {
+        snap.edge_epoch.push_back(f.store.edge_epoch(s, c));
+        snap.edge_bundle.push_back(f.store.edge_bundle(s, c));
+      }
+      return snap;
+    };
+    std::vector<Snapshot> before;
+    for (const SlotId s : slots) before.push_back(snapshot(s));
+    const std::uint64_t descended = f.store.edges_descended();
+    const std::uint64_t skipped = f.store.edges_skipped();
+
+    std::uint32_t session = 0x7C00;
+    for (const bool sketch : {false, true}) {
+      const auto ranges = random_ranges(rng);
+      const auto got = f.store.collect_once(ranges, sketch, kBound, session++);
+      for (std::size_t i = 0; i < ranges.size(); ++i) {
+        EXPECT_EQ(got.bundles[i], f.oracle_bundle(ranges[i]));
+      }
+    }
+
+    EXPECT_EQ(f.store.slot_count(), slots.size());
+    EXPECT_EQ(f.store.edges_descended(), descended);
+    EXPECT_EQ(f.store.edges_skipped(), skipped);
+    for (std::size_t j = 0; j < slots.size(); ++j) {
+      const Snapshot after = snapshot(slots[j]);
+      EXPECT_EQ(after.epoch, before[j].epoch);
+      EXPECT_EQ(after.root, before[j].root);
+      EXPECT_TRUE(after.root_hll == before[j].root_hll);
+      EXPECT_EQ(after.edge_epoch, before[j].edge_epoch);
+      EXPECT_EQ(after.edge_bundle, before[j].edge_bundle);
+    }
+  }
+}
+
+TEST(CollectOnce, AFreshEmptyContainingSlotPrunesTheEdge) {
+  for (const bool sketch : {false, true}) {
+    Fixture f(5, kRegisters);
+    // The subtree below `empty` reads 900, out of the slot's outer region
+    // [0, 499 + kMargin]; every other reading lies inside it.
+    const NodeId empty = f.tree.children[f.tree.root].front();
+    std::vector<NodeId> below{empty};
+    for (std::size_t i = 0; i < below.size(); ++i) {
+      for (const NodeId c : f.tree.children[below[i]]) below.push_back(c);
+    }
+    std::vector<std::uint8_t> in_subtree(f.tree.node_count(), 0);
+    for (const NodeId u : below) in_subtree[u] = 1;
+    for (NodeId u = 0; u < f.tree.node_count(); ++u) {
+      f.net.set_items(u, ValueSet{in_subtree[u]
+                                      ? Value{900}
+                                      : static_cast<Value>((u * 37) % 500)});
+    }
+    const SlotId slot = f.store.add_slot(range_of(0, 499), 0x7800);
+    f.store.collect(std::vector<SlotId>{slot}, 1);
+    const query::RegionSignature residue = range_of(100, 300);
+    ASSERT_TRUE(f.store.provably_empty(empty, residue));
+
+    const sim::CommSummary before = f.net.summary(true);
+    const auto got = f.store.collect_once(std::vector{residue}, sketch,
+                                          kBound, 0x7C00);
+    const sim::CommSummary after = f.net.summary(true);
+    // The pruned edge sent no request, so nothing below it answered.
+    const std::uint64_t reached = f.tree.node_count() - f.subtree_size(empty);
+    EXPECT_EQ(got.edges_pruned, 1u);
+    EXPECT_EQ(got.edges_descended, reached - 1);
+    EXPECT_EQ(after.total_messages - before.total_messages, 2 * (reached - 1));
+    EXPECT_EQ(got.bundles[0], f.oracle_bundle(residue));
+    if (sketch) {
+      EXPECT_TRUE(got.hlls[0] == f.oracle_hll(residue));
+    }
+
+    // A reading below the edge changes: the proof lapses and the edge is
+    // collected again, still exactly.
+    f.net.update_item(below.back(), 0, 200);
+    const std::vector<NodeId> touched{below.back()};
+    f.dirty.note_updates(touched, 2);
+    EXPECT_FALSE(f.store.provably_empty(empty, residue));
+    const auto again = f.store.collect_once(std::vector{residue}, sketch,
+                                            kBound, 0x7C01);
+    EXPECT_GT(again.edges_descended, got.edges_descended);
+    EXPECT_EQ(again.bundles[0], f.oracle_bundle(residue));
+    if (sketch) {
+      EXPECT_TRUE(again.hlls[0] == f.oracle_hll(residue));
+    }
+  }
+}
+
+}  // namespace
+}  // namespace sensornet::cube
