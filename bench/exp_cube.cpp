@@ -5,11 +5,16 @@
 //
 //  1. Cached-range bits — an overlapping continuous-query lane (whole-domain
 //     and dyadic-aligned ranges, a couple of unaligned stragglers) runs on
-//     identical deployments twice: once with the cube enabled (cell covers
-//     kept incrementally fresh off the dirty-mark wave, drift brackets for
-//     tolerant subscribers) and once in naive mode (every due query re-runs
-//     the one-shot tree executor). The claim gated here: the cube ships at
-//     least 5x fewer total bits on this lane.
+//     identical deployments three times: once with the cube enabled (cell
+//     covers and the stragglers' standing residue slots kept incrementally
+//     fresh off the dirty-mark wave, drift brackets for tolerant
+//     subscribers), once in naive mode (every due query re-runs the
+//     one-shot tree executor) and once on the shared scheduler plus result
+//     cache without the cube — the cube's honest baseline. The claims
+//     gated here: the cube ships at least 5x fewer total bits than naive,
+//     and no more than shared + cache. The cube's bits are split into mark
+//     waves, cell refreshes, standing residues, one-shot residues and
+//     installs; the split must sum to the lane's total.
 //
 //  2. Oracle identity — every exact (ERROR-free) answer from the cube run
 //     must be BYTE-identical (bit_cast of the double) to the naive
@@ -22,7 +27,9 @@
 //     (first cube serve, geometry install included), the warm repeat cost
 //     (cells fresh: zero for pure-cell covers, residue-only for unaligned
 //     ends), and the pure tree-collection cost. This is the cost cliff the
-//     planner's bit model navigates.
+//     planner's bit model navigates. One-shot residues run here, so this
+//     lane keeps the prune path on the path: it must run a residue wave
+//     and prune at least one provably empty residue edge.
 //
 //  4. Determinism — the cube lane replayed at 1/2/8 submit_batch workers;
 //     an FNV-1a checksum over the full answer stream must be identical at
@@ -33,12 +40,11 @@
 // geometry, so estimates must match bit for bit too.
 //
 // The cached-range lane also records its air rounds (simulated time) per
-// epoch. Every due query's cells ride one multiplexed collect and its
-// residues one multiplexed residue wave, so an epoch may spend at most two
-// convergecasts, 2 * (2 * tree height + 2) rounds, beyond its mark wave;
-// more means serves ran one after another, and is FATAL. So is a lane that
-// runs no residue wave or never prunes a residue edge: the unaligned
-// stragglers keep the prune path on the path.
+// epoch. Every due query's cells and standing residues ride one
+// multiplexed collect, and any one-shot residues one multiplexed residue
+// wave, so an epoch may spend at most two convergecasts,
+// 2 * (2 * tree height + 2) rounds, beyond its mark wave; more means
+// serves ran one after another, and is FATAL.
 //
 // Usage: exp_cube [--quick] [--out PATH] [--threads N]
 //   --quick    smaller deployment / fewer epochs (CI smoke lane)
@@ -49,8 +55,10 @@
 #include <cstdint>
 #include <iomanip>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/trial_farm.hpp"
@@ -85,7 +93,7 @@ constexpr Scale kQuick = {12, 10, 10, 10, 6};
 // Cached-range lane.
 // ---------------------------------------------------------------------------
 /// Whole-domain and dyadic-aligned regions dominate — the cube's home turf —
-/// with two unaligned stragglers so residue collection stays on the path.
+/// with two unaligned stragglers whose residues ride standing slots.
 std::vector<ContinuousSpec> continuous_specs() {
   using query::AggregateKind;
   return {
@@ -117,14 +125,22 @@ struct LaneRun : LaneTotals {
   service::TelemetrySnapshot telemetry;
 };
 
+/// The service a cached-range run uses.
+enum class Backend {
+  kCube,         // cube + cache
+  kNaive,        // raw per-query execution
+  kSharedCache,  // shared scheduler + cache, no cube
+};
+
 /// Runs the cached-range scenario once. Deterministic for a fixed scale
 /// regardless of `threads` — that invariance is lane 4.
-LaneRun run_cached_lane(const Scale& s, unsigned threads, bool with_cube) {
+LaneRun run_cached_lane(const Scale& s, unsigned threads, Backend backend) {
+  const bool with_cube = backend == Backend::kCube;
   ServiceConfig cfg;
   cfg.threads = threads;
   cfg.use_cube = with_cube;
-  cfg.share_aggregation = false;  // cube vs raw per-query execution
-  cfg.use_cache = with_cube;
+  cfg.share_aggregation = backend == Backend::kSharedCache;
+  cfg.use_cache = backend != Backend::kNaive;
   LaneRun lane;
   static_cast<LaneTotals&>(lane) = run_service_lane(
       s.grid_side, s.epochs, cfg, continuous_specs(), "cached-range",
@@ -176,24 +192,40 @@ std::uint64_t count_oracle_mismatches(const LaneRun& cube,
 // ---------------------------------------------------------------------------
 // Region-sweep lane.
 // ---------------------------------------------------------------------------
+/// One swept region; `warm`, when set, is a region the cube service serves
+/// first (its bits not counted), so the region's one-shot residues meet a
+/// fresh enclosing cell and prune against it.
+struct SweepRegion {
+  Value lo = 0, hi = 0;
+  std::optional<std::pair<Value, Value>> warm = std::nullopt;
+};
+
 struct SweepRow {
   Value lo = 0, hi = 0;
+  std::optional<std::pair<Value, Value>> warm;
   bool whole = false;
   std::uint64_t first_bits = 0;   // cold cube serve (geometry install incl.)
   std::uint64_t repeat_bits = 0;  // warm repeat: the marginal cube cost
   std::uint64_t tree_bits = 0;    // pure tree collection
   std::uint64_t mismatches = 0;
+  std::uint64_t residue_waves = 0;  // the cube's, over both serves
+  std::uint64_t residue_edges_pruned = 0;
 };
 
-SweepRow run_sweep_region(const Scale& s, Value lo, Value hi) {
-  SweepRow row;
-  row.lo = lo;
-  row.hi = hi;
-  row.whole = lo == 0 && hi == kBound;
+std::string sum_text(Value lo, Value hi) {
   std::ostringstream os;
   os << "SELECT SUM(v) FROM s";
-  if (!row.whole) os << " WHERE v BETWEEN " << lo << " AND " << hi;
-  const std::string text = os.str();
+  if (lo != 0 || hi != kBound) os << " WHERE v BETWEEN " << lo << " AND " << hi;
+  return os.str();
+}
+
+SweepRow run_sweep_region(const Scale& s, const SweepRegion& region) {
+  SweepRow row;
+  row.lo = region.lo;
+  row.hi = region.hi;
+  row.warm = region.warm;
+  row.whole = row.lo == 0 && row.hi == kBound;
+  const std::string text = sum_text(row.lo, row.hi);
 
   const unsigned n = s.sweep_side * s.sweep_side;
   std::vector<Value> values(n);
@@ -201,7 +233,8 @@ SweepRow run_sweep_region(const Scale& s, Value lo, Value hi) {
     values[u] = static_cast<Value>((u * 37) % (kBound + 1));
   }
 
-  const auto one_shot = [&](QueryService& svc, sim::Network& net) {
+  const auto one_shot = [](QueryService& svc, sim::Network& net,
+                           const std::string& text) {
     const auto before = net.summary(true).total_bits;
     const auto r = svc.submit(text);
     if (!r.ok() || !r.value().answer) {
@@ -232,17 +265,24 @@ SweepRow run_sweep_region(const Scale& s, Value lo, Value hi) {
   QueryService tree_svc(query::Deployment{tree_net, tree_tree, kBound},
                         tree_cfg);
 
-  const auto [v_first, b_first] = one_shot(cube_svc, cube_net);
-  const auto [v_repeat, b_repeat] = one_shot(cube_svc, cube_net);
-  const auto [v_tree, b_tree] = one_shot(tree_svc, tree_net);
+  if (row.warm) {
+    one_shot(cube_svc, cube_net, sum_text(row.warm->first, row.warm->second));
+  }
+  const auto [v_first, b_first] = one_shot(cube_svc, cube_net, text);
+  const auto [v_repeat, b_repeat] = one_shot(cube_svc, cube_net, text);
+  const auto [v_tree, b_tree] = one_shot(tree_svc, tree_net, text);
   row.first_bits = b_first;
   row.repeat_bits = b_repeat;
   row.tree_bits = b_tree;
+  const cube::CubeStats& cs = cube_svc.telemetry_snapshot().cube;
+  row.residue_waves = cs.residue_waves;
+  row.residue_edges_pruned = cs.residue_edges_pruned;
   for (const double v : {v_first, v_repeat}) {
     if (std::bit_cast<std::uint64_t>(v) !=
         std::bit_cast<std::uint64_t>(v_tree)) {
       ++row.mismatches;
-      std::cerr << "sweep mismatch [" << lo << "," << hi << "]: cube=" << v
+      std::cerr << "sweep mismatch [" << row.lo << "," << row.hi
+                << "]: cube=" << v
                 << " tree=" << v_tree << "\n";
     }
   }
@@ -338,6 +378,29 @@ struct Totals {
   std::uint64_t exact_compared = 0;  // exact answers byte-compared
   std::uint64_t mismatches = 0;      // oracle + sweep + distinct
   std::uint64_t aligned_free = 0;    // sweep regions re-served at 0 bits
+  std::uint64_t sweep_residue_waves = 0;
+  std::uint64_t sweep_edges_pruned = 0;
+};
+
+/// The cube lane's bits by what sent them: every bit is a mark-wave bit or
+/// one of the cube's.
+struct BitsSplit {
+  std::uint64_t marks = 0;
+  std::uint64_t cell_refresh = 0;
+  std::uint64_t standing_residue = 0;
+  std::uint64_t oneshot_residue = 0;
+  std::uint64_t installs = 0;
+
+  explicit BitsSplit(const service::TelemetrySnapshot& t)
+      : marks(t.mark_bits_on_air),
+        cell_refresh(t.cube.cell_bits),
+        standing_residue(t.cube.standing_bits),
+        oneshot_residue(t.cube.once_bits),
+        installs(t.cube.install_bits) {}
+  std::uint64_t total() const {
+    return marks + cell_refresh + standing_residue + oneshot_residue +
+           installs;
+  }
 };
 
 Totals totals_of(const LaneRun& cube, std::uint64_t oracle_mismatches,
@@ -352,12 +415,14 @@ Totals totals_of(const LaneRun& cube, std::uint64_t oracle_mismatches,
   for (const auto& r : sweep) {
     tot.mismatches += r.mismatches;
     if (r.repeat_bits == 0) ++tot.aligned_free;
+    tot.sweep_residue_waves += r.residue_waves;
+    tot.sweep_edges_pruned += r.residue_edges_pruned;
   }
   return tot;
 }
 
 void gate_claims(Gates& gates, const LaneRun& cube, const LaneRun& naive,
-                 const std::vector<SweepRow>& sweep,
+                 const LaneRun& shared, const std::vector<SweepRow>& sweep,
                  const DistinctLane& distinct, const Determinism& det,
                  const Totals& tot) {
   const service::TelemetrySnapshot& t = cube.telemetry;
@@ -366,6 +431,12 @@ void gate_claims(Gates& gates, const LaneRun& cube, const LaneRun& naive,
   gates.gate(cube.total_bits * 5 <= naive.total_bits, "cube shipped ",
              cube.total_bits, " bits vs ", naive.total_bits,
              " tree — the 5x claim does not hold");
+  gates.gate(cube.total_bits <= shared.total_bits, "cube shipped ",
+             cube.total_bits, " bits vs ", shared.total_bits,
+             " on shared + cache — the cube loses to its honest baseline");
+  gates.gate(BitsSplit(t).total() == cube.total_bits, "the cube's bit split ",
+             BitsSplit(t).total(), " does not sum to its ", cube.total_bits,
+             " bits");
   gates.gate(t.cube.refresh_waves > 0, "cube never refreshed a cell");
   // One cell collect and one residue wave per epoch, never more.
   gates.gate(cube.max_collection_rounds <= 2 * (2 * cube.tree_height + 2),
@@ -373,9 +444,8 @@ void gate_claims(Gates& gates, const LaneRun& cube, const LaneRun& naive,
              " rounds beyond its mark wave — cube serves ran serially");
   gates.gate(t.cube.cell_edges_skipped > 0,
              "incremental refresh never skipped a clean subtree");
-  gates.gate(t.cube.residue_waves > 0, "cube never ran a residue wave");
-  gates.gate(t.cube.residue_edges_pruned > 0,
-             "residue waves never pruned a provably empty subtree");
+  gates.gate(t.cube.standing_refreshed > 0,
+             "no standing residue slot was ever collected");
   gates.gate(tot.exact_compared > 0, "oracle never exercised");
   gates.gate(tot.mismatches == 0, "cube answers differ from the tree oracle");
   gates.gate(cube.bound_checked > 0, "brackets never exercised");
@@ -388,18 +458,26 @@ void gate_claims(Gates& gates, const LaneRun& cube, const LaneRun& naive,
   }
   // The cost cliff: warm re-serves of pure-cell covers are free.
   gates.gate(tot.aligned_free > 0, "no region re-served at zero bits");
+  // One-shot residues run on the sweep: the prune path stays on the path.
+  gates.gate(tot.sweep_residue_waves > 0,
+             "the region sweep never ran a residue wave");
+  gates.gate(tot.sweep_edges_pruned > 0,
+             "the region sweep's residue waves never pruned a provably empty "
+             "subtree");
   gates.gate(distinct.answers > 0, "distinct lane produced no estimates");
   det.gate(gates);
 }
 
 void write_pr10(Json& j, const Scale& s, bool quick, unsigned threads,
                 const LaneRun& cube, const LaneRun& naive,
-                std::uint64_t oracle_mismatches,
+                const LaneRun& shared, std::uint64_t oracle_mismatches,
                 const std::vector<SweepRow>& sweep,
                 const DistinctLane& distinct, const Determinism& det,
                 const Totals& tot) {
   const service::TelemetrySnapshot& t = cube.telemetry;
   const double ratio = ratio_of(naive.total_bits, cube.total_bits);
+  const double vs_shared = ratio_of(shared.total_bits, cube.total_bits);
+  const BitsSplit split(t);
   write_header(j, "BENCH_PR10", quick, threads);
   j.key("cached_range")
       .object()
@@ -409,6 +487,16 @@ void write_pr10(Json& j, const Scale& s, bool quick, unsigned threads,
       .field("bits_cube", cube.total_bits)
       .field("bits_tree", naive.total_bits)
       .field("bits_ratio", ratio, 3)
+      .field("bits_shared_cache", shared.total_bits)
+      .field("cube_vs_shared", vs_shared, 3)
+      .key("bits_split")
+      .object()
+      .field("marks", split.marks)
+      .field("cell_refresh", split.cell_refresh)
+      .field("standing_residue", split.standing_residue)
+      .field("oneshot_residue", split.oneshot_residue)
+      .field("installs", split.installs)
+      .end()
       .field("answers", cube.answers.size())
       .field("cube_fresh_answers", t.totals.cube_fresh_answers)
       .field("cube_stale_answers", t.totals.cube_stale_answers)
@@ -417,6 +505,8 @@ void write_pr10(Json& j, const Scale& s, bool quick, unsigned threads,
       .field("cells_refreshed", t.cube.cells_refreshed)
       .field("residue_waves", t.cube.residue_waves)
       .field("residues_run", t.cube.residues_run)
+      .field("standing_installs", t.cube.standing_installs)
+      .field("standing_refreshed", t.cube.standing_refreshed)
       .field("cell_edges_descended", t.cube.cell_edges_descended)
       .field("cell_edges_skipped", t.cube.cell_edges_skipped)
       .field("residue_edges_pruned", t.cube.residue_edges_pruned)
@@ -440,14 +530,15 @@ void write_pr10(Json& j, const Scale& s, bool quick, unsigned threads,
     const double reduction =
         static_cast<double>(r.tree_bits) /
         static_cast<double>(std::max<std::uint64_t>(1, r.repeat_bits));
-    j.object(Json::kLine)
-        .field("lo", r.lo)
-        .field("hi", r.hi)
-        .field("width", r.hi - r.lo + 1)
+    j.object(Json::kLine).field("lo", r.lo).field("hi", r.hi);
+    if (r.warm) j.field("warm_lo", r.warm->first).field("warm_hi", r.warm->second);
+    j.field("width", r.hi - r.lo + 1)
         .field("first_bits", r.first_bits)
         .field("repeat_bits", r.repeat_bits)
         .field("tree_bits", r.tree_bits)
         .field("warm_reduction", reduction, 1)
+        .field("residue_waves", r.residue_waves)
+        .field("residue_edges_pruned", r.residue_edges_pruned)
         .end();
   }
   j.end()
@@ -464,6 +555,8 @@ void write_pr10(Json& j, const Scale& s, bool quick, unsigned threads,
       .field("bits_ratio", ratio, 3)
       .field("bits_target", 5.0, 1)
       .field("bits_target_met", cube.total_bits * 5 <= naive.total_bits)
+      .field("cube_vs_shared", vs_shared, 3)
+      .field("beats_shared_cache", cube.total_bits <= shared.total_bits)
       .field("oracle_mismatches", tot.mismatches)
       .field("oracle_identical", tot.mismatches == 0)
       .field("bound_violations", cube.bound_violations)
@@ -502,15 +595,24 @@ int main(int argc, char** argv) {
 
   std::cout << "## cached-range bits (" << s.grid_side * s.grid_side
             << " nodes, " << s.epochs << " epochs)\n";
-  const LaneRun cube = run_cached_lane(s, resolved, /*with_cube=*/true);
-  const LaneRun naive = run_cached_lane(s, resolved, /*with_cube=*/false);
+  const LaneRun cube = run_cached_lane(s, resolved, Backend::kCube);
+  const LaneRun naive = run_cached_lane(s, resolved, Backend::kNaive);
+  const LaneRun shared = run_cached_lane(s, resolved, Backend::kSharedCache);
   const double ratio = ratio_of(naive.total_bits, cube.total_bits);
+  const BitsSplit split(cube.telemetry);
   std::cout << "  cube: " << cube.total_bits << " bits ("
             << cube.telemetry.totals.cube_stale_answers << " bracket + "
             << cube.telemetry.totals.cache_hits << " cached of "
             << cube.answers.size() << " answers zero-bit)\n"
             << "  tree: " << naive.total_bits << " bits ("
             << std::setprecision(2) << std::fixed << ratio << "x)\n"
+            << "  shared + cache: " << shared.total_bits << " bits ("
+            << ratio_of(shared.total_bits, cube.total_bits) << "x)\n"
+            << "  cube split: marks " << split.marks << ", cells "
+            << split.cell_refresh << ", standing residues "
+            << split.standing_residue << ", one-shot residues "
+            << split.oneshot_residue << ", installs " << split.installs
+            << "\n"
             << "  rounds: " << std::setprecision(1)
             << static_cast<double>(cube.air_rounds) / s.epochs
             << " per epoch, worst " << cube.max_collection_rounds
@@ -525,18 +627,25 @@ int main(int argc, char** argv) {
 
   std::cout << "## region sweep (" << s.sweep_side * s.sweep_side
             << " nodes)\n";
-  const std::vector<std::pair<Value, Value>> regions = {
-      {0, kBound}, {0, 499}, {500, kBound}, {0, 249}, {250, 499},
-      {0, 300},    {37, 612}, {101, 860},   {600, 700},
+  // The last row's residue runs inside the fresh upper-half cell.
+  const std::vector<SweepRegion> regions = {
+      {0, kBound}, {0, 499},   {500, kBound}, {0, 249},
+      {250, 499},  {0, 300},   {37, 612},     {101, 860},
+      {600, 700},  {600, 700, std::pair{Value{500}, kBound}},
   };
   std::vector<SweepRow> sweep;
-  for (const auto& [lo, hi] : regions) {
-    sweep.push_back(run_sweep_region(s, lo, hi));
+  for (const SweepRegion& region : regions) {
+    sweep.push_back(run_sweep_region(s, region));
     const SweepRow& r = sweep.back();
     std::cout << "  [" << std::setw(4) << r.lo << "," << std::setw(4) << r.hi
-              << "] first=" << std::setw(7) << r.first_bits
+              << "]";
+    if (r.warm) {
+      std::cout << " in [" << r.warm->first << "," << r.warm->second << "]";
+    }
+    std::cout << " first=" << std::setw(7) << r.first_bits
               << " repeat=" << std::setw(6) << r.repeat_bits
-              << " tree=" << std::setw(7) << r.tree_bits << "\n";
+              << " tree=" << std::setw(7) << r.tree_bits
+              << " pruned=" << r.residue_edges_pruned << "\n";
   }
 
   std::cout << "## distinct identity (" << s.distinct_side * s.distinct_side
@@ -548,17 +657,18 @@ int main(int argc, char** argv) {
   std::cout << "## determinism across farm workers\n";
   Determinism det;
   for (const unsigned t : {1u, 2u, 8u}) {
-    det.add(t, t == resolved ? cube.checksum
-                             : run_cached_lane(s, t, true).checksum);
+    det.add(t, t == resolved
+                   ? cube.checksum
+                   : run_cached_lane(s, t, Backend::kCube).checksum);
   }
 
   const Totals tot =
       totals_of(cube, oracle_mismatches, sweep, distinct);
   Gates gates;
-  gate_claims(gates, cube, naive, sweep, distinct, det, tot);
+  gate_claims(gates, cube, naive, shared, sweep, distinct, det, tot);
   write_report(out_path, [&](Json& j) {
-    write_pr10(j, s, quick, resolved, cube, naive, oracle_mismatches, sweep,
-               distinct, det, tot);
+    write_pr10(j, s, quick, resolved, cube, naive, shared, oracle_mismatches,
+               sweep, distinct, det, tot);
   });
   return gates.exit_code();
 }

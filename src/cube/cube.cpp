@@ -30,6 +30,9 @@ void mirror_cube_stats(const CubeStats& s) {
                 s.residue_edges_descended);
   reg.gauge_set(reg.gauge("cube.residue_edges_pruned"),
                 s.residue_edges_pruned);
+  reg.gauge_set(reg.gauge("cube.standing_refreshed"), s.standing_refreshed);
+  reg.gauge_set(reg.gauge("cube.standing_installs"), s.standing_installs);
+  reg.gauge_set(reg.gauge("cube.standing_retired"), s.standing_retired);
   reg.gauge_set(reg.gauge("cube.fresh_serves"), s.fresh_serves);
   reg.gauge_set(reg.gauge("cube.stale_serves"), s.stale_serves);
   reg.gauge_set(reg.gauge("cube.geometry_installs"), s.geometry_installs);
@@ -63,19 +66,51 @@ Cube::Cube(sim::Network& net, const net::SpanningTree& tree,
       region.lo = static_cast<Value>(index * domain >> level);
       region.hi = static_cast<Value>(((index + 1ull) * domain >> level) - 1);
       region.whole_domain = region.lo == 0 && region.hi == max_value_bound;
-      // Session identifies the cell: stable across epochs, disjoint from
-      // the scheduler's 0x7000 group range and the residue range.
-      const auto ordinal = static_cast<std::uint32_t>(store_.slot_count());
-      store_.add_slot(region, kRefreshSessionBase + ordinal);
+      add_slot(region, /*sketch=*/false);
     }
   }
-  cell_claimed_.assign(store_.slot_count(), 0);
+  twin_.assign(store_.slot_count(), kNoSlot);
   // Construction ships zero bits: the geometry install broadcast is lazy,
   // paid by the first serve (bits-conservation invariants stay intact for
   // services that never enable the cube path).
 }
 
 Cube::~Cube() = default;
+
+SlotId Cube::add_slot(const query::RegionSignature& region, bool sketch) {
+  // Session identifies the slot: stable across epochs, disjoint from the
+  // scheduler's 0x7000 group range.
+  const auto id = static_cast<std::uint32_t>(store_.slot_count());
+  slot_state_.emplace_back();
+  return store_.add_slot(region, kRefreshSessionBase + id, sketch);
+}
+
+SlotId Cube::slot_for(const query::PlanStep& step, bool sketch,
+                      bool standing) {
+  if (step.kind == query::StepKind::kCubeCell) {
+    const SlotId cell = slot(step.cell);
+    if (!sketch) return cell;
+    if (twin_[cell] == kNoSlot) {
+      twin_[cell] = add_slot(store_.region(cell), /*sketch=*/true);
+    }
+    return twin_[cell];
+  }
+  if (!standing) return installed_standing(step.region, sketch);
+  const auto [it, added] = standing_.try_emplace({step.region, sketch}, 0);
+  if (added) {
+    it->second = add_slot(step.region, sketch);
+    slot_state_[it->second].standing = true;
+  }
+  return it->second;
+}
+
+SlotId Cube::installed_standing(const query::RegionSignature& region,
+                                bool sketch) const {
+  const auto it = standing_.find({region, sketch});
+  return it != standing_.end() && slot_state_[it->second].installed
+             ? it->second
+             : kNoSlot;
+}
 
 // ---- residue collection ---------------------------------------------------
 
@@ -89,6 +124,7 @@ PartialStore::OnceCollection Cube::collect_residues(
   for (std::size_t i = 0; i < ranges.size(); ++i) {
     out[owners[i]].bits += got.shares[i].bits;
     out[owners[i]].messages += got.shares[i].messages;
+    stats_.once_bits += got.shares[i].bits;
   }
   ++stats_.residue_waves;
   stats_.residues_run += ranges.size();
@@ -102,16 +138,25 @@ PartialStore::OnceCollection Cube::collect_residues(
   return got;
 }
 
-// ---- geometry install -----------------------------------------------------
+// ---- installs -------------------------------------------------------------
+
+WaveShare Cube::broadcast(std::uint32_t session, BitWriter payload) {
+  const sim::CommSummary before = net_.summary(/*include_headers=*/true);
+  proto::TreeBroadcast install(
+      tree_, session, [](sim::Network&, NodeId, BitReader) { /* noted */ });
+  install.execute(net_, std::move(payload));
+  const sim::CommSummary after = net_.summary(/*include_headers=*/true);
+  WaveShare cost;
+  cost.bits = after.total_bits - before.total_bits;
+  cost.messages = after.total_messages - before.total_messages;
+  stats_.install_bits += cost.bits;
+  return cost;
+}
 
 WaveShare Cube::install_geometry() {
   geometry_installed_ = true;
-  const sim::CommSummary before = net_.summary(/*include_headers=*/true);
   // Nodes must learn the grid (levels, margin) and, for distinct partials,
   // the sketch geometry — paid once, on first serve, metered like any bits.
-  proto::TreeBroadcast install(
-      tree_, kGeometrySession,
-      [](sim::Network&, NodeId, BitReader) { /* geometry noted */ });
   BitWriter w;
   encode_uint(w, config_.levels);
   encode_uint(w, static_cast<std::uint64_t>(config_.horizon_epochs) *
@@ -121,48 +166,74 @@ WaveShare Cube::install_geometry() {
     encode_uint(w, store_.hll_width());
     encode_uint(w, kHllSalt);
   }
-  install.execute(net_, std::move(w));
   ++stats_.geometry_installs;
-  const sim::CommSummary after = net_.summary(/*include_headers=*/true);
-  WaveShare cost;
-  cost.bits = after.total_bits - before.total_bits;
-  cost.messages = after.total_messages - before.total_messages;
+  return broadcast(kGeometrySession, std::move(w));
+}
+
+WaveShare Cube::install_standing(const std::vector<SlotId>& slots) {
+  // Nodes must learn each new slot's region and kind; they number the slots
+  // in install order, so the collect masks name them.
+  BitWriter w;
+  for (const SlotId s : slots) {
+    const query::RegionSignature& region = store_.region(s);
+    encode_uint(w, static_cast<std::uint64_t>(region.lo));
+    encode_uint(w, static_cast<std::uint64_t>(region.hi - region.lo));
+    w.write_bit(store_.sketch(s));
+  }
+  const WaveShare cost = broadcast(next_residue_session_++, std::move(w));
+  for (const SlotId s : slots) slot_state_[s].installed = true;
+  stats_.standing_installs += slots.size();
   return cost;
+}
+
+void Cube::retire_standing(std::uint32_t epoch) {
+  for (const auto& [key, s] : standing_) {
+    SlotState& state = slot_state_[s];
+    if (!state.installed || epoch <= state.last_read + config_.horizon_epochs) {
+      continue;
+    }
+    store_.release(s);
+    state.installed = false;
+    ++stats_.standing_retired;
+  }
 }
 
 // ---- serving --------------------------------------------------------------
 
-std::size_t Cube::claim(const query::CostedPlan& plan) {
-  if (plan.strategy == query::Strategy::kApproxDistinct) {
+std::size_t Cube::claim(const query::CostedPlan& plan, bool standing) {
+  const bool sketch = plan.strategy == query::Strategy::kApproxDistinct;
+  if (sketch) {
     SENSORNET_EXPECTS(config_.distinct_registers > 0 &&
                       plan.registers == config_.distinct_registers);
   }
+  Claim c{plan, {}};
   for (const query::PlanStep& step : plan.steps) {
-    if (step.kind == query::StepKind::kCubeCell) {
-      cell_claimed_[slot(step.cell)] = 1;
-    }
+    const SlotId s = slot_for(step, sketch, standing);
+    if (s != kNoSlot) slot_state_[s].claimed = true;
+    c.reads.push_back(s);
   }
-  claimed_.push_back(plan);
+  claimed_.push_back(std::move(c));
   return claimed_.size() - 1;
 }
 
 std::vector<ServeResult> Cube::serve_claimed(std::uint32_t epoch) {
   // Take the batch first: a lost message must not leave claims behind.
-  const std::vector<query::CostedPlan> plans = std::exchange(claimed_, {});
-  std::fill(cell_claimed_.begin(), cell_claimed_.end(), 0);
-  std::vector<ServeResult> out(plans.size());
-  if (plans.empty()) return out;
+  const std::vector<Claim> claims = std::exchange(claimed_, {});
+  for (SlotState& state : slot_state_) state.claimed = false;
+  std::vector<ServeResult> out(claims.size());
+  if (claims.empty()) return out;
   if (!geometry_installed_) {
     const WaveShare install = install_geometry();
     out[0].bits += install.bits;
     out[0].messages += install.messages;
   }
 
-  // Each cell and residue is owned by the first plan that claimed it: that
-  // plan pays its wave share, the later ones ride for free. A residue is
-  // keyed by (range, sketch): index [sketch] holds its wave's ranges.
+  // Each slot and one-shot residue is owned by the first plan that claimed
+  // it: that plan pays its wave share, the later ones ride for free. A
+  // one-shot residue is keyed by (range, sketch): index [sketch] holds its
+  // wave's ranges.
   constexpr std::size_t kUnowned = static_cast<std::size_t>(-1);
-  std::vector<std::size_t> cell_owner(store_.slot_count(), kUnowned);
+  std::vector<std::size_t> slot_owner(store_.slot_count(), kUnowned);
   std::array<std::vector<query::RegionSignature>, 2> ranges;
   std::array<std::vector<std::size_t>, 2> range_owner;
   const auto residue = [&ranges](const query::PlanStep& step, bool sketch) {
@@ -170,81 +241,107 @@ std::vector<ServeResult> Cube::serve_claimed(std::uint32_t epoch) {
     return static_cast<std::size_t>(
         std::find(r.begin(), r.end(), step.region) - r.begin());
   };
-  for (std::size_t p = 0; p < plans.size(); ++p) {
-    const bool sketch =
-        plans[p].strategy == query::Strategy::kApproxDistinct;
-    for (const query::PlanStep& step : plans[p].steps) {
-      if (step.kind == query::StepKind::kCubeCell) {
-        std::size_t& owner = cell_owner[slot(step.cell)];
-        if (owner == kUnowned) owner = p;
-      } else if (residue(step, sketch) == ranges[sketch].size()) {
-        ranges[sketch].push_back(step.region);
+  for (std::size_t p = 0; p < claims.size(); ++p) {
+    const query::CostedPlan& plan = claims[p].plan;
+    const bool sketch = plan.strategy == query::Strategy::kApproxDistinct;
+    for (std::size_t j = 0; j < plan.steps.size(); ++j) {
+      const SlotId s = claims[p].reads[j];
+      if (s != kNoSlot) {
+        if (slot_owner[s] == kUnowned) slot_owner[s] = p;
+      } else if (residue(plan.steps[j], sketch) == ranges[sketch].size()) {
+        ranges[sketch].push_back(plan.steps[j].region);
         range_owner[sketch].push_back(p);
       }
     }
   }
 
-  // 1. One collect() brings every claimed cell up to the epoch.
-  std::vector<SlotId> cells;
+  // 1. One broadcast installs the batch's new standing slots; one collect()
+  //    brings every claimed slot up to the epoch.
+  std::vector<SlotId> slots;
+  std::vector<SlotId> installs;
   for (SlotId s = 0; s < store_.slot_count(); ++s) {
-    if (cell_owner[s] != kUnowned) cells.push_back(s);
+    if (slot_owner[s] == kUnowned) continue;
+    slots.push_back(s);
+    SlotState& state = slot_state_[s];
+    state.last_read = epoch;
+    if (state.standing && !state.installed) installs.push_back(s);
   }
-  if (!cells.empty()) {
+  if (!installs.empty()) {
+    const WaveShare install = install_standing(installs);
+    ServeResult& owner = out[slot_owner[installs.front()]];
+    owner.bits += install.bits;
+    owner.messages += install.messages;
+  }
+  if (!slots.empty()) {
     const SimTime t0 = net_.now();
-    const std::vector<WaveShare> shares = store_.collect(cells, epoch);
+    const std::vector<WaveShare> shares = store_.collect(slots, epoch);
     std::size_t refreshed = 0;
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-      ServeResult& owner = out[cell_owner[cells[i]]];
+    for (std::size_t i = 0; i < slots.size(); ++i) {
+      ServeResult& owner = out[slot_owner[slots[i]]];
       owner.bits += shares[i].bits;
       owner.messages += shares[i].messages;
-      refreshed += shares[i].collected ? 1 : 0;
+      const bool standing = slot_state_[slots[i]].standing;
+      (standing ? stats_.standing_bits : stats_.cell_bits) += shares[i].bits;
+      if (!shares[i].collected) continue;
+      ++refreshed;
+      ++(standing ? stats_.standing_refreshed : stats_.cells_refreshed);
     }
     stats_.cell_edges_descended = store_.edges_descended();
     stats_.cell_edges_skipped = store_.edges_skipped();
     if (refreshed > 0) {
       ++stats_.refresh_waves;
-      stats_.cells_refreshed += refreshed;
       obs::TraceRing& ring = obs::TraceRing::global();
       if (ring.enabled()) {
         ring.complete("cube.refresh", "service", t0, net_.now() - t0, 0,
-                      "epoch", epoch, "cells", refreshed);
+                      "epoch", epoch, "slots", refreshed);
       }
     }
   }
 
-  // 2. The residues, pruned against the fresh cells.
+  // 2. The one-shot residues, pruned against the fresh slots.
   std::array<PartialStore::OnceCollection, 2> residues;
   for (const bool sketch : {false, true}) {
     residues[sketch] =
         collect_residues(ranges[sketch], sketch, range_owner[sketch], out);
   }
 
-  // 3. Each plan's composition.
-  for (std::size_t p = 0; p < plans.size(); ++p) {
-    const bool sketch =
-        plans[p].strategy == query::Strategy::kApproxDistinct;
+  // 3. Each plan's composition: its bundle, or its sketch alone.
+  for (std::size_t p = 0; p < claims.size(); ++p) {
+    const query::CostedPlan& plan = claims[p].plan;
+    const bool sketch = plan.strategy == query::Strategy::kApproxDistinct;
     ServeResult& r = out[p];
     std::optional<sketch::Hll> merged;
     if (sketch) merged = store_.empty_hll();
-    for (const query::PlanStep& step : plans[p].steps) {
+    for (std::size_t j = 0; j < plan.steps.size(); ++j) {
+      const query::PlanStep& step = plan.steps[j];
+      const SlotId s = claims[p].reads[j];
       if (step.kind == query::StepKind::kCubeCell) {
-        const SlotId s = slot(step.cell);
-        r.bundle.combine(store_.root(s));
-        if (sketch) merged->merge(store_.root_hll(s)).value();
         ++r.cells_used;
+      } else {
+        ++r.residues_run;
+      }
+      if (s != kNoSlot) {
+        if (sketch) {
+          merged->merge(store_.root_hll(s)).value();
+        } else {
+          r.bundle.combine(store_.root(s));
+        }
         continue;
       }
       const std::size_t i = residue(step, sketch);
-      r.bundle.combine(residues[sketch].bundles[i]);
-      if (sketch) merged->merge(residues[sketch].hlls[i]).value();
-      ++r.residues_run;
+      if (sketch) {
+        merged->merge(residues[sketch].hlls[i]).value();
+      } else {
+        r.bundle.combine(residues[sketch].bundles[i]);
+      }
     }
     if (sketch) {
       r.has_distinct = true;
       r.distinct_estimate = merged->estimate();
     }
   }
-  stats_.fresh_serves += plans.size();
+  retire_standing(epoch);
+  stats_.fresh_serves += claims.size();
   mirror_stats();
   return out;
 }
@@ -312,18 +409,18 @@ std::uint64_t Cube::count_stale_edges(SlotId s, NodeId node) const {
 }
 
 std::uint64_t Cube::count_residue_edges(
-    NodeId node, const query::RegionSignature& region) const {
+    NodeId node, std::span<const SlotId> containing) const {
   std::uint64_t edges = 0;
   for (const NodeId child : tree_.children[node]) {
-    if (store_.provably_empty(child, region)) continue;
-    edges += 1 + count_residue_edges(child, region);
+    if (store_.provably_empty(child, containing)) continue;
+    edges += 1 + count_residue_edges(child, containing);
   }
   return edges;
 }
 
 std::uint64_t Cube::cell_refresh_bits(query::CubeCellRef ref) const {
   const SlotId s = slot(ref);
-  if (cell_claimed_[s]) return 0;  // fresh once the pending batch is served
+  if (slot_state_[s].claimed) return 0;  // fresh once the batch is served
   return count_stale_edges(s, tree_.root) *
          edge_cost_bits(store_.region(s).whole_domain,
                         /*carries_region=*/false);
@@ -331,7 +428,14 @@ std::uint64_t Cube::cell_refresh_bits(query::CubeCellRef ref) const {
 
 std::uint64_t Cube::residue_collect_bits(
     const query::RegionSignature& region) const {
-  return count_residue_edges(tree_.root, region) *
+  // An installed standing slot costs its stale edges, like a cell.
+  const SlotId s = installed_standing(region, /*sketch=*/false);
+  if (s != kNoSlot) {
+    if (slot_state_[s].claimed) return 0;
+    return count_stale_edges(s, tree_.root) *
+           edge_cost_bits(region.whole_domain, /*carries_region=*/false);
+  }
+  return count_residue_edges(tree_.root, store_.containing_slots(region)) *
          edge_cost_bits(region.whole_domain, /*carries_region=*/true);
 }
 

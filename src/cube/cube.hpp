@@ -9,41 +9,57 @@
 // children (l+1, 2i) and (l+1, 2i+1)) and level 0 is the whole domain. Every
 // cell maintains a per-subtree partial aggregate at each tree node: a
 // PASS-style StatsBundle (COUNT/SUM/MIN/MAX over the cell, its margin-shrunk
-// inner and margin-grown outer companions) and, when configured, an HLL
-// sketch for COUNT_DISTINCT. Each cell is one slot of a cube::PartialStore
-// (see partials.hpp for the per-edge partials, edges named by their child
-// node, and the wire format). A refresh descends only into subtrees that
-// changed since the cached partial was taken (the same coalesced dirty marks
-// the shared-plan scheduler rides), so a quiescent network refreshes for
-// free.
+// inner and margin-grown outer companions). Each cell is one stats slot of a
+// cube::PartialStore (see partials.hpp for the per-edge partials, edges
+// named by their child node, and the wire format). A refresh descends only
+// into subtrees that changed since the cached partial was taken (the same
+// coalesced dirty marks the shared-plan scheduler rides), so a quiescent
+// network refreshes for free.
+//
+// Every store slot is a (region, sketch) pair, the key the service uses for
+// its bundles. A cell is a stats slot and sends no HLL bits. When an
+// approximate COUNT_DISTINCT plan claims a cell (only when the cube is
+// configured with distinct_registers), the cell gains an HLL-only *twin*
+// slot: same region, its image the HLL alone. Only the plans that read a
+// sketch make sketches travel.
 //
 // The planner sees the cube through the query::CubeCatalog interface —
 // geometry plus a deterministic bit-cost model — and decomposes a range
 // query into the fewest covering cells plus *residue* collections for the
-// unaligned ends. A residue is a one-shot slot of the same store
-// (PartialStore::collect_once): a range no node has installed, collected by
-// the same multiplexed wave as the cells. Its edge is pruned when
-// PartialStore::provably_empty() finds a containing cell whose cached
+// unaligned ends. A residue of a standing (continuous) plan becomes a
+// *standing slot* of the same store: installed once by a broadcast of its
+// region, then kept fresh incrementally in the same collect() as the cells
+// (its request is one mask bit, and only stale edges are descended). A
+// standing slot no plan has claimed for horizon_epochs epochs frees its
+// per-edge partials; a later claim installs it afresh. A one-shot plan's
+// residue rides the standing slot of its key when one is installed, and is
+// otherwise a one-shot slot (PartialStore::collect_once): a range no node
+// has installed, whose request carries the range. Its edge is pruned when
+// PartialStore::provably_empty() finds a containing stats slot whose cached
 // partial shows an empty outer region and the dirty tracker proves nothing
 // below changed since — the subtree's items are literally identical, so the
 // prune is exact, not approximate.
 //
 // Serves are batched per epoch: claim() queues each fresh plan (pricing its
-// cells at 0 for the plans planned after it), and serve_claimed() brings
-// the union of the batch's cells up to date in ONE multiplexed collect(),
-// then collects every distinct residue of the batch in ONE collect_once()
-// wave (sketch-carrying residues in a second), pruned against the fresh
-// cells. serve() is the batch of one.
+// slots at 0 for the plans planned after it), and serve_claimed() installs
+// the batch's new standing slots in one broadcast, brings the union of the
+// batch's slots up to date in ONE multiplexed collect(), then collects
+// every distinct one-shot residue of the batch in ONE collect_once() wave
+// (sketch residues in a second), pruned against the fresh slots. serve()
+// is the one-shot batch of one.
 //
-// Answers composed from fresh cells + residues are byte-identical to a
-// whole-tree collection: cell regions partition the query range, stats
+// Answers composed from fresh slots + residues are byte-identical to a
+// whole-tree collection: slot regions partition the query range, stats
 // combine losslessly, and HLL partials replicate the oracle's exact sketch
 // geometry (salt 1, width for node_count+1 ranks), so register-max merges
 // reproduce the oracle's registers bit for bit.
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <optional>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "src/common/error.hpp"
@@ -75,17 +91,26 @@ struct CubeConfig {
 
 /// Cumulative cube telemetry, mirrored into obs gauges after every serve.
 struct CubeStats {
-  std::uint64_t refresh_waves = 0;    // cell collect() waves that ran
-  std::uint64_t cells_refreshed = 0;  // cells those waves brought up to date
+  std::uint64_t refresh_waves = 0;    // slot collect() waves that ran
+  std::uint64_t cells_refreshed = 0;  // cells (and twins) brought up to date
+  // (slot, edge) pairs of the collect() waves, standing slots included.
   std::uint64_t cell_edges_descended = 0;
   std::uint64_t cell_edges_skipped = 0;  // served from cached partials
-  std::uint64_t residue_waves = 0;       // multiplexed residue waves
+  std::uint64_t residue_waves = 0;       // one-shot residue waves
   std::uint64_t residues_run = 0;        // residues those waves collected
   std::uint64_t residue_edges_descended = 0;  // per (residue, edge)
   std::uint64_t residue_edges_pruned = 0;     // subtrees proven empty
+  std::uint64_t standing_refreshed = 0;  // standing slots collected
+  std::uint64_t standing_installs = 0;   // standing slots installed
+  std::uint64_t standing_retired = 0;    // ... and freed after the horizon
   std::uint64_t fresh_serves = 0;
   std::uint64_t stale_serves = 0;  // brackets served (note_stale_serve)
   std::uint64_t geometry_installs = 0;  // lazy one-time broadcast
+  // Bits on air by what sent them; they sum to every bit the cube sent.
+  std::uint64_t cell_bits = 0;      // cell and twin shares of collect()
+  std::uint64_t standing_bits = 0;  // standing slots' shares of collect()
+  std::uint64_t once_bits = 0;      // one-shot residue waves
+  std::uint64_t install_bits = 0;   // geometry and standing-slot installs
 };
 
 /// One fresh serve's composition: the exact bundle over the plan's region
@@ -97,9 +122,10 @@ struct ServeResult {
   std::size_t cells_used = 0;
   std::size_t residues_run = 0;
   /// This plan's share of its batch's bits on air: the wave shares of every
-  /// cell and residue it claimed first, plus the geometry install when it is
-  /// the cube's first fresh serve. Over a batch the shares sum to the bits
-  /// and messages the batch put on the air.
+  /// slot and residue it claimed first, plus the geometry install when it is
+  /// the cube's first fresh serve and the install of the batch's new
+  /// standing slots when it owns the first of them. Over a batch the shares
+  /// sum to the bits and messages the batch put on the air.
   std::uint64_t bits = 0;
   std::uint64_t messages = 0;
 };
@@ -136,25 +162,31 @@ class Cube final : public query::CubeCatalog {
 
   // ---- serving -----------------------------------------------------------
   /// Queues a plan for the next serve_claimed() and returns its position
-  /// in the batch; every step that is not a cube cell runs as a residue.
-  /// Until then cell_refresh_bits() prices the plan's cells at 0: they will
-  /// be fresh when the batch is served, so a plan planned after this one
+  /// in the batch. Each cell step reads the cell's slot (its HLL twin for an
+  /// approx-distinct plan); each residue step of a `standing` plan reads
+  /// the standing slot of its (region, sketch) key, created on first claim.
+  /// A one-shot plan's residue reads that slot when it is installed and
+  /// otherwise runs as a one-shot residue. Until the batch is served,
+  /// cell_refresh_bits() and residue_collect_bits() price the claimed
+  /// slots at 0: they will be fresh, so a plan planned after this one
   /// reuses them for free.
-  std::size_t claim(const query::CostedPlan& plan);
+  std::size_t claim(const query::CostedPlan& plan, bool standing = false);
 
   /// Serves every claimed plan at `epoch` and clears the claims: one
-  /// collect() over the union of their cells (ascending slot order), one
-  /// collect_once() over their distinct residues as one-shot slots —
-  /// approx-distinct plans' sketch-carrying residues ride a second — each
-  /// pruned per edge against the now-fresh cells, then each plan's exact
-  /// bundle (plus the HLL estimate for approx-distinct plans). Results come
-  /// in claim order. The cube's first serve pays a one-time geometry install
-  /// broadcast. Throws ProtocolError when a message is lost; the claims are
-  /// cleared anyway.
+  /// broadcast installs the batch's new standing slots, one collect() brings
+  /// the union of their slots up to the epoch (ascending slot order), one
+  /// collect_once() runs their distinct one-shot residues — approx-distinct
+  /// plans' sketch residues ride a second — each pruned per edge against
+  /// the now-fresh slots, then each plan gets its exact bundle (or, for an
+  /// approx-distinct plan, the HLL estimate alone). Results come in claim
+  /// order. The cube's first serve pays a one-time geometry install
+  /// broadcast. Standing slots unclaimed for horizon_epochs are then freed.
+  /// Throws ProtocolError when a message is lost; the claims are cleared
+  /// anyway.
   std::vector<ServeResult> serve_claimed(std::uint32_t epoch);
 
-  /// The batch of one: claim(plan), then serve_claimed(epoch). Requires no
-  /// pending claims.
+  /// The one-shot batch of one: claim(plan), then serve_claimed(epoch).
+  /// Requires no pending claims.
   ServeResult serve(const query::CostedPlan& plan, std::uint32_t epoch);
 
   /// Zero-bit composition of per-cell drift brackets at each cell's own
@@ -171,8 +203,11 @@ class Cube final : public query::CubeCatalog {
   void note_stale_serve();
 
   const CubeStats& stats() const { return stats_; }
-  std::size_t cell_count() const { return store_.slot_count(); }
-  /// The cells' partials: slot cell_ordinal(ref) is cell `ref`.
+  std::size_t cell_count() const {
+    return (std::size_t{1} << config_.levels) - 1;
+  }
+  /// The cube's slots: slot cell_ordinal(ref) is cell `ref`; HLL twins and
+  /// standing slots follow the cells in the order they were first claimed.
   const PartialStore& cells() const { return store_; }
   /// Row-major cell numbering: level 0 first, 2^l cells per level.
   static std::size_t cell_ordinal(query::CubeCellRef ref) {
@@ -186,10 +221,39 @@ class Cube final : public query::CubeCatalog {
                       ref.index < (1u << ref.level));
     return static_cast<SlotId>(cell_ordinal(ref));
   }
+  /// What the cube tracks per store slot.
+  struct SlotState {
+    bool claimed = false;    // read by the pending batch
+    bool standing = false;   // a standing residue slot
+    bool installed = false;  // ... whose region the nodes hold
+    std::uint32_t last_read = 0;  // the last epoch a batch read it
+  };
+  /// A claimed plan and, per step, the slot it reads (kNoSlot: a one-shot
+  /// residue).
+  struct Claim {
+    query::CostedPlan plan;
+    std::vector<SlotId> reads;
+  };
+  static constexpr SlotId kNoSlot = static_cast<SlotId>(-1);
+
+  SlotId add_slot(const query::RegionSignature& region, bool sketch);
+  /// The slot a claimed step reads, creating a twin or standing slot on
+  /// first use.
+  SlotId slot_for(const query::PlanStep& step, bool sketch, bool standing);
+  /// The installed standing slot of a (region, sketch) key, or kNoSlot.
+  SlotId installed_standing(const query::RegionSignature& region,
+                            bool sketch) const;
+  /// One tree broadcast of `payload` on `session`; returns what it cost.
+  WaveShare broadcast(std::uint32_t session, BitWriter payload);
   /// The lazy geometry install broadcast; returns what it cost.
   WaveShare install_geometry();
+  /// One broadcast of the regions of `slots`, new standing slots; returns
+  /// what it cost.
+  WaveShare install_standing(const std::vector<SlotId>& slots);
+  /// Frees the standing slots no batch has read for horizon_epochs.
+  void retire_standing(std::uint32_t epoch);
   /// One multiplexed residue wave over `ranges` (none: nothing is sent),
-  /// pruned against the fresh cells; charges range i's wave share to plan
+  /// pruned against the fresh slots; charges range i's wave share to plan
   /// owners[i] in `out`.
   PartialStore::OnceCollection collect_residues(
       const std::vector<query::RegionSignature>& ranges, bool sketch,
@@ -201,16 +265,18 @@ class Cube final : public query::CubeCatalog {
   std::uint64_t edge_cost_bits(bool whole_domain, bool carries_region) const;
   std::uint64_t count_stale_edges(SlotId s, NodeId node) const;
   std::uint64_t count_residue_edges(NodeId node,
-                                    const query::RegionSignature& region)
-      const;
+                                    std::span<const SlotId> containing) const;
 
   sim::Network& net_;
   const net::SpanningTree& tree_;
   Value max_value_bound_;
   CubeConfig config_;
-  PartialStore store_;  // one slot per cell
-  std::vector<query::CostedPlan> claimed_;  // the pending batch
-  std::vector<std::uint8_t> cell_claimed_;  // per slot: claimed this batch
+  PartialStore store_;  // cells, then twins and standing slots
+  std::vector<SlotState> slot_state_;  // per slot
+  std::vector<SlotId> twin_;           // per cell: its HLL twin or kNoSlot
+  // Standing slots by (region, sketch) key.
+  std::map<std::pair<query::RegionSignature, bool>, SlotId> standing_;
+  std::vector<Claim> claimed_;  // the pending batch
   bool geometry_installed_ = false;
   std::uint32_t next_residue_session_;
   CubeStats stats_;

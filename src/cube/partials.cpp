@@ -27,6 +27,12 @@ std::uint64_t decode_delta(BitReader& r, std::uint64_t limit) {
   return d;
 }
 
+/// The image shape of a (region, sketch) entry.
+ImageShape image_shape(const query::RegionSignature& region, bool sketch) {
+  if (sketch) return ImageShape::kHll;
+  return region.whole_domain ? ImageShape::kWholeDomain : ImageShape::kRanged;
+}
+
 }  // namespace
 
 void encode_stats_image(BitWriter& w, const StatsBundle& b,
@@ -148,21 +154,25 @@ void decode_residue_request(BitReader& r, Value domain_bound,
 
 void decode_stats_response(BitReader& r,
                            const std::vector<std::uint8_t>& mask,
-                           const std::vector<std::uint8_t>& whole_domain,
+                           const std::vector<ImageShape>& shapes,
                            std::vector<StatsBundle>& images,
-                           const sketch::Hll* sketch,
+                           const sketch::Hll* geometry,
                            std::vector<sketch::Hll>* sketches) {
-  SENSORNET_EXPECTS(mask.size() == whole_domain.size());
-  SENSORNET_EXPECTS((sketch == nullptr) == (sketches == nullptr));
+  SENSORNET_EXPECTS(mask.size() == shapes.size());
+  SENSORNET_EXPECTS((geometry == nullptr) == (sketches == nullptr));
   images.clear();
   if (sketches != nullptr) sketches->clear();
   for (std::size_t i = 0; i < mask.size(); ++i) {
     if (!mask[i]) continue;
-    images.push_back(decode_stats_image(r, whole_domain[i]));
-    if (sketch == nullptr) continue;
+    if (shapes[i] != ImageShape::kHll) {
+      images.push_back(
+          decode_stats_image(r, shapes[i] == ImageShape::kWholeDomain));
+      continue;
+    }
+    SENSORNET_EXPECTS(geometry != nullptr);
     Result<sketch::Hll> h = sketch::Hll::decode(r);
     if (!h.ok()) throw WireFormatError("stats response: " + h.error());
-    if (!h.value().same_geometry(*sketch)) {
+    if (!h.value().same_geometry(*geometry)) {
       throw WireFormatError("stats response: sketch of another geometry");
     }
     sketches->push_back(std::move(h).value());
@@ -191,34 +201,38 @@ void ShareLedger::charge(const std::vector<std::uint8_t>& mask,
 // ---- the multiplexed collection -----------------------------------------
 
 /// The one multiplexed EdgeWave policy, behind collect() and collect_once().
-/// Its k entries are installed slots or one-shot ranges. Per node it keeps
-/// the mask of the request it received; a one-shot wave also keeps, from a
-/// node's fan-out to its response, the node's subtree accumulator.
+/// Its k entries are installed slots or one-shot ranges, each with its image
+/// shape: stats or HLL alone. Per node it keeps the mask of the request it
+/// received; a one-shot wave also keeps, from a node's fan-out to its
+/// response, the node's subtree accumulator.
 class PartialStore::Collect {
  public:
   /// collect(): the installed slots `batch` (ascending ids) at `epoch`.
   Collect(PartialStore& store, std::span<const SlotId> batch,
           std::uint32_t epoch)
-      : Collect(store, batch.size(), store.hll_registers_ > 0,
-                store.edges_descended_, store.edges_skipped_) {
+      : Collect(store, batch.size(), store.edges_descended_,
+                store.edges_skipped_) {
     batch_ = batch;  // ascending id == wire order
     epoch_ = epoch;
     for (std::size_t i = 0; i < k_; ++i) {
-      whole_domain_[i] = slot(i).region.whole_domain;
+      shapes_[i] = image_shape(slot(i).region, slot(i).sketch);
     }
+    init_geometry();
   }
 
   /// collect_once(): the one-shot `ranges`; the edge counters land in `got`.
   Collect(PartialStore& store, std::span<const query::RegionSignature> ranges,
           bool sketch, Value domain_bound, OnceCollection& got)
-      : Collect(store, ranges.size(), sketch, got.edges_descended,
-                got.edges_pruned) {
+      : Collect(store, ranges.size(), got.edges_descended, got.edges_pruned) {
     once_ = true;
     domain_bound_ = domain_bound;
     ranges_.assign(ranges.begin(), ranges.end());
     for (std::size_t i = 0; i < k_; ++i) {
-      whole_domain_[i] = ranges_[i].whole_domain;
+      shapes_[i] = image_shape(ranges_[i], sketch);
+      // Containment is a property of the range: take the candidates once.
+      containing_.push_back(store.containing_slots(ranges_[i]));
     }
+    init_geometry();
     partials_.resize(store.tree_.node_count());
   }
 
@@ -227,8 +241,13 @@ class PartialStore::Collect {
   /// A one-shot wave's result: the root's accumulators.
   void take_root(OnceCollection& got) {
     Partials& root = partials_[store_.tree_.root];
-    got.bundles = std::move(root.bundles);
-    for (auto& h : root.sketches) got.hlls.push_back(std::move(*h));
+    for (std::size_t i = 0; i < k_; ++i) {
+      if (shapes_[i] == ImageShape::kHll) {
+        got.hlls.push_back(std::move(*root.sketches[i]));
+      } else {
+        got.bundles.push_back(root.bundles[i]);
+      }
+    }
     got.shares = std::move(shares());
   }
 
@@ -253,11 +272,14 @@ class PartialStore::Collect {
     if (once_) {
       Partials& p = partials_[node];
       p.bundles.resize(k_);
-      if (geometry_) p.sketches.resize(k_);
+      p.sketches.resize(k_);
       for (std::size_t i = 0; i < k_; ++i) {
         if (!requested_[node * k_ + i]) continue;
-        p.bundles[i] = store_.local_bundle(node, ranges_[i]);
-        if (geometry_) p.sketches[i] = store_.local_hll(node, ranges_[i]);
+        if (shapes_[i] == ImageShape::kHll) {
+          p.sketches[i] = store_.local_hll(node, ranges_[i]);
+        } else {
+          p.bundles[i] = store_.local_bundle(node, ranges_[i]);
+        }
       }
     }
     obs::TraceRing& ring = obs::TraceRing::global();
@@ -292,23 +314,30 @@ class PartialStore::Collect {
   void on_response(NodeId node, NodeId child, BitReader& r) {
     // The child's request row is the mask this edge's request carried.
     std::copy_n(requested_.begin() + child * k_, k_, mask_.begin());
-    decode_stats_response(r, mask_, whole_domain_, images_,
+    decode_stats_response(r, mask_, shapes_, images_,
                           geometry_ ? &*geometry_ : nullptr,
                           geometry_ ? &sketches_ : nullptr);
-    std::size_t j = 0;
+    std::size_t stats = 0;
+    std::size_t hlls = 0;
     for (std::size_t i = 0; i < k_; ++i) {
       if (!mask_[i]) continue;
+      const bool hll = shapes_[i] == ImageShape::kHll;
       if (once_) {
         Partials& p = partials_[node];
-        p.bundles[i].combine(images_[j]);
-        if (geometry_) p.sketches[i]->merge(sketches_[j]).value();
-      } else {
-        Slot& s = slot(i);
-        s.edge_bundle[child] = images_[j];
-        s.edge_epoch[child] = epoch_;
-        if (geometry_) s.edge_hll[child] = std::move(sketches_[j]);
+        if (hll) {
+          p.sketches[i]->merge(sketches_[hlls++]).value();
+        } else {
+          p.bundles[i].combine(images_[stats++]);
+        }
+        continue;
       }
-      ++j;
+      Slot& s = slot(i);
+      if (hll) {
+        s.edge_hll[child] = std::move(sketches_[hlls++]);
+      } else {
+        s.edge_bundle[child] = images_[stats++];
+      }
+      s.edge_epoch[child] = epoch_;
     }
   }
 
@@ -317,13 +346,17 @@ class PartialStore::Collect {
     for (std::size_t i = 0; i < k_; ++i) {
       if (!mask_[i]) continue;
       const std::size_t before = w.bit_count();
-      if (once_) {
-        encode_stats_image(w, partials_[node].bundles[i], whole_domain_[i]);
-        if (geometry_) partials_[node].sketches[i]->encode(w);
+      const bool whole = shapes_[i] == ImageShape::kWholeDomain;
+      if (shapes_[i] == ImageShape::kHll) {
+        if (once_) {
+          partials_[node].sketches[i]->encode(w);
+        } else {
+          store_.subtree_hll(slot(i), node).encode(w);
+        }
+      } else if (once_) {
+        encode_stats_image(w, partials_[node].bundles[i], whole);
       } else {
-        encode_stats_image(w, store_.subtree_bundle(slot(i), node),
-                           whole_domain_[i]);
-        if (geometry_) store_.subtree_hll(slot(i), node).encode(w);
+        encode_stats_image(w, store_.subtree_bundle(slot(i), node), whole);
       }
       ledger_.add(i, w.bit_count() - before);
     }
@@ -338,18 +371,25 @@ class PartialStore::Collect {
     std::vector<std::optional<sketch::Hll>> sketches;
   };
 
-  Collect(PartialStore& store, std::size_t k, bool sketch,
-          std::uint64_t& descended, std::uint64_t& skipped)
+  Collect(PartialStore& store, std::size_t k, std::uint64_t& descended,
+          std::uint64_t& skipped)
       : store_(store),
         k_(k),
-        whole_domain_(k),
+        shapes_(k),
         requested_(store.tree_.node_count() * k, 0),
         mask_(k),
         ledger_(k),
         descended_(descended),
         skipped_(skipped) {
     std::fill_n(requested_.begin() + store.tree_.root * k_, k_, 1);
-    if (sketch) geometry_ = store.empty_hll();
+  }
+
+  /// Sketch entries decode against the store's HLL geometry.
+  void init_geometry() {
+    if (std::find(shapes_.begin(), shapes_.end(), ImageShape::kHll) !=
+        shapes_.end()) {
+      geometry_ = store_.empty_hll();
+    }
   }
 
   Slot& slot(std::size_t i) { return store_.slots_[batch_[i]]; }
@@ -363,7 +403,7 @@ class PartialStore::Collect {
     for (std::size_t i = 0; i < k_; ++i) {
       mask_[i] =
           requested_[node * k_ + i] &&
-          (once_ ? !store_.provably_empty(child, ranges_[i])
+          (once_ ? !store_.provably_empty(child, containing_[i])
                  : !store_.dirty_.edge_fresh(child, slot(i).edge_epoch[child]));
       carried += mask_[i] ? 1 : 0;
     }
@@ -376,12 +416,14 @@ class PartialStore::Collect {
   std::span<const SlotId> batch_;  // installed slots (collect() only)
   std::uint32_t epoch_ = 0;        // ... and their epoch
   Value domain_bound_ = 0;         // one-shot requests' range bound
-  // One-shot waves: the ranges of the last request read.
+  // One-shot waves: the ranges of the last request read, and per entry the
+  // installed slots that may prove an edge empty for its range.
   std::vector<query::RegionSignature> ranges_;
-  std::vector<std::uint8_t> whole_domain_;  // per entry: the response shape
+  std::vector<std::vector<SlotId>> containing_;
+  std::vector<ImageShape> shapes_;       // per entry: the response shape
   std::vector<std::uint8_t> requested_;  // [node * k + i]: request names i
   std::vector<std::uint8_t> mask_;       // scratch: one message's mask
-  std::optional<sketch::Hll> geometry_;  // sketch-carrying waves only
+  std::optional<sketch::Hll> geometry_;  // waves with sketch entries only
   std::vector<StatsBundle> images_;      // scratch: one response's images
   std::vector<sketch::Hll> sketches_;    // scratch: their sketches
   std::vector<Partials> partials_;       // one-shot waves only
@@ -410,12 +452,25 @@ PartialStore::PartialStore(sim::Network& net, const net::SpanningTree& tree,
 }
 
 SlotId PartialStore::add_slot(const query::RegionSignature& region,
-                              std::uint32_t session) {
+                              std::uint32_t session, bool sketch) {
+  SENSORNET_EXPECTS(!sketch || hll_registers_ > 0);
   Slot s;
   s.region = region;
   s.session = session;
+  s.sketch = sketch;
   slots_.push_back(std::move(s));
   return static_cast<SlotId>(slots_.size() - 1);
+}
+
+void PartialStore::release(SlotId s) {
+  SENSORNET_EXPECTS(s < slots_.size());
+  Slot& slot = slots_[s];
+  // A fresh Slot owns no per-edge arrays: assigning it frees them.
+  Slot blank;
+  blank.region = slot.region;
+  blank.session = slot.session;
+  blank.sketch = slot.sketch;
+  slot = std::move(blank);
 }
 
 StatsBundle PartialStore::local_bundle(
@@ -494,16 +549,22 @@ std::vector<WaveShare> PartialStore::collect(std::span<const SlotId> slots,
     Slot& s = slots_[id];
     if (!s.edge_epoch.empty()) continue;
     s.edge_epoch.assign(n, DirtyTracker::kInvalidEpoch);
-    s.edge_bundle.resize(n);
-    if (hll_registers_ > 0) s.edge_hll.resize(n);
+    if (s.sketch) {
+      s.edge_hll.resize(n);
+    } else {
+      s.edge_bundle.resize(n);
+    }
   }
   Collect policy(*this, batch, epoch);
   proto::EdgeWave<Collect> wave(tree_, slots_[batch.front()].session, policy);
   wave.execute(net_);
   for (std::size_t i = 0; i < batch.size(); ++i) {
     Slot& s = slots_[batch[i]];
-    s.root = subtree_bundle(s, tree_.root);
-    if (hll_registers_ > 0) s.root_hll = subtree_hll(s, tree_.root);
+    if (s.sketch) {
+      s.root_hll = subtree_hll(s, tree_.root);
+    } else {
+      s.root = subtree_bundle(s, tree_.root);
+    }
     s.epoch = epoch;
     out[at[i]] = policy.shares()[i];
     out[at[i]].collected = true;
@@ -524,11 +585,22 @@ PartialStore::OnceCollection PartialStore::collect_once(
   return got;
 }
 
-bool PartialStore::provably_empty(NodeId child,
-                                  const query::RegionSignature& region) const {
-  for (const Slot& slot : slots_) {
-    if (slot.edge_epoch.empty()) continue;  // never collected
+std::vector<SlotId> PartialStore::containing_slots(
+    const query::RegionSignature& region) const {
+  std::vector<SlotId> out;
+  for (SlotId s = 0; s < slots_.size(); ++s) {
+    const Slot& slot = slots_[s];
+    if (slot.sketch || slot.edge_epoch.empty()) continue;  // no bundles
     if (slot.region.lo > region.lo || slot.region.hi < region.hi) continue;
+    out.push_back(s);
+  }
+  return out;
+}
+
+bool PartialStore::provably_empty(NodeId child,
+                                  std::span<const SlotId> containing) const {
+  for (const SlotId s : containing) {
+    const Slot& slot = slots_[s];
     // The partial's outer region contains the range's outer region (same
     // margin, containing core). A fresh edge certifies the subtree's items
     // are *identical* to when the partial was taken, so an empty outer then

@@ -1,11 +1,14 @@
 // Per-edge partial store and its multiplexed collection wave.
 //
-// A *slot* is one maintained region: a shared-plan stats group or a cube
-// cell (Meliou et al. treat both as the same object). For every tree edge a
-// slot keeps the subtree partial last collected below that edge — a
-// StatsBundle plus, when the store keeps sketches, an HLL — stamped with the
-// epoch it was taken at. Edges are named by their child node: edge c is the
-// edge parent(c) -> c, and its partial sits at the parent.
+// A *slot* is one maintained (region, sketch) pair: a shared-plan stats
+// group, a cube cell, a cell's HLL twin or a standing cube residue (Meliou
+// et al. treat them all as the same object). For every tree edge a slot
+// keeps the subtree partial last collected below that edge, stamped with
+// the epoch it was taken at. A stats slot's partial is a StatsBundle; a
+// sketch slot (stores built with HLL registers only) keeps an HLL and
+// nothing else, so a stats slot carries no HLL bits even in a store that
+// keeps sketches. Edges are named by their child node: edge c is the edge
+// parent(c) -> c, and its partial sits at the parent.
 //
 // collect() brings any set of slots up to an epoch in ONE convergecast that
 // descends only edges whose partial is stale for at least one slot (the
@@ -16,8 +19,8 @@
 //                       its partial for edge c is stale. An all-zero mask is
 //                       never sent (the edge is served from the partials).
 //   response (c -> u)   the images of the masked slots, concatenated in slot
-//                       order, each followed by the slot's HLL image when
-//                       the store keeps sketches.
+//                       order: a stats slot's stats image, a sketch slot's
+//                       HLL image (Hll::encode) alone.
 //
 // A stats image is the bundle's core as one RangeStats
 // (encode_range_stats). A whole-domain image ends there: its margins
@@ -40,23 +43,25 @@
 // At k = 1 the request is the single bit 1 and the response one image. A
 // node forms a slot's subtree partial when it responds, from its local
 // partial and its edges' partials, so the wave keeps no per-node
-// accumulator.
+// accumulator. Each node knows every slot's region and kind: the owner of
+// the store installs them (the cube broadcasts its geometry and each
+// standing residue's region once).
 //
 // collect_once() runs the same wave over *one-shot slots*: ranges no node
-// has installed (the cube's residues). Their request also carries the
-// ranges, and an edge whose subtree the installed slots prove empty for a
-// range (provably_empty()) is pruned instead of served from a partial. A
+// has installed (the cube's one-shot residues). Their request also carries
+// the ranges, and an edge whose subtree the installed slots prove empty for
+// a range (provably_empty()) is pruned instead of served from a partial. A
 // one-shot slot has no edge partials: each node sums its local partial and
 // its children's images in an accumulator that dies with its response.
 //
 //   request  (u -> c)   k-bit mask, then (lo, hi - lo) as encode_uint pairs
 //                       for the masked ranges, in range order.
-//   response (c -> u)   as above: the masked ranges' images in order, each
-//                       with an HLL image when the wave carries sketches.
+//   response (c -> u)   as above: the masked ranges' images in order —
+//                       stats images, or HLL images alone on a sketch wave.
 //
-// k and whether images carry sketches are fixed per wave (its session), so
-// at k = 1 a one-shot request is the bit 1 and one range. Every response on
-// the service path is read by decode_stats_response().
+// k and whether the ranges are sketch entries are fixed per wave (its
+// session), so at k = 1 a one-shot request is the bit 1 and one range.
+// Every response on the service path is read by decode_stats_response().
 //
 // Each wave's bits are split among the slots it carried (WaveShare,
 // ShareLedger), so a caller can charge every bit on the air to the query
@@ -119,11 +124,14 @@ class ShareLedger {
   std::vector<WaveShare> shares_;
 };
 
-/// Wire images (see the file comment). Masks and shapes are one flag byte
-/// per slot (nonzero = set). A ranged bundle must nest (inner ⊆ core ⊆
-/// outer: counts, sums and min/max rails); the encoder checks it. The
-/// decoder throws WireFormatError on a truncated image or an inconsistent
-/// delta.
+/// What one entry's image holds on the wire: a stats image, whole-domain or
+/// ranged, or — for a sketch entry — its HLL alone.
+enum class ImageShape : std::uint8_t { kRanged, kWholeDomain, kHll };
+
+/// Wire images (see the file comment). Masks are one flag byte per slot
+/// (nonzero = set). A ranged bundle must nest (inner ⊆ core ⊆ outer:
+/// counts, sums and min/max rails); the encoder checks it. The decoder
+/// throws WireFormatError on a truncated image or an inconsistent delta.
 void encode_stats_image(BitWriter& w, const StatsBundle& b, bool whole_domain);
 StatsBundle decode_stats_image(BitReader& r, bool whole_domain);
 
@@ -144,31 +152,38 @@ void decode_residue_request(BitReader& r, Value domain_bound,
                             std::vector<std::uint8_t>& mask,
                             std::vector<query::RegionSignature>& ranges);
 
-/// Reads a response into `images`: the images of the slots set in `mask`,
-/// in slot order, shaped by `whole_domain` (both of size k). When `sketch`
-/// is non-null every image also carries an HLL of the sketch's geometry,
-/// read into `sketches`. Throws WireFormatError on a truncated or corrupt
-/// image, a sketch of another geometry, or trailing bits. (Out-parameters
-/// let a wave reuse its buffers across messages.)
+/// Reads a response: the images of the slots set in `mask`, in slot order,
+/// shaped by `shapes` (both of size k). Stats images land in `images` and
+/// HLL images in `sketches`, each in slot order; a masked kHll entry needs
+/// `geometry` and `sketches`, and its HLL must have the geometry's shape.
+/// Throws WireFormatError on a truncated or corrupt image, a sketch of
+/// another geometry, or trailing bits. (Out-parameters let a wave reuse its
+/// buffers across messages.)
 void decode_stats_response(BitReader& r, const std::vector<std::uint8_t>& mask,
-                           const std::vector<std::uint8_t>& whole_domain,
+                           const std::vector<ImageShape>& shapes,
                            std::vector<StatsBundle>& images,
-                           const sketch::Hll* sketch = nullptr,
+                           const sketch::Hll* geometry = nullptr,
                            std::vector<sketch::Hll>* sketches = nullptr);
 
 class PartialStore {
  public:
   /// `margin` sets ranged bundles' inner/outer margin. `hll_registers` > 0
-  /// keeps an HLL per partial in the oracle's exact geometry (salt
-  /// kHllSalt, width for node_count + 1 ranks). Tree, network and tracker
-  /// must outlive the store.
+  /// lets sketch slots and waves keep HLLs in the oracle's exact geometry
+  /// (salt kHllSalt, width for node_count + 1 ranks). Tree, network and
+  /// tracker must outlive the store.
   PartialStore(sim::Network& net, const net::SpanningTree& tree,
                const DirtyTracker& dirty, Value margin,
                unsigned hll_registers = 0);
 
-  /// Adds a slot over `region`; its waves carry `session`. Costs no bits
-  /// and no per-edge memory until its first collection.
-  SlotId add_slot(const query::RegionSignature& region, std::uint32_t session);
+  /// Adds a slot over `region`; its waves carry `session`. A `sketch` slot
+  /// (sketch-keeping stores only) keeps an HLL per partial and no stats.
+  /// Costs no bits and no per-edge memory until its first collection.
+  SlotId add_slot(const query::RegionSignature& region, std::uint32_t session,
+                  bool sketch = false);
+
+  /// Frees the slot's per-edge partials and root, as if it had never been
+  /// collected; its next collect() descends every edge.
+  void release(SlotId s);
 
   /// Collects every listed slot (strictly ascending ids) in one multiplexed
   /// convergecast, on the first collected slot's session. Slots already
@@ -179,10 +194,10 @@ class PartialStore {
   std::vector<WaveShare> collect(std::span<const SlotId> slots,
                                  std::uint32_t epoch);
 
-  /// What collect_once() gathered, per range in order: its bundle (and
-  /// HLL, on sketch-carrying waves) over the whole tree and its share of the
-  /// wave; and over all (range, edge) pairs, how many were requested and
-  /// how many were pruned as provably empty.
+  /// What collect_once() gathered, per range in order: its bundle over the
+  /// whole tree (stats waves) or its HLL (sketch waves) and its share of
+  /// the wave; and over all (range, edge) pairs, how many were requested
+  /// and how many were pruned as provably empty.
   struct OnceCollection {
     std::vector<StatsBundle> bundles;
     std::vector<sketch::Hll> hlls;
@@ -194,29 +209,36 @@ class PartialStore {
   /// Collects the one-shot slots `ranges` (at least one) in one multiplexed
   /// convergecast on `session`, pruning each edge that provably_empty()
   /// clears for a range; requests are decoded against `domain_bound`.
-  /// Images carry HLLs when `sketch` (sketch-keeping stores only). Keeps no
-  /// state. Throws ProtocolError when a message is lost.
+  /// Images are HLLs alone when `sketch` (sketch-keeping stores only). Keeps
+  /// no state. Throws ProtocolError when a message is lost.
   OnceCollection collect_once(std::span<const query::RegionSignature> ranges,
                               bool sketch, Value domain_bound,
                               std::uint32_t session);
 
-  /// True when some installed slot containing `region` holds a fresh
-  /// partial for edge `child` with an empty outer region: the subtree below
-  /// the edge holds nothing in `region`, exactly (the DirtyTracker
+  /// The stats slots whose region contains `region` and that hold edge
+  /// partials: the only slots provably_empty() can consult for it. Taken
+  /// once per range, not once per edge.
+  std::vector<SlotId> containing_slots(
+      const query::RegionSignature& region) const;
+
+  /// True when one of `containing` (containing_slots() of a region) holds a
+  /// fresh partial for edge `child` with an empty outer region: the subtree
+  /// below the edge holds nothing in the region, exactly (the DirtyTracker
   /// certifies its items are unchanged since the partial was taken).
-  bool provably_empty(NodeId child,
-                      const query::RegionSignature& region) const;
+  bool provably_empty(NodeId child, std::span<const SlotId> containing) const;
 
   std::size_t slot_count() const { return slots_.size(); }
   const query::RegionSignature& region(SlotId s) const {
     return slots_[s].region;
   }
+  /// True for a sketch (HLL-only) slot.
+  bool sketch(SlotId s) const { return slots_[s].sketch; }
   /// Epoch of the slot's last collection (DirtyTracker::kInvalidEpoch:
   /// never collected).
   std::uint32_t epoch(SlotId s) const { return slots_[s].epoch; }
-  /// The slot's bundle over the whole tree at its last collection.
+  /// A stats slot's bundle over the whole tree at its last collection.
   const StatsBundle& root(SlotId s) const { return slots_[s].root; }
-  /// The slot's HLL at its last collection (sketch-keeping stores only).
+  /// A sketch slot's HLL at its last collection.
   const sketch::Hll& root_hll(SlotId s) const { return *slots_[s].root_hll; }
 
   /// True once the slot holds per-edge partials (after its first collect).
@@ -227,7 +249,7 @@ class PartialStore {
     return slot.edge_epoch.empty() ? DirtyTracker::kInvalidEpoch
                                    : slot.edge_epoch[child];
   }
-  /// Edge c's partial bundle; requires has_edges(s).
+  /// Edge c's partial bundle; requires has_edges(s) and a stats slot.
   const StatsBundle& edge_bundle(SlotId s, NodeId child) const {
     return slots_[s].edge_bundle[child];
   }
@@ -253,10 +275,12 @@ class PartialStore {
   struct Slot {
     query::RegionSignature region;
     std::uint32_t session = 0;
+    bool sketch = false;
     std::uint32_t epoch = DirtyTracker::kInvalidEpoch;
-    StatsBundle root;
-    std::optional<sketch::Hll> root_hll;
-    // Per-edge partials indexed by child node, sized at the first collect.
+    StatsBundle root;                     // stats slots
+    std::optional<sketch::Hll> root_hll;  // sketch slots
+    // Per-edge partials indexed by child node, sized at the first collect:
+    // bundles for a stats slot, HLLs for a sketch slot.
     std::vector<std::uint32_t> edge_epoch;
     std::vector<StatsBundle> edge_bundle;
     std::vector<std::optional<sketch::Hll>> edge_hll;

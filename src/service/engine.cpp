@@ -305,7 +305,7 @@ std::vector<Answer> QueryService::serve_bundles(
           continue;
         }
       }
-      route.key->batch = cube_->claim(plan);
+      route.key->batch = cube_->claim(plan, lq.every != 0);
     }
     route.key->fresh = true;
   }

@@ -166,6 +166,12 @@ void fuzz_strict(Fn decode, int trials = 2000, std::uint64_t seed = 17) {
   }
 }
 
+/// The image shape of a stats slot.
+cube::ImageShape stats_shape(bool whole_domain) {
+  return whole_domain ? cube::ImageShape::kWholeDomain
+                      : cube::ImageShape::kRanged;
+}
+
 TEST(FuzzDecode, RangeStats) {
   fuzz_strict([](Xoshiro256&, BitReader& r) {
     const cube::RangeStats rs = cube::decode_range_stats(r);
@@ -314,13 +320,13 @@ TEST(FuzzDecode, MultiplexedStatsResponse) {
   fuzz_strict([](Xoshiro256& rng, BitReader& r) {
     const std::size_t k = 1 + rng.next_below(8);
     std::vector<std::uint8_t> mask(k);
-    std::vector<std::uint8_t> whole_domain(k);
+    std::vector<cube::ImageShape> shapes(k);
     for (std::size_t i = 0; i < k; ++i) {
       mask[i] = rng.next_below(2) == 0;
-      whole_domain[i] = rng.next_below(2) == 0;
+      shapes[i] = stats_shape(rng.next_below(2) == 0);
     }
     std::vector<service::StatsBundle> images(3);  // stale contents are dropped
-    cube::decode_stats_response(r, mask, whole_domain, images);
+    cube::decode_stats_response(r, mask, shapes, images);
     EXPECT_EQ(images.size(),
               static_cast<std::size_t>(
                   std::count(mask.begin(), mask.end(), 1)));
@@ -335,23 +341,24 @@ TEST(FuzzDecode, MultiplexedStatsResponseRoundTripsAndRejectsTruncation) {
   for (int t = 0; t < 50; ++t) {
     const std::size_t k = 1 + rng.next_below(6);
     std::vector<std::uint8_t> mask(k);
-    std::vector<std::uint8_t> whole_domain(k);
+    std::vector<cube::ImageShape> shapes(k);
     std::vector<service::StatsBundle> sent;
     BitWriter w;
     for (std::size_t i = 0; i < k; ++i) {
       mask[i] = i == 0 || rng.next_below(2) == 0;
-      whole_domain[i] = rng.next_below(2) == 0;
+      const bool whole = rng.next_below(2) == 0;
+      shapes[i] = stats_shape(whole);
       if (!mask[i]) continue;
       service::StatsBundle b;
       for (int v = 0; v < 3; ++v) {
         b.core.observe(static_cast<Value>(rng.next_below(1000)));
       }
-      b.inner = whole_domain[i] ? b.core : service::StatsBundle{}.core;
+      b.inner = whole ? b.core : service::StatsBundle{}.core;
       b.outer = b.core;
-      if (!whole_domain[i]) {
+      if (!whole) {
         b.outer.observe(static_cast<Value>(rng.next_below(1000)));
       }
-      cube::encode_stats_image(w, b, whole_domain[i]);
+      cube::encode_stats_image(w, b, whole);
       sent.push_back(b);
     }
     w.write_bit(false);  // one spare bit for the extension case
@@ -359,17 +366,15 @@ TEST(FuzzDecode, MultiplexedStatsResponseRoundTripsAndRejectsTruncation) {
     const std::size_t bits = w.bit_count() - 1;
     std::vector<service::StatsBundle> images;
     BitReader exact(bytes.data(), bits);
-    cube::decode_stats_response(exact, mask, whole_domain, images);
+    cube::decode_stats_response(exact, mask, shapes, images);
     EXPECT_EQ(images, sent);
     BitReader longer(bytes.data(), bits + 1);
-    EXPECT_THROW(
-        cube::decode_stats_response(longer, mask, whole_domain, images),
-        WireFormatError);
+    EXPECT_THROW(cube::decode_stats_response(longer, mask, shapes, images),
+                 WireFormatError);
     for (std::size_t cut = 0; cut < bits; ++cut) {
       BitReader shorter(bytes.data(), cut);
-      EXPECT_THROW(
-          cube::decode_stats_response(shorter, mask, whole_domain, images),
-          WireFormatError);
+      EXPECT_THROW(cube::decode_stats_response(shorter, mask, shapes, images),
+                   WireFormatError);
     }
   }
 }
@@ -448,14 +453,15 @@ TEST(FuzzDecode, ResidueRequestRoundTripsAndRejectsTruncation) {
   }
 }
 
-// ---- sketch-carrying responses (cube cells and residues) -------------------
+// ---- mixed responses: stats images and HLL-only images ---------------------
 
-/// A valid response carrying a bundle and an HLL per masked slot: k slots,
-/// sketches of `registers` registers at rank width `width` (dense when
-/// `dense`, sparse otherwise).
+/// A valid response of k slots, each a stats slot (whole-domain or ranged)
+/// or an HLL-only sketch slot, with sketches of `registers` registers at
+/// rank width `width` (dense or sparse at random). `all_sketch` makes every
+/// slot a sketch slot, as on a one-shot sketch wave.
 struct SketchResponse {
   std::vector<std::uint8_t> mask;
-  std::vector<std::uint8_t> whole_domain;
+  std::vector<cube::ImageShape> shapes;
   std::vector<service::StatsBundle> bundles;
   std::vector<sketch::Hll> sketches;
   std::vector<std::uint8_t> bytes;
@@ -463,26 +469,31 @@ struct SketchResponse {
 };
 
 SketchResponse sketch_response(Xoshiro256& rng, unsigned registers,
-                               unsigned width) {
+                               unsigned width, bool all_sketch = false) {
   SketchResponse out;
   const std::size_t k = 1 + rng.next_below(4);
   BitWriter w;
   for (std::size_t i = 0; i < k; ++i) {
     out.mask.push_back(i == 0 || rng.next_below(2) == 0);
-    out.whole_domain.push_back(rng.next_below(2) == 0);
+    const auto kind = all_sketch ? 2 : rng.next_below(3);
+    out.shapes.push_back(kind == 2 ? cube::ImageShape::kHll
+                                   : stats_shape(kind == 0));
     if (!out.mask.back()) continue;
-    service::StatsBundle b;
-    b.core.observe(static_cast<Value>(rng.next_below(1000)));
-    b.inner = b.core;
-    b.outer = b.core;
+    if (kind != 2) {
+      service::StatsBundle b;
+      b.core.observe(static_cast<Value>(rng.next_below(1000)));
+      b.inner = b.core;
+      b.outer = b.core;
+      cube::encode_stats_image(w, b, kind == 0);
+      out.bundles.push_back(b);
+      continue;
+    }
     auto h = sketch::Hll::make_by_registers(
                  registers, {.width = width, .sparse = rng.next_below(2) == 0})
                  .value();
     const std::uint64_t items = rng.next_below(3 * registers);
     for (std::uint64_t j = 0; j < items; ++j) h.add(rng.next_u64(), 1);
-    cube::encode_stats_image(w, b, out.whole_domain.back() != 0);
     h.encode(w);
-    out.bundles.push_back(b);
     out.sketches.push_back(std::move(h));
   }
   out.bits = w.bit_count();
@@ -492,14 +503,16 @@ SketchResponse sketch_response(Xoshiro256& rng, unsigned registers,
 }
 
 TEST(FuzzDecode, MultiplexedSketchResponse) {
-  // Random masks, shapes and sketch geometry, then bit soup as the payload.
+  // Random masks, shapes (stats or HLL-only) and sketch geometry, then bit
+  // soup as the payload.
   fuzz_strict([](Xoshiro256& rng, BitReader& r) {
     const std::size_t k = 1 + rng.next_below(4);
     std::vector<std::uint8_t> mask(k);
-    std::vector<std::uint8_t> whole_domain(k);
+    std::vector<cube::ImageShape> shapes(k);
     for (std::size_t i = 0; i < k; ++i) {
       mask[i] = rng.next_below(2) == 0;
-      whole_domain[i] = rng.next_below(2) == 0;
+      const auto kind = rng.next_below(3);
+      shapes[i] = kind == 2 ? cube::ImageShape::kHll : stats_shape(kind == 0);
     }
     const auto geometry =
         sketch::Hll::make_by_registers(16u << rng.next_below(3),
@@ -507,9 +520,16 @@ TEST(FuzzDecode, MultiplexedSketchResponse) {
             .value();
     std::vector<service::StatsBundle> images;
     std::vector<sketch::Hll> sketches;
-    cube::decode_stats_response(r, mask, whole_domain, images, &geometry,
+    cube::decode_stats_response(r, mask, shapes, images, &geometry,
                                 &sketches);
-    ASSERT_EQ(sketches.size(), images.size());
+    std::size_t stats = 0;
+    std::size_t hlls = 0;
+    for (std::size_t i = 0; i < k; ++i) {
+      if (!mask[i]) continue;
+      ++(shapes[i] == cube::ImageShape::kHll ? hlls : stats);
+    }
+    EXPECT_EQ(images.size(), stats);
+    ASSERT_EQ(sketches.size(), hlls);
     for (const sketch::Hll& h : sketches) {
       EXPECT_TRUE(h.same_geometry(geometry));
     }
@@ -517,17 +537,21 @@ TEST(FuzzDecode, MultiplexedSketchResponse) {
 }
 
 TEST(FuzzDecode, MultiplexedSketchResponseRoundTripsAndRejectsTruncation) {
+  // Mixed and all-sketch (HLL-only) responses decode to exactly their
+  // images; a sketch of another geometry, every strict prefix and every
+  // one-bit extension are rejected.
   Xoshiro256 rng(31);
   const auto geometry =
       sketch::Hll::make_by_registers(16, {.width = 5, .sparse = true}).value();
   const auto other =
       sketch::Hll::make_by_registers(32, {.width = 5, .sparse = true}).value();
   for (int t = 0; t < 40; ++t) {
-    const SketchResponse sent = sketch_response(rng, 16, 5);
+    const SketchResponse sent =
+        sketch_response(rng, 16, 5, /*all_sketch=*/t % 4 == 0);
     std::vector<service::StatsBundle> images;
     std::vector<sketch::Hll> sketches;
     BitReader exact(sent.bytes.data(), sent.bits);
-    cube::decode_stats_response(exact, sent.mask, sent.whole_domain, images,
+    cube::decode_stats_response(exact, sent.mask, sent.shapes, images,
                                 &geometry, &sketches);
     EXPECT_EQ(images, sent.bundles);
     ASSERT_EQ(sketches.size(), sent.sketches.size());
@@ -535,28 +559,29 @@ TEST(FuzzDecode, MultiplexedSketchResponseRoundTripsAndRejectsTruncation) {
       EXPECT_TRUE(sketches[i] == sent.sketches[i]);
     }
     // A sketch of another geometry is a wire error, not a merge failure.
-    BitReader mismatched(sent.bytes.data(), sent.bits);
-    EXPECT_THROW(cube::decode_stats_response(mismatched, sent.mask,
-                                             sent.whole_domain, images, &other,
-                                             &sketches),
-                 WireFormatError);
+    if (!sent.sketches.empty()) {
+      BitReader mismatched(sent.bytes.data(), sent.bits);
+      EXPECT_THROW(cube::decode_stats_response(mismatched, sent.mask,
+                                               sent.shapes, images, &other,
+                                               &sketches),
+                   WireFormatError);
+    }
     BitReader longer(sent.bytes.data(), sent.bits + 1);
-    EXPECT_THROW(cube::decode_stats_response(longer, sent.mask,
-                                             sent.whole_domain, images,
-                                             &geometry, &sketches),
+    EXPECT_THROW(cube::decode_stats_response(longer, sent.mask, sent.shapes,
+                                             images, &geometry, &sketches),
                  WireFormatError);
     for (std::size_t cut = 0; cut < sent.bits; ++cut) {
       BitReader shorter(sent.bytes.data(), cut);
       EXPECT_THROW(cube::decode_stats_response(shorter, sent.mask,
-                                               sent.whole_domain, images,
-                                               &geometry, &sketches),
+                                               sent.shapes, images, &geometry,
+                                               &sketches),
                    WireFormatError);
     }
   }
 }
 
 TEST(FuzzDecode, BitFlippedSketchResponsesAreWireErrors) {
-  // Every one-bit corruption of a valid sketch-carrying response decodes to
+  // Every one-bit corruption of a valid mixed response decodes to
   // well-formed sketches of the expected geometry or throws WireFormatError.
   Xoshiro256 rng(37);
   const auto geometry =
@@ -570,7 +595,7 @@ TEST(FuzzDecode, BitFlippedSketchResponsesAreWireErrors) {
       std::vector<service::StatsBundle> images;
       std::vector<sketch::Hll> sketches;
       try {
-        cube::decode_stats_response(r, sent.mask, sent.whole_domain, images,
+        cube::decode_stats_response(r, sent.mask, sent.shapes, images,
                                     &geometry, &sketches);
         for (const sketch::Hll& h : sketches) (void)h.estimate();
       } catch (const WireFormatError&) {

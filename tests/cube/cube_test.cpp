@@ -13,6 +13,7 @@
 #include "src/proto/item_view.hpp"
 #include "src/query/parser.hpp"
 #include "src/query/planner.hpp"
+#include "src/sketch/hll.hpp"
 
 namespace sensornet::cube {
 namespace {
@@ -34,6 +35,41 @@ RangeStats direct_core(const sim::Network& net,
     }
   }
   return rs;
+}
+
+/// The distinct oracle: a one-shot HLL (salt kHllSalt, the cube's register
+/// width) over the installed items in `region`.
+double direct_distinct(const sim::Network& net,
+                       const query::RegionSignature& region,
+                       unsigned registers) {
+  const auto width = static_cast<std::uint8_t>(sketch::packed_width_for(
+      static_cast<std::uint64_t>(net.node_count()) + 1));
+  sketch::Hll h =
+      sketch::Hll::make_by_registers(registers,
+                                     {.width = width, .sparse = true})
+          .value();
+  for (NodeId u = 0; u < net.node_count(); ++u) {
+    for (const Value v : net.items(u)) {
+      if (v >= region.lo && v <= region.hi) {
+        h.add(static_cast<std::uint64_t>(v), kHllSalt);
+      }
+    }
+  }
+  return h.estimate();
+}
+
+/// Checks a fresh serve against the oracles: the exact core of a stats
+/// plan, the one-shot HLL estimate of an approx-distinct plan (whose
+/// composition carries no stats).
+void expect_exact(const ServeResult& r, const query::CostedPlan& plan,
+                  const sim::Network& net) {
+  if (plan.strategy == query::Strategy::kApproxDistinct) {
+    ASSERT_TRUE(r.has_distinct);
+    EXPECT_EQ(r.distinct_estimate,
+              direct_distinct(net, plan.region, plan.registers));
+  } else {
+    EXPECT_EQ(r.bundle.core, direct_core(net, plan.region));
+  }
 }
 
 struct Fixture {
@@ -391,10 +427,12 @@ void drift(Fixture& f, Xoshiro256& rng, std::size_t count,
 }
 
 TEST(Cube, ServesKeepTheWireCost) {
-  // Cell refreshes, pruned residues and HLL-carrying partials over six
-  // drift epochs, every epoch's plans served as one batch: these totals pin
-  // the cube's wire format (delta-coded ranged images included), its
-  // multiplexing and its pruning.
+  // Cell refreshes, pruned residues and HLL partials over six drift epochs,
+  // every epoch's plans served as one batch: these totals pin the cube's
+  // wire format (delta-coded ranged images included), its multiplexing and
+  // its pruning. Stats cells carry no HLL; the distinct plan reads the
+  // lower cell's HLL-only twin slot, which is cold at epoch 1 (its first
+  // collect descends all 63 edges) and then rides the cells' stale edges.
   CubeConfig cfg;
   cfg.levels = 4;
   cfg.distinct_registers = 16;
@@ -434,19 +472,149 @@ TEST(Cube, ServesKeepTheWireCost) {
     for (const query::CostedPlan* plan : plans) f.cube.claim(*plan);
     const std::vector<ServeResult> served = f.cube.serve_claimed(epoch);
     for (std::size_t i = 0; i < plans.size(); ++i) {
-      EXPECT_EQ(served[i].bundle.core, direct_core(f.net, plans[i]->region));
+      expect_exact(served[i], *plans[i], f.net);
     }
   }
   const auto after = f.net.summary(true);
   const CubeStats& s = f.cube.stats();
-  EXPECT_EQ(after.total_bits - before.total_bits, 41778u);
-  EXPECT_EQ(after.total_messages - before.total_messages, 513u);
-  EXPECT_EQ(s.cell_edges_descended, 342u);
-  EXPECT_EQ(s.cell_edges_skipped, 80u);
+  EXPECT_EQ(after.total_bits - before.total_bits, 39718u);
+  EXPECT_EQ(after.total_messages - before.total_messages, 613u);
+  EXPECT_EQ(s.cell_edges_descended, 500u);
+  EXPECT_EQ(s.cell_edges_skipped, 116u);
   EXPECT_EQ(s.residue_edges_descended, 0u);
   EXPECT_EQ(s.residue_edges_pruned, 24u);
   EXPECT_EQ(s.refresh_waves, 7u);  // one per batch
   EXPECT_EQ(s.residue_waves, 12u);  // stats + sketch per drift epoch
+}
+
+/// `text` (over [0, 300]) planned as cell (2, 0) = [0, 249] plus the
+/// residue [250, 300], whatever the cold cube's cost model would pick.
+query::CostedPlan cover_plan(Fixture& f, const std::string& text) {
+  query::CostedPlan plan = f.plan_for(text);
+  query::PlanStep cell;
+  cell.kind = query::StepKind::kCubeCell;
+  cell.cell = {2, 0};
+  cell.region = f.cube.cell_region(cell.cell);
+  query::PlanStep residue;
+  residue.kind = query::StepKind::kResidueCollect;
+  residue.region = {cell.region.hi + 1, 300, false};
+  plan.steps = {cell, residue};
+  return plan;
+}
+
+constexpr const char* kStandingText =
+    "SELECT SUM(v) FROM s WHERE v BETWEEN 0 AND 300";
+constexpr query::RegionSignature kResidue{250, 300, false};
+
+TEST(Cube, StandingResidueIsInstalledOnceAndRefreshedIncrementally) {
+  Fixture f;
+  const query::CostedPlan plan = cover_plan(f, kStandingText);
+  f.cube.claim(plan, /*standing=*/true);
+  const ServeResult first = f.cube.serve_claimed(0).front();
+  EXPECT_EQ(first.bundle.core, direct_core(f.net, plan.region));
+  EXPECT_EQ(f.cube.stats().standing_installs, 1u);
+  EXPECT_EQ(f.cube.stats().standing_refreshed, 1u);
+  // No one-shot wave ran: the residue rode the cells' collect.
+  EXPECT_EQ(f.cube.stats().residue_waves, 0u);
+  EXPECT_EQ(f.cube.cells().slot_count(), f.cube.cell_count() + 1);
+  // The store's bit split covers every bit the serve sent.
+  const CubeStats& s = f.cube.stats();
+  EXPECT_EQ(s.cell_bits + s.standing_bits + s.once_bits + s.install_bits,
+            f.net.summary(true).total_bits);
+  EXPECT_EQ(first.bits, f.net.summary(true).total_bits);
+
+  // A quiescent repeat costs nothing, and the planner knows it.
+  EXPECT_EQ(f.cube.residue_collect_bits(kResidue), 0u);
+  const auto bits = f.net.summary(true).total_bits;
+  f.cube.claim(plan, true);
+  const ServeResult quiet = f.cube.serve_claimed(1).front();
+  EXPECT_EQ(f.net.summary(true).total_bits, bits);
+  EXPECT_EQ(quiet.bits, 0u);
+  EXPECT_EQ(quiet.bundle.core, direct_core(f.net, plan.region));
+
+  // A change descends only its root path, for the cell and the residue
+  // slot alike, with no second install.
+  const NodeId changed = 63;
+  f.net.update_item(changed, 0, 270);
+  const std::vector<NodeId> touched{changed};
+  f.dirty.note_updates(touched, 2);
+  EXPECT_GT(f.cube.residue_collect_bits(kResidue), 0u);
+  const auto descended = f.cube.stats().cell_edges_descended;
+  f.cube.claim(plan, true);
+  const ServeResult moved = f.cube.serve_claimed(2).front();
+  EXPECT_EQ(moved.bundle.core, direct_core(f.net, plan.region));
+  EXPECT_EQ(f.cube.stats().cell_edges_descended - descended,
+            2u * f.tree.depth[changed]);
+  EXPECT_EQ(f.cube.stats().standing_installs, 1u);
+}
+
+TEST(Cube, OneShotResidueRidesAnInstalledStandingSlot) {
+  Fixture f;
+  const query::CostedPlan once = cover_plan(f, kStandingText);
+  f.cube.claim(once, /*standing=*/true);
+  f.cube.serve_claimed(0);
+  // The same key served one-shot reads the installed slot: no range
+  // travels, and nothing changed, so the serve is free and exact.
+  const auto bits = f.net.summary(true).total_bits;
+  const ServeResult r = f.cube.serve(once, 1);
+  EXPECT_EQ(r.bundle.core, direct_core(f.net, once.region));
+  EXPECT_EQ(f.net.summary(true).total_bits, bits);
+  EXPECT_EQ(f.cube.stats().residue_waves, 0u);
+}
+
+TEST(Cube, StandingSlotRetiresAfterTheHorizonAndReinstalls) {
+  Fixture f;
+  const query::CostedPlan plan = cover_plan(f, kStandingText);
+  f.cube.claim(plan, /*standing=*/true);
+  f.cube.serve_claimed(0);
+  const SlotId slot = static_cast<SlotId>(f.cube.cell_count());
+  ASSERT_TRUE(f.cube.cells().has_edges(slot));
+  const query::CostedPlan other = f.plan_for("SELECT COUNT(v) FROM s");
+  // Within the horizon the slot keeps its partials...
+  f.cube.serve(other, kHorizon);
+  EXPECT_TRUE(f.cube.cells().has_edges(slot));
+  EXPECT_EQ(f.cube.stats().standing_retired, 0u);
+  // ... past it, unclaimed, it frees them.
+  f.cube.serve(other, kHorizon + 1);
+  EXPECT_FALSE(f.cube.cells().has_edges(slot));
+  EXPECT_EQ(f.cube.stats().standing_retired, 1u);
+  // A one-shot plan no longer reads it; a standing claim installs it again.
+  EXPECT_GT(f.cube.residue_collect_bits(kResidue), 0u);
+  f.cube.claim(plan, true);
+  const ServeResult again = f.cube.serve_claimed(kHorizon + 2).front();
+  EXPECT_EQ(again.bundle.core, direct_core(f.net, plan.region));
+  EXPECT_EQ(f.cube.stats().standing_installs, 2u);
+  EXPECT_EQ(f.cube.cells().slot_count(), f.cube.cell_count() + 1);
+}
+
+TEST(Cube, StandingDistinctReadsOnlyHllSlots) {
+  CubeConfig cfg;
+  cfg.distinct_registers = 64;
+  Fixture f(cfg);
+  const query::CostedPlan plan = cover_plan(
+      f,
+      "SELECT COUNT_DISTINCT(v) FROM s WHERE v BETWEEN 0 AND 300 ERROR 0.15");
+  ASSERT_EQ(plan.strategy, query::Strategy::kApproxDistinct);
+  f.cube.claim(plan, /*standing=*/true);
+  const ServeResult r = f.cube.serve_claimed(0).front();
+  expect_exact(r, plan, f.net);
+  // The cell's HLL twin and the residue's HLL slot; the stats cell itself
+  // was never collected.
+  const PartialStore& store = f.cube.cells();
+  ASSERT_EQ(store.slot_count(), f.cube.cell_count() + 2);
+  for (SlotId s = 0; s < f.cube.cell_count(); ++s) {
+    EXPECT_FALSE(store.has_edges(s));
+  }
+  for (SlotId s = static_cast<SlotId>(f.cube.cell_count());
+       s < store.slot_count(); ++s) {
+    EXPECT_TRUE(store.sketch(s));
+    EXPECT_TRUE(store.has_edges(s));
+  }
+  // Drift, then an incremental refresh stays exact.
+  Xoshiro256 rng(9);
+  drift(f, rng, 5, 1);
+  f.cube.claim(plan, true);
+  expect_exact(f.cube.serve_claimed(1).front(), plan, f.net);
 }
 
 /// One seeded drift epoch's query mix for the batch differential: ranges
@@ -521,7 +689,7 @@ TEST(Cube, BatchedServeMatchesPerPlanServes) {
       std::uint64_t attributed = 0;
       for (std::size_t i = 0; i < got.size(); ++i) {
         EXPECT_EQ(got[i].bundle, want[i].bundle) << plans[i].description;
-        EXPECT_EQ(got[i].bundle.core, direct_core(batched.net, plans[i].region));
+        expect_exact(got[i], plans[i], batched.net);
         EXPECT_EQ(got[i].has_distinct, want[i].has_distinct);
         EXPECT_EQ(got[i].distinct_estimate, want[i].distinct_estimate);
         attributed += got[i].bits;

@@ -1,12 +1,15 @@
-// PartialStore::collect_once: the one-shot slots of the multiplexed
-// collection. These tests run it directly on random ranges, with and
-// without sketches, against oracles computed from every node's items: the
-// root bundles and HLLs are exact, the wave's shares account for every bit
-// on the air, the installed slots are left as they were, and an edge that a
-// fresh containing slot proves empty sends no message.
+// PartialStore's multiplexed collection. collect_once (the one-shot slots)
+// runs directly on random ranges, with and without sketches, against
+// oracles computed from every node's items: the root bundles and HLLs are
+// exact, the wave's shares account for every bit on the air, the installed
+// slots are left as they were, and an edge that a fresh containing slot
+// proves empty sends no message. collect() mixes stats slots and HLL-only
+// sketch slots: a stats slot sends no HLL bits, a sketch slot reproduces
+// the oracle's registers, and the shares sum to the wave.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "src/common/rng.hpp"
@@ -108,16 +111,18 @@ TEST(CollectOnce, RootsEqualTheOraclesAndSharesSumToTheWave) {
             f.store.collect_once(ranges, sketch, kBound, session++);
         const sim::CommSummary after = f.net.summary(true);
 
-        ASSERT_EQ(got.bundles.size(), ranges.size());
+        // A sketch wave's images are the HLLs alone.
+        ASSERT_EQ(got.bundles.size(), sketch ? 0u : ranges.size());
         ASSERT_EQ(got.shares.size(), ranges.size());
         ASSERT_EQ(got.hlls.size(), sketch ? ranges.size() : 0u);
         std::uint64_t bits = 0;
         std::uint64_t messages = 0;
         for (std::size_t i = 0; i < ranges.size(); ++i) {
-          EXPECT_EQ(got.bundles[i], f.oracle_bundle(ranges[i]))
-              << "seed " << seed << " range " << i;
           if (sketch) {
             EXPECT_TRUE(got.hlls[i] == f.oracle_hll(ranges[i]))
+                << "seed " << seed << " range " << i;
+          } else {
+            EXPECT_EQ(got.bundles[i], f.oracle_bundle(ranges[i]))
                 << "seed " << seed << " range " << i;
           }
           bits += got.shares[i].bits;
@@ -138,10 +143,14 @@ TEST(CollectOnce, LeavesTheInstalledSlotsUntouched) {
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     Fixture f(seed, kRegisters);
     Xoshiro256 rng(seed);
+    // Each range as a stats slot and as an HLL-only sketch slot.
     std::vector<SlotId> slots;
     for (const auto& region : random_ranges(rng)) {
-      slots.push_back(f.store.add_slot(
-          region, 0x7800 + static_cast<std::uint32_t>(slots.size())));
+      for (const bool sketch : {false, true}) {
+        slots.push_back(f.store.add_slot(
+            region, 0x7800 + static_cast<std::uint32_t>(slots.size()),
+            sketch));
+      }
     }
     // Drift one reading between two collections so edge epochs differ.
     f.store.collect(slots, 1);
@@ -153,16 +162,18 @@ TEST(CollectOnce, LeavesTheInstalledSlotsUntouched) {
     struct Snapshot {
       std::uint32_t epoch;
       StatsBundle root;
-      sketch::Hll root_hll;
+      std::optional<sketch::Hll> root_hll;
       std::vector<std::uint32_t> edge_epoch;
       std::vector<StatsBundle> edge_bundle;
     };
     const auto snapshot = [&f](SlotId s) {
-      Snapshot snap{f.store.epoch(s), f.store.root(s),
-                    f.store.root_hll(s).clone(), {}, {}};
+      Snapshot snap{f.store.epoch(s), f.store.root(s), {}, {}, {}};
+      if (f.store.sketch(s)) snap.root_hll = f.store.root_hll(s).clone();
       for (NodeId c = 0; c < f.tree.node_count(); ++c) {
         snap.edge_epoch.push_back(f.store.edge_epoch(s, c));
-        snap.edge_bundle.push_back(f.store.edge_bundle(s, c));
+        if (!f.store.sketch(s)) {
+          snap.edge_bundle.push_back(f.store.edge_bundle(s, c));
+        }
       }
       return snap;
     };
@@ -176,7 +187,11 @@ TEST(CollectOnce, LeavesTheInstalledSlotsUntouched) {
       const auto ranges = random_ranges(rng);
       const auto got = f.store.collect_once(ranges, sketch, kBound, session++);
       for (std::size_t i = 0; i < ranges.size(); ++i) {
-        EXPECT_EQ(got.bundles[i], f.oracle_bundle(ranges[i]));
+        if (sketch) {
+          EXPECT_TRUE(got.hlls[i] == f.oracle_hll(ranges[i]));
+        } else {
+          EXPECT_EQ(got.bundles[i], f.oracle_bundle(ranges[i]));
+        }
       }
     }
 
@@ -187,7 +202,10 @@ TEST(CollectOnce, LeavesTheInstalledSlotsUntouched) {
       const Snapshot after = snapshot(slots[j]);
       EXPECT_EQ(after.epoch, before[j].epoch);
       EXPECT_EQ(after.root, before[j].root);
-      EXPECT_TRUE(after.root_hll == before[j].root_hll);
+      EXPECT_EQ(after.root_hll.has_value(), before[j].root_hll.has_value());
+      if (after.root_hll) {
+        EXPECT_TRUE(*after.root_hll == *before[j].root_hll);
+      }
       EXPECT_EQ(after.edge_epoch, before[j].edge_epoch);
       EXPECT_EQ(after.edge_bundle, before[j].edge_bundle);
     }
@@ -214,7 +232,8 @@ TEST(CollectOnce, AFreshEmptyContainingSlotPrunesTheEdge) {
     const SlotId slot = f.store.add_slot(range_of(0, 499), 0x7800);
     f.store.collect(std::vector<SlotId>{slot}, 1);
     const query::RegionSignature residue = range_of(100, 300);
-    ASSERT_TRUE(f.store.provably_empty(empty, residue));
+    ASSERT_TRUE(f.store.provably_empty(empty,
+                                       f.store.containing_slots(residue)));
 
     const sim::CommSummary before = f.net.summary(true);
     const auto got = f.store.collect_once(std::vector{residue}, sketch,
@@ -225,9 +244,10 @@ TEST(CollectOnce, AFreshEmptyContainingSlotPrunesTheEdge) {
     EXPECT_EQ(got.edges_pruned, 1u);
     EXPECT_EQ(got.edges_descended, reached - 1);
     EXPECT_EQ(after.total_messages - before.total_messages, 2 * (reached - 1));
-    EXPECT_EQ(got.bundles[0], f.oracle_bundle(residue));
     if (sketch) {
       EXPECT_TRUE(got.hlls[0] == f.oracle_hll(residue));
+    } else {
+      EXPECT_EQ(got.bundles[0], f.oracle_bundle(residue));
     }
 
     // A reading below the edge changes: the proof lapses and the edge is
@@ -235,15 +255,124 @@ TEST(CollectOnce, AFreshEmptyContainingSlotPrunesTheEdge) {
     f.net.update_item(below.back(), 0, 200);
     const std::vector<NodeId> touched{below.back()};
     f.dirty.note_updates(touched, 2);
-    EXPECT_FALSE(f.store.provably_empty(empty, residue));
+    EXPECT_FALSE(f.store.provably_empty(empty,
+                                        f.store.containing_slots(residue)));
     const auto again = f.store.collect_once(std::vector{residue}, sketch,
                                             kBound, 0x7C01);
     EXPECT_GT(again.edges_descended, got.edges_descended);
-    EXPECT_EQ(again.bundles[0], f.oracle_bundle(residue));
     if (sketch) {
       EXPECT_TRUE(again.hlls[0] == f.oracle_hll(residue));
+    } else {
+      EXPECT_EQ(again.bundles[0], f.oracle_bundle(residue));
     }
   }
+}
+
+/// One epoch of drift: `count` random nodes take a new random reading; the
+/// dirty tracker hears of each.
+void drift(Fixture& f, Xoshiro256& rng, std::size_t count,
+           std::uint32_t epoch) {
+  std::vector<NodeId> touched;
+  for (std::size_t i = 0; i < count; ++i) {
+    const auto u = static_cast<NodeId>(rng.next_below(f.net.node_count()));
+    f.net.update_item(u, 0, static_cast<Value>(rng.next_below(kBound + 1)));
+    touched.push_back(u);
+  }
+  f.dirty.note_updates(touched, epoch);
+}
+
+TEST(Collect, AStatsSlotSendsNoHllBitsInASketchKeepingStore) {
+  // The same stats slots over the same drift, in a store that keeps
+  // sketches and in one that does not: every collect sends the same bits.
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    Fixture with(seed, kRegisters);
+    Fixture without(seed, 0);
+    Xoshiro256 rng(seed);
+    std::vector<SlotId> slots;
+    for (const auto& region : random_ranges(rng)) {
+      const auto session = 0x7800 + static_cast<std::uint32_t>(slots.size());
+      slots.push_back(with.store.add_slot(region, session));
+      ASSERT_EQ(without.store.add_slot(region, session), slots.back());
+    }
+    Xoshiro256 drift_with(seed + 1), drift_without(seed + 1);
+    for (std::uint32_t epoch = 1; epoch <= 4; ++epoch) {
+      if (epoch > 1) {
+        drift(with, drift_with, 5, epoch);
+        drift(without, drift_without, 5, epoch);
+      }
+      with.store.collect(slots, epoch);
+      without.store.collect(slots, epoch);
+      EXPECT_EQ(with.net.summary(true).total_bits,
+                without.net.summary(true).total_bits)
+          << "seed " << seed << " epoch " << epoch;
+      for (const SlotId s : slots) {
+        EXPECT_EQ(with.store.root(s), with.oracle_bundle(with.store.region(s)));
+      }
+    }
+  }
+}
+
+TEST(Collect, AMixedWaveIsExactAndItsSharesSumToTheWave) {
+  // Stats and HLL-only sketch slots ride one wave; over incremental drift
+  // the stats roots equal the oracle bundles, the sketch roots reproduce
+  // the oracle's registers, and the shares account for every bit.
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    Fixture f(seed, kRegisters);
+    Xoshiro256 rng(seed * 7);
+    std::vector<SlotId> slots;
+    for (const auto& region : random_ranges(rng)) {
+      slots.push_back(f.store.add_slot(
+          region, 0x7800 + static_cast<std::uint32_t>(slots.size()),
+          rng.next_below(2) == 0));
+    }
+    for (std::uint32_t epoch = 1; epoch <= 5; ++epoch) {
+      if (epoch > 1) drift(f, rng, 4, epoch);
+      const sim::CommSummary before = f.net.summary(true);
+      const std::vector<WaveShare> shares = f.store.collect(slots, epoch);
+      const sim::CommSummary after = f.net.summary(true);
+      std::uint64_t bits = 0;
+      std::uint64_t messages = 0;
+      for (const WaveShare& share : shares) {
+        EXPECT_TRUE(share.collected);
+        bits += share.bits;
+        messages += share.messages;
+      }
+      EXPECT_EQ(bits, after.total_bits - before.total_bits);
+      EXPECT_EQ(messages, after.total_messages - before.total_messages);
+      for (const SlotId s : slots) {
+        const query::RegionSignature& region = f.store.region(s);
+        if (f.store.sketch(s)) {
+          EXPECT_TRUE(f.store.root_hll(s) == f.oracle_hll(region))
+              << "seed " << seed << " epoch " << epoch << " slot " << s;
+        } else {
+          EXPECT_EQ(f.store.root(s), f.oracle_bundle(region))
+              << "seed " << seed << " epoch " << epoch << " slot " << s;
+        }
+      }
+    }
+  }
+}
+
+TEST(Collect, AReleasedSlotIsCollectedAfreshAndExactly) {
+  Fixture f(3, kRegisters);
+  const SlotId stats = f.store.add_slot(range_of(100, 700), 0x7800);
+  const SlotId hll = f.store.add_slot(range_of(100, 700), 0x7801, true);
+  const std::vector<SlotId> slots{stats, hll};
+  f.store.collect(slots, 1);
+  const std::uint64_t descended = f.store.edges_descended();
+  for (const SlotId s : slots) {
+    f.store.release(s);
+    EXPECT_FALSE(f.store.has_edges(s));
+    EXPECT_EQ(f.store.epoch(s), DirtyTracker::kInvalidEpoch);
+  }
+  // A released slot proves nothing empty, and its next collect descends
+  // every edge again.
+  EXPECT_TRUE(f.store.containing_slots(range_of(200, 300)).empty());
+  f.store.collect(slots, 2);
+  EXPECT_EQ(f.store.edges_descended() - descended,
+            2 * (f.tree.node_count() - 1));
+  EXPECT_EQ(f.store.root(stats), f.oracle_bundle(range_of(100, 700)));
+  EXPECT_TRUE(f.store.root_hll(hll) == f.oracle_hll(range_of(100, 700)));
 }
 
 }  // namespace

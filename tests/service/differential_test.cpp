@@ -5,9 +5,13 @@
 // (keys repeat within a burst, and one text is malformed), cancels, and
 // update batches that obey the drift model — and replays it on every
 // service configuration: naive, shared, shared + cache, cube, cube +
-// cache. Every configuration must
+// cache. The cube configurations keep 64-register HLL partials and also
+// get COUNT_DISTINCT ... ERROR 0.15 submits, one-shot and standing. Every
+// configuration must
 //   - answer exact answers with the mirror's value,
 //   - contain the mirror's value in every deterministically bounded answer,
+//   - answer every COUNT_DISTINCT with exactly the estimate of a one-shot
+//     HLL (64 registers, salt 1) over the mirror's region,
 //   - account for every bit and message on the air: query, mark and
 //     group-install ledgers add up to the network total.
 #include <gtest/gtest.h>
@@ -25,6 +29,7 @@
 #include "src/common/rng.hpp"
 #include "src/net/topology.hpp"
 #include "src/service/engine.hpp"
+#include "src/sketch/hll.hpp"
 
 namespace sensornet::service {
 namespace {
@@ -34,6 +39,7 @@ constexpr Value kMaxDelta = 4;  // the ServiceConfig default
 constexpr unsigned kSide = 7;
 constexpr NodeId kNodes = kSide * kSide;
 constexpr std::uint32_t kEpochs = 16;
+constexpr unsigned kDistinctRegisters = 64;  // what ERROR 0.15 sizes to
 
 /// One submitted query: its text and what the mirror needs to check it.
 struct Submit {
@@ -45,9 +51,11 @@ struct Submit {
 
 /// One epoch of the script: submits, a one-shot burst and cancels (by
 /// submission index, so the same query in every configuration), then the
-/// update batch.
+/// update batch. COUNT_DISTINCT submits run on the cube configurations
+/// only.
 struct Step {
   std::vector<Submit> submits;
+  std::vector<Submit> distinct;  // COUNT_DISTINCT ... ERROR 0.15
   std::vector<Submit> burst;  // one submit_batch call; may be empty
   std::vector<std::size_t> cancels;
   std::vector<SensorUpdate> updates;
@@ -93,9 +101,10 @@ Script draw_script(std::uint64_t seed) {
     s.text = os.str();
     return s;
   };
-  // Bursts draw from their own stream, so the rest of the script is the
-  // same with or without them.
+  // Bursts and COUNT_DISTINCT submits draw from their own streams, so the
+  // rest of the script is the same with or without them.
   Xoshiro256 burst_rng(seed + 1000);
+  Xoshiro256 distinct_rng(seed + 2000);
 
   std::vector<Value> mirror = script.initial;
   std::vector<Value> direction(kNodes);
@@ -128,6 +137,22 @@ Script draw_script(std::uint64_t seed) {
               static_cast<std::ptrdiff_t>(
                   burst_rng.next_below(step.burst.size() + 1)),
           bad);
+    }
+    if (distinct_rng.next_bool(0.4)) {
+      Submit d;
+      d.agg = query::AggregateKind::kCountDistinct;
+      std::tie(d.lo, d.hi) = regions[distinct_rng.next_below(regions.size())];
+      std::ostringstream os;
+      os << "SELECT COUNT_DISTINCT(v) FROM s";
+      if (d.lo != 0 || d.hi != kBound) {
+        os << " WHERE v BETWEEN " << d.lo << " AND " << d.hi;
+      }
+      if (distinct_rng.next_below(3) != 0) {
+        os << " EVERY " << 1 + distinct_rng.next_below(3) << " EPOCHS";
+      }
+      os << " ERROR 0.15";
+      d.text = os.str();
+      step.distinct.push_back(d);
     }
     submitted += step.submits.size();
     if (submitted > 0 && rng.next_bool(0.3)) {
@@ -164,6 +189,7 @@ ServiceTelemetry replay(const Script& script, const Config& c) {
   cfg.share_aggregation = c.share_aggregation;
   cfg.use_cache = c.use_cache;
   cfg.use_cube = c.use_cube;
+  if (c.use_cube) cfg.cube_distinct_registers = kDistinctRegisters;
   QueryService svc(query::Deployment{net, tree, kBound}, cfg);
   const bool naive = !c.share_aggregation && !c.use_cube;
 
@@ -172,10 +198,28 @@ ServiceTelemetry replay(const Script& script, const Config& c) {
   std::map<QueryId, std::size_t> submit_of;
   std::vector<QueryId> ids;      // by scripted-submit index (0: one-shot)
   std::uint64_t checked = 0;
+  std::uint64_t distinct_checked = 0;
 
   const auto check = [&](const Answer& a) {
     const Submit& s = submits[submit_of.at(a.id)];
     SCOPED_TRACE(s.text);
+    ++checked;
+    if (s.agg == query::AggregateKind::kCountDistinct) {
+      sketch::Hll oracle =
+          sketch::Hll::make_by_registers(
+              kDistinctRegisters,
+              {.width = sketch::packed_width_for(kNodes + 1), .sparse = true})
+              .value();
+      for (const Value v : mirror) {
+        if (v >= s.lo && v <= s.hi) {
+          oracle.add(static_cast<std::uint64_t>(v), /*salt=*/1);
+        }
+      }
+      EXPECT_FALSE(a.exact);
+      EXPECT_EQ(a.value, oracle.estimate()) << "epoch " << a.epoch;
+      ++distinct_checked;
+      return;
+    }
     RangeStats truth;
     for (const Value v : mirror) {
       if (v >= s.lo && v <= s.hi) truth.observe(v);
@@ -202,7 +246,6 @@ ServiceTelemetry replay(const Script& script, const Config& c) {
     const bool undefined = truth.count == 0 &&
                            s.agg != query::AggregateKind::kCount &&
                            s.agg != query::AggregateKind::kSum;
-    ++checked;
     if (a.exact) {
       if (undefined) {
         // The naive executor has no empty-selection flag.
@@ -254,6 +297,9 @@ ServiceTelemetry replay(const Script& script, const Config& c) {
       const Result<Admission> r = std::move(admit({s}).front());
       ids.push_back(r.ok() && r.value().continuous ? r.value().id : 0);
     }
+    if (c.use_cube) {
+      for (const Submit& d : step.distinct) admit({d});
+    }
     if (!step.burst.empty()) admit(step.burst);
     for (const std::size_t k : step.cancels) {
       if (ids[k] != 0) svc.cancel(ids[k]);
@@ -262,6 +308,9 @@ ServiceTelemetry replay(const Script& script, const Config& c) {
     for (const Answer& a : svc.run_epoch(step.updates)) check(a);
   }
   EXPECT_GT(checked, 0u);
+  if (c.use_cube) {
+    EXPECT_GT(distinct_checked, 0u);
+  }
 
   const TelemetrySnapshot snap = svc.telemetry_snapshot();
   std::uint64_t attributed = snap.mark_bits_on_air + snap.install_bits_on_air;
