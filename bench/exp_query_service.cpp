@@ -40,6 +40,10 @@
 // the cache's own hit counter agreeing with the service's answer
 // accounting.
 //
+// Stats waves code each stale edge's image as a delta against the partial
+// the parent already holds; the binary asserts those delta images, summed,
+// take fewer bits than the same images coded in full.
+//
 // The shared lane also records its air rounds (simulated time) per epoch.
 // Every stats group due fresh in an epoch rides one multiplexed
 // convergecast, so an epoch may spend at most 2 * tree height + 2 rounds
@@ -126,6 +130,8 @@ struct LaneResult : LaneTotals {
   std::uint64_t stats_waves = 0;
   std::uint64_t edges_descended = 0;
   std::uint64_t edges_skipped = 0;
+  std::uint64_t delta_image_bits = 0;
+  std::uint64_t delta_image_full_bits = 0;
   std::uint64_t mark_messages = 0;
   std::uint64_t cache_answers_checked = 0;
   std::uint64_t bound_violations = 0;
@@ -154,6 +160,8 @@ LaneResult run_continuous_lane(const Scale& s, unsigned threads, bool shared) {
         lane.stats_waves = svc.plan_stats().stats_waves;
         lane.edges_descended = svc.plan_stats().edges_descended;
         lane.edges_skipped = svc.plan_stats().edges_skipped;
+        lane.delta_image_bits = svc.plan_stats().delta_image_bits;
+        lane.delta_image_full_bits = svc.plan_stats().delta_image_full_bits;
         lane.mark_messages = svc.plan_stats().mark_messages;
         lane.telemetry = svc.telemetry_snapshot();
       });
@@ -283,6 +291,13 @@ void gate_claims(Gates& gates, bool quick, const LaneResult& shared,
   gates.gate(shared.total_bits * 2 <= naive.total_bits,
              "shared aggregation shipped ", shared.total_bits, " bits vs ",
              naive.total_bits, " naive — the 2x claim does not hold");
+  // A stale edge sends how its slot changed since the partial its parent
+  // holds: those delta images must undercut the same images coded in full.
+  gates.gate(shared.delta_image_bits > 0 &&
+                 shared.delta_image_bits < shared.delta_image_full_bits,
+             "delta images took ", shared.delta_image_bits,
+             " bits against ", shared.delta_image_full_bits,
+             " coded in full");
   // Stats-only lane: one collection convergecast per epoch, never several.
   gates.gate(shared.max_collection_rounds <= 2 * shared.tree_height + 2,
              "an epoch spent ", shared.max_collection_rounds,
@@ -347,6 +362,8 @@ void write_pr8(Json& j, const Scale& s, bool quick, unsigned threads,
       .field("stats_waves", shared.stats_waves)
       .field("edges_descended", shared.edges_descended)
       .field("edges_skipped", shared.edges_skipped)
+      .field("delta_image_bits", shared.delta_image_bits)
+      .field("delta_image_full_bits", shared.delta_image_full_bits)
       .field("mark_messages", shared.mark_messages)
       .field("air_rounds_per_epoch",
              static_cast<double>(shared.air_rounds) / s.epochs, 1)

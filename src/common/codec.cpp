@@ -48,7 +48,17 @@ std::uint64_t elias_delta_decode(BitReader& r) {
 
 void encode_uint(BitWriter& w, std::uint64_t x) {
   SENSORNET_EXPECTS(x < ~0ULL);
-  elias_delta_encode(w, x + 1);
+  const std::uint64_t v = x + 1;
+  const unsigned n = floor_log2_u64(v);
+  if (n > 50) {
+    elias_delta_encode(w, v);
+    return;
+  }
+  // The whole Elias-delta code in one write: the gamma code of n + 1 (its
+  // leading zeros come from the width) followed by v without its leading 1.
+  const unsigned m = floor_log2_u64(n + 1);
+  const std::uint64_t body = v & ((1ULL << n) - 1);
+  w.write_bits((static_cast<std::uint64_t>(n + 1) << n) | body, 2 * m + 1 + n);
 }
 
 std::uint64_t decode_uint(BitReader& r) { return elias_delta_decode(r) - 1; }

@@ -27,6 +27,138 @@ std::uint64_t decode_delta(BitReader& r, std::uint64_t limit) {
   return d;
 }
 
+/// True when inner ⊆ core ⊆ outer holds for counts, sums and min/max rails:
+/// the precondition of a ranged image's margin deltas.
+bool nests(const StatsBundle& b) {
+  const RangeStats& core = b.core;
+  const RangeStats& inner = b.inner;
+  const RangeStats& outer = b.outer;
+  return inner.count <= core.count && core.count <= outer.count &&
+         inner.sum <= core.sum && core.sum <= outer.sum &&
+         (inner.count == 0 || (core.min <= inner.min &&
+                               inner.min <= inner.max &&
+                               inner.max <= core.max)) &&
+         (core.count == 0 || (outer.min <= core.min && core.max <= outer.max));
+}
+
+/// The largest change a delta image can carry: encode_int's range.
+constexpr auto kMaxChange =
+    static_cast<std::uint64_t>(std::numeric_limits<std::int64_t>::max());
+
+/// Sends `now - was` as a zigzag encode_int.
+void encode_change(BitWriter& w, std::uint64_t was, std::uint64_t now) {
+  if (now >= was) {
+    SENSORNET_EXPECTS(now - was <= kMaxChange);
+    encode_int(w, static_cast<std::int64_t>(now - was));
+  } else {
+    SENSORNET_EXPECTS(was - now <= kMaxChange);
+    encode_int(w, -static_cast<std::int64_t>(was - now));
+  }
+}
+
+/// Reads a change to `was` (at most `limit`); the result must stay in
+/// [0, limit].
+std::uint64_t decode_change(BitReader& r, std::uint64_t was,
+                            std::uint64_t limit) {
+  const std::int64_t d = decode_int(r);  // |d| <= kMaxChange
+  if (d >= 0) {
+    const auto up = static_cast<std::uint64_t>(d);
+    if (up > limit - was) throw WireFormatError("delta image: overflow");
+    return was + up;
+  }
+  const auto down = static_cast<std::uint64_t>(-d);
+  if (down > was) throw WireFormatError("delta image: underflow");
+  return was - down;
+}
+
+std::uint64_t as_u64(Value v) { return static_cast<std::uint64_t>(v); }
+
+void encode_range_delta(BitWriter& w, const RangeStats& was,
+                        const RangeStats& now) {
+  encode_change(w, was.count, now.count);
+  if (now.count == 0) return;
+  encode_change(w, was.sum, now.sum);
+  if (was.count == 0) {
+    encode_uint(w, as_u64(now.min));
+    encode_uint(w, as_u64(now.max - now.min));
+    return;
+  }
+  encode_change(w, as_u64(was.min), as_u64(now.min));
+  encode_change(w, as_u64(was.max), as_u64(now.max));
+}
+
+RangeStats decode_range_delta(BitReader& r, const RangeStats& was) {
+  RangeStats now;
+  now.count = decode_change(r, was.count, kMaxU64);
+  if (now.count == 0) return now;
+  now.sum = decode_change(r, was.sum, kMaxU64);
+  std::uint64_t min = 0;
+  std::uint64_t max = 0;
+  if (was.count == 0) {
+    min = decode_delta(r, kMaxValue);
+    max = min + decode_delta(r, kMaxValue - min);
+  } else {
+    min = decode_change(r, as_u64(was.min), kMaxValue);
+    max = decode_change(r, as_u64(was.max), kMaxValue);
+    if (max < min) throw WireFormatError("delta image: max below min");
+  }
+  now.min = static_cast<Value>(min);
+  now.max = static_cast<Value>(max);
+  return now;
+}
+
+/// Reads a request's k = mask.size() mask bits; an all-zero mask is
+/// malformed.
+void read_mask(BitReader& r, std::vector<std::uint8_t>& mask) {
+  bool any = false;
+  for (std::size_t i = 0; i < mask.size(); ++i) {
+    mask[i] = r.read_bit();
+    any = any || mask[i];
+  }
+  if (!any) throw WireFormatError("stats request: empty slot mask");
+}
+
+/// Where a full stats image goes: a BitWriter, or a BitTally that only adds
+/// up its length.
+struct BitTally {
+  std::uint64_t bits = 0;
+};
+void put_uint(BitWriter& w, std::uint64_t x) { encode_uint(w, x); }
+void put_uint(BitTally& t, std::uint64_t x) { t.bits += encoded_uint_bits(x); }
+
+template <typename Sink>
+void put_stats_image(Sink& w, const StatsBundle& b, bool whole_domain) {
+  const RangeStats& core = b.core;
+  const RangeStats& inner = b.inner;
+  const RangeStats& outer = b.outer;
+  // The core as encode_range_stats sends it.
+  put_uint(w, core.count);
+  if (core.count > 0) {
+    put_uint(w, core.sum);
+    put_uint(w, as_u64(core.min));
+    put_uint(w, as_u64(core.max - core.min));
+  }
+  if (whole_domain) return;
+  // inner ⊆ core ⊆ outer: every delta below is non-negative.
+  SENSORNET_EXPECTS(nests(b));
+  put_uint(w, core.count - inner.count);
+  if (inner.count > 0) {
+    put_uint(w, core.sum - inner.sum);
+    put_uint(w, as_u64(inner.min - core.min));
+    put_uint(w, as_u64(core.max - inner.max));
+  }
+  put_uint(w, outer.count - core.count);
+  if (outer.count == 0) return;
+  put_uint(w, outer.sum - core.sum);
+  if (core.count > 0) {
+    put_uint(w, as_u64(core.min - outer.min));
+    put_uint(w, as_u64(outer.max - core.max));
+  } else {
+    put_uint(w, as_u64(outer.min));
+    put_uint(w, as_u64(outer.max - outer.min));
+  }
+}
+
 /// The image shape of a (region, sketch) entry.
 ImageShape image_shape(const query::RegionSignature& region, bool sketch) {
   if (sketch) return ImageShape::kHll;
@@ -37,35 +169,13 @@ ImageShape image_shape(const query::RegionSignature& region, bool sketch) {
 
 void encode_stats_image(BitWriter& w, const StatsBundle& b,
                         bool whole_domain) {
-  encode_range_stats(w, b.core);
-  if (whole_domain) return;
-  const RangeStats& core = b.core;
-  const RangeStats& inner = b.inner;
-  const RangeStats& outer = b.outer;
-  // inner ⊆ core ⊆ outer: every delta below is non-negative.
-  SENSORNET_EXPECTS(inner.count <= core.count && core.count <= outer.count);
-  SENSORNET_EXPECTS(inner.sum <= core.sum && core.sum <= outer.sum);
-  SENSORNET_EXPECTS(inner.count == 0 ||
-                    (core.min <= inner.min && inner.min <= inner.max &&
-                     inner.max <= core.max));
-  SENSORNET_EXPECTS(core.count == 0 ||
-                    (outer.min <= core.min && core.max <= outer.max));
-  encode_uint(w, core.count - inner.count);
-  if (inner.count > 0) {
-    encode_uint(w, core.sum - inner.sum);
-    encode_uint(w, static_cast<std::uint64_t>(inner.min - core.min));
-    encode_uint(w, static_cast<std::uint64_t>(core.max - inner.max));
-  }
-  encode_uint(w, outer.count - core.count);
-  if (outer.count == 0) return;
-  encode_uint(w, outer.sum - core.sum);
-  if (core.count > 0) {
-    encode_uint(w, static_cast<std::uint64_t>(core.min - outer.min));
-    encode_uint(w, static_cast<std::uint64_t>(outer.max - core.max));
-  } else {
-    encode_uint(w, static_cast<std::uint64_t>(outer.min));
-    encode_uint(w, static_cast<std::uint64_t>(outer.max - outer.min));
-  }
+  put_stats_image(w, b, whole_domain);
+}
+
+std::uint64_t stats_image_bits(const StatsBundle& b, bool whole_domain) {
+  BitTally tally;
+  put_stats_image(tally, b, whole_domain);
+  return tally.bits;
 }
 
 StatsBundle decode_stats_image(BitReader& r, bool whole_domain) {
@@ -108,13 +218,43 @@ StatsBundle decode_stats_image(BitReader& r, bool whole_domain) {
   return b;
 }
 
-void decode_stats_request(BitReader& r, std::vector<std::uint8_t>& mask) {
-  bool any = false;
-  for (std::size_t i = 0; i < mask.size(); ++i) {
-    mask[i] = r.read_bit();
-    any = any || mask[i];
+void encode_stats_delta(BitWriter& w, const StatsBundle& base,
+                        const StatsBundle& b, bool whole_domain) {
+  encode_range_delta(w, base.core, b.core);
+  if (whole_domain) return;
+  SENSORNET_EXPECTS(nests(b));
+  encode_range_delta(w, base.inner, b.inner);
+  encode_range_delta(w, base.outer, b.outer);
+}
+
+StatsBundle decode_stats_delta(BitReader& r, const StatsBundle& base,
+                               bool whole_domain) {
+  StatsBundle b;
+  b.core = decode_range_delta(r, base.core);
+  if (whole_domain) {
+    b.inner = b.core;
+    b.outer = b.core;
+    return b;
   }
-  if (!any) throw WireFormatError("stats request: empty slot mask");
+  b.inner = decode_range_delta(r, base.inner);
+  b.outer = decode_range_delta(r, base.outer);
+  if (!nests(b)) throw WireFormatError("delta image: margins do not nest");
+  return b;
+}
+
+void encode_stats_request(BitWriter& w, const std::vector<std::uint8_t>& mask,
+                          bool resync) {
+  for (const auto bit : mask) w.write_bit(bit != 0);
+  w.write_bit(resync);
+}
+
+bool decode_stats_request(BitReader& r, std::vector<std::uint8_t>& mask) {
+  read_mask(r, mask);
+  const bool resync = r.read_bit();
+  if (r.remaining() != 0) {
+    throw WireFormatError("stats request: trailing bits");
+  }
+  return resync;
 }
 
 void encode_residue_request(BitWriter& w, const std::vector<std::uint8_t>& mask,
@@ -132,7 +272,7 @@ void encode_residue_request(BitWriter& w, const std::vector<std::uint8_t>& mask,
 void decode_residue_request(BitReader& r, Value domain_bound,
                             std::vector<std::uint8_t>& mask,
                             std::vector<query::RegionSignature>& ranges) {
-  decode_stats_request(r, mask);
+  read_mask(r, mask);
   ranges.resize(mask.size());
   const auto bound = static_cast<std::uint64_t>(domain_bound);
   for (std::size_t i = 0; i < mask.size(); ++i) {
@@ -157,16 +297,20 @@ void decode_stats_response(BitReader& r,
                            const std::vector<ImageShape>& shapes,
                            std::vector<StatsBundle>& images,
                            const sketch::Hll* geometry,
-                           std::vector<sketch::Hll>* sketches) {
+                           std::vector<sketch::Hll>* sketches,
+                           std::span<const StatsBundle* const> baselines) {
   SENSORNET_EXPECTS(mask.size() == shapes.size());
   SENSORNET_EXPECTS((geometry == nullptr) == (sketches == nullptr));
+  SENSORNET_EXPECTS(baselines.empty() || baselines.size() == mask.size());
   images.clear();
   if (sketches != nullptr) sketches->clear();
   for (std::size_t i = 0; i < mask.size(); ++i) {
     if (!mask[i]) continue;
     if (shapes[i] != ImageShape::kHll) {
-      images.push_back(
-          decode_stats_image(r, shapes[i] == ImageShape::kWholeDomain));
+      const bool whole = shapes[i] == ImageShape::kWholeDomain;
+      const StatsBundle* base = baselines.empty() ? nullptr : baselines[i];
+      images.push_back(base != nullptr ? decode_stats_delta(r, *base, whole)
+                                       : decode_stats_image(r, whole));
       continue;
     }
     SENSORNET_EXPECTS(geometry != nullptr);
@@ -255,7 +399,7 @@ class PartialStore::Collect {
     if (once_) {
       decode_residue_request(r, domain_bound_, mask_, ranges_);
     } else {
-      decode_stats_request(r, mask_);
+      resync_[node] = decode_stats_request(r, mask_);
     }
     std::copy(mask_.begin(), mask_.end(), requested_.begin() + node * k_);
   }
@@ -302,10 +446,14 @@ class PartialStore::Collect {
                                  ranges_[i].hi - ranges_[i].lo)));
         }
         encode_residue_request(w, mask_, ranges_);
+        ledger_.charge(mask_, k_ + sim::kHeaderBits);
       } else {
-        for (const auto bit : mask_) w.write_bit(bit != 0);
+        // The parent keeps the mask it sent: after a failed wave, the rows
+        // of the edges that never answered name the slots to resync.
+        std::copy(mask_.begin(), mask_.end(), requested_.begin() + child * k_);
+        encode_stats_request(w, mask_, resync_for(child));
+        ledger_.charge(mask_, k_ + 1 + sim::kHeaderBits);  // mask, resync
       }
-      ledger_.charge(mask_, k_ + sim::kHeaderBits);
       out.send(child, std::move(w));
       descended_ += carried;
     }
@@ -314,9 +462,14 @@ class PartialStore::Collect {
   void on_response(NodeId node, NodeId child, BitReader& r) {
     // The child's request row is the mask this edge's request carried.
     std::copy_n(requested_.begin() + child * k_, k_, mask_.begin());
+    if (!once_) {
+      for (std::size_t i = 0; i < k_; ++i) {
+        baselines_[i] = mask_[i] ? baseline(i, child) : nullptr;
+      }
+    }
     decode_stats_response(r, mask_, shapes_, images_,
                           geometry_ ? &*geometry_ : nullptr,
-                          geometry_ ? &sketches_ : nullptr);
+                          geometry_ ? &sketches_ : nullptr, baselines_);
     std::size_t stats = 0;
     std::size_t hlls = 0;
     for (std::size_t i = 0; i < k_; ++i) {
@@ -336,9 +489,11 @@ class PartialStore::Collect {
         s.edge_hll[child] = std::move(sketches_[hlls++]);
       } else {
         s.edge_bundle[child] = images_[stats++];
+        if (!s.edge_unanswered.empty()) s.edge_unanswered[child] = 0;
       }
       s.edge_epoch[child] = epoch_;
     }
+    answered_[child] = 1;
   }
 
   void respond(NodeId node, BitWriter& w) {
@@ -355,6 +510,11 @@ class PartialStore::Collect {
         }
       } else if (once_) {
         encode_stats_image(w, partials_[node].bundles[i], whole);
+      } else if (const StatsBundle* base = baseline(i, node)) {
+        const StatsBundle b = store_.subtree_bundle(slot(i), node);
+        encode_stats_delta(w, *base, b, whole);
+        store_.delta_image_bits_ += w.bit_count() - before;
+        store_.delta_image_full_bits_ += stats_image_bits(b, whole);
       } else {
         encode_stats_image(w, store_.subtree_bundle(slot(i), node), whole);
       }
@@ -362,6 +522,23 @@ class PartialStore::Collect {
     }
     ledger_.charge(mask_, sim::kHeaderBits);
     if (once_) partials_[node] = Partials{};  // dies with its response
+  }
+
+  /// After a failed collect() wave: marks every (stats slot, edge) whose
+  /// request went down and whose response never arrived.
+  void mark_unanswered() {
+    const std::size_t n = store_.tree_.node_count();
+    for (NodeId child = 0; child < n; ++child) {
+      if (child == store_.tree_.root || answered_[child]) continue;
+      for (std::size_t i = 0; i < k_; ++i) {
+        if (!requested_[child * k_ + i] || shapes_[i] == ImageShape::kHll) {
+          continue;
+        }
+        Slot& s = slot(i);
+        if (s.edge_unanswered.empty()) s.edge_unanswered.assign(n, 0);
+        s.edge_unanswered[child] = 1;
+      }
+    }
   }
 
  private:
@@ -377,7 +554,10 @@ class PartialStore::Collect {
         k_(k),
         shapes_(k),
         requested_(store.tree_.node_count() * k, 0),
+        resync_(store.tree_.node_count(), 0),
+        answered_(store.tree_.node_count(), 0),
         mask_(k),
+        baselines_(k, nullptr),
         ledger_(k),
         descended_(descended),
         skipped_(skipped) {
@@ -393,6 +573,28 @@ class PartialStore::Collect {
   }
 
   Slot& slot(std::size_t i) { return store_.slots_[batch_[i]]; }
+
+  /// The baseline of entry i's image on edge `child` (collect() only): the
+  /// edge's partial of a stats slot, unless the edge has none or its
+  /// request carried resync. Null: the image is full.
+  const StatsBundle* baseline(std::size_t i, NodeId child) {
+    if (shapes_[i] == ImageShape::kHll || resync_[child]) return nullptr;
+    const Slot& s = slot(i);
+    if (s.edge_epoch[child] == DirtyTracker::kInvalidEpoch) return nullptr;
+    return &s.edge_bundle[child];
+  }
+
+  /// The resync bit of a request about to go down edge `child` with mask_:
+  /// set iff it names a stats slot whose last request on the edge went
+  /// unanswered.
+  bool resync_for(NodeId child) {
+    for (std::size_t i = 0; i < k_; ++i) {
+      if (!mask_[i]) continue;
+      const Slot& s = slot(i);
+      if (!s.edge_unanswered.empty() && s.edge_unanswered[child]) return true;
+    }
+    return false;
+  }
 
   /// Sets mask_ to the entries active at `node` that edge `child` must
   /// carry: an installed slot whose partial for the edge is stale, a
@@ -422,7 +624,10 @@ class PartialStore::Collect {
   std::vector<std::vector<SlotId>> containing_;
   std::vector<ImageShape> shapes_;       // per entry: the response shape
   std::vector<std::uint8_t> requested_;  // [node * k + i]: request names i
+  std::vector<std::uint8_t> resync_;     // per node: its request's resync
+  std::vector<std::uint8_t> answered_;   // per node: its response arrived
   std::vector<std::uint8_t> mask_;       // scratch: one message's mask
+  std::vector<const StatsBundle*> baselines_;  // scratch: per entry
   std::optional<sketch::Hll> geometry_;  // waves with sketch entries only
   std::vector<StatsBundle> images_;      // scratch: one response's images
   std::vector<sketch::Hll> sketches_;    // scratch: their sketches
@@ -557,7 +762,12 @@ std::vector<WaveShare> PartialStore::collect(std::span<const SlotId> slots,
   }
   Collect policy(*this, batch, epoch);
   proto::EdgeWave<Collect> wave(tree_, slots_[batch.front()].session, policy);
-  wave.execute(net_);
+  try {
+    wave.execute(net_);
+  } catch (...) {
+    policy.mark_unanswered();
+    throw;
+  }
   for (std::size_t i = 0; i < batch.size(); ++i) {
     Slot& s = slots_[batch[i]];
     if (s.sketch) {

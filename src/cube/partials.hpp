@@ -15,12 +15,14 @@
 // DirtyTracker proves every other edge's subtree unchanged since its partial
 // was taken). Wire format, for k slots in ascending slot order:
 //
-//   request  (u -> c)   k-bit mask; bit i set iff slot i is active at u and
-//                       its partial for edge c is stale. An all-zero mask is
-//                       never sent (the edge is served from the partials).
+//   request  (u -> c)   k-bit mask, then one resync bit. Mask bit i is set
+//                       iff slot i is active at u and its partial for edge c
+//                       is stale. An all-zero mask is never sent (the edge
+//                       is served from the partials).
 //   response (c -> u)   the images of the masked slots, concatenated in slot
-//                       order: a stats slot's stats image, a sketch slot's
-//                       HLL image (Hll::encode) alone.
+//                       order: a stats slot's stats image (full, or a delta
+//                       image, below), a sketch slot's HLL image
+//                       (Hll::encode) alone.
 //
 // A stats image is the bundle's core as one RangeStats
 // (encode_range_stats). A whole-domain image ends there: its margins
@@ -40,8 +42,39 @@
 // rejects (WireFormatError) any delta that would underflow, overflow or
 // leave the core's span.
 //
-// At k = 1 the request is the single bit 1 and the response one image. A
-// node forms a slot's subtree partial when it responds, from its local
+// A *delta image* codes a stats slot's bundle against its baseline: the
+// image of the same slot that edge last carried. Each RangeStats (the core;
+// then, for a ranged image, the inner and the outer, each against its own
+// old self) sends, as zigzag encode_int changes,
+//
+//   count - old.count; if the range is non-empty, sum - old.sum, then
+//   min - old.min and max - old.max — or, when the old range was empty,
+//   min and max - min in full (encode_uint)
+//
+// Between two collections a stale subtree's bundle mostly moves by a few
+// units of sum, so a delta image costs a few bits per field. Every change
+// must fit in ±(2^63 - 1) (the encoder checks it). The decoder rejects
+// (WireFormatError) a change that would underflow or overflow a count or a
+// sum, leave [0, Value max], set max below min, or break inner ⊆ core ⊆
+// outer.
+//
+// Baseline invariant: a node keeps its last image per slot, and its parent
+// holds the same image as that edge's partial. (The simulator keeps one
+// copy: the parent's edge partial is the child's baseline too, so no
+// per-node memory is added.) A child answers a masked stats slot with a
+// delta image iff the edge holds a partial for the slot and the request's
+// resync bit is clear; otherwise — a cold edge, or resync — it sends the
+// full image. Both ends apply the same rule. The invariant holds on
+// lossless links; a lost message can leave the child's copy ahead of the
+// parent's partial. So when a wave fails, the parent marks each (stats
+// slot, edge) whose request went down unanswered, and sets the resync bit
+// on any later request on that edge that names a marked slot; the
+// response clears the marks. A released slot has no partials, so its next
+// collection sends full images (the reinstall broadcast resets the nodes'
+// copies).
+//
+// At k = 1 the request is the bits 1 and resync, and the response one image.
+// A node forms a slot's subtree partial when it responds, from its local
 // partial and its edges' partials, so the wave keeps no per-node
 // accumulator. Each node knows every slot's region and kind: the owner of
 // the store installs them (the cube broadcasts its geometry and each
@@ -60,8 +93,10 @@
 //                       stats images, or HLL images alone on a sketch wave.
 //
 // k and whether the ranges are sketch entries are fixed per wave (its
-// session), so at k = 1 a one-shot request is the bit 1 and one range.
-// Every response on the service path is read by decode_stats_response().
+// session), so at k = 1 a one-shot request is the bit 1 and one range. A
+// one-shot slot has no baseline: its images are always full, and its
+// request carries no resync bit. Every response on the service path is
+// read by decode_stats_response().
 //
 // Each wave's bits are split among the slots it carried (WaveShare,
 // ShareLedger), so a caller can charge every bit on the air to the query
@@ -134,10 +169,27 @@ enum class ImageShape : std::uint8_t { kRanged, kWholeDomain, kHll };
 /// throws WireFormatError on a truncated image or an inconsistent delta.
 void encode_stats_image(BitWriter& w, const StatsBundle& b, bool whole_domain);
 StatsBundle decode_stats_image(BitReader& r, bool whole_domain);
+/// The length of encode_stats_image(b, whole_domain), without writing it.
+std::uint64_t stats_image_bits(const StatsBundle& b, bool whole_domain);
 
-/// Reads a request's mask into `mask` (k = mask.size() bits). An all-zero
-/// mask is malformed and throws WireFormatError.
-void decode_stats_request(BitReader& r, std::vector<std::uint8_t>& mask);
+/// Delta images of `b` against `base`, the slot's previous image on the same
+/// edge (see the file comment). Both bundles of a ranged image must nest;
+/// the encoder checks `b`. The decoder throws WireFormatError on a truncated
+/// image, a change out of range or a bundle that does not nest.
+void encode_stats_delta(BitWriter& w, const StatsBundle& base,
+                        const StatsBundle& b, bool whole_domain);
+StatsBundle decode_stats_delta(BitReader& r, const StatsBundle& base,
+                               bool whole_domain);
+
+/// A collect() request: `mask` (k flags, at least one set), then the resync
+/// bit.
+void encode_stats_request(BitWriter& w, const std::vector<std::uint8_t>& mask,
+                          bool resync);
+
+/// Reads a collect() request of k = mask.size() slots into `mask` and
+/// returns its resync bit. Throws WireFormatError on an empty mask,
+/// truncation or trailing bits.
+bool decode_stats_request(BitReader& r, std::vector<std::uint8_t>& mask);
 
 /// A one-shot request: `mask` (k flags, at least one set) and the ranges of
 /// the masked slots (`ranges` has k entries; unmasked ones are ignored).
@@ -156,14 +208,17 @@ void decode_residue_request(BitReader& r, Value domain_bound,
 /// shaped by `shapes` (both of size k). Stats images land in `images` and
 /// HLL images in `sketches`, each in slot order; a masked kHll entry needs
 /// `geometry` and `sketches`, and its HLL must have the geometry's shape.
-/// Throws WireFormatError on a truncated or corrupt image, a sketch of
-/// another geometry, or trailing bits. (Out-parameters let a wave reuse its
-/// buffers across messages.)
+/// A stats entry whose `baselines` pointer is set is a delta image against
+/// it; with no `baselines` (or a null entry) the image is full. Throws
+/// WireFormatError on a truncated or corrupt image, a sketch of another
+/// geometry, or trailing bits. (Out-parameters let a wave reuse its buffers
+/// across messages.)
 void decode_stats_response(BitReader& r, const std::vector<std::uint8_t>& mask,
                            const std::vector<ImageShape>& shapes,
                            std::vector<StatsBundle>& images,
                            const sketch::Hll* geometry = nullptr,
-                           std::vector<sketch::Hll>* sketches = nullptr);
+                           std::vector<sketch::Hll>* sketches = nullptr,
+                           std::span<const StatsBundle* const> baselines = {});
 
 class PartialStore {
  public:
@@ -190,7 +245,8 @@ class PartialStore {
   /// collected this epoch are skipped; if none is left, nothing is sent.
   /// Returns each slot's share of the wave, aligned with `slots`. Throws
   /// ProtocolError when a message is lost; edges whose responses arrived
-  /// keep their new partials, so a retry re-descends only the rest.
+  /// keep their new partials, so a retry re-descends only the rest, and
+  /// its requests on edges left unanswered carry resync.
   std::vector<WaveShare> collect(std::span<const SlotId> slots,
                                  std::uint32_t epoch);
 
@@ -270,6 +326,18 @@ class PartialStore {
   /// Cumulative (slot, edge) pairs requested / served from partials.
   std::uint64_t edges_descended() const { return edges_descended_; }
   std::uint64_t edges_skipped() const { return edges_skipped_; }
+  /// Cumulative bits of the delta images sent, and of the same images had
+  /// they been coded in full.
+  std::uint64_t delta_image_bits() const { return delta_image_bits_; }
+  std::uint64_t delta_image_full_bits() const {
+    return delta_image_full_bits_;
+  }
+  /// True while a request naming the stats slot went down edge c and its
+  /// response has not arrived: the next request on c carries resync.
+  bool edge_unanswered(SlotId s, NodeId child) const {
+    const Slot& slot = slots_[s];
+    return !slot.edge_unanswered.empty() && slot.edge_unanswered[child] != 0;
+  }
 
  private:
   struct Slot {
@@ -284,6 +352,9 @@ class PartialStore {
     std::vector<std::uint32_t> edge_epoch;
     std::vector<StatsBundle> edge_bundle;
     std::vector<std::optional<sketch::Hll>> edge_hll;
+    // A stats slot's unanswered-request marks per edge, sized at the first
+    // failed collect.
+    std::vector<std::uint8_t> edge_unanswered;
   };
   class Collect;
 
@@ -301,6 +372,8 @@ class PartialStore {
   std::vector<Slot> slots_;
   std::uint64_t edges_descended_ = 0;
   std::uint64_t edges_skipped_ = 0;
+  std::uint64_t delta_image_bits_ = 0;
+  std::uint64_t delta_image_full_bits_ = 0;
 };
 
 }  // namespace sensornet::cube

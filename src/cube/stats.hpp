@@ -63,10 +63,12 @@ struct StatsBundle {
 };
 
 /// Plain codec of one RangeStats: count, then sum/min/(max-min) only when
-/// the range is non-empty. Every stats-carrying wave (scheduler
-/// collections, cube cell refreshes, residue collections) sends a bundle's
-/// core this way; a ranged bundle's inner and outer follow as deltas
-/// against it (cube::encode_stats_image, wire format in partials.hpp).
+/// the range is non-empty. A full stats image (cube::encode_stats_image)
+/// sends a bundle's core this way; a ranged bundle's inner and outer follow
+/// as deltas against it. A stale edge whose parent already holds the
+/// slot's previous image sends a delta image instead
+/// (cube::encode_stats_delta): each RangeStats as zigzag changes against
+/// its old self. Wire formats in partials.hpp.
 void encode_range_stats(BitWriter& w, const RangeStats& rs);
 RangeStats decode_range_stats(BitReader& r);
 

@@ -185,6 +185,8 @@ std::vector<WaveShare> SharedPlanScheduler::collect_stats_batch(
   stats_.stats_convergecasts += messages > 0 ? 1 : 0;
   stats_.edges_descended = store_.edges_descended();
   stats_.edges_skipped = store_.edges_skipped();
+  stats_.delta_image_bits = store_.delta_image_bits();
+  stats_.delta_image_full_bits = store_.delta_image_full_bits();
   mirror_plan_stats(stats_);
   return shares;
 }

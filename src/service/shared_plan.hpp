@@ -60,6 +60,10 @@ struct SharedPlanStats {
   std::uint64_t distinct_waves = 0;    // distinct collections executed
   std::uint64_t edges_descended = 0;   // (group, edge) pairs requested
   std::uint64_t edges_skipped = 0;     // child partials served from cache
+  /// Bits of the delta images stats waves sent on stale edges, and of the
+  /// same images had they been coded in full (see cube/partials.hpp).
+  std::uint64_t delta_image_bits = 0;
+  std::uint64_t delta_image_full_bits = 0;
   std::uint64_t mark_messages = 0;     // dirty-mark messages shipped
   std::uint64_t groups_created = 0;
 };

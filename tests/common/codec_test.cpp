@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "src/common/error.hpp"
 #include "src/common/rng.hpp"
 
@@ -64,6 +66,27 @@ TEST(EncodeUint, CostMatchesActualEncoding) {
     BitWriter w;
     encode_uint(w, x);
     EXPECT_EQ(w.bit_count(), encoded_uint_bits(x)) << "x=" << x;
+  }
+}
+
+TEST(EncodeUint, IsTheEliasDeltaCodeOfXPlusOne) {
+  // encode_uint writes short codes in one piece and long ones (a body past
+  // 50 bits) field by field: both must be elias_delta_encode(x + 1), bit for
+  // bit, at every length.
+  Xoshiro256 rng(11);
+  for (unsigned n = 0; n < 64; ++n) {
+    const std::uint64_t top = std::uint64_t{1} << n;
+    const std::uint64_t low = n == 0 ? 0 : rng.next_u64() & (top - 1);
+    for (const std::uint64_t v : {top, top | low, top | (top - 1)}) {
+      if (v == ~0ULL) continue;  // x + 1 would overflow
+      BitWriter fast;
+      encode_uint(fast, v - 1);
+      BitWriter plain;
+      elias_delta_encode(plain, v);
+      ASSERT_EQ(fast.bit_count(), plain.bit_count()) << "v=" << v;
+      EXPECT_TRUE(std::ranges::equal(fast.bytes(), plain.bytes()))
+          << "v=" << v;
+    }
   }
 }
 

@@ -310,9 +310,195 @@ TEST(FuzzDecode, StatsImageEncoderRejectsBrokenNesting) {
 TEST(FuzzDecode, StatsRequestMask) {
   fuzz_strict([](Xoshiro256& rng, BitReader& r) {
     std::vector<std::uint8_t> mask(1 + rng.next_below(96));
-    cube::decode_stats_request(r, mask);
+    (void)cube::decode_stats_request(r, mask);
     EXPECT_NE(std::count(mask.begin(), mask.end(), 1), 0);
+    EXPECT_EQ(r.remaining(), 0u);
   });
+  // A valid request — the mask, then the resync bit — decodes to exactly
+  // what was sent; every strict prefix and every one-bit extension is
+  // rejected.
+  Xoshiro256 rng(43);
+  for (int t = 0; t < 60; ++t) {
+    const std::size_t k = 1 + rng.next_below(12);
+    std::vector<std::uint8_t> mask(k);
+    for (std::size_t i = 0; i < k; ++i) {
+      mask[i] = i == k - 1 || rng.next_below(2) == 0;
+    }
+    const bool resync = rng.next_below(2) == 0;
+    BitWriter w;
+    cube::encode_stats_request(w, mask, resync);
+    ASSERT_EQ(w.bit_count(), k + 1);
+    w.write_bit(rng.next_below(2) == 0);  // a spare bit for the extension
+    const std::vector<std::uint8_t> bytes(w.bytes().begin(), w.bytes().end());
+
+    std::vector<std::uint8_t> got(k);
+    BitReader exact(bytes.data(), k + 1);
+    EXPECT_EQ(cube::decode_stats_request(exact, got), resync);
+    EXPECT_EQ(got, mask);
+    BitReader longer(bytes.data(), k + 2);
+    EXPECT_THROW((void)cube::decode_stats_request(longer, got),
+                 WireFormatError);
+    for (std::size_t cut = 0; cut <= k; ++cut) {
+      BitReader shorter(bytes.data(), cut);
+      EXPECT_THROW((void)cube::decode_stats_request(shorter, got),
+                   WireFormatError);
+    }
+  }
+}
+
+// ---- temporal delta images -------------------------------------------------
+
+constexpr std::uint64_t kValueTop = (std::uint64_t{1} << 63) - 1;
+constexpr std::uint64_t kU64Top = ~std::uint64_t{0};
+
+/// A bundle whose three regions are the same readings.
+service::StatsBundle collapsed(std::initializer_list<Value> readings) {
+  service::StatsBundle b;
+  for (const Value v : readings) b.core.observe(v);
+  b.inner = b.core;
+  b.outer = b.core;
+  return b;
+}
+
+/// The baseline of the rejection cases: core {5, 10, 15}, inner {10},
+/// outer {2, 5, 10, 15}.
+service::StatsBundle delta_base() {
+  service::StatsBundle b;
+  for (const Value v : {5, 10, 15}) b.core.observe(v);
+  b.inner.observe(10);
+  b.outer = b.core;
+  b.outer.observe(2);
+  return b;
+}
+
+/// Decodes a delta image against `base` made of the encode_int changes
+/// `changes`, then the encode_uint fields `full` (an old-empty range's min
+/// and span); false when the decoder rejects it.
+bool delta_decodes(const service::StatsBundle& base, bool whole_domain,
+                   const std::vector<std::int64_t>& changes,
+                   const std::vector<std::uint64_t>& full = {}) {
+  BitWriter w;
+  for (const std::int64_t c : changes) encode_int(w, c);
+  for (const std::uint64_t f : full) encode_uint(w, f);
+  BitReader r(w.bytes().data(), w.bit_count());
+  try {
+    (void)cube::decode_stats_delta(r, base, whole_domain);
+    EXPECT_EQ(r.remaining(), 0u);
+    return true;
+  } catch (const WireFormatError&) {
+    return false;
+  }
+}
+
+TEST(FuzzDecode, StatsDeltaImages) {
+  // Bit soup against baselines that are empty, on the Value rails or with
+  // real margins: a decode either throws or yields non-negative readings,
+  // all-zero empty ranges and, for a ranged image, nested margins.
+  const std::vector<service::StatsBundle> bases = {
+      service::StatsBundle{}, collapsed({0}),
+      collapsed({static_cast<Value>(kValueTop)}), delta_base()};
+  fuzz_strict([&bases](Xoshiro256& rng, BitReader& r) {
+    const bool whole = rng.next_below(2) == 0;
+    const service::StatsBundle& base = bases[rng.next_below(bases.size())];
+    const service::StatsBundle b = cube::decode_stats_delta(r, base, whole);
+    for (const cube::RangeStats* rs : {&b.core, &b.inner, &b.outer}) {
+      if (rs->count == 0) {
+        EXPECT_EQ(*rs, cube::RangeStats{});
+      } else {
+        EXPECT_GE(rs->min, 0);
+        EXPECT_GE(rs->max, rs->min);
+      }
+    }
+    if (whole) {
+      EXPECT_EQ(b.inner, b.core);
+      EXPECT_EQ(b.outer, b.core);
+    } else {
+      EXPECT_LE(b.inner.count, b.core.count);
+      EXPECT_LE(b.core.count, b.outer.count);
+      EXPECT_LE(b.inner.sum, b.core.sum);
+      EXPECT_LE(b.core.sum, b.outer.sum);
+    }
+  });
+}
+
+TEST(FuzzDecode, StatsDeltaRejectsChangesOutOfRange) {
+  // Well-formed codes whose changes would leave a count, a sum or a
+  // reading's range, or break the margins' nesting: each is a
+  // WireFormatError, never a wrapped bundle. A RangeStats' fields: count,
+  // then (non-empty) sum, min, max changes.
+  const service::StatsBundle base = delta_base();
+  const auto top = static_cast<std::int64_t>(kValueTop);
+  // Controls: no change at all, an emptied core, the widest moves.
+  EXPECT_TRUE(delta_decodes(base, true, {0, 0, 0, 0}));
+  EXPECT_TRUE(delta_decodes(base, true, {-3}));
+  EXPECT_TRUE(delta_decodes(base, true, {top, top, -5, top - 15}));
+  EXPECT_TRUE(delta_decodes(base, false, {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+                                          0}));
+  // Count and sum below zero.
+  EXPECT_FALSE(delta_decodes(base, true, {-4}));
+  EXPECT_FALSE(delta_decodes(base, true, {0, -31, 0, 0}));
+  // Count and sum past uint64.
+  service::StatsBundle high = collapsed({5});
+  high.core.count = kU64Top - 5;
+  high.core.sum = kU64Top - 5;
+  EXPECT_TRUE(delta_decodes(high, true, {5, 5, 0, 0}));
+  EXPECT_FALSE(delta_decodes(high, true, {6, 0, 0, 0}));
+  EXPECT_FALSE(delta_decodes(high, true, {0, 6, 0, 0}));
+  // Min below 0 or past the Value range, max past it, max below min.
+  EXPECT_FALSE(delta_decodes(base, true, {0, 0, -6, 0}));
+  EXPECT_FALSE(delta_decodes(base, true, {0, 0, top - 4, top - 14}));
+  EXPECT_FALSE(delta_decodes(base, true, {0, 0, 0, top - 14}));
+  EXPECT_FALSE(delta_decodes(base, true, {0, 0, 11, 0}));
+  // An old-empty range sends min and span in full: inside the Value range.
+  const service::StatsBundle empty;
+  EXPECT_TRUE(delta_decodes(empty, true, {1, 7}, {kValueTop - 3, 3}));
+  EXPECT_FALSE(delta_decodes(empty, true, {1, 7}, {kValueTop + 1, 0}));
+  EXPECT_FALSE(delta_decodes(empty, true, {1, 7}, {kValueTop - 3, 4}));
+  // Ranged: changes that break inner ⊆ core ⊆ outer. Core unchanged; the
+  // inner grows past the core's count, its min leaves the core's span, its
+  // sum passes the core's; the outer shrinks below the core.
+  const std::vector<std::int64_t> core = {0, 0, 0, 0};
+  const std::vector<std::int64_t> outer = {0, 0, 0, 0};
+  const auto ranged = [&](std::vector<std::int64_t> inner,
+                          std::vector<std::int64_t> out) {
+    std::vector<std::int64_t> all = core;
+    all.insert(all.end(), inner.begin(), inner.end());
+    all.insert(all.end(), out.begin(), out.end());
+    return delta_decodes(base, false, all);
+  };
+  EXPECT_TRUE(ranged({1, 5, -5, 0}, outer));  // inner {5, 10}
+  EXPECT_FALSE(ranged({3, 0, 0, 0}, outer));
+  EXPECT_FALSE(ranged({0, 0, -6, 0}, outer));
+  EXPECT_FALSE(ranged({0, 21, 0, 0}, outer));
+  EXPECT_FALSE(ranged({0, 0, 0, 0}, {-2, 0, 0, 0}));
+  EXPECT_FALSE(ranged({0, 0, 0, 0}, {0, 0, 4, 0}));  // outer min 6 > 5
+}
+
+TEST(FuzzDecode, StatsDeltaEncoderRejectsBrokenNesting) {
+  // The same broken bundles the full image's encoder refuses: a delta image
+  // of one would decode to a bundle that does not nest.
+  const service::StatsBundle ok = delta_base();
+  BitWriter fine;
+  cube::encode_stats_delta(fine, ok, ok, false);
+  std::vector<service::StatsBundle> broken(6, ok);
+  broken[0].inner.count = 4;  // inner count > core count
+  broken[1].outer = ok.inner;  // outer count < core count
+  broken[2].inner.min = 4;     // inner below the core's min
+  broken[3].inner.max = 16;    // inner above the core's max
+  broken[4].outer.max = 14;    // outer max below the core's
+  broken[5].inner.sum = 31;    // inner sum > core sum
+  for (const service::StatsBundle& b : broken) {
+    BitWriter w;
+    EXPECT_THROW(cube::encode_stats_delta(w, ok, b, false), PreconditionError);
+    BitWriter whole;  // a whole-domain image carries the core alone
+    cube::encode_stats_delta(whole, ok, b, true);
+  }
+  // A change past encode_int's range cannot be sent either.
+  service::StatsBundle huge = ok;
+  huge.core.sum = kU64Top - 1;
+  huge.outer.sum = kU64Top - 1;
+  BitWriter w;
+  EXPECT_THROW(cube::encode_stats_delta(w, ok, huge, true), PreconditionError);
 }
 
 TEST(FuzzDecode, MultiplexedStatsResponse) {

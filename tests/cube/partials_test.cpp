@@ -5,13 +5,19 @@
 // slots are left as they were, and an edge that a fresh containing slot
 // proves empty sends no message. collect() mixes stats slots and HLL-only
 // sketch slots: a stats slot sends no HLL bits, a sketch slot reproduces
-// the oracle's registers, and the shares sum to the wave.
+// the oracle's registers, and the shares sum to the wave. Stale edges send
+// delta images against the parent's partial and stay exact; after a lost
+// message the retry resyncs the unanswered edges with full images, and a
+// released slot starts over from full images.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
+#include "src/common/error.hpp"
 #include "src/common/rng.hpp"
 #include "src/cube/dirty.hpp"
 #include "src/cube/partials.hpp"
@@ -355,8 +361,11 @@ TEST(Collect, AMixedWaveIsExactAndItsSharesSumToTheWave) {
 
 TEST(Collect, AReleasedSlotIsCollectedAfreshAndExactly) {
   Fixture f(3, kRegisters);
+  Fixture cold(3, kRegisters);  // the same slots, never collected
   const SlotId stats = f.store.add_slot(range_of(100, 700), 0x7800);
   const SlotId hll = f.store.add_slot(range_of(100, 700), 0x7801, true);
+  ASSERT_EQ(cold.store.add_slot(range_of(100, 700), 0x7800), stats);
+  ASSERT_EQ(cold.store.add_slot(range_of(100, 700), 0x7801, true), hll);
   const std::vector<SlotId> slots{stats, hll};
   f.store.collect(slots, 1);
   const std::uint64_t descended = f.store.edges_descended();
@@ -366,13 +375,169 @@ TEST(Collect, AReleasedSlotIsCollectedAfreshAndExactly) {
     EXPECT_EQ(f.store.epoch(s), DirtyTracker::kInvalidEpoch);
   }
   // A released slot proves nothing empty, and its next collect descends
-  // every edge again.
+  // every edge again with full images: the bits of a first collection, no
+  // delta image.
   EXPECT_TRUE(f.store.containing_slots(range_of(200, 300)).empty());
+  const std::uint64_t bits = f.net.summary(true).total_bits;
   f.store.collect(slots, 2);
+  cold.store.collect(slots, 2);
   EXPECT_EQ(f.store.edges_descended() - descended,
             2 * (f.tree.node_count() - 1));
+  EXPECT_EQ(f.net.summary(true).total_bits - bits,
+            cold.net.summary(true).total_bits);
+  EXPECT_EQ(f.store.delta_image_bits(), 0u);
   EXPECT_EQ(f.store.root(stats), f.oracle_bundle(range_of(100, 700)));
   EXPECT_TRUE(f.store.root_hll(hll) == f.oracle_hll(range_of(100, 700)));
+}
+
+/// One epoch of small drift: `count` random nodes move their first reading
+/// by at most 8, within [0, kBound].
+void nudge(Fixture& f, Xoshiro256& rng, std::size_t count,
+           std::uint32_t epoch) {
+  std::vector<NodeId> touched;
+  for (std::size_t i = 0; i < count; ++i) {
+    const auto u = static_cast<NodeId>(rng.next_below(f.net.node_count()));
+    const Value v =
+        f.net.items(u)[0] + 8 - static_cast<Value>(rng.next_below(17));
+    f.net.update_item(u, 0, std::clamp<Value>(v, 0, kBound));
+    touched.push_back(u);
+  }
+  f.dirty.note_updates(touched, epoch);
+}
+
+/// Stats, whole-domain stats and HLL-only slots over overlapping ranges.
+std::vector<SlotId> mixed_slots(Fixture& f) {
+  std::vector<SlotId> slots;
+  slots.push_back(f.store.add_slot(range_of(100, 700), 0x7800));
+  slots.push_back(f.store.add_slot(range_of(0, kBound), 0x7801));
+  slots.push_back(f.store.add_slot(range_of(300, 900), 0x7802));
+  slots.push_back(f.store.add_slot(range_of(100, 700), 0x7803, true));
+  return slots;
+}
+
+void expect_exact_roots(const Fixture& f, std::span<const SlotId> slots) {
+  for (const SlotId s : slots) {
+    const query::RegionSignature& region = f.store.region(s);
+    if (f.store.sketch(s)) {
+      EXPECT_TRUE(f.store.root_hll(s) == f.oracle_hll(region)) << "slot " << s;
+    } else {
+      EXPECT_EQ(f.store.root(s), f.oracle_bundle(region)) << "slot " << s;
+    }
+  }
+}
+
+/// The full and the delta image of a stats slot's subtree bundle at `child`
+/// (as the oracle computes it) against the edge's partial.
+struct ImageSizes {
+  std::size_t full = 0;
+  std::size_t delta = 0;
+};
+
+ImageSizes image_sizes(const Fixture& f, SlotId s, NodeId child) {
+  std::vector<NodeId> below{child};
+  for (std::size_t i = 0; i < below.size(); ++i) {
+    for (const NodeId c : f.tree.children[below[i]]) below.push_back(c);
+  }
+  StatsBundle b;
+  for (const NodeId u : below) {
+    b.combine(f.store.local_bundle(u, f.store.region(s)));
+  }
+  const bool whole = f.store.region(s).whole_domain;
+  BitWriter full;
+  encode_stats_image(full, b, whole);
+  BitWriter delta;
+  encode_stats_delta(delta, f.store.edge_bundle(s, child), b, whole);
+  return {full.bit_count(), delta.bit_count()};
+}
+
+TEST(Collect, StaleEdgesSendDeltaImagesAndStayExact) {
+  // Repeated rounds of small drift on a mixed stats and HLL wave: the first
+  // collect is cold (full images only); every later one sends delta images
+  // on its stale edges, shorter in sum than the same images in full, and
+  // every root stays exact.
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    Fixture f(seed, kRegisters);
+    Xoshiro256 rng(seed * 13);
+    const std::vector<SlotId> slots = mixed_slots(f);
+    f.store.collect(slots, 1);
+    EXPECT_EQ(f.store.delta_image_bits(), 0u);
+    EXPECT_EQ(f.store.delta_image_full_bits(), 0u);
+    expect_exact_roots(f, slots);
+    for (std::uint32_t epoch = 2; epoch <= 10; ++epoch) {
+      nudge(f, rng, 6, epoch);
+      const std::uint64_t delta = f.store.delta_image_bits();
+      const sim::CommSummary before = f.net.summary(true);
+      const std::vector<WaveShare> shares = f.store.collect(slots, epoch);
+      const sim::CommSummary after = f.net.summary(true);
+      EXPECT_GT(f.store.delta_image_bits(), delta) << "epoch " << epoch;
+      std::uint64_t bits = 0;
+      for (const WaveShare& share : shares) bits += share.bits;
+      EXPECT_EQ(bits, after.total_bits - before.total_bits);
+      expect_exact_roots(f, slots);
+    }
+    EXPECT_LT(f.store.delta_image_bits(), f.store.delta_image_full_bits());
+  }
+}
+
+TEST(Collect, ALostMessageResyncsTheUnansweredEdges) {
+  // A wave loses messages and throws. Every edge it left unanswered is
+  // marked; the retry's request on such an edge carries resync, so the
+  // child answers with full images even though the edge holds a partial,
+  // and the roots come out exact.
+  int checked = 0;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    Fixture f(seed, kRegisters);
+    Xoshiro256 rng(seed * 17);
+    const std::vector<SlotId> slots = mixed_slots(f);
+    f.store.collect(slots, 1);
+    nudge(f, rng, 40, 2);
+    f.net.set_message_loss(0.2);
+    EXPECT_THROW(f.store.collect(slots, 2), ProtocolError);
+    f.net.set_message_loss(0.0);
+
+    // The deepest unanswered edge whose images differ in full and as
+    // deltas, so the size on the wire tells which was sent.
+    std::optional<NodeId> edge;
+    for (NodeId c = 0; c < f.tree.node_count(); ++c) {
+      if (!f.store.edge_unanswered(slots[0], c)) continue;
+      bool telling = true;
+      for (const SlotId s : slots) {
+        if (f.store.sketch(s)) continue;
+        EXPECT_TRUE(f.store.edge_unanswered(s, c));
+        ASSERT_NE(f.store.edge_epoch(s, c), DirtyTracker::kInvalidEpoch);
+        const ImageSizes sizes = image_sizes(f, s, c);
+        telling = telling && sizes.full != sizes.delta;
+      }
+      if (telling) edge = c;
+    }
+    if (!edge) continue;
+    // The sketch slot's response is its full HLL image either way.
+    std::vector<NodeId> below{*edge};
+    for (std::size_t i = 0; i < below.size(); ++i) {
+      for (const NodeId c : f.tree.children[below[i]]) below.push_back(c);
+    }
+    sketch::Hll hll = f.store.empty_hll();
+    for (const NodeId u : below) {
+      hll.merge(f.store.local_hll(u, f.store.region(slots[3]))).value();
+    }
+    BitWriter hll_image;
+    hll.encode(hll_image);
+    // Mask (4 bits) and resync bit, then every image in full.
+    std::size_t expected = slots.size() + 1 + hll_image.bit_count();
+    for (const SlotId s : slots) {
+      if (!f.store.sketch(s)) expected += image_sizes(f, s, *edge).full;
+    }
+
+    f.net.watch_edge(f.tree.parent[*edge], *edge);
+    f.store.collect(slots, 2);
+    EXPECT_EQ(f.net.watched_edge_bits(), expected) << "seed " << seed;
+    for (const SlotId s : slots) {
+      EXPECT_FALSE(f.store.edge_unanswered(s, *edge));
+    }
+    expect_exact_roots(f, slots);
+    ++checked;
+  }
+  EXPECT_GE(checked, 3);
 }
 
 }  // namespace

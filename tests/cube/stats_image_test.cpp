@@ -3,7 +3,10 @@
 // round-trip images of bundles built the way collections build them —
 // PartialStore::local_bundle per node, combined up the tree — over random
 // regions and margins, and pin the image's size against the plain
-// three-RangeStats encoding.
+// three-RangeStats encoding. A stale edge's delta image codes the bundle
+// against the edge's previous one: the StatsDeltaImage tests round-trip
+// pairs taken before and after drift, unrelated pairs and bundles on the
+// Value rails.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -71,15 +74,44 @@ query::RegionSignature region_of(Value lo, Value hi) {
   return {lo, hi, lo == 0 && hi == kBound};
 }
 
-/// Encodes `b`, checks it decodes back exactly with no bits left over, and
-/// returns the image's length in bits.
+/// Encodes `b`, checks it decodes back exactly with no bits left over and
+/// that stats_image_bits() measures it, and returns the image's length in
+/// bits.
 std::size_t round_trip(const StatsBundle& b, bool whole_domain) {
   BitWriter w;
   encode_stats_image(w, b, whole_domain);
   BitReader r(w.bytes().data(), w.bit_count());
   EXPECT_EQ(decode_stats_image(r, whole_domain), b);
   EXPECT_EQ(r.remaining(), 0u);
+  EXPECT_EQ(stats_image_bits(b, whole_domain), w.bit_count());
   return w.bit_count();
+}
+
+/// Codes `b` as a delta image against `base`, checks it decodes back
+/// exactly with no bits left over, and returns its length in bits.
+std::size_t delta_round_trip(const StatsBundle& base, const StatsBundle& b,
+                             bool whole_domain) {
+  BitWriter w;
+  encode_stats_delta(w, base, b, whole_domain);
+  BitReader r(w.bytes().data(), w.bit_count());
+  EXPECT_EQ(decode_stats_delta(r, base, whole_domain), b);
+  EXPECT_EQ(r.remaining(), 0u);
+  return w.bit_count();
+}
+
+/// How often a pair moves one of its ranges between empty and non-empty.
+struct Moves {
+  int filled = 0;   // a range was empty in the baseline, is not now
+  int emptied = 0;  // ... the reverse
+};
+
+void tally_moves(const StatsBundle& base, const StatsBundle& b, Moves& m) {
+  for (const auto& [was, now] : {std::pair{&base.core, &b.core},
+                                 std::pair{&base.inner, &b.inner},
+                                 std::pair{&base.outer, &b.outer}}) {
+    if (was->count == 0 && now->count > 0) ++m.filled;
+    if (was->count > 0 && now->count == 0) ++m.emptied;
+  }
 }
 
 /// Length of the same bundle as three plain RangeStats.
@@ -221,6 +253,103 @@ TEST(StatsImage, QuietMarginsCostOneBitPerDelta) {
   BitWriter core;
   encode_range_stats(core, b.core);
   EXPECT_EQ(round_trip(b, false), core.bit_count() + 8);
+}
+
+TEST(StatsDeltaImage, PairsAcrossDriftRoundTrip) {
+  // Each node's subtree bundle before and after a few readings drift by a
+  // little, and against an unrelated node's old bundle: every pair decodes
+  // to exactly the new bundle. Drift-sized moves cost less than the full
+  // images they replace.
+  Moves moves;
+  for (const Value margin : {0, 7, 32}) {
+    std::size_t delta_bits = 0;
+    std::size_t full_bits = 0;
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      Fixture f(seed);
+      Xoshiro256 rng(200 + seed);
+      const PartialStore store(f.net, f.tree, f.dirty, margin);
+      for (int t = 0; t < 20; ++t) {
+        const auto lo = t % 5 == 0
+                            ? Value{0}
+                            : static_cast<Value>(rng.next_below(kBound + 1));
+        const auto hi =
+            t % 5 == 0
+                ? kBound
+                : lo + static_cast<Value>(rng.next_below(kBound - lo + 1));
+        const query::RegionSignature region = region_of(lo, hi);
+        SCOPED_TRACE(testing::Message() << "seed " << seed << " margin "
+                                        << margin << " [" << lo << ", " << hi
+                                        << "]");
+        const std::vector<StatsBundle> before =
+            f.subtree_bundles(store, region);
+        for (int d = 0; d < 6; ++d) {
+          const auto u = static_cast<NodeId>(
+              rng.next_below(f.net.node_count()));
+          const Value v = f.net.items(u)[0] + 12 -
+                          static_cast<Value>(rng.next_below(25));
+          f.net.update_item(u, 0, std::clamp<Value>(v, 0, kBound));
+        }
+        const std::vector<StatsBundle> after = f.subtree_bundles(store, region);
+        for (NodeId u = 0; u < f.net.node_count(); ++u) {
+          delta_bits += delta_round_trip(before[u], after[u],
+                                         region.whole_domain);
+          full_bits += round_trip(after[u], region.whole_domain);
+          tally_moves(before[u], after[u], moves);
+          const auto other =
+              static_cast<NodeId>(rng.next_below(f.net.node_count()));
+          delta_round_trip(before[other], after[u], region.whole_domain);
+          tally_moves(before[other], after[u], moves);
+        }
+      }
+    }
+    EXPECT_LT(delta_bits, full_bits) << "margin " << margin;
+  }
+  EXPECT_GT(moves.filled, 0);
+  EXPECT_GT(moves.emptied, 0);
+}
+
+TEST(StatsDeltaImage, ValueRailsRoundTrip) {
+  // Every ordered pair of bundles whose readings sit at 0 and at the
+  // largest Value, empty ones included, ranged and (margins collapsed)
+  // whole-domain.
+  constexpr Value kTop = std::numeric_limits<Value>::max();
+  std::vector<StatsBundle> ranged;
+  std::vector<StatsBundle> whole;
+  for (const std::vector<Value>& core :
+       {std::vector<Value>{}, {0}, {kTop}, {0, kTop}, {0, 0, 0}}) {
+    StatsBundle b;
+    for (const Value v : core) b.core.observe(v);
+    b.inner = b.core;
+    b.outer = b.core;
+    whole.push_back(b);
+    ranged.push_back(b);
+    b.inner = RangeStats{};  // no reading surely inside
+    ranged.push_back(b);
+    if (b.core.count == 0 || b.core.min > 0) {
+      b.outer.observe(0);  // an outer that reaches below the core
+      ranged.push_back(b);
+    }
+  }
+  for (const StatsBundle& base : ranged) {
+    for (const StatsBundle& b : ranged) delta_round_trip(base, b, false);
+  }
+  for (const StatsBundle& base : whole) {
+    for (const StatsBundle& b : whole) delta_round_trip(base, b, true);
+  }
+}
+
+TEST(StatsDeltaImage, AnUnchangedBundleCostsOneBitPerField) {
+  // A zero change is one bit: four fields per non-empty RangeStats, one for
+  // an empty one.
+  Fixture f(5);
+  const PartialStore store(f.net, f.tree, f.dirty, 32);
+  const StatsBundle b = f.subtree_bundles(store, region_of(100, 900))[0];
+  ASSERT_GT(b.inner.count, 0u);
+  EXPECT_EQ(delta_round_trip(b, b, false), 12u);
+  const StatsBundle whole =
+      f.subtree_bundles(store, region_of(0, kBound))[0];
+  EXPECT_EQ(delta_round_trip(whole, whole, true), 4u);
+  EXPECT_EQ(delta_round_trip(StatsBundle{}, StatsBundle{}, false), 3u);
 }
 
 }  // namespace

@@ -351,9 +351,10 @@ TEST(SharedPlan, BatchMatchesSequentialCollections) {
 }
 
 TEST(SharedPlan, SingleGroupBatchKeepsTheWireCost) {
-  // The k = 1 wave is the single-group wave bit for bit: the whole-domain
-  // total was taken from the per-group collection it replaced; the ranged
-  // one also pins the delta-coded margins of the ranged image.
+  // The k = 1 wave over six drift epochs: the request's mask bit and resync
+  // bit, cold full images at epoch 1, then temporal delta images on the
+  // stale edges. The ranged total also pins the delta-coded margins of the
+  // ranged image.
   for (const query::RegionSignature region :
        {query::RegionSignature{0, kBound, true},
         query::RegionSignature{30, 120, false}}) {
@@ -369,10 +370,10 @@ TEST(SharedPlan, SingleGroupBatchKeepsTheWireCost) {
     const std::uint64_t bits = after.total_bits - before.total_bits;
     const std::uint64_t messages = after.total_messages - before.total_messages;
     if (region.whole_domain) {
-      EXPECT_EQ(bits, 15603u);
+      EXPECT_EQ(bits, 13083u);
       EXPECT_EQ(messages, 381u);
     } else {
-      EXPECT_EQ(bits, 20572u);
+      EXPECT_EQ(bits, 15819u);
       EXPECT_EQ(messages, 381u);
     }
   }
