@@ -37,7 +37,9 @@
 //
 // A fifth mini-lane repeats the identity check for COUNT_DISTINCT: the
 // cube's maintained HLL partials replicate the one-shot protocol's sketch
-// geometry, so estimates must match bit for bit too.
+// geometry, so estimates must match bit for bit too. Its stale HLL edges
+// send delta images, which must take fewer bits than the same images in
+// full.
 //
 // The cached-range lane also records its air rounds (simulated time) per
 // epoch. Every due query's cells and standing residues ride one
@@ -297,6 +299,7 @@ struct DistinctLane {
   std::uint64_t mismatches = 0;
   std::uint64_t cube_bits = 0;
   std::uint64_t tree_bits = 0;
+  cube::CubeStats cube;  // the cube's counters, delta images among them
 };
 
 DistinctLane run_distinct_lane(const Scale& s, unsigned threads) {
@@ -368,6 +371,7 @@ DistinctLane run_distinct_lane(const Scale& s, unsigned threads) {
   }
   lane.cube_bits = cube_net.summary(true).total_bits;
   lane.tree_bits = tree_net.summary(true).total_bits;
+  lane.cube = cube_svc.telemetry_snapshot().cube;
   return lane;
 }
 
@@ -465,6 +469,12 @@ void gate_claims(Gates& gates, const LaneRun& cube, const LaneRun& naive,
              "the region sweep's residue waves never pruned a provably empty "
              "subtree");
   gates.gate(distinct.answers > 0, "distinct lane produced no estimates");
+  gates.gate(distinct.cube.hll_delta_image_bits > 0 &&
+                 distinct.cube.hll_delta_image_bits <
+                     distinct.cube.hll_delta_image_full_bits,
+             "distinct lane: HLL delta images took ",
+             distinct.cube.hll_delta_image_bits, " bits against ",
+             distinct.cube.hll_delta_image_full_bits, " coded in full");
   det.gate(gates);
 }
 
@@ -548,6 +558,9 @@ void write_pr10(Json& j, const Scale& s, bool quick, unsigned threads,
       .field("mismatches", distinct.mismatches)
       .field("bits_cube", distinct.cube_bits)
       .field("bits_tree", distinct.tree_bits)
+      .field("hll_delta_image_bits", distinct.cube.hll_delta_image_bits)
+      .field("hll_delta_image_full_bits",
+             distinct.cube.hll_delta_image_full_bits)
       .end();
   det.write(j);
   j.key("summary")

@@ -288,6 +288,10 @@ std::vector<ServeResult> Cube::serve_claimed(std::uint32_t epoch) {
     }
     stats_.cell_edges_descended = store_.edges_descended();
     stats_.cell_edges_skipped = store_.edges_skipped();
+    stats_.delta_image_bits = store_.delta_image_bits();
+    stats_.delta_image_full_bits = store_.delta_image_full_bits();
+    stats_.hll_delta_image_bits = store_.hll_delta_image_bits();
+    stats_.hll_delta_image_full_bits = store_.hll_delta_image_full_bits();
     if (refreshed > 0) {
       ++stats_.refresh_waves;
       obs::TraceRing& ring = obs::TraceRing::global();

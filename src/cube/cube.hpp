@@ -96,6 +96,12 @@ struct CubeStats {
   // (slot, edge) pairs of the collect() waves, standing slots included.
   std::uint64_t cell_edges_descended = 0;
   std::uint64_t cell_edges_skipped = 0;  // served from cached partials
+  // Delta images of those waves' stats and sketch slots, and the same
+  // images coded in full (PartialStore's counters).
+  std::uint64_t delta_image_bits = 0;
+  std::uint64_t delta_image_full_bits = 0;
+  std::uint64_t hll_delta_image_bits = 0;
+  std::uint64_t hll_delta_image_full_bits = 0;
   std::uint64_t residue_waves = 0;       // one-shot residue waves
   std::uint64_t residues_run = 0;        // residues those waves collected
   std::uint64_t residue_edges_descended = 0;  // per (residue, edge)

@@ -242,6 +242,54 @@ StatsBundle decode_stats_delta(BitReader& r, const StatsBundle& base,
   return b;
 }
 
+void encode_hll_delta(BitWriter& w, const sketch::Hll& base,
+                      const sketch::Hll& h) {
+  SENSORNET_EXPECTS(base.same_geometry(h));
+  if (h == base) {  // the common case on a stale edge: nothing changed
+    encode_uint(w, 0);
+    return;
+  }
+  std::vector<std::uint8_t> was(h.m());
+  std::vector<std::uint8_t> now(h.m());
+  base.registers(was);
+  h.registers(now);
+  std::uint64_t changed = 0;
+  for (unsigned b = 0; b < h.m(); ++b) changed += was[b] != now[b] ? 1 : 0;
+  encode_uint(w, changed);
+  unsigned prev = 0;
+  for (unsigned b = 0; b < h.m(); ++b) {
+    if (was[b] == now[b]) continue;
+    encode_uint(w, b - prev);
+    prev = b;
+    encode_int(w, static_cast<std::int64_t>(now[b]) - was[b]);
+  }
+}
+
+sketch::Hll decode_hll_delta(BitReader& r, const sketch::Hll& base) {
+  sketch::Hll h = base.clone();
+  const std::uint64_t count = decode_uint(r);
+  if (count > h.m()) throw WireFormatError("hll delta: too many changes");
+  std::uint64_t bucket = 0;
+  for (std::uint64_t i = 0; i < count; ++i) {
+    const std::uint64_t gap = decode_uint(r);
+    if (i > 0 && gap == 0) throw WireFormatError("hll delta: repeated bucket");
+    if (gap >= h.m() - bucket) {
+      throw WireFormatError("hll delta: bucket out of range");
+    }
+    bucket += gap;
+    const auto b = static_cast<unsigned>(bucket);
+    const std::int64_t change = decode_int(r);
+    if (change == 0) throw WireFormatError("hll delta: unchanged register");
+    const auto was = static_cast<std::int64_t>(base.value(b));
+    const auto cap = static_cast<std::int64_t>(h.rank_cap());
+    if (change < -was || change > cap - was) {
+      throw WireFormatError("hll delta: rank out of range");
+    }
+    h.set_register(b, static_cast<unsigned>(was + change));
+  }
+  return h;
+}
+
 void encode_stats_request(BitWriter& w, const std::vector<std::uint8_t>& mask,
                           bool resync) {
   for (const auto bit : mask) w.write_bit(bit != 0);
@@ -298,7 +346,7 @@ void decode_stats_response(BitReader& r,
                            std::vector<StatsBundle>& images,
                            const sketch::Hll* geometry,
                            std::vector<sketch::Hll>* sketches,
-                           std::span<const StatsBundle* const> baselines) {
+                           std::span<const Baseline> baselines) {
   SENSORNET_EXPECTS(mask.size() == shapes.size());
   SENSORNET_EXPECTS((geometry == nullptr) == (sketches == nullptr));
   SENSORNET_EXPECTS(baselines.empty() || baselines.size() == mask.size());
@@ -306,14 +354,20 @@ void decode_stats_response(BitReader& r,
   if (sketches != nullptr) sketches->clear();
   for (std::size_t i = 0; i < mask.size(); ++i) {
     if (!mask[i]) continue;
+    const Baseline base = baselines.empty() ? Baseline{} : baselines[i];
     if (shapes[i] != ImageShape::kHll) {
       const bool whole = shapes[i] == ImageShape::kWholeDomain;
-      const StatsBundle* base = baselines.empty() ? nullptr : baselines[i];
-      images.push_back(base != nullptr ? decode_stats_delta(r, *base, whole)
-                                       : decode_stats_image(r, whole));
+      images.push_back(base.bundle != nullptr
+                           ? decode_stats_delta(r, *base.bundle, whole)
+                           : decode_stats_image(r, whole));
       continue;
     }
     SENSORNET_EXPECTS(geometry != nullptr);
+    if (base.hll != nullptr) {
+      SENSORNET_EXPECTS(base.hll->same_geometry(*geometry));
+      sketches->push_back(decode_hll_delta(r, *base.hll));
+      continue;
+    }
     Result<sketch::Hll> h = sketch::Hll::decode(r);
     if (!h.ok()) throw WireFormatError("stats response: " + h.error());
     if (!h.value().same_geometry(*geometry)) {
@@ -464,7 +518,7 @@ class PartialStore::Collect {
     std::copy_n(requested_.begin() + child * k_, k_, mask_.begin());
     if (!once_) {
       for (std::size_t i = 0; i < k_; ++i) {
-        baselines_[i] = mask_[i] ? baseline(i, child) : nullptr;
+        baselines_[i] = mask_[i] ? baseline(i, child) : Baseline{};
       }
     }
     decode_stats_response(r, mask_, shapes_, images_,
@@ -489,8 +543,8 @@ class PartialStore::Collect {
         s.edge_hll[child] = std::move(sketches_[hlls++]);
       } else {
         s.edge_bundle[child] = images_[stats++];
-        if (!s.edge_unanswered.empty()) s.edge_unanswered[child] = 0;
       }
+      if (!s.edge_unanswered.empty()) s.edge_unanswered[child] = 0;
       s.edge_epoch[child] = epoch_;
     }
     answered_[child] = 1;
@@ -501,22 +555,13 @@ class PartialStore::Collect {
     for (std::size_t i = 0; i < k_; ++i) {
       if (!mask_[i]) continue;
       const std::size_t before = w.bit_count();
-      const bool whole = shapes_[i] == ImageShape::kWholeDomain;
-      if (shapes_[i] == ImageShape::kHll) {
-        if (once_) {
-          partials_[node].sketches[i]->encode(w);
-        } else {
-          store_.subtree_hll(slot(i), node).encode(w);
-        }
-      } else if (once_) {
-        encode_stats_image(w, partials_[node].bundles[i], whole);
-      } else if (const StatsBundle* base = baseline(i, node)) {
-        const StatsBundle b = store_.subtree_bundle(slot(i), node);
-        encode_stats_delta(w, *base, b, whole);
-        store_.delta_image_bits_ += w.bit_count() - before;
-        store_.delta_image_full_bits_ += stats_image_bits(b, whole);
+      if (!once_) {
+        encode_installed(i, node, w);
+      } else if (shapes_[i] == ImageShape::kHll) {
+        partials_[node].sketches[i]->encode(w);
       } else {
-        encode_stats_image(w, store_.subtree_bundle(slot(i), node), whole);
+        encode_stats_image(w, partials_[node].bundles[i],
+                           shapes_[i] == ImageShape::kWholeDomain);
       }
       ledger_.add(i, w.bit_count() - before);
     }
@@ -524,16 +569,14 @@ class PartialStore::Collect {
     if (once_) partials_[node] = Partials{};  // dies with its response
   }
 
-  /// After a failed collect() wave: marks every (stats slot, edge) whose
-  /// request went down and whose response never arrived.
+  /// After a failed collect() wave: marks every (slot, edge) whose request
+  /// went down and whose response never arrived.
   void mark_unanswered() {
     const std::size_t n = store_.tree_.node_count();
     for (NodeId child = 0; child < n; ++child) {
       if (child == store_.tree_.root || answered_[child]) continue;
       for (std::size_t i = 0; i < k_; ++i) {
-        if (!requested_[child * k_ + i] || shapes_[i] == ImageShape::kHll) {
-          continue;
-        }
+        if (!requested_[child * k_ + i]) continue;
         Slot& s = slot(i);
         if (s.edge_unanswered.empty()) s.edge_unanswered.assign(n, 0);
         s.edge_unanswered[child] = 1;
@@ -557,7 +600,7 @@ class PartialStore::Collect {
         resync_(store.tree_.node_count(), 0),
         answered_(store.tree_.node_count(), 0),
         mask_(k),
-        baselines_(k, nullptr),
+        baselines_(k),
         ledger_(k),
         descended_(descended),
         skipped_(skipped) {
@@ -575,18 +618,48 @@ class PartialStore::Collect {
   Slot& slot(std::size_t i) { return store_.slots_[batch_[i]]; }
 
   /// The baseline of entry i's image on edge `child` (collect() only): the
-  /// edge's partial of a stats slot, unless the edge has none or its
-  /// request carried resync. Null: the image is full.
-  const StatsBundle* baseline(std::size_t i, NodeId child) {
-    if (shapes_[i] == ImageShape::kHll || resync_[child]) return nullptr;
+  /// edge's partial, unless the edge has none or its request carried
+  /// resync (then the image is full).
+  Baseline baseline(std::size_t i, NodeId child) {
     const Slot& s = slot(i);
-    if (s.edge_epoch[child] == DirtyTracker::kInvalidEpoch) return nullptr;
-    return &s.edge_bundle[child];
+    if (resync_[child] || s.edge_epoch[child] == DirtyTracker::kInvalidEpoch) {
+      return {};
+    }
+    if (s.sketch) return {.hll = &*s.edge_hll[child]};
+    return {.bundle = &s.edge_bundle[child]};
+  }
+
+  /// Writes entry i's image of an installed slot at `node`: a delta image
+  /// against the edge's baseline, or the full image, counting the delta
+  /// images and their full length.
+  void encode_installed(std::size_t i, NodeId node, BitWriter& w) {
+    const Slot& s = slot(i);
+    const Baseline base = baseline(i, node);
+    const std::size_t before = w.bit_count();
+    if (s.sketch) {
+      const sketch::Hll h = store_.subtree_hll(s, node);
+      if (base.hll == nullptr) {
+        h.encode(w);
+        return;
+      }
+      encode_hll_delta(w, *base.hll, h);
+      store_.hll_delta_image_bits_ += w.bit_count() - before;
+      store_.hll_delta_image_full_bits_ += h.wire_bits();
+      return;
+    }
+    const bool whole = s.region.whole_domain;
+    const StatsBundle b = store_.subtree_bundle(s, node);
+    if (base.bundle == nullptr) {
+      encode_stats_image(w, b, whole);
+      return;
+    }
+    encode_stats_delta(w, *base.bundle, b, whole);
+    store_.delta_image_bits_ += w.bit_count() - before;
+    store_.delta_image_full_bits_ += stats_image_bits(b, whole);
   }
 
   /// The resync bit of a request about to go down edge `child` with mask_:
-  /// set iff it names a stats slot whose last request on the edge went
-  /// unanswered.
+  /// set iff it names a slot whose last request on the edge went unanswered.
   bool resync_for(NodeId child) {
     for (std::size_t i = 0; i < k_; ++i) {
       if (!mask_[i]) continue;
@@ -627,7 +700,7 @@ class PartialStore::Collect {
   std::vector<std::uint8_t> resync_;     // per node: its request's resync
   std::vector<std::uint8_t> answered_;   // per node: its response arrived
   std::vector<std::uint8_t> mask_;       // scratch: one message's mask
-  std::vector<const StatsBundle*> baselines_;  // scratch: per entry
+  std::vector<Baseline> baselines_;      // scratch: per entry
   std::optional<sketch::Hll> geometry_;  // waves with sketch entries only
   std::vector<StatsBundle> images_;      // scratch: one response's images
   std::vector<sketch::Hll> sketches_;    // scratch: their sketches

@@ -20,9 +20,9 @@
 //                       is stale. An all-zero mask is never sent (the edge
 //                       is served from the partials).
 //   response (c -> u)   the images of the masked slots, concatenated in slot
-//                       order: a stats slot's stats image (full, or a delta
-//                       image, below), a sketch slot's HLL image
-//                       (Hll::encode) alone.
+//                       order: a stats slot's stats image, a sketch slot's
+//                       HLL image alone — each full, or a delta image
+//                       (below). A full HLL image is Hll::encode.
 //
 // A stats image is the bundle's core as one RangeStats
 // (encode_range_stats). A whole-domain image ends there: its margins
@@ -58,20 +58,32 @@
 // sum, leave [0, Value max], set max below min, or break inner ⊆ core ⊆
 // outer.
 //
+// A sketch slot's delta image lists the registers that changed against its
+// baseline HLL, which fixes the geometry, so it has no header:
+//
+//   the number of changed registers (encode_uint), then per changed
+//   register in ascending bucket order its bucket gap (encode_uint: the
+//   first one's bucket, then each bucket minus the previous one) and its
+//   rank change (zigzag encode_int)
+//
+// An unchanged HLL costs one bit. The decoder rejects (WireFormatError) a
+// count above m, a bucket at or past m, a repeated bucket (a later gap of
+// 0), a change of 0, and a rank leaving [0, rank_cap]; the rebuilt HLL is
+// canonical (Hll::set_register), so it encodes exactly as the child's.
+//
 // Baseline invariant: a node keeps its last image per slot, and its parent
 // holds the same image as that edge's partial. (The simulator keeps one
 // copy: the parent's edge partial is the child's baseline too, so no
-// per-node memory is added.) A child answers a masked stats slot with a
-// delta image iff the edge holds a partial for the slot and the request's
-// resync bit is clear; otherwise — a cold edge, or resync — it sends the
-// full image. Both ends apply the same rule. The invariant holds on
-// lossless links; a lost message can leave the child's copy ahead of the
-// parent's partial. So when a wave fails, the parent marks each (stats
-// slot, edge) whose request went down unanswered, and sets the resync bit
-// on any later request on that edge that names a marked slot; the
-// response clears the marks. A released slot has no partials, so its next
-// collection sends full images (the reinstall broadcast resets the nodes'
-// copies).
+// per-node memory is added.) A child answers a masked slot with a delta
+// image iff the edge holds a partial for the slot and the request's resync
+// bit is clear; otherwise — a cold edge, or resync — it sends the full
+// image. Both ends apply the same rule. The invariant holds on lossless
+// links; a lost message can leave the child's copy ahead of the parent's
+// partial. So when a wave fails, the parent marks each (slot, edge) whose
+// request went down unanswered, and sets the resync bit on any later
+// request on that edge that names a marked slot; the response clears the
+// marks. A released slot has no partials, so its next collection sends
+// full images (the reinstall broadcast resets the nodes' copies).
 //
 // At k = 1 the request is the bits 1 and resync, and the response one image.
 // A node forms a slot's subtree partial when it responds, from its local
@@ -181,6 +193,13 @@ void encode_stats_delta(BitWriter& w, const StatsBundle& base,
 StatsBundle decode_stats_delta(BitReader& r, const StatsBundle& base,
                                bool whole_domain);
 
+/// The delta image of `h` against `base`, the sketch slot's previous HLL on
+/// the same edge (see the file comment). Both must have one geometry. The
+/// decoder throws WireFormatError on a truncated or out-of-range image.
+void encode_hll_delta(BitWriter& w, const sketch::Hll& base,
+                      const sketch::Hll& h);
+sketch::Hll decode_hll_delta(BitReader& r, const sketch::Hll& base);
+
 /// A collect() request: `mask` (k flags, at least one set), then the resync
 /// bit.
 void encode_stats_request(BitWriter& w, const std::vector<std::uint8_t>& mask,
@@ -204,21 +223,29 @@ void decode_residue_request(BitReader& r, Value domain_bound,
                             std::vector<std::uint8_t>& mask,
                             std::vector<query::RegionSignature>& ranges);
 
+/// An entry's baseline on one edge: the image that edge last carried for the
+/// slot — a bundle for a stats entry, an HLL for a sketch entry — or neither
+/// (the image is full).
+struct Baseline {
+  const StatsBundle* bundle = nullptr;
+  const sketch::Hll* hll = nullptr;
+};
+
 /// Reads a response: the images of the slots set in `mask`, in slot order,
 /// shaped by `shapes` (both of size k). Stats images land in `images` and
 /// HLL images in `sketches`, each in slot order; a masked kHll entry needs
 /// `geometry` and `sketches`, and its HLL must have the geometry's shape.
-/// A stats entry whose `baselines` pointer is set is a delta image against
-/// it; with no `baselines` (or a null entry) the image is full. Throws
-/// WireFormatError on a truncated or corrupt image, a sketch of another
-/// geometry, or trailing bits. (Out-parameters let a wave reuse its buffers
-/// across messages.)
+/// An entry whose `baselines` entry holds the pointer of its shape is a
+/// delta image against it; with no `baselines` (or no pointer) the image is
+/// full. Throws WireFormatError on a truncated or corrupt image, a sketch
+/// of another geometry, or trailing bits. (Out-parameters let a wave reuse
+/// its buffers across messages.)
 void decode_stats_response(BitReader& r, const std::vector<std::uint8_t>& mask,
                            const std::vector<ImageShape>& shapes,
                            std::vector<StatsBundle>& images,
                            const sketch::Hll* geometry = nullptr,
                            std::vector<sketch::Hll>* sketches = nullptr,
-                           std::span<const StatsBundle* const> baselines = {});
+                           std::span<const Baseline> baselines = {});
 
 class PartialStore {
  public:
@@ -309,6 +336,10 @@ class PartialStore {
   const StatsBundle& edge_bundle(SlotId s, NodeId child) const {
     return slots_[s].edge_bundle[child];
   }
+  /// Edge c's partial HLL; requires a sketch slot whose edge holds one.
+  const sketch::Hll& edge_hll(SlotId s, NodeId child) const {
+    return *slots_[s].edge_hll[child];
+  }
   /// True when edge c's partial is still exact.
   bool edge_fresh(SlotId s, NodeId child) const {
     return dirty_.edge_fresh(child, edge_epoch(s, child));
@@ -326,14 +357,19 @@ class PartialStore {
   /// Cumulative (slot, edge) pairs requested / served from partials.
   std::uint64_t edges_descended() const { return edges_descended_; }
   std::uint64_t edges_skipped() const { return edges_skipped_; }
-  /// Cumulative bits of the delta images sent, and of the same images had
-  /// they been coded in full.
+  /// Cumulative bits of the stats slots' delta images sent, and of the same
+  /// images had they been coded in full.
   std::uint64_t delta_image_bits() const { return delta_image_bits_; }
   std::uint64_t delta_image_full_bits() const {
     return delta_image_full_bits_;
   }
-  /// True while a request naming the stats slot went down edge c and its
-  /// response has not arrived: the next request on c carries resync.
+  /// The same for the sketch slots' HLL delta images (full: wire_bits()).
+  std::uint64_t hll_delta_image_bits() const { return hll_delta_image_bits_; }
+  std::uint64_t hll_delta_image_full_bits() const {
+    return hll_delta_image_full_bits_;
+  }
+  /// True while a request naming the slot went down edge c and its response
+  /// has not arrived: the next request on c carries resync.
   bool edge_unanswered(SlotId s, NodeId child) const {
     const Slot& slot = slots_[s];
     return !slot.edge_unanswered.empty() && slot.edge_unanswered[child] != 0;
@@ -352,7 +388,7 @@ class PartialStore {
     std::vector<std::uint32_t> edge_epoch;
     std::vector<StatsBundle> edge_bundle;
     std::vector<std::optional<sketch::Hll>> edge_hll;
-    // A stats slot's unanswered-request marks per edge, sized at the first
+    // The slot's unanswered-request marks per edge, sized at the first
     // failed collect.
     std::vector<std::uint8_t> edge_unanswered;
   };
@@ -374,6 +410,8 @@ class PartialStore {
   std::uint64_t edges_skipped_ = 0;
   std::uint64_t delta_image_bits_ = 0;
   std::uint64_t delta_image_full_bits_ = 0;
+  std::uint64_t hll_delta_image_bits_ = 0;
+  std::uint64_t hll_delta_image_full_bits_ = 0;
 };
 
 }  // namespace sensornet::cube

@@ -209,6 +209,39 @@ void Hll::promote_to_dense() {
   sparse_.shrink_to_fit();
 }
 
+void Hll::demote_to_sparse() {
+  sparse_.clear();
+  for (unsigned b = 0; b < m(); ++b) {
+    const unsigned rank = dense_get(b);
+    if (rank != 0) sparse_.push_back(sparse_entry(b, rank));
+  }
+  words_.clear();
+  words_.shrink_to_fit();
+  dense_ = false;
+}
+
+void Hll::set_register(unsigned bucket, unsigned rank) {
+  SENSORNET_EXPECTS(bucket < m());
+  SENSORNET_EXPECTS(rank <= rank_cap());
+  if (dense_) {
+    const bool cleared = rank == 0 && dense_get(bucket) != 0;
+    dense_set(bucket, rank);
+    if (cleared && m() - zero_count() <= sparse_capacity()) demote_to_sparse();
+    return;
+  }
+  const std::uint32_t probe = sparse_entry(bucket, 0);
+  const auto it = std::lower_bound(sparse_.begin(), sparse_.end(), probe);
+  const bool present = it != sparse_.end() && entry_bucket(*it) == bucket;
+  if (rank == 0) {
+    if (present) sparse_.erase(it);
+  } else if (present) {
+    *it = sparse_entry(bucket, rank);
+  } else {
+    sparse_.insert(it, sparse_entry(bucket, rank));
+    if (sparse_.size() > sparse_capacity()) promote_to_dense();
+  }
+}
+
 void Hll::observe(unsigned bucket, unsigned rank) {
   SENSORNET_EXPECTS(bucket < m());
   const unsigned clamped = std::min(rank, rank_cap());
@@ -311,6 +344,27 @@ unsigned Hll::value(unsigned bucket) const {
     return entry_rank(*it);
   }
   return 0;
+}
+
+void Hll::registers(std::span<std::uint8_t> out) const {
+  SENSORNET_EXPECTS(out.size() == m());
+  if (dense_) {
+    // Word by word, field by field: no division per register.
+    const unsigned k = regs_per_word();
+    const std::uint64_t mask = field_mask();
+    std::size_t b = 0;
+    for (std::uint64_t word : words_) {
+      for (unsigned j = 0; j < k && b < out.size(); ++j, ++b) {
+        out[b] = static_cast<std::uint8_t>(word & mask);
+        word >>= width_;
+      }
+    }
+    return;
+  }
+  std::fill(out.begin(), out.end(), std::uint8_t{0});
+  for (const std::uint32_t e : sparse_) {
+    out[entry_bucket(e)] = static_cast<std::uint8_t>(entry_rank(e));
+  }
 }
 
 unsigned Hll::zero_count() const {

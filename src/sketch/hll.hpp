@@ -12,7 +12,8 @@
 //     (floor(64/width) registers per word, no register straddles a word), so
 //     merge runs word-at-a-time via SWAR parallel max.
 // A sparse sketch promotes to dense exactly when its wire image would stop
-// being the cheaper of the two.
+// being the cheaper of the two; set_register(), which may lower registers,
+// demotes a dense sketch back when the sparse image becomes cheaper again.
 //
 // Wire format v1 (BitWriter/BitReader, MSB-first):
 //   magic     8 bits  (0xA7)
@@ -32,6 +33,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "src/common/bitio.hpp"
@@ -137,6 +139,13 @@ class Hll {
   /// Raw primitive: regs[bucket] = max(regs[bucket], min(rank, rank_cap())).
   void observe(unsigned bucket, unsigned rank);
 
+  /// regs[bucket] = rank, which may lower the register (rank 0 clears it).
+  /// Keeps the canonical representation — dense iff more than
+  /// sparse_capacity() registers are nonzero — of a sketch that had it, so
+  /// its wire image is the one a sketch raised to the same registers by
+  /// observe()/merge() sends. Requires bucket < m() and rank <= rank_cap().
+  void set_register(unsigned bucket, unsigned rank);
+
   // -- merge / estimate -----------------------------------------------------
 
   /// Elementwise max with a peer sketch. Fails (leaving this sketch
@@ -169,6 +178,10 @@ class Hll {
   /// Register value. Wide return type by design: the legacy byte-register
   /// API returned uint8_t, which silently truncated any future width > 8.
   unsigned value(unsigned bucket) const;
+
+  /// Writes every register's value, in bucket order, to `out` (m() entries;
+  /// a width of at most 8 bits fits a byte).
+  void registers(std::span<std::uint8_t> out) const;
 
   /// Number of zero registers (small-range corrections).
   unsigned zero_count() const;
@@ -207,6 +220,7 @@ class Hll {
   void dense_set(unsigned bucket, unsigned rank);
   void observe_sparse(unsigned bucket, unsigned rank);
   void promote_to_dense();
+  void demote_to_sparse();
 
   static std::uint32_t sparse_entry(unsigned bucket, unsigned rank) {
     return (static_cast<std::uint32_t>(bucket) << 8) | rank;

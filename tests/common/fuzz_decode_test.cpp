@@ -5,7 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <cstdint>
 #include <initializer_list>
+#include <limits>
+#include <optional>
 #include <utility>
 
 #include "src/baseline/quantile_summary.hpp"
@@ -501,6 +505,153 @@ TEST(FuzzDecode, StatsDeltaEncoderRejectsBrokenNesting) {
   EXPECT_THROW(cube::encode_stats_delta(w, ok, huge, true), PreconditionError);
 }
 
+/// A sketch of `registers` registers at rank width `width` raised by
+/// `items` random items (dense from the start when `dense`).
+sketch::Hll random_hll(Xoshiro256& rng, unsigned registers, unsigned width,
+                       std::uint64_t items, bool dense = false) {
+  auto h = sketch::Hll::make_by_registers(registers,
+                                          {.width = width, .sparse = !dense})
+               .value();
+  for (std::uint64_t j = 0; j < items; ++j) h.add(rng.next_u64(), 1);
+  return h;
+}
+
+/// `base` with a few registers raised, lowered or cleared at random.
+sketch::Hll drifted(Xoshiro256& rng, const sketch::Hll& base) {
+  sketch::Hll h = base.clone();
+  const std::uint64_t moves = rng.next_below(1 + base.m() / 2);
+  for (std::uint64_t j = 0; j < moves; ++j) {
+    const auto b = static_cast<unsigned>(rng.next_below(base.m()));
+    h.set_register(b, static_cast<unsigned>(
+                          rng.next_below(2) == 0
+                              ? 0
+                              : rng.next_below(base.rank_cap() + 1)));
+  }
+  return h;
+}
+
+std::vector<std::uint8_t> hll_bytes(const sketch::Hll& h) {
+  BitWriter w;
+  h.encode(w);
+  return {w.bytes().begin(), w.bytes().end()};
+}
+
+TEST(FuzzDecode, HllDeltaImages) {
+  // Random register pairs in every width round-trip exactly (the rebuilt
+  // sketch encodes as the sent one); every strict prefix and every one-bit
+  // extension is rejected.
+  Xoshiro256 rng(43);
+  for (int t = 0; t < 160; ++t) {
+    const unsigned registers = 16u << rng.next_below(4);
+    const unsigned width = std::array{4u, 5u, 6u, 8u}[rng.next_below(4)];
+    const sketch::Hll base =
+        random_hll(rng, registers, width, rng.next_below(3 * registers));
+    const sketch::Hll h = t % 8 == 0 ? base.clone() : drifted(rng, base);
+    BitWriter w;
+    cube::encode_hll_delta(w, base, h);
+    const std::size_t bits = w.bit_count();
+    w.write_bit(rng.next_below(2) == 0);  // a spare bit for the extension
+    const std::vector<std::uint8_t> bytes(w.bytes().begin(), w.bytes().end());
+
+    BitReader exact(bytes.data(), bits);
+    const sketch::Hll got = cube::decode_hll_delta(exact, base);
+    EXPECT_EQ(exact.remaining(), 0u);
+    EXPECT_TRUE(got == h);
+    EXPECT_EQ(hll_bytes(got), hll_bytes(h));
+    if (t % 8 == 0) {
+      EXPECT_EQ(bits, 1u);  // an unchanged sketch costs one bit
+    }
+    // As a one-entry response, so trailing bits are checked too.
+    const std::vector<std::uint8_t> mask{1};
+    const std::vector<cube::ImageShape> shapes{cube::ImageShape::kHll};
+    const std::vector<cube::Baseline> baselines{{.hll = &base}};
+    std::vector<service::StatsBundle> images;
+    std::vector<sketch::Hll> sketches;
+    BitReader longer(bytes.data(), bits + 1);
+    EXPECT_THROW(cube::decode_stats_response(longer, mask, shapes, images,
+                                             &base, &sketches, baselines),
+                 WireFormatError);
+    for (std::size_t cut = 0; cut < bits; ++cut) {
+      BitReader shorter(bytes.data(), cut);
+      EXPECT_THROW((void)cube::decode_hll_delta(shorter, base),
+                   WireFormatError);
+    }
+  }
+  // Bit soup: a decode either throws or yields a sketch of the baseline's
+  // geometry in its canonical representation.
+  std::vector<sketch::Hll> bases;
+  Xoshiro256 seeds(47);
+  for (const unsigned items : {0u, 6u, 40u, 400u}) {
+    bases.push_back(random_hll(seeds, 32, 5, items));
+  }
+  fuzz_strict([&bases](Xoshiro256& rng, BitReader& r) {
+    const sketch::Hll& base = bases[rng.next_below(bases.size())];
+    const sketch::Hll h = cube::decode_hll_delta(r, base);
+    EXPECT_TRUE(h.same_geometry(base));
+    EXPECT_EQ(h.is_sparse(), h.m() - h.zero_count() <= h.sparse_capacity());
+  });
+}
+
+/// Decodes an HLL delta image against `base`: `count` changes (default:
+/// entries.size()), then each (bucket gap, rank change); false when the
+/// decoder rejects it.
+bool hll_delta_decodes(
+    const sketch::Hll& base,
+    const std::vector<std::pair<std::uint64_t, std::int64_t>>& entries,
+    std::optional<std::uint64_t> count = std::nullopt) {
+  BitWriter w;
+  encode_uint(w, count.value_or(entries.size()));
+  for (const auto& [gap, change] : entries) {
+    encode_uint(w, gap);
+    encode_int(w, change);
+  }
+  BitReader r(w.bytes().data(), w.bit_count());
+  try {
+    (void)cube::decode_hll_delta(r, base);
+    EXPECT_EQ(r.remaining(), 0u);
+    return true;
+  } catch (const WireFormatError&) {
+    return false;
+  }
+}
+
+TEST(FuzzDecode, HllDeltaRejectsOutOfRange) {
+  // Well-formed codes naming a bucket past m, a bucket twice, a rank
+  // change leaving [0, rank_cap] or more changes than registers: each is a
+  // WireFormatError. Baseline: 16 registers of width 5 (rank_cap 31),
+  // register 3 at 4 and register 7 at 31.
+  auto base =
+      sketch::Hll::make_by_registers(16, {.width = 5, .sparse = true}).value();
+  base.observe(3, 4);
+  base.observe(7, 31);
+  // Controls: no change, a cleared register, both rails, the last bucket.
+  EXPECT_TRUE(hll_delta_decodes(base, {}));
+  EXPECT_TRUE(hll_delta_decodes(base, {{3, -4}}));
+  EXPECT_TRUE(hll_delta_decodes(base, {{3, 27}, {4, -31}}));
+  EXPECT_TRUE(hll_delta_decodes(base, {{0, 1}, {15, 31}}));
+  // A bucket past m: first, or after a gap.
+  EXPECT_FALSE(hll_delta_decodes(base, {{16, 1}}));
+  EXPECT_FALSE(hll_delta_decodes(base, {{3, 1}, {13, 1}}));
+  EXPECT_FALSE(hll_delta_decodes(base, {{kU64Top - 1, 1}}));
+  // A repeated bucket (a later gap of 0).
+  EXPECT_FALSE(hll_delta_decodes(base, {{3, 1}, {0, 1}}));
+  // A rank change below 0 or past rank_cap, or no change at all.
+  EXPECT_FALSE(hll_delta_decodes(base, {{3, -5}}));
+  EXPECT_FALSE(hll_delta_decodes(base, {{7, 1}}));
+  EXPECT_FALSE(hll_delta_decodes(base, {{0, 32}}));
+  constexpr auto kIntTop = std::numeric_limits<std::int64_t>::max();
+  EXPECT_FALSE(hll_delta_decodes(base, {{0, kIntTop}}));
+  EXPECT_FALSE(hll_delta_decodes(base, {{3, -kIntTop}}));
+  EXPECT_FALSE(hll_delta_decodes(base, {{3, 0}}));
+  // More changes than registers, even with entries to back them.
+  std::vector<std::pair<std::uint64_t, std::int64_t>> every(16, {1, 1});
+  every[0].first = 0;
+  every[7].second = -1;  // register 7 sits at the cap
+  EXPECT_TRUE(hll_delta_decodes(base, every));
+  every.push_back({0, 1});
+  EXPECT_FALSE(hll_delta_decodes(base, every, 17));
+}
+
 TEST(FuzzDecode, MultiplexedStatsResponse) {
   // A random group mask and shape per trial, then bit soup as the payload.
   fuzz_strict([](Xoshiro256& rng, BitReader& r) {
@@ -644,20 +795,44 @@ TEST(FuzzDecode, ResidueRequestRoundTripsAndRejectsTruncation) {
 /// A valid response of k slots, each a stats slot (whole-domain or ranged)
 /// or an HLL-only sketch slot, with sketches of `registers` registers at
 /// rank width `width` (dense or sparse at random). `all_sketch` makes every
-/// slot a sketch slot, as on a one-shot sketch wave.
+/// slot a sketch slot, as on a one-shot sketch wave; `deltas` codes about
+/// half of the images as delta images against a baseline, as on a
+/// collect() wave.
 struct SketchResponse {
   std::vector<std::uint8_t> mask;
   std::vector<cube::ImageShape> shapes;
   std::vector<service::StatsBundle> bundles;
   std::vector<sketch::Hll> sketches;
+  // Per slot: the baseline its delta image was coded against (none: full).
+  std::vector<std::optional<service::StatsBundle>> base_bundles;
+  std::vector<std::optional<sketch::Hll>> base_hlls;
   std::vector<std::uint8_t> bytes;
   std::size_t bits = 0;  // bytes hold one spare zero bit past the image
+
+  bool has_deltas() const {
+    return std::any_of(base_bundles.begin(), base_bundles.end(),
+                       [](const auto& b) { return b.has_value(); }) ||
+           std::any_of(base_hlls.begin(), base_hlls.end(),
+                       [](const auto& h) { return h.has_value(); });
+  }
+  /// The decoder's view of the baselines, one per slot.
+  std::vector<cube::Baseline> baselines() const {
+    std::vector<cube::Baseline> out(mask.size());
+    for (std::size_t i = 0; i < mask.size(); ++i) {
+      if (base_bundles[i]) out[i].bundle = &*base_bundles[i];
+      if (base_hlls[i]) out[i].hll = &*base_hlls[i];
+    }
+    return out;
+  }
 };
 
 SketchResponse sketch_response(Xoshiro256& rng, unsigned registers,
-                               unsigned width, bool all_sketch = false) {
+                               unsigned width, bool all_sketch = false,
+                               bool deltas = false) {
   SketchResponse out;
   const std::size_t k = 1 + rng.next_below(4);
+  out.base_bundles.resize(k);
+  out.base_hlls.resize(k);
   BitWriter w;
   for (std::size_t i = 0; i < k; ++i) {
     out.mask.push_back(i == 0 || rng.next_below(2) == 0);
@@ -665,21 +840,30 @@ SketchResponse sketch_response(Xoshiro256& rng, unsigned registers,
     out.shapes.push_back(kind == 2 ? cube::ImageShape::kHll
                                    : stats_shape(kind == 0));
     if (!out.mask.back()) continue;
+    const bool delta = deltas && rng.next_below(2) == 0;
     if (kind != 2) {
-      service::StatsBundle b;
-      b.core.observe(static_cast<Value>(rng.next_below(1000)));
-      b.inner = b.core;
-      b.outer = b.core;
-      cube::encode_stats_image(w, b, kind == 0);
+      const service::StatsBundle b =
+          collapsed({static_cast<Value>(rng.next_below(1000))});
+      if (delta) {
+        const service::StatsBundle& base = out.base_bundles[i].emplace(
+            collapsed({static_cast<Value>(rng.next_below(1000))}));
+        cube::encode_stats_delta(w, base, b, kind == 0);
+      } else {
+        cube::encode_stats_image(w, b, kind == 0);
+      }
       out.bundles.push_back(b);
       continue;
     }
-    auto h = sketch::Hll::make_by_registers(
-                 registers, {.width = width, .sparse = rng.next_below(2) == 0})
-                 .value();
+    const bool dense = rng.next_below(2) != 0;
     const std::uint64_t items = rng.next_below(3 * registers);
-    for (std::uint64_t j = 0; j < items; ++j) h.add(rng.next_u64(), 1);
-    h.encode(w);
+    sketch::Hll h = random_hll(rng, registers, width, items, dense);
+    if (delta) {
+      const sketch::Hll& base = out.base_hlls[i].emplace(h.clone());
+      h = drifted(rng, base);
+      cube::encode_hll_delta(w, base, h);
+    } else {
+      h.encode(w);
+    }
     out.sketches.push_back(std::move(h));
   }
   out.bits = w.bit_count();
@@ -689,8 +873,9 @@ SketchResponse sketch_response(Xoshiro256& rng, unsigned registers,
 }
 
 TEST(FuzzDecode, MultiplexedSketchResponse) {
-  // Random masks, shapes (stats or HLL-only) and sketch geometry, then bit
-  // soup as the payload.
+  // Random masks, shapes (stats or HLL-only), sketch geometry and
+  // baselines (about half the entries are delta images), then bit soup as
+  // the payload.
   fuzz_strict([](Xoshiro256& rng, BitReader& r) {
     const std::size_t k = 1 + rng.next_below(4);
     std::vector<std::uint8_t> mask(k);
@@ -700,14 +885,23 @@ TEST(FuzzDecode, MultiplexedSketchResponse) {
       const auto kind = rng.next_below(3);
       shapes[i] = kind == 2 ? cube::ImageShape::kHll : stats_shape(kind == 0);
     }
+    const unsigned registers = 16u << rng.next_below(3);
     const auto geometry =
-        sketch::Hll::make_by_registers(16u << rng.next_below(3),
-                                       {.width = 5, .sparse = true})
+        sketch::Hll::make_by_registers(registers, {.width = 5, .sparse = true})
             .value();
+    const service::StatsBundle base_bundle =
+        collapsed({static_cast<Value>(rng.next_below(1000))});
+    const sketch::Hll base_hll =
+        random_hll(rng, registers, 5, rng.next_below(3 * registers));
+    std::vector<cube::Baseline> baselines(k);
+    for (std::size_t i = 0; i < k; ++i) {
+      if (rng.next_below(2) == 0) continue;
+      baselines[i] = {.bundle = &base_bundle, .hll = &base_hll};
+    }
     std::vector<service::StatsBundle> images;
     std::vector<sketch::Hll> sketches;
     cube::decode_stats_response(r, mask, shapes, images, &geometry,
-                                &sketches);
+                                &sketches, baselines);
     std::size_t stats = 0;
     std::size_t hlls = 0;
     for (std::size_t i = 0; i < k; ++i) {
@@ -723,29 +917,31 @@ TEST(FuzzDecode, MultiplexedSketchResponse) {
 }
 
 TEST(FuzzDecode, MultiplexedSketchResponseRoundTripsAndRejectsTruncation) {
-  // Mixed and all-sketch (HLL-only) responses decode to exactly their
-  // images; a sketch of another geometry, every strict prefix and every
-  // one-bit extension are rejected.
+  // Mixed, all-sketch (HLL-only) and mixed delta/full responses decode to
+  // exactly their images; a full sketch of another geometry, every strict
+  // prefix and every one-bit extension are rejected.
   Xoshiro256 rng(31);
   const auto geometry =
       sketch::Hll::make_by_registers(16, {.width = 5, .sparse = true}).value();
   const auto other =
       sketch::Hll::make_by_registers(32, {.width = 5, .sparse = true}).value();
-  for (int t = 0; t < 40; ++t) {
-    const SketchResponse sent =
-        sketch_response(rng, 16, 5, /*all_sketch=*/t % 4 == 0);
+  for (int t = 0; t < 80; ++t) {
+    const SketchResponse sent = sketch_response(
+        rng, 16, 5, /*all_sketch=*/t % 4 == 0, /*deltas=*/t % 2 == 1);
+    const std::vector<cube::Baseline> baselines = sent.baselines();
     std::vector<service::StatsBundle> images;
     std::vector<sketch::Hll> sketches;
     BitReader exact(sent.bytes.data(), sent.bits);
     cube::decode_stats_response(exact, sent.mask, sent.shapes, images,
-                                &geometry, &sketches);
+                                &geometry, &sketches, baselines);
     EXPECT_EQ(images, sent.bundles);
     ASSERT_EQ(sketches.size(), sent.sketches.size());
     for (std::size_t i = 0; i < sketches.size(); ++i) {
       EXPECT_TRUE(sketches[i] == sent.sketches[i]);
     }
-    // A sketch of another geometry is a wire error, not a merge failure.
-    if (!sent.sketches.empty()) {
+    // A full sketch of another geometry is a wire error, not a merge
+    // failure. (A delta image has the geometry of its baseline.)
+    if (!sent.sketches.empty() && !sent.has_deltas()) {
       BitReader mismatched(sent.bytes.data(), sent.bits);
       EXPECT_THROW(cube::decode_stats_response(mismatched, sent.mask,
                                                sent.shapes, images, &other,
@@ -754,13 +950,14 @@ TEST(FuzzDecode, MultiplexedSketchResponseRoundTripsAndRejectsTruncation) {
     }
     BitReader longer(sent.bytes.data(), sent.bits + 1);
     EXPECT_THROW(cube::decode_stats_response(longer, sent.mask, sent.shapes,
-                                             images, &geometry, &sketches),
+                                             images, &geometry, &sketches,
+                                             baselines),
                  WireFormatError);
     for (std::size_t cut = 0; cut < sent.bits; ++cut) {
       BitReader shorter(sent.bytes.data(), cut);
       EXPECT_THROW(cube::decode_stats_response(shorter, sent.mask,
                                                sent.shapes, images, &geometry,
-                                               &sketches),
+                                               &sketches, baselines),
                    WireFormatError);
     }
   }
@@ -772,8 +969,10 @@ TEST(FuzzDecode, BitFlippedSketchResponsesAreWireErrors) {
   Xoshiro256 rng(37);
   const auto geometry =
       sketch::Hll::make_by_registers(16, {.width = 5, .sparse = true}).value();
-  for (int t = 0; t < 12; ++t) {
-    const SketchResponse sent = sketch_response(rng, 16, 5);
+  for (int t = 0; t < 24; ++t) {
+    const SketchResponse sent =
+        sketch_response(rng, 16, 5, false, /*deltas=*/t % 2 == 1);
+    const std::vector<cube::Baseline> baselines = sent.baselines();
     for (std::size_t flip = 0; flip < sent.bits; ++flip) {
       auto corrupted = sent.bytes;
       corrupted[flip / 8] ^= static_cast<std::uint8_t>(0x80u >> (flip % 8));
@@ -782,7 +981,7 @@ TEST(FuzzDecode, BitFlippedSketchResponsesAreWireErrors) {
       std::vector<sketch::Hll> sketches;
       try {
         cube::decode_stats_response(r, sent.mask, sent.shapes, images,
-                                    &geometry, &sketches);
+                                    &geometry, &sketches, baselines);
         for (const sketch::Hll& h : sketches) (void)h.estimate();
       } catch (const WireFormatError&) {
       }

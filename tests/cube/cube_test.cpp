@@ -429,8 +429,9 @@ void drift(Fixture& f, Xoshiro256& rng, std::size_t count,
 TEST(Cube, ServesKeepTheWireCost) {
   // Cell refreshes, pruned residues and HLL partials over six drift epochs,
   // every epoch's plans served as one batch: these totals pin the cube's
-  // wire format (delta-coded ranged images and temporal delta images on
-  // stale edges included), its multiplexing and its pruning. Stats cells carry no HLL; the distinct plan reads the
+  // wire format (delta-coded ranged images, and temporal delta images of
+  // stats and HLL partials on stale edges, included), its multiplexing and
+  // its pruning. Stats cells carry no HLL; the distinct plan reads the
   // lower cell's HLL-only twin slot, which is cold at epoch 1 (its first
   // collect descends all 63 edges) and then rides the cells' stale edges.
   CubeConfig cfg;
@@ -477,7 +478,7 @@ TEST(Cube, ServesKeepTheWireCost) {
   }
   const auto after = f.net.summary(true);
   const CubeStats& s = f.cube.stats();
-  EXPECT_EQ(after.total_bits - before.total_bits, 37266u);
+  EXPECT_EQ(after.total_bits - before.total_bits, 31729u);
   EXPECT_EQ(after.total_messages - before.total_messages, 613u);
   EXPECT_EQ(s.cell_edges_descended, 500u);
   EXPECT_EQ(s.cell_edges_skipped, 116u);

@@ -6,9 +6,10 @@
 // proves empty sends no message. collect() mixes stats slots and HLL-only
 // sketch slots: a stats slot sends no HLL bits, a sketch slot reproduces
 // the oracle's registers, and the shares sum to the wave. Stale edges send
-// delta images against the parent's partial and stay exact; after a lost
-// message the retry resyncs the unanswered edges with full images, and a
-// released slot starts over from full images.
+// delta images against the parent's partial — stats deltas, or the changed
+// registers of an HLL — and stay exact (a rebuilt edge HLL encodes as the
+// child's); after a lost message the retry resyncs the unanswered edges
+// with full images, and a released slot starts over from full images.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -386,6 +387,7 @@ TEST(Collect, AReleasedSlotIsCollectedAfreshAndExactly) {
   EXPECT_EQ(f.net.summary(true).total_bits - bits,
             cold.net.summary(true).total_bits);
   EXPECT_EQ(f.store.delta_image_bits(), 0u);
+  EXPECT_EQ(f.store.hll_delta_image_bits(), 0u);
   EXPECT_EQ(f.store.root(stats), f.oracle_bundle(range_of(100, 700)));
   EXPECT_TRUE(f.store.root_hll(hll) == f.oracle_hll(range_of(100, 700)));
 }
@@ -433,13 +435,33 @@ struct ImageSizes {
   std::size_t delta = 0;
 };
 
-ImageSizes image_sizes(const Fixture& f, SlotId s, NodeId child) {
+/// The nodes of `child`'s subtree.
+std::vector<NodeId> subtree(const Fixture& f, NodeId child) {
   std::vector<NodeId> below{child};
   for (std::size_t i = 0; i < below.size(); ++i) {
     for (const NodeId c : f.tree.children[below[i]]) below.push_back(c);
   }
+  return below;
+}
+
+/// A sketch slot's HLL over `child`'s subtree, as the oracle computes it.
+sketch::Hll subtree_hll(const Fixture& f, SlotId s, NodeId child) {
+  sketch::Hll h = f.store.empty_hll();
+  for (const NodeId u : subtree(f, child)) {
+    h.merge(f.store.local_hll(u, f.store.region(s))).value();
+  }
+  return h;
+}
+
+std::vector<std::uint8_t> encoded(const sketch::Hll& h) {
+  BitWriter w;
+  h.encode(w);
+  return {w.bytes().begin(), w.bytes().end()};
+}
+
+ImageSizes image_sizes(const Fixture& f, SlotId s, NodeId child) {
   StatsBundle b;
-  for (const NodeId u : below) {
+  for (const NodeId u : subtree(f, child)) {
     b.combine(f.store.local_bundle(u, f.store.region(s)));
   }
   const bool whole = f.store.region(s).whole_domain;
@@ -502,26 +524,18 @@ TEST(Collect, ALostMessageResyncsTheUnansweredEdges) {
       if (!f.store.edge_unanswered(slots[0], c)) continue;
       bool telling = true;
       for (const SlotId s : slots) {
-        if (f.store.sketch(s)) continue;
         EXPECT_TRUE(f.store.edge_unanswered(s, c));
         ASSERT_NE(f.store.edge_epoch(s, c), DirtyTracker::kInvalidEpoch);
+        if (f.store.sketch(s)) continue;
         const ImageSizes sizes = image_sizes(f, s, c);
         telling = telling && sizes.full != sizes.delta;
       }
       if (telling) edge = c;
     }
     if (!edge) continue;
-    // The sketch slot's response is its full HLL image either way.
-    std::vector<NodeId> below{*edge};
-    for (std::size_t i = 0; i < below.size(); ++i) {
-      for (const NodeId c : f.tree.children[below[i]]) below.push_back(c);
-    }
-    sketch::Hll hll = f.store.empty_hll();
-    for (const NodeId u : below) {
-      hll.merge(f.store.local_hll(u, f.store.region(slots[3]))).value();
-    }
+    // The sketch slot is marked too: it answers with its full HLL image.
     BitWriter hll_image;
-    hll.encode(hll_image);
+    subtree_hll(f, slots[3], *edge).encode(hll_image);
     // Mask (4 bits) and resync bit, then every image in full.
     std::size_t expected = slots.size() + 1 + hll_image.bit_count();
     for (const SlotId s : slots) {
@@ -535,6 +549,109 @@ TEST(Collect, ALostMessageResyncsTheUnansweredEdges) {
       EXPECT_FALSE(f.store.edge_unanswered(s, *edge));
     }
     expect_exact_roots(f, slots);
+    ++checked;
+  }
+  EXPECT_GE(checked, 3);
+}
+
+TEST(Collect, StaleSketchEdgesSendDeltaImagesAndStayExact) {
+  // Sketch slots beside a stats slot over rounds of small drift: after the
+  // cold first collect, every stale sketch edge is rebuilt from an HLL
+  // delta image. Each edge HLL then encodes byte-identically to the child's
+  // subtree HLL, the roots stay exact, and the delta images take fewer bits
+  // than the same images in full.
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    Fixture f(seed, kRegisters);
+    Xoshiro256 rng(seed * 19);
+    const std::vector<SlotId> sketches{
+        f.store.add_slot(range_of(100, 700), 0x7800, true),
+        f.store.add_slot(range_of(0, kBound), 0x7801, true)};
+    std::vector<SlotId> slots = sketches;
+    slots.push_back(f.store.add_slot(range_of(300, 900), 0x7802));
+    f.store.collect(slots, 1);
+    EXPECT_EQ(f.store.hll_delta_image_bits(), 0u);
+    EXPECT_EQ(f.store.hll_delta_image_full_bits(), 0u);
+    for (std::uint32_t epoch = 2; epoch <= 10; ++epoch) {
+      nudge(f, rng, 6, epoch);
+      const std::uint64_t delta = f.store.hll_delta_image_bits();
+      f.store.collect(slots, epoch);
+      EXPECT_GT(f.store.hll_delta_image_bits(), delta) << "epoch " << epoch;
+      for (const SlotId s : sketches) {
+        for (NodeId c = 0; c < f.tree.node_count(); ++c) {
+          if (c == f.tree.root) continue;
+          ASSERT_EQ(encoded(f.store.edge_hll(s, c)),
+                    encoded(subtree_hll(f, s, c)))
+              << "seed " << seed << " epoch " << epoch << " edge " << c;
+        }
+      }
+      expect_exact_roots(f, slots);
+    }
+    EXPECT_LT(f.store.hll_delta_image_bits(),
+              f.store.hll_delta_image_full_bits());
+
+    // Stale edges whose HLLs did not change: one bit per image.
+    std::vector<NodeId> touched;
+    for (NodeId u = 1; u < f.net.node_count(); u += 9) touched.push_back(u);
+    f.dirty.note_updates(touched, 11);
+    const std::uint64_t descended = f.store.edges_descended();
+    const std::uint64_t delta = f.store.hll_delta_image_bits();
+    f.store.collect(sketches, 11);
+    const std::uint64_t images = f.store.edges_descended() - descended;
+    EXPECT_GT(images, 0u);
+    EXPECT_LE(f.store.hll_delta_image_bits() - delta, 2 * images);
+    expect_exact_roots(f, sketches);
+  }
+  const Fixture g(5, kRegisters);
+  const sketch::Hll h = g.oracle_hll(range_of(0, kBound));
+  BitWriter unchanged;
+  encode_hll_delta(unchanged, h, h);
+  EXPECT_LE(unchanged.bit_count(), 2u);
+}
+
+TEST(Collect, ALostMessageResyncsTheUnansweredSketchEdges) {
+  // A wave of one sketch slot loses messages and throws. The retry's
+  // request on an edge left unanswered carries resync, so the child sends
+  // its full HLL image although the edge holds a partial, and the root HLL
+  // equals a one-shot oracle HLL.
+  int checked = 0;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    Fixture f(seed, kRegisters);
+    Xoshiro256 rng(seed * 23);
+    const SlotId s = f.store.add_slot(range_of(100, 700), 0x7800, true);
+    const std::vector<SlotId> slots{s};
+    f.store.collect(slots, 1);
+    nudge(f, rng, 40, 2);
+    f.net.set_message_loss(0.2);
+    EXPECT_THROW(f.store.collect(slots, 2), ProtocolError);
+    f.net.set_message_loss(0.0);
+
+    // The deepest unanswered edge whose HLL image differs in full and as a
+    // delta, so the size on the wire tells which was sent.
+    std::optional<NodeId> edge;
+    std::size_t full_bits = 0;
+    for (NodeId c = 0; c < f.tree.node_count(); ++c) {
+      if (!f.store.edge_unanswered(s, c)) continue;
+      ASSERT_NE(f.store.edge_epoch(s, c), DirtyTracker::kInvalidEpoch);
+      const sketch::Hll h = subtree_hll(f, s, c);
+      BitWriter full;
+      h.encode(full);
+      BitWriter delta;
+      encode_hll_delta(delta, f.store.edge_hll(s, c), h);
+      if (full.bit_count() == delta.bit_count()) continue;
+      edge = c;
+      full_bits = full.bit_count();
+    }
+    if (!edge) continue;
+
+    f.net.watch_edge(f.tree.parent[*edge], *edge);
+    f.store.collect(slots, 2);
+    // Mask (1 bit) and resync bit, then the full HLL image.
+    EXPECT_EQ(f.net.watched_edge_bits(), 2 + full_bits) << "seed " << seed;
+    EXPECT_FALSE(f.store.edge_unanswered(s, *edge));
+    EXPECT_TRUE(f.store.root_hll(s) == f.oracle_hll(range_of(100, 700)))
+        << "seed " << seed;
+    EXPECT_EQ(encoded(f.store.root_hll(s)),
+              encoded(f.oracle_hll(range_of(100, 700))));
     ++checked;
   }
   EXPECT_GE(checked, 3);

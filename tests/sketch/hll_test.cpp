@@ -152,6 +152,115 @@ TEST(Hll, PromotionPreservesEstimate) {
   EXPECT_DOUBLE_EQ(sparse.estimate_loglog(), dense.estimate_loglog());
 }
 
+/// A sketch raised by observe() to exactly `regs`: the canonical sketch of
+/// that register state.
+Hll observed(const std::vector<unsigned>& regs, unsigned width) {
+  Hll hll = make(static_cast<unsigned>(regs.size()), width);
+  for (unsigned b = 0; b < regs.size(); ++b) hll.observe(b, regs[b]);
+  return hll;
+}
+
+TEST(Hll, SetRegisterLowersARegister) {
+  for (const bool sparse : {true, false}) {
+    Hll hll = make(64, 6, sparse);
+    hll.observe(3, 9);
+    hll.observe(7, 4);
+    hll.set_register(3, 2);
+    EXPECT_EQ(hll.value(3), 2u);
+    hll.set_register(7, 11);  // raising works too
+    EXPECT_EQ(hll.value(7), 11u);
+    EXPECT_EQ(hll.rank_sum(), 13u);
+    EXPECT_EQ(hll.is_sparse(), sparse);
+  }
+}
+
+TEST(Hll, SetRegisterToZeroErasesASparseEntry) {
+  Hll hll = make(64, 6);
+  hll.observe(1, 3);
+  hll.observe(5, 7);
+  hll.set_register(5, 0);
+  EXPECT_TRUE(hll.is_sparse());
+  EXPECT_EQ(hll.sparse_entry_count(), 1u);
+  EXPECT_EQ(hll.value(5), 0u);
+  EXPECT_EQ(hll.zero_count(), 63u);
+  hll.set_register(9, 0);  // clearing an empty register is a no-op
+  EXPECT_EQ(hll.sparse_entry_count(), 1u);
+  std::vector<unsigned> regs(64, 0);
+  regs[1] = 3;
+  EXPECT_EQ(encode_bytes(hll), encode_bytes(observed(regs, 6)));
+}
+
+TEST(Hll, SetRegisterDemotesToSparseAtCapacity) {
+  for (const unsigned w : kWidths) {
+    Hll hll = make(64, w);
+    const std::size_t cap = hll.sparse_capacity();
+    for (std::size_t i = 0; i <= cap; ++i) {
+      hll.set_register(static_cast<unsigned>(i), 1);
+    }
+    ASSERT_FALSE(hll.is_sparse()) << "width " << w;
+    // Lowering a register to a nonzero rank keeps it dense; clearing one
+    // leaves cap nonzero registers, which is sparse.
+    hll.set_register(0, 3);
+    hll.set_register(0, 2);
+    EXPECT_FALSE(hll.is_sparse()) << "width " << w;
+    hll.set_register(0, 0);
+    ASSERT_TRUE(hll.is_sparse()) << "width " << w;
+    EXPECT_EQ(hll.sparse_entry_count(), cap);
+    EXPECT_EQ(hll.value(0), 0u);
+    std::vector<unsigned> regs(64, 0);
+    for (std::size_t i = 1; i <= cap; ++i) regs[i] = 1;
+    EXPECT_EQ(encode_bytes(hll), encode_bytes(observed(regs, w)));
+  }
+}
+
+TEST(Hll, SetRegisterKeepsTheCanonicalRepresentation) {
+  // Random raises, lowerings and clears against a plain register array:
+  // after every step the sketch is dense iff more than sparse_capacity()
+  // registers are nonzero, and encodes as the sketch observe() builds.
+  Xoshiro256 rng(83);
+  for (const unsigned w : kWidths) {
+    Hll hll = make(32, w);
+    std::vector<unsigned> regs(32, 0);
+    for (int step = 0; step < 600; ++step) {
+      const auto b = static_cast<unsigned>(rng.next_below(32));
+      // Clear often enough to cross the capacity both ways.
+      const auto rank = rng.next_below(3) == 0
+                            ? 0u
+                            : static_cast<unsigned>(
+                                  1 + rng.next_below(hll.rank_cap()));
+      hll.set_register(b, rank);
+      regs[b] = rank;
+      const auto nonzero = static_cast<std::size_t>(
+          std::count_if(regs.begin(), regs.end(), [](unsigned v) { return v; }));
+      ASSERT_EQ(hll.is_sparse(), nonzero <= hll.sparse_capacity())
+          << "width " << w << " step " << step;
+      ASSERT_EQ(encode_bytes(hll), encode_bytes(observed(regs, w)))
+          << "width " << w << " step " << step;
+    }
+  }
+}
+
+TEST(Hll, RegistersListEveryValueInBucketOrder) {
+  Xoshiro256 rng(89);
+  for (const bool sparse : {true, false}) {
+    Hll hll = make(64, 5, sparse);
+    for (int i = 0; i < 20; ++i) hll.add_random(rng);
+    std::vector<std::uint8_t> regs(64);
+    hll.registers(regs);
+    for (unsigned b = 0; b < 64; ++b) EXPECT_EQ(regs[b], hll.value(b)) << b;
+  }
+}
+
+TEST(Hll, SetRegisterRejectsAnOutOfRangeBucketOrRank) {
+  for (const bool sparse : {true, false}) {
+    Hll hll = make(16, 5, sparse);
+    EXPECT_THROW(hll.set_register(16, 1), PreconditionError);
+    EXPECT_THROW(hll.set_register(0, hll.rank_cap() + 1), PreconditionError);
+    hll.set_register(15, hll.rank_cap());
+    EXPECT_EQ(hll.value(15), hll.rank_cap());
+  }
+}
+
 TEST(Hll, CloneIsDeep) {
   Hll a = make(64, 6);
   a.add(1, 0);
