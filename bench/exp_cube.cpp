@@ -41,6 +41,10 @@
 // send delta images, which must take fewer bits than the same images in
 // full.
 //
+// The planner's prices come from the cube's pricing table, one tree pass
+// per store generation: in the cached-range and distinct lanes the passes
+// must not outnumber the generations prices were read at.
+//
 // The cached-range lane also records its air rounds (simulated time) per
 // epoch. Every due query's cells and standing residues ride one
 // multiplexed collect, and any one-shot residues one multiplexed residue
@@ -450,6 +454,14 @@ void gate_claims(Gates& gates, const LaneRun& cube, const LaneRun& naive,
              "incremental refresh never skipped a clean subtree");
   gates.gate(t.cube.standing_refreshed > 0,
              "no standing residue slot was ever collected");
+  // The cost model reads a pricing table built once per store generation.
+  for (const cube::CubeStats& c : {t.cube, distinct.cube}) {
+    gates.gate(c.pricing_passes > 0 &&
+                   c.pricing_passes <= c.pricing_generations,
+               "the pricing table took ", c.pricing_passes,
+               " tree passes for ", c.pricing_generations,
+               " store generations priced at");
+  }
   gates.gate(tot.exact_compared > 0, "oracle never exercised");
   gates.gate(tot.mismatches == 0, "cube answers differ from the tree oracle");
   gates.gate(cube.bound_checked > 0, "brackets never exercised");
@@ -520,6 +532,8 @@ void write_pr10(Json& j, const Scale& s, bool quick, unsigned threads,
       .field("cell_edges_descended", t.cube.cell_edges_descended)
       .field("cell_edges_skipped", t.cube.cell_edges_skipped)
       .field("residue_edges_pruned", t.cube.residue_edges_pruned)
+      .field("pricing_passes", t.cube.pricing_passes)
+      .field("pricing_generations", t.cube.pricing_generations)
       .field("mark_messages", t.mark_messages)
       .field("air_rounds_per_epoch",
              static_cast<double>(cube.air_rounds) / s.epochs, 1)
@@ -561,6 +575,8 @@ void write_pr10(Json& j, const Scale& s, bool quick, unsigned threads,
       .field("hll_delta_image_bits", distinct.cube.hll_delta_image_bits)
       .field("hll_delta_image_full_bits",
              distinct.cube.hll_delta_image_full_bits)
+      .field("pricing_passes", distinct.cube.pricing_passes)
+      .field("pricing_generations", distinct.cube.pricing_generations)
       .end();
   det.write(j);
   j.key("summary")
@@ -626,6 +642,9 @@ int main(int argc, char** argv) {
             << split.standing_residue << ", one-shot residues "
             << split.oneshot_residue << ", installs " << split.installs
             << "\n"
+            << "  pricing: " << cube.telemetry.cube.pricing_passes
+            << " table passes for " << cube.telemetry.cube.pricing_generations
+            << " store generations priced at\n"
             << "  rounds: " << std::setprecision(1)
             << static_cast<double>(cube.air_rounds) / s.epochs
             << " per epoch, worst " << cube.max_collection_rounds

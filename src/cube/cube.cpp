@@ -2,6 +2,10 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
+#include <iterator>
+#include <string_view>
+#include <unordered_map>
 #include <utility>
 
 #include "src/common/codec.hpp"
@@ -36,6 +40,18 @@ void mirror_cube_stats(const CubeStats& s) {
   reg.gauge_set(reg.gauge("cube.fresh_serves"), s.fresh_serves);
   reg.gauge_set(reg.gauge("cube.stale_serves"), s.stale_serves);
   reg.gauge_set(reg.gauge("cube.geometry_installs"), s.geometry_installs);
+  reg.gauge_set(reg.gauge("cube.pricing_passes"), s.pricing_passes);
+}
+
+/// True when a region of the maximal list `regions` (ascending lo, and so
+/// ascending hi) contains [lo, hi]: the last one starting at or before lo
+/// reaches furthest.
+template <class Span>
+bool contains(const std::vector<Span>& regions, Value lo, Value hi) {
+  const auto it =
+      std::upper_bound(regions.begin(), regions.end(), lo,
+                       [](Value v, const Span& r) { return v < r.lo; });
+  return it != regions.begin() && std::prev(it)->hi >= hi;
 }
 
 }  // namespace
@@ -47,6 +63,7 @@ Cube::Cube(sim::Network& net, const net::SpanningTree& tree,
     : net_(net),
       tree_(tree),
       max_value_bound_(max_value_bound),
+      dirty_(dirty),
       config_(config),
       store_(net, tree, dirty,
              static_cast<Value>(config.horizon_epochs) * config.max_delta,
@@ -70,6 +87,10 @@ Cube::Cube(sim::Network& net, const net::SpanningTree& tree,
     }
   }
   twin_.assign(store_.slot_count(), kNoSlot);
+  for (std::size_t i = 0; i <= preorder_.size(); ++i) {
+    const NodeId node = i == 0 ? tree_.root : preorder_[i - 1];
+    for (const NodeId child : tree_.children[node]) preorder_.push_back(child);
+  }
   // Construction ships zero bits: the geometry install broadcast is lazy,
   // paid by the first serve (bits-conservation invariants stay intact for
   // services that never enable the cube path).
@@ -403,44 +424,176 @@ std::uint64_t Cube::edge_cost_bits(bool whole_domain,
   return request + response;
 }
 
-std::uint64_t Cube::count_stale_edges(SlotId s, NodeId node) const {
+std::uint64_t Cube::Pricing::residue_edges(Value lo, Value hi) const {
   std::uint64_t edges = 0;
-  for (const NodeId child : tree_.children[node]) {
-    if (store_.edge_fresh(s, child)) continue;
-    edges += 1 + count_stale_edges(s, child);
+  for (const PruneList& list : lists) {
+    if (!contains(list.regions, lo, hi)) edges += list.edges;
   }
   return edges;
 }
 
-std::uint64_t Cube::count_residue_edges(
-    NodeId node, std::span<const SlotId> containing) const {
-  std::uint64_t edges = 0;
-  for (const NodeId child : tree_.children[node]) {
-    if (store_.provably_empty(child, containing)) continue;
-    edges += 1 + count_residue_edges(child, containing);
+const Cube::Pricing& Cube::pricing() const {
+  const std::uint64_t generation = store_.generation();
+  if (last_read_at_.exchange(generation) != generation) {
+    ++pricing_generations_;
   }
-  return edges;
+  if (priced_at_.load(std::memory_order_acquire) != generation) {
+    const std::lock_guard lock(pricing_mutex_);
+    if (priced_at_.load(std::memory_order_relaxed) != generation) {
+      build_pricing();
+      ++pricing_passes_;
+      priced_at_.store(generation, std::memory_order_release);
+    }
+  }
+  return pricing_;
+}
+
+void Cube::build_pricing() const {
+  const std::size_t n = tree_.node_count();
+  const std::size_t slots = store_.slot_count();
+  const std::size_t w = (slots + 63) / 64;  // words of one node's slot row
+  Pricing& t = pricing_;
+  t.stale_edges.assign(slots, 0);
+  // Bit s of a node c's rows, first for edge c alone, then (after the
+  // preorder pass) for its whole root path: `stale`, the edge is stale for
+  // slot s (on the path: all are, so a collect() of s descends c);
+  // `prunes`, it is fresh with an empty outer region for slot s (on the
+  // path: one is, so a residue inside s's region never reaches c). Only
+  // stats slots are priced and prune. Slot by slot, each slot's partials
+  // are read in node order. (The root's partial is never taken, so its rows
+  // read stale, no prune.)
+  std::vector<std::uint64_t> stale(n * w, 0);
+  std::vector<std::uint64_t> prunes(n * w, 0);
+  for (SlotId s = 0; s < slots; ++s) {
+    if (store_.sketch(s)) continue;
+    const std::span<const std::uint32_t> epochs = store_.edge_epochs(s);
+    if (epochs.empty()) {  // never collected: a collect() descends every edge
+      t.stale_edges[s] = n - 1;
+      continue;
+    }
+    const unsigned shift = s % 64;
+    std::uint64_t* const stale_at = stale.data() + s / 64;
+    std::uint64_t* const prunes_at = prunes.data() + s / 64;
+    const std::span<const std::uint8_t> empty = store_.edge_outer_empty(s);
+    for (NodeId c = 0; c < n; ++c) {
+      const std::uint64_t fresh = dirty_.edge_fresh(c, epochs[c]) ? 1 : 0;
+      stale_at[c * w] |= (fresh ^ 1) << shift;
+      prunes_at[c * w] |= (fresh & empty[c]) << shift;
+    }
+  }
+  for (const NodeId c : preorder_) {
+    const NodeId p = tree_.parent[c];
+    for (std::size_t i = 0; i < w; ++i) {
+      std::uint64_t& bits = stale[c * w + i];
+      bits &= stale[p * w + i];
+      prunes[c * w + i] |= prunes[p * w + i];
+      for (std::uint64_t b = bits; b != 0; b &= b - 1) {
+        ++t.stale_edges[i * 64 +
+                        static_cast<std::size_t>(std::countr_zero(b))];
+      }
+    }
+  }
+  // Edges with equal prune rows price alike: each distinct row is kept
+  // once, as the maximal regions of its slots, with its edge count.
+  std::unordered_map<std::string_view, std::size_t> list_of;
+  list_of.reserve(preorder_.size());
+  t.lists.clear();
+  for (const NodeId c : preorder_) {
+    const std::uint64_t* const bits = prunes.data() + c * w;
+    const auto [it, added] = list_of.try_emplace(
+        std::string_view(reinterpret_cast<const char*>(bits),
+                         w * sizeof *bits),
+        t.lists.size());
+    ++(added ? t.lists.emplace_back(maximal_regions(bits, w))
+             : t.lists[it->second])
+          .edges;
+  }
+}
+
+std::vector<Cube::Span> Cube::maximal_regions(const std::uint64_t* bits,
+                                              std::size_t words) const {
+  std::vector<Span> regions;
+  for (std::size_t i = 0; i < words; ++i) {
+    for (std::uint64_t b = bits[i]; b != 0; b &= b - 1) {
+      const query::RegionSignature& r =
+          store_.region(static_cast<SlotId>(i * 64 + std::countr_zero(b)));
+      regions.push_back({r.lo, r.hi});
+    }
+  }
+  // By lo, widest first: a region is maximal iff it reaches past every
+  // earlier one.
+  std::sort(regions.begin(), regions.end(), [](const Span& x, const Span& y) {
+    return x.lo != y.lo ? x.lo < y.lo : x.hi > y.hi;
+  });
+  std::vector<Span> maximal;
+  for (const Span& r : regions) {
+    if (maximal.empty() || r.hi > maximal.back().hi) maximal.push_back(r);
+  }
+  return maximal;
+}
+
+std::uint64_t Cube::slot_refresh_bits(SlotId s) const {
+  if (slot_state_[s].claimed) return 0;  // fresh once the batch is served
+  return pricing().stale_edges[s] *
+         edge_cost_bits(store_.region(s).whole_domain,
+                        /*carries_region=*/false);
 }
 
 std::uint64_t Cube::cell_refresh_bits(query::CubeCellRef ref) const {
-  const SlotId s = slot(ref);
-  if (slot_state_[s].claimed) return 0;  // fresh once the batch is served
-  return count_stale_edges(s, tree_.root) *
-         edge_cost_bits(store_.region(s).whole_domain,
-                        /*carries_region=*/false);
+  return slot_refresh_bits(slot(ref));
 }
 
 std::uint64_t Cube::residue_collect_bits(
     const query::RegionSignature& region) const {
   // An installed standing slot costs its stale edges, like a cell.
   const SlotId s = installed_standing(region, /*sketch=*/false);
-  if (s != kNoSlot) {
-    if (slot_state_[s].claimed) return 0;
-    return count_stale_edges(s, tree_.root) *
-           edge_cost_bits(region.whole_domain, /*carries_region=*/false);
-  }
-  return count_residue_edges(tree_.root, store_.containing_slots(region)) *
+  if (s != kNoSlot) return slot_refresh_bits(s);
+  return pricing().residue_edges(region.lo, region.hi) *
          edge_cost_bits(region.whole_domain, /*carries_region=*/true);
+}
+
+std::vector<std::uint64_t> Cube::residue_collect_bits_all(
+    std::span<const Value> pos, Value domain_bound) const {
+  const std::size_t n = pos.size();
+  std::vector<std::uint64_t> out(n * n, 0);
+  // Per list and start a: a list contains [pos[a], pos[b] - 1] for b up to
+  // a threshold and never past it, and the threshold only grows with a.
+  // Each list's edges land at its threshold; prefix sums over b then count
+  // the edges each interval descends.
+  for (const PruneList& list : pricing().lists) {
+    std::size_t q = 0;  // the list's regions starting at or before pos[a]
+    std::size_t b = 0;
+    for (std::size_t a = 0; a + 1 < n; ++a) {
+      while (q < list.regions.size() && list.regions[q].lo <= pos[a]) ++q;
+      b = std::max(b, a + 1);
+      while (q > 0 && b < n && pos[b] - 1 <= list.regions[q - 1].hi) ++b;
+      if (b < n) out[a * n + b] += list.edges;
+    }
+  }
+  for (std::size_t a = 0; a + 1 < n; ++a) {
+    std::uint64_t edges = 0;
+    for (std::size_t b = a + 1; b < n; ++b) {
+      edges += out[a * n + b];
+      out[a * n + b] = edges * edge_cost_bits(query::interval_region(
+                                                  pos[a], pos[b], domain_bound)
+                                                  .whole_domain,
+                                              /*carries_region=*/true);
+    }
+  }
+  // Installed standing slots price like cells.
+  for (const auto& [key, s] : standing_) {
+    const auto& [region, sketch] = key;
+    if (sketch || !slot_state_[s].installed) continue;
+    const auto a = std::lower_bound(pos.begin(), pos.end(), region.lo);
+    const auto b = std::lower_bound(pos.begin(), pos.end(), region.hi + 1);
+    if (b == pos.end() || *a != region.lo || *b != region.hi + 1 ||
+        query::interval_region(*a, *b, domain_bound) != region) {
+      continue;
+    }
+    out[static_cast<std::size_t>(a - pos.begin()) * n +
+        static_cast<std::size_t>(b - pos.begin())] = slot_refresh_bits(s);
+  }
+  return out;
 }
 
 std::uint64_t Cube::tree_collect_bits(
@@ -450,6 +603,13 @@ std::uint64_t Cube::tree_collect_bits(
          edge_cost_bits(region.whole_domain, /*carries_region=*/true);
 }
 
-void Cube::mirror_stats() const { mirror_cube_stats(stats_); }
+CubeStats Cube::stats() const {
+  CubeStats s = stats_;
+  s.pricing_passes = pricing_passes_.load();
+  s.pricing_generations = pricing_generations_.load();
+  return s;
+}
+
+void Cube::mirror_stats() const { mirror_cube_stats(stats()); }
 
 }  // namespace sensornet::cube

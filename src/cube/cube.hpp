@@ -26,8 +26,15 @@
 // The planner sees the cube through the query::CubeCatalog interface —
 // geometry plus a deterministic bit-cost model — and decomposes a range
 // query into the fewest covering cells plus *residue* collections for the
-// unaligned ends. A residue of a standing (continuous) plan becomes a
-// *standing slot* of the same store: installed once by a broadcast of its
+// unaligned ends. Prices come from a pricing table built in one pass over
+// the tree per store generation (PartialStore::generation(): every slot
+// added or released, every collect() wave, every note_updates()): each
+// stats slot's stale edges, and per edge the regions that prune it for a
+// residue. A price is then a count over the table, and one sweep prices
+// all of a cover's residue arcs (residue_collect_bits_all).
+//
+// A residue of a standing (continuous) plan becomes a *standing slot* of
+// the same store: installed once by a broadcast of its
 // region, then kept fresh incrementally in the same collect() as the cells
 // (its request is one mask bit, and only stale edges are descended). A
 // standing slot no plan has claimed for horizon_epochs epochs frees its
@@ -55,8 +62,10 @@
 // reproduce the oracle's registers bit for bit.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <map>
+#include <mutex>
 #include <optional>
 #include <span>
 #include <utility>
@@ -117,6 +126,11 @@ struct CubeStats {
   std::uint64_t standing_bits = 0;  // standing slots' shares of collect()
   std::uint64_t once_bits = 0;      // one-shot residue waves
   std::uint64_t install_bits = 0;   // geometry and standing-slot installs
+  // Pricing-table builds (one tree pass each), and the distinct store
+  // generations prices were read at; the table is built once per
+  // generation, so the first never exceeds the second.
+  std::uint64_t pricing_passes = 0;
+  std::uint64_t pricing_generations = 0;
 };
 
 /// One fresh serve's composition: the exact bundle over the plan's region
@@ -157,9 +171,15 @@ class Cube final : public query::CubeCatalog {
   unsigned distinct_registers() const override {
     return config_.distinct_registers;
   }
+  /// The prices read the pricing table of the store's current generation,
+  /// building it first if the store changed since the last build. Any
+  /// number of threads may price at once while no one mutates the cube: the
+  /// build runs under a lock, once per generation.
   std::uint64_t cell_refresh_bits(query::CubeCellRef ref) const override;
   std::uint64_t residue_collect_bits(
       const query::RegionSignature& region) const override;
+  std::vector<std::uint64_t> residue_collect_bits_all(
+      std::span<const Value> pos, Value domain_bound) const override;
   std::uint64_t tree_collect_bits(
       const query::RegionSignature& region) const override;
   std::uint32_t refresh_amortization() const override {
@@ -208,7 +228,7 @@ class Cube final : public query::CubeCatalog {
   /// CubeStats::stale_serves.
   void note_stale_serve();
 
-  const CubeStats& stats() const { return stats_; }
+  CubeStats stats() const;
   std::size_t cell_count() const {
     return (std::size_t{1} << config_.levels) - 1;
   }
@@ -269,13 +289,47 @@ class Cube final : public query::CubeCatalog {
   /// Estimated wire bits of one descend-and-respond edge for a region
   /// (request + response, headers included).
   std::uint64_t edge_cost_bits(bool whole_domain, bool carries_region) const;
-  std::uint64_t count_stale_edges(SlotId s, NodeId node) const;
-  std::uint64_t count_residue_edges(NodeId node,
-                                    std::span<const SlotId> containing) const;
+
+  /// A region's [lo, hi] ends.
+  struct Span {
+    Value lo = 0;
+    Value hi = 0;
+  };
+  /// The cost model's view of the store at one generation. A collect()
+  /// descends an edge for a slot iff every edge on its root path, itself
+  /// included, is stale for the slot. A one-shot residue prunes an edge iff
+  /// an edge on its root path, itself included, is fresh with an empty
+  /// outer region for a stats slot whose region contains the residue
+  /// (PartialStore::provably_empty). So each edge keeps those slots'
+  /// maximal regions along its root path, its *prune list*, and a residue
+  /// descends it iff no region on the list contains the residue. Edges
+  /// share lists: each distinct list is kept once, with the number of edges
+  /// that carry it (the same list may appear twice when two sets of slots
+  /// have the same maximal regions).
+  struct PruneList {
+    std::vector<Span> regions;  // maximal, ascending lo (and so hi)
+    std::uint64_t edges = 0;
+  };
+  /// The maximal regions of the slots set in a `words`-word slot bitset.
+  std::vector<Span> maximal_regions(const std::uint64_t* bits,
+                                    std::size_t words) const;
+  struct Pricing {
+    std::vector<std::uint64_t> stale_edges;  // per stats slot
+    std::vector<PruneList> lists;
+    /// Edges a one-shot residue over [lo, hi] descends.
+    std::uint64_t residue_edges(Value lo, Value hi) const;
+  };
+  /// The table of the store's current generation, built on first use.
+  const Pricing& pricing() const;
+  /// One tree pass over the store into pricing_.
+  void build_pricing() const;
+  /// A slot's collect() price: 0 when claimed, else its stale edges.
+  std::uint64_t slot_refresh_bits(SlotId s) const;
 
   sim::Network& net_;
   const net::SpanningTree& tree_;
   Value max_value_bound_;
+  const DirtyTracker& dirty_;
   CubeConfig config_;
   PartialStore store_;  // cells, then twins and standing slots
   std::vector<SlotState> slot_state_;  // per slot
@@ -285,7 +339,17 @@ class Cube final : public query::CubeCatalog {
   std::vector<Claim> claimed_;  // the pending batch
   bool geometry_installed_ = false;
   std::uint32_t next_residue_session_;
-  CubeStats stats_;
+  CubeStats stats_;  // all but the pricing counters
+  std::vector<NodeId> preorder_;  // the non-root nodes, parents first
+  // The pricing table and the generation it was built at (kUnpriced: none
+  // yet), published with release/acquire; builds hold pricing_mutex_.
+  static constexpr std::uint64_t kUnpriced = ~std::uint64_t{0};
+  mutable std::mutex pricing_mutex_;
+  mutable Pricing pricing_;
+  mutable std::atomic<std::uint64_t> priced_at_{kUnpriced};
+  mutable std::atomic<std::uint64_t> last_read_at_{kUnpriced};
+  mutable std::atomic<std::uint64_t> pricing_passes_{0};
+  mutable std::atomic<std::uint64_t> pricing_generations_{0};
 };
 
 }  // namespace sensornet::cube

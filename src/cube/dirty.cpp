@@ -56,6 +56,7 @@ void DirtyTracker::note_updates(std::span<const NodeId> updated,
                                 std::uint32_t epoch) {
   SENSORNET_EXPECTS(epoch != kNever && epoch != kInvalidEpoch);
   if (updated.empty()) return;
+  ++generation_;
   // Per-epoch coalescing state: one vector reused across epochs would also
   // work, but a mark wave touches only the updated nodes' root paths, so a
   // fresh zeroed vector per batch keeps the logic obvious. (Epoch 0 is

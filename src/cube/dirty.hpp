@@ -57,6 +57,10 @@ class DirtyTracker {
 
   std::uint64_t mark_messages() const { return mark_messages_; }
 
+  /// Bumped by every note_updates() that changed a node: readers that cache
+  /// what edge_fresh() says (the cube's pricing table) key it on this.
+  std::uint64_t generation() const { return generation_; }
+
  private:
   class MarkWave;
 
@@ -64,6 +68,7 @@ class DirtyTracker {
   const net::SpanningTree& tree_;
   std::vector<std::uint32_t> subtree_changed_epoch_;
   std::uint64_t mark_messages_ = 0;
+  std::uint64_t generation_ = 0;
 };
 
 }  // namespace sensornet::cube

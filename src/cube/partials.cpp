@@ -543,6 +543,7 @@ class PartialStore::Collect {
         s.edge_hll[child] = std::move(sketches_[hlls++]);
       } else {
         s.edge_bundle[child] = images_[stats++];
+        s.edge_outer_empty[child] = s.edge_bundle[child].outer.count == 0;
       }
       if (!s.edge_unanswered.empty()) s.edge_unanswered[child] = 0;
       s.edge_epoch[child] = epoch_;
@@ -737,6 +738,7 @@ SlotId PartialStore::add_slot(const query::RegionSignature& region,
   s.session = session;
   s.sketch = sketch;
   slots_.push_back(std::move(s));
+  ++generation_;
   return static_cast<SlotId>(slots_.size() - 1);
 }
 
@@ -749,6 +751,7 @@ void PartialStore::release(SlotId s) {
   blank.session = slot.session;
   blank.sketch = slot.sketch;
   slot = std::move(blank);
+  ++generation_;
 }
 
 StatsBundle PartialStore::local_bundle(
@@ -831,8 +834,10 @@ std::vector<WaveShare> PartialStore::collect(std::span<const SlotId> slots,
       s.edge_hll.resize(n);
     } else {
       s.edge_bundle.resize(n);
+      s.edge_outer_empty.assign(n, 1);
     }
   }
+  ++generation_;  // the wave rewrites edge partials, even if it fails
   Collect policy(*this, batch, epoch);
   proto::EdgeWave<Collect> wave(tree_, slots_[batch.front()].session, policy);
   try {
@@ -889,7 +894,7 @@ bool PartialStore::provably_empty(NodeId child,
     // are *identical* to when the partial was taken, so an empty outer then
     // is an empty outer now: the subtree contributes nothing, exactly.
     if (!dirty_.edge_fresh(child, slot.edge_epoch[child])) continue;
-    if (slot.edge_bundle[child].outer.count == 0) return true;
+    if (slot.edge_outer_empty[child] != 0) return true;
   }
   return false;
 }

@@ -310,6 +310,15 @@ class PartialStore {
   /// certifies its items are unchanged since the partial was taken).
   bool provably_empty(NodeId child, std::span<const SlotId> containing) const;
 
+  /// Changes whenever what edge_fresh() or provably_empty() may answer
+  /// does: bumped by add_slot(), release() and every collect() wave (it
+  /// rewrites edge partials), and by the tracker's note_updates(). Readers
+  /// that cache a pass over the store (the cube's pricing table) key it on
+  /// this.
+  std::uint64_t generation() const {
+    return generation_ + dirty_.generation();
+  }
+
   std::size_t slot_count() const { return slots_.size(); }
   const query::RegionSignature& region(SlotId s) const {
     return slots_[s].region;
@@ -335,6 +344,17 @@ class PartialStore {
   /// Edge c's partial bundle; requires has_edges(s) and a stats slot.
   const StatsBundle& edge_bundle(SlotId s, NodeId child) const {
     return slots_[s].edge_bundle[child];
+  }
+  /// Per edge (by child node), the epoch of its partial: edge_epoch() of
+  /// every edge at once; empty until has_edges(s).
+  std::span<const std::uint32_t> edge_epochs(SlotId s) const {
+    return slots_[s].edge_epoch;
+  }
+  /// Per edge of a stats slot, nonzero when its partial bundle's outer
+  /// region is empty (a byte per edge, so a pass over many edges reads
+  /// little); empty until has_edges(s), and always for a sketch slot.
+  std::span<const std::uint8_t> edge_outer_empty(SlotId s) const {
+    return slots_[s].edge_outer_empty;
   }
   /// Edge c's partial HLL; requires a sketch slot whose edge holds one.
   const sketch::Hll& edge_hll(SlotId s, NodeId child) const {
@@ -387,6 +407,7 @@ class PartialStore {
     // bundles for a stats slot, HLLs for a sketch slot.
     std::vector<std::uint32_t> edge_epoch;
     std::vector<StatsBundle> edge_bundle;
+    std::vector<std::uint8_t> edge_outer_empty;  // ... outer.count == 0
     std::vector<std::optional<sketch::Hll>> edge_hll;
     // The slot's unanswered-request marks per edge, sized at the first
     // failed collect.
@@ -406,6 +427,7 @@ class PartialStore {
   unsigned hll_registers_;
   std::uint8_t hll_width_ = 0;
   std::vector<Slot> slots_;
+  std::uint64_t generation_ = 0;  // the store's own share of generation()
   std::uint64_t edges_descended_ = 0;
   std::uint64_t edges_skipped_ = 0;
   std::uint64_t delta_image_bits_ = 0;

@@ -43,6 +43,23 @@ std::string PlanStep::describe() const {
   return s;
 }
 
+RegionSignature interval_region(Value lo, Value end, Value domain_bound) {
+  return {lo, end - 1, lo == 0 && end - 1 == domain_bound};
+}
+
+std::vector<std::uint64_t> CubeCatalog::residue_collect_bits_all(
+    std::span<const Value> pos, Value domain_bound) const {
+  const std::size_t p = pos.size();
+  std::vector<std::uint64_t> out(p * p, 0);
+  for (std::size_t a = 0; a < p; ++a) {
+    for (std::size_t b = a + 1; b < p; ++b) {
+      out[a * p + b] =
+          residue_collect_bits(interval_region(pos[a], pos[b], domain_bound));
+    }
+  }
+  return out;
+}
+
 bool CostedPlan::cube_served() const {
   return std::any_of(steps.begin(), steps.end(), [](const PlanStep& s) {
     return s.kind != StepKind::kTreeCollect;

@@ -13,14 +13,19 @@
 //   CubeCatalog — the planner's window onto whatever maintains the cube
 //     (src/cube). The planner never sees partials or waves, only geometry
 //     (cell_region) and a deterministic bit-cost model (cell_refresh_bits /
-//     residue_collect_bits / tree_collect_bits). A null catalog degrades
-//     every plan to kTreeCollect, which is exactly the pre-cube behavior.
+//     residue_collect_bits / residue_collect_bits_all / tree_collect_bits).
+//     A null catalog degrades every plan to kTreeCollect, which is exactly
+//     the pre-cube behavior.
 //
 // Costs are estimates in wire bits and drive only the cube-vs-tree choice
-// and the cell cover; answer correctness never depends on them.
+// and the cell cover; answer correctness never depends on them. cube::Cube
+// reads them from a pricing table it builds in one tree pass per store
+// state (its generation), so a price costs no tree walk; one
+// residue_collect_bits_all() call prices every residue arc of a cover.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -56,6 +61,10 @@ struct RegionSignature {
   auto operator<=>(const RegionSignature&) const = default;
 };
 
+/// The region [lo, end - 1] of the value domain [0, domain_bound]: a span
+/// between two of a cover's boundary positions.
+RegionSignature interval_region(Value lo, Value end, Value domain_bound);
+
 /// Names one cube cell: dyadic slice `index` of the value domain at
 /// resolution `level` (level 0 = the whole domain as one cell).
 struct CubeCellRef {
@@ -90,6 +99,12 @@ class CubeCatalog {
   /// Estimated bits of a one-shot pruned collection over `region`.
   virtual std::uint64_t residue_collect_bits(
       const RegionSignature& region) const = 0;
+  /// residue_collect_bits() of every interval [pos[a], pos[b] - 1], a < b,
+  /// of the strictly ascending positions `pos`, whole_domain iff it is
+  /// [0, domain_bound]: entry a * pos.size() + b (the others are 0). The
+  /// default asks residue_collect_bits() once per interval.
+  virtual std::vector<std::uint64_t> residue_collect_bits_all(
+      std::span<const Value> pos, Value domain_bound) const;
   /// Estimated bits of a plain whole-tree collection answering `region`.
   virtual std::uint64_t tree_collect_bits(
       const RegionSignature& region) const = 0;

@@ -236,6 +236,8 @@ void Planner::build_cover(CostedPlan& plan) const {
     }
   };
   const std::uint64_t residue_tie = catalog_->levels();
+  const std::vector<std::uint64_t> residue_bits =
+      catalog_->residue_collect_bits_all(pos, max_value_bound_);
   for (std::size_t a = 0; a + 1 < pos.size(); ++a) {
     if (!dp[a].reached) continue;
     for (std::size_t ci = 0; ci < cells.size(); ++ci) {
@@ -244,11 +246,7 @@ void Planner::build_cover(CostedPlan& plan) const {
             cells[ci].ref.level, static_cast<int>(ci));
     }
     for (std::size_t b = a + 1; b < pos.size(); ++b) {
-      RegionSignature rr;
-      rr.lo = pos[a];
-      rr.hi = pos[b] - 1;
-      rr.whole_domain = rr.lo == 0 && rr.hi == max_value_bound_;
-      relax(a, b, catalog_->residue_collect_bits(rr), residue_tie, -1);
+      relax(a, b, residue_bits[a * pos.size() + b], residue_tie, -1);
     }
   }
 
@@ -264,10 +262,7 @@ void Planner::build_cover(CostedPlan& plan) const {
   while (at != 0) {
     const Node& n = dp[at];
     PlanStep step;
-    step.region.lo = pos[n.prev];
-    step.region.hi = pos[at] - 1;
-    step.region.whole_domain =
-        step.region.lo == 0 && step.region.hi == max_value_bound_;
+    step.region = interval_region(pos[n.prev], pos[at], max_value_bound_);
     if (n.via_cell >= 0) {
       step.kind = StepKind::kCubeCell;
       step.cell = cells[static_cast<std::size_t>(n.via_cell)].ref;
@@ -275,7 +270,7 @@ void Planner::build_cover(CostedPlan& plan) const {
       ++cell_steps;
     } else {
       step.kind = StepKind::kResidueCollect;
-      step.est_bits = catalog_->residue_collect_bits(step.region);
+      step.est_bits = residue_bits[n.prev * pos.size() + at];
     }
     steps.push_back(step);
     at = n.prev;

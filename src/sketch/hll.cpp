@@ -172,19 +172,43 @@ std::size_t Hll::sparse_capacity() const {
   return cap < 1 ? 1 : cap;
 }
 
+template <class F>
+void Hll::for_each_dense(F&& f) const {
+  const std::uint64_t mask = field_mask();
+  unsigned left = m();
+  for (std::uint64_t word : words_) {
+    const unsigned here = std::min(regs_per_word(), left);
+    for (unsigned j = 0; j < here; ++j) {
+      f(static_cast<unsigned>(word & mask));
+      word >>= width_;
+    }
+    left -= here;
+  }
+}
+
+Hll::Field Hll::field(unsigned bucket) const {
+  // One constant divisor per width, so the division compiles to a multiply.
+  const auto at = [this, bucket](unsigned k) {
+    return Field{bucket / k, (bucket % k) * width_};
+  };
+  switch (width_) {
+    case 4: return at(16);
+    case 5: return at(12);
+    case 6: return at(10);
+    default: return at(8);
+  }
+}
+
 unsigned Hll::dense_get(unsigned bucket) const {
-  const unsigned k = regs_per_word();
-  const std::uint64_t word = words_[bucket / k];
-  return static_cast<unsigned>((word >> ((bucket % k) * width_)) &
-                               field_mask());
+  const Field f = field(bucket);
+  return static_cast<unsigned>((words_[f.word] >> f.shift) & field_mask());
 }
 
 void Hll::dense_set(unsigned bucket, unsigned rank) {
-  const unsigned k = regs_per_word();
-  const unsigned shift = (bucket % k) * width_;
-  std::uint64_t& word = words_[bucket / k];
-  word = (word & ~(field_mask() << shift)) |
-         (static_cast<std::uint64_t>(rank) << shift);
+  const Field f = field(bucket);
+  std::uint64_t& word = words_[f.word];
+  word = (word & ~(field_mask() << f.shift)) |
+         (static_cast<std::uint64_t>(rank) << f.shift);
 }
 
 void Hll::observe_sparse(unsigned bucket, unsigned rank) {
@@ -211,10 +235,11 @@ void Hll::promote_to_dense() {
 
 void Hll::demote_to_sparse() {
   sparse_.clear();
-  for (unsigned b = 0; b < m(); ++b) {
-    const unsigned rank = dense_get(b);
+  unsigned b = 0;
+  for_each_dense([&](unsigned rank) {
     if (rank != 0) sparse_.push_back(sparse_entry(b, rank));
-  }
+    ++b;
+  });
   words_.clear();
   words_.shrink_to_fit();
   dense_ = false;
@@ -319,10 +344,9 @@ double Hll::estimate() const {
   const unsigned zeros = zero_count();
   double harmonic = static_cast<double>(zeros);
   if (dense_) {
-    for (unsigned b = 0; b < m(); ++b) {
-      const unsigned v = dense_get(b);
+    for_each_dense([&harmonic](unsigned v) {
       if (v != 0) harmonic += std::ldexp(1.0, -static_cast<int>(v));
-    }
+    });
   } else {
     for (const std::uint32_t e : sparse_) {
       harmonic += std::ldexp(1.0, -static_cast<int>(entry_rank(e)));
@@ -349,16 +373,9 @@ unsigned Hll::value(unsigned bucket) const {
 void Hll::registers(std::span<std::uint8_t> out) const {
   SENSORNET_EXPECTS(out.size() == m());
   if (dense_) {
-    // Word by word, field by field: no division per register.
-    const unsigned k = regs_per_word();
-    const std::uint64_t mask = field_mask();
     std::size_t b = 0;
-    for (std::uint64_t word : words_) {
-      for (unsigned j = 0; j < k && b < out.size(); ++j, ++b) {
-        out[b] = static_cast<std::uint8_t>(word & mask);
-        word >>= width_;
-      }
-    }
+    for_each_dense(
+        [&](unsigned v) { out[b++] = static_cast<std::uint8_t>(v); });
     return;
   }
   std::fill(out.begin(), out.end(), std::uint8_t{0});
@@ -370,16 +387,14 @@ void Hll::registers(std::span<std::uint8_t> out) const {
 unsigned Hll::zero_count() const {
   if (!dense_) return m() - static_cast<unsigned>(sparse_.size());
   unsigned zeros = 0;
-  for (unsigned b = 0; b < m(); ++b) {
-    if (dense_get(b) == 0) ++zeros;
-  }
+  for_each_dense([&zeros](unsigned v) { zeros += v == 0 ? 1 : 0; });
   return zeros;
 }
 
 std::uint64_t Hll::rank_sum() const {
   std::uint64_t sum = 0;
   if (dense_) {
-    for (unsigned b = 0; b < m(); ++b) sum += dense_get(b);
+    for_each_dense([&sum](unsigned v) { sum += v; });
   } else {
     for (const std::uint32_t e : sparse_) sum += entry_rank(e);
   }
@@ -428,8 +443,7 @@ void Hll::encode(BitWriter& w) const {
   // bit image is identical to a per-register write_bits loop).
   std::uint64_t acc = 0;
   unsigned used = 0;
-  for (unsigned b = 0; b < m(); ++b) {
-    const std::uint64_t reg = dense_get(b);
+  for_each_dense([&](const std::uint64_t reg) {
     if (used + width_ <= 64) {
       acc |= reg << (64 - used - width_);
       used += width_;
@@ -445,7 +459,7 @@ void Hll::encode(BitWriter& w) const {
       acc = 0;
       used = 0;
     }
-  }
+  });
   if (used > 0) w.write_bits(acc >> (64 - used), used);
 }
 

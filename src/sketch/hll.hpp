@@ -216,6 +216,16 @@ class Hll {
 
   unsigned regs_per_word() const { return 64 / width_; }
   std::uint64_t field_mask() const { return (1ull << width_) - 1; }
+  /// Calls f(register) for each of a dense sketch's m registers, in bucket
+  /// order, word by word (no division per register).
+  template <class F>
+  void for_each_dense(F&& f) const;
+  /// Where register `bucket` sits: its word and its bit offset there.
+  struct Field {
+    unsigned word;
+    unsigned shift;
+  };
+  Field field(unsigned bucket) const;
   unsigned dense_get(unsigned bucket) const;
   void dense_set(unsigned bucket, unsigned rank);
   void observe_sparse(unsigned bucket, unsigned rank);

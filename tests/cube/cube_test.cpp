@@ -409,7 +409,8 @@ TEST(Cube, CostModelTracksActualRefreshState) {
 
 /// One epoch of seeded drift: `count` random nodes (repeats collapse) move
 /// by +-kDelta within [0, kBound]; the dirty tracker hears of each move.
-void drift(Fixture& f, Xoshiro256& rng, std::size_t count,
+template <class Deployment>
+void drift(Deployment& f, Xoshiro256& rng, std::size_t count,
            std::uint32_t epoch) {
   std::vector<NodeId> touched;
   for (std::size_t i = 0; i < count; ++i) {
@@ -716,6 +717,205 @@ TEST(Cube, BatchedServeMatchesPerPlanServes) {
     EXPECT_LT(batched.cube.stats().residues_run,
               reference.cube.stats().residues_run);
   }
+}
+
+// ---- pricing table vs the tree walks it replaced --------------------------
+
+/// Edges a collect() of slot `s` descends below `node`: the stale ones whose
+/// whole root path is stale.
+std::uint64_t walk_stale_edges(const PartialStore& store,
+                               const net::SpanningTree& tree, SlotId s,
+                               NodeId node) {
+  std::uint64_t edges = 0;
+  for (const NodeId child : tree.children[node]) {
+    if (store.edge_fresh(s, child)) continue;
+    edges += 1 + walk_stale_edges(store, tree, s, child);
+  }
+  return edges;
+}
+
+/// Edges a one-shot residue descends below `node`: those no containing
+/// slot proves empty, along the whole root path.
+std::uint64_t walk_residue_edges(const PartialStore& store,
+                                 const net::SpanningTree& tree, NodeId node,
+                                 const std::vector<SlotId>& containing) {
+  std::uint64_t edges = 0;
+  for (const NodeId child : tree.children[node]) {
+    if (store.provably_empty(child, containing)) continue;
+    edges += 1 + walk_residue_edges(store, tree, child, containing);
+  }
+  return edges;
+}
+
+/// A cube over an arbitrary tree, with 16-register HLL twins and a short
+/// horizon so standing slots retire and reinstall within a few epochs.
+struct PricingRig {
+  sim::Network net;
+  net::SpanningTree tree;
+  DirtyTracker dirty;
+  Cube cube;
+  // Per-edge cost of a collect() edge (whole domain, ranged), read off the
+  // cold cube, where every edge of every cell is stale.
+  std::uint64_t whole_edge_bits;
+  std::uint64_t ranged_edge_bits;
+
+  PricingRig(net::Graph graph, std::uint64_t seed)
+      : net(std::move(graph), seed),
+        tree(net::bfs_tree(net.graph(), 0)),
+        dirty(net, tree),
+        cube(net, tree, kBound, dirty,
+             CubeConfig{.distinct_registers = 16, .horizon_epochs = 2}),
+        whole_edge_bits(cube.cell_refresh_bits({0, 0}) / edges()),
+        ranged_edge_bits(cube.cell_refresh_bits({1, 0}) / edges()) {
+    // Skewed readings: the upper cells' partials go empty on most edges.
+    Xoshiro256 rng(seed);
+    ValueSet vs(net.node_count());
+    for (Value& v : vs) {
+      v = static_cast<Value>(rng.next_below(4) == 0 ? rng.next_below(kBound + 1)
+                                                    : rng.next_below(300));
+    }
+    net.set_one_item_per_node(vs);
+  }
+
+  std::uint64_t edges() const { return tree.node_count() - 1; }
+
+  /// Today's prices from the tree walks.
+  std::uint64_t walk_cell_bits(SlotId s) const {
+    return walk_stale_edges(cube.cells(), tree, s, tree.root) *
+           (cube.cells().region(s).whole_domain ? whole_edge_bits
+                                                : ranged_edge_bits);
+  }
+  std::uint64_t walk_residue_bits(const query::RegionSignature& r) const {
+    const PartialStore& store = cube.cells();
+    // An installed standing stats slot of the region prices like a cell.
+    for (auto s = static_cast<SlotId>(cube.cell_count());
+         s < store.slot_count(); ++s) {
+      if (!store.sketch(s) && store.has_edges(s) && store.region(s) == r) {
+        return walk_cell_bits(s);
+      }
+    }
+    return walk_residue_edges(store, tree, tree.root,
+                              store.containing_slots(r)) *
+           (cube.tree_collect_bits(r) / edges());
+  }
+
+  /// Every cell price, and every interval between the cover positions of
+  /// `count` random regions (cell and standing-slot ends included), against
+  /// the walks.
+  void expect_walk_prices(Xoshiro256& rng, int count) const {
+    for (unsigned level = 0; level < cube.levels(); ++level) {
+      for (unsigned index = 0; index < (1u << level); ++index) {
+        const query::CubeCellRef ref{level, index};
+        EXPECT_EQ(cube.cell_refresh_bits(ref),
+                  walk_cell_bits(static_cast<SlotId>(Cube::cell_ordinal(ref))))
+            << "cell " << level << "." << index;
+      }
+    }
+    const PartialStore& store = cube.cells();
+    for (int i = 0; i < count; ++i) {
+      const auto lo = static_cast<Value>(rng.next_below(kBound + 1));
+      const auto hi = lo + static_cast<Value>(rng.next_below(kBound - lo + 1));
+      std::vector<Value> pos{lo, hi + 1};
+      for (SlotId s = 0; s < store.slot_count(); ++s) {
+        for (const Value v : {store.region(s).lo, store.region(s).hi + 1}) {
+          if (v > lo && v <= hi) pos.push_back(v);
+        }
+      }
+      std::sort(pos.begin(), pos.end());
+      pos.erase(std::unique(pos.begin(), pos.end()), pos.end());
+      const std::vector<std::uint64_t> all =
+          cube.residue_collect_bits_all(pos, kBound);
+      ASSERT_EQ(all.size(), pos.size() * pos.size());
+      for (std::size_t a = 0; a < pos.size(); ++a) {
+        for (std::size_t b = a + 1; b < pos.size(); ++b) {
+          const query::RegionSignature r =
+              query::interval_region(pos[a], pos[b], kBound);
+          const std::uint64_t want = walk_residue_bits(r);
+          EXPECT_EQ(all[a * pos.size() + b], want) << r.lo << ".." << r.hi;
+          EXPECT_EQ(cube.residue_collect_bits(r), want) << r.lo << ".." << r.hi;
+        }
+      }
+    }
+  }
+
+  /// One epoch: drift a few random nodes, then maybe serve a random batch.
+  void step(Xoshiro256& rng, std::uint32_t epoch) {
+    drift(*this, rng, 6, epoch);
+    if (rng.next_below(3) == 0) return;  // an epoch nobody reads
+    // A few fixed standing regions, so slots are re-read, retire and come
+    // back; random one-shot ranges; a distinct plan over HLL twins.
+    static const char* const kStanding[] = {
+        "SELECT SUM(v) FROM s WHERE v BETWEEN 100 AND 580",
+        "SELECT COUNT(v) FROM s WHERE v BETWEEN 730 AND 900",
+        "SELECT COUNT_DISTINCT(v) FROM s WHERE v BETWEEN 60 AND 700 "
+        "ERROR 0.3",
+        "SELECT COUNT_DISTINCT(v) FROM s ERROR 0.3",  // the root cell's twin
+    };
+    const query::Planner planner(kBound, &cube);
+    for (const char* text : kStanding) {
+      if (rng.next_below(2) == 0) continue;
+      cube.claim(planner.plan(query::parse_query(text)).value(), true);
+    }
+    for (const std::string& text : random_texts(rng)) {
+      cube.claim(planner.plan(query::parse_query(text)).value());
+    }
+    cube.serve_claimed(epoch);
+  }
+};
+
+TEST(Cube, PricingTableMatchesTreeWalk) {
+  for (const bool geometric : {true, false}) {
+    for (const std::uint64_t seed : {2u, 11u}) {
+      SCOPED_TRACE(geometric ? "geometric" : "grid");
+      SCOPED_TRACE(seed);
+      Xoshiro256 topo(seed);
+      PricingRig rig(geometric
+                         ? net::make_random_geometric(150, 0.14, topo).graph
+                         : net::make_grid(9, 11),
+                     seed);
+      Xoshiro256 rng(seed * 7 + 1);
+      rig.expect_walk_prices(rng, 2);  // cold: nothing collected yet
+      for (std::uint32_t epoch = 1; epoch <= 12; ++epoch) {
+        rig.step(rng, epoch);
+        rig.expect_walk_prices(rng, 3);
+      }
+      // The slots the steps made: a twin, standing stats and sketch slots;
+      // and at least one standing slot retired.
+      const PartialStore& store = rig.cube.cells();
+      EXPECT_GT(store.slot_count(), rig.cube.cell_count() + 3);
+      EXPECT_GT(rig.cube.stats().standing_retired, 0u);
+      EXPECT_GT(rig.cube.stats().residue_edges_pruned, 0u);
+      // One table per store generation priced at, however many prices.
+      const CubeStats stats = rig.cube.stats();
+      EXPECT_GT(stats.pricing_passes, 0u);
+      EXPECT_EQ(stats.pricing_passes, stats.pricing_generations);
+    }
+  }
+}
+
+TEST(Cube, PricingTableIsRebuiltAfterTheStoreChanges) {
+  PricingRig rig(net::make_grid(8, 8), 4);
+  Xoshiro256 rng(4);
+  const query::Planner planner(kBound, &rig.cube);
+  rig.cube.serve(
+      planner.plan(query::parse_query("SELECT SUM(v) FROM s")).value(), 1);
+  rig.expect_walk_prices(rng, 2);
+  EXPECT_EQ(rig.cube.cell_refresh_bits({0, 0}), 0u);
+  const CubeStats priced = rig.cube.stats();
+  // Pricing again at the same generation reuses the table.
+  rig.expect_walk_prices(rng, 2);
+  EXPECT_EQ(rig.cube.stats().pricing_passes, priced.pricing_passes);
+  // Readings move and only the tracker hears: the stale table must not be
+  // read, so the fresh whole-domain cell's price moves with them.
+  std::vector<NodeId> touched;
+  for (NodeId u = 0; u < rig.net.node_count(); u += 3) {
+    rig.net.update_item(u, 0, std::min(kBound, rig.net.items(u)[0] + kDelta));
+    touched.push_back(u);
+  }
+  rig.dirty.note_updates(touched, 2);
+  EXPECT_GT(rig.cube.cell_refresh_bits({0, 0}), 0u);
+  rig.expect_walk_prices(rng, 2);
+  EXPECT_EQ(rig.cube.stats().pricing_passes, priced.pricing_passes + 1);
 }
 
 TEST(Cube, LostMessageFailsTheServeAndTheRetryIsExact) {

@@ -605,5 +605,61 @@ TEST(Hll, EstimateMatchesFreeFunctionMath) {
                    loglog_estimate_from(64, rank_sum));
 }
 
+TEST(Hll, WordWalksMatchAPerRegisterReference) {
+  // estimate, zero_count, rank_sum, encode and the dense-to-sparse demotion
+  // walk the packed words; each must equal the same quantity computed
+  // register by register from registers() (itself checked against value()).
+  Xoshiro256 rng(83);
+  for (const unsigned w : kWidths) {
+    for (const unsigned m : {16u, 64u, 1024u}) {
+      for (int trial = 0; trial < 12; ++trial) {
+        Hll hll = make(m, w, /*sparse=*/rng.next_below(2) == 0);
+        const auto adds = rng.next_below(trial < 6 ? m / 4 + 1 : 4 * m);
+        for (std::uint64_t i = 0; i < adds; ++i) hll.add(rng.next_u64(), 3);
+        // Clearing registers may demote a dense sketch back to sparse.
+        for (std::uint64_t i = rng.next_below(m); i > 0; --i) {
+          hll.set_register(static_cast<unsigned>(rng.next_below(m)), 0);
+        }
+        std::vector<std::uint8_t> regs(m);
+        hll.registers(regs);
+        double harmonic = 0.0;
+        std::uint64_t rank_sum = 0;
+        unsigned zeros = 0;
+        for (unsigned b = 0; b < m; ++b) {
+          ASSERT_EQ(regs[b], hll.value(b)) << "w=" << w << " b=" << b;
+          zeros += regs[b] == 0 ? 1 : 0;
+          rank_sum += regs[b];
+        }
+        harmonic = zeros;
+        BitWriter want;
+        want.write_bits(Hll::kWireMagic, 8);
+        want.write_bits(Hll::kWireVersion, 4);
+        want.write_bits(hll.precision(), 5);
+        want.write_bits(w - 1, 3);
+        want.write_bit(!hll.is_sparse());
+        if (hll.is_sparse()) encode_uint(want, m - zeros);
+        for (unsigned b = 0; b < m; ++b) {
+          if (regs[b] != 0) harmonic += std::ldexp(1.0, -regs[b]);
+          if (!hll.is_sparse()) {
+            want.write_bits(regs[b], w);
+          } else if (regs[b] != 0) {
+            want.write_bits(b, hll.precision());
+            want.write_bits(regs[b], w);
+          }
+        }
+        EXPECT_EQ(hll.zero_count(), zeros);
+        EXPECT_EQ(hll.rank_sum(), rank_sum);
+        EXPECT_EQ(hll.estimate(),
+                  hyperloglog_estimate_from(m, harmonic, zeros));
+        EXPECT_EQ(hll.estimate_loglog(), loglog_estimate_from(m, rank_sum));
+        EXPECT_EQ(encode_bytes(hll),
+                  std::vector<std::uint8_t>(want.bytes().begin(),
+                                            want.bytes().end()))
+            << "w=" << w << " m=" << m;
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace sensornet::sketch
