@@ -180,6 +180,8 @@ struct ChurnResult {
   std::uint64_t burst_bits = 0;  // bits on air during submit_batch calls
   std::uint64_t burst_convergecasts = 0;
   std::uint64_t max_burst_convergecasts = 0;
+  std::uint64_t executor_runs = 0;  // the bursts' MEDIANs
+  std::uint64_t countp_edges_pruned = 0;
   double seconds = 0.0;
   double qps() const {
     return seconds > 0.0 ? static_cast<double>(answers) / seconds : 0.0;
@@ -260,6 +262,8 @@ ChurnResult run_churn_lane(const Scale& s, unsigned threads) {
   churn.seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
+  churn.executor_runs = svc.telemetry().executor_runs;
+  churn.countp_edges_pruned = svc.telemetry().countp_edges_pruned;
   return churn;
 }
 
@@ -340,6 +344,10 @@ void gate_claims(Gates& gates, bool quick, const LaneResult& shared,
   gates.gate(churn.max_burst_convergecasts <= 1, "a churn burst took ",
              churn.max_burst_convergecasts,
              " stats convergecasts — its one-shots were served one by one");
+  // Exact MEDIAN descends only into subtrees that straddle its pivot.
+  gates.gate(churn.executor_runs == 0 || churn.countp_edges_pruned > 0,
+             "the churn lane's ", churn.executor_runs,
+             " exact selections served no COUNTP edge from a subtree summary");
 }
 
 void write_pr8(Json& j, const Scale& s, bool quick, unsigned threads,
@@ -434,6 +442,7 @@ void write_pr8(Json& j, const Scale& s, bool quick, unsigned threads,
       .field("answers", churn.answers)
       .field("bits_per_burst",
              static_cast<double>(churn.burst_bits) / churn.bursts, 1)
+      .field("countp_edges_pruned", churn.countp_edges_pruned)
       .field("convergecasts_per_burst",
              static_cast<double>(churn.burst_convergecasts) / churn.bursts, 3)
       .field("max_convergecasts_per_burst", churn.max_burst_convergecasts)

@@ -28,8 +28,13 @@ int main(int argc, char** argv) {
     std::cout << "sensornet> " << text << "\n";
     try {
       const auto res = exec.run(text);
-      std::cout << "  = " << res.value << (res.is_exact ? "  (exact)" : "  (approximate)")
-                << "\n  plan: " << res.plan
+      if (res.empty_selection) {
+        std::cout << "  = (empty selection)";
+      } else {
+        std::cout << "  = " << res.value
+                  << (res.is_exact ? "  (exact)" : "  (approximate)");
+      }
+      std::cout << "\n  plan: " << res.plan
                 << "\n  cost: max " << res.max_node_bits
                 << " bits/mote, " << res.total_bits << " bits total, "
                 << res.messages << " messages\n\n";

@@ -96,6 +96,7 @@ ApxMedian2Result approx_median2(sim::Network& net,
   SENSORNET_EXPECTS(params.epsilon > 0.0 && params.epsilon < 1.0);
   SENSORNET_EXPECTS(params.max_value_bound >= 2);
   SENSORNET_EXPECTS(params.rank_phi > 0.0 && params.rank_phi < 1.0);
+  SENSORNET_EXPECTS(params.rep_scale > 0.0);
   const Value X = params.max_value_bound;
 
   ApxMedian2Result res;
@@ -187,7 +188,10 @@ ApxMedian2Result approx_median2(sim::Network& net,
   }
 
   if (mu_hats.empty()) {
-    throw ProtocolError("approx_median2: no stage completed");
+    // Only stage 1 can end the loop without a mu-hat, and no item is
+    // passive there yet: its MIN wave found the input empty.
+    res.empty_input = true;
+    return res;
   }
   res.value = res.interval_lo + (res.interval_hi - res.interval_lo) / 2;
   return res;

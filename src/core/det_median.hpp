@@ -10,6 +10,13 @@
 // The driver is written against the abstract CountingService, mirroring the
 // paper's "indifferent to the underlying communication mechanism" claim: the
 // same code runs over spanning trees and over the single-hop medium.
+//
+// Which service runs it: the query executor's exact MEDIAN/QUANTILE runs it
+// over proto::PrunedCountingService (one summary wave replaces the COUNT,
+// MIN and MAX waves, and COUNTP descends only into subtrees that straddle
+// the pivot). The paper experiments run it over proto::TreeCountingService,
+// Fact 2.1 verbatim, so their ledgers show Theorem 3.2's costs. Pivots,
+// COUNTP calls and answers are the same over both.
 #pragma once
 
 #include <cstdint>

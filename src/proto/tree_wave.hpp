@@ -12,11 +12,12 @@
 // wave never delivers. The policy owns the payloads and decides, per child
 // edge, whether to send a request or to serve the edge without a message
 // (from a cached partial, or by pruning a subtree known to contribute
-// nothing). There are two policies: TreeWave<Spec>'s Descend, the
+// nothing). There are three policies: TreeWave<Spec>'s Descend, the
 // always-descend policy over an AggregationSpec, which carries the
-// library's one-shot protocols; and cube::PartialStore's Collect, the
-// multiplexed stats collection behind stats groups, cube cells and the
-// cube's pruned residues.
+// library's one-shot protocols; PrunedCountingService's Wave, whose COUNTP
+// descends only into subtrees that straddle the pivot; and
+// cube::PartialStore's Collect, the multiplexed stats collection behind
+// stats groups, cube cells and the cube's pruned residues.
 //
 // Individual communication per wave: each node sends/receives one request
 // per tree edge it touches and one response, so a node of tree-degree d pays

@@ -31,10 +31,16 @@ struct Deployment {
 struct QueryResult {
   double value = 0.0;
   bool is_exact = true;
+  /// The filter matched no reading: MIN/MAX/AVG/MEDIAN/QUANTILE are
+  /// undefined and `value` is 0.
+  bool empty_selection = false;
   std::string plan;          // human-readable strategy line
   std::uint64_t max_node_bits = 0;  // this query's individual communication
   std::uint64_t total_bits = 0;
   std::uint64_t messages = 0;
+  /// Exact selection: COUNTP child edges served from a kept subtree
+  /// summary, without a message (proto::PrunedCountingService).
+  std::uint64_t countp_edges_pruned = 0;
 };
 
 class Executor {

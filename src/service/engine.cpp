@@ -425,7 +425,9 @@ Answer QueryService::answer_fresh(const LiveQuery& lq) {
     const query::QueryResult r = executor_.run(lq.q, lq.plan);
     a.value = r.value;
     a.exact = r.is_exact;
+    a.empty_selection = r.empty_selection;
     ++telemetry_.executor_runs;
+    telemetry_.countp_edges_pruned += r.countp_edges_pruned;
   }
   a.id = lq.id;
   a.epoch = epoch_;

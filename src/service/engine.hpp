@@ -113,7 +113,8 @@ struct Answer {
   double error_bound = 0.0;
   bool exact = true;
   bool from_cache = false;
-  /// The WHERE region matched no readings (MIN/MAX/AVG undefined; value 0).
+  /// The WHERE region matched no readings (MIN/MAX/AVG/MEDIAN/QUANTILE
+  /// undefined; value 0).
   bool empty_selection = false;
 };
 
@@ -134,6 +135,9 @@ struct ServiceTelemetry {
   std::uint64_t fresh_stats_answers = 0;
   std::uint64_t distinct_answers = 0;
   std::uint64_t executor_runs = 0;
+  /// Exact selections' COUNTP child edges served from a kept subtree
+  /// summary, without a message (query::QueryResult::countp_edges_pruned).
+  std::uint64_t countp_edges_pruned = 0;
   /// Cube-backed answers: fresh (composed from the epoch's batch, every
   /// due query of a fresh key included) vs stale (zero-bit per-cell drift
   /// brackets that met the tolerance).

@@ -19,6 +19,7 @@
 #include "src/cube/partials.hpp"
 #include "src/cube/stats.hpp"
 #include "src/proto/aggregations.hpp"
+#include "src/proto/counting_service.hpp"
 #include "src/proto/predicate.hpp"
 #include "src/service/shared_plan.hpp"
 #include "src/sketch/hll.hpp"
@@ -650,6 +651,55 @@ TEST(FuzzDecode, HllDeltaRejectsOutOfRange) {
   EXPECT_TRUE(hll_delta_decodes(base, every));
   every.push_back({0, 1});
   EXPECT_FALSE(hll_delta_decodes(base, every, 17));
+}
+
+TEST(FuzzDecode, SubtreeSummary) {
+  fuzz_strict([](Xoshiro256&, BitReader& r) {
+    const proto::SubtreeSummary s = proto::SubtreeSummary::decode(r);
+    if (s.count > 0) {
+      EXPECT_GE(s.min, 0);
+      EXPECT_GE(s.max, s.min);
+    }
+  });
+}
+
+TEST(FuzzDecode, SubtreeSummaryRejectsTruncationAndOverflow) {
+  // A valid summary decodes to itself; every strict prefix is rejected.
+  Xoshiro256 rng(31);
+  for (int t = 0; t < 200; ++t) {
+    proto::SubtreeSummary s;
+    for (auto k = rng.next_below(4); k > 0; --k) {
+      s.observe(static_cast<Value>(rng.next_below(std::uint64_t{1}
+                                                  << rng.next_below(40))));
+    }
+    BitWriter w;
+    s.encode(w);
+    BitReader exact(w.bytes().data(), w.bit_count());
+    EXPECT_EQ(proto::SubtreeSummary::decode(exact), s);
+    EXPECT_EQ(exact.remaining(), 0u);
+    for (std::size_t cut = 0; cut < w.bit_count(); ++cut) {
+      BitReader shorter(w.bytes().data(), cut);
+      EXPECT_THROW(proto::SubtreeSummary::decode(shorter), WireFormatError);
+    }
+  }
+  // Well-formed codes whose min, or min + span, leave the Value range.
+  constexpr std::uint64_t kTop = (std::uint64_t{1} << 63) - 1;
+  for (const auto& [min, span] : {std::pair{kTop + 1, std::uint64_t{0}},
+                                 std::pair{kTop, std::uint64_t{1}},
+                                 std::pair{std::uint64_t{5}, kTop}}) {
+    BitWriter w;
+    encode_uint(w, 1);  // count
+    encode_uint(w, min);
+    encode_uint(w, span);
+    BitReader r(w.bytes().data(), w.bit_count());
+    EXPECT_THROW(proto::SubtreeSummary::decode(r), WireFormatError);
+  }
+  BitWriter w;
+  encode_uint(w, 2);
+  encode_uint(w, kTop - 3);
+  encode_uint(w, 3);
+  BitReader r(w.bytes().data(), w.bit_count());
+  EXPECT_EQ(proto::SubtreeSummary::decode(r).max, static_cast<Value>(kTop));
 }
 
 TEST(FuzzDecode, MultiplexedStatsResponse) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string_view>
 
 #include "src/common/error.hpp"
 #include "src/common/mathutil.hpp"
@@ -149,12 +150,30 @@ TEST(Executor, AccountingWindowIsPerQuery) {
   EXPECT_GT(a.messages, 0u);
 }
 
-TEST(Executor, EmptySelectionThrows) {
+TEST(Executor, EmptySelectionIsFlagged) {
+  // Every strategy answers an empty selection instead of throwing: the
+  // exact ones where they learn the count, MEDIAN ... ERROR where its first
+  // stage's MIN wave finds no item, AVG ... ERROR where its count is 0.
   Fixture f({1, 2, 3, 4});
-  EXPECT_THROW(f.exec.run("SELECT MIN(v) FROM sensors WHERE v > 100"),
-               PreconditionError);
-  EXPECT_THROW(f.exec.run("SELECT MEDIAN(v) FROM sensors WHERE v > 100"),
-               PreconditionError);
+  for (const char* text :
+       {"SELECT MIN(v) FROM sensors WHERE v > 100",
+        "SELECT MAX(v) FROM sensors WHERE v > 100",
+        "SELECT AVG(v) FROM sensors WHERE v > 100",
+        "SELECT MEDIAN(v) FROM sensors WHERE v > 100",
+        "SELECT QUANTILE(v, 0.9) FROM sensors WHERE v > 100",
+        "SELECT MEDIAN(v) FROM sensors WHERE v > 100 ERROR 0.2",
+        "SELECT AVG(v) FROM sensors WHERE v > 100 ERROR 0.2"}) {
+    SCOPED_TRACE(text);
+    const auto r = f.exec.run(text);
+    EXPECT_TRUE(r.empty_selection);
+    EXPECT_DOUBLE_EQ(r.value, 0.0);
+    EXPECT_EQ(r.is_exact, std::string_view(text).find("ERROR") ==
+                              std::string_view::npos);
+  }
+  const auto count = f.exec.run("SELECT COUNT(v) FROM sensors WHERE v > 100");
+  EXPECT_FALSE(count.empty_selection);
+  EXPECT_DOUBLE_EQ(count.value, 0.0);
+  EXPECT_FALSE(f.exec.run("SELECT MEDIAN(v) FROM sensors").empty_selection);
 }
 
 TEST(Executor, PlanLineSurfaced) {

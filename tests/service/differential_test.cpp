@@ -7,8 +7,11 @@
 // service configuration: naive, shared, shared + cache, cube, cube +
 // cache. The cube configurations keep 64-register HLL partials and also
 // get COUNT_DISTINCT ... ERROR 0.15 submits, one-shot and standing. Every
-// configuration must
-//   - answer exact answers with the mirror's value,
+// configuration also gets exact MEDIAN and QUANTILE submits, one-shot and
+// standing, with and without WHERE, and over a region that selects nothing.
+// Every configuration must
+//   - answer exact answers with the mirror's value, and flag every empty
+//     selection of an aggregate that is undefined on it,
 //   - contain the mirror's value in every deterministically bounded answer,
 //   - answer every COUNT_DISTINCT with exactly the estimate of a one-shot
 //     HLL (64 registers, salt 1) over the mirror's region,
@@ -46,6 +49,7 @@ struct Submit {
   std::string text;
   query::AggregateKind agg = query::AggregateKind::kCount;
   Value lo = 0, hi = kBound;
+  double phi = 0.5;        // QUANTILE's rank fraction
   bool malformed = false;  // admission must refuse it
 };
 
@@ -56,6 +60,7 @@ struct Submit {
 struct Step {
   std::vector<Submit> submits;
   std::vector<Submit> distinct;  // COUNT_DISTINCT ... ERROR 0.15
+  std::vector<Submit> selections;  // exact MEDIAN / QUANTILE
   std::vector<Submit> burst;  // one submit_batch call; may be empty
   std::vector<std::size_t> cancels;
   std::vector<SensorUpdate> updates;
@@ -101,10 +106,15 @@ Script draw_script(std::uint64_t seed) {
     s.text = os.str();
     return s;
   };
-  // Bursts and COUNT_DISTINCT submits draw from their own streams, so the
-  // rest of the script is the same with or without them.
+  // Bursts, COUNT_DISTINCT and selection submits draw from their own
+  // streams, so the rest of the script is the same with or without them.
   Xoshiro256 burst_rng(seed + 1000);
   Xoshiro256 distinct_rng(seed + 2000);
+  Xoshiro256 select_rng(seed + 3000);
+  // Readings start below 400 and drift at most 4 per epoch: [900, 950]
+  // selects nothing.
+  std::vector<std::pair<Value, Value>> select_regions = regions;
+  select_regions.emplace_back(900, 950);
 
   std::vector<Value> mirror = script.initial;
   std::vector<Value> direction(kNodes);
@@ -154,6 +164,31 @@ Script draw_script(std::uint64_t seed) {
       d.text = os.str();
       step.distinct.push_back(d);
     }
+    if (e == 0 || select_rng.next_bool(0.5)) {
+      // The first selection of every script is over the empty region.
+      Submit q;
+      std::tie(q.lo, q.hi) =
+          e == 0 ? select_regions.back()
+                 : select_regions[select_rng.next_below(select_regions.size())];
+      std::ostringstream os;
+      if (select_rng.next_bool(0.5)) {
+        q.agg = query::AggregateKind::kMedian;
+        os << "SELECT MEDIAN(v) FROM s";
+      } else {
+        const double phis[] = {0.1, 0.25, 0.9};
+        q.agg = query::AggregateKind::kQuantile;
+        q.phi = phis[select_rng.next_below(3)];
+        os << "SELECT QUANTILE(v, " << q.phi << ") FROM s";
+      }
+      if (q.lo != 0 || q.hi != kBound) {
+        os << " WHERE v BETWEEN " << q.lo << " AND " << q.hi;
+      }
+      if (select_rng.next_below(3) != 0) {
+        os << " EVERY " << 1 + select_rng.next_below(3) << " EPOCHS";
+      }
+      q.text = os.str();
+      step.selections.push_back(q);
+    }
     submitted += step.submits.size();
     if (submitted > 0 && rng.next_bool(0.3)) {
       step.cancels.push_back(rng.next_below(submitted));
@@ -199,6 +234,8 @@ ServiceTelemetry replay(const Script& script, const Config& c) {
   std::vector<QueryId> ids;      // by scripted-submit index (0: one-shot)
   std::uint64_t checked = 0;
   std::uint64_t distinct_checked = 0;
+  std::uint64_t selections_checked = 0;
+  std::uint64_t empty_selections = 0;
 
   const auto check = [&](const Answer& a) {
     const Submit& s = submits[submit_of.at(a.id)];
@@ -218,6 +255,31 @@ ServiceTelemetry replay(const Script& script, const Config& c) {
       EXPECT_FALSE(a.exact);
       EXPECT_EQ(a.value, oracle.estimate()) << "epoch " << a.epoch;
       ++distinct_checked;
+      return;
+    }
+    if (s.agg == query::AggregateKind::kMedian ||
+        s.agg == query::AggregateKind::kQuantile) {
+      std::vector<Value> in;
+      for (const Value v : mirror) {
+        if (v >= s.lo && v <= s.hi) in.push_back(v);
+      }
+      std::sort(in.begin(), in.end());
+      EXPECT_TRUE(a.exact);
+      EXPECT_EQ(a.empty_selection, in.empty()) << "epoch " << a.epoch;
+      ++selections_checked;
+      if (in.empty()) {
+        ++empty_selections;
+        return;
+      }
+      // OS(X, k) with twice_k = 2 * phi * N, as the executor rounds it:
+      // the ceil(k)-th smallest reading.
+      const auto n = static_cast<std::int64_t>(in.size());
+      const std::int64_t twice_k = std::clamp<std::int64_t>(
+          std::llround(2.0 * s.phi * static_cast<double>(n)), 1, 2 * n);
+      EXPECT_EQ(a.value,
+                static_cast<double>(
+                    in[static_cast<std::size_t>((twice_k + 1) / 2 - 1)]))
+          << "epoch " << a.epoch;
       return;
     }
     RangeStats truth;
@@ -248,10 +310,7 @@ ServiceTelemetry replay(const Script& script, const Config& c) {
                            s.agg != query::AggregateKind::kSum;
     if (a.exact) {
       if (undefined) {
-        // The naive executor has no empty-selection flag.
-        if (!naive) {
-          EXPECT_TRUE(a.empty_selection);
-        }
+        EXPECT_TRUE(a.empty_selection);
         return;
       }
       EXPECT_DOUBLE_EQ(a.value, value) << "epoch " << a.epoch;
@@ -300,6 +359,7 @@ ServiceTelemetry replay(const Script& script, const Config& c) {
     if (c.use_cube) {
       for (const Submit& d : step.distinct) admit({d});
     }
+    for (const Submit& q : step.selections) admit({q});
     if (!step.burst.empty()) admit(step.burst);
     for (const std::size_t k : step.cancels) {
       if (ids[k] != 0) svc.cancel(ids[k]);
@@ -311,6 +371,8 @@ ServiceTelemetry replay(const Script& script, const Config& c) {
   if (c.use_cube) {
     EXPECT_GT(distinct_checked, 0u);
   }
+  EXPECT_GT(selections_checked, 0u);
+  EXPECT_GT(empty_selections, 0u);
 
   const TelemetrySnapshot snap = svc.telemetry_snapshot();
   std::uint64_t attributed = snap.mark_bits_on_air + snap.install_bits_on_air;

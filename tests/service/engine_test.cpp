@@ -847,6 +847,87 @@ TEST_P(BundlePath, SubmitBatchServesOneShotsInOneServe) {
   EXPECT_EQ(attributed_msgs, total.total_messages);
 }
 
+/// Every service configuration, for behaviour that must not depend on it.
+struct ServiceMode {
+  const char* name;
+  bool share_aggregation;
+  bool use_cache;
+  bool use_cube;
+  friend void PrintTo(const ServiceMode& m, std::ostream* os) {
+    *os << m.name;
+  }
+};
+
+class EmptySelection : public ::testing::TestWithParam<ServiceMode> {
+ protected:
+  static ServiceConfig config() {
+    ServiceConfig cfg;
+    cfg.share_aggregation = GetParam().share_aggregation;
+    cfg.use_cache = GetParam().use_cache;
+    cfg.use_cube = GetParam().use_cube;
+    return cfg;
+  }
+};
+
+TEST_P(EmptySelection, OneShotsAnswerFlaggedEmpty) {
+  Fixture f{config()};  // every reading is below 300
+  for (const char* text :
+       {"SELECT MEDIAN(v) FROM s WHERE v BETWEEN 900 AND 950",
+        "SELECT QUANTILE(v, 0.9) FROM s WHERE v > 900",
+        "SELECT MEDIAN(v) FROM s WHERE v > 900 ERROR 0.2",
+        "SELECT MIN(v) FROM s WHERE v > 900",
+        "SELECT MAX(v) FROM s WHERE v > 900",
+        "SELECT AVG(v) FROM s WHERE v > 900",
+        "SELECT AVG(v) FROM s WHERE v > 900 ERROR 0.2"}) {
+    SCOPED_TRACE(text);
+    const auto r = f.svc.submit(text);
+    ASSERT_TRUE(r.ok()) << r.error();
+    const Answer& a = *r.value().answer;
+    EXPECT_TRUE(a.empty_selection);
+    EXPECT_DOUBLE_EQ(a.value, 0.0);
+  }
+  const Answer count =
+      *f.svc.submit("SELECT COUNT(v) FROM s WHERE v > 900").value().answer;
+  EXPECT_FALSE(count.empty_selection);
+  EXPECT_DOUBLE_EQ(count.value, 0.0);
+}
+
+TEST_P(EmptySelection, StandingSubscribersKeepTheEpochsOtherAnswers) {
+  Fixture f{config()};
+  const std::vector<std::string> texts{
+      "SELECT MEDIAN(v) FROM s WHERE v > 900 EVERY 1 EPOCHS",
+      "SELECT MIN(v) FROM s WHERE v > 900 EVERY 1 EPOCHS",
+      "SELECT AVG(v) FROM s WHERE v > 900 EVERY 1 EPOCHS",
+      "SELECT COUNT(v) FROM s EVERY 1 EPOCHS",
+      "SELECT MEDIAN(v) FROM s EVERY 1 EPOCHS",
+  };
+  for (const std::string& t : texts) ASSERT_TRUE(f.svc.submit(t).ok()) << t;
+  for (NodeId u = 0; u < 3; ++u) {
+    const std::vector<Answer> answers = f.svc.run_epoch({{f.drift(u, 2)}});
+    ASSERT_EQ(answers.size(), texts.size());
+    for (std::size_t i = 0; i < 3; ++i) {
+      EXPECT_TRUE(answers[i].empty_selection) << texts[i];
+    }
+    EXPECT_DOUBLE_EQ(answers[3].value, 36.0);
+    std::vector<Value> sorted = f.mirror;
+    std::sort(sorted.begin(), sorted.end());
+    EXPECT_FALSE(answers[4].empty_selection);
+    EXPECT_DOUBLE_EQ(answers[4].value,
+                     static_cast<double>(sorted[(sorted.size() + 1) / 2 - 1]));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllConfigurations, EmptySelection,
+    ::testing::Values(ServiceMode{"naive", false, false, false},
+                      ServiceMode{"shared", true, false, false},
+                      ServiceMode{"shared_cache", true, true, false},
+                      ServiceMode{"cube", true, false, true},
+                      ServiceMode{"cube_cache", true, true, true}),
+    [](const ::testing::TestParamInfo<ServiceMode>& info) {
+      return std::string(info.param.name);
+    });
+
 INSTANTIATE_TEST_SUITE_P(
     WithCache, BundlePath,
     ::testing::Values(BundleBackend{"shared", false},
