@@ -182,6 +182,7 @@ struct ChurnResult {
   std::uint64_t max_burst_convergecasts = 0;
   std::uint64_t executor_runs = 0;  // the bursts' MEDIANs
   std::uint64_t countp_edges_pruned = 0;
+  std::uint64_t selection_resummaries = 0;
   double seconds = 0.0;
   double qps() const {
     return seconds > 0.0 ? static_cast<double>(answers) / seconds : 0.0;
@@ -264,6 +265,7 @@ ChurnResult run_churn_lane(const Scale& s, unsigned threads) {
           .count();
   churn.executor_runs = svc.telemetry().executor_runs;
   churn.countp_edges_pruned = svc.telemetry().countp_edges_pruned;
+  churn.selection_resummaries = svc.telemetry().selection_resummaries;
   return churn;
 }
 
@@ -348,6 +350,10 @@ void gate_claims(Gates& gates, bool quick, const LaneResult& shared,
   gates.gate(churn.executor_runs == 0 || churn.countp_edges_pruned > 0,
              "the churn lane's ", churn.executor_runs,
              " exact selections served no COUNTP edge from a subtree summary");
+  // ... and narrows its summaries to the bracket the search certified.
+  gates.gate(churn.executor_runs == 0 || churn.selection_resummaries > 0,
+             "the churn lane's ", churn.executor_runs,
+             " exact selections never re-summarized a narrowed bracket");
 }
 
 void write_pr8(Json& j, const Scale& s, bool quick, unsigned threads,
@@ -443,6 +449,7 @@ void write_pr8(Json& j, const Scale& s, bool quick, unsigned threads,
       .field("bits_per_burst",
              static_cast<double>(churn.burst_bits) / churn.bursts, 1)
       .field("countp_edges_pruned", churn.countp_edges_pruned)
+      .field("selection_resummaries", churn.selection_resummaries)
       .field("convergecasts_per_burst",
              static_cast<double>(churn.burst_convergecasts) / churn.bursts, 3)
       .field("max_convergecasts_per_burst", churn.max_burst_convergecasts)

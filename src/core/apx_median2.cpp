@@ -117,10 +117,19 @@ ApxMedian2Result approx_median2(sim::Network& net,
   const unsigned r_outer = rep_count(
       2.0 * total_stages / params.epsilon, params.rep_scale);
 
-  // Fig. 4 line 1: n and the initial rank target k = n/2.
-  const double n = proto::rep_countp(counter, r_outer,
-                                     proto::Predicate::always_true());
-  res.apx_count_calls += r_outer;
+  // Fig. 4 line 1: n and the initial rank target k = n/2 (REP_COUNTP,
+  // summed in its order). A first count whose registers are all zero
+  // certifies an empty input: stop there.
+  double n = 0.0;
+  for (unsigned i = 0; i < r_outer; ++i) {
+    n += counter.apx_count(proto::Predicate::always_true());
+    ++res.apx_count_calls;
+    if (counter.last_count_empty()) {
+      res.empty_input = true;
+      return res;
+    }
+  }
+  n /= static_cast<double>(r_outer);
   double k = n * params.rank_phi;
 
   std::vector<Value> mu_hats;

@@ -62,7 +62,8 @@ struct ApxMedian2Result {
   Value interval_hi = 0;
   unsigned stages = 0;
   unsigned apx_count_calls = 0;
-  /// The input held no item (stage 1's exact MIN wave found none): no
+  /// The input held no item (line 1's first approximate COUNT came back
+  /// with every register zero, or stage 1's exact MIN wave found none): no
   /// stage ran and `value` means nothing.
   bool empty_input = false;
   std::vector<Median2StageTrace> trace;

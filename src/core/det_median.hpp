@@ -12,9 +12,14 @@
 // same code runs over spanning trees and over the single-hop medium.
 //
 // Which service runs it: the query executor's exact MEDIAN/QUANTILE runs it
-// over proto::PrunedCountingService (one summary wave replaces the COUNT,
-// MIN and MAX waves, and COUNTP descends only into subtrees that straddle
-// the pivot). The paper experiments run it over proto::TreeCountingService,
+// over proto::PrunedCountingService. There one summary wave over the WHERE
+// window replaces the COUNT, MIN and MAX waves (and the WHERE broadcast),
+// COUNTP descends only into subtrees that straddle the pivot, a repeated
+// pivot (line 4.1 often asks one) is answered from the record, and once the
+// answered pivots around a new one bracket at most a quarter of the items
+// the summaries describe, the summaries are re-taken over that bracket:
+// Fig. 1's pivots nest, so Lemma 3.1's certified interval only
+// shrinks. The paper experiments run it over proto::TreeCountingService,
 // Fact 2.1 verbatim, so their ledgers show Theorem 3.2's costs. Pivots,
 // COUNTP calls and answers are the same over both.
 #pragma once

@@ -31,6 +31,7 @@ double TreeApproxCountingService::apx_count(const Predicate& pred) {
 
   TreeWave<LogLogAgg> wave(tree_, next_session_++, view_);
   const sketch::Hll hll = wave.execute(net_, req);
+  last_count_empty_ = hll.zero_count() == hll.m();
   switch (config_.estimator) {
     case EstimatorKind::kLogLog:
       return hll.estimate_loglog();

@@ -65,6 +65,11 @@ class TreeApproxCountingService final : public ApproxCountingService {
   /// Waves issued so far.
   std::uint32_t waves() const { return next_session_; }
 
+  /// The last apx_count's registers were all zero. In the kRandom and
+  /// kHashed modes every matching item sets a register, so this certifies
+  /// exactly that no item matched.
+  bool last_count_empty() const { return last_count_empty_; }
+
   const ApxCountConfig& config() const { return config_; }
 
  private:
@@ -75,6 +80,7 @@ class TreeApproxCountingService final : public ApproxCountingService {
   std::uint8_t width_;
   std::uint32_t next_session_ = 0;
   std::uint16_t next_salt_ = 1;
+  bool last_count_empty_ = false;
 };
 
 /// Fig. 2's REP_COUNTP subroutine: average of `repetitions` independent

@@ -1,7 +1,9 @@
 #include "src/proto/counting_service.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <limits>
+#include <tuple>
 
 #include "src/common/codec.hpp"
 #include "src/common/error.hpp"
@@ -65,53 +67,123 @@ SubtreeSummary SubtreeSummary::decode(BitReader& r) {
   return s;
 }
 
+// ---- ValueWindow --------------------------------------------------------------
+
+void ValueWindow::encode(BitWriter& w) const {
+  SENSORNET_EXPECTS(lo >= 0 && (!hi || *hi >= lo));
+  encode_uint(w, static_cast<std::uint64_t>(lo));
+  w.write_bit(hi.has_value());
+  if (hi) encode_uint(w, static_cast<std::uint64_t>(*hi - lo));
+}
+
+ValueWindow ValueWindow::decode(BitReader& r) {
+  constexpr auto kMaxValue =
+      static_cast<std::uint64_t>(std::numeric_limits<Value>::max());
+  ValueWindow window;
+  const std::uint64_t lo = decode_uint(r);
+  if (lo > kMaxValue) throw WireFormatError("value window: lo out of range");
+  window.lo = static_cast<Value>(lo);
+  if (r.read_bit()) {
+    const std::uint64_t span = decode_uint(r);
+    if (span > kMaxValue - lo) {
+      throw WireFormatError("value window: hi out of range");
+    }
+    window.hi = static_cast<Value>(lo + span);
+  }
+  return window;
+}
+
 // ---- PrunedCountingService ----------------------------------------------------
 
-/// The one EdgeWave policy behind both wave kinds. A TRUE request is the
-/// summary wave (COUNTP(TRUE) itself is read off the root's summary); any
-/// other predicate is a pruned COUNTP wave.
-struct PrunedCountingService::Wave {
-  Wave(PrunedCountingService& service, const Predicate& root_request)
-      : svc(service),
-        request(service.tree_.node_count(), Predicate::always_true()),
-        summary(service.tree_.node_count()),
-        count(service.tree_.node_count(), 0) {
-    request[service.tree_.root] = root_request;
-  }
+namespace {
 
-  bool summarizing(NodeId node) const {
-    return request[node].op() == Predicate::Op::kTrue;
+bool covers(const ValueWindow& window, const SubtreeSummary& s) {
+  return window.contains(s.min) && window.contains(s.max);
+}
+
+bool misses(const ValueWindow& window, const SubtreeSummary& s) {
+  return s.count == 0 || s.max < window.lo ||
+         (window.hi && s.min > *window.hi);
+}
+
+/// The integer key of x < t/2: for integral x it is x < ceil(t/2).
+Value pivot_key(std::int64_t threshold2) {
+  return threshold2 / 2 + (threshold2 % 2 == 1 ? 1 : 0);
+}
+
+}  // namespace
+
+/// The one EdgeWave policy behind both wave kinds: a summary wave (its
+/// requests are windows) or a pruned COUNTP wave (its requests predicates).
+struct PrunedCountingService::Wave {
+  /// A summary wave over `window`.
+  Wave(PrunedCountingService& service, const ValueWindow& window,
+       bool descend_all_edges)
+      : svc(service),
+        descend_all(descend_all_edges),
+        summary(service.tree_.node_count()) {
+    svc.window_[svc.tree_.root] = window;
   }
+  /// A COUNTP wave for `pred`.
+  Wave(PrunedCountingService& service, const Predicate& pred)
+      : svc(service),
+        request(service.tree_.node_count(), pred),
+        count(service.tree_.node_count(), 0) {}
+
+  bool summarizing() const { return request.empty(); }
 
   void on_request(NodeId node, BitReader& r) {
-    request[node] = Predicate::decode(r);
+    if (summarizing()) {
+      svc.window_[node] = ValueWindow::decode(r);
+    } else {
+      request[node] = Predicate::decode(r);
+    }
   }
 
   void fan_out(Fanout& out) {
     const NodeId node = out.node();
-    const Predicate& pred = request[node];
-    const auto& children = svc.tree_.children[node];
+    const ValueWindow& window = svc.window_[node];
     std::optional<sim::Payload> slab;  // the request, encoded once
     std::uint32_t bits = 0;
     const auto descend = [&](NodeId child) {
       if (!slab) {
         BitWriter w;
-        pred.encode(w);
+        if (summarizing()) {
+          window.encode(w);
+        } else {
+          request[node].encode(w);
+        }
         bits = static_cast<std::uint32_t>(w.bit_count());
         slab.emplace(w.bytes().data(), w.bytes().size());
       }
       out.send(child, *slab, bits);
     };
-    const ValueSet items = svc.view_.items(out.net(), node);
-    if (summarizing(node)) {
-      for (const Value x : items) summary[node].observe(x);
-      for (const NodeId child : children) descend(child);
+    const auto items = out.net().items(node);
+    if (summarizing()) {
+      for (const Value x : items) {
+        if (window.contains(x)) summary[node].observe(x);
+      }
+      for (const NodeId child : svc.tree_.children[node]) {
+        // Update the kept summaries edge by edge: one that is not re-asked
+        // keeps describing the subtree below it, whose own kept summaries
+        // stay valid too.
+        SubtreeSummary& s = svc.held_[child];
+        if (descend_all || (!misses(window, s) && !covers(window, s))) {
+          descend(child);
+        } else if (misses(window, s)) {
+          s = SubtreeSummary{};
+        } else {
+          summary[node].fold(s);
+        }
+      }
       return;
     }
+    const Predicate& pred = request[node];
     count[node] = static_cast<std::uint64_t>(
-        std::count_if(items.begin(), items.end(),
-                      [&](Value x) { return pred.matches(x); }));
-    for (const NodeId child : children) {
+        std::count_if(items.begin(), items.end(), [&](Value x) {
+          return window.contains(x) && pred.matches(x);
+        }));
+    for (const NodeId child : svc.tree_.children[node]) {
       // Our predicates are monotone in x, so a subtree whose extremes
       // agree on the predicate agrees throughout.
       const SubtreeSummary& s = svc.held_[child];
@@ -127,7 +199,7 @@ struct PrunedCountingService::Wave {
   }
 
   void on_response(NodeId node, NodeId child, BitReader& r) {
-    if (summarizing(node)) {
+    if (summarizing()) {
       svc.held_[child] = SubtreeSummary::decode(r);
       summary[node].fold(svc.held_[child]);
     } else {
@@ -136,7 +208,7 @@ struct PrunedCountingService::Wave {
   }
 
   void respond(NodeId node, BitWriter& w) {
-    if (summarizing(node)) {
+    if (summarizing()) {
       summary[node].encode(w);
     } else {
       encode_uint(w, count[node]);
@@ -144,46 +216,103 @@ struct PrunedCountingService::Wave {
   }
 
   PrunedCountingService& svc;
-  std::vector<Predicate> request;        // per node, as it decoded it
+  bool descend_all = false;
+  std::vector<Predicate> request;        // COUNTP: per node, as it decoded it
   std::vector<SubtreeSummary> summary;   // summary-wave accumulators
   std::vector<std::uint64_t> count;      // COUNTP accumulators
 };
 
 PrunedCountingService::PrunedCountingService(sim::Network& net,
                                              const net::SpanningTree& tree,
-                                             const LocalItemView& view)
-    : net_(net), tree_(tree), view_(view) {}
-
-const SubtreeSummary& PrunedCountingService::root_summary() {
-  if (held_.empty()) {
-    held_.resize(tree_.node_count());
-    Wave policy(*this, Predicate::always_true());
-    EdgeWave<Wave> wave(tree_, next_session_++, policy);
-    wave.execute(net_);
-    held_[tree_.root] = policy.summary[tree_.root];
-  }
-  return held_[tree_.root];
+                                             const ValueWindow& where)
+    : net_(net),
+      tree_(tree),
+      where_(where),
+      held_(tree.node_count()),
+      window_(tree.node_count()) {
+  SENSORNET_EXPECTS(where_.lo >= 0 && (!where_.hi || *where_.hi >= where_.lo));
 }
 
-std::uint64_t PrunedCountingService::count(const Predicate& pred) {
-  const SubtreeSummary& root = root_summary();
-  if (pred.op() == Predicate::Op::kTrue) return root.count;
+void PrunedCountingService::summarize(std::optional<Value> a,
+                                      std::optional<Value> b,
+                                      std::uint64_t c_a, std::uint64_t c_b,
+                                      bool descend_all) {
+  ValueWindow window = where_;
+  if (a) window.lo = std::max(window.lo, *a);
+  if (b) window.hi = std::min(window.hi.value_or(*b - 1), *b - 1);
+  Wave policy(*this, window, descend_all);
+  EdgeWave<Wave> wave(tree_, next_session_++, policy);
+  wave.execute(net_);
+  held_[tree_.root] = policy.summary[tree_.root];
+  if (where_summary_) {
+    if (held_[tree_.root].count != c_b - c_a) {
+      throw ProtocolError("re-summary disagrees with the answered pivots");
+    }
+    ++resummaries_;
+  }
+  bracket_lo_ = a;
+  bracket_hi_ = b;
+  below_ = c_a;
+}
+
+const SubtreeSummary& PrunedCountingService::where_summary() {
+  if (!where_summary_) {
+    summarize(std::nullopt, std::nullopt, 0, 0, /*descend_all=*/true);
+    where_summary_ = held_[tree_.root];
+  }
+  return *where_summary_;
+}
+
+std::uint64_t PrunedCountingService::count_below(const Predicate& pred,
+                                                 Value key) {
+  const std::uint64_t n = where_summary().count;
+  if ((bracket_lo_ && key <= *bracket_lo_) ||
+      (bracket_hi_ && key >= *bracket_hi_)) {
+    // Outside the held window: take the first summary again.
+    summarize(std::nullopt, std::nullopt, 0, n, /*descend_all=*/true);
+  }
+  // The nearest answered pivots around key (none: the domain's ends).
+  std::optional<Value> a, b;
+  std::uint64_t c_a = 0, c_b = n;
+  const auto above = answered_.upper_bound(key);
+  if (above != answered_.end()) std::tie(b, c_b) = *above;
+  if (above != answered_.begin()) std::tie(a, c_a) = *std::prev(above);
+  const std::uint64_t bracket = c_b - c_a;
+  if (bracket > 0 && static_cast<double>(bracket) <=
+                         kResummaryShare *
+                             static_cast<double>(held_[tree_.root].count)) {
+    summarize(a, b, c_a, c_b, /*descend_all=*/false);
+  }
   Wave policy(*this, pred);
   EdgeWave<Wave> wave(tree_, next_session_++, policy);
   wave.execute(net_);
-  return policy.count[tree_.root];
+  const std::uint64_t c = policy.count[tree_.root];
+  return below_ + (pred.op() == Predicate::Op::kLess
+                       ? c
+                       : held_[tree_.root].count - c);
+}
+
+std::uint64_t PrunedCountingService::count(const Predicate& pred) {
+  const std::uint64_t n = where_summary().count;
+  if (pred.op() == Predicate::Op::kTrue) return n;
+  const Value key = pivot_key(pred.threshold2());
+  auto it = answered_.find(key);
+  if (it == answered_.end()) {
+    it = answered_.emplace(key, count_below(pred, key)).first;
+  }
+  return pred.op() == Predicate::Op::kLess ? it->second : n - it->second;
 }
 
 std::optional<Value> PrunedCountingService::min_value() {
-  const SubtreeSummary& root = root_summary();
-  if (root.count == 0) return std::nullopt;
-  return root.min;
+  const SubtreeSummary& where = where_summary();
+  if (where.count == 0) return std::nullopt;
+  return where.min;
 }
 
 std::optional<Value> PrunedCountingService::max_value() {
-  const SubtreeSummary& root = root_summary();
-  if (root.count == 0) return std::nullopt;
-  return root.max;
+  const SubtreeSummary& where = where_summary();
+  if (where.count == 0) return std::nullopt;
+  return where.max;
 }
 
 }  // namespace sensornet::proto

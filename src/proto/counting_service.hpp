@@ -9,11 +9,13 @@
 // Two tree implementations: TreeCountingService is Fact 2.1 verbatim (one
 // full wave per call) and serves the paper experiments, apx_median2 and the
 // baselines, so their ledgers show the paper's costs. PrunedCountingService
-// serves the query executor's exact MEDIAN/QUANTILE: one summary wave, then
-// COUNTP waves that descend only into subtrees straddling the pivot.
+// serves the query executor's exact MEDIAN/QUANTILE: a summary wave over the
+// WHERE, COUNTP waves that descend only into subtrees straddling the pivot,
+// and re-summaries over the bracket the search has certified.
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <optional>
 #include <vector>
 
@@ -66,7 +68,8 @@ class TreeCountingService final : public CountingService {
   std::uint32_t next_session_ = 0;
 };
 
-/// A subtree's (count, min, max) over a view: the summary wave's partial.
+/// A subtree's (count, min, max) inside a window: the summary wave's
+/// partial.
 /// `min` and `max` mean nothing when `count` is 0.
 struct SubtreeSummary {
   std::uint64_t count = 0;
@@ -87,48 +90,108 @@ struct SubtreeSummary {
   bool operator==(const SubtreeSummary&) const = default;
 };
 
-/// Fact 2.1's primitives over a spanning tree, pruned by subtree summaries.
-/// The first call runs one summary wave: every node reports its subtree's
-/// (count, min, max) and each parent keeps its children's. COUNT(TRUE),
-/// MIN and MAX are then read off the root's summary, and a COUNTP request
-/// goes only to children whose subtree straddles the predicate: a child
-/// whose subtree matches wholly is added from its kept count, one that is
-/// empty or matches nothing is skipped. Counts equal TreeCountingService's,
-/// and no node pays more bits than under it for the same calls.
+/// A closed value window [lo, hi] (unbounded above when `hi` is absent):
+/// the part of the value domain a summary request covers. Readings are
+/// non-negative, so the default window holds every item.
+struct ValueWindow {
+  Value lo = 0;
+  std::optional<Value> hi;
+
+  bool contains(Value x) const { return x >= lo && (!hi || x <= *hi); }
+
+  /// Wire format (a summary wave's whole request): lo, a has-hi bit, then
+  /// (when set) hi - lo; lo and the span Elias-delta coded. Requires
+  /// 0 <= lo <= hi.
+  void encode(BitWriter& w) const;
+  /// Throws WireFormatError on a truncated image or on a lo or lo + span
+  /// past the Value range.
+  static ValueWindow decode(BitReader& r);
+
+  bool operator==(const ValueWindow&) const = default;
+};
+
+/// Fact 2.1's primitives over a spanning tree, pruned by subtree summaries
+/// that narrow with the search.
 ///
-/// The summaries describe the items when the first call ran: the view must
+/// A summary wave sends a ValueWindow down the tree: every node it reaches
+/// summarizes its raw items inside the window, reports its subtree's
+/// (count, min, max) and each parent keeps its children's. The first call
+/// runs one over the WHERE region (so the WHERE needs no broadcast of its
+/// own); COUNT(TRUE), MIN and MAX are read off the root's summary. A
+/// COUNTP request goes only to children whose summary straddles the
+/// predicate: a child whose subtree matches wholly is added from its kept
+/// count, one that is empty or matches nothing is skipped. Each node counts
+/// its items against the window of the last summary request it received.
+///
+/// Every answered x < y pivot is recorded with its count (a repeated one is
+/// answered from the record, without a wave). A new pivot falls between the
+/// nearest answered ones, [a, b) with counts c_a and c_b; when 0 < c_b - c_a
+/// <= kResummaryShare of the items the held summaries describe, one
+/// re-summary over [a, b) runs first and COUNTP(x < y) is c_a plus the
+/// count inside the window. A re-summary descends only into children whose
+/// held summary straddles a or b; a child wholly inside keeps its summary
+/// (its items all lie in the new window), one wholly outside is dropped,
+/// neither with a message. The first summary is the re-summary that
+/// descends every edge; a pivot outside the held window (never asked by
+/// Fig. 1, whose pivots nest) re-runs it. Counts equal TreeCountingService's
+/// over the WHERE-filtered items, and no node pays more bits than under it
+/// for Fig. 1's calls.
+///
+/// The summaries describe the items when they were taken: readings must
 /// not change over the service's life (one service per selection).
 class PrunedCountingService final : public CountingService {
  public:
-  /// `tree` and `view` must outlive the service.
+  /// Re-summarize once the bracket around a new pivot holds at most this
+  /// share of the items the held summaries describe.
+  static constexpr double kResummaryShare = 0.25;
+
+  /// `tree` must outlive the service; `where` selects the items counted.
   PrunedCountingService(sim::Network& net, const net::SpanningTree& tree,
-                        const LocalItemView& view = raw_item_view());
+                        const ValueWindow& where = {});
 
   std::uint64_t count(const Predicate& pred) override;
   std::optional<Value> min_value() override;
   std::optional<Value> max_value() override;
   sim::Network& network() override { return net_; }
 
-  /// Waves issued so far, the summary wave included.
+  /// Waves issued so far, summary waves included.
   std::uint32_t waves() const { return next_session_; }
   /// Child edges of COUNTP waves served from a kept summary, without a
   /// message.
   std::uint64_t edges_pruned() const { return edges_pruned_; }
+  /// Summary waves after the first.
+  std::uint64_t resummaries() const { return resummaries_; }
 
  private:
   struct Wave;
 
-  /// The root's summary, after running the summary wave on first use.
-  const SubtreeSummary& root_summary();
+  /// The root's summary of the WHERE, after the first summary wave.
+  const SubtreeSummary& where_summary();
+  /// |{x < key}| over the WHERE, from a (re-summary and) COUNTP wave.
+  std::uint64_t count_below(const Predicate& pred, Value key);
+  /// One summary wave over WHERE ∩ [a, b) (an absent end is unbounded),
+  /// where the answered pivots put c_a items below a and c_b below b.
+  void summarize(std::optional<Value> a, std::optional<Value> b,
+                 std::uint64_t c_a, std::uint64_t c_b, bool descend_all);
 
   sim::Network& net_;
   const net::SpanningTree& tree_;
-  const LocalItemView& view_;
+  ValueWindow where_;
+  std::optional<SubtreeSummary> where_summary_;
   /// held_[v]: v's subtree summary as v's parent keeps it (the root's own
-  /// for the root); empty until the summary wave ran.
+  /// for the root), over the parent's window.
   std::vector<SubtreeSummary> held_;
+  /// window_[v]: the window of the last summary request v received.
+  std::vector<ValueWindow> window_;
+  /// Answered pivots: key -> |{x < key}| over the WHERE.
+  std::map<Value, std::uint64_t> answered_;
+  /// The held window is WHERE ∩ [bracket_lo_, bracket_hi_), with
+  /// below_ items under it.
+  std::optional<Value> bracket_lo_, bracket_hi_;
+  std::uint64_t below_ = 0;
   std::uint32_t next_session_ = 0;
   std::uint64_t edges_pruned_ = 0;
+  std::uint64_t resummaries_ = 0;
 };
 
 }  // namespace sensornet::proto

@@ -15,7 +15,8 @@
 // nothing). There are three policies: TreeWave<Spec>'s Descend, the
 // always-descend policy over an AggregationSpec, which carries the
 // library's one-shot protocols; PrunedCountingService's Wave, whose COUNTP
-// descends only into subtrees that straddle the pivot; and
+// and re-summary waves descend only into subtrees that straddle the pivot
+// or the window's ends; and
 // cube::PartialStore's Collect, the multiplexed stats collection behind
 // stats groups, cube cells and the cube's pruned residues.
 //

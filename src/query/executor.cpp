@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <memory>
 
 #include "src/common/codec.hpp"
@@ -53,6 +54,38 @@ class Executor::FilterView final : public proto::LocalItemView {
   const std::vector<std::optional<Condition>>& filters_;
 };
 
+namespace {
+
+/// The WHERE as the closed window an exact selection's first summary
+/// request carries (readings are non-negative); empty when it selects
+/// nothing.
+std::optional<proto::ValueWindow> where_window(
+    const std::optional<Condition>& cond) {
+  proto::ValueWindow w;
+  if (!cond) return w;
+  const Value lit = cond->literal;
+  switch (cond->cmp) {
+    case Condition::Cmp::kLt:
+      if (lit <= 0) return std::nullopt;
+      w.hi = lit - 1;
+      break;
+    case Condition::Cmp::kLe: w.hi = lit; break;
+    case Condition::Cmp::kGt:
+      if (lit == std::numeric_limits<Value>::max()) return std::nullopt;
+      w.lo = std::max<Value>(0, lit + 1);
+      break;
+    case Condition::Cmp::kGe: w.lo = std::max<Value>(0, lit); break;
+    case Condition::Cmp::kBetween:
+      w.lo = std::max<Value>(0, lit);
+      w.hi = cond->literal2;
+      break;
+  }
+  if (w.hi && *w.hi < w.lo) return std::nullopt;
+  return w;
+}
+
+}  // namespace
+
 Executor::Executor(Deployment deployment)
     : deployment_(deployment),
       node_filters_(deployment.net.node_count()),
@@ -94,7 +127,7 @@ QueryResult Executor::run(const std::string& text) {
   const Query q = parse_query(text);
   const Planner planner(deployment_.max_value_bound);
   Result<CostedPlan> planned = planner.plan(q);
-  if (!planned.ok()) throw QueryError(planned.error(), 0);
+  if (!planned.ok()) throw QueryError::positioned(planned.error(), 0);
   return run(q, planned.value());
 }
 
@@ -103,7 +136,8 @@ QueryResult Executor::run(const Query& q, const CostedPlan& plan) {
   const auto before = net.all_stats();
   const SimTime t0 = net.now();
 
-  install_filter(q.where);
+  // An exact selection carries its WHERE in its first summary request.
+  if (plan.strategy != Strategy::kExactSelection) install_filter(q.where);
 
   QueryResult res;
   res.plan = plan.description;
@@ -184,10 +218,16 @@ QueryResult Executor::run(const Query& q, const CostedPlan& plan) {
     }
     case Strategy::kExactSelection: {
       // Fig. 1 over subtree summaries: the COUNT, MIN and MAX set-up is one
-      // summary wave, and each COUNTP descends only where the pivot cuts.
-      proto::PrunedCountingService svc(net, deployment_.tree, *view_);
-      const std::uint64_t n = svc.count_all();
+      // summary wave over the WHERE, each COUNTP descends only where the
+      // pivot cuts, and the summaries narrow to the certified bracket.
       res.is_exact = true;
+      const auto where = where_window(q.where);
+      if (!where) {
+        res.empty_selection = true;
+        break;
+      }
+      proto::PrunedCountingService svc(net, deployment_.tree, *where);
+      const std::uint64_t n = svc.count_all();
       if (n == 0) {
         res.empty_selection = true;
         break;
@@ -200,6 +240,7 @@ QueryResult Executor::run(const Query& q, const CostedPlan& plan) {
       res.value = static_cast<double>(
           core::deterministic_order_statistic(svc, twice_k).value);
       res.countp_edges_pruned = svc.edges_pruned();
+      res.selection_resummaries = svc.resummaries();
       break;
     }
     case Strategy::kApproxSelection: {

@@ -3,8 +3,9 @@
 // TinyDB-style lifecycle: the parsed query's WHERE filter is disseminated
 // down the tree first (nodes install it as local state — those bits are
 // metered like any other), then the planned protocol runs over the filtered
-// view. The result carries the answer and the exact communication bill of
-// this query.
+// view. An exact selection skips the broadcast: its first summary request
+// carries the WHERE. The result carries the answer and the exact
+// communication bill of this query.
 #pragma once
 
 #include <cstdint>
@@ -41,6 +42,9 @@ struct QueryResult {
   /// Exact selection: COUNTP child edges served from a kept subtree
   /// summary, without a message (proto::PrunedCountingService).
   std::uint64_t countp_edges_pruned = 0;
+  /// Exact selection: summary waves over a narrowed bracket, after the
+  /// first over the WHERE.
+  std::uint64_t selection_resummaries = 0;
 };
 
 class Executor {

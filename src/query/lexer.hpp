@@ -16,9 +16,19 @@ class QueryError : public PreconditionError {
       : PreconditionError(what + " (at offset " + std::to_string(position) +
                           ")"),
         position_(position) {}
+  /// Rethrows `what`, a message that already names its position (a
+  /// planner failure carries its QueryError's what()), without naming it
+  /// again.
+  static QueryError positioned(const std::string& what, std::size_t position) {
+    return QueryError(what, position, Positioned{});
+  }
   std::size_t position() const { return position_; }
 
  private:
+  struct Positioned {};
+  QueryError(const std::string& what, std::size_t position, Positioned)
+      : PreconditionError(what), position_(position) {}
+
   std::size_t position_;
 };
 

@@ -428,6 +428,7 @@ Answer QueryService::answer_fresh(const LiveQuery& lq) {
     a.empty_selection = r.empty_selection;
     ++telemetry_.executor_runs;
     telemetry_.countp_edges_pruned += r.countp_edges_pruned;
+    telemetry_.selection_resummaries += r.selection_resummaries;
   }
   a.id = lq.id;
   a.epoch = epoch_;

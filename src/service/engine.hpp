@@ -138,6 +138,9 @@ struct ServiceTelemetry {
   /// Exact selections' COUNTP child edges served from a kept subtree
   /// summary, without a message (query::QueryResult::countp_edges_pruned).
   std::uint64_t countp_edges_pruned = 0;
+  /// Exact selections' summary waves over a narrowed bracket
+  /// (query::QueryResult::selection_resummaries).
+  std::uint64_t selection_resummaries = 0;
   /// Cube-backed answers: fresh (composed from the epoch's batch, every
   /// due query of a fresh key included) vs stale (zero-bit per-cell drift
   /// brackets that met the tolerance).

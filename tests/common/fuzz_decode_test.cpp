@@ -702,6 +702,59 @@ TEST(FuzzDecode, SubtreeSummaryRejectsTruncationAndOverflow) {
   EXPECT_EQ(proto::SubtreeSummary::decode(r).max, static_cast<Value>(kTop));
 }
 
+TEST(FuzzDecode, SummaryRequestWindow) {
+  // A pruned selection's summary request: whatever decodes is a window
+  // inside the Value range.
+  fuzz_strict([](Xoshiro256&, BitReader& r) {
+    const proto::ValueWindow w = proto::ValueWindow::decode(r);
+    EXPECT_GE(w.lo, 0);
+    if (w.hi) {
+      EXPECT_GE(*w.hi, w.lo);
+    }
+  });
+}
+
+TEST(FuzzDecode, SummaryRequestWindowRejectsTruncationAndOverflow) {
+  // A valid window decodes to itself; every strict prefix is rejected.
+  Xoshiro256 rng(37);
+  for (int t = 0; t < 200; ++t) {
+    proto::ValueWindow sent;
+    sent.lo = static_cast<Value>(
+        rng.next_below(std::uint64_t{1} << rng.next_below(40)));
+    if (rng.next_bool(0.7)) {
+      sent.hi = sent.lo + static_cast<Value>(rng.next_below(
+                              std::uint64_t{1} << rng.next_below(40)));
+    }
+    BitWriter w;
+    sent.encode(w);
+    BitReader exact(w.bytes().data(), w.bit_count());
+    EXPECT_EQ(proto::ValueWindow::decode(exact), sent);
+    EXPECT_EQ(exact.remaining(), 0u);
+    for (std::size_t cut = 0; cut < w.bit_count(); ++cut) {
+      BitReader shorter(w.bytes().data(), cut);
+      EXPECT_THROW(proto::ValueWindow::decode(shorter), WireFormatError);
+    }
+  }
+  // Well-formed codes whose lo, or lo + span, leave the Value range.
+  constexpr std::uint64_t kTop = (std::uint64_t{1} << 63) - 1;
+  for (const auto& [lo, span] : {std::pair{kTop + 1, std::uint64_t{0}},
+                                 std::pair{kTop, std::uint64_t{1}},
+                                 std::pair{std::uint64_t{5}, kTop}}) {
+    BitWriter w;
+    encode_uint(w, lo);
+    w.write_bit(true);
+    encode_uint(w, span);
+    BitReader r(w.bytes().data(), w.bit_count());
+    EXPECT_THROW(proto::ValueWindow::decode(r), WireFormatError);
+  }
+  BitWriter w;
+  encode_uint(w, kTop - 3);
+  w.write_bit(true);
+  encode_uint(w, 3);
+  BitReader r(w.bytes().data(), w.bit_count());
+  EXPECT_EQ(proto::ValueWindow::decode(r).hi, static_cast<Value>(kTop));
+}
+
 TEST(FuzzDecode, MultiplexedStatsResponse) {
   // A random group mask and shape per trial, then bit soup as the payload.
   fuzz_strict([](Xoshiro256& rng, BitReader& r) {

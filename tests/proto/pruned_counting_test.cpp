@@ -17,20 +17,21 @@
 namespace sensornet::proto {
 namespace {
 
-/// Items inside [lo, hi]: a WHERE-style filtered view.
+/// Items inside a window: the WHERE-filtered view the reference counts.
 class RangeView final : public LocalItemView {
  public:
-  RangeView(Value lo, Value hi) : lo_(lo), hi_(hi) {}
+  explicit RangeView(ValueWindow window) : window_(window) {}
   ValueSet items(sim::Network& net, NodeId node) const override {
     ValueSet out;
     for (const Value x : net.items(node)) {
-      if (x >= lo_ && x <= hi_) out.push_back(x);
+      if (window_.contains(x)) out.push_back(x);
     }
     return out;
   }
+  const ValueWindow& window() const { return window_; }
 
  private:
-  Value lo_, hi_;
+  ValueWindow window_;
 };
 
 /// One random deployment: a tree shape, per-node multisets (some nodes
@@ -45,6 +46,9 @@ struct Case {
   const LocalItemView& view() const {
     return filter ? static_cast<const LocalItemView&>(*filter)
                   : raw_item_view();
+  }
+  ValueWindow where() const {
+    return filter ? filter->window() : ValueWindow{};
   }
 
   /// A fresh network holding this case's items.
@@ -106,7 +110,8 @@ Case draw_case(Xoshiro256& rng, std::size_t max_nodes) {
   }
   if (rng.next_bool(0.4)) {
     const Value lo = static_cast<Value>(rng.next_below(width));
-    c.filter.emplace(lo, lo + static_cast<Value>(rng.next_below(width)));
+    c.filter.emplace(
+        ValueWindow{lo, lo + static_cast<Value>(rng.next_below(width))});
     c.name += "+filter";
   }
   c.name += " n=" + std::to_string(nodes);
@@ -144,7 +149,7 @@ TEST(PrunedCountingService, CountsAndExtremesMatchTheTreeService) {
     sim::Network ref_net = c.network();
     sim::Network net = c.network();
     TreeCountingService ref(ref_net, c.tree, c.view());
-    PrunedCountingService svc(net, c.tree, c.view());
+    PrunedCountingService svc(net, c.tree, c.where());
     EXPECT_EQ(svc.min_value(), ref.min_value());
     EXPECT_EQ(svc.max_value(), ref.max_value());
     EXPECT_EQ(svc.count_all(), xs.size());
@@ -175,7 +180,7 @@ TEST(PrunedCountingService, SelectionsMatchAndNoNodePaysMore) {
       const auto want = core::deterministic_order_statistic(ref, twice_k);
 
       sim::Network net = c.network();
-      PrunedCountingService svc(net, c.tree, c.view());
+      PrunedCountingService svc(net, c.tree, c.where());
       ASSERT_EQ(svc.count_all(), xs.size());
       const auto got = core::deterministic_order_statistic(svc, twice_k);
       EXPECT_EQ(got.value, want.value);
@@ -236,6 +241,140 @@ TEST(PrunedCountingService, EmptyInputHasNoExtremes) {
   EXPECT_FALSE(svc.max_value().has_value());
   EXPECT_EQ(svc.count(Predicate::less_than(3)), 0u);
   EXPECT_EQ(svc.waves(), 2u);
+}
+
+/// Fig. 1 over `svc` against Fig. 1 over TreeCountingService on the
+/// filtered view: the same value (the sorted view's rank), iterations and
+/// COUNTP calls.
+void expect_same_selection(const Case& c, const ValueSet& xs,
+                           std::int64_t twice_k,
+                           PrunedCountingService& svc) {
+  sim::Network ref_net = c.network();
+  TreeCountingService ref(ref_net, c.tree, c.view());
+  const auto want = core::deterministic_order_statistic(ref, twice_k);
+  ASSERT_EQ(svc.count_all(), xs.size());
+  const auto got = core::deterministic_order_statistic(svc, twice_k);
+  EXPECT_EQ(got.value, want.value);
+  EXPECT_EQ(got.iterations, want.iterations);
+  EXPECT_EQ(got.countp_calls, want.countp_calls);
+  EXPECT_EQ(got.value, xs[static_cast<std::size_t>((twice_k + 1) / 2 - 1)]);
+}
+
+TEST(PrunedCountingService, WindowedSelectionsMatchFig1OnTheFilteredView) {
+  // Random trees whose WHERE window leaves raw items outside it.
+  Xoshiro256 rng(23);
+  std::uint64_t resummaries = 0;
+  int cases = 0;
+  while (cases < 50) {
+    Case c = draw_case(rng, 24);
+    const Value lo = static_cast<Value>(rng.next_below(400));
+    c.filter.emplace(
+        ValueWindow{lo, lo + static_cast<Value>(rng.next_below(600))});
+    const ValueSet xs = c.visible();
+    std::size_t raw = 0;
+    for (const ValueSet& mine : c.items) raw += mine.size();
+    if (xs.empty() || raw == xs.size()) continue;
+    ++cases;
+    SCOPED_TRACE(c.name);
+    const auto n = static_cast<std::int64_t>(xs.size());
+    for (std::int64_t twice_k = 1; twice_k <= 2 * n; ++twice_k) {
+      SCOPED_TRACE(testing::Message() << "twice_k " << twice_k);
+      sim::Network net = c.network();
+      PrunedCountingService svc(net, c.tree, c.where());
+      expect_same_selection(c, xs, twice_k, svc);
+      resummaries += svc.resummaries();
+    }
+  }
+  EXPECT_GT(resummaries, 0u);
+}
+
+TEST(PrunedCountingService, DeepTreesResummarizeMoreThanOnce) {
+  // Long lines and sparse geometric graphs: one selection narrows its
+  // summaries at least twice, and still runs Fig. 1's pivots.
+  Xoshiro256 rng(29);
+  for (const bool line : {true, false}) {
+    for (int t = 0; t < 3; ++t) {
+      Case c;
+      const std::size_t n = 60 + rng.next_below(40);
+      c.graph = line ? net::make_line(n)
+                     : net::make_random_geometric(n, 0.2, rng).graph;
+      c.name = (line ? "line n=" : "geometric n=") + std::to_string(n);
+      c.tree = net::bfs_tree(c.graph, static_cast<NodeId>(rng.next_below(n)));
+      c.items.resize(n);
+      for (ValueSet& mine : c.items) {
+        for (auto k = 1 + rng.next_below(3); k > 0; --k) {
+          mine.push_back(static_cast<Value>(rng.next_below(5000)));
+        }
+      }
+      c.filter.emplace(ValueWindow{500, 4200});
+      SCOPED_TRACE(c.name);
+      const ValueSet xs = c.visible();
+      const auto size = static_cast<std::int64_t>(xs.size());
+      std::uint64_t most = 0;
+      for (const std::int64_t twice_k :
+           {std::int64_t{1}, size / 5, size, 2 * size - 3, 2 * size}) {
+        SCOPED_TRACE(testing::Message() << "twice_k " << twice_k);
+        sim::Network net = c.network();
+        PrunedCountingService svc(net, c.tree, c.where());
+        expect_same_selection(c, xs, twice_k, svc);
+        most = std::max(most, svc.resummaries());
+      }
+      EXPECT_GE(most, 2u);
+    }
+  }
+}
+
+TEST(PrunedCountingService, SkippedChildKeepsTheSummariesBelowIt) {
+  // Root 0 has leaves 3..10 holding {0, 1000} and child 1 {50, 60}, whose
+  // child 2 holds {52, 58}. The re-summary over [40, 70) keeps node 1's
+  // summary (wholly inside) without a message; the pivot 55 then straddles
+  // both node 1 and node 2, so node 1 needs the summary of node 2 it kept
+  // from the first wave.
+  net::Graph g(11);
+  g.add_edge(0, 1);
+  g.add_edge(1, 2);
+  for (NodeId leaf = 3; leaf < 11; ++leaf) g.add_edge(0, leaf);
+  g.compact();
+  sim::Network net(g, 1);
+  net.set_items(1, {50, 60});
+  net.set_items(2, {52, 58});
+  for (NodeId leaf = 3; leaf < 11; ++leaf) net.set_items(leaf, {0, 1000});
+  const net::SpanningTree tree = net::bfs_tree(g, 0);
+  ASSERT_EQ(tree.parent[2], 1u);
+
+  PrunedCountingService svc(net, tree);
+  EXPECT_EQ(svc.count_all(), 20u);
+  EXPECT_EQ(svc.count(Predicate::less_than(40)), 8u);
+  EXPECT_EQ(svc.count(Predicate::less_than(70)), 12u);
+  EXPECT_EQ(svc.resummaries(), 0u);
+  const auto node1_before = net.all_stats()[1].messages_received;
+  // The bracket [40, 70) holds 4 of 20 items: re-summarize first.
+  EXPECT_EQ(svc.count(Predicate::less_than(55)), 10u);
+  EXPECT_EQ(svc.resummaries(), 1u);
+  // Node 1 heard only the COUNTP request and node 2's count.
+  EXPECT_EQ(net.all_stats()[1].messages_received - node1_before, 2u);
+  // Reused and later pivots keep counting right over the narrowed view.
+  EXPECT_EQ(svc.count(Predicate::greater_equal(55)), 10u);
+  EXPECT_EQ(svc.count(Predicate::less_than(59)), 11u);
+  EXPECT_EQ(svc.count(Predicate::less_than_half_units(103)), 9u);
+  // A pivot outside the held window takes the first summary again.
+  EXPECT_EQ(svc.count(Predicate::less_than(500)), 12u);
+  EXPECT_EQ(svc.count(Predicate::less_than(1001)), 20u);
+}
+
+TEST(PrunedCountingService, AnsweredPivotsCostNoWave) {
+  sim::Network net(net::make_grid(3, 3), 1);
+  net.set_one_item_per_node({5, 2, 9, 2, 7, 1, 8, 3, 6});
+  const net::SpanningTree tree = net::bfs_tree(net.graph(), 4);
+  PrunedCountingService svc(net, tree);
+  EXPECT_EQ(svc.count(Predicate::less_than_half_units(9)), 4u);  // x < 4.5
+  const std::uint32_t waves = svc.waves();
+  const std::uint64_t bits = net.summary(true).total_bits;
+  // x < 5 is the same count as x < 4.5 on integers; x >= 5 its complement.
+  EXPECT_EQ(svc.count(Predicate::less_than(5)), 4u);
+  EXPECT_EQ(svc.count(Predicate::greater_equal(5)), 5u);
+  EXPECT_EQ(svc.waves(), waves);
+  EXPECT_EQ(net.summary(true).total_bits, bits);
 }
 
 TEST(SubtreeSummary, RoundTripsAndFolds) {

@@ -3,11 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <string_view>
 
 #include "src/common/error.hpp"
 #include "src/common/mathutil.hpp"
 #include "src/net/topology.hpp"
+#include "src/query/lexer.hpp"
 
 namespace sensornet::query {
 namespace {
@@ -153,7 +155,7 @@ TEST(Executor, AccountingWindowIsPerQuery) {
 TEST(Executor, EmptySelectionIsFlagged) {
   // Every strategy answers an empty selection instead of throwing: the
   // exact ones where they learn the count, MEDIAN ... ERROR where its first
-  // stage's MIN wave finds no item, AVG ... ERROR where its count is 0.
+  // approximate COUNT sets no register, AVG ... ERROR where its count is 0.
   Fixture f({1, 2, 3, 4});
   for (const char* text :
        {"SELECT MIN(v) FROM sensors WHERE v > 100",
@@ -174,6 +176,37 @@ TEST(Executor, EmptySelectionIsFlagged) {
   EXPECT_FALSE(count.empty_selection);
   EXPECT_DOUBLE_EQ(count.value, 0.0);
   EXPECT_FALSE(f.exec.run("SELECT MEDIAN(v) FROM sensors").empty_selection);
+}
+
+TEST(Executor, EmptyApproxMedianStopsAtItsFirstCount) {
+  // The WHERE broadcast and one approximate COUNT wave, whose registers
+  // all come back zero: one message per tree edge, then two.
+  ValueSet xs(64);
+  for (std::size_t i = 0; i < xs.size(); ++i) xs[i] = static_cast<Value>(i);
+  Fixture f(xs, /*max_value=*/4096);
+  const auto r =
+      f.exec.run("SELECT MEDIAN(v) FROM sensors WHERE v > 4000 ERROR 0.1");
+  EXPECT_TRUE(r.empty_selection);
+  const std::uint64_t edges = f.net.node_count() - 1;
+  EXPECT_EQ(r.messages, 3 * edges);
+  // A non-empty selection still runs its stages.
+  const auto full =
+      f.exec.run("SELECT MEDIAN(v) FROM sensors WHERE v > 10 ERROR 0.1");
+  EXPECT_FALSE(full.empty_selection);
+  EXPECT_GT(full.messages, 10 * r.messages);
+}
+
+TEST(Executor, PlannerErrorNamesItsPositionOnce) {
+  Fixture f({1, 2, 3, 4});
+  try {
+    f.exec.run("SELECT MEDIAN(v) FROM sensors WHERE v > 100000");
+    FAIL() << "a WHERE past the value bound must not plan";
+  } catch (const QueryError& e) {
+    const std::string what = e.what();
+    EXPECT_EQ(what,
+              "WHERE range selects no representable value (at offset 0)");
+    EXPECT_EQ(e.position(), 0u);
+  }
 }
 
 TEST(Executor, PlanLineSurfaced) {
