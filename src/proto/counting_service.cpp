@@ -93,6 +93,14 @@ ValueWindow ValueWindow::decode(BitReader& r) {
   return window;
 }
 
+ValueSet WindowView::items(sim::Network& net, NodeId node) const {
+  ValueSet out;
+  for (const Value x : net.items(node)) {
+    if (window_.contains(x)) out.push_back(x);
+  }
+  return out;
+}
+
 // ---- PrunedCountingService ----------------------------------------------------
 
 namespace {

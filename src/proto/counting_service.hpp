@@ -110,6 +110,19 @@ struct ValueWindow {
   bool operator==(const ValueWindow&) const = default;
 };
 
+/// The readings inside one window: what a node that learned a WHERE (from
+/// a filter broadcast or a group install) aggregates.
+class WindowView final : public LocalItemView {
+ public:
+  explicit WindowView(const ValueWindow& window) : window_(window) {}
+
+  ValueSet items(sim::Network& net, NodeId node) const override;
+  const ValueWindow& window() const { return window_; }
+
+ private:
+  ValueWindow window_;
+};
+
 /// Fact 2.1's primitives over a spanning tree, pruned by subtree summaries
 /// that narrow with the search.
 ///

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
-#include <memory>
 
-#include "src/common/codec.hpp"
+#include "src/common/bitio.hpp"
 #include "src/common/error.hpp"
 #include "src/core/apx_median2.hpp"
 #include "src/core/count_distinct.hpp"
@@ -21,106 +19,24 @@
 
 namespace sensornet::query {
 
-bool condition_matches(const Condition& cond, Value x) {
-  switch (cond.cmp) {
-    case Condition::Cmp::kLt: return x < cond.literal;
-    case Condition::Cmp::kLe: return x <= cond.literal;
-    case Condition::Cmp::kGt: return x > cond.literal;
-    case Condition::Cmp::kGe: return x >= cond.literal;
-    case Condition::Cmp::kBetween:
-      return x >= cond.literal && x <= cond.literal2;
-  }
-  return false;
-}
+Executor::Executor(Deployment deployment) : deployment_(deployment) {}
 
-/// Items passing the node's installed WHERE filter.
-class Executor::FilterView final : public proto::LocalItemView {
- public:
-  explicit FilterView(const std::vector<std::optional<Condition>>& filters)
-      : filters_(filters) {}
-
-  ValueSet items(sim::Network& net, NodeId node) const override {
-    const auto& filter = filters_[node];
-    const auto view = net.items(node);
-    if (!filter) return ValueSet(view.begin(), view.end());
-    ValueSet out;
-    for (const Value x : view) {
-      if (condition_matches(*filter, x)) out.push_back(x);
-    }
-    return out;
-  }
-
- private:
-  const std::vector<std::optional<Condition>>& filters_;
-};
-
-namespace {
-
-/// The WHERE as the closed window an exact selection's first summary
-/// request carries (readings are non-negative); empty when it selects
-/// nothing.
-std::optional<proto::ValueWindow> where_window(
-    const std::optional<Condition>& cond) {
-  proto::ValueWindow w;
-  if (!cond) return w;
-  const Value lit = cond->literal;
-  switch (cond->cmp) {
-    case Condition::Cmp::kLt:
-      if (lit <= 0) return std::nullopt;
-      w.hi = lit - 1;
-      break;
-    case Condition::Cmp::kLe: w.hi = lit; break;
-    case Condition::Cmp::kGt:
-      if (lit == std::numeric_limits<Value>::max()) return std::nullopt;
-      w.lo = std::max<Value>(0, lit + 1);
-      break;
-    case Condition::Cmp::kGe: w.lo = std::max<Value>(0, lit); break;
-    case Condition::Cmp::kBetween:
-      w.lo = std::max<Value>(0, lit);
-      w.hi = cond->literal2;
-      break;
-  }
-  if (w.hi && *w.hi < w.lo) return std::nullopt;
-  return w;
-}
-
-}  // namespace
-
-Executor::Executor(Deployment deployment)
-    : deployment_(deployment),
-      node_filters_(deployment.net.node_count()),
-      view_(std::make_unique<FilterView>(node_filters_)) {}
-
-Executor::~Executor() = default;
-
-void Executor::install_filter(const std::optional<Condition>& cond) {
-  // Query dissemination: 1 bit for "filtered?", then cmp + literal(s). Even
+proto::ValueWindow Executor::install_filter(const proto::ValueWindow& where) {
+  // Query dissemination: 1 bit for "filtered?", then the window. Even
   // clearing a filter costs a broadcast — epochs don't share state for free.
+  proto::ValueWindow installed;  // every node decodes the same window
   proto::TreeBroadcast bc(
       deployment_.tree, next_broadcast_session_++,
-      [this](sim::Network&, NodeId node, BitReader r) {
-        if (!r.read_bit()) {
-          node_filters_[node].reset();
-          return;
-        }
-        Condition c;
-        c.cmp = static_cast<Condition::Cmp>(r.read_bits(3));
-        c.literal = static_cast<Value>(decode_uint(r));
-        if (c.cmp == Condition::Cmp::kBetween) {
-          c.literal2 = static_cast<Value>(decode_uint(r));
-        }
-        node_filters_[node] = c;
+      [&installed](sim::Network&, NodeId, BitReader r) {
+        installed = r.read_bit() ? proto::ValueWindow::decode(r)
+                                 : proto::ValueWindow{};
       });
   BitWriter w;
-  w.write_bit(cond.has_value());
-  if (cond) {
-    w.write_bits(static_cast<std::uint64_t>(cond->cmp), 3);
-    encode_uint(w, static_cast<std::uint64_t>(cond->literal));
-    if (cond->cmp == Condition::Cmp::kBetween) {
-      encode_uint(w, static_cast<std::uint64_t>(cond->literal2));
-    }
-  }
+  const bool filtered = where != proto::ValueWindow{};
+  w.write_bit(filtered);
+  if (filtered) where.encode(w);
   bc.execute(deployment_.net, std::move(w));
+  return installed;
 }
 
 QueryResult Executor::run(const std::string& text) {
@@ -136,15 +52,21 @@ QueryResult Executor::run(const Query& q, const CostedPlan& plan) {
   const auto before = net.all_stats();
   const SimTime t0 = net.now();
 
-  // An exact selection carries its WHERE in its first summary request.
-  if (plan.strategy != Strategy::kExactSelection) install_filter(q.where);
+  // Nodes filter by the plan's region, left open above when it reaches the
+  // bound, because readings never pass it. An exact selection carries the
+  // window in its first summary request.
+  proto::ValueWindow where{plan.region.lo, {}};
+  if (plan.region.hi < deployment_.max_value_bound) where.hi = plan.region.hi;
+  const proto::WindowView view(plan.strategy == Strategy::kExactSelection
+                                   ? where
+                                   : install_filter(where));
 
   QueryResult res;
   res.plan = plan.description;
 
   switch (plan.strategy) {
     case Strategy::kPrimitiveWave: {
-      proto::TreeCountingService svc(net, deployment_.tree, *view_);
+      proto::TreeCountingService svc(net, deployment_.tree, view);
       switch (q.agg) {
         case AggregateKind::kMin:
         case AggregateKind::kMax: {
@@ -160,7 +82,7 @@ QueryResult Executor::run(const Query& q, const CostedPlan& plan) {
         case AggregateKind::kSum:
         case AggregateKind::kAvg: {
           proto::TreeWave<proto::SumAgg> wave(deployment_.tree, 0x6800,
-                                              *view_);
+                                              view);
           const auto sum = wave.execute(
               net, proto::SumAgg::Request{proto::Predicate::always_true()});
           if (q.agg == AggregateKind::kSum) {
@@ -184,7 +106,7 @@ QueryResult Executor::run(const Query& q, const CostedPlan& plan) {
       proto::ApxCountConfig cfg;
       cfg.registers = plan.registers;
       proto::TreeApproxCountingService svc(net, deployment_.tree, cfg,
-                                           *view_);
+                                           view);
       res.value = svc.apx_count(proto::Predicate::always_true());
       res.is_exact = false;
       break;
@@ -199,7 +121,7 @@ QueryResult Executor::run(const Query& q, const CostedPlan& plan) {
           static_cast<std::uint64_t>(deployment_.max_value_bound | 1)));
       req.mode = proto::LogLogAgg::Mode::kSumOdi;
       proto::TreeWave<proto::LogLogAgg> wave(deployment_.tree, 0x6900,
-                                             *view_);
+                                             view);
       const double sum = wave.execute(net, req).estimate();
       if (q.agg == AggregateKind::kSum) {
         res.value = sum;
@@ -207,7 +129,7 @@ QueryResult Executor::run(const Query& q, const CostedPlan& plan) {
         proto::ApxCountConfig cfg;
         cfg.registers = plan.registers;
         proto::TreeApproxCountingService counter(net, deployment_.tree, cfg,
-                                                 *view_);
+                                                 view);
         const double count =
             counter.apx_count(proto::Predicate::always_true());
         res.empty_selection = count < 0.5;
@@ -221,12 +143,7 @@ QueryResult Executor::run(const Query& q, const CostedPlan& plan) {
       // summary wave over the WHERE, each COUNTP descends only where the
       // pivot cuts, and the summaries narrow to the certified bracket.
       res.is_exact = true;
-      const auto where = where_window(q.where);
-      if (!where) {
-        res.empty_selection = true;
-        break;
-      }
-      proto::PrunedCountingService svc(net, deployment_.tree, *where);
+      proto::PrunedCountingService svc(net, deployment_.tree, where);
       const std::uint64_t n = svc.count_all();
       if (n == 0) {
         res.empty_selection = true;
@@ -255,7 +172,7 @@ QueryResult Executor::run(const Query& q, const CostedPlan& plan) {
       // the trade in the plan line.
       params.rep_scale = 0.25;
       const auto r =
-          core::approx_median2(net, deployment_.tree, params, *view_);
+          core::approx_median2(net, deployment_.tree, params, view);
       res.value = static_cast<double>(r.value);
       res.empty_selection = r.empty_input;
       res.is_exact = false;
@@ -263,14 +180,14 @@ QueryResult Executor::run(const Query& q, const CostedPlan& plan) {
     }
     case Strategy::kExactDistinct: {
       res.value = static_cast<double>(
-          core::exact_count_distinct(net, deployment_.tree, *view_).distinct);
+          core::exact_count_distinct(net, deployment_.tree, view).distinct);
       res.is_exact = true;
       break;
     }
     case Strategy::kApproxDistinct: {
       res.value = core::approx_count_distinct(
                       net, deployment_.tree, plan.registers,
-                      proto::EstimatorKind::kHyperLogLog, *view_)
+                      proto::EstimatorKind::kHyperLogLog, view)
                       .estimate;
       res.is_exact = false;
       break;

@@ -1,21 +1,20 @@
 // Query execution over a deployment.
 //
-// TinyDB-style lifecycle: the parsed query's WHERE filter is disseminated
-// down the tree first (nodes install it as local state — those bits are
-// metered like any other), then the planned protocol runs over the filtered
-// view. An exact selection skips the broadcast: its first summary request
-// carries the WHERE. The result carries the answer and the exact
-// communication bill of this query.
+// TinyDB-style lifecycle: the plan's region is disseminated down the tree
+// first as a value window (nodes install it as local state — those bits are
+// metered like any other), then the planned protocol runs over the readings
+// inside it. An exact selection skips the broadcast: its first summary
+// request carries the same window. The planner is the only reader of the
+// query's WHERE. The result carries the answer and the exact communication
+// bill of this query.
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <optional>
 #include <string>
-#include <vector>
 
 #include "src/common/types.hpp"
 #include "src/net/spanning_tree.hpp"
+#include "src/proto/counting_service.hpp"
 #include "src/query/ast.hpp"
 #include "src/query/planner.hpp"
 #include "src/sim/network.hpp"
@@ -50,7 +49,6 @@ struct QueryResult {
 class Executor {
  public:
   explicit Executor(Deployment deployment);
-  ~Executor();
 
   Executor(const Executor&) = delete;
   Executor& operator=(const Executor&) = delete;
@@ -60,24 +58,17 @@ class Executor {
   QueryResult run(const std::string& text);
 
   /// Run an already-parsed query under an explicit plan. The executor
-  /// consumes the plan's strategy knobs and ignores its step program —
-  /// it IS the tree-collect fallback every plan can degrade to.
+  /// consumes the plan's strategy knobs and region and ignores its step
+  /// program — it IS the tree-collect fallback every plan can degrade to.
   QueryResult run(const Query& q, const CostedPlan& plan);
 
  private:
-  class FilterView;
-
-  /// Installs (or clears) the WHERE filter at every node via a tree
-  /// broadcast; returns the view protocols should use.
-  void install_filter(const std::optional<Condition>& cond);
+  /// Installs `where` at every node via a tree broadcast (the whole-domain
+  /// window clears the filter); returns the window the nodes decoded.
+  proto::ValueWindow install_filter(const proto::ValueWindow& where);
 
   Deployment deployment_;
-  std::vector<std::optional<Condition>> node_filters_;
-  std::unique_ptr<FilterView> view_;
   std::uint32_t next_broadcast_session_ = 0x6000;
 };
-
-/// True if `x` satisfies the condition (shared by executor and tests).
-bool condition_matches(const Condition& cond, Value x);
 
 }  // namespace sensornet::query

@@ -95,7 +95,6 @@ QueryService::ParsedQuery QueryService::parse_and_plan(
     return out;
   }
   out.plan = std::move(planned).value();
-  out.region = out.plan.region;
   out.ok = true;
   return out;
 }
@@ -154,7 +153,6 @@ QueryService::LiveQuery QueryService::route(ParsedQuery&& parsed,
   lq.id = next_id_++;
   lq.q = std::move(parsed.q);
   lq.plan = std::move(parsed.plan);
-  lq.region = parsed.region;
   lq.registered_epoch = epoch_;
   lq.every = lq.q.every_epochs.value_or(0);
   adm.id = lq.id;
@@ -181,7 +179,8 @@ QueryService::LiveQuery QueryService::route(ParsedQuery&& parsed,
     adm.plan = "cube: " + lq.plan.description;
   } else if (bundle) {
     lq.path = Path::kBundle;
-    install_group([&] { return scheduler_->ensure_stats_group(lq.region); });
+    install_group(
+        [&] { return scheduler_->ensure_stats_group(lq.plan.region); });
     adm.plan = "shared stats bundle, group " + std::to_string(lq.group);
   } else if (config_.share_aggregation &&
              lq.q.agg == query::AggregateKind::kCountDistinct) {
@@ -191,7 +190,7 @@ QueryService::LiveQuery QueryService::route(ParsedQuery&& parsed,
             ? lq.plan.registers
             : 0;
     install_group([&] {
-      return scheduler_->ensure_distinct_group(lq.region, registers);
+      return scheduler_->ensure_distinct_group(lq.plan.region, registers);
     });
     adm.plan = "shared distinct group " + std::to_string(lq.group);
   } else {
@@ -282,7 +281,7 @@ std::vector<Answer> QueryService::serve_bundles(
     const LiveQuery& lq = *due[i];
     Route& route = routes[i];
     const bool sketch = lq.q.agg == query::AggregateKind::kCountDistinct;
-    const auto [it, added] = keys.try_emplace({lq.region, sketch});
+    const auto [it, added] = keys.try_emplace({lq.plan.region, sketch});
     route.key = &it->second;
     if (added) {
       route.key->payer = lq.id;
@@ -290,7 +289,8 @@ std::vector<Answer> QueryService::serve_bundles(
     }
     if (route.key->fresh) continue;
     if (config_.use_cache && !sketch) {
-      route.zero_bit = cache_.probe(lq.region, lq.q.agg, lq.q.error, epoch_);
+      route.zero_bit =
+          cache_.probe(lq.plan.region, lq.q.agg, lq.q.error, epoch_);
       route.cached = route.zero_bit.has_value();
       if (route.cached) continue;
     }
@@ -357,7 +357,8 @@ std::vector<Answer> QueryService::serve_bundles(
     if (route.cached && !key.fresh) {
       // The serve stores nothing before this pass ends, so the entry the
       // probe approved is still there.
-      const auto hit = cache_.lookup(lq.region, lq.q.agg, lq.q.error, epoch_);
+      const auto hit =
+          cache_.lookup(lq.plan.region, lq.q.agg, lq.q.error, epoch_);
       SENSORNET_EXPECTS(hit.has_value());
       answers.push_back(answer_cached(lq, *hit));
       continue;
@@ -382,7 +383,7 @@ std::vector<Answer> QueryService::serve_bundles(
         a.value = key.served.distinct_estimate;
         a.exact = false;
       } else {
-        a = bundle_answer(lq.q.agg, lq.region, key.served.bundle);
+        a = bundle_answer(lq.q.agg, lq.plan.region, key.served.bundle);
       }
       ++qc.fresh;
       ++(cube_ ? telemetry_.cube_fresh_answers

@@ -262,7 +262,6 @@ class QueryService {
     QueryId id = 0;
     query::Query q;
     query::CostedPlan plan;
-    query::RegionSignature region;
     Path path = Path::kExecutor;
     GroupId group = 0;  // kDistinct, and kBundle without the cube
     std::uint32_t registered_epoch = 0;
@@ -275,7 +274,6 @@ class QueryService {
     std::string error;
     query::Query q;
     query::CostedPlan plan;
-    query::RegionSignature region;
   };
 
   ParsedQuery parse_and_plan(const std::string& text) const;

@@ -7,7 +7,7 @@
 #include "src/core/count_distinct.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/obs/trace.hpp"
-#include "src/proto/item_view.hpp"
+#include "src/proto/counting_service.hpp"
 #include "src/proto/tree_broadcast.hpp"
 
 namespace sensornet::service {
@@ -47,27 +47,6 @@ struct SharedPlanScheduler::Group {
   std::uint32_t last_collect_epoch = kInvalidEpoch;
 };
 
-// ---- local evaluation -----------------------------------------------------
-
-/// Distinct-family item filter: exposes only readings inside the group's
-/// region. The region was installed at every node by the group-creation
-/// broadcast, so this is node-local state, not root-side fiat.
-class SharedPlanScheduler::RegionView final : public proto::LocalItemView {
- public:
-  explicit RegionView(const query::RegionSignature& region) : region_(region) {}
-
-  ValueSet items(sim::Network& net, NodeId node) const override {
-    ValueSet out;
-    for (const Value v : net.items(node)) {
-      if (v >= region_.lo && v <= region_.hi) out.push_back(v);
-    }
-    return out;
-  }
-
- private:
-  query::RegionSignature region_;
-};
-
 // ---- dirty-mark propagation ----------------------------------------------
 
 void SharedPlanScheduler::note_updates(std::span<const NodeId> updated,
@@ -102,28 +81,8 @@ GroupId SharedPlanScheduler::ensure_stats_group(
   if (const auto it = stats_index_.find(region); it != stats_index_.end()) {
     return it->second;
   }
-  const auto id = static_cast<GroupId>(groups_.size());
-  auto g = std::make_unique<Group>();
-  g->family = query::AggregateFamily::kStats;
-  g->region = region;
-  g->session = next_session_++;
-  g->slot = store_.add_slot(region, g->session);
-  if (!region.whole_domain) {
-    // Nodes must learn the region and margin they bracket — paid once per
-    // group, amortized over every subscriber and epoch.
-    proto::TreeBroadcast install(
-        tree_, next_session_++,
-        [](sim::Network&, NodeId, BitReader) { /* region noted */ });
-    BitWriter w;
-    encode_uint(w, static_cast<std::uint64_t>(region.lo));
-    encode_uint(w, static_cast<std::uint64_t>(region.hi - region.lo));
-    encode_uint(w, static_cast<std::uint64_t>(horizon_epochs_) *
-                       static_cast<std::uint64_t>(max_delta_));
-    install.execute(net_, std::move(w));
-  }
-  groups_.push_back(std::move(g));
+  const GroupId id = add_group(query::AggregateFamily::kStats, region, 0);
   stats_index_.emplace(region, id);
-  ++stats_.groups_created;
   return id;
 }
 
@@ -133,23 +92,40 @@ GroupId SharedPlanScheduler::ensure_distinct_group(
   if (const auto it = distinct_index_.find(key); it != distinct_index_.end()) {
     return it->second;
   }
+  const GroupId id =
+      add_group(query::AggregateFamily::kDistinct, region, registers);
+  distinct_index_.emplace(key, id);
+  return id;
+}
+
+GroupId SharedPlanScheduler::add_group(query::AggregateFamily family,
+                                       const query::RegionSignature& region,
+                                       unsigned registers) {
   const auto id = static_cast<GroupId>(groups_.size());
   auto g = std::make_unique<Group>();
-  g->family = query::AggregateFamily::kDistinct;
+  g->family = family;
   g->region = region;
   g->registers = registers;
   g->session = next_session_++;
+  const bool stats = family == query::AggregateFamily::kStats;
+  if (stats) g->slot = store_.add_slot(region, g->session);
   if (!region.whole_domain) {
+    // Nodes must learn the region (and a stats group the margin it
+    // brackets) — paid once per group, amortized over every subscriber
+    // and epoch.
     proto::TreeBroadcast install(
         tree_, next_session_++,
         [](sim::Network&, NodeId, BitReader) { /* region noted */ });
     BitWriter w;
     encode_uint(w, static_cast<std::uint64_t>(region.lo));
     encode_uint(w, static_cast<std::uint64_t>(region.hi - region.lo));
+    if (stats) {
+      encode_uint(w, static_cast<std::uint64_t>(horizon_epochs_) *
+                         static_cast<std::uint64_t>(max_delta_));
+    }
     install.execute(net_, std::move(w));
   }
   groups_.push_back(std::move(g));
-  distinct_index_.emplace(key, id);
   ++stats_.groups_created;
   return id;
 }
@@ -214,19 +190,17 @@ double SharedPlanScheduler::collect_distinct(GroupId group,
   Group& g = *groups_[group];
   SENSORNET_EXPECTS(g.family == query::AggregateFamily::kDistinct);
   if (g.last_collect_epoch == epoch) return g.distinct_estimate;
-  const RegionView view(g.region);
-  const proto::LocalItemView& item_view =
-      g.region.whole_domain ? proto::raw_item_view()
-                            : static_cast<const proto::LocalItemView&>(view);
+  // Every node learned the region at the group's install.
+  const proto::WindowView view({g.region.lo, g.region.hi});
   const SimTime t0 = net_.now();
   if (g.registers == 0) {
     g.distinct_estimate = static_cast<double>(
-        core::exact_count_distinct(net_, tree_, item_view).distinct);
+        core::exact_count_distinct(net_, tree_, view).distinct);
   } else {
     g.distinct_estimate =
         core::approx_count_distinct(net_, tree_, g.registers,
                                     proto::EstimatorKind::kHyperLogLog,
-                                    item_view)
+                                    view)
             .estimate;
   }
   g.last_collect_epoch = epoch;

@@ -136,7 +136,11 @@ class SharedPlanScheduler {
 
  private:
   struct Group;
-  class RegionView;
+
+  /// Creates a group and pays its region-install broadcast unless the
+  /// region is the whole domain.
+  GroupId add_group(query::AggregateFamily family,
+                    const query::RegionSignature& region, unsigned registers);
 
   sim::Network& net_;
   const net::SpanningTree& tree_;

@@ -17,23 +17,6 @@
 namespace sensornet::proto {
 namespace {
 
-/// Items inside a window: the WHERE-filtered view the reference counts.
-class RangeView final : public LocalItemView {
- public:
-  explicit RangeView(ValueWindow window) : window_(window) {}
-  ValueSet items(sim::Network& net, NodeId node) const override {
-    ValueSet out;
-    for (const Value x : net.items(node)) {
-      if (window_.contains(x)) out.push_back(x);
-    }
-    return out;
-  }
-  const ValueWindow& window() const { return window_; }
-
- private:
-  ValueWindow window_;
-};
-
 /// One random deployment: a tree shape, per-node multisets (some nodes
 /// empty, some with several items) and an optional filter.
 struct Case {
@@ -41,7 +24,7 @@ struct Case {
   net::Graph graph{1};
   net::SpanningTree tree;
   std::vector<ValueSet> items;
-  std::optional<RangeView> filter;
+  std::optional<WindowView> filter;  // the WHERE-filtered view
 
   const LocalItemView& view() const {
     return filter ? static_cast<const LocalItemView&>(*filter)

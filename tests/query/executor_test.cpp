@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <set>
 #include <string>
 #include <string_view>
 
@@ -10,6 +12,7 @@
 #include "src/common/mathutil.hpp"
 #include "src/net/topology.hpp"
 #include "src/query/lexer.hpp"
+#include "src/query/parser.hpp"
 
 namespace sensornet::query {
 namespace {
@@ -97,6 +100,59 @@ TEST(Executor, CountDistinctExactAndApprox) {
       f.exec.run("SELECT COUNT_DISTINCT(v) FROM sensors ERROR 0.2");
   EXPECT_FALSE(approx.is_exact);
   EXPECT_NEAR(approx.value, 4.0, 3.0);
+}
+
+TEST(Executor, EveryWhereFormMatchesTheTruthOverThePlansRegion) {
+  // Readings below 60 with repeats, a bound of 64: the last WHERE reaches
+  // past the bound, and every answer is the truth over the region the
+  // planner canonicalized.
+  constexpr Value kBound = 64;
+  ValueSet xs(48);
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    xs[i] = static_cast<Value>(i * 13 % 60);
+  }
+  Fixture f(xs, kBound);
+  const Planner planner(kBound);
+  for (const char* where :
+       {"v < 20", "v <= 20", "v > 20", "v >= 20", "v BETWEEN 10 AND 40",
+        "v BETWEEN 30 AND 1000"}) {
+    const std::string tail = std::string(" FROM sensors WHERE ") + where;
+    const RegionSignature region =
+        planner.plan(parse_query("SELECT COUNT(v)" + tail)).value().region;
+    ValueSet in;
+    for (const Value x : xs) {
+      if (x >= region.lo && x <= region.hi) in.push_back(x);
+    }
+    ASSERT_FALSE(in.empty()) << where;
+    std::sort(in.begin(), in.end());
+    Value sum = 0;
+    for (const Value x : in) sum += x;
+    const std::set<Value> distinct(in.begin(), in.end());
+    // MEDIAN's twice_k = N: the ceil(N/2)-th smallest.
+    const std::pair<const char*, double> cases[] = {
+        {"COUNT(v)", static_cast<double>(in.size())},
+        {"MIN(v)", static_cast<double>(in.front())},
+        {"SUM(v)", static_cast<double>(sum)},
+        {"MEDIAN(v)", static_cast<double>(in[(in.size() + 1) / 2 - 1])},
+        {"COUNT_DISTINCT(v)", static_cast<double>(distinct.size())}};
+    for (const auto& [agg, truth] : cases) {
+      const std::string text = std::string("SELECT ") + agg + tail;
+      SCOPED_TRACE(text);
+      const auto r = f.exec.run(text);
+      EXPECT_TRUE(r.is_exact);
+      EXPECT_DOUBLE_EQ(r.value, truth);
+    }
+  }
+}
+
+TEST(Executor, WholeDomainCountKeepsItsCost) {
+  // No WHERE: the filter broadcast is its 1-bit "filtered?" flag alone.
+  ValueSet xs(48);
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    xs[i] = static_cast<Value>(i * 13 % 60);
+  }
+  Fixture f(xs, /*max_value=*/64);
+  EXPECT_EQ(f.exec.run("SELECT COUNT(v) FROM sensors").total_bits, 394u);
 }
 
 TEST(Executor, ApproxCount) {
@@ -213,14 +269,6 @@ TEST(Executor, PlanLineSurfaced) {
   Fixture f({1, 2, 3, 4});
   EXPECT_NE(f.exec.run("SELECT MEDIAN(v) FROM sensors").plan.find("fig1"),
             std::string::npos);
-}
-
-TEST(Executor, ConditionMatchesHelper) {
-  Condition c;
-  c.cmp = Condition::Cmp::kLe;
-  c.literal = 5;
-  EXPECT_TRUE(condition_matches(c, 5));
-  EXPECT_FALSE(condition_matches(c, 6));
 }
 
 }  // namespace

@@ -5,16 +5,17 @@
 // (keys repeat within a burst, and one text is malformed), cancels, and
 // update batches that obey the drift model — and replays it on every
 // service configuration: naive, shared, shared + cache, cube, cube +
-// cache. The cube configurations keep 64-register HLL partials and also
-// get COUNT_DISTINCT ... ERROR 0.15 submits, one-shot and standing. Every
-// configuration also gets exact MEDIAN and QUANTILE submits, one-shot and
-// standing, with and without WHERE, and over a region that selects nothing.
+// cache. The cube configurations keep 64-register HLL partials. Every
+// configuration also gets COUNT_DISTINCT submits, exact and ERROR 0.15,
+// and exact MEDIAN and QUANTILE submits, one-shot and standing, with and
+// without WHERE; one selection is over a region that selects nothing.
 // Every configuration must
 //   - answer exact answers with the mirror's value, and flag every empty
 //     selection of an aggregate that is undefined on it,
 //   - contain the mirror's value in every deterministically bounded answer,
-//   - answer every COUNT_DISTINCT with exactly the estimate of a one-shot
-//     HLL (64 registers, salt 1) over the mirror's region,
+//   - answer every exact COUNT_DISTINCT with the mirror's distinct count
+//     over the region, and every COUNT_DISTINCT ... ERROR 0.15 with exactly
+//     the estimate of a one-shot HLL (64 registers, salt 1) over it,
 //   - account for every bit and message on the air: query, mark and
 //     group-install ledgers add up to the network total.
 #include <gtest/gtest.h>
@@ -50,16 +51,16 @@ struct Submit {
   query::AggregateKind agg = query::AggregateKind::kCount;
   Value lo = 0, hi = kBound;
   double phi = 0.5;        // QUANTILE's rank fraction
+  bool sketch = false;     // COUNT_DISTINCT ... ERROR 0.15
   bool malformed = false;  // admission must refuse it
 };
 
 /// One epoch of the script: submits, a one-shot burst and cancels (by
 /// submission index, so the same query in every configuration), then the
-/// update batch. COUNT_DISTINCT submits run on the cube configurations
-/// only.
+/// update batch.
 struct Step {
   std::vector<Submit> submits;
-  std::vector<Submit> distinct;  // COUNT_DISTINCT ... ERROR 0.15
+  std::vector<Submit> distinct;  // COUNT_DISTINCT, exact or ERROR 0.15
   std::vector<Submit> selections;  // exact MEDIAN / QUANTILE
   std::vector<Submit> burst;  // one submit_batch call; may be empty
   std::vector<std::size_t> cancels;
@@ -148,9 +149,13 @@ Script draw_script(std::uint64_t seed) {
                   burst_rng.next_below(step.burst.size() + 1)),
           bad);
     }
-    if (distinct_rng.next_bool(0.4)) {
+    // Every script has an approximate COUNT_DISTINCT at epoch 0 and an
+    // exact one at epoch 1.
+    for (const bool sketch : {true, false}) {
+      if (e != (sketch ? 0u : 1u) && !distinct_rng.next_bool(0.3)) continue;
       Submit d;
       d.agg = query::AggregateKind::kCountDistinct;
+      d.sketch = sketch;
       std::tie(d.lo, d.hi) = regions[distinct_rng.next_below(regions.size())];
       std::ostringstream os;
       os << "SELECT COUNT_DISTINCT(v) FROM s";
@@ -160,7 +165,7 @@ Script draw_script(std::uint64_t seed) {
       if (distinct_rng.next_below(3) != 0) {
         os << " EVERY " << 1 + distinct_rng.next_below(3) << " EPOCHS";
       }
-      os << " ERROR 0.15";
+      if (sketch) os << " ERROR 0.15";
       d.text = os.str();
       step.distinct.push_back(d);
     }
@@ -234,6 +239,7 @@ ServiceTelemetry replay(const Script& script, const Config& c) {
   std::vector<QueryId> ids;      // by scripted-submit index (0: one-shot)
   std::uint64_t checked = 0;
   std::uint64_t distinct_checked = 0;
+  std::uint64_t exact_distinct_checked = 0;
   std::uint64_t selections_checked = 0;
   std::uint64_t empty_selections = 0;
 
@@ -241,6 +247,19 @@ ServiceTelemetry replay(const Script& script, const Config& c) {
     const Submit& s = submits[submit_of.at(a.id)];
     SCOPED_TRACE(s.text);
     ++checked;
+    if (s.agg == query::AggregateKind::kCountDistinct && !s.sketch) {
+      std::vector<Value> in;
+      for (const Value v : mirror) {
+        if (v >= s.lo && v <= s.hi) in.push_back(v);
+      }
+      std::sort(in.begin(), in.end());
+      EXPECT_TRUE(a.exact);
+      EXPECT_EQ(a.value, static_cast<double>(
+                             std::unique(in.begin(), in.end()) - in.begin()))
+          << "epoch " << a.epoch;
+      ++exact_distinct_checked;
+      return;
+    }
     if (s.agg == query::AggregateKind::kCountDistinct) {
       sketch::Hll oracle =
           sketch::Hll::make_by_registers(
@@ -356,9 +375,7 @@ ServiceTelemetry replay(const Script& script, const Config& c) {
       const Result<Admission> r = std::move(admit({s}).front());
       ids.push_back(r.ok() && r.value().continuous ? r.value().id : 0);
     }
-    if (c.use_cube) {
-      for (const Submit& d : step.distinct) admit({d});
-    }
+    for (const Submit& d : step.distinct) admit({d});
     for (const Submit& q : step.selections) admit({q});
     if (!step.burst.empty()) admit(step.burst);
     for (const std::size_t k : step.cancels) {
@@ -368,9 +385,8 @@ ServiceTelemetry replay(const Script& script, const Config& c) {
     for (const Answer& a : svc.run_epoch(step.updates)) check(a);
   }
   EXPECT_GT(checked, 0u);
-  if (c.use_cube) {
-    EXPECT_GT(distinct_checked, 0u);
-  }
+  EXPECT_GT(distinct_checked, 0u);
+  EXPECT_GT(exact_distinct_checked, 0u);
   EXPECT_GT(selections_checked, 0u);
   EXPECT_GT(empty_selections, 0u);
 
