@@ -83,6 +83,7 @@ using service::Answer;
 using service::QueryService;
 using service::SensorUpdate;
 using service::ServiceConfig;
+using service::SharedPlanStats;
 
 struct Scale {
   unsigned grid_side;        // shared-vs-naive deployment is side x side
@@ -157,12 +158,13 @@ LaneResult run_continuous_lane(const Scale& s, unsigned threads, bool shared) {
       [&lane](const QueryService& svc) {
         lane.answers = svc.telemetry().answers;
         lane.cache_hits = svc.telemetry().cache_hits;
-        lane.stats_waves = svc.plan_stats().stats_waves;
-        lane.edges_descended = svc.plan_stats().edges_descended;
-        lane.edges_skipped = svc.plan_stats().edges_skipped;
-        lane.delta_image_bits = svc.plan_stats().delta_image_bits;
-        lane.delta_image_full_bits = svc.plan_stats().delta_image_full_bits;
-        lane.mark_messages = svc.plan_stats().mark_messages;
+        const SharedPlanStats plan = svc.plan_stats();
+        lane.stats_waves = plan.stats_waves;
+        lane.edges_descended = plan.edges_descended;
+        lane.edges_skipped = plan.edges_skipped;
+        lane.delta_image_bits = plan.delta_image_bits;
+        lane.delta_image_full_bits = plan.delta_image_full_bits;
+        lane.mark_messages = plan.mark_messages;
         lane.telemetry = svc.telemetry_snapshot();
       });
   return lane;

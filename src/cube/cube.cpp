@@ -10,7 +10,6 @@
 
 #include "src/common/codec.hpp"
 #include "src/common/error.hpp"
-#include "src/obs/metrics.hpp"
 #include "src/obs/trace.hpp"
 #include "src/proto/tree_broadcast.hpp"
 
@@ -21,27 +20,6 @@ namespace {
 constexpr std::uint32_t kRefreshSessionBase = 0x7800;
 constexpr std::uint32_t kResidueSessionBase = 0x7C00;
 constexpr std::uint32_t kGeometrySession = 0x7BFF;
-
-void mirror_cube_stats(const CubeStats& s) {
-  obs::Registry& reg = obs::Registry::global();
-  reg.gauge_set(reg.gauge("cube.refresh_waves"), s.refresh_waves);
-  reg.gauge_set(reg.gauge("cube.cells_refreshed"), s.cells_refreshed);
-  reg.gauge_set(reg.gauge("cube.cell_edges_descended"), s.cell_edges_descended);
-  reg.gauge_set(reg.gauge("cube.cell_edges_skipped"), s.cell_edges_skipped);
-  reg.gauge_set(reg.gauge("cube.residue_waves"), s.residue_waves);
-  reg.gauge_set(reg.gauge("cube.residues_run"), s.residues_run);
-  reg.gauge_set(reg.gauge("cube.residue_edges_descended"),
-                s.residue_edges_descended);
-  reg.gauge_set(reg.gauge("cube.residue_edges_pruned"),
-                s.residue_edges_pruned);
-  reg.gauge_set(reg.gauge("cube.standing_refreshed"), s.standing_refreshed);
-  reg.gauge_set(reg.gauge("cube.standing_installs"), s.standing_installs);
-  reg.gauge_set(reg.gauge("cube.standing_retired"), s.standing_retired);
-  reg.gauge_set(reg.gauge("cube.fresh_serves"), s.fresh_serves);
-  reg.gauge_set(reg.gauge("cube.stale_serves"), s.stale_serves);
-  reg.gauge_set(reg.gauge("cube.geometry_installs"), s.geometry_installs);
-  reg.gauge_set(reg.gauge("cube.pricing_passes"), s.pricing_passes);
-}
 
 /// True when a region of the maximal list `regions` (ascending lo, and so
 /// ascending hi) contains [lo, hi]: the last one starting at or before lo
@@ -307,12 +285,6 @@ std::vector<ServeResult> Cube::serve_claimed(std::uint32_t epoch) {
       ++refreshed;
       ++(standing ? stats_.standing_refreshed : stats_.cells_refreshed);
     }
-    stats_.cell_edges_descended = store_.edges_descended();
-    stats_.cell_edges_skipped = store_.edges_skipped();
-    stats_.delta_image_bits = store_.delta_image_bits();
-    stats_.delta_image_full_bits = store_.delta_image_full_bits();
-    stats_.hll_delta_image_bits = store_.hll_delta_image_bits();
-    stats_.hll_delta_image_full_bits = store_.hll_delta_image_full_bits();
     if (refreshed > 0) {
       ++stats_.refresh_waves;
       obs::TraceRing& ring = obs::TraceRing::global();
@@ -367,7 +339,6 @@ std::vector<ServeResult> Cube::serve_claimed(std::uint32_t epoch) {
   }
   retire_standing(epoch);
   stats_.fresh_serves += claims.size();
-  mirror_stats();
   return out;
 }
 
@@ -375,11 +346,6 @@ ServeResult Cube::serve(const query::CostedPlan& plan, std::uint32_t epoch) {
   SENSORNET_EXPECTS(claimed_.empty());
   claim(plan);
   return std::move(serve_claimed(epoch).front());
-}
-
-void Cube::note_stale_serve() {
-  ++stats_.stale_serves;
-  mirror_stats();
 }
 
 std::optional<BracketedAnswer> Cube::stale_bracket(
@@ -605,11 +571,15 @@ std::uint64_t Cube::tree_collect_bits(
 
 CubeStats Cube::stats() const {
   CubeStats s = stats_;
+  s.cell_edges_descended = store_.edges_descended();
+  s.cell_edges_skipped = store_.edges_skipped();
+  s.delta_image_bits = store_.delta_image_bits();
+  s.delta_image_full_bits = store_.delta_image_full_bits();
+  s.hll_delta_image_bits = store_.hll_delta_image_bits();
+  s.hll_delta_image_full_bits = store_.hll_delta_image_full_bits();
   s.pricing_passes = pricing_passes_.load();
   s.pricing_generations = pricing_generations_.load();
   return s;
 }
-
-void Cube::mirror_stats() const { mirror_cube_stats(stats()); }
 
 }  // namespace sensornet::cube

@@ -98,7 +98,8 @@ struct CubeConfig {
   std::uint32_t horizon_epochs = 8;
 };
 
-/// Cumulative cube telemetry, mirrored into obs gauges after every serve.
+/// Cumulative cube telemetry. stats() reads the store's edge and delta-image
+/// counters when it is called, so they count the edges of a failed wave too.
 struct CubeStats {
   std::uint64_t refresh_waves = 0;    // slot collect() waves that ran
   std::uint64_t cells_refreshed = 0;  // cells (and twins) brought up to date
@@ -119,7 +120,6 @@ struct CubeStats {
   std::uint64_t standing_installs = 0;   // standing slots installed
   std::uint64_t standing_retired = 0;    // ... and freed after the horizon
   std::uint64_t fresh_serves = 0;
-  std::uint64_t stale_serves = 0;  // brackets served (note_stale_serve)
   std::uint64_t geometry_installs = 0;  // lazy one-time broadcast
   // Bits on air by what sent them; they sum to every bit the cube sent.
   std::uint64_t cell_bits = 0;      // cell and twin shares of collect()
@@ -224,10 +224,6 @@ class Cube final : public query::CubeCatalog {
                                                query::AggregateKind agg,
                                                std::uint32_t now_epoch) const;
 
-  /// Counts one stale_bracket() answer the caller served, in
-  /// CubeStats::stale_serves.
-  void note_stale_serve();
-
   CubeStats stats() const;
   std::size_t cell_count() const {
     return (std::size_t{1} << config_.levels) - 1;
@@ -284,7 +280,6 @@ class Cube final : public query::CubeCatalog {
   PartialStore::OnceCollection collect_residues(
       const std::vector<query::RegionSignature>& ranges, bool sketch,
       const std::vector<std::size_t>& owners, std::vector<ServeResult>& out);
-  void mirror_stats() const;
 
   /// Estimated wire bits of one descend-and-respond edge for a region
   /// (request + response, headers included).
@@ -339,7 +334,7 @@ class Cube final : public query::CubeCatalog {
   std::vector<Claim> claimed_;  // the pending batch
   bool geometry_installed_ = false;
   std::uint32_t next_residue_session_;
-  CubeStats stats_;  // all but the pricing counters
+  CubeStats stats_;  // all but the store's and the pricing counters
   std::vector<NodeId> preorder_;  // the non-root nodes, parents first
   // The pricing table and the generation it was built at (kUnpriced: none
   // yet), published with release/acquire; builds hold pricing_mutex_.

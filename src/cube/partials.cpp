@@ -399,10 +399,11 @@ void ShareLedger::charge(const std::vector<std::uint8_t>& mask,
 // ---- the multiplexed collection -----------------------------------------
 
 /// The one multiplexed EdgeWave policy, behind collect() and collect_once().
-/// Its k entries are installed slots or one-shot ranges, each with its image
-/// shape: stats or HLL alone. Per node it keeps the mask of the request it
-/// received; a one-shot wave also keeps, from a node's fan-out to its
-/// response, the node's subtree accumulator.
+/// Its k entries are slots, each with its image shape: stats or HLL alone.
+/// collect() brings installed slots up to an epoch; collect_once() fills
+/// wave-scoped slots, one per range. Both keep each response as the edge's
+/// partial and build a node's image from its edges' partials when it
+/// responds. Per node it keeps the mask of the request it received.
 class PartialStore::Collect {
  public:
   /// collect(): the installed slots `batch` (ascending ids) at `epoch`.
@@ -410,48 +411,36 @@ class PartialStore::Collect {
           std::uint32_t epoch)
       : Collect(store, batch.size(), store.edges_descended_,
                 store.edges_skipped_) {
-    batch_ = batch;  // ascending id == wire order
     epoch_ = epoch;
-    for (std::size_t i = 0; i < k_; ++i) {
-      shapes_[i] = image_shape(slot(i).region, slot(i).sketch);
-    }
-    init_geometry();
+    for (const SlotId id : batch) slots_.push_back(&store.slots_[id]);
+    init_shapes();
   }
 
-  /// collect_once(): the one-shot `ranges`; the edge counters land in `got`.
-  Collect(PartialStore& store, std::span<const query::RegionSignature> ranges,
-          bool sketch, Value domain_bound, OnceCollection& got)
-      : Collect(store, ranges.size(), got.edges_descended, got.edges_pruned) {
+  /// collect_once(): the wave-scoped slots `once`, one per range; the edge
+  /// counters land in `got`.
+  Collect(PartialStore& store, std::vector<Slot>& once, Value domain_bound,
+          OnceCollection& got)
+      : Collect(store, once.size(), got.edges_descended, got.edges_pruned) {
     once_ = true;
     domain_bound_ = domain_bound;
-    ranges_.assign(ranges.begin(), ranges.end());
-    for (std::size_t i = 0; i < k_; ++i) {
-      shapes_[i] = image_shape(ranges_[i], sketch);
+    for (Slot& s : once) {
+      slots_.push_back(&s);
+      ranges_.push_back(s.region);
       // Containment is a property of the range: take the candidates once.
-      containing_.push_back(store.containing_slots(ranges_[i]));
+      containing_.push_back(store.containing_slots(s.region));
     }
-    init_geometry();
-    partials_.resize(store.tree_.node_count());
+    init_shapes();
   }
 
   std::vector<WaveShare>& shares() { return ledger_.shares(); }
 
-  /// A one-shot wave's result: the root's accumulators.
-  void take_root(OnceCollection& got) {
-    Partials& root = partials_[store_.tree_.root];
-    for (std::size_t i = 0; i < k_; ++i) {
-      if (shapes_[i] == ImageShape::kHll) {
-        got.hlls.push_back(std::move(*root.sketches[i]));
-      } else {
-        got.bundles.push_back(root.bundles[i]);
-      }
-    }
-    got.shares = std::move(shares());
-  }
-
   void on_request(NodeId node, BitReader& r) {
     if (once_) {
+      // A node learns the ranges off the wire.
       decode_residue_request(r, domain_bound_, mask_, ranges_);
+      for (std::size_t i = 0; i < k_; ++i) {
+        if (mask_[i]) slot(i).region = ranges_[i];
+      }
     } else {
       resync_[node] = decode_stats_request(r, mask_);
     }
@@ -467,19 +456,6 @@ class PartialStore::Collect {
     const auto active = static_cast<std::size_t>(
         std::count(requested_.begin() + node * k_,
                    requested_.begin() + (node + 1) * k_, 1));
-    if (once_) {
-      Partials& p = partials_[node];
-      p.bundles.resize(k_);
-      p.sketches.resize(k_);
-      for (std::size_t i = 0; i < k_; ++i) {
-        if (!requested_[node * k_ + i]) continue;
-        if (shapes_[i] == ImageShape::kHll) {
-          p.sketches[i] = store_.local_hll(node, ranges_[i]);
-        } else {
-          p.bundles[i] = store_.local_bundle(node, ranges_[i]);
-        }
-      }
-    }
     obs::TraceRing& ring = obs::TraceRing::global();
     for (const NodeId child : store_.tree_.children[node]) {
       const std::size_t carried = carried_entries(node, child);
@@ -489,6 +465,10 @@ class PartialStore::Collect {
                      out.net().now(), 0, "node", node, "child", child);
       }
       if (carried == 0) continue;
+      // The parent keeps the mask it sent: the edge's response carries those
+      // images, and after a failed wave the rows of the edges that never
+      // answered name the slots to resync.
+      std::copy(mask_.begin(), mask_.end(), requested_.begin() + child * k_);
       BitWriter w;
       if (once_) {
         // Each range is its entry's own; header and mask are shared.
@@ -502,9 +482,6 @@ class PartialStore::Collect {
         encode_residue_request(w, mask_, ranges_);
         ledger_.charge(mask_, k_ + sim::kHeaderBits);
       } else {
-        // The parent keeps the mask it sent: after a failed wave, the rows
-        // of the edges that never answered name the slots to resync.
-        std::copy(mask_.begin(), mask_.end(), requested_.begin() + child * k_);
         encode_stats_request(w, mask_, resync_for(child));
         ledger_.charge(mask_, k_ + 1 + sim::kHeaderBits);  // mask, resync
       }
@@ -513,13 +490,10 @@ class PartialStore::Collect {
     }
   }
 
-  void on_response(NodeId node, NodeId child, BitReader& r) {
-    // The child's request row is the mask this edge's request carried.
+  void on_response(NodeId /*node*/, NodeId child, BitReader& r) {
     std::copy_n(requested_.begin() + child * k_, k_, mask_.begin());
-    if (!once_) {
-      for (std::size_t i = 0; i < k_; ++i) {
-        baselines_[i] = mask_[i] ? baseline(i, child) : Baseline{};
-      }
+    for (std::size_t i = 0; i < k_; ++i) {
+      baselines_[i] = mask_[i] ? baseline(i, child) : Baseline{};
     }
     decode_stats_response(r, mask_, shapes_, images_,
                           geometry_ ? &*geometry_ : nullptr,
@@ -528,18 +502,8 @@ class PartialStore::Collect {
     std::size_t hlls = 0;
     for (std::size_t i = 0; i < k_; ++i) {
       if (!mask_[i]) continue;
-      const bool hll = shapes_[i] == ImageShape::kHll;
-      if (once_) {
-        Partials& p = partials_[node];
-        if (hll) {
-          p.sketches[i]->merge(sketches_[hlls++]).value();
-        } else {
-          p.bundles[i].combine(images_[stats++]);
-        }
-        continue;
-      }
       Slot& s = slot(i);
-      if (hll) {
+      if (s.sketch) {
         s.edge_hll[child] = std::move(sketches_[hlls++]);
       } else {
         s.edge_bundle[child] = images_[stats++];
@@ -556,18 +520,10 @@ class PartialStore::Collect {
     for (std::size_t i = 0; i < k_; ++i) {
       if (!mask_[i]) continue;
       const std::size_t before = w.bit_count();
-      if (!once_) {
-        encode_installed(i, node, w);
-      } else if (shapes_[i] == ImageShape::kHll) {
-        partials_[node].sketches[i]->encode(w);
-      } else {
-        encode_stats_image(w, partials_[node].bundles[i],
-                           shapes_[i] == ImageShape::kWholeDomain);
-      }
+      encode_image(i, node, w);
       ledger_.add(i, w.bit_count() - before);
     }
     ledger_.charge(mask_, sim::kHeaderBits);
-    if (once_) partials_[node] = Partials{};  // dies with its response
   }
 
   /// After a failed collect() wave: marks every (slot, edge) whose request
@@ -586,12 +542,6 @@ class PartialStore::Collect {
   }
 
  private:
-  /// A one-shot node's subtree accumulators, per entry.
-  struct Partials {
-    std::vector<StatsBundle> bundles;
-    std::vector<std::optional<sketch::Hll>> sketches;
-  };
-
   Collect(PartialStore& store, std::size_t k, std::uint64_t& descended,
           std::uint64_t& skipped)
       : store_(store),
@@ -608,19 +558,23 @@ class PartialStore::Collect {
     std::fill_n(requested_.begin() + store.tree_.root * k_, k_, 1);
   }
 
-  /// Sketch entries decode against the store's HLL geometry.
-  void init_geometry() {
+  /// Each entry's response shape; sketch entries decode against the
+  /// store's HLL geometry.
+  void init_shapes() {
+    for (std::size_t i = 0; i < k_; ++i) {
+      shapes_[i] = image_shape(slot(i).region, slot(i).sketch);
+    }
     if (std::find(shapes_.begin(), shapes_.end(), ImageShape::kHll) !=
         shapes_.end()) {
       geometry_ = store_.empty_hll();
     }
   }
 
-  Slot& slot(std::size_t i) { return store_.slots_[batch_[i]]; }
+  Slot& slot(std::size_t i) { return *slots_[i]; }
 
-  /// The baseline of entry i's image on edge `child` (collect() only): the
-  /// edge's partial, unless the edge has none or its request carried
-  /// resync (then the image is full).
+  /// The baseline of entry i's image on edge `child`: the edge's partial,
+  /// unless the edge has none or its request carried resync (then the image
+  /// is full). A wave-scoped slot has no baseline.
   Baseline baseline(std::size_t i, NodeId child) {
     const Slot& s = slot(i);
     if (resync_[child] || s.edge_epoch[child] == DirtyTracker::kInvalidEpoch) {
@@ -630,10 +584,10 @@ class PartialStore::Collect {
     return {.bundle = &s.edge_bundle[child]};
   }
 
-  /// Writes entry i's image of an installed slot at `node`: a delta image
-  /// against the edge's baseline, or the full image, counting the delta
-  /// images and their full length.
-  void encode_installed(std::size_t i, NodeId node, BitWriter& w) {
+  /// Writes entry i's image at `node`: a delta image against the edge's
+  /// baseline, or the full image, counting the delta images and their full
+  /// length.
+  void encode_image(std::size_t i, NodeId node, BitWriter& w) {
     const Slot& s = slot(i);
     const Baseline base = baseline(i, node);
     const std::size_t before = w.bit_count();
@@ -648,7 +602,7 @@ class PartialStore::Collect {
       store_.hll_delta_image_full_bits_ += h.wire_bits();
       return;
     }
-    const bool whole = s.region.whole_domain;
+    const bool whole = shapes_[i] == ImageShape::kWholeDomain;
     const StatsBundle b = store_.subtree_bundle(s, node);
     if (base.bundle == nullptr) {
       encode_stats_image(w, b, whole);
@@ -689,9 +643,9 @@ class PartialStore::Collect {
   PartialStore& store_;
   std::size_t k_;
   bool once_ = false;
-  std::span<const SlotId> batch_;  // installed slots (collect() only)
-  std::uint32_t epoch_ = 0;        // ... and their epoch
-  Value domain_bound_ = 0;         // one-shot requests' range bound
+  std::vector<Slot*> slots_;  // the entries, in wire order
+  std::uint32_t epoch_ = 0;   // stamped on the edges the wave answers
+  Value domain_bound_ = 0;    // one-shot requests' range bound
   // One-shot waves: the ranges of the last request read, and per entry the
   // installed slots that may prove an edge empty for its range.
   std::vector<query::RegionSignature> ranges_;
@@ -705,7 +659,6 @@ class PartialStore::Collect {
   std::optional<sketch::Hll> geometry_;  // waves with sketch entries only
   std::vector<StatsBundle> images_;      // scratch: one response's images
   std::vector<sketch::Hll> sketches_;    // scratch: their sketches
-  std::vector<Partials> partials_;       // one-shot waves only
   ShareLedger ledger_;
   std::uint64_t& descended_;  // (entry, edge) pairs requested
   std::uint64_t& skipped_;    // ... served from partials or pruned
@@ -806,9 +759,28 @@ StatsBundle PartialStore::subtree_bundle(const Slot& slot, NodeId node) const {
 sketch::Hll PartialStore::subtree_hll(const Slot& slot, NodeId node) const {
   sketch::Hll h = local_hll(node, slot.region);
   for (const NodeId child : tree_.children[node]) {
-    h.merge(*slot.edge_hll[child]).value();
+    if (slot.edge_hll[child]) h.merge(*slot.edge_hll[child]).value();
   }
   return h;
+}
+
+void PartialStore::size_edges(Slot& slot) const {
+  const std::size_t n = tree_.node_count();
+  slot.edge_epoch.assign(n, DirtyTracker::kInvalidEpoch);
+  if (slot.sketch) {
+    slot.edge_hll.resize(n);
+  } else {
+    slot.edge_bundle.resize(n);
+    slot.edge_outer_empty.assign(n, 1);
+  }
+}
+
+void PartialStore::take_root(Slot& slot) const {
+  if (slot.sketch) {
+    slot.root_hll = subtree_hll(slot, tree_.root);
+  } else {
+    slot.root = subtree_bundle(slot, tree_.root);
+  }
 }
 
 std::vector<WaveShare> PartialStore::collect(std::span<const SlotId> slots,
@@ -825,17 +797,8 @@ std::vector<WaveShare> PartialStore::collect(std::span<const SlotId> slots,
   }
   if (batch.empty()) return out;
 
-  const std::size_t n = tree_.node_count();
   for (const SlotId id : batch) {
-    Slot& s = slots_[id];
-    if (!s.edge_epoch.empty()) continue;
-    s.edge_epoch.assign(n, DirtyTracker::kInvalidEpoch);
-    if (s.sketch) {
-      s.edge_hll.resize(n);
-    } else {
-      s.edge_bundle.resize(n);
-      s.edge_outer_empty.assign(n, 1);
-    }
+    if (!has_edges(id)) size_edges(slots_[id]);
   }
   ++generation_;  // the wave rewrites edge partials, even if it fails
   Collect policy(*this, batch, epoch);
@@ -848,11 +811,7 @@ std::vector<WaveShare> PartialStore::collect(std::span<const SlotId> slots,
   }
   for (std::size_t i = 0; i < batch.size(); ++i) {
     Slot& s = slots_[batch[i]];
-    if (s.sketch) {
-      s.root_hll = subtree_hll(s, tree_.root);
-    } else {
-      s.root = subtree_bundle(s, tree_.root);
-    }
+    take_root(s);
     s.epoch = epoch;
     out[at[i]] = policy.shares()[i];
     out[at[i]].collected = true;
@@ -865,11 +824,27 @@ PartialStore::OnceCollection PartialStore::collect_once(
     Value domain_bound, std::uint32_t session) {
   SENSORNET_EXPECTS(!ranges.empty());
   SENSORNET_EXPECTS(!sketch || hll_registers_ > 0);
+  // Wave-scoped slots: never in slots_, so generation() and
+  // containing_slots() do not see them.
+  std::vector<Slot> once(ranges.size());
+  for (std::size_t i = 0; i < ranges.size(); ++i) {
+    once[i].region = ranges[i];
+    once[i].sketch = sketch;
+    size_edges(once[i]);
+  }
   OnceCollection got;
-  Collect policy(*this, ranges, sketch, domain_bound, got);
+  Collect policy(*this, once, domain_bound, got);
   proto::EdgeWave<Collect> wave(tree_, session, policy);
   wave.execute(net_);
-  policy.take_root(got);
+  for (Slot& s : once) {
+    take_root(s);
+    if (sketch) {
+      got.hlls.push_back(std::move(*s.root_hll));
+    } else {
+      got.bundles.push_back(s.root);
+    }
+  }
+  got.shares = std::move(policy.shares());
   return got;
 }
 

@@ -93,11 +93,13 @@
 // standing residue's region once).
 //
 // collect_once() runs the same wave over *one-shot slots*: ranges no node
-// has installed (the cube's one-shot residues). Their request also carries
-// the ranges, and an edge whose subtree the installed slots prove empty for
-// a range (provably_empty()) is pruned instead of served from a partial. A
-// one-shot slot has no edge partials: each node sums its local partial and
-// its children's images in an accumulator that dies with its response.
+// has installed (the cube's one-shot residues). Each is a wave-scoped slot,
+// never added to the store: its edge partials live for the wave, so a node
+// forms its image from them exactly as above, and the slot dies with the
+// wave. Its request also carries the ranges, and an edge whose subtree the
+// installed slots prove empty for a range (provably_empty()) is pruned
+// instead of served from a partial; a pruned edge holds no partial and adds
+// nothing.
 //
 //   request  (u -> c)   k-bit mask, then (lo, hi - lo) as encode_uint pairs
 //                       for the masked ranges, in range order.
@@ -415,10 +417,16 @@ class PartialStore {
   };
   class Collect;
 
+  /// Sizes the slot's per-edge arrays for the tree, every edge without a
+  /// partial.
+  void size_edges(Slot& slot) const;
   /// The slot's partial over the node's subtree: its local partial plus
-  /// every edge partial below the node.
+  /// every edge partial below the node (an edge without one, pruned from a
+  /// one-shot wave, adds nothing).
   StatsBundle subtree_bundle(const Slot& slot, NodeId node) const;
   sketch::Hll subtree_hll(const Slot& slot, NodeId node) const;
+  /// Sets the slot's root bundle or HLL from its partials at the root.
+  void take_root(Slot& slot) const;
 
   sim::Network& net_;
   const net::SpanningTree& tree_;

@@ -370,7 +370,6 @@ std::vector<Answer> QueryService::serve_bundles(
       a.value = br.value;
       a.error_bound = br.bound;
       a.exact = br.exact;
-      cube_->note_stale_serve();
       ++telemetry_.cube_stale_answers;
       ++qc.cube_stale;
       qc.bound_slack += cube::tolerance_for(lq.q.error, br.value) - br.bound;

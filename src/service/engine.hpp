@@ -238,7 +238,7 @@ class QueryService {
   std::size_t live_queries() const { return live_.size(); }
 
   const ServiceTelemetry& telemetry() const { return telemetry_; }
-  const SharedPlanStats& plan_stats() const { return scheduler_->stats(); }
+  SharedPlanStats plan_stats() const { return scheduler_->stats(); }
   const ResultCache& cache() const { return cache_; }
   /// Null when use_cube is off.
   const cube::Cube* cube() const { return cube_.get(); }

@@ -5,7 +5,6 @@
 #include "src/common/codec.hpp"
 #include "src/common/error.hpp"
 #include "src/core/count_distinct.hpp"
-#include "src/obs/metrics.hpp"
 #include "src/obs/trace.hpp"
 #include "src/proto/counting_service.hpp"
 #include "src/proto/tree_broadcast.hpp"
@@ -13,21 +12,6 @@
 namespace sensornet::service {
 
 namespace {
-
-/// Mirrors the scheduler's cumulative stats into registry gauges (last
-/// write wins, so the gauge always shows the current cumulative value).
-/// Called after every wave — cold path relative to the wave itself.
-void mirror_plan_stats(const SharedPlanStats& s) {
-  obs::Registry& reg = obs::Registry::global();
-  reg.gauge_set(reg.gauge("svc.plan.stats_waves"), s.stats_waves);
-  reg.gauge_set(reg.gauge("svc.plan.stats_convergecasts"),
-                s.stats_convergecasts);
-  reg.gauge_set(reg.gauge("svc.plan.distinct_waves"), s.distinct_waves);
-  reg.gauge_set(reg.gauge("svc.plan.edges_descended"), s.edges_descended);
-  reg.gauge_set(reg.gauge("svc.plan.edges_skipped"), s.edges_skipped);
-  reg.gauge_set(reg.gauge("svc.plan.mark_messages"), s.mark_messages);
-  reg.gauge_set(reg.gauge("svc.plan.groups_created"), s.groups_created);
-}
 
 constexpr std::uint32_t kInvalidEpoch = cube::DirtyTracker::kInvalidEpoch;
 
@@ -52,8 +36,6 @@ struct SharedPlanScheduler::Group {
 void SharedPlanScheduler::note_updates(std::span<const NodeId> updated,
                                        std::uint32_t epoch) {
   dirty_.note_updates(updated, epoch);
-  stats_.mark_messages = dirty_.mark_messages();
-  mirror_plan_stats(stats_);
 }
 
 // ---- scheduler ------------------------------------------------------------
@@ -126,7 +108,6 @@ GroupId SharedPlanScheduler::add_group(query::AggregateFamily family,
     install.execute(net_, std::move(w));
   }
   groups_.push_back(std::move(g));
-  ++stats_.groups_created;
   return id;
 }
 
@@ -159,12 +140,18 @@ std::vector<WaveShare> SharedPlanScheduler::collect_stats_batch(
   }
   stats_.stats_waves += collected;
   stats_.stats_convergecasts += messages > 0 ? 1 : 0;
-  stats_.edges_descended = store_.edges_descended();
-  stats_.edges_skipped = store_.edges_skipped();
-  stats_.delta_image_bits = store_.delta_image_bits();
-  stats_.delta_image_full_bits = store_.delta_image_full_bits();
-  mirror_plan_stats(stats_);
   return shares;
+}
+
+SharedPlanStats SharedPlanScheduler::stats() const {
+  SharedPlanStats s = stats_;
+  s.edges_descended = store_.edges_descended();
+  s.edges_skipped = store_.edges_skipped();
+  s.delta_image_bits = store_.delta_image_bits();
+  s.delta_image_full_bits = store_.delta_image_full_bits();
+  s.mark_messages = dirty_.mark_messages();
+  s.groups_created = groups_.size();
+  return s;
 }
 
 const StatsBundle& SharedPlanScheduler::collect_stats(GroupId group,
@@ -210,7 +197,6 @@ double SharedPlanScheduler::collect_distinct(GroupId group,
     ring.complete("collect.distinct", "service", t0, net_.now() - t0, 0,
                   "group", group, "epoch", epoch);
   }
-  mirror_plan_stats(stats_);
   return g.distinct_estimate;
 }
 

@@ -131,8 +131,10 @@ class SharedPlanScheduler {
   /// scheduler's stats waves, the cube's cell refreshes).
   const cube::DirtyTracker& dirty() const { return dirty_; }
 
-  const SharedPlanStats& stats() const { return stats_; }
-  std::size_t group_count() const { return groups_.size(); }
+  /// The wave counts, plus the store's edge and delta-image counters and
+  /// the tracker's mark messages read when called (a failed wave's
+  /// messages included).
+  SharedPlanStats stats() const;
 
  private:
   struct Group;
@@ -160,7 +162,7 @@ class SharedPlanScheduler {
       distinct_index_;  // keyed by (region, registers)
 
   std::uint32_t next_session_ = 0x7000;
-  SharedPlanStats stats_;
+  SharedPlanStats stats_;  // the wave counts; stats() adds the rest
 };
 
 }  // namespace sensornet::service

@@ -252,10 +252,6 @@ TEST(Cube, StaleBracketContainsTheDriftedTruth) {
   EXPECT_EQ(count->value, 64.0);
   EXPECT_FALSE(
       f.cube.stale_bracket(plan, query::AggregateKind::kSum, 3)->exact);
-  // Raw brackets serve nothing; only the brackets a caller serves count.
-  EXPECT_EQ(f.cube.stats().stale_serves, 0u);
-  f.cube.note_stale_serve();
-  EXPECT_EQ(f.cube.stats().stale_serves, 1u);
 }
 
 TEST(Cube, StaleBracketAtARefreshEpochIsExact) {
@@ -930,6 +926,11 @@ TEST(Cube, LostMessageFailsTheServeAndTheRetryIsExact) {
     const query::CostedPlan plan = f.plan_for(text);
     f.net.set_message_loss(0.3);
     EXPECT_THROW(f.cube.serve(plan, 0), ProtocolError);
+    // The counters are read from the store, the failed wave's edges included.
+    EXPECT_EQ(f.cube.stats().cell_edges_descended,
+              f.cube.cells().edges_descended());
+    EXPECT_EQ(f.cube.stats().cell_edges_skipped,
+              f.cube.cells().edges_skipped());
     f.net.set_message_loss(0.0);
     EXPECT_EQ(f.cube.serve(plan, 0).bundle.core,
               direct_core(f.net, plan.region));

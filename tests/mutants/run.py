@@ -6,20 +6,20 @@ against the tree, preceded by a header naming what it breaks and what must
 kill it::
 
     Mutant: provably_empty() returns false
-    Gate: PR 20 -- one-shot residue edges are pruned
+    Gate: one-shot residue edges are pruned
     Kill: ctest cube_partials_test
     Kill: ctest bench_exp_cube_quick
 
-``Kill: ctest NAME`` runs one ctest entry; ``Kill: run CMD`` runs CMD in the
-build directory. A mutant dies when every one of its kill commands fails.
+``Kill: ctest NAME`` names one ctest entry (the ``bench_*`` entries run the
+bench binaries' gates). A mutant dies when every one of its entries fails.
 
 The runner never touches the working tree. It copies the tree (tracked and
 untracked, not ignored, files) to a temporary directory, builds it once
-(Release, Ninja), runs every kill command on the unmutated copy (all must
+(Release, Ninja), runs every named entry on the unmutated copy (all must
 pass), then per mutant applies the patch, rebuilds incrementally, runs its
-kill commands and reverts the patch. It exits non-zero when the unmutated
-copy fails a kill command, a patch no longer applies or no longer builds, or
-a mutant survives.
+entries and reverts the patch. It exits non-zero when the unmutated copy
+fails a named entry, a patch no longer applies or no longer builds, or a
+mutant survives.
 
 Usage: python3 tests/mutants/run.py [--jobs N] [--only SUBSTR ...] [--keep]
 """
@@ -45,16 +45,16 @@ class Mutant:
         self.path = path
         self.name = path.stem
         self.title = ""
-        self.kills = []  # (kind, argument)
+        self.kills = []  # ctest entry names
         self.text = path.read_text()  # read once: edits during a run are moot
         for line in self.text.splitlines():
             if line.startswith("diff --git"):
                 break
             if line.startswith("Mutant:"):
                 self.title = line.split(":", 1)[1].strip()
-            m = re.match(r"Kill:\s*(ctest|run)\s+(.+)$", line)
+            m = re.match(r"Kill:\s*ctest\s+(\S+)\s*$", line)
             if m:
-                self.kills.append((m.group(1), m.group(2).strip()))
+                self.kills.append(m.group(1))
         if not self.kills:
             raise SystemExit(f"{path.name}: no 'Kill:' line")
 
@@ -93,16 +93,14 @@ def copy_tree(root, dest):
 
 def run(cmd, cwd, logfile, env=None):
     with open(logfile, "a") as f:
-        f.write(f"$ {cmd if isinstance(cmd, str) else shlex.join(cmd)}\n")
+        f.write(f"$ {shlex.join(cmd)}\n")
         f.flush()
         return subprocess.run(cmd, cwd=cwd, stdout=f, stderr=subprocess.STDOUT,
-                              shell=isinstance(cmd, str), env=env).returncode
+                              env=env).returncode
 
 
-def kill_command(kind, arg):
-    if kind == "ctest":
-        return ["ctest", "-R", f"^{re.escape(arg)}$", "--no-tests=error"]
-    return arg
+def ctest(name):
+    return ["ctest", "-R", f"^{re.escape(name)}$", "--no-tests=error"]
 
 
 def main():
@@ -143,16 +141,15 @@ def main():
         log(f"built in {time.time() - t0:.0f} s")
 
         kills = sorted({k for m in mutants for k in m.kills})
-        for kind, arg in kills:
-            if run(kill_command(kind, arg), build, logs / "unmutated.log",
-                   env) != 0:
-                failures.append(f"unmutated tree fails '{kind} {arg}'")
+        for name in kills:
+            if run(ctest(name), build, logs / "unmutated.log", env) != 0:
+                failures.append(f"unmutated tree fails ctest {name}")
         if failures:
             for f in failures:
                 log(f"FAIL: {f}")
             log(f"see {logs / 'unmutated.log'}")
             return 1
-        log(f"unmutated tree passes all {len(kills)} kill commands")
+        log(f"unmutated tree passes all {len(kills)} named ctest entries")
 
         for m in mutants:
             mlog = logs / f"{m.name}.log"
@@ -167,15 +164,16 @@ def main():
                 failures.append(f"{m.name}: mutant does not build")
                 log(f"FAIL  {m.name}: mutant does not build ({mlog})")
             else:
-                alive = [f"{k} {a}" for k, a in m.kills
-                         if run(kill_command(k, a), build, mlog, env) == 0]
+                alive = [name for name in m.kills
+                         if run(ctest(name), build, mlog, env) == 0]
                 took = time.time() - t0
                 if alive:
                     failures.append(f"{m.name}: survives {', '.join(alive)}")
                     log(f"FAIL  {m.name}: survives {', '.join(alive)}")
                 else:
                     log(f"killed {m.name} ({m.title}) by {len(m.kills)} "
-                        f"command(s), {took:.0f} s")
+                        f"ctest entr{'y' if len(m.kills) == 1 else 'ies'}, "
+                        f"{took:.0f} s")
             if run(["git", "apply", "-R", patch], src, mlog, env) != 0:
                 failures.append(f"{m.name}: patch does not revert")
                 log(f"FAIL  {m.name}: patch does not revert")

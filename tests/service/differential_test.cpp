@@ -5,7 +5,10 @@
 // (keys repeat within a burst, and one text is malformed), cancels, and
 // update batches that obey the drift model — and replays it on every
 // service configuration: naive, shared, shared + cache, cube, cube +
-// cache. The cube configurations keep 64-register HLL partials. Every
+// cache, and the cube (with and without cache) at other resolutions: one
+// level, where every ranged cube plan is a residue, so one-shot residue
+// waves run in every script, and seven. The cube configurations keep
+// 64-register HLL partials. Every
 // configuration also gets COUNT_DISTINCT submits, exact and ERROR 0.15,
 // and exact MEDIAN and QUANTILE submits, one-shot and standing, with and
 // without WHERE; one selection is over a region that selects nothing.
@@ -215,6 +218,7 @@ struct Config {
   bool share_aggregation;
   bool use_cache;
   bool use_cube;
+  unsigned cube_levels = 4;  // the ServiceConfig default
 };
 
 /// Replays `script` on one configuration and checks every answer; returns
@@ -229,6 +233,7 @@ ServiceTelemetry replay(const Script& script, const Config& c) {
   cfg.share_aggregation = c.share_aggregation;
   cfg.use_cache = c.use_cache;
   cfg.use_cube = c.use_cube;
+  cfg.cube_levels = c.cube_levels;
   if (c.use_cube) cfg.cube_distinct_registers = kDistinctRegisters;
   QueryService svc(query::Deployment{net, tree, kBound}, cfg);
   const bool naive = !c.share_aggregation && !c.use_cube;
@@ -401,6 +406,10 @@ ServiceTelemetry replay(const Script& script, const Config& c) {
   EXPECT_EQ(attributed, total.total_bits);
   EXPECT_EQ(attributed_msgs, total.total_messages);
   EXPECT_EQ(snap.cache.hits, snap.totals.cache_hits);
+  // With one level every ranged one-shot plan is a one-shot residue.
+  if (c.use_cube && c.cube_levels == 1) {
+    EXPECT_GT(snap.cube.residue_waves, 0u);
+  }
   return snap.totals;
 }
 
@@ -411,6 +420,9 @@ TEST(ServiceDifferential, EveryConfigurationAgreesWithTheMirror) {
       {"shared+cache", true, true, false},
       {"cube", true, false, true},
       {"cube+cache", true, true, true},
+      {"cube levels 1", true, false, true, 1},
+      {"cube+cache levels 1", true, true, true, 1},
+      {"cube levels 7", true, false, true, 7},
   };
   std::uint64_t cache_hits = 0;
   std::uint64_t brackets = 0;

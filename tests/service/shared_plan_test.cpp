@@ -417,6 +417,8 @@ TEST(SharedPlan, LostMessageFailsTheCollectionAndTheRetryIsExact) {
   const GroupId g = f.sched.ensure_stats_group(ranged);  // lossless install
   f.net.set_message_loss(0.3);
   EXPECT_THROW(f.sched.collect_stats(g, 1), ProtocolError);
+  // The counters are read from the store: the failed wave's requests count.
+  EXPECT_GT(f.sched.stats().edges_descended, 0u);
   f.net.set_message_loss(0.0);
   EXPECT_EQ(f.sched.collect_stats(g, 1), direct_bundle(f.net, ranged));
 }
