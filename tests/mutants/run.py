@@ -21,7 +21,7 @@ entries and reverts the patch. It exits non-zero when the unmutated copy
 fails a named entry, a patch no longer applies or no longer builds, or a
 mutant survives.
 
-Usage: python3 tests/mutants/run.py [--jobs N] [--only SUBSTR ...] [--keep]
+Usage: python3 tests/mutants/run.py [--jobs N] [--only SUBSTR ...]
 """
 
 import argparse
@@ -37,7 +37,6 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent.parent
-SKIP_DIRS = {".git", ".bench_build", ".cache"}
 
 
 class Mutant:
@@ -65,20 +64,11 @@ def log(msg):
 
 def tree_files(root):
     """The files of the working tree that git would see: tracked plus
-    untracked, minus ignored. Falls back to a directory walk without git."""
-    try:
-        out = subprocess.run(
-            ["git", "ls-files", "-z", "--cached", "--others",
-             "--exclude-standard"],
-            cwd=root, check=True, capture_output=True).stdout
-        return [f for f in out.decode().split("\0") if f]
-    except (OSError, subprocess.CalledProcessError):
-        files = []
-        for d, dirs, names in os.walk(root):
-            dirs[:] = [x for x in dirs
-                       if x not in SKIP_DIRS and not x.startswith("build")]
-            files += [os.path.relpath(os.path.join(d, n), root) for n in names]
-        return files
+    untracked, minus ignored."""
+    out = subprocess.run(
+        ["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+        cwd=root, check=True, capture_output=True).stdout
+    return [f for f in out.decode().split("\0") if f]
 
 
 def copy_tree(root, dest):
@@ -108,8 +98,6 @@ def main():
     ap.add_argument("--jobs", type=int, default=os.cpu_count() or 2)
     ap.add_argument("--only", nargs="*", default=[],
                     help="run only mutants whose file name contains one of these")
-    ap.add_argument("--keep", action="store_true",
-                    help="keep the temporary copy and its logs")
     args = ap.parse_args()
 
     mutants = [Mutant(p) for p in sorted(HERE.glob("*.patch"))]
@@ -128,6 +116,7 @@ def main():
     # git apply must not find a repository above the copy.
     env = dict(os.environ, GIT_CEILING_DIRECTORIES=str(work))
     failures = []
+    passed = False  # keep the work dir after a failure or an abort
     try:
         log(f"copying the tree to {src}")
         copy_tree(ROOT, src)
@@ -178,8 +167,9 @@ def main():
                 failures.append(f"{m.name}: patch does not revert")
                 log(f"FAIL  {m.name}: patch does not revert")
                 break
+        passed = not failures
     finally:
-        if args.keep or failures:
+        if not passed:
             log(f"work directory kept: {work}")
         else:
             shutil.rmtree(work, ignore_errors=True)

@@ -218,7 +218,7 @@ struct Config {
   bool share_aggregation;
   bool use_cache;
   bool use_cube;
-  unsigned cube_levels = 4;  // the ServiceConfig default
+  unsigned cube_levels = ServiceConfig{}.cube_levels;
 };
 
 /// Replays `script` on one configuration and checks every answer; returns
