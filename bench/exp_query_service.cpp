@@ -306,6 +306,18 @@ void gate_claims(Gates& gates, bool quick, const LaneResult& shared,
              "delta images took ", shared.delta_image_bits,
              " bits against ", shared.delta_image_full_bits,
              " coded in full");
+  // An unchanged bundle costs 3 bits and margins that moved with the core
+  // one bit each, so the lanes' delta images take 0.48509 (quick) and
+  // 0.54461 (full) of their full length. The bound is each ratio rounded up
+  // in the fourth decimal, a one-sided pin: coding an unchanged image in
+  // full reads 0.48537 / 0.54475, margins that never ride 0.622 / 0.648. A
+  // change to the delta layout or to the lanes' workload re-measures it.
+  const std::uint64_t ratio_bound = quick ? 4851 : 5447;  // per 10,000
+  gates.gate(shared.delta_image_bits * 10000 <=
+                 shared.delta_image_full_bits * ratio_bound,
+             "delta images took ", shared.delta_image_bits, " bits, above ",
+             ratio_bound, "/10000 of the ", shared.delta_image_full_bits,
+             " bits coded in full");
   // Stats-only lane: one collection convergecast per epoch, never several.
   gates.gate(shared.max_collection_rounds <= 2 * shared.tree_height + 2,
              "an epoch spent ", shared.max_collection_rounds,

@@ -1,9 +1,14 @@
-// Microbenchmarks: bit I/O, Elias codecs, and a full aggregation wave
-// (google-benchmark).
+// Microbenchmarks: bit I/O, Elias codecs, stats delta images, and a full
+// aggregation wave (google-benchmark).
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
+#include <utility>
+#include <vector>
 
 #include "src/common/codec.hpp"
 #include "src/common/rng.hpp"
+#include "src/cube/partials.hpp"
 #include "src/net/topology.hpp"
 #include "src/proto/aggregations.hpp"
 #include "src/proto/tree_wave.hpp"
@@ -51,6 +56,67 @@ void BM_PredicateRoundTrip(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PredicateRoundTrip);
+
+/// The stats slots' margin: the default cube's horizon × max_delta.
+constexpr Value kMargin = 32;
+
+/// 256 (baseline, next) bundle pairs of 32 readings in [0, 1000] over
+/// [100, 900] at kMargin, as a stale edge sees them: `moved` readings
+/// drift by up to 4 (0: nothing moved). Whole-domain bundles collapse their
+/// margins onto the core.
+std::vector<std::pair<cube::StatsBundle, cube::StatsBundle>> stats_pairs(
+    int moved, bool whole_domain) {
+  constexpr Value kLo = 100;
+  constexpr Value kHi = 900;
+  const auto bundle = [&](const std::vector<Value>& readings) {
+    cube::StatsBundle b;
+    for (const Value v : readings) {
+      if (whole_domain || (v >= kLo && v <= kHi)) b.core.observe(v);
+      if (v >= kLo + kMargin && v <= kHi - kMargin) b.inner.observe(v);
+      if (v >= kLo - kMargin && v <= kHi + kMargin) b.outer.observe(v);
+    }
+    if (whole_domain) {
+      b.inner = b.core;
+      b.outer = b.core;
+    }
+    return b;
+  };
+  Xoshiro256 rng(3);
+  std::vector<std::pair<cube::StatsBundle, cube::StatsBundle>> pairs;
+  for (int p = 0; p < 256; ++p) {
+    std::vector<Value> readings(32);
+    for (Value& v : readings) v = static_cast<Value>(rng.next_below(1001));
+    const cube::StatsBundle base = bundle(readings);
+    for (int m = 0; m < moved; ++m) {
+      Value& v = readings[rng.next_below(readings.size())];
+      v = std::max<Value>(0, v + static_cast<Value>(rng.next_below(9)) - 4);
+    }
+    pairs.emplace_back(base, bundle(readings));
+  }
+  return pairs;
+}
+
+/// Encodes and decodes one stats delta image per pair: range(0) readings
+/// moved (0, 1 or 8), range(1) whole-domain. Items are images.
+void BM_StatsDeltaRoundTrip(benchmark::State& state) {
+  const bool whole = state.range(1) != 0;
+  const auto pairs = stats_pairs(static_cast<int>(state.range(0)), whole);
+  std::uint64_t sink = 0;
+  for (auto _ : state) {
+    for (const auto& [base, next] : pairs) {
+      BitWriter w;
+      cube::encode_stats_delta(w, base, next, whole, kMargin);
+      BitReader r(w.bytes().data(), w.bit_count());
+      sink += cube::decode_stats_delta(r, base, whole, kMargin).core.sum;
+    }
+  }
+  benchmark::DoNotOptimize(sink);
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(pairs.size()));
+}
+BENCHMARK(BM_StatsDeltaRoundTrip)
+    ->ArgsProduct({{0, 1, 8}, {0, 1}})
+    ->ArgNames({"moved", "whole"});
 
 void BM_CountWave(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -118,17 +118,27 @@ PartialStore::OnceCollection Cube::collect_residues(
     const std::vector<std::size_t>& owners, std::vector<ServeResult>& out) {
   if (ranges.empty()) return {};
   const SimTime t0 = net_.now();
-  PartialStore::OnceCollection got = store_.collect_once(
-      ranges, sketch, max_value_bound_, next_residue_session_++);
-  for (std::size_t i = 0; i < ranges.size(); ++i) {
-    out[owners[i]].bits += got.shares[i].bits;
-    out[owners[i]].messages += got.shares[i].messages;
-    stats_.once_bits += got.shares[i].bits;
+  PartialStore::OnceCollection got;
+  // A wave that loses a message has still spent its bits and edges.
+  const auto charge = [&] {
+    for (std::size_t i = 0; i < got.shares.size(); ++i) {
+      out[owners[i]].bits += got.shares[i].bits;
+      out[owners[i]].messages += got.shares[i].messages;
+      stats_.once_bits += got.shares[i].bits;
+    }
+    stats_.residue_edges_descended += got.edges_descended;
+    stats_.residue_edges_pruned += got.edges_pruned;
+  };
+  try {
+    store_.collect_once(ranges, sketch, max_value_bound_,
+                        next_residue_session_++, got);
+  } catch (const ProtocolError&) {
+    charge();
+    throw;
   }
+  charge();
   ++stats_.residue_waves;
   stats_.residues_run += ranges.size();
-  stats_.residue_edges_descended += got.edges_descended;
-  stats_.residue_edges_pruned += got.edges_pruned;
   obs::TraceRing& ring = obs::TraceRing::global();
   if (ring.enabled()) {
     ring.complete("cube.residue", "service", t0, net_.now() - t0, 0,
@@ -273,17 +283,30 @@ std::vector<ServeResult> Cube::serve_claimed(std::uint32_t epoch) {
   }
   if (!slots.empty()) {
     const SimTime t0 = net_.now();
-    const std::vector<WaveShare> shares = store_.collect(slots, epoch);
+    std::vector<WaveShare> shares;
+    // A wave that loses a message has still spent its bits.
+    const auto charge = [&] {
+      for (std::size_t i = 0; i < slots.size(); ++i) {
+        ServeResult& owner = out[slot_owner[slots[i]]];
+        owner.bits += shares[i].bits;
+        owner.messages += shares[i].messages;
+        (slot_state_[slots[i]].standing ? stats_.standing_bits
+                                        : stats_.cell_bits) += shares[i].bits;
+      }
+    };
+    try {
+      store_.collect(slots, epoch, shares);
+    } catch (const ProtocolError&) {
+      charge();
+      throw;
+    }
+    charge();
     std::size_t refreshed = 0;
     for (std::size_t i = 0; i < slots.size(); ++i) {
-      ServeResult& owner = out[slot_owner[slots[i]]];
-      owner.bits += shares[i].bits;
-      owner.messages += shares[i].messages;
-      const bool standing = slot_state_[slots[i]].standing;
-      (standing ? stats_.standing_bits : stats_.cell_bits) += shares[i].bits;
       if (!shares[i].collected) continue;
       ++refreshed;
-      ++(standing ? stats_.standing_refreshed : stats_.cells_refreshed);
+      ++(slot_state_[slots[i]].standing ? stats_.standing_refreshed
+                                        : stats_.cells_refreshed);
     }
     if (refreshed > 0) {
       ++stats_.refresh_waves;

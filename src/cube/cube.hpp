@@ -99,7 +99,9 @@ struct CubeConfig {
 };
 
 /// Cumulative cube telemetry. stats() reads the store's edge and delta-image
-/// counters when it is called, so they count the edges of a failed wave too.
+/// counters when it is called, and a wave that loses a message charges its
+/// bits and residue edges as it throws, so all of these count a failed wave
+/// too; the wave, refresh and residue counts count completed waves.
 struct CubeStats {
   std::uint64_t refresh_waves = 0;    // slot collect() waves that ran
   std::uint64_t cells_refreshed = 0;  // cells (and twins) brought up to date
@@ -276,7 +278,8 @@ class Cube final : public query::CubeCatalog {
   void retire_standing(std::uint32_t epoch);
   /// One multiplexed residue wave over `ranges` (none: nothing is sent),
   /// pruned against the fresh slots; charges range i's wave share to plan
-  /// owners[i] in `out`.
+  /// owners[i] in `out`, and the wave's bits and edges to the stats, also
+  /// when the wave fails.
   PartialStore::OnceCollection collect_residues(
       const std::vector<query::RegionSignature>& ranges, bool sketch,
       const std::vector<std::size_t>& owners, std::vector<ServeResult>& out);

@@ -45,39 +45,47 @@ bool nests(const StatsBundle& b) {
 constexpr auto kMaxChange =
     static_cast<std::uint64_t>(std::numeric_limits<std::int64_t>::max());
 
-/// Sends `now - was` as a zigzag encode_int.
-void encode_change(BitWriter& w, std::uint64_t was, std::uint64_t now) {
+/// `now - was` as a delta image sends it (zigzag encode_int).
+std::int64_t change(std::uint64_t was, std::uint64_t now) {
   if (now >= was) {
     SENSORNET_EXPECTS(now - was <= kMaxChange);
-    encode_int(w, static_cast<std::int64_t>(now - was));
-  } else {
-    SENSORNET_EXPECTS(was - now <= kMaxChange);
-    encode_int(w, -static_cast<std::int64_t>(was - now));
+    return static_cast<std::int64_t>(now - was);
   }
+  SENSORNET_EXPECTS(was - now <= kMaxChange);
+  return -static_cast<std::int64_t>(was - now);
 }
 
-/// Reads a change to `was` (at most `limit`); the result must stay in
+void encode_change(BitWriter& w, std::uint64_t was, std::uint64_t now) {
+  encode_int(w, change(was, now));
+}
+
+/// `was` moved by `d` (|d| <= kMaxChange), or nullopt when that leaves
 /// [0, limit].
-std::uint64_t decode_change(BitReader& r, std::uint64_t was,
-                            std::uint64_t limit) {
-  const std::int64_t d = decode_int(r);  // |d| <= kMaxChange
+std::optional<std::uint64_t> moved(std::uint64_t was, std::int64_t d,
+                                   std::uint64_t limit) {
   if (d >= 0) {
     const auto up = static_cast<std::uint64_t>(d);
-    if (up > limit - was) throw WireFormatError("delta image: overflow");
+    if (up > limit - was) return std::nullopt;
     return was + up;
   }
   const auto down = static_cast<std::uint64_t>(-d);
-  if (down > was) throw WireFormatError("delta image: underflow");
+  if (down > was) return std::nullopt;
   return was - down;
+}
+
+/// Reads a change to `was`; the result must stay in [0, limit].
+std::uint64_t decode_change(BitReader& r, std::uint64_t was,
+                            std::uint64_t limit) {
+  const std::optional<std::uint64_t> now = moved(was, decode_int(r), limit);
+  if (!now) throw WireFormatError("delta image: change out of range");
+  return *now;
 }
 
 std::uint64_t as_u64(Value v) { return static_cast<std::uint64_t>(v); }
 
-void encode_range_delta(BitWriter& w, const RangeStats& was,
-                        const RangeStats& now) {
-  encode_change(w, was.count, now.count);
-  if (now.count == 0) return;
-  encode_change(w, was.sum, now.sum);
+/// A non-empty range's min and max against its old self: changes, or min
+/// and max - min in full when the old range was empty.
+void encode_rails(BitWriter& w, const RangeStats& was, const RangeStats& now) {
   if (was.count == 0) {
     encode_uint(w, as_u64(now.min));
     encode_uint(w, as_u64(now.max - now.min));
@@ -87,11 +95,7 @@ void encode_range_delta(BitWriter& w, const RangeStats& was,
   encode_change(w, as_u64(was.max), as_u64(now.max));
 }
 
-RangeStats decode_range_delta(BitReader& r, const RangeStats& was) {
-  RangeStats now;
-  now.count = decode_change(r, was.count, kMaxU64);
-  if (now.count == 0) return now;
-  now.sum = decode_change(r, was.sum, kMaxU64);
+void decode_rails(BitReader& r, const RangeStats& was, RangeStats& now) {
   std::uint64_t min = 0;
   std::uint64_t max = 0;
   if (was.count == 0) {
@@ -104,7 +108,54 @@ RangeStats decode_range_delta(BitReader& r, const RangeStats& was) {
   }
   now.min = static_cast<Value>(min);
   now.max = static_cast<Value>(max);
+}
+
+void encode_range_delta(BitWriter& w, const RangeStats& was,
+                        const RangeStats& now) {
+  encode_change(w, was.count, now.count);
+  if (now.count == 0) return;
+  encode_change(w, was.sum, now.sum);
+  encode_rails(w, was, now);
+}
+
+RangeStats decode_range_delta(BitReader& r, const RangeStats& was) {
+  RangeStats now;
+  now.count = decode_change(r, was.count, kMaxU64);
+  if (now.count == 0) return now;
+  now.sum = decode_change(r, was.sum, kMaxU64);
+  decode_rails(r, was, now);
   return now;
+}
+
+/// True when a ranged image's margins may ride the core's move from `was`
+/// to `now`: both non-empty, and |count change| + |sum change| at most
+/// `margin`.
+bool may_ride(const RangeStats& was, const RangeStats& now, Value margin) {
+  if (was.count == 0 || now.count == 0) return false;
+  const auto distance = [](std::uint64_t x, std::uint64_t y) {
+    return x > y ? x - y : y - x;
+  };
+  const std::uint64_t count = distance(was.count, now.count);
+  return count <= as_u64(margin) &&
+         distance(was.sum, now.sum) <= as_u64(margin) - count;
+}
+
+/// `old` moved in all four fields as the core did from `was` to `now`;
+/// nullopt when that empties it, leaves [0, Value max] or sets max below
+/// min.
+std::optional<RangeStats> ride(const RangeStats& old, const RangeStats& was,
+                               const RangeStats& now) {
+  const auto count = moved(old.count, change(was.count, now.count), kMaxU64);
+  const auto sum = moved(old.sum, change(was.sum, now.sum), kMaxU64);
+  const auto min = moved(as_u64(old.min),
+                         change(as_u64(was.min), as_u64(now.min)), kMaxValue);
+  const auto max = moved(as_u64(old.max),
+                         change(as_u64(was.max), as_u64(now.max)), kMaxValue);
+  if (!count || *count == 0 || !sum || !min || !max || *max < *min) {
+    return std::nullopt;
+  }
+  return RangeStats{*count, *sum, static_cast<Value>(*min),
+                    static_cast<Value>(*max)};
 }
 
 /// Reads a request's k = mask.size() mask bits; an all-zero mask is
@@ -219,25 +270,63 @@ StatsBundle decode_stats_image(BitReader& r, bool whole_domain) {
 }
 
 void encode_stats_delta(BitWriter& w, const StatsBundle& base,
-                        const StatsBundle& b, bool whole_domain) {
-  encode_range_delta(w, base.core, b.core);
+                        const StatsBundle& b, bool whole_domain,
+                        Value margin) {
+  if (!whole_domain) SENSORNET_EXPECTS(nests(b));
+  const RangeStats& was = base.core;
+  const RangeStats& core = b.core;
+  encode_change(w, was.count, core.count);
+  if (core.count > 0) encode_change(w, was.sum, core.sum);
+  if (core.count == was.count && core.sum == was.sum) {
+    if (whole_domain && core.count == 0) return;  // nothing else can move
+    const bool rest_moved = whole_domain ? core != was : b != base;
+    w.write_bit(rest_moved);
+    if (!rest_moved) return;
+  }
+  if (core.count > 0) encode_rails(w, was, core);
   if (whole_domain) return;
-  SENSORNET_EXPECTS(nests(b));
-  encode_range_delta(w, base.inner, b.inner);
-  encode_range_delta(w, base.outer, b.outer);
+  const bool rides = may_ride(was, core, margin);
+  for (const auto& [old, now] : {std::pair{&base.inner, &b.inner},
+                                 std::pair{&base.outer, &b.outer}}) {
+    if (rides && old->count > 0) {
+      const bool rode = ride(*old, was, core) == *now;
+      w.write_bit(rode);
+      if (rode) continue;
+    }
+    encode_range_delta(w, *old, *now);
+  }
 }
 
 StatsBundle decode_stats_delta(BitReader& r, const StatsBundle& base,
-                               bool whole_domain) {
+                               bool whole_domain, Value margin) {
+  const RangeStats& was = base.core;
   StatsBundle b;
-  b.core = decode_range_delta(r, base.core);
+  RangeStats& core = b.core;
+  core.count = decode_change(r, was.count, kMaxU64);
+  if (core.count > 0) core.sum = decode_change(r, was.sum, kMaxU64);
+  if (core.count == was.count && core.sum == was.sum &&
+      ((whole_domain && core.count == 0) || !r.read_bit())) {
+    if (!whole_domain) return base;  // nothing moved
+    core = was;
+  } else if (core.count > 0) {
+    decode_rails(r, was, core);
+  }
   if (whole_domain) {
-    b.inner = b.core;
-    b.outer = b.core;
+    b.inner = core;
+    b.outer = core;
     return b;
   }
-  b.inner = decode_range_delta(r, base.inner);
-  b.outer = decode_range_delta(r, base.outer);
+  const bool rides = may_ride(was, core, margin);
+  for (const auto& [old, now] : {std::pair{&base.inner, &b.inner},
+                                 std::pair{&base.outer, &b.outer}}) {
+    if (rides && old->count > 0 && r.read_bit()) {
+      const std::optional<RangeStats> rode = ride(*old, was, core);
+      if (!rode) throw WireFormatError("delta image: ride out of range");
+      *now = *rode;
+    } else {
+      *now = decode_range_delta(r, *old);
+    }
+  }
   if (!nests(b)) throw WireFormatError("delta image: margins do not nest");
   return b;
 }
@@ -346,7 +435,7 @@ void decode_stats_response(BitReader& r,
                            std::vector<StatsBundle>& images,
                            const sketch::Hll* geometry,
                            std::vector<sketch::Hll>* sketches,
-                           std::span<const Baseline> baselines) {
+                           std::span<const Baseline> baselines, Value margin) {
   SENSORNET_EXPECTS(mask.size() == shapes.size());
   SENSORNET_EXPECTS((geometry == nullptr) == (sketches == nullptr));
   SENSORNET_EXPECTS(baselines.empty() || baselines.size() == mask.size());
@@ -358,7 +447,7 @@ void decode_stats_response(BitReader& r,
     if (shapes[i] != ImageShape::kHll) {
       const bool whole = shapes[i] == ImageShape::kWholeDomain;
       images.push_back(base.bundle != nullptr
-                           ? decode_stats_delta(r, *base.bundle, whole)
+                           ? decode_stats_delta(r, *base.bundle, whole, margin)
                            : decode_stats_image(r, whole));
       continue;
     }
@@ -497,7 +586,8 @@ class PartialStore::Collect {
     }
     decode_stats_response(r, mask_, shapes_, images_,
                           geometry_ ? &*geometry_ : nullptr,
-                          geometry_ ? &sketches_ : nullptr, baselines_);
+                          geometry_ ? &sketches_ : nullptr, baselines_,
+                          store_.margin_);
     std::size_t stats = 0;
     std::size_t hlls = 0;
     for (std::size_t i = 0; i < k_; ++i) {
@@ -608,7 +698,7 @@ class PartialStore::Collect {
       encode_stats_image(w, b, whole);
       return;
     }
-    encode_stats_delta(w, *base.bundle, b, whole);
+    encode_stats_delta(w, *base.bundle, b, whole, store_.margin_);
     store_.delta_image_bits_ += w.bit_count() - before;
     store_.delta_image_full_bits_ += stats_image_bits(b, whole);
   }
@@ -783,9 +873,9 @@ void PartialStore::take_root(Slot& slot) const {
   }
 }
 
-std::vector<WaveShare> PartialStore::collect(std::span<const SlotId> slots,
-                                             std::uint32_t epoch) {
-  std::vector<WaveShare> out(slots.size());
+void PartialStore::collect(std::span<const SlotId> slots, std::uint32_t epoch,
+                           std::vector<WaveShare>& shares) {
+  shares.assign(slots.size(), WaveShare{});
   std::vector<SlotId> batch;
   std::vector<std::size_t> at;  // batch entry -> index into `slots`
   for (std::size_t j = 0; j < slots.size(); ++j) {
@@ -795,7 +885,7 @@ std::vector<WaveShare> PartialStore::collect(std::span<const SlotId> slots,
     batch.push_back(slots[j]);
     at.push_back(j);
   }
-  if (batch.empty()) return out;
+  if (batch.empty()) return;
 
   for (const SlotId id : batch) {
     if (!has_edges(id)) size_edges(slots_[id]);
@@ -803,25 +893,32 @@ std::vector<WaveShare> PartialStore::collect(std::span<const SlotId> slots,
   ++generation_;  // the wave rewrites edge partials, even if it fails
   Collect policy(*this, batch, epoch);
   proto::EdgeWave<Collect> wave(tree_, slots_[batch.front()].session, policy);
+  // The ledger charged every message as it was sent: a failed wave's shares
+  // are its bits on air too.
+  const auto take_shares = [&] {
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      shares[at[i]] = policy.shares()[i];
+    }
+  };
   try {
     wave.execute(net_);
   } catch (...) {
     policy.mark_unanswered();
+    take_shares();
     throw;
   }
+  take_shares();
   for (std::size_t i = 0; i < batch.size(); ++i) {
     Slot& s = slots_[batch[i]];
     take_root(s);
     s.epoch = epoch;
-    out[at[i]] = policy.shares()[i];
-    out[at[i]].collected = true;
+    shares[at[i]].collected = true;
   }
-  return out;
 }
 
-PartialStore::OnceCollection PartialStore::collect_once(
-    std::span<const query::RegionSignature> ranges, bool sketch,
-    Value domain_bound, std::uint32_t session) {
+void PartialStore::collect_once(std::span<const query::RegionSignature> ranges,
+                                bool sketch, Value domain_bound,
+                                std::uint32_t session, OnceCollection& got) {
   SENSORNET_EXPECTS(!ranges.empty());
   SENSORNET_EXPECTS(!sketch || hll_registers_ > 0);
   // Wave-scoped slots: never in slots_, so generation() and
@@ -832,10 +929,15 @@ PartialStore::OnceCollection PartialStore::collect_once(
     once[i].sketch = sketch;
     size_edges(once[i]);
   }
-  OnceCollection got;
+  got = OnceCollection{};
   Collect policy(*this, once, domain_bound, got);
   proto::EdgeWave<Collect> wave(tree_, session, policy);
-  wave.execute(net_);
+  try {
+    wave.execute(net_);
+  } catch (...) {
+    got.shares = std::move(policy.shares());  // charged as sent
+    throw;
+  }
   for (Slot& s : once) {
     take_root(s);
     if (sketch) {
@@ -845,7 +947,6 @@ PartialStore::OnceCollection PartialStore::collect_once(
     }
   }
   got.shares = std::move(policy.shares());
-  return got;
 }
 
 std::vector<SlotId> PartialStore::containing_slots(

@@ -43,20 +43,40 @@
 // leave the core's span.
 //
 // A *delta image* codes a stats slot's bundle against its baseline: the
-// image of the same slot that edge last carried. Each RangeStats (the core;
-// then, for a ranged image, the inner and the outer, each against its own
-// old self) sends, as zigzag encode_int changes,
+// image of the same slot that edge last carried. It sends, as zigzag
+// encode_int changes against the baseline,
+//
+//   core     count - old.count; if the core is non-empty, sum - old.sum.
+//            When both are 0, one bit: did anything else move? If not, the
+//            image ends here (3 bits; 2 with an empty core, and a
+//            whole-domain image with an empty core sends no bit at all).
+//            Then, if the core is non-empty, min - old.min and max - old.max
+//            — or, when the old core was empty, min and max - min in full
+//            (encode_uint)
+//
+// A whole-domain image ends there: its margins collapse onto the core. A
+// ranged image then sends its margins, the inner and then the outer. A
+// margin *rides* the core when it moved exactly as the core did, in all
+// four fields. When both cores are non-empty and |count change| + |sum
+// change| is at most the store's margin, each margin that is non-empty in
+// the baseline first sends one bit: 1 means it rode, and nothing more is
+// sent for it. Otherwise (bit 0, a margin empty in the baseline, or a
+// larger core move: no bit at all) the margin is coded as a RangeStats
+// against its old self:
 //
 //   count - old.count; if the range is non-empty, sum - old.sum, then
 //   min - old.min and max - old.max — or, when the old range was empty,
 //   min and max - min in full (encode_uint)
 //
-// Between two collections a stale subtree's bundle mostly moves by a few
-// units of sum, so a delta image costs a few bits per field. Every change
-// must fit in ±(2^63 - 1) (the encoder checks it). The decoder rejects
-// (WireFormatError) a change that would underflow or overflow a count or a
-// sum, leave [0, Value max], set max below min, or break inner ⊆ core ⊆
-// outer.
+// Both ends decide whether the bits are there from the baseline and the
+// core they both hold, so the ride needs no side information. Between two
+// collections a stale subtree's bundle mostly holds still or moves by a
+// reading drifting inside the region, so a delta image costs a few bits.
+// Every change must fit in ±(2^63 - 1) (the encoder checks it). The decoder
+// rejects (WireFormatError) a change or a ride that would underflow or
+// overflow a count or a sum, leave [0, Value max], set max below min, or
+// break inner ⊆ core ⊆ outer, and a ride that empties its margin. (A
+// margin empty in the baseline has no ride bit, so it cannot ride.)
 //
 // A sketch slot's delta image lists the registers that changed against its
 // baseline HLL, which fixes the geometry, so it has no header:
@@ -187,13 +207,14 @@ StatsBundle decode_stats_image(BitReader& r, bool whole_domain);
 std::uint64_t stats_image_bits(const StatsBundle& b, bool whole_domain);
 
 /// Delta images of `b` against `base`, the slot's previous image on the same
-/// edge (see the file comment). Both bundles of a ranged image must nest;
-/// the encoder checks `b`. The decoder throws WireFormatError on a truncated
-/// image, a change out of range or a bundle that does not nest.
+/// edge (see the file comment); `margin` is the store's (ranged margins ride
+/// core moves up to it). Both bundles of a ranged image must nest; the
+/// encoder checks `b`. The decoder throws WireFormatError on a truncated
+/// image, a change or ride out of range or a bundle that does not nest.
 void encode_stats_delta(BitWriter& w, const StatsBundle& base,
-                        const StatsBundle& b, bool whole_domain);
+                        const StatsBundle& b, bool whole_domain, Value margin);
 StatsBundle decode_stats_delta(BitReader& r, const StatsBundle& base,
-                               bool whole_domain);
+                               bool whole_domain, Value margin);
 
 /// The delta image of `h` against `base`, the sketch slot's previous HLL on
 /// the same edge (see the file comment). Both must have one geometry. The
@@ -238,20 +259,22 @@ struct Baseline {
 /// HLL images in `sketches`, each in slot order; a masked kHll entry needs
 /// `geometry` and `sketches`, and its HLL must have the geometry's shape.
 /// An entry whose `baselines` entry holds the pointer of its shape is a
-/// delta image against it; with no `baselines` (or no pointer) the image is
-/// full. Throws WireFormatError on a truncated or corrupt image, a sketch
-/// of another geometry, or trailing bits. (Out-parameters let a wave reuse
-/// its buffers across messages.)
+/// delta image against it, read with the store's `margin`; with no
+/// `baselines` (or no pointer) the image is full. Throws WireFormatError on
+/// a truncated or corrupt image, a sketch of another geometry, or trailing
+/// bits. (Out-parameters let a wave reuse its buffers across messages.)
 void decode_stats_response(BitReader& r, const std::vector<std::uint8_t>& mask,
                            const std::vector<ImageShape>& shapes,
                            std::vector<StatsBundle>& images,
                            const sketch::Hll* geometry = nullptr,
                            std::vector<sketch::Hll>* sketches = nullptr,
-                           std::span<const Baseline> baselines = {});
+                           std::span<const Baseline> baselines = {},
+                           Value margin = 0);
 
 class PartialStore {
  public:
-  /// `margin` sets ranged bundles' inner/outer margin. `hll_registers` > 0
+  /// `margin` sets ranged bundles' inner/outer margin, and the largest core
+  /// move their delta images' margins may ride. `hll_registers` > 0
   /// lets sketch slots and waves keep HLLs in the oracle's exact geometry
   /// (salt kHllSalt, width for node_count + 1 ranks). Tree, network and
   /// tracker must outlive the store.
@@ -272,12 +295,13 @@ class PartialStore {
   /// Collects every listed slot (strictly ascending ids) in one multiplexed
   /// convergecast, on the first collected slot's session. Slots already
   /// collected this epoch are skipped; if none is left, nothing is sent.
-  /// Returns each slot's share of the wave, aligned with `slots`. Throws
-  /// ProtocolError when a message is lost; edges whose responses arrived
-  /// keep their new partials, so a retry re-descends only the rest, and
-  /// its requests on edges left unanswered carry resync.
-  std::vector<WaveShare> collect(std::span<const SlotId> slots,
-                                 std::uint32_t epoch);
+  /// Sets `shares` to each slot's share of the wave, aligned with `slots`.
+  /// Throws ProtocolError when a message is lost; `shares` then hold every
+  /// bit and message the wave sent, edges whose responses arrived keep
+  /// their new partials, so a retry re-descends only the rest, and its
+  /// requests on edges left unanswered carry resync.
+  void collect(std::span<const SlotId> slots, std::uint32_t epoch,
+               std::vector<WaveShare>& shares);
 
   /// What collect_once() gathered, per range in order: its bundle over the
   /// whole tree (stats waves) or its HLL (sketch waves) and its share of
@@ -291,14 +315,15 @@ class PartialStore {
     std::uint64_t edges_pruned = 0;
   };
 
-  /// Collects the one-shot slots `ranges` (at least one) in one multiplexed
-  /// convergecast on `session`, pruning each edge that provably_empty()
-  /// clears for a range; requests are decoded against `domain_bound`.
-  /// Images are HLLs alone when `sketch` (sketch-keeping stores only). Keeps
-  /// no state. Throws ProtocolError when a message is lost.
-  OnceCollection collect_once(std::span<const query::RegionSignature> ranges,
-                              bool sketch, Value domain_bound,
-                              std::uint32_t session);
+  /// Collects the one-shot slots `ranges` (at least one) into `got` in one
+  /// multiplexed convergecast on `session`, pruning each edge that
+  /// provably_empty() clears for a range; requests are decoded against
+  /// `domain_bound`. Images are HLLs alone when `sketch` (sketch-keeping
+  /// stores only). Keeps no state. Throws ProtocolError when a message is
+  /// lost; `got` then holds the wave's shares and edge counts so far.
+  void collect_once(std::span<const query::RegionSignature> ranges,
+                    bool sketch, Value domain_bound, std::uint32_t session,
+                    OnceCollection& got);
 
   /// The stats slots whose region contains `region` and that hold edge
   /// partials: the only slots provably_empty() can consult for it. Taken

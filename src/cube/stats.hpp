@@ -67,8 +67,8 @@ struct StatsBundle {
 /// sends a bundle's core this way; a ranged bundle's inner and outer follow
 /// as deltas against it. A stale edge whose parent already holds the
 /// slot's previous image sends a delta image instead
-/// (cube::encode_stats_delta): each RangeStats as zigzag changes against
-/// its old self. Wire formats in partials.hpp.
+/// (cube::encode_stats_delta): the changes against the old image, with
+/// what did not move left out. Wire formats in partials.hpp.
 void encode_range_stats(BitWriter& w, const RangeStats& rs);
 RangeStats decode_range_stats(BitReader& r);
 

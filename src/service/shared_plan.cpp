@@ -123,7 +123,8 @@ std::vector<WaveShare> SharedPlanScheduler::collect_stats_batch(
     slots.push_back(g.slot);
   }
   const SimTime t0 = net_.now();
-  std::vector<WaveShare> shares = store_.collect(slots, epoch);
+  std::vector<WaveShare> shares;
+  store_.collect(slots, epoch, shares);
   std::uint64_t collected = 0;
   std::uint64_t messages = 0;  // the shares split the wave's messages
   for (const WaveShare& s : shares) {

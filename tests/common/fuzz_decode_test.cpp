@@ -376,19 +376,44 @@ service::StatsBundle delta_base() {
   return b;
 }
 
-/// Decodes a delta image against `base` made of the encode_int changes
-/// `changes`, then the encode_uint fields `full` (an old-empty range's min
-/// and span); false when the decoder rejects it.
+/// One field of a hand-built delta image: a zigzag change (encode_int), a
+/// full field (encode_uint: an old-empty range's min and span) or one bit
+/// (the "anything else moved" bit and the margins' ride bits).
+struct Field {
+  enum Kind { kChange, kFull, kBit } kind;
+  std::uint64_t bits;  // the change's two's complement, the field or the bit
+};
+Field change(std::int64_t d) {
+  return {Field::kChange, static_cast<std::uint64_t>(d)};
+}
+Field full(std::uint64_t x) { return {Field::kFull, x}; }
+Field bit(bool b) { return {Field::kBit, b ? 1u : 0u}; }
+
+/// Decodes the delta image `fields` against `base` at `margin`; false when
+/// the decoder rejects it.
 bool delta_decodes(const service::StatsBundle& base, bool whole_domain,
-                   const std::vector<std::int64_t>& changes,
-                   const std::vector<std::uint64_t>& full = {}) {
+                   const std::vector<Field>& fields, Value margin = 0,
+                   service::StatsBundle* got = nullptr) {
   BitWriter w;
-  for (const std::int64_t c : changes) encode_int(w, c);
-  for (const std::uint64_t f : full) encode_uint(w, f);
+  for (const Field& f : fields) {
+    switch (f.kind) {
+      case Field::kChange:
+        encode_int(w, static_cast<std::int64_t>(f.bits));
+        break;
+      case Field::kFull:
+        encode_uint(w, f.bits);
+        break;
+      case Field::kBit:
+        w.write_bit(f.bits != 0);
+        break;
+    }
+  }
   BitReader r(w.bytes().data(), w.bit_count());
   try {
-    (void)cube::decode_stats_delta(r, base, whole_domain);
+    const service::StatsBundle b =
+        cube::decode_stats_delta(r, base, whole_domain, margin);
     EXPECT_EQ(r.remaining(), 0u);
+    if (got != nullptr) *got = b;
     return true;
   } catch (const WireFormatError&) {
     return false;
@@ -397,15 +422,20 @@ bool delta_decodes(const service::StatsBundle& base, bool whole_domain,
 
 TEST(FuzzDecode, StatsDeltaImages) {
   // Bit soup against baselines that are empty, on the Value rails or with
-  // real margins: a decode either throws or yields non-negative readings,
-  // all-zero empty ranges and, for a ranged image, nested margins.
+  // real margins, at margins from none to the whole Value range: a decode
+  // either throws or yields non-negative readings, all-zero empty ranges
+  // and, for a ranged image, nested margins.
   const std::vector<service::StatsBundle> bases = {
       service::StatsBundle{}, collapsed({0}),
       collapsed({static_cast<Value>(kValueTop)}), delta_base()};
-  fuzz_strict([&bases](Xoshiro256& rng, BitReader& r) {
+  const std::array<Value, 4> margins = {0, 4, 32,
+                                        static_cast<Value>(kValueTop)};
+  fuzz_strict([&](Xoshiro256& rng, BitReader& r) {
     const bool whole = rng.next_below(2) == 0;
     const service::StatsBundle& base = bases[rng.next_below(bases.size())];
-    const service::StatsBundle b = cube::decode_stats_delta(r, base, whole);
+    const Value margin = margins[rng.next_below(margins.size())];
+    const service::StatsBundle b =
+        cube::decode_stats_delta(r, base, whole, margin);
     for (const cube::RangeStats* rs : {&b.core, &b.inner, &b.outer}) {
       if (rs->count == 0) {
         EXPECT_EQ(*rs, cube::RangeStats{});
@@ -429,54 +459,145 @@ TEST(FuzzDecode, StatsDeltaImages) {
 TEST(FuzzDecode, StatsDeltaRejectsChangesOutOfRange) {
   // Well-formed codes whose changes would leave a count, a sum or a
   // reading's range, or break the margins' nesting: each is a
-  // WireFormatError, never a wrapped bundle. A RangeStats' fields: count,
-  // then (non-empty) sum, min, max changes.
+  // WireFormatError, never a wrapped bundle. The core sends its count and
+  // (non-empty) sum changes; when both are 0, the "anything else moved"
+  // bit; then its min and max changes.
   const service::StatsBundle base = delta_base();
   const auto top = static_cast<std::int64_t>(kValueTop);
   // Controls: no change at all, an emptied core, the widest moves.
-  EXPECT_TRUE(delta_decodes(base, true, {0, 0, 0, 0}));
-  EXPECT_TRUE(delta_decodes(base, true, {-3}));
-  EXPECT_TRUE(delta_decodes(base, true, {top, top, -5, top - 15}));
-  EXPECT_TRUE(delta_decodes(base, false, {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
-                                          0}));
+  EXPECT_TRUE(delta_decodes(base, true, {change(0), change(0), bit(0)}));
+  EXPECT_TRUE(delta_decodes(base, false, {change(0), change(0), bit(0)}));
+  EXPECT_TRUE(delta_decodes(base, true, {change(-3)}));
+  EXPECT_TRUE(delta_decodes(
+      base, true, {change(top), change(top), change(-5), change(top - 15)}));
   // Count and sum below zero.
-  EXPECT_FALSE(delta_decodes(base, true, {-4}));
-  EXPECT_FALSE(delta_decodes(base, true, {0, -31, 0, 0}));
+  EXPECT_FALSE(delta_decodes(base, true, {change(-4)}));
+  EXPECT_FALSE(delta_decodes(base, true, {change(0), change(-31)}));
   // Count and sum past uint64.
   service::StatsBundle high = collapsed({5});
   high.core.count = kU64Top - 5;
   high.core.sum = kU64Top - 5;
-  EXPECT_TRUE(delta_decodes(high, true, {5, 5, 0, 0}));
-  EXPECT_FALSE(delta_decodes(high, true, {6, 0, 0, 0}));
-  EXPECT_FALSE(delta_decodes(high, true, {0, 6, 0, 0}));
+  EXPECT_TRUE(delta_decodes(high, true,
+                            {change(5), change(5), change(0), change(0)}));
+  EXPECT_FALSE(delta_decodes(high, true, {change(6), change(0)}));
+  EXPECT_FALSE(delta_decodes(high, true, {change(0), change(6)}));
   // Min below 0 or past the Value range, max past it, max below min.
-  EXPECT_FALSE(delta_decodes(base, true, {0, 0, -6, 0}));
-  EXPECT_FALSE(delta_decodes(base, true, {0, 0, top - 4, top - 14}));
-  EXPECT_FALSE(delta_decodes(base, true, {0, 0, 0, top - 14}));
-  EXPECT_FALSE(delta_decodes(base, true, {0, 0, 11, 0}));
+  const auto rails = [&](std::int64_t min, std::int64_t max) {
+    return delta_decodes(base, true, {change(0), change(0), bit(1),
+                                      change(min), change(max)});
+  };
+  EXPECT_TRUE(rails(-5, top - 15));
+  EXPECT_FALSE(rails(-6, 0));
+  EXPECT_FALSE(rails(top - 4, top - 14));
+  EXPECT_FALSE(rails(0, top - 14));
+  EXPECT_FALSE(rails(11, 0));
   // An old-empty range sends min and span in full: inside the Value range.
   const service::StatsBundle empty;
-  EXPECT_TRUE(delta_decodes(empty, true, {1, 7}, {kValueTop - 3, 3}));
-  EXPECT_FALSE(delta_decodes(empty, true, {1, 7}, {kValueTop + 1, 0}));
-  EXPECT_FALSE(delta_decodes(empty, true, {1, 7}, {kValueTop - 3, 4}));
-  // Ranged: changes that break inner ⊆ core ⊆ outer. Core unchanged; the
-  // inner grows past the core's count, its min leaves the core's span, its
-  // sum passes the core's; the outer shrinks below the core.
-  const std::vector<std::int64_t> core = {0, 0, 0, 0};
-  const std::vector<std::int64_t> outer = {0, 0, 0, 0};
+  EXPECT_TRUE(delta_decodes(empty, true,
+                            {change(1), change(7), full(kValueTop - 3),
+                             full(3)}));
+  EXPECT_FALSE(delta_decodes(empty, true,
+                             {change(1), change(7), full(kValueTop + 1),
+                              full(0)}));
+  EXPECT_FALSE(delta_decodes(empty, true,
+                             {change(1), change(7), full(kValueTop - 3),
+                              full(4)}));
+  // Ranged: changes that break inner ⊆ core ⊆ outer. The core holds still
+  // but says something else moved; both margins decline to ride (bit 0)
+  // and send changes: the inner grows past the core's count, its min
+  // leaves the core's span, its sum passes the core's; the outer shrinks
+  // below the core.
   const auto ranged = [&](std::vector<std::int64_t> inner,
-                          std::vector<std::int64_t> out) {
-    std::vector<std::int64_t> all = core;
-    all.insert(all.end(), inner.begin(), inner.end());
-    all.insert(all.end(), out.begin(), out.end());
+                          std::vector<std::int64_t> outer) {
+    std::vector<Field> all = {change(0), change(0), bit(1), change(0),
+                              change(0), bit(0)};
+    for (const std::int64_t d : inner) all.push_back(change(d));
+    all.push_back(bit(0));
+    for (const std::int64_t d : outer) all.push_back(change(d));
     return delta_decodes(base, false, all);
   };
-  EXPECT_TRUE(ranged({1, 5, -5, 0}, outer));  // inner {5, 10}
-  EXPECT_FALSE(ranged({3, 0, 0, 0}, outer));
-  EXPECT_FALSE(ranged({0, 0, -6, 0}, outer));
-  EXPECT_FALSE(ranged({0, 21, 0, 0}, outer));
-  EXPECT_FALSE(ranged({0, 0, 0, 0}, {-2, 0, 0, 0}));
-  EXPECT_FALSE(ranged({0, 0, 0, 0}, {0, 0, 4, 0}));  // outer min 6 > 5
+  const std::vector<std::int64_t> still = {0, 0, 0, 0};
+  EXPECT_TRUE(ranged({1, 5, -5, 0}, still));  // inner {5, 10}
+  EXPECT_FALSE(ranged({3, 0, 0, 0}, still));
+  EXPECT_FALSE(ranged({0, 0, -6, 0}, still));
+  EXPECT_FALSE(ranged({0, 21, 0, 0}, still));
+  EXPECT_FALSE(ranged(still, {-2, 0, 0, 0}));
+  EXPECT_FALSE(ranged(still, {0, 0, 4, 0}));  // outer min 6 > 5
+}
+
+TEST(FuzzDecode, StatsDeltaRejectsRidesOutOfRange) {
+  // A margin that rides takes the core's four changes. Core {5, 10, 15},
+  // inner {10}, outer {2, 5, 10, 15}: the core's 10 moves to 12 (sum +2),
+  // the outer rides and the inner, whose min and max move too, does not.
+  const service::StatsBundle base = delta_base();
+  const std::vector<Field> core_up2 = {change(0), change(2), change(0),
+                                       change(0)};
+  std::vector<Field> image = core_up2;
+  for (const Field& f : {bit(0), change(0), change(2), change(2), change(2),
+                         bit(1)}) {
+    image.push_back(f);
+  }
+  service::StatsBundle got;
+  ASSERT_TRUE(delta_decodes(base, false, image, /*margin=*/2, &got));
+  service::StatsBundle want;
+  for (const Value v : {5, 12, 15}) want.core.observe(v);
+  want.inner.observe(12);
+  want.outer = want.core;
+  want.outer.observe(2);
+  EXPECT_EQ(got, want);
+  // Past the margin there are no ride bits: the margins send changes.
+  std::vector<Field> no_rides = core_up2;
+  for (const std::int64_t d : {0, 2, 2, 2, 0, 2, 0, 0}) {
+    no_rides.push_back(change(d));
+  }
+  ASSERT_TRUE(delta_decodes(base, false, no_rides, /*margin=*/1, &got));
+  EXPECT_EQ(got, want);
+  // A margin empty in the baseline has no ride bit: here the inner sends
+  // its count change and the outer rides the core holding still.
+  service::StatsBundle no_inner = base;
+  no_inner.inner = cube::RangeStats{};
+  ASSERT_TRUE(delta_decodes(no_inner, false,
+                            {change(0), change(0), bit(1), change(0),
+                             change(0), change(0), bit(1)},
+                            4, &got));
+  EXPECT_EQ(got, no_inner);
+  // A ride that empties its margin: the core drops its 10 (count -1, sum
+  // -10), and the inner {10} would ride to count 0.
+  EXPECT_FALSE(delta_decodes(base, false,
+                             {change(-1), change(-10), change(0), change(0),
+                              bit(1)},
+                             11));
+  // A ride below 0: the core's min 5 moves to 0 (sum -5); the inner sends
+  // its (unchanged) self and the outer's min 2 would ride to -3.
+  EXPECT_FALSE(delta_decodes(base, false,
+                             {change(0), change(-5), change(-5), change(0),
+                              bit(0), change(0), change(0), change(0),
+                              change(0), bit(1)},
+                             5));
+  // A ride past the Value range: a core {5} whose outer reaches 20 moves
+  // its reading to the top. The inner rides along; the outer's max would
+  // ride past the top, so it must send its changes.
+  service::StatsBundle low;
+  low.core.observe(5);
+  low.inner = low.core;
+  low.outer = low.core;
+  low.outer.observe(20);
+  const auto top = static_cast<std::int64_t>(kValueTop);
+  EXPECT_FALSE(delta_decodes(low, false,
+                             {change(0), change(top - 5), change(top - 5),
+                              change(top - 5), bit(1), bit(1)},
+                             static_cast<Value>(kValueTop)));
+  EXPECT_TRUE(delta_decodes(low, false,
+                            {change(0), change(top - 5), change(top - 5),
+                             change(top - 5), bit(1), bit(0), change(0),
+                             change(top - 5), change(15), change(top - 20)},
+                            static_cast<Value>(kValueTop)));
+  // A ride that sets max below min: the core's min 5 moves to 8 (sum +3)
+  // and its max holds, so the inner {10} would ride to min 13, max 10.
+  EXPECT_FALSE(delta_decodes(base, false,
+                             {change(0), change(3), change(3), change(0),
+                              bit(1)},
+                             3));
 }
 
 TEST(FuzzDecode, StatsDeltaEncoderRejectsBrokenNesting) {
@@ -484,7 +605,7 @@ TEST(FuzzDecode, StatsDeltaEncoderRejectsBrokenNesting) {
   // of one would decode to a bundle that does not nest.
   const service::StatsBundle ok = delta_base();
   BitWriter fine;
-  cube::encode_stats_delta(fine, ok, ok, false);
+  cube::encode_stats_delta(fine, ok, ok, false, 4);
   std::vector<service::StatsBundle> broken(6, ok);
   broken[0].inner.count = 4;  // inner count > core count
   broken[1].outer = ok.inner;  // outer count < core count
@@ -494,16 +615,18 @@ TEST(FuzzDecode, StatsDeltaEncoderRejectsBrokenNesting) {
   broken[5].inner.sum = 31;    // inner sum > core sum
   for (const service::StatsBundle& b : broken) {
     BitWriter w;
-    EXPECT_THROW(cube::encode_stats_delta(w, ok, b, false), PreconditionError);
+    EXPECT_THROW(cube::encode_stats_delta(w, ok, b, false, 4),
+                 PreconditionError);
     BitWriter whole;  // a whole-domain image carries the core alone
-    cube::encode_stats_delta(whole, ok, b, true);
+    cube::encode_stats_delta(whole, ok, b, true, 4);
   }
   // A change past encode_int's range cannot be sent either.
   service::StatsBundle huge = ok;
   huge.core.sum = kU64Top - 1;
   huge.outer.sum = kU64Top - 1;
   BitWriter w;
-  EXPECT_THROW(cube::encode_stats_delta(w, ok, huge, true), PreconditionError);
+  EXPECT_THROW(cube::encode_stats_delta(w, ok, huge, true, 4),
+               PreconditionError);
 }
 
 /// A sketch of `registers` registers at rank width `width` raised by
@@ -950,7 +1073,7 @@ SketchResponse sketch_response(Xoshiro256& rng, unsigned registers,
       if (delta) {
         const service::StatsBundle& base = out.base_bundles[i].emplace(
             collapsed({static_cast<Value>(rng.next_below(1000))}));
-        cube::encode_stats_delta(w, base, b, kind == 0);
+        cube::encode_stats_delta(w, base, b, kind == 0, /*margin=*/0);
       } else {
         cube::encode_stats_image(w, b, kind == 0);
       }

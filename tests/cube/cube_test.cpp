@@ -475,7 +475,7 @@ TEST(Cube, ServesKeepTheWireCost) {
   }
   const auto after = f.net.summary(true);
   const CubeStats& s = f.cube.stats();
-  EXPECT_EQ(after.total_bits - before.total_bits, 31729u);
+  EXPECT_EQ(after.total_bits - before.total_bits, 29598u);
   EXPECT_EQ(after.total_messages - before.total_messages, 613u);
   EXPECT_EQ(s.cell_edges_descended, 500u);
   EXPECT_EQ(s.cell_edges_skipped, 116u);
@@ -914,6 +914,11 @@ TEST(Cube, PricingTableIsRebuiltAfterTheStoreChanges) {
   EXPECT_EQ(rig.cube.stats().pricing_passes, priced.pricing_passes + 1);
 }
 
+/// Every bit the cube sent, by what sent it.
+std::uint64_t charged_bits(const CubeStats& s) {
+  return s.cell_bits + s.standing_bits + s.once_bits + s.install_bits;
+}
+
 TEST(Cube, LostMessageFailsTheServeAndTheRetryIsExact) {
   Fixture f;
   // Install the geometry over lossless links first.
@@ -931,9 +936,13 @@ TEST(Cube, LostMessageFailsTheServeAndTheRetryIsExact) {
               f.cube.cells().edges_descended());
     EXPECT_EQ(f.cube.stats().cell_edges_skipped,
               f.cube.cells().edges_skipped());
+    // The failed wave's bits are charged too: the bits by sender still sum
+    // to every bit on the air.
+    EXPECT_EQ(charged_bits(f.cube.stats()), f.net.summary(true).total_bits);
     f.net.set_message_loss(0.0);
     EXPECT_EQ(f.cube.serve(plan, 0).bundle.core,
               direct_core(f.net, plan.region));
+    EXPECT_EQ(charged_bits(f.cube.stats()), f.net.summary(true).total_bits);
   }
 }
 

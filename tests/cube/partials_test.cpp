@@ -32,6 +32,24 @@ constexpr Value kBound = 1000;
 constexpr Value kMargin = 32;
 constexpr unsigned kRegisters = 64;
 
+/// PartialStore::collect, returning the wave's shares.
+std::vector<WaveShare> collect(PartialStore& store,
+                               std::span<const SlotId> slots,
+                               std::uint32_t epoch) {
+  std::vector<WaveShare> shares;
+  store.collect(slots, epoch, shares);
+  return shares;
+}
+
+/// PartialStore::collect_once, returning what it gathered.
+PartialStore::OnceCollection collect_once(
+    PartialStore& store, std::span<const query::RegionSignature> ranges,
+    bool sketch, Value domain_bound, std::uint32_t session) {
+  PartialStore::OnceCollection got;
+  store.collect_once(ranges, sketch, domain_bound, session, got);
+  return got;
+}
+
 /// An 8x8 grid whose nodes hold one to three readings each.
 struct Fixture {
   sim::Network net;
@@ -115,7 +133,7 @@ TEST(CollectOnce, RootsEqualTheOraclesAndSharesSumToTheWave) {
         const auto ranges = random_ranges(rng);
         const sim::CommSummary before = f.net.summary(true);
         const PartialStore::OnceCollection got =
-            f.store.collect_once(ranges, sketch, kBound, session++);
+            collect_once(f.store, ranges, sketch, kBound, session++);
         const sim::CommSummary after = f.net.summary(true);
 
         // A sketch wave's images are the HLLs alone.
@@ -160,11 +178,11 @@ TEST(CollectOnce, LeavesTheInstalledSlotsUntouched) {
       }
     }
     // Drift one reading between two collections so edge epochs differ.
-    f.store.collect(slots, 1);
+    collect(f.store, slots, 1);
     f.net.update_item(63, 0, f.net.items(63)[0] / 2);
     const std::vector<NodeId> touched{63};
     f.dirty.note_updates(touched, 2);
-    f.store.collect(slots, 2);
+    collect(f.store, slots, 2);
 
     struct Snapshot {
       std::uint32_t epoch;
@@ -192,7 +210,7 @@ TEST(CollectOnce, LeavesTheInstalledSlotsUntouched) {
     std::uint32_t session = 0x7C00;
     for (const bool sketch : {false, true}) {
       const auto ranges = random_ranges(rng);
-      const auto got = f.store.collect_once(ranges, sketch, kBound, session++);
+      const auto got = collect_once(f.store, ranges, sketch, kBound, session++);
       for (std::size_t i = 0; i < ranges.size(); ++i) {
         if (sketch) {
           EXPECT_TRUE(got.hlls[i] == f.oracle_hll(ranges[i]));
@@ -237,14 +255,14 @@ TEST(CollectOnce, AFreshEmptyContainingSlotPrunesTheEdge) {
                                       : static_cast<Value>((u * 37) % 500)});
     }
     const SlotId slot = f.store.add_slot(range_of(0, 499), 0x7800);
-    f.store.collect(std::vector<SlotId>{slot}, 1);
+    collect(f.store, std::vector<SlotId>{slot}, 1);
     const query::RegionSignature residue = range_of(100, 300);
     ASSERT_TRUE(f.store.provably_empty(empty,
                                        f.store.containing_slots(residue)));
 
     const sim::CommSummary before = f.net.summary(true);
-    const auto got = f.store.collect_once(std::vector{residue}, sketch,
-                                          kBound, 0x7C00);
+    const auto got =
+        collect_once(f.store, std::vector{residue}, sketch, kBound, 0x7C00);
     const sim::CommSummary after = f.net.summary(true);
     // The pruned edge sent no request, so nothing below it answered.
     const std::uint64_t reached = f.tree.node_count() - f.subtree_size(empty);
@@ -264,8 +282,8 @@ TEST(CollectOnce, AFreshEmptyContainingSlotPrunesTheEdge) {
     f.dirty.note_updates(touched, 2);
     EXPECT_FALSE(f.store.provably_empty(empty,
                                         f.store.containing_slots(residue)));
-    const auto again = f.store.collect_once(std::vector{residue}, sketch,
-                                            kBound, 0x7C01);
+    const auto again =
+        collect_once(f.store, std::vector{residue}, sketch, kBound, 0x7C01);
     EXPECT_GT(again.edges_descended, got.edges_descended);
     if (sketch) {
       EXPECT_TRUE(again.hlls[0] == f.oracle_hll(residue));
@@ -307,8 +325,8 @@ TEST(Collect, AStatsSlotSendsNoHllBitsInASketchKeepingStore) {
         drift(with, drift_with, 5, epoch);
         drift(without, drift_without, 5, epoch);
       }
-      with.store.collect(slots, epoch);
-      without.store.collect(slots, epoch);
+      collect(with.store, slots, epoch);
+      collect(without.store, slots, epoch);
       EXPECT_EQ(with.net.summary(true).total_bits,
                 without.net.summary(true).total_bits)
           << "seed " << seed << " epoch " << epoch;
@@ -335,7 +353,7 @@ TEST(Collect, AMixedWaveIsExactAndItsSharesSumToTheWave) {
     for (std::uint32_t epoch = 1; epoch <= 5; ++epoch) {
       if (epoch > 1) drift(f, rng, 4, epoch);
       const sim::CommSummary before = f.net.summary(true);
-      const std::vector<WaveShare> shares = f.store.collect(slots, epoch);
+      const std::vector<WaveShare> shares = collect(f.store, slots, epoch);
       const sim::CommSummary after = f.net.summary(true);
       std::uint64_t bits = 0;
       std::uint64_t messages = 0;
@@ -368,7 +386,7 @@ TEST(Collect, AReleasedSlotIsCollectedAfreshAndExactly) {
   ASSERT_EQ(cold.store.add_slot(range_of(100, 700), 0x7800), stats);
   ASSERT_EQ(cold.store.add_slot(range_of(100, 700), 0x7801, true), hll);
   const std::vector<SlotId> slots{stats, hll};
-  f.store.collect(slots, 1);
+  collect(f.store, slots, 1);
   const std::uint64_t descended = f.store.edges_descended();
   for (const SlotId s : slots) {
     f.store.release(s);
@@ -380,8 +398,8 @@ TEST(Collect, AReleasedSlotIsCollectedAfreshAndExactly) {
   // delta image.
   EXPECT_TRUE(f.store.containing_slots(range_of(200, 300)).empty());
   const std::uint64_t bits = f.net.summary(true).total_bits;
-  f.store.collect(slots, 2);
-  cold.store.collect(slots, 2);
+  collect(f.store, slots, 2);
+  collect(cold.store, slots, 2);
   EXPECT_EQ(f.store.edges_descended() - descended,
             2 * (f.tree.node_count() - 1));
   EXPECT_EQ(f.net.summary(true).total_bits - bits,
@@ -468,7 +486,7 @@ ImageSizes image_sizes(const Fixture& f, SlotId s, NodeId child) {
   BitWriter full;
   encode_stats_image(full, b, whole);
   BitWriter delta;
-  encode_stats_delta(delta, f.store.edge_bundle(s, child), b, whole);
+  encode_stats_delta(delta, f.store.edge_bundle(s, child), b, whole, kMargin);
   return {full.bit_count(), delta.bit_count()};
 }
 
@@ -481,7 +499,7 @@ TEST(Collect, StaleEdgesSendDeltaImagesAndStayExact) {
     Fixture f(seed, kRegisters);
     Xoshiro256 rng(seed * 13);
     const std::vector<SlotId> slots = mixed_slots(f);
-    f.store.collect(slots, 1);
+    collect(f.store, slots, 1);
     EXPECT_EQ(f.store.delta_image_bits(), 0u);
     EXPECT_EQ(f.store.delta_image_full_bits(), 0u);
     expect_exact_roots(f, slots);
@@ -489,7 +507,7 @@ TEST(Collect, StaleEdgesSendDeltaImagesAndStayExact) {
       nudge(f, rng, 6, epoch);
       const std::uint64_t delta = f.store.delta_image_bits();
       const sim::CommSummary before = f.net.summary(true);
-      const std::vector<WaveShare> shares = f.store.collect(slots, epoch);
+      const std::vector<WaveShare> shares = collect(f.store, slots, epoch);
       const sim::CommSummary after = f.net.summary(true);
       EXPECT_GT(f.store.delta_image_bits(), delta) << "epoch " << epoch;
       std::uint64_t bits = 0;
@@ -502,19 +520,32 @@ TEST(Collect, StaleEdgesSendDeltaImagesAndStayExact) {
 }
 
 TEST(Collect, ALostMessageResyncsTheUnansweredEdges) {
-  // A wave loses messages and throws. Every edge it left unanswered is
-  // marked; the retry's request on such an edge carries resync, so the
-  // child answers with full images even though the edge holds a partial,
-  // and the roots come out exact.
+  // A wave loses messages and throws; its shares still sum to the bits and
+  // messages it sent. Every edge it left unanswered is marked; the retry's
+  // request on such an edge carries resync, so the child answers with full
+  // images even though the edge holds a partial, and the roots come out
+  // exact.
   int checked = 0;
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     Fixture f(seed, kRegisters);
     Xoshiro256 rng(seed * 17);
     const std::vector<SlotId> slots = mixed_slots(f);
-    f.store.collect(slots, 1);
+    collect(f.store, slots, 1);
     nudge(f, rng, 40, 2);
     f.net.set_message_loss(0.2);
-    EXPECT_THROW(f.store.collect(slots, 2), ProtocolError);
+    const sim::CommSummary before = f.net.summary(true);
+    std::vector<WaveShare> shares;
+    EXPECT_THROW(f.store.collect(slots, 2, shares), ProtocolError);
+    const sim::CommSummary after = f.net.summary(true);
+    std::uint64_t bits = 0;
+    std::uint64_t messages = 0;
+    for (const WaveShare& share : shares) {
+      bits += share.bits;
+      messages += share.messages;
+      EXPECT_FALSE(share.collected);
+    }
+    EXPECT_EQ(bits, after.total_bits - before.total_bits);
+    EXPECT_EQ(messages, after.total_messages - before.total_messages);
     f.net.set_message_loss(0.0);
 
     // The deepest unanswered edge whose images differ in full and as
@@ -543,7 +574,7 @@ TEST(Collect, ALostMessageResyncsTheUnansweredEdges) {
     }
 
     f.net.watch_edge(f.tree.parent[*edge], *edge);
-    f.store.collect(slots, 2);
+    collect(f.store, slots, 2);
     EXPECT_EQ(f.net.watched_edge_bits(), expected) << "seed " << seed;
     for (const SlotId s : slots) {
       EXPECT_FALSE(f.store.edge_unanswered(s, *edge));
@@ -568,13 +599,13 @@ TEST(Collect, StaleSketchEdgesSendDeltaImagesAndStayExact) {
         f.store.add_slot(range_of(0, kBound), 0x7801, true)};
     std::vector<SlotId> slots = sketches;
     slots.push_back(f.store.add_slot(range_of(300, 900), 0x7802));
-    f.store.collect(slots, 1);
+    collect(f.store, slots, 1);
     EXPECT_EQ(f.store.hll_delta_image_bits(), 0u);
     EXPECT_EQ(f.store.hll_delta_image_full_bits(), 0u);
     for (std::uint32_t epoch = 2; epoch <= 10; ++epoch) {
       nudge(f, rng, 6, epoch);
       const std::uint64_t delta = f.store.hll_delta_image_bits();
-      f.store.collect(slots, epoch);
+      collect(f.store, slots, epoch);
       EXPECT_GT(f.store.hll_delta_image_bits(), delta) << "epoch " << epoch;
       for (const SlotId s : sketches) {
         for (NodeId c = 0; c < f.tree.node_count(); ++c) {
@@ -595,7 +626,7 @@ TEST(Collect, StaleSketchEdgesSendDeltaImagesAndStayExact) {
     f.dirty.note_updates(touched, 11);
     const std::uint64_t descended = f.store.edges_descended();
     const std::uint64_t delta = f.store.hll_delta_image_bits();
-    f.store.collect(sketches, 11);
+    collect(f.store, sketches, 11);
     const std::uint64_t images = f.store.edges_descended() - descended;
     EXPECT_GT(images, 0u);
     EXPECT_LE(f.store.hll_delta_image_bits() - delta, 2 * images);
@@ -619,10 +650,10 @@ TEST(Collect, ALostMessageResyncsTheUnansweredSketchEdges) {
     Xoshiro256 rng(seed * 23);
     const SlotId s = f.store.add_slot(range_of(100, 700), 0x7800, true);
     const std::vector<SlotId> slots{s};
-    f.store.collect(slots, 1);
+    collect(f.store, slots, 1);
     nudge(f, rng, 40, 2);
     f.net.set_message_loss(0.2);
-    EXPECT_THROW(f.store.collect(slots, 2), ProtocolError);
+    EXPECT_THROW(collect(f.store, slots, 2), ProtocolError);
     f.net.set_message_loss(0.0);
 
     // The deepest unanswered edge whose HLL image differs in full and as a
@@ -644,7 +675,7 @@ TEST(Collect, ALostMessageResyncsTheUnansweredSketchEdges) {
     if (!edge) continue;
 
     f.net.watch_edge(f.tree.parent[*edge], *edge);
-    f.store.collect(slots, 2);
+    collect(f.store, slots, 2);
     // Mask (1 bit) and resync bit, then the full HLL image.
     EXPECT_EQ(f.net.watched_edge_bits(), 2 + full_bits) << "seed " << seed;
     EXPECT_FALSE(f.store.edge_unanswered(s, *edge));

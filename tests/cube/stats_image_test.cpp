@@ -5,16 +5,22 @@
 // regions and margins, and pin the image's size against the plain
 // three-RangeStats encoding. A stale edge's delta image codes the bundle
 // against the edge's previous one: the StatsDeltaImage tests round-trip
-// pairs taken before and after drift, unrelated pairs and bundles on the
-// Value rails.
+// pairs taken before and after drift, unrelated pairs, bundles on the
+// Value rails and 10,000 random nested pairs (every proper prefix of an
+// image rejected, every bit flip rejected or decoded to a well-formed
+// bundle), and pin what an unchanged bundle and a riding margin cost.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
+#include <cstdlib>
+#include <initializer_list>
 #include <limits>
 #include <vector>
 
 #include "src/common/bitio.hpp"
+#include "src/common/error.hpp"
 #include "src/common/rng.hpp"
 #include "src/cube/partials.hpp"
 #include "src/net/spanning_tree.hpp"
@@ -87,14 +93,14 @@ std::size_t round_trip(const StatsBundle& b, bool whole_domain) {
   return w.bit_count();
 }
 
-/// Codes `b` as a delta image against `base`, checks it decodes back
-/// exactly with no bits left over, and returns its length in bits.
+/// Codes `b` as a delta image against `base` at `margin`, checks it decodes
+/// back exactly with no bits left over, and returns its length in bits.
 std::size_t delta_round_trip(const StatsBundle& base, const StatsBundle& b,
-                             bool whole_domain) {
+                             bool whole_domain, Value margin) {
   BitWriter w;
-  encode_stats_delta(w, base, b, whole_domain);
+  encode_stats_delta(w, base, b, whole_domain, margin);
   BitReader r(w.bytes().data(), w.bit_count());
-  EXPECT_EQ(decode_stats_delta(r, base, whole_domain), b);
+  EXPECT_EQ(decode_stats_delta(r, base, whole_domain, margin), b);
   EXPECT_EQ(r.remaining(), 0u);
   return w.bit_count();
 }
@@ -292,12 +298,13 @@ TEST(StatsDeltaImage, PairsAcrossDriftRoundTrip) {
         const std::vector<StatsBundle> after = f.subtree_bundles(store, region);
         for (NodeId u = 0; u < f.net.node_count(); ++u) {
           delta_bits += delta_round_trip(before[u], after[u],
-                                         region.whole_domain);
+                                         region.whole_domain, margin);
           full_bits += round_trip(after[u], region.whole_domain);
           tally_moves(before[u], after[u], moves);
           const auto other =
               static_cast<NodeId>(rng.next_below(f.net.node_count()));
-          delta_round_trip(before[other], after[u], region.whole_domain);
+          delta_round_trip(before[other], after[u], region.whole_domain,
+                           margin);
           tally_moves(before[other], after[u], moves);
         }
       }
@@ -330,26 +337,265 @@ TEST(StatsDeltaImage, ValueRailsRoundTrip) {
       ranged.push_back(b);
     }
   }
-  for (const StatsBundle& base : ranged) {
-    for (const StatsBundle& b : ranged) delta_round_trip(base, b, false);
-  }
-  for (const StatsBundle& base : whole) {
-    for (const StatsBundle& b : whole) delta_round_trip(base, b, true);
+  // Margins up to the largest Value let the rails' margins ride the core.
+  for (const Value margin : {Value{0}, Value{1}, kTop}) {
+    for (const StatsBundle& base : ranged) {
+      for (const StatsBundle& b : ranged) {
+        delta_round_trip(base, b, false, margin);
+      }
+    }
+    for (const StatsBundle& base : whole) {
+      for (const StatsBundle& b : whole) {
+        delta_round_trip(base, b, true, margin);
+      }
+    }
   }
 }
 
-TEST(StatsDeltaImage, AnUnchangedBundleCostsOneBitPerField) {
-  // A zero change is one bit: four fields per non-empty RangeStats, one for
-  // an empty one.
+TEST(StatsDeltaImage, AnUnchangedBundleCostsThreeBits) {
+  // Zero count and sum changes (a bit each), then the bit that says
+  // nothing else moved: 3 bits, ranged or whole-domain. An empty core has
+  // no sum (2 bits), and an empty whole-domain core has nothing else that
+  // could move (1 bit).
   Fixture f(5);
   const PartialStore store(f.net, f.tree, f.dirty, 32);
   const StatsBundle b = f.subtree_bundles(store, region_of(100, 900))[0];
   ASSERT_GT(b.inner.count, 0u);
-  EXPECT_EQ(delta_round_trip(b, b, false), 12u);
+  EXPECT_EQ(delta_round_trip(b, b, false, 32), 3u);
   const StatsBundle whole =
       f.subtree_bundles(store, region_of(0, kBound))[0];
-  EXPECT_EQ(delta_round_trip(whole, whole, true), 4u);
-  EXPECT_EQ(delta_round_trip(StatsBundle{}, StatsBundle{}, false), 3u);
+  EXPECT_EQ(delta_round_trip(whole, whole, true, 32), 3u);
+  EXPECT_EQ(delta_round_trip(StatsBundle{}, StatsBundle{}, false, 32), 2u);
+  EXPECT_EQ(delta_round_trip(StatsBundle{}, StatsBundle{}, true, 32), 1u);
+  // Read as whole-domain, an unchanged image of a ranged baseline still
+  // collapses the margins onto the core.
+  BitWriter w;
+  encode_stats_delta(w, b, b, true, 32);
+  BitReader r(w.bytes().data(), w.bit_count());
+  const StatsBundle got = decode_stats_delta(r, b, true, 32);
+  EXPECT_EQ(got.core, b.core);
+  EXPECT_EQ(got.inner, b.core);
+  EXPECT_EQ(got.outer, b.core);
+}
+
+TEST(StatsDeltaImage, MarginsThatMoveWithTheCoreCostOneBitEach) {
+  // One reading well inside the region drifts up by 2: core, inner and
+  // outer each gain 2 in sum. The core sends count 0 (1 bit), sum +2 (5
+  // bits) and two zero rail changes (2 bits); each margin then rides on a
+  // single bit. Coded as three independent changes it takes 24 bits.
+  // The outer band holds two more readings, 90 and 900.
+  const auto bundle = [](std::initializer_list<Value> core) {
+    StatsBundle b;
+    for (const Value v : core) b.core.observe(v);
+    b.inner = b.core;
+    b.outer = b.core;
+    b.outer.observe(90);
+    b.outer.observe(900);
+    return b;
+  };
+  const StatsBundle base = bundle({200, 500, 800});
+  EXPECT_EQ(delta_round_trip(base, bundle({200, 502, 800}), false, 32), 10u);
+  // At a margin below the move there are no ride bits.
+  EXPECT_EQ(delta_round_trip(base, bundle({200, 502, 800}), false, 1), 24u);
+  // The core's max drifts by 2: the core sends count 0, sum +2, min 0 and
+  // max +2 (12 bits); the inner rides (1 bit); the outer, whose max is 900,
+  // declines (1 bit) and sends count 0, sum +2, min 0 and max 0 (8 bits).
+  EXPECT_EQ(delta_round_trip(base, bundle({200, 500, 802}), false, 32), 22u);
+}
+
+/// The bundle of `readings` over [lo, hi] at `margin`, as local_bundle
+/// forms it; over the whole domain the margins collapse onto the core.
+StatsBundle bundle_over(const std::vector<Value>& readings, Value lo,
+                        Value hi, Value margin, bool whole_domain) {
+  StatsBundle b;
+  for (const Value v : readings) {
+    if (whole_domain || (v >= lo && v <= hi)) b.core.observe(v);
+    if (v >= lo + margin && v <= hi - margin) b.inner.observe(v);
+    if (v >= lo - margin && v <= hi + margin) b.outer.observe(v);
+  }
+  if (whole_domain) {
+    b.inner = b.core;
+    b.outer = b.core;
+  }
+  return b;
+}
+
+/// A random (base, next) pair of nested bundles over one region: a few
+/// readings in [0, 200], each of which may drift by up to twice the margin,
+/// leave or arrive; now and then nothing moves at all.
+struct Pair {
+  StatsBundle base;
+  StatsBundle next;
+  bool whole_domain = false;
+  Value margin = 0;
+};
+
+Pair random_pair(Xoshiro256& rng) {
+  constexpr std::array<Value, 5> kMargins = {0, 1, 4, 16, 64};
+  Pair p;
+  p.margin = kMargins[rng.next_below(kMargins.size())];
+  p.whole_domain = rng.next_below(4) == 0;
+  const auto lo = static_cast<Value>(rng.next_below(201));
+  const auto hi = lo + static_cast<Value>(rng.next_below(201 - lo));
+  std::vector<Value> readings(rng.next_below(9));
+  for (Value& v : readings) v = static_cast<Value>(rng.next_below(201));
+  p.base = bundle_over(readings, lo, hi, p.margin, p.whole_domain);
+  if (rng.next_below(8) != 0) {
+    const auto reach = static_cast<std::uint64_t>(2 * p.margin + 2);
+    for (Value& v : readings) {
+      if (rng.next_below(2) != 0) continue;
+      v += static_cast<Value>(rng.next_below(2 * reach + 1)) -
+           static_cast<Value>(reach);
+      v = std::max<Value>(v, 0);
+    }
+    if (!readings.empty() && rng.next_below(6) == 0) readings.pop_back();
+    if (rng.next_below(6) == 0) {
+      readings.push_back(static_cast<Value>(rng.next_below(201)));
+    }
+  }
+  p.next = bundle_over(readings, lo, hi, p.margin, p.whole_domain);
+  return p;
+}
+
+/// What a pair exercises, for the coverage checks.
+struct PairKinds {
+  int unchanged = 0;
+  int whole = 0;
+  int filled = 0;        // the core was empty and is not now
+  int emptied = 0;       // ... the reverse
+  int rides = 0;         // a margin moved exactly as the core did
+  int declined = 0;      // a margin that could have ridden and did not
+  int large_moves = 0;   // both cores non-empty, moved past the margin
+};
+
+std::int64_t signed_change(std::uint64_t was, std::uint64_t now) {
+  return static_cast<std::int64_t>(now) - static_cast<std::int64_t>(was);
+}
+
+void classify(const Pair& p, PairKinds& k) {
+  const RangeStats& was = p.base.core;
+  const RangeStats& now = p.next.core;
+  k.unchanged += p.base == p.next ? 1 : 0;
+  k.whole += p.whole_domain ? 1 : 0;
+  k.filled += was.count == 0 && now.count > 0 ? 1 : 0;
+  k.emptied += was.count > 0 && now.count == 0 ? 1 : 0;
+  if (p.whole_domain || was.count == 0 || now.count == 0) return;
+  const std::int64_t count = signed_change(was.count, now.count);
+  const std::int64_t sum = signed_change(was.sum, now.sum);
+  if (std::abs(count) + std::abs(sum) > p.margin) {
+    ++k.large_moves;
+    return;
+  }
+  for (const auto& [old, moved] : {std::pair{&p.base.inner, &p.next.inner},
+                                   std::pair{&p.base.outer, &p.next.outer}}) {
+    if (old->count == 0) continue;
+    const bool rode =
+        moved->count > 0 &&
+        signed_change(old->count, moved->count) == count &&
+        signed_change(old->sum, moved->sum) == sum &&
+        moved->min - old->min == now.min - was.min &&
+        moved->max - old->max == now.max - was.max;
+    ++(rode ? k.rides : k.declined);
+  }
+}
+
+TEST(StatsDeltaImage, RandomNestedPairsRoundTripAndRejectPrefixes) {
+  // 10,000 random pairs, ranged and whole-domain: every delta image
+  // decodes to exactly the new bundle, every proper prefix of it is a
+  // WireFormatError, and inside a response one more bit is rejected too.
+  Xoshiro256 rng(2024);
+  PairKinds kinds;
+  for (int t = 0; t < 10000; ++t) {
+    const Pair p = random_pair(rng);
+    classify(p, kinds);
+    SCOPED_TRACE(testing::Message() << "pair " << t);
+    BitWriter w;
+    encode_stats_delta(w, p.base, p.next, p.whole_domain, p.margin);
+    const std::size_t bits = w.bit_count();
+    w.write_bit(false);  // a spare bit past the image
+    const std::vector<std::uint8_t> bytes(w.bytes().begin(), w.bytes().end());
+    BitReader exact(bytes.data(), bits);
+    ASSERT_EQ(decode_stats_delta(exact, p.base, p.whole_domain, p.margin),
+              p.next);
+    EXPECT_EQ(exact.remaining(), 0u);
+    for (std::size_t cut = 0; cut < bits; ++cut) {
+      BitReader prefix(bytes.data(), cut);
+      EXPECT_THROW(
+          (void)decode_stats_delta(prefix, p.base, p.whole_domain, p.margin),
+          WireFormatError);
+    }
+    const std::vector<std::uint8_t> mask = {1};
+    const std::vector<ImageShape> shapes = {
+        p.whole_domain ? ImageShape::kWholeDomain : ImageShape::kRanged};
+    const std::array<Baseline, 1> baselines = {Baseline{.bundle = &p.base}};
+    std::vector<StatsBundle> images;
+    BitReader response(bytes.data(), bits);
+    decode_stats_response(response, mask, shapes, images, nullptr, nullptr,
+                          baselines, p.margin);
+    EXPECT_EQ(images, std::vector<StatsBundle>{p.next});
+    BitReader longer(bytes.data(), bits + 1);
+    EXPECT_THROW(decode_stats_response(longer, mask, shapes, images, nullptr,
+                                       nullptr, baselines, p.margin),
+                 WireFormatError);
+  }
+  EXPECT_GT(kinds.unchanged, 1000);
+  EXPECT_GT(kinds.whole, 1500);
+  EXPECT_GT(kinds.filled, 100);
+  EXPECT_GT(kinds.emptied, 100);
+  EXPECT_GT(kinds.rides, 1000);
+  EXPECT_GT(kinds.declined, 200);
+  EXPECT_GT(kinds.large_moves, 500);
+}
+
+TEST(StatsDeltaImage, BitFlipsDecodeToWellFormedBundlesOrThrow) {
+  // Every one-bit corruption of a valid delta image either throws
+  // WireFormatError or decodes to a well-formed bundle: non-negative
+  // readings, all-zero empty ranges, nested margins (ranged) or margins
+  // collapsed onto the core (whole-domain).
+  Xoshiro256 rng(77);
+  for (int t = 0; t < 400; ++t) {
+    const Pair p = random_pair(rng);
+    BitWriter w;
+    encode_stats_delta(w, p.base, p.next, p.whole_domain, p.margin);
+    const std::size_t bits = w.bit_count();
+    const std::vector<std::uint8_t> image(w.bytes().begin(), w.bytes().end());
+    for (std::size_t flip = 0; flip < bits; ++flip) {
+      std::vector<std::uint8_t> corrupted = image;
+      corrupted[flip / 8] ^= static_cast<std::uint8_t>(0x80u >> (flip % 8));
+      BitReader r(corrupted.data(), bits);
+      StatsBundle b;
+      try {
+        b = decode_stats_delta(r, p.base, p.whole_domain, p.margin);
+      } catch (const WireFormatError&) {
+        continue;
+      }
+      for (const RangeStats* rs : {&b.core, &b.inner, &b.outer}) {
+        if (rs->count == 0) {
+          EXPECT_EQ(*rs, RangeStats{});
+        } else {
+          EXPECT_GE(rs->min, 0);
+          EXPECT_GE(rs->max, rs->min);
+        }
+      }
+      if (p.whole_domain) {
+        EXPECT_EQ(b.inner, b.core);
+        EXPECT_EQ(b.outer, b.core);
+        continue;
+      }
+      EXPECT_LE(b.inner.count, b.core.count);
+      EXPECT_LE(b.core.count, b.outer.count);
+      EXPECT_LE(b.inner.sum, b.core.sum);
+      EXPECT_LE(b.core.sum, b.outer.sum);
+      if (b.inner.count > 0) {
+        EXPECT_LE(b.core.min, b.inner.min);
+        EXPECT_LE(b.inner.max, b.core.max);
+      }
+      if (b.core.count > 0) {
+        EXPECT_LE(b.outer.min, b.core.min);
+        EXPECT_LE(b.core.max, b.outer.max);
+      }
+    }
+  }
 }
 
 }  // namespace
