@@ -63,7 +63,8 @@ struct WarmCube {
           "SELECT SUM(v) FROM s WHERE v BETWEEN 100 AND 580"}) {
       cube.claim(plan(text), /*standing=*/true);
     }
-    cube.serve_claimed(epoch);
+    std::vector<sn::cube::ServeResult> served;
+    cube.serve_claimed(epoch, served);
   }
 
   sn::query::CostedPlan plan(const char* text) const {

@@ -39,14 +39,16 @@ bool contains(const std::vector<Span>& regions, Value lo, Value hi) {
 Cube::Cube(sim::Network& net, const net::SpanningTree& tree,
            Value max_value_bound, const DirtyTracker& dirty, CubeConfig config)
     : net_(net),
-      tree_(tree),
+      tree_(dirty.tree()),
       max_value_bound_(max_value_bound),
       dirty_(dirty),
       config_(config),
-      store_(net, tree, dirty,
+      store_(net, tree_, dirty,
              static_cast<Value>(config.horizon_epochs) * config.max_delta,
              config.distinct_registers),
       next_residue_session_(kResidueSessionBase) {
+  SENSORNET_EXPECTS(tree.root == tree_.root &&
+                    tree.node_count() == tree_.node_count());
   SENSORNET_EXPECTS(max_value_bound >= 0);
   SENSORNET_EXPECTS(config_.levels >= 1 && config_.levels <= 16);
   // The finest level must not out-resolve the domain, or cells go empty.
@@ -225,12 +227,12 @@ std::size_t Cube::claim(const query::CostedPlan& plan, bool standing) {
   return claimed_.size() - 1;
 }
 
-std::vector<ServeResult> Cube::serve_claimed(std::uint32_t epoch) {
+void Cube::serve_claimed(std::uint32_t epoch, std::vector<ServeResult>& out) {
   // Take the batch first: a lost message must not leave claims behind.
   const std::vector<Claim> claims = std::exchange(claimed_, {});
   for (SlotState& state : slot_state_) state.claimed = false;
-  std::vector<ServeResult> out(claims.size());
-  if (claims.empty()) return out;
+  out.assign(claims.size(), ServeResult{});
+  if (claims.empty()) return;
   if (!geometry_installed_) {
     const WaveShare install = install_geometry();
     out[0].bits += install.bits;
@@ -362,13 +364,14 @@ std::vector<ServeResult> Cube::serve_claimed(std::uint32_t epoch) {
   }
   retire_standing(epoch);
   stats_.fresh_serves += claims.size();
-  return out;
 }
 
 ServeResult Cube::serve(const query::CostedPlan& plan, std::uint32_t epoch) {
   SENSORNET_EXPECTS(claimed_.empty());
   claim(plan);
-  return std::move(serve_claimed(epoch).front());
+  std::vector<ServeResult> out;
+  serve_claimed(epoch, out);
+  return std::move(out.front());
 }
 
 std::optional<BracketedAnswer> Cube::stale_bracket(

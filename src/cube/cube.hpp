@@ -156,7 +156,10 @@ class Cube final : public query::CubeCatalog {
  public:
   /// `dirty` is the shared freshness oracle (typically owned by the
   /// scheduler); it must outlive the cube, and its note_updates() must run
-  /// each epoch before serves of that epoch.
+  /// each epoch before serves of that epoch. The cube's waves run on
+  /// `dirty.tree()`, the tree its marks run up: `tree` itself, or the
+  /// scheduler's aggregation tree over it (SharedPlanScheduler::tree()),
+  /// which spans the same nodes from the same root.
   Cube(sim::Network& net, const net::SpanningTree& tree, Value max_value_bound,
        const DirtyTracker& dirty, CubeConfig config);
   ~Cube() override;
@@ -210,8 +213,9 @@ class Cube final : public query::CubeCatalog {
   /// order. The cube's first serve pays a one-time geometry install
   /// broadcast. Standing slots unclaimed for horizon_epochs are then freed.
   /// Throws ProtocolError when a message is lost; the claims are cleared
-  /// anyway.
-  std::vector<ServeResult> serve_claimed(std::uint32_t epoch);
+  /// anyway, and `out` already holds each plan's bits and messages of
+  /// every wave sent, the failed one included.
+  void serve_claimed(std::uint32_t epoch, std::vector<ServeResult>& out);
 
   /// The one-shot batch of one: claim(plan), then serve_claimed(epoch).
   /// Requires no pending claims.

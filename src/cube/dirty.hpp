@@ -57,6 +57,9 @@ class DirtyTracker {
 
   std::uint64_t mark_messages() const { return mark_messages_; }
 
+  /// The tree the marks run up.
+  const net::SpanningTree& tree() const { return tree_; }
+
   /// Bumped by every note_updates() that changed a node: readers that cache
   /// what edge_fresh() says (the cube's pricing table) key it on this.
   std::uint64_t generation() const { return generation_; }

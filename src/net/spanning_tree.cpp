@@ -97,6 +97,23 @@ SpanningTree capped_bfs_tree(const Graph& graph, NodeId root,
   return t;
 }
 
+std::optional<SpanningTree> aggregation_tree(const Graph& graph,
+                                             const SpanningTree& given) {
+  std::size_t widest = 0;
+  for (const auto& c : given.children) widest = std::max(widest, c.size());
+  if (widest <= kAggregationFanIn) return std::nullopt;
+  // A cap of `widest` itself would narrow nothing.
+  for (unsigned cap = kAggregationFanIn; cap < widest; ++cap) {
+    try {
+      SpanningTree t = capped_bfs_tree(graph, given.root, cap);
+      if (t.height() <= given.height()) return t;
+    } catch (const ProtocolError&) {
+      // This cap strands a node; try a looser one.
+    }
+  }
+  return std::nullopt;
+}
+
 bool validate_tree(const Graph& graph, const SpanningTree& tree) {
   const std::size_t n = graph.node_count();
   if (tree.parent.size() != n || tree.children.size() != n ||

@@ -3,10 +3,14 @@
 // Fact 2.1's O(log N) *individual* bound needs a bounded-degree spanning
 // tree ("bounded degree is required to maintain low individual communication
 // complexity" — Section 2.2), so alongside the plain BFS tree we provide a
-// child-capped construction; the EXP-ABL bench contrasts the two.
+// child-capped construction; the EXP-ABL bench contrasts the two. The query
+// service applies the cap: its SharedPlanScheduler aggregates over
+// aggregation_tree(), the tree it is handed with no node adopting more than
+// kAggregationFanIn children.
 #pragma once
 
 #include <cstddef>
+#include <optional>
 #include <vector>
 
 #include "src/common/types.hpp"
@@ -40,6 +44,28 @@ SpanningTree bfs_tree(const Graph& graph, NodeId root);
 /// cap that the topology supports (e.g. any cap >= 2 on a complete graph).
 SpanningTree capped_bfs_tree(const Graph& graph, NodeId root,
                              unsigned max_children);
+
+/// Δ, the fan-in cap of the shared aggregation tree. A node's bits per
+/// wave grow with its children, so the widest node sets the individual
+/// cost. Measured on servicebench's 2,048-node geometric standing_cube
+/// deployment (BFS root: 21 children, height 20; every cap below keeps
+/// height 20; 3 s runs, seeds 1-7), the busiest node's bits per epoch / bits
+/// per answer against BFS:
+///   cap 8: -31..-33% / -0.1..+0.04%     cap 6: -34..-35% / -0.1..+0.4%
+///   cap 5: -44..-47% / -0.3..-5.4%      cap 4: -46..-49% / +0.75..+1.5%
+///   cap 3: -48..-53% / +2.5..+12.9%
+/// Below 5 the deeper subtrees cost more bits per answer than the busiest
+/// node saves; above 5 the busiest node keeps most of its load.
+inline constexpr unsigned kAggregationFanIn = 5;
+
+/// The tree to aggregate over in place of `given`: none (keep `given`)
+/// when no node has more than kAggregationFanIn children, an O(n) check
+/// with no copy. Otherwise the first of capped_bfs_tree(graph, given.root,
+/// cap) for cap = kAggregationFanIn, ..., up to below `given`'s widest
+/// fan-in, that spans the graph and is no taller than `given`; none again
+/// when no cap does.
+std::optional<SpanningTree> aggregation_tree(const Graph& graph,
+                                             const SpanningTree& given);
 
 /// Checks structural soundness: every non-root has a parent that is a graph
 /// neighbor, children lists mirror parents, depths increment, all nodes

@@ -57,15 +57,16 @@ cube::CubeConfig cube_config_from(const ServiceConfig& c) {
 }  // namespace
 
 QueryService::QueryService(query::Deployment deployment, ServiceConfig config)
-    : deployment_(deployment),
-      config_(config),
-      executor_(deployment),
-      scheduler_(std::make_unique<SharedPlanScheduler>(
+    : scheduler_(std::make_unique<SharedPlanScheduler>(
           deployment.net, deployment.tree, deployment.max_value_bound,
           config.max_delta, config.cache_horizon_epochs)),
+      deployment_{deployment.net, scheduler_->tree(),
+                  deployment.max_value_bound},
+      config_(config),
+      executor_(deployment_),
       cube_(config.use_cube
                 ? std::make_unique<cube::Cube>(
-                      deployment.net, deployment.tree,
+                      deployment.net, deployment_.tree,
                       deployment.max_value_bound, scheduler_->dirty(),
                       cube_config_from(config))
                 : nullptr),
@@ -312,37 +313,51 @@ std::vector<Answer> QueryService::serve_bundles(
 
   // The fresh keys' waves: the cube's one batched serve, or one
   // multiplexed convergecast over their stats groups (ascending ids).
-  if (cube_) {
-    std::vector<cube::ServeResult> served = cube_->serve_claimed(epoch_);
-    for (auto& [k, key] : keys) {
-      if (key.fresh) key.served = std::move(served[key.batch]);
-    }
-  } else {
-    std::vector<std::pair<GroupId, Key*>> fresh;
-    for (auto& [k, key] : keys) {
-      if (key.fresh) fresh.emplace_back(key.group, &key);
-    }
-    std::sort(fresh.begin(), fresh.end());
-    std::vector<GroupId> groups;
-    for (const auto& [group, key] : fresh) groups.push_back(group);
-    const std::vector<WaveShare> shares =
-        scheduler_->collect_stats_batch(groups, epoch_);
-    for (std::size_t j = 0; j < fresh.size(); ++j) {
-      Key& key = *fresh[j].second;
-      key.served.bundle = scheduler_->collect_stats(key.group, epoch_);
-      key.served.bits = shares[j].bits;
-      key.served.messages = shares[j].messages;
-      GroupCost& gc = group_costs_[key.group];
-      gc.bits_on_air += shares[j].bits;
-      gc.messages += shares[j].messages;
-      gc.collections += shares[j].collected ? 1 : 0;
-    }
+  std::vector<Key*> fresh;
+  for (auto& [k, key] : keys) {
+    if (key.fresh) fresh.push_back(&key);
   }
-  for (const auto& [k, key] : keys) {
-    if (!key.fresh) continue;
-    QueryCost& qc = query_costs_[key.payer];
-    qc.bits_on_air += key.served.bits;
-    qc.messages += key.served.messages;
+  std::sort(fresh.begin(), fresh.end(),
+            [](const Key* a, const Key* b) { return a->group < b->group; });
+  std::vector<cube::ServeResult> served;  // by batch position
+  std::vector<WaveShare> shares;          // aligned with `fresh`
+  // A wave that loses a message has still spent its bits: the shares are
+  // charged before the error leaves.
+  const auto charge = [&] {
+    for (std::size_t j = 0; j < fresh.size(); ++j) {
+      Key& key = *fresh[j];
+      if (cube_) {
+        key.served = std::move(served[key.batch]);
+      } else {
+        key.served.bits = shares[j].bits;
+        key.served.messages = shares[j].messages;
+        GroupCost& gc = group_costs_[key.group];
+        gc.bits_on_air += shares[j].bits;
+        gc.messages += shares[j].messages;
+        gc.collections += shares[j].collected ? 1 : 0;
+      }
+      QueryCost& qc = query_costs_[key.payer];
+      qc.bits_on_air += key.served.bits;
+      qc.messages += key.served.messages;
+    }
+  };
+  try {
+    if (cube_) {
+      cube_->serve_claimed(epoch_, served);
+    } else {
+      std::vector<GroupId> groups;
+      for (const Key* key : fresh) groups.push_back(key->group);
+      scheduler_->collect_stats_batch(groups, epoch_, shares);
+    }
+  } catch (const ProtocolError&) {
+    charge();
+    throw;
+  }
+  charge();
+  if (!cube_) {
+    for (Key* key : fresh) {
+      key->served.bundle = scheduler_->collect_stats(key->group, epoch_);
+    }
   }
 
   // Answer pass: a fresh key answers all its due queries exactly; every
@@ -415,41 +430,49 @@ std::vector<Answer> QueryService::serve_bundles(
 Answer QueryService::answer_fresh(const LiveQuery& lq) {
   const auto before = deployment_.net.summary(true);
   const SharedPlanStats waves_before = scheduler_->stats();
+  QueryCost& qc = query_costs_[lq.id];
+  // Marginal-cost attribution: a distinct collection is idempotent per
+  // (group, epoch), so the first due subscriber pays it here and later
+  // groupmates see a zero delta. A wave that loses a message has still
+  // spent its bits: they are charged before the error leaves.
+  const auto charge = [&] {
+    const CostDelta d = cost_since(deployment_.net, before);
+    qc.bits_on_air += d.bits;
+    qc.messages += d.messages;
+    if (lq.path == Path::kDistinct) {
+      GroupCost& gc = group_costs_[lq.group];
+      gc.bits_on_air += d.bits;
+      gc.messages += d.messages;
+      gc.collections +=
+          scheduler_->stats().distinct_waves - waves_before.distinct_waves;
+    }
+  };
   Answer a;
-  if (lq.path == Path::kDistinct) {
-    a.value = scheduler_->collect_distinct(lq.group, epoch_);
-    a.exact = lq.plan.strategy == query::Strategy::kExactDistinct;
-    ++telemetry_.distinct_answers;
-  } else {
-    SENSORNET_EXPECTS(lq.path == Path::kExecutor);
-    const query::QueryResult r = executor_.run(lq.q, lq.plan);
-    a.value = r.value;
-    a.exact = r.is_exact;
-    a.empty_selection = r.empty_selection;
-    ++telemetry_.executor_runs;
-    telemetry_.countp_edges_pruned += r.countp_edges_pruned;
-    telemetry_.selection_resummaries += r.selection_resummaries;
+  try {
+    if (lq.path == Path::kDistinct) {
+      a.value = scheduler_->collect_distinct(lq.group, epoch_);
+      a.exact = lq.plan.strategy == query::Strategy::kExactDistinct;
+      ++telemetry_.distinct_answers;
+    } else {
+      SENSORNET_EXPECTS(lq.path == Path::kExecutor);
+      const query::QueryResult r = executor_.run(lq.q, lq.plan);
+      a.value = r.value;
+      a.exact = r.is_exact;
+      a.empty_selection = r.empty_selection;
+      ++telemetry_.executor_runs;
+      telemetry_.countp_edges_pruned += r.countp_edges_pruned;
+      telemetry_.selection_resummaries += r.selection_resummaries;
+    }
+  } catch (const ProtocolError&) {
+    charge();
+    throw;
   }
+  charge();
   a.id = lq.id;
   a.epoch = epoch_;
   ++telemetry_.answers;
-
-  // Marginal-cost attribution: a distinct collection is idempotent per
-  // (group, epoch), so the first due subscriber pays it here and later
-  // groupmates see a zero delta.
-  const CostDelta d = cost_since(deployment_.net, before);
-  QueryCost& qc = query_costs_[lq.id];
   ++qc.answers;
   ++qc.fresh;
-  qc.bits_on_air += d.bits;
-  qc.messages += d.messages;
-  if (lq.path == Path::kDistinct) {
-    GroupCost& gc = group_costs_[lq.group];
-    gc.bits_on_air += d.bits;
-    gc.messages += d.messages;
-    gc.collections +=
-        scheduler_->stats().distinct_waves - waves_before.distinct_waves;
-  }
 
   obs::TraceRing& ring = obs::TraceRing::global();
   if (ring.enabled()) {

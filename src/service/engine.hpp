@@ -38,6 +38,13 @@
 // answer its own probe found. Fresh bundles enter the cache only after the
 // last answer, so no store can evict an entry a probe approved.
 //
+// Every wave runs on one bounded-degree tree, the scheduler's aggregation
+// tree (SharedPlanScheduler::tree()): the tree the service is handed,
+// rebuilt so that no node adopts more than net::kAggregationFanIn children
+// when it is wider. Fact 2.1's O(log N) individual bound needs a
+// bounded-degree tree; on a geometric deployment a BFS root adopts all its
+// radio neighbours and alone sets the busiest node's bits.
+//
 // Concurrency model: submit_batch() parses, plans and canonicalizes regions
 // on a deterministic work-stealing farm (pure, per-cell work); everything
 // that touches the simulated network stays serial, in query-id order. The
@@ -61,6 +68,7 @@
 #include "src/common/trial_farm.hpp"
 #include "src/common/types.hpp"
 #include "src/cube/cube.hpp"
+#include "src/net/spanning_tree.hpp"
 #include "src/query/executor.hpp"
 #include "src/query/planner.hpp"
 #include "src/service/result_cache.hpp"
@@ -243,6 +251,8 @@ class QueryService {
   /// Null when use_cube is off.
   const cube::Cube* cube() const { return cube_.get(); }
   const query::Planner& planner() const { return planner_; }
+  /// The tree every wave runs on (see the file comment).
+  const net::SpanningTree& tree() const { return deployment_.tree; }
 
   /// Assembles the full cost-attribution view: totals, cache outcome
   /// counters, scheduler stats, cube stats, the service-level mark-wave and
@@ -298,10 +308,12 @@ class QueryService {
   /// exactly once per serve, so its hit counter matches answers served.
   Answer answer_cached(const LiveQuery& lq, const CachedAnswer& hit);
 
+  /// Owns the aggregation tree that deployment_ names, so it is declared
+  /// first.
+  std::unique_ptr<SharedPlanScheduler> scheduler_;
   query::Deployment deployment_;
   ServiceConfig config_;
   query::Executor executor_;
-  std::unique_ptr<SharedPlanScheduler> scheduler_;
   /// Built over the scheduler's DirtyTracker (one mark wave feeds both);
   /// null when use_cube is off.
   std::unique_ptr<cube::Cube> cube_;

@@ -46,12 +46,13 @@ SharedPlanScheduler::SharedPlanScheduler(sim::Network& net,
                                          Value max_delta,
                                          std::uint32_t horizon_epochs)
     : net_(net),
-      tree_(tree),
+      capped_tree_(net::aggregation_tree(net.graph(), tree)),
+      tree_(capped_tree_ ? *capped_tree_ : tree),
       max_value_bound_(max_value_bound),
       max_delta_(max_delta),
       horizon_epochs_(horizon_epochs),
-      dirty_(net, tree),
-      store_(net, tree, dirty_,
+      dirty_(net, tree_),
+      store_(net, tree_, dirty_,
              static_cast<Value>(horizon_epochs) * max_delta) {
   SENSORNET_EXPECTS(max_value_bound >= 0 && max_delta >= 0);
 }
@@ -111,8 +112,9 @@ GroupId SharedPlanScheduler::add_group(query::AggregateFamily family,
   return id;
 }
 
-std::vector<WaveShare> SharedPlanScheduler::collect_stats_batch(
-    std::span<const GroupId> groups, std::uint32_t epoch) {
+void SharedPlanScheduler::collect_stats_batch(std::span<const GroupId> groups,
+                                              std::uint32_t epoch,
+                                              std::vector<WaveShare>& shares) {
   // Slots are added in group order, so ascending groups are ascending slots.
   std::vector<cube::SlotId> slots;
   slots.reserve(groups.size());
@@ -123,7 +125,6 @@ std::vector<WaveShare> SharedPlanScheduler::collect_stats_batch(
     slots.push_back(g.slot);
   }
   const SimTime t0 = net_.now();
-  std::vector<WaveShare> shares;
   store_.collect(slots, epoch, shares);
   std::uint64_t collected = 0;
   std::uint64_t messages = 0;  // the shares split the wave's messages
@@ -131,7 +132,7 @@ std::vector<WaveShare> SharedPlanScheduler::collect_stats_batch(
     collected += s.collected ? 1 : 0;
     messages += s.messages;
   }
-  if (collected == 0) return shares;
+  if (collected == 0) return;
   obs::TraceRing& ring = obs::TraceRing::global();
   for (std::size_t j = 0; j < groups.size(); ++j) {
     if (shares[j].collected && ring.enabled()) {
@@ -141,7 +142,6 @@ std::vector<WaveShare> SharedPlanScheduler::collect_stats_batch(
   }
   stats_.stats_waves += collected;
   stats_.stats_convergecasts += messages > 0 ? 1 : 0;
-  return shares;
 }
 
 SharedPlanStats SharedPlanScheduler::stats() const {
@@ -157,7 +157,8 @@ SharedPlanStats SharedPlanScheduler::stats() const {
 
 const StatsBundle& SharedPlanScheduler::collect_stats(GroupId group,
                                                       std::uint32_t epoch) {
-  collect_stats_batch(std::span(&group, 1), epoch);
+  std::vector<WaveShare> shares;
+  collect_stats_batch(std::span(&group, 1), epoch, shares);
   return store_.root(groups_[group]->slot);
 }
 

@@ -26,6 +26,14 @@
 // images and the per-group cost split are documented once, in
 // cube/partials.hpp.
 //
+// The scheduler aggregates over net::aggregation_tree() of the tree it is
+// handed: that tree itself when no node has more than net::kAggregationFanIn
+// children, else a rebuilt one capped at that fan-in (Fact 2.1's O(log N)
+// individual bound needs a bounded-degree tree; on a geometric deployment a
+// BFS root adopts all its radio neighbours and alone sets the busiest node's
+// bits). Its mark wave, its stats waves and every consumer of dirty() run on
+// that one tree, tree().
+//
 // The scheduler assumes the service's deployment discipline: lossless links
 // (a lost message makes the collection throw ProtocolError) and one wave on
 // the shared simulated medium at a time.
@@ -110,9 +118,11 @@ class SharedPlanScheduler {
   /// Collects every listed stats group (strictly ascending ids) in one
   /// multiplexed convergecast — see the file comment. Groups already
   /// collected this epoch are skipped; if none is left, nothing is sent.
-  /// Returns each group's share of the wave, aligned with `groups`.
-  std::vector<WaveShare> collect_stats_batch(std::span<const GroupId> groups,
-                                             std::uint32_t epoch);
+  /// Fills `shares` with each group's share of the wave, aligned with
+  /// `groups`, also when the wave throws: a wave that loses a message has
+  /// still spent its bits.
+  void collect_stats_batch(std::span<const GroupId> groups,
+                           std::uint32_t epoch, std::vector<WaveShare>& shares);
 
   /// One shared stats collection — the k = 1 batch; idempotent within an
   /// epoch (the second call returns the cached root bundle without touching
@@ -131,6 +141,10 @@ class SharedPlanScheduler {
   /// scheduler's stats waves, the cube's cell refreshes).
   const cube::DirtyTracker& dirty() const { return dirty_; }
 
+  /// The tree every wave runs on (see the file comment); the given tree
+  /// itself when it is narrow enough.
+  const net::SpanningTree& tree() const { return tree_; }
+
   /// The wave counts, plus the store's edge and delta-image counters and
   /// the tracker's mark messages read when called (a failed wave's
   /// messages included).
@@ -145,6 +159,9 @@ class SharedPlanScheduler {
                     const query::RegionSignature& region, unsigned registers);
 
   sim::Network& net_;
+  /// net::aggregation_tree's capped tree, when the given tree is wider than
+  /// the cap; tree_ names it then, so it is declared first.
+  std::optional<net::SpanningTree> capped_tree_;
   const net::SpanningTree& tree_;
   Value max_value_bound_;
   Value max_delta_;

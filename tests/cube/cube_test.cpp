@@ -448,7 +448,8 @@ TEST(Cube, ServesKeepTheWireCost) {
     ASSERT_EQ(plan->steps[0].kind, query::StepKind::kCubeCell);
     f.cube.claim(*plan);
   }
-  f.cube.serve_claimed(0);
+  std::vector<ServeResult> served;
+  f.cube.serve_claimed(0, served);
   const query::CostedPlan residues =
       f.plan_for("SELECT MAX(v) FROM s WHERE v BETWEEN 0 AND 560");
   const query::CostedPlan distinct = f.plan_for(
@@ -468,7 +469,7 @@ TEST(Cube, ServesKeepTheWireCost) {
     // One collect refreshes both cells; the residues then meet the upper
     // cell's partials fresh, so both are pruned at the root's edges.
     for (const query::CostedPlan* plan : plans) f.cube.claim(*plan);
-    const std::vector<ServeResult> served = f.cube.serve_claimed(epoch);
+    f.cube.serve_claimed(epoch, served);
     for (std::size_t i = 0; i < plans.size(); ++i) {
       expect_exact(served[i], *plans[i], f.net);
     }
@@ -508,7 +509,9 @@ TEST(Cube, StandingResidueIsInstalledOnceAndRefreshedIncrementally) {
   Fixture f;
   const query::CostedPlan plan = cover_plan(f, kStandingText);
   f.cube.claim(plan, /*standing=*/true);
-  const ServeResult first = f.cube.serve_claimed(0).front();
+  std::vector<ServeResult> served;
+  f.cube.serve_claimed(0, served);
+  const ServeResult first = served.front();
   EXPECT_EQ(first.bundle.core, direct_core(f.net, plan.region));
   EXPECT_EQ(f.cube.stats().standing_installs, 1u);
   EXPECT_EQ(f.cube.stats().standing_refreshed, 1u);
@@ -525,7 +528,8 @@ TEST(Cube, StandingResidueIsInstalledOnceAndRefreshedIncrementally) {
   EXPECT_EQ(f.cube.residue_collect_bits(kResidue), 0u);
   const auto bits = f.net.summary(true).total_bits;
   f.cube.claim(plan, true);
-  const ServeResult quiet = f.cube.serve_claimed(1).front();
+  f.cube.serve_claimed(1, served);
+  const ServeResult quiet = served.front();
   EXPECT_EQ(f.net.summary(true).total_bits, bits);
   EXPECT_EQ(quiet.bits, 0u);
   EXPECT_EQ(quiet.bundle.core, direct_core(f.net, plan.region));
@@ -539,7 +543,8 @@ TEST(Cube, StandingResidueIsInstalledOnceAndRefreshedIncrementally) {
   EXPECT_GT(f.cube.residue_collect_bits(kResidue), 0u);
   const auto descended = f.cube.stats().cell_edges_descended;
   f.cube.claim(plan, true);
-  const ServeResult moved = f.cube.serve_claimed(2).front();
+  f.cube.serve_claimed(2, served);
+  const ServeResult moved = served.front();
   EXPECT_EQ(moved.bundle.core, direct_core(f.net, plan.region));
   EXPECT_EQ(f.cube.stats().cell_edges_descended - descended,
             2u * f.tree.depth[changed]);
@@ -550,7 +555,8 @@ TEST(Cube, OneShotResidueRidesAnInstalledStandingSlot) {
   Fixture f;
   const query::CostedPlan once = cover_plan(f, kStandingText);
   f.cube.claim(once, /*standing=*/true);
-  f.cube.serve_claimed(0);
+  std::vector<ServeResult> served;
+  f.cube.serve_claimed(0, served);
   // The same key served one-shot reads the installed slot: no range
   // travels, and nothing changed, so the serve is free and exact.
   const auto bits = f.net.summary(true).total_bits;
@@ -564,7 +570,8 @@ TEST(Cube, StandingSlotRetiresAfterTheHorizonAndReinstalls) {
   Fixture f;
   const query::CostedPlan plan = cover_plan(f, kStandingText);
   f.cube.claim(plan, /*standing=*/true);
-  f.cube.serve_claimed(0);
+  std::vector<ServeResult> served;
+  f.cube.serve_claimed(0, served);
   const SlotId slot = static_cast<SlotId>(f.cube.cell_count());
   ASSERT_TRUE(f.cube.cells().has_edges(slot));
   const query::CostedPlan other = f.plan_for("SELECT COUNT(v) FROM s");
@@ -579,7 +586,8 @@ TEST(Cube, StandingSlotRetiresAfterTheHorizonAndReinstalls) {
   // A one-shot plan no longer reads it; a standing claim installs it again.
   EXPECT_GT(f.cube.residue_collect_bits(kResidue), 0u);
   f.cube.claim(plan, true);
-  const ServeResult again = f.cube.serve_claimed(kHorizon + 2).front();
+  f.cube.serve_claimed(kHorizon + 2, served);
+  const ServeResult again = served.front();
   EXPECT_EQ(again.bundle.core, direct_core(f.net, plan.region));
   EXPECT_EQ(f.cube.stats().standing_installs, 2u);
   EXPECT_EQ(f.cube.cells().slot_count(), f.cube.cell_count() + 1);
@@ -594,8 +602,9 @@ TEST(Cube, StandingDistinctReadsOnlyHllSlots) {
       "SELECT COUNT_DISTINCT(v) FROM s WHERE v BETWEEN 0 AND 300 ERROR 0.15");
   ASSERT_EQ(plan.strategy, query::Strategy::kApproxDistinct);
   f.cube.claim(plan, /*standing=*/true);
-  const ServeResult r = f.cube.serve_claimed(0).front();
-  expect_exact(r, plan, f.net);
+  std::vector<ServeResult> served;
+  f.cube.serve_claimed(0, served);
+  expect_exact(served.front(), plan, f.net);
   // The cell's HLL twin and the residue's HLL slot; the stats cell itself
   // was never collected.
   const PartialStore& store = f.cube.cells();
@@ -612,7 +621,8 @@ TEST(Cube, StandingDistinctReadsOnlyHllSlots) {
   Xoshiro256 rng(9);
   drift(f, rng, 5, 1);
   f.cube.claim(plan, true);
-  expect_exact(f.cube.serve_claimed(1).front(), plan, f.net);
+  f.cube.serve_claimed(1, served);
+  expect_exact(served.front(), plan, f.net);
 }
 
 /// One seeded drift epoch's query mix for the batch differential: ranges
@@ -670,7 +680,8 @@ TEST(Cube, BatchedServeMatchesPerPlanServes) {
       }
       const auto a0 = batched.net.summary(true);
       const SimTime ta = batched.net.now();
-      const std::vector<ServeResult> got = batched.cube.serve_claimed(epoch);
+      std::vector<ServeResult> got;
+      batched.cube.serve_claimed(epoch, got);
       const SimTime batch_rounds = batched.net.now() - ta;
       const auto a1 = batched.net.summary(true);
 
@@ -855,7 +866,8 @@ struct PricingRig {
     for (const std::string& text : random_texts(rng)) {
       cube.claim(planner.plan(query::parse_query(text)).value());
     }
-    cube.serve_claimed(epoch);
+    std::vector<ServeResult> served;
+    cube.serve_claimed(epoch, served);
   }
 };
 

@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <numbers>
+#include <optional>
+
 #include "src/common/error.hpp"
 #include "src/net/topology.hpp"
+#include "src/proto/counting_service.hpp"
+#include "src/sim/network.hpp"
 
 namespace sensornet::net {
 namespace {
@@ -80,6 +86,104 @@ TEST(SpanningTree, ValidateCatchesCorruption) {
   SpanningTree missing_child = t;
   missing_child.children[t.parent[8]].clear();
   EXPECT_FALSE(validate_tree(g, missing_child));
+}
+
+/// servicebench's geometric deployment: n nodes at radius
+/// sqrt(4 ln n / (pi n)), connected w.h.p.
+Graph geometric(std::size_t n, std::uint64_t seed) {
+  const double nn = static_cast<double>(n);
+  const double radius = std::sqrt(4.0 * std::log(nn) / (std::numbers::pi * nn));
+  Xoshiro256 rng(seed);
+  return make_random_geometric(n, radius, rng).graph;
+}
+
+std::size_t widest_fan_in(const SpanningTree& t) {
+  std::size_t widest = 0;
+  for (const auto& c : t.children) widest = std::max(widest, c.size());
+  return widest;
+}
+
+TEST(AggregationTree, CapsServicebenchsGeometricDeploymentAtDelta) {
+  // servicebench's standing_cube layout: its BFS root adopts all 21 of its
+  // neighbours, and capped BFS at Δ keeps the height.
+  const Graph g = geometric(2048, 0x6e0de5);
+  const SpanningTree bfs = bfs_tree(g, 0);
+  ASSERT_EQ(widest_fan_in(bfs), 21u);
+  const std::optional<SpanningTree> t = aggregation_tree(g, bfs);
+  ASSERT_TRUE(t.has_value());
+  EXPECT_TRUE(validate_tree(g, *t));
+  EXPECT_EQ(widest_fan_in(*t), kAggregationFanIn);
+  EXPECT_EQ(t->height(), bfs.height());
+}
+
+TEST(AggregationTree, NeverWidensOrGrowsARandomGeometricTree) {
+  int at_delta = 0;
+  for (const std::size_t n : {64u, 256u, 1024u, 2048u}) {
+    for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u, 6u}) {
+      SCOPED_TRACE(testing::Message() << "n " << n << " seed " << seed);
+      const Graph g = geometric(n, seed);
+      const SpanningTree bfs = bfs_tree(g, 0);
+      const SpanningTree t = aggregation_tree(g, bfs).value_or(bfs);
+      EXPECT_TRUE(validate_tree(g, t));
+      EXPECT_EQ(t.root, bfs.root);
+      EXPECT_LE(t.height(), bfs.height());
+      EXPECT_LE(widest_fan_in(t), widest_fan_in(bfs));
+      // Whenever capped BFS at Δ keeps the height, the rule takes it.
+      bool delta_fits = false;
+      try {
+        delta_fits = capped_bfs_tree(g, 0, kAggregationFanIn).height() <=
+                     bfs.height();
+      } catch (const ProtocolError&) {
+      }
+      if (delta_fits) {
+        EXPECT_LE(widest_fan_in(t), kAggregationFanIn);
+        ++at_delta;
+      }
+    }
+  }
+  EXPECT_GT(at_delta, 0);
+}
+
+TEST(AggregationTree, KeepsANarrowTree) {
+  for (const Graph& g : {make_grid(48, 48), make_grid(5, 7), make_line(9)}) {
+    for (const NodeId root : {NodeId{0}, NodeId{4}}) {
+      const SpanningTree given = bfs_tree(g, root);
+      ASSERT_LE(widest_fan_in(given), kAggregationFanIn);
+      EXPECT_FALSE(aggregation_tree(g, given).has_value());
+    }
+  }
+}
+
+TEST(AggregationTree, KeepsTheGivenTreeWhenNoCapSpans) {
+  // Rooted at its hub, a star strands a leaf at every cap below n - 1.
+  constexpr std::size_t kLeaves = 12;
+  Graph star(kLeaves + 1);
+  for (NodeId u = 1; u <= kLeaves; ++u) star.add_edge(0, u);
+  const Graph g = star.compact();
+  std::optional<SpanningTree> t;
+  EXPECT_NO_THROW(t = aggregation_tree(g, bfs_tree(g, 0)));
+  EXPECT_FALSE(t.has_value());
+}
+
+TEST(AggregationTree, NoCountWaveCostsTheBusiestNodeMore) {
+  // One COUNT convergecast (Fact 2.1) on the returned tree against BFS, on
+  // graphs of several sizes, so kAggregationFanIn is not tuned to one.
+  for (const std::size_t n : {256u, 1024u, 2048u}) {
+    for (const std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+      SCOPED_TRACE(testing::Message() << "n " << n << " seed " << seed);
+      const Graph g = geometric(n, seed);
+      const SpanningTree bfs = bfs_tree(g, 0);
+      const SpanningTree capped = aggregation_tree(g, bfs).value_or(bfs);
+      const auto busiest = [&](const SpanningTree& tree) {
+        sim::Network net(g, seed);
+        net.set_one_item_per_node(ValueSet(n, 7));
+        proto::TreeCountingService svc(net, tree);
+        EXPECT_EQ(svc.count_all(), n);
+        return net.summary(/*include_headers=*/true).max_node_bits;
+      };
+      EXPECT_LE(busiest(capped), busiest(bfs));
+    }
+  }
 }
 
 class TreeOverTopologies : public ::testing::TestWithParam<TopologyKind> {};

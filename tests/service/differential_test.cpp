@@ -8,7 +8,10 @@
 // cache, and the cube (with and without cache) at other resolutions: one
 // level, where every ranged cube plan is a residue, so one-shot residue
 // waves run in every script, and seven. The cube configurations keep
-// 64-register HLL partials. Every
+// 64-register HLL partials. The scripts run on a grid, and on a random
+// geometric deployment of as many nodes whose BFS root has more than
+// net::kAggregationFanIn neighbours, so the service aggregates over a tree
+// it rebuilt. Every
 // configuration also gets COUNT_DISTINCT submits, exact and ERROR 0.15,
 // and exact MEDIAN and QUANTILE submits, one-shot and standing, with and
 // without WHERE; one selection is over a region that selects nothing.
@@ -27,6 +30,7 @@
 #include <cmath>
 #include <cstdint>
 #include <map>
+#include <numbers>
 #include <sstream>
 #include <string>
 #include <tuple>
@@ -221,11 +225,12 @@ struct Config {
   unsigned cube_levels = ServiceConfig{}.cube_levels;
 };
 
-/// Replays `script` on one configuration and checks every answer; returns
-/// the service's totals.
-ServiceTelemetry replay(const Script& script, const Config& c) {
+/// Replays `script` on one configuration over `graph` and checks every
+/// answer; returns the service's totals.
+ServiceTelemetry replay(const Script& script, const Config& c,
+                        const net::Graph& graph) {
   SCOPED_TRACE(c.name);
-  sim::Network net(net::make_grid(kSide, kSide), /*master_seed=*/5);
+  sim::Network net(graph, /*master_seed=*/5);
   const net::SpanningTree tree = net::bfs_tree(net.graph(), 0);
   net.set_one_item_per_node(script.initial);
   ServiceConfig cfg;
@@ -236,6 +241,9 @@ ServiceTelemetry replay(const Script& script, const Config& c) {
   cfg.cube_levels = c.cube_levels;
   if (c.use_cube) cfg.cube_distinct_registers = kDistinctRegisters;
   QueryService svc(query::Deployment{net, tree, kBound}, cfg);
+  for (const auto& children : svc.tree().children) {
+    EXPECT_LE(children.size(), net::kAggregationFanIn);
+  }
   const bool naive = !c.share_aggregation && !c.use_cube;
 
   std::vector<Value> mirror = script.initial;
@@ -432,7 +440,8 @@ TEST(ServiceDifferential, EveryConfigurationAgreesWithTheMirror) {
     EXPECT_TRUE(std::any_of(script.steps.begin(), script.steps.end(),
                             [](const Step& s) { return !s.burst.empty(); }));
     for (const Config& c : configs) {
-      const ServiceTelemetry t = replay(script, c);
+      const ServiceTelemetry t =
+          replay(script, c, net::make_grid(kSide, kSide));
       cache_hits += t.cache_hits;
       brackets += t.cube_stale_answers;
     }
@@ -440,6 +449,31 @@ TEST(ServiceDifferential, EveryConfigurationAgreesWithTheMirror) {
   // The scripts reach the zero-bit tiers, not only fresh collections.
   EXPECT_GT(cache_hits, 0u);
   EXPECT_GT(brackets, 0u);
+}
+
+TEST(ServiceDifferential, GeometricDeploymentAgreesWithTheMirror) {
+  // kNodes nodes at servicebench's radius: the root has 14 neighbours, and
+  // the service caps its tree's fan-in at Δ without growing it.
+  const double n = static_cast<double>(kNodes);
+  Xoshiro256 layout(1);
+  const net::Graph graph =
+      net::make_random_geometric(
+          kNodes, std::sqrt(4.0 * std::log(n) / (std::numbers::pi * n)),
+          layout)
+          .graph;
+  ASSERT_GT(graph.neighbors(0).size(), net::kAggregationFanIn);
+  const Config configs[] = {
+      {"naive", false, false, false},
+      {"shared", true, false, false},
+      {"shared+cache", true, true, false},
+      {"cube", true, false, true},
+      {"cube+cache", true, true, true},
+  };
+  for (const std::uint64_t seed : {1u, 2u}) {
+    SCOPED_TRACE(testing::Message() << "seed " << seed);
+    const Script script = draw_script(seed);
+    for (const Config& c : configs) replay(script, c, graph);
+  }
 }
 
 }  // namespace

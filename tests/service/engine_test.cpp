@@ -4,9 +4,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
+#include <numbers>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "src/common/error.hpp"
+#include "src/common/rng.hpp"
 #include "src/net/topology.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/query/parser.hpp"
@@ -703,6 +708,95 @@ TEST(QueryService, CubeServesDistinctFromMaintainedSketches) {
   EXPECT_EQ(c.svc.telemetry().cube_fresh_answers, 1u);
 }
 
+TEST(QueryService, AggregatesOverABoundedDegreeTree) {
+  // A geometric deployment whose BFS root adopts all 14 of its neighbours:
+  // the service runs on its own tree, capped at Δ children per node, and
+  // leaves the given tree alone.
+  const double n = 49.0;
+  Xoshiro256 layout(1);
+  sim::Network net(
+      net::make_random_geometric(
+          49, std::sqrt(4.0 * std::log(n) / (std::numbers::pi * n)), layout)
+          .graph,
+      /*master_seed=*/3);
+  const net::SpanningTree given = net::bfs_tree(net.graph(), 0);
+  ASSERT_EQ(given.children[0].size(), 14u);
+  std::vector<Value> readings(49);
+  for (NodeId u = 0; u < 49; ++u) readings[u] = static_cast<Value>(u * 7);
+  net.set_one_item_per_node(readings);
+  QueryService svc(query::Deployment{net, given, kBound}, ServiceConfig{});
+
+  const net::SpanningTree& tree = svc.tree();
+  EXPECT_TRUE(net::validate_tree(net.graph(), tree));
+  EXPECT_EQ(tree.root, given.root);
+  EXPECT_LE(tree.height(), given.height());
+  for (const auto& children : tree.children) {
+    EXPECT_LE(children.size(), net::kAggregationFanIn);
+  }
+  EXPECT_EQ(given.children[0].size(), 14u);
+  const auto r = svc.submit("SELECT SUM(v) FROM s");
+  ASSERT_TRUE(r.ok());
+  EXPECT_DOUBLE_EQ(r.value().answer->value, 7.0 * 48 * 49 / 2);
+
+  // A grid's BFS tree is narrow already: the service runs on it, uncopied.
+  Fixture grid;
+  EXPECT_EQ(&grid.svc.tree(), &grid.tree);
+}
+
+/// Bits and messages in the service ledger: mark + install + Σ query.
+std::pair<std::uint64_t, std::uint64_t> ledger(const QueryService& svc) {
+  const TelemetrySnapshot snap = svc.telemetry_snapshot();
+  std::uint64_t bits = snap.mark_bits_on_air + snap.install_bits_on_air;
+  std::uint64_t messages = snap.mark_messages + snap.install_messages;
+  for (const auto& [id, qc] : snap.queries) {
+    bits += qc.bits_on_air;
+    messages += qc.messages;
+  }
+  return {bits, messages};
+}
+
+/// Subscribes `text`, runs one lossless epoch, then one that loses a
+/// message: the failed wave is charged to the subscriber, so the ledger
+/// still equals the network total, and a lossless retry epoch answers
+/// exact() and keeps it so.
+void expect_failed_wave_charged(Fixture& f, const std::string& text,
+                                const std::function<double()>& exact) {
+  SCOPED_TRACE(text);
+  const QueryId id = f.svc.submit(text).value().id;
+  f.svc.run_epoch({});  // installs ride lossless links
+  const std::uint64_t paid =
+      f.svc.telemetry_snapshot().queries.at(id).bits_on_air;
+  f.net.set_message_loss(0.3);
+  std::vector<SensorUpdate> batch;
+  for (NodeId u = 0; u < 18; ++u) batch.push_back(f.drift(u, 3));
+  EXPECT_THROW(f.svc.run_epoch(batch), ProtocolError);
+  const auto total = f.net.summary(true);
+  EXPECT_EQ(ledger(f.svc), std::pair(total.total_bits, total.total_messages));
+  EXPECT_GT(f.svc.telemetry_snapshot().queries.at(id).bits_on_air, paid);
+
+  f.net.set_message_loss(0.0);
+  const auto answers = f.svc.run_epoch({});
+  ASSERT_EQ(answers.size(), 1u);
+  EXPECT_DOUBLE_EQ(answers[0].value, exact());
+  const auto after = f.net.summary(true);
+  EXPECT_EQ(ledger(f.svc), std::pair(after.total_bits, after.total_messages));
+}
+
+TEST(QueryService, FailedExecutorWaveIsChargedToItsQuery) {
+  ServiceConfig naive;
+  naive.share_aggregation = false;
+  Fixture n{naive};
+  expect_failed_wave_charged(
+      n, "SELECT SUM(v) FROM s WHERE v BETWEEN 20 AND 200 EVERY 1 EPOCHS",
+      [&] { return n.exact("SUM", 20, 200); });
+  Fixture f;  // shared mode: a MEDIAN still runs the executor
+  expect_failed_wave_charged(f, "SELECT MEDIAN(v) FROM s EVERY 1 EPOCHS", [&] {
+    std::vector<Value> sorted = f.mirror;
+    std::sort(sorted.begin(), sorted.end());
+    return static_cast<double>(sorted[17]);
+  });
+}
+
 /// The bundle path's two backends, each with the result cache on.
 struct BundleBackend {
   const char* name;
@@ -759,6 +853,13 @@ TEST_P(BundlePath, ExactSubscriberForcesFreshCollectionForTheKey) {
   std::uint64_t attributed = snap.mark_bits_on_air + snap.install_bits_on_air;
   for (const auto& [id, qc] : snap.queries) attributed += qc.bits_on_air;
   EXPECT_EQ(attributed, f.net.summary(true).total_bits);
+}
+
+TEST_P(BundlePath, FailedWaveIsChargedToItsPayer) {
+  Fixture f{config()};
+  expect_failed_wave_charged(
+      f, "SELECT SUM(v) FROM s WHERE v BETWEEN 20 AND 200 EVERY 1 EPOCHS",
+      [&] { return f.exact("SUM", 20, 200); });
 }
 
 TEST_P(BundlePath, CacheEvictionBetweenProbeAndAnswerIsHarmless) {

@@ -3,11 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <numbers>
 #include <span>
 
 #include "src/common/error.hpp"
 #include "src/common/rng.hpp"
+#include "src/cube/cube.hpp"
 #include "src/net/topology.hpp"
+#include "src/query/parser.hpp"
+#include "src/query/planner.hpp"
 
 namespace sensornet::service {
 namespace {
@@ -165,14 +170,15 @@ TEST(SharedPlan, ConvergecastCounterCountsWavesThatSend) {
     groups.push_back(f.sched.ensure_stats_group(region));
   }
   // Three groups ride one convergecast; each is one stats wave.
-  f.sched.collect_stats_batch(groups, 0);
+  std::vector<WaveShare> shares;
+  f.sched.collect_stats_batch(groups, 0, shares);
   EXPECT_EQ(f.sched.stats().stats_convergecasts, 1u);
   EXPECT_EQ(f.sched.stats().stats_waves, 3u);
   // A repeat within the epoch collects nothing and sends nothing.
-  f.sched.collect_stats_batch(groups, 0);
+  f.sched.collect_stats_batch(groups, 0, shares);
   EXPECT_EQ(f.sched.stats().stats_convergecasts, 1u);
   // A quiescent epoch collects from the partials without a message.
-  f.sched.collect_stats_batch(groups, 1);
+  f.sched.collect_stats_batch(groups, 1, shares);
   EXPECT_EQ(f.sched.stats().stats_waves, 6u);
   EXPECT_EQ(f.sched.stats().stats_convergecasts, 1u);
   // After a change, one group at a time takes one convergecast each.
@@ -204,6 +210,74 @@ TEST(SharedPlan, IncrementalCollectionDescendsOnlyDirtySubtrees) {
   const auto incremental = f.sched.stats().edges_descended - full_descents;
   EXPECT_EQ(incremental, f.tree.depth[changed]);
   EXPECT_GT(f.sched.stats().edges_skipped, 0u);
+}
+
+TEST(SharedPlan, AggregatesOverACappedTreeThatTheCubeFollows) {
+  // A geometric deployment whose BFS root adopts all 14 of its neighbours.
+  const double n = 49.0;
+  Xoshiro256 layout(1);
+  const net::Graph graph =
+      net::make_random_geometric(
+          49, std::sqrt(4.0 * std::log(n) / (std::numbers::pi * n)), layout)
+          .graph;
+  const net::SpanningTree given = net::bfs_tree(graph, 0);
+  ASSERT_EQ(given.children[0].size(), 14u);
+  // Two identical deployments. One cube is handed the BFS tree, as a
+  // caller that builds every layer from the deployment's tree does; the
+  // other is handed the scheduler's. Both must run on the tree the
+  // scheduler's marks run up.
+  struct Rig {
+    sim::Network net;
+    SharedPlanScheduler sched;
+    cube::Cube cube;
+    Rig(const net::Graph& g, const net::SpanningTree& given, bool hand_given)
+        : net(g, 7),
+          sched(net, given, kBound, kDelta, kHorizon),
+          cube(net, hand_given ? given : sched.tree(), kBound, sched.dirty(),
+               cube::CubeConfig{.max_delta = kDelta,
+                                .horizon_epochs = kHorizon}) {
+      ValueSet vs(net.node_count());
+      for (NodeId u = 0; u < vs.size(); ++u) {
+        vs[u] = static_cast<Value>((u * 37) % 300);
+      }
+      net.set_one_item_per_node(vs);
+    }
+  };
+  Rig handed_bfs(graph, given, true);
+  Rig handed_capped(graph, given, false);
+
+  const net::SpanningTree& tree = handed_bfs.sched.tree();
+  EXPECT_NE(&tree, &given);
+  EXPECT_EQ(&handed_bfs.sched.dirty().tree(), &tree);
+  EXPECT_TRUE(net::validate_tree(graph, tree));
+  EXPECT_LE(tree.height(), given.height());
+  for (const auto& children : tree.children) {
+    EXPECT_LE(children.size(), net::kAggregationFanIn);
+  }
+
+  Xoshiro256 rng(3);
+  for (std::uint32_t epoch = 1; epoch <= 5; ++epoch) {
+    const auto drift = random_drift(rng, handed_bfs.net, 6);
+    for (Rig* r : {&handed_bfs, &handed_capped}) {
+      std::vector<NodeId> touched;
+      for (const auto& [u, v] : drift) {
+        r->net.update_item(u, 0, v);
+        touched.push_back(u);
+      }
+      r->sched.note_updates(touched, epoch);
+      const query::Planner planner(kBound, &r->cube);
+      for (const char* text :
+           {"SELECT SUM(v) FROM s",
+            "SELECT COUNT(v) FROM s WHERE v BETWEEN 40 AND 260"}) {
+        const query::CostedPlan plan =
+            planner.plan(query::parse_query(text)).value();
+        EXPECT_EQ(r->cube.serve(plan, epoch).bundle.core,
+                  direct_bundle(r->net, plan.region).core);
+      }
+    }
+    EXPECT_EQ(handed_bfs.net.summary(true).total_bits,
+              handed_capped.net.summary(true).total_bits);
+  }
 }
 
 TEST(SharedPlan, MarksCoalescePerNodePerEpoch) {
@@ -293,7 +367,8 @@ TEST(SharedPlan, BatchMatchesSequentialCollections) {
       const auto s0 = seq.net.summary(true);
       const SimTime bt0 = batch.net.now();
       const SimTime st0 = seq.net.now();
-      const auto shares = batch.sched.collect_stats_batch(chosen, epoch);
+      std::vector<WaveShare> shares;
+      batch.sched.collect_stats_batch(chosen, epoch, shares);
       for (const GroupId g : chosen) seq.sched.collect_stats(g, epoch);
       const auto b1 = batch.net.summary(true);
       const auto s1 = seq.net.summary(true);
@@ -364,7 +439,8 @@ TEST(SharedPlan, SingleGroupBatchKeepsTheWireCost) {
     const auto before = f.net.summary(true);
     for (std::uint32_t epoch = 1; epoch <= 6; ++epoch) {
       if (epoch > 1) apply_drift(f, random_drift(rng, f.net, 4), epoch);
-      f.sched.collect_stats_batch(std::span(&g, 1), epoch);
+      std::vector<WaveShare> shares;
+      f.sched.collect_stats_batch(std::span(&g, 1), epoch, shares);
     }
     const auto after = f.net.summary(true);
     const std::uint64_t bits = after.total_bits - before.total_bits;
@@ -386,7 +462,9 @@ TEST(SharedPlan, BatchSkipsGroupsAlreadyCollected) {
   const GroupId ranged =
       f.sched.ensure_stats_group(query::RegionSignature{30, 120, false});
   const auto msgs = f.net.summary().total_messages;
-  EXPECT_TRUE(f.sched.collect_stats_batch({}, 1).empty());
+  std::vector<WaveShare> shares;
+  f.sched.collect_stats_batch({}, 1, shares);
+  EXPECT_TRUE(shares.empty());
   EXPECT_EQ(f.net.summary().total_messages, msgs);
 
   // `whole` was collected this epoch: the batch rides only `ranged`, as a
@@ -394,7 +472,7 @@ TEST(SharedPlan, BatchSkipsGroupsAlreadyCollected) {
   f.sched.collect_stats(whole, 1);
   const auto before = f.net.summary(true);
   const std::vector<GroupId> both{whole, ranged};
-  const auto shares = f.sched.collect_stats_batch(both, 1);
+  f.sched.collect_stats_batch(both, 1, shares);
   const auto after = f.net.summary(true);
   ASSERT_EQ(shares.size(), 2u);
   EXPECT_FALSE(shares[0].collected);
@@ -405,7 +483,8 @@ TEST(SharedPlan, BatchSkipsGroupsAlreadyCollected) {
   EXPECT_EQ(f.sched.stats().stats_waves, 2u);
 
   // Everything is collected now: nothing is sent.
-  const auto shares_again = f.sched.collect_stats_batch(both, 1);
+  std::vector<WaveShare> shares_again;
+  f.sched.collect_stats_batch(both, 1, shares_again);
   EXPECT_EQ(f.net.summary(true).total_bits, after.total_bits);
   EXPECT_FALSE(shares_again[0].collected);
   EXPECT_FALSE(shares_again[1].collected);
