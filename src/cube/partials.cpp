@@ -595,12 +595,11 @@ class PartialStore::Collect {
       Slot& s = slot(i);
       if (s.sketch) {
         s.edge_hll[child] = std::move(sketches_[hlls++]);
+        if (!s.edge_unanswered.empty()) s.edge_unanswered[child] = 0;
+        s.edge_epoch[child] = epoch_;
       } else {
-        s.edge_bundle[child] = images_[stats++];
-        s.edge_outer_empty[child] = s.edge_bundle[child].outer.count == 0;
+        store_.keep(s, child, images_[stats++], epoch_);
       }
-      if (!s.edge_unanswered.empty()) s.edge_unanswered[child] = 0;
-      s.edge_epoch[child] = epoch_;
     }
     answered_[child] = 1;
   }
@@ -610,7 +609,7 @@ class PartialStore::Collect {
     for (std::size_t i = 0; i < k_; ++i) {
       if (!mask_[i]) continue;
       const std::size_t before = w.bit_count();
-      encode_image(i, node, w);
+      store_.write_image(slot(i), node, baseline(i, node), w);
       ledger_.add(i, w.bit_count() - before);
     }
     ledger_.charge(mask_, sim::kHeaderBits);
@@ -662,45 +661,10 @@ class PartialStore::Collect {
 
   Slot& slot(std::size_t i) { return *slots_[i]; }
 
-  /// The baseline of entry i's image on edge `child`: the edge's partial,
-  /// unless the edge has none or its request carried resync (then the image
-  /// is full). A wave-scoped slot has no baseline.
+  /// The baseline of entry i's image on edge `child`, whose request
+  /// carried resync or not. A wave-scoped slot has no baseline.
   Baseline baseline(std::size_t i, NodeId child) {
-    const Slot& s = slot(i);
-    if (resync_[child] || s.edge_epoch[child] == DirtyTracker::kInvalidEpoch) {
-      return {};
-    }
-    if (s.sketch) return {.hll = &*s.edge_hll[child]};
-    return {.bundle = &s.edge_bundle[child]};
-  }
-
-  /// Writes entry i's image at `node`: a delta image against the edge's
-  /// baseline, or the full image, counting the delta images and their full
-  /// length.
-  void encode_image(std::size_t i, NodeId node, BitWriter& w) {
-    const Slot& s = slot(i);
-    const Baseline base = baseline(i, node);
-    const std::size_t before = w.bit_count();
-    if (s.sketch) {
-      const sketch::Hll h = store_.subtree_hll(s, node);
-      if (base.hll == nullptr) {
-        h.encode(w);
-        return;
-      }
-      encode_hll_delta(w, *base.hll, h);
-      store_.hll_delta_image_bits_ += w.bit_count() - before;
-      store_.hll_delta_image_full_bits_ += h.wire_bits();
-      return;
-    }
-    const bool whole = shapes_[i] == ImageShape::kWholeDomain;
-    const StatsBundle b = store_.subtree_bundle(s, node);
-    if (base.bundle == nullptr) {
-      encode_stats_image(w, b, whole);
-      return;
-    }
-    encode_stats_delta(w, *base.bundle, b, whole, store_.margin_);
-    store_.delta_image_bits_ += w.bit_count() - before;
-    store_.delta_image_full_bits_ += stats_image_bits(b, whole);
+    return store_.baseline(slot(i), child, resync_[child] != 0);
   }
 
   /// The resync bit of a request about to go down edge `child` with mask_:
@@ -870,6 +834,126 @@ void PartialStore::take_root(Slot& slot) const {
     slot.root_hll = subtree_hll(slot, tree_.root);
   } else {
     slot.root = subtree_bundle(slot, tree_.root);
+  }
+}
+
+Baseline PartialStore::baseline(const Slot& slot, NodeId child,
+                               bool resync) const {
+  if (resync || slot.edge_epoch[child] == DirtyTracker::kInvalidEpoch) {
+    return {};
+  }
+  if (slot.sketch) return {.hll = &*slot.edge_hll[child]};
+  return {.bundle = &slot.edge_bundle[child]};
+}
+
+void PartialStore::write_image(const Slot& slot, NodeId node, Baseline base,
+                               BitWriter& w) {
+  const std::size_t before = w.bit_count();
+  if (slot.sketch) {
+    const sketch::Hll h = subtree_hll(slot, node);
+    if (base.hll == nullptr) {
+      h.encode(w);
+      return;
+    }
+    encode_hll_delta(w, *base.hll, h);
+    hll_delta_image_bits_ += w.bit_count() - before;
+    hll_delta_image_full_bits_ += h.wire_bits();
+    return;
+  }
+  const bool whole = slot.region.whole_domain;
+  const StatsBundle b = subtree_bundle(slot, node);
+  if (base.bundle == nullptr) {
+    encode_stats_image(w, b, whole);
+    return;
+  }
+  encode_stats_delta(w, *base.bundle, b, whole, margin_);
+  delta_image_bits_ += w.bit_count() - before;
+  delta_image_full_bits_ += stats_image_bits(b, whole);
+}
+
+void PartialStore::keep(Slot& slot, NodeId child, const StatsBundle& b,
+                        std::uint32_t epoch) const {
+  slot.edge_bundle[child] = b;
+  slot.edge_outer_empty[child] = b.outer.count == 0;
+  if (!slot.edge_unanswered.empty()) slot.edge_unanswered[child] = 0;
+  slot.edge_epoch[child] = epoch;
+}
+
+// ---- the push -------------------------------------------------------------
+
+PartialStore::Push::Push(PartialStore& store, std::span<const SlotId> slots,
+                         std::uint32_t epoch)
+    : store_(store),
+      slots_(slots.begin(), slots.end()),
+      epoch_(epoch),
+      mask_(slots.size()),
+      ledger_(slots.size()),
+      image_bits_(slots.size(), 0) {
+  for (std::size_t i = 0; i < slots_.size(); ++i) {
+    SENSORNET_EXPECTS(slots_[i] < store.slots_.size());
+    SENSORNET_EXPECTS(i == 0 || slots_[i - 1] < slots_[i]);  // wire order
+    Slot& s = store.slots_[slots_[i]];
+    SENSORNET_EXPECTS(!s.sketch);
+    if (!store.has_edges(slots_[i])) store.size_edges(s);
+  }
+  ++store.generation_;  // the wave rewrites edge partials, even if it fails
+}
+
+bool PartialStore::Push::carries(std::size_t i, NodeId child,
+                                 bool changed) const {
+  return changed ||
+         !store_.dirty_.edge_fresh(child,
+                                   store_.slots_[slots_[i]].edge_epoch[child]);
+}
+
+bool PartialStore::Push::owes(NodeId child) const {
+  for (std::size_t i = 0; i < slots_.size(); ++i) {
+    if (carries(i, child, false)) return true;
+  }
+  return false;
+}
+
+void PartialStore::Push::write(NodeId child, bool changed, BitWriter& w) {
+  for (std::size_t i = 0; i < slots_.size(); ++i) {
+    mask_[i] = carries(i, child, changed);
+    if (!mask_[i]) continue;
+    const Slot& s = store_.slots_[slots_[i]];
+    const Baseline base =
+        store_.baseline(s, child, store_.edge_unanswered(slots_[i], child));
+    const std::size_t before = w.bit_count();
+    store_.write_image(s, child, base, w);
+    const std::uint64_t bits = w.bit_count() - before;
+    ledger_.add(i, bits);
+    image_bits_[i] += bits;
+  }
+  ++messages_;
+  // A set mark bit makes the message the mark wave's: header and mark bit
+  // are what the mark costs. Otherwise the images brought it up.
+  if (!changed) ledger_.charge(mask_, sim::kHeaderBits + 1);
+}
+
+void PartialStore::Push::read(NodeId child, bool changed, BitReader& r) {
+  for (std::size_t i = 0; i < slots_.size(); ++i) {
+    if (!carries(i, child, changed)) continue;
+    Slot& s = store_.slots_[slots_[i]];
+    const bool whole = s.region.whole_domain;
+    const Baseline base =
+        store_.baseline(s, child, store_.edge_unanswered(slots_[i], child));
+    store_.keep(s, child,
+                base.bundle != nullptr
+                    ? decode_stats_delta(r, *base.bundle, whole,
+                                         store_.margin_)
+                    : decode_stats_image(r, whole),
+                epoch_);
+  }
+}
+
+void PartialStore::Push::finish() {
+  for (std::size_t i = 0; i < slots_.size(); ++i) {
+    Slot& s = store_.slots_[slots_[i]];
+    store_.take_root(s);
+    s.epoch = epoch_;
+    shares()[i].collected = true;
   }
 }
 

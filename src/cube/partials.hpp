@@ -132,9 +132,33 @@
 // request carries no resync bit. Every response on the service path is
 // read by decode_stats_response().
 //
+// A *push* brings installed stats slots up to an epoch with no request at
+// all: the slots ride the epoch's fused wave (DirtyTracker::note_updates
+// with a Push as its cargo). A node that sends on that wave appends, after
+// its mark bit, the image of every pushed slot whose partial on its edge is
+// stale: all of them when the mark bit is set, otherwise those whose edge
+// stamp is newer than the partial. Both ends derive that list from the
+// stamps and partials they hold, so no mask is sent:
+//
+//   push     (c -> u)   mark bit, then the listed slots' stats images in
+//                       slot order, each a delta image against the edge's
+//                       partial, or full on a cold edge
+//
+// The baseline rule is the collect() rule with the push in place of the
+// request: a delta image iff the edge holds a partial for the slot and has
+// no unanswered-request mark (the link-layer acknowledgement that the loss
+// contract in dirty.hpp relies on tells both ends of a marked edge so). A
+// push that is lost leaves both ends on the old baseline; its sender owes a
+// mark, so the next epoch stamps the edge stale again. The parent keeps
+// each image as the edge's partial, so after a lossless push every pushed
+// slot's partials at the root are fresh, and collect() of the same epoch
+// sends nothing for it.
+//
 // Each wave's bits are split among the slots it carried (WaveShare,
 // ShareLedger), so a caller can charge every bit on the air to the query
-// that made it travel.
+// that made it travel. A push's message is the mark wave's when its mark
+// bit is set (its header and mark bit are what the mark costs); otherwise
+// its header and mark bit are split among the slots it carried.
 #pragma once
 
 #include <cstdint>
@@ -291,6 +315,46 @@ class PartialStore {
   /// Frees the slot's per-edge partials and root, as if it had never been
   /// collected; its next collect() descends every edge.
   void release(SlotId s);
+
+  /// The slots pushed on one epoch's fused wave (see the file comment): the
+  /// cargo handed to DirtyTracker::note_updates.
+  class Push final : public DirtyTracker::Cargo {
+   public:
+    /// `slots`: stats slots, strictly ascending. The store must outlive it.
+    Push(PartialStore& store, std::span<const SlotId> slots,
+         std::uint32_t epoch);
+
+    bool owes(NodeId child) const override;
+    void write(NodeId child, bool changed, BitWriter& w) override;
+    void read(NodeId child, bool changed, BitReader& r) override;
+
+    /// After a wave that lost nothing: sets each slot's root and epoch, as a
+    /// collect() would, and flags its share collected.
+    void finish();
+
+    /// Each slot's share, aligned with `slots`, charged as sent (so a failed
+    /// wave's shares hold what it spent): its images, and an even split of
+    /// the header and mark bit of each message whose mark bit was clear.
+    std::vector<WaveShare>& shares() { return ledger_.shares(); }
+    /// Per slot, the bits of its images alone.
+    const std::vector<std::uint64_t>& image_bits() const {
+      return image_bits_;
+    }
+    /// Messages that carried images.
+    std::uint64_t messages() const { return messages_; }
+
+   private:
+    /// True when slot i's image must ride edge `child`'s message.
+    bool carries(std::size_t i, NodeId child, bool changed) const;
+
+    PartialStore& store_;
+    std::vector<SlotId> slots_;
+    std::uint32_t epoch_;
+    std::vector<std::uint8_t> mask_;  // scratch: one message's images
+    ShareLedger ledger_;
+    std::vector<std::uint64_t> image_bits_;
+    std::uint64_t messages_ = 0;
+  };
 
   /// Collects every listed slot (strictly ascending ids) in one multiplexed
   /// convergecast, on the first collected slot's session. Slots already
@@ -452,6 +516,18 @@ class PartialStore {
   sketch::Hll subtree_hll(const Slot& slot, NodeId node) const;
   /// Sets the slot's root bundle or HLL from its partials at the root.
   void take_root(Slot& slot) const;
+  /// The slot's baseline on edge `child`: its partial there, unless the
+  /// edge holds none or `resync` (then the image is full).
+  Baseline baseline(const Slot& slot, NodeId child, bool resync) const;
+  /// Writes the slot's image of the node's subtree: a delta image against
+  /// `base`, or the full image, counting the delta images and their full
+  /// length.
+  void write_image(const Slot& slot, NodeId node, Baseline base,
+                   BitWriter& w);
+  /// Keeps `b` as the stats slot's partial for edge `child`, taken at
+  /// `epoch`, and clears the edge's unanswered mark.
+  void keep(Slot& slot, NodeId child, const StatsBundle& b,
+            std::uint32_t epoch) const;
 
   sim::Network& net_;
   const net::SpanningTree& tree_;

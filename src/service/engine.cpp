@@ -126,6 +126,7 @@ std::vector<Result<Admission>> QueryService::admit(
   one_shots.reserve(parsed.size());  // `due` points into it
   std::vector<const LiveQuery*> due;
   std::vector<std::size_t> admission_of;  // due index -> out index
+  scheduler_->hold_installs();  // one broadcast for the whole batch
   for (ParsedQuery& p : parsed) {
     if (!p.ok) {
       out.push_back(Result<Admission>::failure(std::move(p.error)));
@@ -141,6 +142,7 @@ std::vector<Result<Admission>> QueryService::admit(
     }
     out.push_back(std::move(adm));
   }
+  announce();  // the batch's installs and subscribers
   const std::vector<Answer> answers = serve(due);
   for (std::size_t i = 0; i < answers.size(); ++i) {
     out[admission_of[i]].value().answer = answers[i];
@@ -167,13 +169,8 @@ QueryService::LiveQuery QueryService::route(ParsedQuery&& parsed,
             : config_.share_aggregation &&
                   query::family(lq.q.agg) == query::AggregateFamily::kStats;
   const auto install_group = [&](auto&& ensure) {
-    const auto before = deployment_.net.summary(true);
     lq.group = ensure();
-    const CostDelta d = cost_since(deployment_.net, before);
-    group_costs_[lq.group].bits_on_air += d.bits;
-    group_costs_[lq.group].messages += d.messages;
-    install_bits_on_air_ += d.bits;
-    install_messages_ += d.messages;
+    group_costs_[lq.group];  // its install rides the batch's announce()
   };
   if (bundle && cube_) {
     lq.path = Path::kBundle;
@@ -182,6 +179,9 @@ QueryService::LiveQuery QueryService::route(ParsedQuery&& parsed,
     lq.path = Path::kBundle;
     install_group(
         [&] { return scheduler_->ensure_stats_group(lq.plan.region); });
+    if (adm.continuous) {
+      scheduler_->subscribe(lq.group, lq.every, lq.registered_epoch % lq.every);
+    }
     adm.plan = "shared stats bundle, group " + std::to_string(lq.group);
   } else if (config_.share_aggregation &&
              lq.q.agg == query::AggregateKind::kCountDistinct) {
@@ -209,7 +209,40 @@ QueryService::LiveQuery QueryService::route(ParsedQuery&& parsed,
 }
 
 bool QueryService::cancel(QueryId id) {
-  return live_.erase(id) != 0;
+  const auto it = live_.find(id);
+  if (it == live_.end()) return false;
+  const LiveQuery& lq = it->second;
+  if (lq.path == Path::kBundle && !cube_) {
+    // The nodes hear of it before the next epoch (run_epoch announces).
+    scheduler_->unsubscribe(lq.group, lq.every,
+                            lq.registered_epoch % lq.every);
+  }
+  live_.erase(it);
+  return true;
+}
+
+void QueryService::announce() {
+  // No query pays it: a group outlives the query that installed it.
+  std::vector<GroupShare> shares;
+  scheduler_->announce(shares);
+  for (const GroupShare& g : shares) {
+    GroupCost& gc = group_costs_[g.group];
+    gc.bits_on_air += g.share.bits;
+    gc.messages += g.share.messages;
+    install_bits_on_air_ += g.share.bits;
+    install_messages_ += g.share.messages;
+  }
+}
+
+void QueryService::charge(GroupId group, QueryId payer,
+                          const WaveShare& share) {
+  GroupCost& gc = group_costs_[group];
+  gc.bits_on_air += share.bits;
+  gc.messages += share.messages;
+  gc.collections += share.collected ? 1 : 0;
+  QueryCost& qc = query_costs_[payer];
+  qc.bits_on_air += share.bits;
+  qc.messages += share.messages;
 }
 
 Answer QueryService::answer_cached(const LiveQuery& lq,
@@ -323,19 +356,14 @@ std::vector<Answer> QueryService::serve_bundles(
   std::vector<WaveShare> shares;          // aligned with `fresh`
   // A wave that loses a message has still spent its bits: the shares are
   // charged before the error leaves.
-  const auto charge = [&] {
+  const auto charge_fresh = [&] {
     for (std::size_t j = 0; j < fresh.size(); ++j) {
       Key& key = *fresh[j];
-      if (cube_) {
-        key.served = std::move(served[key.batch]);
-      } else {
-        key.served.bits = shares[j].bits;
-        key.served.messages = shares[j].messages;
-        GroupCost& gc = group_costs_[key.group];
-        gc.bits_on_air += shares[j].bits;
-        gc.messages += shares[j].messages;
-        gc.collections += shares[j].collected ? 1 : 0;
+      if (!cube_) {
+        charge(key.group, key.payer, shares[j]);
+        continue;
       }
+      key.served = std::move(served[key.batch]);
       QueryCost& qc = query_costs_[key.payer];
       qc.bits_on_air += key.served.bits;
       qc.messages += key.served.messages;
@@ -350,10 +378,10 @@ std::vector<Answer> QueryService::serve_bundles(
       scheduler_->collect_stats_batch(groups, epoch_, shares);
     }
   } catch (const ProtocolError&) {
-    charge();
+    charge_fresh();
     throw;
   }
-  charge();
+  charge_fresh();
   if (!cube_) {
     for (Key* key : fresh) {
       key->served.bundle = scheduler_->collect_stats(key->group, epoch_);
@@ -506,17 +534,6 @@ std::vector<Answer> QueryService::run_epoch(
     touched.push_back(u.node);
     ++telemetry_.updates_applied;
   }
-  if (config_.share_aggregation || config_.use_cube) {
-    // The mark wave serves every incremental consumer at once (shared
-    // groups and cube cells ride the same marks); no single query caused
-    // it, so its bits land in the service-level bucket.
-    const auto before = deployment_.net.summary(true);
-    scheduler_->note_updates(touched, epoch_);
-    const CostDelta d = cost_since(deployment_.net, before);
-    mark_bits_on_air_ += d.bits;
-    mark_messages_ += d.messages;
-  }
-
   const auto is_due = [&](const LiveQuery& lq) {
     return lq.every != 0 && epoch_ > lq.registered_epoch &&
            (epoch_ - lq.registered_epoch) % lq.every == 0;
@@ -525,7 +542,53 @@ std::vector<Answer> QueryService::run_epoch(
   for (const auto& [id, lq] : live_) {  // map order == id order
     if (is_due(lq)) due.push_back(&lq);
   }
+  // The first due query of a pushed group pays its push.
+  const auto payer = [&](GroupId group) {
+    const auto it = std::find_if(due.begin(), due.end(), [&](auto* lq) {
+      return lq->path == Path::kBundle && lq->group == group;
+    });
+    SENSORNET_EXPECTS(it != due.end());  // the nodes push due groups only
+    return (*it)->id;
+  };
+  std::vector<GroupShare> pushed;
+  if (config_.share_aggregation || config_.use_cube) {
+    announce();  // cancels since the last announcement
+    // The mark wave serves every incremental consumer at once (shared
+    // groups and cube cells ride the same marks); no single query caused
+    // it, so its bits land in the service-level bucket. The images pushed
+    // beside the marks are their groups'. A wave that loses a message has
+    // still spent its bits: they are charged before the error leaves.
+    const auto before = deployment_.net.summary(true);
+    const auto charge_wave = [&] {
+      CostDelta d = cost_since(deployment_.net, before);
+      for (const GroupShare& g : pushed) {
+        d.bits -= g.share.bits;
+        d.messages -= g.share.messages;
+        charge(g.group, payer(g.group), g.share);
+      }
+      mark_bits_on_air_ += d.bits;
+      mark_messages_ += d.messages;
+    };
+    try {
+      scheduler_->note_updates(touched, epoch_, pushed);
+    } catch (const ProtocolError&) {
+      charge_wave();
+      throw;
+    }
+    charge_wave();
+  }
+
   const std::vector<Answer> answers = serve(due);
+  // Image bits pushed for a group that no due query read: the cache
+  // answered all of them.
+  for (const GroupShare& g : pushed) {
+    bool read = false;
+    for (std::size_t i = 0; i < due.size(); ++i) {
+      read = read || (due[i]->path == Path::kBundle &&
+                      due[i]->group == g.group && !answers[i].from_cache);
+    }
+    if (!read) telemetry_.pushed_unread_image_bits += g.image_bits;
+  }
 
   obs::TraceRing& ring = obs::TraceRing::global();
   if (ring.enabled()) {

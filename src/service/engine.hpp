@@ -14,7 +14,9 @@
 //      Exact COUNT_DISTINCT shares one distinct group per region.
 //   2. Incremental re-evaluation — collections descend only into subtrees
 //      that changed since the group's or cell's last visit, driven by the
-//      scheduler's dirty marks.
+//      scheduler's dirty marks. A stats group with continuous subscribers
+//      is pushed instead: its delta images ride the epoch's mark wave, and
+//      the epoch's collection finds it fresh (see shared_plan.hpp).
 //   3. Bounded-error result cache — a query with an ERROR tolerance can be
 //      answered from a stale stats bundle when the deterministic drift
 //      bound (staleness x max_delta, see result_cache.hpp) fits its
@@ -155,14 +157,19 @@ struct ServiceTelemetry {
   std::uint64_t cube_fresh_answers = 0;
   std::uint64_t cube_stale_answers = 0;
   std::uint64_t updates_applied = 0;
+  /// Image bits pushed for a stats group in an epoch whose due queries of
+  /// the group were all answered without reading it (from the cache).
+  std::uint64_t pushed_unread_image_bits = 0;
 };
 
 /// Where one query's cost went, accumulated over its lifetime. Bits and
 /// messages follow the marginal-cost rule: the first due query of a fresh
 /// key or group each epoch pays its collection — the stats group's share
-/// of the epoch's multiplexed wave (see WaveShare), or the key's share of
-/// the cube batch's waves, the cells and residues its plan claimed first
-/// (see cube::ServeResult) — and everyone after rides it for free. Summing
+/// of the epoch's multiplexed wave (see WaveShare) or of its push, or the
+/// key's share of the cube batch's waves, the cells and residues its plan
+/// claimed first (see cube::ServeResult) — and everyone after rides it for
+/// free. A push is paid by the group's first due query even when the cache
+/// answers it. Summing
 /// bits_on_air over queries plus the service-level mark and install buckets
 /// (see TelemetrySnapshot) therefore reproduces the network total.
 struct QueryCost {
@@ -198,10 +205,12 @@ struct TelemetrySnapshot {
   /// an update batch, so the mark wave's bits live here, not in QueryCost.
   std::uint64_t mark_bits_on_air = 0;
   std::uint64_t mark_messages = 0;
-  /// Shared-group install broadcasts, paid at admission. A group may outlive
-  /// the query whose admission created it, so installs live here too (and
-  /// in the group's own ledger). Mark, install and Σ query bits (and
-  /// messages) equal the network total exactly.
+  /// Shared-group install broadcasts, paid at admission, and the schedule
+  /// announcements that tell the nodes which groups to push (at admission,
+  /// and before an epoch after a cancel). A group may outlive the query
+  /// whose admission created it, so installs live here too (and in the
+  /// group's own ledger). Mark, install and Σ query bits (and messages)
+  /// equal the network total exactly.
   std::uint64_t install_bits_on_air = 0;
   std::uint64_t install_messages = 0;
   std::map<QueryId, QueryCost> queries;
@@ -299,6 +308,11 @@ class QueryService {
   /// serve_bundles() call, the rest by answer_fresh(). Answers come back
   /// aligned with `due`.
   std::vector<Answer> serve(std::span<const LiveQuery* const> due);
+  /// Runs the scheduler's announce() and charges it to the install bucket
+  /// and the announced groups.
+  void announce();
+  /// Charges one group's share of a wave to the group and to `payer`.
+  void charge(GroupId group, QueryId payer, const WaveShare& share);
   /// Answers kDistinct and kExecutor queries, charging the bits it spends.
   Answer answer_fresh(const LiveQuery& lq);
   /// Answers a serve's kBundle queries by the routing rule in the file

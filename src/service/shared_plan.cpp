@@ -1,5 +1,6 @@
 #include "src/service/shared_plan.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "src/common/codec.hpp"
@@ -15,6 +16,10 @@ namespace {
 
 constexpr std::uint32_t kInvalidEpoch = cube::DirtyTracker::kInvalidEpoch;
 
+/// A continuous subscriber's schedule: due in epoch e iff e % period ==
+/// phase.
+using Due = std::pair<std::uint32_t, std::uint32_t>;  // (period, phase)
+
 }  // namespace
 
 // ---- group state ----------------------------------------------------------
@@ -29,13 +34,170 @@ struct SharedPlanScheduler::Group {
   // Distinct family: last estimate and the epoch it was collected at.
   double distinct_estimate = 0.0;
   std::uint32_t last_collect_epoch = kInvalidEpoch;
+
+  // Stats family: live subscribers per schedule, and the schedule the nodes
+  // last heard (no pair in it implied by another).
+  std::map<Due, std::uint32_t> subscribers;
+  std::vector<Due> announced;
+  bool install_held = false;  // its install waits for announce()
+
+  /// The schedule the live subscribers need, less the pairs another pair
+  /// implies ((p, h) implies (q, g) when p divides q and g % p == h).
+  std::vector<Due> schedule() const {
+    std::vector<Due> out;
+    for (const auto& [due, count] : subscribers) {  // ascending period
+      const auto implied = [&](const Due& d) {
+        return due.first % d.first == 0 && due.second % d.first == d.second;
+      };
+      if (std::none_of(out.begin(), out.end(), implied)) out.push_back(due);
+    }
+    return out;
+  }
+
+  bool due(std::uint32_t epoch) const {
+    return std::any_of(announced.begin(), announced.end(), [&](const Due& d) {
+      return epoch % d.first == d.second;
+    });
+  }
 };
 
-// ---- dirty-mark propagation ----------------------------------------------
+// ---- dirty marks and pushes ------------------------------------------------
 
 void SharedPlanScheduler::note_updates(std::span<const NodeId> updated,
                                        std::uint32_t epoch) {
-  dirty_.note_updates(updated, epoch);
+  std::vector<GroupShare> pushed;
+  note_updates(updated, epoch, pushed);
+}
+
+void SharedPlanScheduler::note_updates(std::span<const NodeId> updated,
+                                       std::uint32_t epoch,
+                                       std::vector<GroupShare>& pushed) {
+  pushed.clear();
+  std::vector<cube::SlotId> slots;  // ascending, as groups are
+  for (GroupId id = 0; id < groups_.size(); ++id) {
+    if (!groups_[id]->due(epoch)) continue;
+    pushed.emplace_back().group = id;
+    slots.push_back(groups_[id]->slot);
+  }
+  if (slots.empty()) {
+    dirty_.note_updates(updated, epoch);
+    return;
+  }
+  const SimTime t0 = net_.now();
+  cube::PartialStore::Push push(store_, slots, epoch);
+  // Charged as sent: a wave that loses a message has still spent its bits.
+  const auto take_shares = [&] {
+    for (std::size_t j = 0; j < pushed.size(); ++j) {
+      pushed[j].share = push.shares()[j];
+      pushed[j].image_bits = push.image_bits()[j];
+      stats_.push_image_bits += push.image_bits()[j];
+    }
+    stats_.push_messages += push.messages();
+  };
+  try {
+    dirty_.note_updates(updated, epoch, &push);
+  } catch (...) {
+    take_shares();
+    throw;
+  }
+  push.finish();
+  take_shares();
+  stats_.stats_waves += pushed.size();
+  obs::TraceRing& ring = obs::TraceRing::global();
+  if (ring.enabled()) {
+    for (const GroupShare& g : pushed) {
+      ring.complete("push.stats", "service", t0, net_.now() - t0, 0, "group",
+                    g.group, "epoch", epoch);
+    }
+  }
+}
+
+// ---- subscriptions --------------------------------------------------------
+
+void SharedPlanScheduler::subscribe(GroupId group, std::uint32_t period,
+                                    std::uint32_t phase) {
+  SENSORNET_EXPECTS(group < groups_.size());
+  SENSORNET_EXPECTS(period > 0 && phase < period);
+  Group& g = *groups_[group];
+  SENSORNET_EXPECTS(g.family == query::AggregateFamily::kStats);
+  ++g.subscribers[{period, phase}];
+}
+
+void SharedPlanScheduler::unsubscribe(GroupId group, std::uint32_t period,
+                                      std::uint32_t phase) {
+  SENSORNET_EXPECTS(group < groups_.size());
+  Group& g = *groups_[group];
+  const auto it = g.subscribers.find({period, phase});
+  SENSORNET_EXPECTS(it != g.subscribers.end());
+  if (--it->second == 0) g.subscribers.erase(it);
+}
+
+void SharedPlanScheduler::hold_installs() { holding_ = true; }
+
+void SharedPlanScheduler::announce(std::vector<GroupShare>& shares) {
+  holding_ = false;
+  shares.clear();
+  std::vector<GroupId> held;
+  std::vector<std::pair<GroupId, std::vector<Due>>> changed;
+  for (GroupId id = 0; id < groups_.size(); ++id) {
+    Group& g = *groups_[id];
+    if (g.install_held) held.push_back(id);
+    g.install_held = false;
+    std::vector<Due> schedule = g.schedule();
+    if (schedule != g.announced) changed.emplace_back(id, std::move(schedule));
+  }
+  // Broadcasts `w`, made of `entries` (a group and the bits it wrote), and
+  // charges it: each group its own bits on every copy, and an even split of
+  // the rest (header, count), the remainder and the messages to the first.
+  using Entries = std::vector<std::pair<GroupId, std::uint64_t>>;
+  const auto broadcast = [&](BitWriter&& w, const Entries& entries) {
+    const auto before = net_.summary(/*include_headers=*/true);
+    proto::TreeBroadcast announcement(
+        tree_, next_session_++,
+        [](sim::Network&, NodeId, BitReader) { /* noted */ });
+    announcement.execute(net_, std::move(w));
+    const auto after = net_.summary(/*include_headers=*/true);
+    const std::uint64_t copies = after.total_messages - before.total_messages;
+    std::uint64_t rest = after.total_bits - before.total_bits;
+    for (const auto& [id, bits] : entries) rest -= bits * copies;
+    for (std::size_t j = 0; j < entries.size(); ++j) {
+      GroupShare& g = shares.emplace_back();
+      g.group = entries[j].first;
+      g.share.bits = entries[j].second * copies + rest / entries.size() +
+                     (j == 0 ? rest % entries.size() : 0);
+      g.share.messages = j == 0 ? copies : 0;
+    }
+  };
+  // Installs go out one broadcast each, as ensure_*_group() sends them;
+  // the schedules ride the last one (a message of its own kind), or go
+  // alone when the batch installed nothing.
+  const bool ride = !held.empty() && !changed.empty();
+  for (std::size_t j = 0; j + (ride ? 1 : 0) < held.size(); ++j) {
+    BitWriter w;
+    write_install(*groups_[held[j]], w);
+    const std::uint64_t bits = w.bit_count();
+    broadcast(std::move(w), {{held[j], bits}});
+  }
+  if (changed.empty()) return;
+  BitWriter w;
+  Entries entries;
+  if (ride) {
+    write_install(*groups_[held.back()], w);
+    entries.emplace_back(held.back(), w.bit_count());
+  }
+  encode_uint(w, changed.size());
+  for (auto& [id, schedule] : changed) {
+    const std::size_t before = w.bit_count();
+    encode_uint(w, id);
+    encode_uint(w, schedule.size());
+    for (const auto& [period, phase] : schedule) {
+      encode_uint(w, period);
+      encode_uint(w, phase);
+    }
+    entries.emplace_back(id, w.bit_count() - before);
+    groups_[id]->announced = std::move(schedule);
+  }
+  broadcast(std::move(w), entries);
 }
 
 // ---- scheduler ------------------------------------------------------------
@@ -90,26 +252,32 @@ GroupId SharedPlanScheduler::add_group(query::AggregateFamily family,
   g->region = region;
   g->registers = registers;
   g->session = next_session_++;
-  const bool stats = family == query::AggregateFamily::kStats;
-  if (stats) g->slot = store_.add_slot(region, g->session);
-  if (!region.whole_domain) {
-    // Nodes must learn the region (and a stats group the margin it
-    // brackets) — paid once per group, amortized over every subscriber
-    // and epoch.
+  if (family == query::AggregateFamily::kStats) {
+    g->slot = store_.add_slot(region, g->session);
+  }
+  // Nodes must learn the region (and a stats group the margin it brackets)
+  // — paid once per group, amortized over every subscriber and epoch.
+  if (!region.whole_domain && holding_) {
+    g->install_held = true;
+  } else if (!region.whole_domain) {
     proto::TreeBroadcast install(
         tree_, next_session_++,
         [](sim::Network&, NodeId, BitReader) { /* region noted */ });
     BitWriter w;
-    encode_uint(w, static_cast<std::uint64_t>(region.lo));
-    encode_uint(w, static_cast<std::uint64_t>(region.hi - region.lo));
-    if (stats) {
-      encode_uint(w, static_cast<std::uint64_t>(horizon_epochs_) *
-                         static_cast<std::uint64_t>(max_delta_));
-    }
+    write_install(*g, w);
     install.execute(net_, std::move(w));
   }
   groups_.push_back(std::move(g));
   return id;
+}
+
+void SharedPlanScheduler::write_install(const Group& g, BitWriter& w) const {
+  encode_uint(w, static_cast<std::uint64_t>(g.region.lo));
+  encode_uint(w, static_cast<std::uint64_t>(g.region.hi - g.region.lo));
+  if (g.family == query::AggregateFamily::kStats) {
+    encode_uint(w, static_cast<std::uint64_t>(horizon_epochs_) *
+                       static_cast<std::uint64_t>(max_delta_));
+  }
 }
 
 void SharedPlanScheduler::collect_stats_batch(std::span<const GroupId> groups,

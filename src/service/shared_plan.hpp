@@ -26,6 +26,19 @@
 // images and the per-group cost split are documented once, in
 // cube/partials.hpp.
 //
+// Standing groups are *pushed*, not pulled. A stats group with continuous
+// subscribers (subscribe()) is due in every epoch in which one of them is;
+// the nodes learn each group's schedule — its subscribers' (period, phase)
+// pairs, less those another pair implies — from announce(), one broadcast
+// that carries every schedule that changed since the last one and rides an
+// admission batch's last group install when it has one. In an epoch
+// where pushed groups are due, note_updates() runs the fused wave: every
+// dirty edge, and every edge whose partial went stale in an earlier epoch,
+// carries its mark bit and the due groups' delta images up in one message,
+// with no request (cube::PartialStore::Push). The groups' partials are then
+// fresh, so that epoch's collect_stats_batch() sends nothing for them. The
+// pull remains for one-shots and for groups the nodes do not push.
+//
 // The scheduler aggregates over net::aggregation_tree() of the tree it is
 // handed: that tree itself when no node has more than net::kAggregationFanIn
 // children, else a rebuilt one capped at that fan-in (Fact 2.1's O(log N)
@@ -74,10 +87,22 @@ struct SharedPlanStats {
   std::uint64_t delta_image_full_bits = 0;
   std::uint64_t mark_messages = 0;     // dirty-mark messages shipped
   std::uint64_t groups_created = 0;
+  /// Fused-wave messages that carried pushed images, and the images' bits.
+  std::uint64_t push_messages = 0;
+  std::uint64_t push_image_bits = 0;
 };
 
 /// One group's share of a multiplexed stats wave (see cube::WaveShare).
 using cube::WaveShare;
+
+/// One group's share of a wave or broadcast the scheduler ran for several
+/// groups: a push (its images, and the headers of messages that carried no
+/// mark) or an announcement.
+struct GroupShare {
+  GroupId group = 0;
+  WaveShare share;
+  std::uint64_t image_bits = 0;  // a push's images alone
+};
 
 /// A parent-side cache entry: a stats group's subtree bundle for one edge
 /// and the epoch it was taken at (kInvalidEpoch: never collected).
@@ -101,7 +126,7 @@ class SharedPlanScheduler {
   /// Returns the stats group for `region`, creating it on first use. A new
   /// group pays one region-install broadcast (nodes must learn the range
   /// and margin they aggregate over — those bits are metered like any
-  /// others).
+  /// others), or rides the next announce() while installs are held.
   GroupId ensure_stats_group(const query::RegionSignature& region);
 
   /// The distinct-family analogue; `registers` == 0 selects the exact
@@ -109,10 +134,36 @@ class SharedPlanScheduler {
   GroupId ensure_distinct_group(const query::RegionSignature& region,
                                 unsigned registers);
 
+  /// Enrols a continuous subscriber of a stats group, due in every epoch e
+  /// with e % period == phase (phase < period). The nodes push the group
+  /// once they hear its schedule (announce()).
+  void subscribe(GroupId group, std::uint32_t period, std::uint32_t phase);
+  /// Withdraws one subscribe() of the same arguments.
+  void unsubscribe(GroupId group, std::uint32_t period, std::uint32_t phase);
+
+  /// Holds the installs of the groups created from now on until the next
+  /// announce(), so that its schedules can ride the last of them (an
+  /// admission batch's). The held groups must not be collected before it.
+  void hold_installs();
+
+  /// Broadcasts the held installs, one each as ensure_*_group() would, and
+  /// in one message the schedule of every stats group whose schedule
+  /// changed since the nodes last heard it — riding the last install, or
+  /// alone when none is held. Sends nothing when there is neither. Ends
+  /// hold_installs(). Sets `shares` to each group's share of the
+  /// broadcasts (they sum exactly to their bits and messages).
+  void announce(std::vector<GroupShare>& shares);
+
   /// Records one epoch's sensor-update batch: stamps the updated nodes and
-  /// ships coalesced dirty marks up the tree (bits metered). Must be called
-  /// after the updates are applied to the network and before collections of
-  /// the same epoch.
+  /// ships coalesced dirty marks up the tree (bits metered), fused with the
+  /// pushes of the announced groups due this epoch. Must be called after
+  /// the updates are applied to the network and before collections of the
+  /// same epoch. Sets `pushed` to each pushed group's share, also when the
+  /// wave throws (a lost message: see cube/dirty.hpp); the rest of the
+  /// wave's bits are the marks'.
+  void note_updates(std::span<const NodeId> updated, std::uint32_t epoch,
+                    std::vector<GroupShare>& pushed);
+  /// The same, for callers that charge no group.
   void note_updates(std::span<const NodeId> updated, std::uint32_t epoch);
 
   /// Collects every listed stats group (strictly ascending ids) in one
@@ -154,9 +205,11 @@ class SharedPlanScheduler {
   struct Group;
 
   /// Creates a group and pays its region-install broadcast unless the
-  /// region is the whole domain.
+  /// region is the whole domain, or holds the install (hold_installs()).
   GroupId add_group(query::AggregateFamily family,
                     const query::RegionSignature& region, unsigned registers);
+  /// A group's install payload: its region, and a stats group's margin.
+  void write_install(const Group& g, BitWriter& w) const;
 
   sim::Network& net_;
   /// net::aggregation_tree's capped tree, when the given tree is wider than
@@ -179,6 +232,7 @@ class SharedPlanScheduler {
       distinct_index_;  // keyed by (region, registers)
 
   std::uint32_t next_session_ = 0x7000;
+  bool holding_ = false;  // installs wait for announce()
   SharedPlanStats stats_;  // the wave counts; stats() adds the rest
 };
 

@@ -17,39 +17,32 @@
 namespace sensornet::service {
 namespace {
 
-// The complete expected trace: query admission, the node-3 mark wave
-// climbing to the root, the incremental collection descending every (dirty)
-// edge and returning, the answer, and the epoch span wrapping it all.
+// The complete expected trace: query admission and the broadcast that
+// announces the group's schedule, the node-3 fused wave climbing to the
+// root with its mark and the group's images (every edge is cold, so every
+// node sends), the group's push, the answer (its collection finds the
+// group fresh and sends nothing), and the epoch span wrapping it all.
 constexpr const char kGolden[] = R"json({
   "displayTimeUnit": "ms",
   "droppedEventCount": 0,
   "traceEvents": [
     {"name": "query.admit", "cat": "service", "ph": "i", "ts": 0, "pid": 0, "tid": 0, "args": {"id": 1, "group": 0}},
-    {"name": "msg.send", "cat": "sim", "ph": "i", "ts": 0, "pid": 0, "tid": 0, "args": {"from": 3, "to": 2}},
-    {"name": "msg.deliver", "cat": "sim", "ph": "i", "ts": 1, "pid": 0, "tid": 0, "args": {"from": 3, "to": 2}},
-    {"name": "msg.send", "cat": "sim", "ph": "i", "ts": 1, "pid": 0, "tid": 0, "args": {"from": 2, "to": 1}},
-    {"name": "msg.deliver", "cat": "sim", "ph": "i", "ts": 2, "pid": 0, "tid": 0, "args": {"from": 2, "to": 1}},
-    {"name": "msg.send", "cat": "sim", "ph": "i", "ts": 2, "pid": 0, "tid": 0, "args": {"from": 1, "to": 0}},
-    {"name": "msg.deliver", "cat": "sim", "ph": "i", "ts": 3, "pid": 0, "tid": 0, "args": {"from": 1, "to": 0}},
-    {"name": "mark.wave", "cat": "service", "ph": "X", "ts": 0, "dur": 3, "pid": 0, "tid": 0, "args": {"epoch": 1, "updated": 1}},
-    {"name": "edge.descend", "cat": "service", "ph": "i", "ts": 3, "pid": 0, "tid": 0, "args": {"node": 0, "child": 1}},
-    {"name": "msg.send", "cat": "sim", "ph": "i", "ts": 3, "pid": 0, "tid": 0, "args": {"from": 0, "to": 1}},
-    {"name": "msg.deliver", "cat": "sim", "ph": "i", "ts": 4, "pid": 0, "tid": 0, "args": {"from": 0, "to": 1}},
-    {"name": "edge.descend", "cat": "service", "ph": "i", "ts": 4, "pid": 0, "tid": 0, "args": {"node": 1, "child": 2}},
-    {"name": "msg.send", "cat": "sim", "ph": "i", "ts": 4, "pid": 0, "tid": 0, "args": {"from": 1, "to": 2}},
-    {"name": "msg.deliver", "cat": "sim", "ph": "i", "ts": 5, "pid": 0, "tid": 0, "args": {"from": 1, "to": 2}},
-    {"name": "edge.descend", "cat": "service", "ph": "i", "ts": 5, "pid": 0, "tid": 0, "args": {"node": 2, "child": 3}},
-    {"name": "msg.send", "cat": "sim", "ph": "i", "ts": 5, "pid": 0, "tid": 0, "args": {"from": 2, "to": 3}},
-    {"name": "msg.deliver", "cat": "sim", "ph": "i", "ts": 6, "pid": 0, "tid": 0, "args": {"from": 2, "to": 3}},
-    {"name": "msg.send", "cat": "sim", "ph": "i", "ts": 6, "pid": 0, "tid": 0, "args": {"from": 3, "to": 2}},
-    {"name": "msg.deliver", "cat": "sim", "ph": "i", "ts": 7, "pid": 0, "tid": 0, "args": {"from": 3, "to": 2}},
-    {"name": "msg.send", "cat": "sim", "ph": "i", "ts": 7, "pid": 0, "tid": 0, "args": {"from": 2, "to": 1}},
-    {"name": "msg.deliver", "cat": "sim", "ph": "i", "ts": 8, "pid": 0, "tid": 0, "args": {"from": 2, "to": 1}},
-    {"name": "msg.send", "cat": "sim", "ph": "i", "ts": 8, "pid": 0, "tid": 0, "args": {"from": 1, "to": 0}},
-    {"name": "msg.deliver", "cat": "sim", "ph": "i", "ts": 9, "pid": 0, "tid": 0, "args": {"from": 1, "to": 0}},
-    {"name": "collect.stats", "cat": "service", "ph": "X", "ts": 3, "dur": 6, "pid": 0, "tid": 0, "args": {"group": 0, "epoch": 1}},
-    {"name": "query.answer", "cat": "service", "ph": "i", "ts": 9, "pid": 0, "tid": 0, "args": {"id": 1, "cached": 0}},
-    {"name": "epoch", "cat": "service", "ph": "X", "ts": 0, "dur": 9, "pid": 0, "tid": 0, "args": {"epoch": 1, "answers": 1}}
+    {"name": "msg.send", "cat": "sim", "ph": "i", "ts": 0, "pid": 0, "tid": 0, "args": {"from": 0, "to": 1}},
+    {"name": "msg.deliver", "cat": "sim", "ph": "i", "ts": 1, "pid": 0, "tid": 0, "args": {"from": 0, "to": 1}},
+    {"name": "msg.send", "cat": "sim", "ph": "i", "ts": 1, "pid": 0, "tid": 0, "args": {"from": 1, "to": 2}},
+    {"name": "msg.deliver", "cat": "sim", "ph": "i", "ts": 2, "pid": 0, "tid": 0, "args": {"from": 1, "to": 2}},
+    {"name": "msg.send", "cat": "sim", "ph": "i", "ts": 2, "pid": 0, "tid": 0, "args": {"from": 2, "to": 3}},
+    {"name": "msg.deliver", "cat": "sim", "ph": "i", "ts": 3, "pid": 0, "tid": 0, "args": {"from": 2, "to": 3}},
+    {"name": "msg.send", "cat": "sim", "ph": "i", "ts": 3, "pid": 0, "tid": 0, "args": {"from": 3, "to": 2}},
+    {"name": "msg.deliver", "cat": "sim", "ph": "i", "ts": 4, "pid": 0, "tid": 0, "args": {"from": 3, "to": 2}},
+    {"name": "msg.send", "cat": "sim", "ph": "i", "ts": 4, "pid": 0, "tid": 0, "args": {"from": 2, "to": 1}},
+    {"name": "msg.deliver", "cat": "sim", "ph": "i", "ts": 5, "pid": 0, "tid": 0, "args": {"from": 2, "to": 1}},
+    {"name": "msg.send", "cat": "sim", "ph": "i", "ts": 5, "pid": 0, "tid": 0, "args": {"from": 1, "to": 0}},
+    {"name": "msg.deliver", "cat": "sim", "ph": "i", "ts": 6, "pid": 0, "tid": 0, "args": {"from": 1, "to": 0}},
+    {"name": "mark.wave", "cat": "service", "ph": "X", "ts": 3, "dur": 3, "pid": 0, "tid": 0, "args": {"epoch": 1, "updated": 1}},
+    {"name": "push.stats", "cat": "service", "ph": "X", "ts": 3, "dur": 3, "pid": 0, "tid": 0, "args": {"group": 0, "epoch": 1}},
+    {"name": "query.answer", "cat": "service", "ph": "i", "ts": 6, "pid": 0, "tid": 0, "args": {"id": 1, "cached": 0}},
+    {"name": "epoch", "cat": "service", "ph": "X", "ts": 3, "dur": 3, "pid": 0, "tid": 0, "args": {"epoch": 1, "answers": 1}}
   ]
 }
 )json";

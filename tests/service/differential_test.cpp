@@ -23,7 +23,11 @@
 //     over the region, and every COUNT_DISTINCT ... ERROR 0.15 with exactly
 //     the estimate of a one-shot HLL (64 registers, salt 1) over it,
 //   - account for every bit and message on the air: query, mark and
-//     group-install ledgers add up to the network total.
+//     group-install ledgers add up to the network total after every epoch.
+// An enrolment-churn script (continuous stats subscribers over EVERY 1, 2
+// and 3 that are cancelled and subscribed again, some in one batch, with
+// quiet epochs and a whole-domain group) replays on shared and shared +
+// cache at 1, 2 and 8 workers, which must give one answer stream.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -31,6 +35,7 @@
 #include <cstdint>
 #include <map>
 #include <numbers>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <tuple>
@@ -217,18 +222,104 @@ Script draw_script(std::uint64_t seed) {
   return script;
 }
 
+/// Enrolment churn: continuous stats subscribers over EVERY 1, 2 and 3 on
+/// three regions, the whole domain among them. The first epoch admits four
+/// in one batch; later ones subscribe one or two, cancel one or two, and
+/// subscribe each cancelled text again an epoch later. About a third of the
+/// epochs are quiet (no update).
+Script draw_enrolment_script(std::uint64_t seed) {
+  Xoshiro256 rng(seed);
+  Script script;
+  script.initial.resize(kNodes);
+  for (Value& v : script.initial) v = static_cast<Value>(rng.next_below(400));
+  const std::vector<std::pair<Value, Value>> regions{
+      {0, kBound}, {100, 300}, {37, 213}};
+  const query::AggregateKind aggs[] = {
+      query::AggregateKind::kCount, query::AggregateKind::kSum,
+      query::AggregateKind::kAvg, query::AggregateKind::kMin,
+      query::AggregateKind::kMax};
+  const char* errors[] = {nullptr, "0.1", "0.5"};
+  const auto subscriber = [&](std::size_t region, std::uint64_t every) {
+    Submit s;
+    s.agg = aggs[rng.next_below(5)];
+    std::tie(s.lo, s.hi) = regions[region];
+    std::ostringstream os;
+    os << "SELECT " << query::agg_name(s.agg) << "(v) FROM s";
+    if (s.lo != 0 || s.hi != kBound) {
+      os << " WHERE v BETWEEN " << s.lo << " AND " << s.hi;
+    }
+    os << " EVERY " << every << " EPOCHS";
+    if (const char* err = errors[rng.next_below(3)]) os << " ERROR " << err;
+    s.text = os.str();
+    return s;
+  };
+
+  std::vector<Value> mirror = script.initial;
+  std::vector<Submit> submitted;  // by scripted-submit index
+  std::vector<std::size_t> live;  // ... of the subscribers not cancelled
+  std::vector<Submit> again;      // cancelled last epoch
+  for (std::uint32_t e = 0; e < kEpochs; ++e) {
+    Step step;
+    if (e == 0) {
+      for (std::uint64_t every = 1; every <= 3; ++every) {
+        step.burst.push_back(subscriber(every - 1, every));
+      }
+      step.burst.push_back(subscriber(0, 2));
+    }
+    step.submits = std::move(again);
+    again.clear();
+    for (auto k = rng.next_below(3); k > 0; --k) {
+      step.submits.push_back(
+          subscriber(rng.next_below(regions.size()), 1 + rng.next_below(3)));
+    }
+    for (const Submit& sub : step.submits) {
+      live.push_back(submitted.size());
+      submitted.push_back(sub);
+    }
+    for (auto k = rng.next_below(3); k > 0 && live.size() > 1; --k) {
+      const auto at = rng.next_below(live.size());
+      step.cancels.push_back(live[at]);
+      again.push_back(submitted[live[at]]);
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(at));
+    }
+    if (rng.next_bool(0.65)) {
+      for (NodeId u = 0; u < kNodes; ++u) {
+        if (!rng.next_bool(0.5)) continue;
+        const Value delta = rng.next_bool(0.5) ? kMaxDelta : -kMaxDelta;
+        mirror[u] = std::clamp<Value>(mirror[u] + delta, 0, kBound);
+        step.updates.push_back(SensorUpdate{u, mirror[u]});
+      }
+    }
+    script.steps.push_back(std::move(step));
+  }
+  return script;
+}
+
 struct Config {
   const char* name;
   bool share_aggregation;
   bool use_cache;
   bool use_cube;
   unsigned cube_levels = ServiceConfig{}.cube_levels;
+  unsigned threads = 1;
+};
+
+/// What a replay reports: the service's totals, a hash of its answer
+/// stream, and how many answers of each kind it checked.
+struct Replayed {
+  ServiceTelemetry totals;
+  std::uint64_t answers_hash = 0;
+  std::uint64_t distinct_checked = 0;
+  std::uint64_t exact_distinct_checked = 0;
+  std::uint64_t selections_checked = 0;
+  std::uint64_t empty_selections = 0;
+  std::uint64_t push_messages = 0;  // the scheduler's fused-wave images
 };
 
 /// Replays `script` on one configuration over `graph` and checks every
-/// answer; returns the service's totals.
-ServiceTelemetry replay(const Script& script, const Config& c,
-                        const net::Graph& graph) {
+/// answer, and the ledger after every epoch.
+Replayed replay(const Script& script, const Config& c,
+                const net::Graph& graph) {
   SCOPED_TRACE(c.name);
   sim::Network net(graph, /*master_seed=*/5);
   const net::SpanningTree tree = net::bfs_tree(net.graph(), 0);
@@ -239,6 +330,7 @@ ServiceTelemetry replay(const Script& script, const Config& c,
   cfg.use_cache = c.use_cache;
   cfg.use_cube = c.use_cube;
   cfg.cube_levels = c.cube_levels;
+  cfg.threads = c.threads;
   if (c.use_cube) cfg.cube_distinct_registers = kDistinctRegisters;
   QueryService svc(query::Deployment{net, tree, kBound}, cfg);
   for (const auto& children : svc.tree().children) {
@@ -256,10 +348,15 @@ ServiceTelemetry replay(const Script& script, const Config& c,
   std::uint64_t selections_checked = 0;
   std::uint64_t empty_selections = 0;
 
+  std::uint64_t answers_hash = 1469598103934665603ull;  // FNV-1a
   const auto check = [&](const Answer& a) {
     const Submit& s = submits[submit_of.at(a.id)];
     SCOPED_TRACE(s.text);
     ++checked;
+    for (const double x : {static_cast<double>(a.id), a.value, a.error_bound,
+                           static_cast<double>(a.from_cache)}) {
+      answers_hash = (answers_hash ^ std::hash<double>{}(x)) * 1099511628211ull;
+    }
     if (s.agg == query::AggregateKind::kCountDistinct && !s.sketch) {
       std::vector<Value> in;
       for (const Value v : mirror) {
@@ -396,29 +493,40 @@ ServiceTelemetry replay(const Script& script, const Config& c,
     }
     for (const SensorUpdate& u : step.updates) mirror[u.node] = u.value;
     for (const Answer& a : svc.run_epoch(step.updates)) check(a);
+    const TelemetrySnapshot snap = svc.telemetry_snapshot();
+    std::uint64_t bits = snap.mark_bits_on_air + snap.install_bits_on_air;
+    std::uint64_t messages = snap.mark_messages + snap.install_messages;
+    for (const auto& [id, qc] : snap.queries) {
+      bits += qc.bits_on_air;
+      messages += qc.messages;
+    }
+    const auto total = net.summary(true);
+    EXPECT_EQ(bits, total.total_bits) << "epoch " << svc.epoch();
+    EXPECT_EQ(messages, total.total_messages) << "epoch " << svc.epoch();
   }
   EXPECT_GT(checked, 0u);
-  EXPECT_GT(distinct_checked, 0u);
-  EXPECT_GT(exact_distinct_checked, 0u);
-  EXPECT_GT(selections_checked, 0u);
-  EXPECT_GT(empty_selections, 0u);
 
   const TelemetrySnapshot snap = svc.telemetry_snapshot();
-  std::uint64_t attributed = snap.mark_bits_on_air + snap.install_bits_on_air;
-  std::uint64_t attributed_msgs = snap.mark_messages + snap.install_messages;
-  for (const auto& [id, qc] : snap.queries) {
-    attributed += qc.bits_on_air;
-    attributed_msgs += qc.messages;
-  }
-  const auto total = net.summary(true);
-  EXPECT_EQ(attributed, total.total_bits);
-  EXPECT_EQ(attributed_msgs, total.total_messages);
   EXPECT_EQ(snap.cache.hits, snap.totals.cache_hits);
   // With one level every ranged one-shot plan is a one-shot residue.
   if (c.use_cube && c.cube_levels == 1) {
     EXPECT_GT(snap.cube.residue_waves, 0u);
   }
-  return snap.totals;
+  return {snap.totals,           answers_hash,
+          distinct_checked,      exact_distinct_checked,
+          selections_checked,    empty_selections,
+          snap.plan.push_messages};
+}
+
+/// replay() of a draw_script() script, which reaches every query family.
+ServiceTelemetry replay_every_family(const Script& script, const Config& c,
+                                     const net::Graph& graph) {
+  const Replayed r = replay(script, c, graph);
+  EXPECT_GT(r.distinct_checked, 0u);
+  EXPECT_GT(r.exact_distinct_checked, 0u);
+  EXPECT_GT(r.selections_checked, 0u);
+  EXPECT_GT(r.empty_selections, 0u);
+  return r.totals;
 }
 
 TEST(ServiceDifferential, EveryConfigurationAgreesWithTheMirror) {
@@ -441,7 +549,7 @@ TEST(ServiceDifferential, EveryConfigurationAgreesWithTheMirror) {
                             [](const Step& s) { return !s.burst.empty(); }));
     for (const Config& c : configs) {
       const ServiceTelemetry t =
-          replay(script, c, net::make_grid(kSide, kSide));
+          replay_every_family(script, c, net::make_grid(kSide, kSide));
       cache_hits += t.cache_hits;
       brackets += t.cube_stale_answers;
     }
@@ -472,7 +580,28 @@ TEST(ServiceDifferential, GeometricDeploymentAgreesWithTheMirror) {
   for (const std::uint64_t seed : {1u, 2u}) {
     SCOPED_TRACE(testing::Message() << "seed " << seed);
     const Script script = draw_script(seed);
-    for (const Config& c : configs) replay(script, c, graph);
+    for (const Config& c : configs) replay_every_family(script, c, graph);
+  }
+}
+
+TEST(ServiceDifferential, EnrolmentChurnAgreesWithTheMirrorAtAnyWidth) {
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE(testing::Message() << "seed " << seed);
+    const Script script = draw_enrolment_script(seed);
+    for (const bool cache : {false, true}) {
+      std::optional<std::uint64_t> stream;
+      for (const unsigned threads : {1u, 2u, 8u}) {
+        const Config c{cache ? "shared+cache" : "shared", true, cache, false,
+                       ServiceConfig{}.cube_levels, threads};
+        SCOPED_TRACE(testing::Message() << threads << " workers");
+        const Replayed r = replay(script, c, net::make_grid(kSide, kSide));
+        if (stream) {
+          EXPECT_EQ(r.answers_hash, *stream);
+        }
+        stream = r.answers_hash;
+        EXPECT_GT(r.push_messages, 0u);
+      }
+    }
   }
 }
 

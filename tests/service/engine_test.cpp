@@ -60,6 +60,13 @@ struct Fixture {
   }
 };
 
+/// Mark + install + Σ query bits of a snapshot.
+std::uint64_t ledger_bits(const TelemetrySnapshot& snap) {
+  std::uint64_t bits = snap.mark_bits_on_air + snap.install_bits_on_air;
+  for (const auto& [id, qc] : snap.queries) bits += qc.bits_on_air;
+  return bits;
+}
+
 TEST(QueryService, OneShotQueriesAnswerAtAdmission) {
   Fixture f;
   const auto r = f.svc.submit("SELECT SUM(v) FROM s WHERE v BETWEEN 50 AND 250");
@@ -347,26 +354,79 @@ TEST(QueryService, TelemetrySnapshotAttributesCostsToQueriesAndGroups) {
 
 TEST(QueryService, AttributedBitsPlusMarksEqualNetworkTotal) {
   Fixture f;
-  // Whole-domain groups only: no install broadcasts, so query bits plus
-  // mark-wave bits must reproduce the network total exactly.
+  // Whole-domain groups only: no install broadcasts, so the install bucket
+  // holds just the admissions' schedule announcements, and query bits plus
+  // mark-wave bits plus it must reproduce the network total exactly.
   f.svc.submit("SELECT SUM(v) FROM s EVERY 1 EPOCHS").value();
   f.svc.submit("SELECT COUNT(v) FROM s EVERY 2 EPOCHS").value();
+  const auto admitted = f.net.summary(true);
   for (int e = 0; e < 4; ++e) {
     const std::vector<SensorUpdate> batch{f.drift(11, 2)};
     f.svc.run_epoch(batch);
   }
   const TelemetrySnapshot snap = f.svc.telemetry_snapshot();
-  std::uint64_t attributed = snap.mark_bits_on_air;
-  std::uint64_t attributed_msgs = snap.mark_messages;
+  std::uint64_t attributed = snap.mark_bits_on_air + snap.install_bits_on_air;
+  std::uint64_t attributed_msgs = snap.mark_messages + snap.install_messages;
   for (const auto& [id, qc] : snap.queries) {
     attributed += qc.bits_on_air;
     attributed_msgs += qc.messages;
   }
   const auto total = f.net.summary(true);
-  EXPECT_EQ(snap.install_bits_on_air, 0u);
-  EXPECT_EQ(snap.install_messages, 0u);
+  EXPECT_EQ(snap.install_bits_on_air, admitted.total_bits);
+  EXPECT_EQ(snap.install_messages, admitted.total_messages);
   EXPECT_EQ(attributed, total.total_bits);
   EXPECT_EQ(attributed_msgs, total.total_messages);
+}
+
+TEST(QueryService, PushesLeaveTheMarkBucketAsAPlainMarkWave) {
+  // Standing groups are pushed beside the marks. The mark bucket must still
+  // hold exactly what a bare tracker's marks cost on the same updates (the
+  // check servicebench's traced twin makes), the images must go to the
+  // groups' subscribers, and a re-subscription must not change that.
+  Fixture f;
+  sim::Network bare_net(net::make_grid(6, 6), /*master_seed=*/11);
+  bare_net.set_one_item_per_node(f.mirror);
+  cube::DirtyTracker bare(bare_net, f.tree);
+  const QueryId exact =
+      f.svc.submit("SELECT SUM(v) FROM s WHERE v BETWEEN 20 AND 200 "
+                   "EVERY 1 EPOCHS")
+          .value()
+          .id;
+  QueryId tolerant =
+      f.svc.submit("SELECT COUNT(v) FROM s EVERY 2 EPOCHS ERROR 0.5")
+          .value()
+          .id;
+  for (std::uint32_t e = 1; e <= 8; ++e) {
+    if (e == 5) {  // re-enrol at another phase
+      ASSERT_TRUE(f.svc.cancel(tolerant));
+      tolerant =
+          f.svc.submit("SELECT COUNT(v) FROM s EVERY 2 EPOCHS ERROR 0.5")
+              .value()
+              .id;
+    }
+    const std::vector<SensorUpdate> batch{f.drift(e, 3), f.drift(30 - e, -2)};
+    std::vector<NodeId> touched;
+    for (const SensorUpdate& u : batch) {
+      bare_net.update_item(u.node, 0, u.value);
+      touched.push_back(u.node);
+    }
+    bare.note_updates(touched, e);
+    for (const Answer& a : f.svc.run_epoch(batch)) {
+      if (a.id == exact) {
+        EXPECT_DOUBLE_EQ(a.value, f.exact("SUM", 20, 200));
+      }
+    }
+  }
+  const TelemetrySnapshot snap = f.svc.telemetry_snapshot();
+  EXPECT_EQ(snap.mark_bits_on_air, bare_net.summary(true).total_bits);
+  EXPECT_EQ(snap.mark_messages, bare_net.summary(true).total_messages);
+  EXPECT_GT(snap.plan.push_messages, 0u);
+  EXPECT_EQ(snap.plan.stats_convergecasts, 0u);  // no pull at all
+  EXPECT_GT(snap.queries.at(exact).bits_on_air, 0u);
+  // The whole-domain COUNT never moves, so the cache answers it and its
+  // pushes go unread.
+  EXPECT_GT(snap.totals.pushed_unread_image_bits, 0u);
+  EXPECT_EQ(ledger_bits(snap), f.net.summary(true).total_bits);
 }
 
 TEST(QueryService, MultiplexedWaveSplitsBitsExactlyAmongGroups) {
@@ -755,26 +815,31 @@ std::pair<std::uint64_t, std::uint64_t> ledger(const QueryService& svc) {
   return {bits, messages};
 }
 
-/// Subscribes `text`, runs one lossless epoch, then one that loses a
-/// message: the failed wave is charged to the subscriber, so the ledger
-/// still equals the network total, and a lossless retry epoch answers
-/// exact() and keeps it so.
+/// Subscribes `text` (EVERY 2 EPOCHS) and runs it once on lossless links.
+/// The next epoch drifts the readings, losslessly: the subscriber is not
+/// due, so only marks travel. The one after, due and with nothing new to
+/// mark, loses a message of the subscriber's own wave: the failed wave is
+/// charged to the subscriber, so the ledger still equals the network
+/// total, and a lossless retry answers exact() and keeps it so.
 void expect_failed_wave_charged(Fixture& f, const std::string& text,
                                 const std::function<double()>& exact) {
   SCOPED_TRACE(text);
   const QueryId id = f.svc.submit(text).value().id;
-  f.svc.run_epoch({});  // installs ride lossless links
+  f.svc.run_epoch({});
+  ASSERT_EQ(f.svc.run_epoch({}).size(), 1u);
+  std::vector<SensorUpdate> batch;
+  for (NodeId u = 0; u < 18; ++u) batch.push_back(f.drift(u, 3));
+  ASSERT_TRUE(f.svc.run_epoch(batch).empty());
   const std::uint64_t paid =
       f.svc.telemetry_snapshot().queries.at(id).bits_on_air;
   f.net.set_message_loss(0.3);
-  std::vector<SensorUpdate> batch;
-  for (NodeId u = 0; u < 18; ++u) batch.push_back(f.drift(u, 3));
-  EXPECT_THROW(f.svc.run_epoch(batch), ProtocolError);
+  EXPECT_THROW(f.svc.run_epoch({}), ProtocolError);
   const auto total = f.net.summary(true);
   EXPECT_EQ(ledger(f.svc), std::pair(total.total_bits, total.total_messages));
   EXPECT_GT(f.svc.telemetry_snapshot().queries.at(id).bits_on_air, paid);
 
   f.net.set_message_loss(0.0);
+  ASSERT_TRUE(f.svc.run_epoch({}).empty());
   const auto answers = f.svc.run_epoch({});
   ASSERT_EQ(answers.size(), 1u);
   EXPECT_DOUBLE_EQ(answers[0].value, exact());
@@ -787,10 +852,10 @@ TEST(QueryService, FailedExecutorWaveIsChargedToItsQuery) {
   naive.share_aggregation = false;
   Fixture n{naive};
   expect_failed_wave_charged(
-      n, "SELECT SUM(v) FROM s WHERE v BETWEEN 20 AND 200 EVERY 1 EPOCHS",
+      n, "SELECT SUM(v) FROM s WHERE v BETWEEN 20 AND 200 EVERY 2 EPOCHS",
       [&] { return n.exact("SUM", 20, 200); });
   Fixture f;  // shared mode: a MEDIAN still runs the executor
-  expect_failed_wave_charged(f, "SELECT MEDIAN(v) FROM s EVERY 1 EPOCHS", [&] {
+  expect_failed_wave_charged(f, "SELECT MEDIAN(v) FROM s EVERY 2 EPOCHS", [&] {
     std::vector<Value> sorted = f.mirror;
     std::sort(sorted.begin(), sorted.end());
     return static_cast<double>(sorted[17]);
@@ -858,7 +923,7 @@ TEST_P(BundlePath, ExactSubscriberForcesFreshCollectionForTheKey) {
 TEST_P(BundlePath, FailedWaveIsChargedToItsPayer) {
   Fixture f{config()};
   expect_failed_wave_charged(
-      f, "SELECT SUM(v) FROM s WHERE v BETWEEN 20 AND 200 EVERY 1 EPOCHS",
+      f, "SELECT SUM(v) FROM s WHERE v BETWEEN 20 AND 200 EVERY 2 EPOCHS",
       [&] { return f.exact("SUM", 20, 200); });
 }
 

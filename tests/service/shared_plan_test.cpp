@@ -502,5 +502,155 @@ TEST(SharedPlan, LostMessageFailsTheCollectionAndTheRetryIsExact) {
   EXPECT_EQ(f.sched.collect_stats(g, 1), direct_bundle(f.net, ranged));
 }
 
+/// Writes `updates` into the network and runs the epoch's fused wave:
+/// returns the pushed groups' shares.
+std::vector<GroupShare> push_drift(
+    Fixture& f, const std::vector<std::pair<NodeId, Value>>& updates,
+    std::uint32_t epoch) {
+  std::vector<NodeId> touched;
+  for (const auto& [u, v] : updates) {
+    f.net.update_item(u, 0, v);
+    touched.push_back(u);
+  }
+  std::vector<GroupShare> pushed;
+  f.sched.note_updates(touched, epoch, pushed);
+  return pushed;
+}
+
+std::pair<std::uint64_t, std::uint64_t> sum_shares(
+    const std::vector<GroupShare>& shares) {
+  std::pair<std::uint64_t, std::uint64_t> sum;
+  for (const GroupShare& g : shares) {
+    sum.first += g.share.bits;
+    sum.second += g.share.messages;
+  }
+  return sum;
+}
+
+TEST(SharedPlan, PushedGroupsRideTheMarksAndTheirCollectionSendsNothing) {
+  // Two fixtures fed the same drift: one pushes a whole-domain and a
+  // ranged group every epoch, the other only marks. What the pushing wave
+  // sends beyond its groups' shares is exactly the plain mark wave; the
+  // pushed groups' collections then send nothing, and are exact.
+  Fixture f;
+  Fixture plain;
+  const std::vector<query::RegionSignature> regions{{0, kBound, true},
+                                                    {30, 120, false}};
+  std::vector<GroupId> groups;
+  for (const auto& region : regions) {
+    groups.push_back(f.sched.ensure_stats_group(region));
+    f.sched.subscribe(groups.back(), 1, 0);
+    f.sched.subscribe(groups.back(), 2, 1);  // implied by (1, 0): not sent
+  }
+  std::vector<GroupShare> announced;
+  const auto a0 = f.net.summary(true);
+  f.sched.announce(announced);
+  const auto a1 = f.net.summary(true);
+  ASSERT_EQ(announced.size(), 2u);
+  EXPECT_EQ(sum_shares(announced),
+            std::pair(a1.total_bits - a0.total_bits,
+                      a1.total_messages - a0.total_messages));
+  f.sched.announce(announced);  // nothing changed: nothing is sent
+  EXPECT_TRUE(announced.empty());
+  EXPECT_EQ(f.net.summary(true).total_bits, a1.total_bits);
+
+  Xoshiro256 rng(11);
+  for (std::uint32_t epoch = 1; epoch <= 6; ++epoch) {
+    const auto updates = random_drift(rng, f.net, 5);
+    const auto p0 = plain.net.summary(true);
+    apply_drift(plain, updates, epoch);
+    const auto p1 = plain.net.summary(true);
+    const auto f0 = f.net.summary(true);
+    const std::vector<GroupShare> pushed = push_drift(f, updates, epoch);
+    const auto f1 = f.net.summary(true);
+    ASSERT_EQ(pushed.size(), 2u);
+    const auto [bits, messages] = sum_shares(pushed);
+    EXPECT_EQ(f1.total_bits - f0.total_bits - bits,
+              p1.total_bits - p0.total_bits);
+    EXPECT_EQ(f1.total_messages - f0.total_messages - messages,
+              p1.total_messages - p0.total_messages);
+    std::vector<WaveShare> shares;
+    f.sched.collect_stats_batch(groups, epoch, shares);
+    EXPECT_EQ(f.net.summary(true).total_bits, f1.total_bits);
+    for (std::size_t j = 0; j < groups.size(); ++j) {
+      EXPECT_TRUE(pushed[j].share.collected);
+      EXPECT_EQ(f.sched.collect_stats(groups[j], epoch),
+                direct_bundle(f.net, regions[j]));
+    }
+  }
+  const SharedPlanStats st = f.sched.stats();
+  EXPECT_EQ(st.mark_messages, plain.sched.stats().mark_messages);
+  EXPECT_EQ(st.stats_waves, 12u);
+  EXPECT_GT(st.push_messages, 0u);
+  EXPECT_GT(st.push_image_bits, 0u);
+  EXPECT_GT(st.delta_image_bits, 0u);
+  EXPECT_LT(st.delta_image_bits, st.delta_image_full_bits);
+}
+
+TEST(SharedPlan, ADuePushCarriesEdgesThatWentStaleWhileNotDue) {
+  // Due every even epoch; the readings drift only in odd ones, when the
+  // group is not due and marks travel alone. Each push must bring up the
+  // edges the marks left stale.
+  Fixture f;
+  const query::RegionSignature region{30, 120, false};
+  const GroupId g = f.sched.ensure_stats_group(region);
+  f.sched.subscribe(g, 2, 0);
+  std::vector<GroupShare> announced;
+  f.sched.announce(announced);
+  Xoshiro256 rng(3);
+  for (std::uint32_t epoch = 1; epoch <= 8; ++epoch) {
+    const bool due = epoch % 2 == 0;
+    const auto pushed = push_drift(
+        f, due ? std::vector<std::pair<NodeId, Value>>{}
+               : random_drift(rng, f.net, 6),
+        epoch);
+    ASSERT_EQ(pushed.size(), due ? 1u : 0u);
+    if (!due) continue;
+    const auto before = f.net.summary(true);
+    EXPECT_EQ(f.sched.collect_stats(g, epoch), direct_bundle(f.net, region));
+    EXPECT_EQ(f.net.summary(true).total_bits, before.total_bits);
+  }
+  // Unsubscribed, the group is pushed no more once the nodes hear of it.
+  f.sched.unsubscribe(g, 2, 0);
+  f.sched.announce(announced);
+  ASSERT_EQ(announced.size(), 1u);
+  EXPECT_TRUE(push_drift(f, {}, 10).empty());
+}
+
+TEST(SharedPlan, ALostPushFailsTheEpochAndTheNextLosslessOneIsExact) {
+  // A line 0-1-2-3 reading 10 each, one pushed whole-domain group. Node 3
+  // moves to 50 and its push is lost: the epoch throws with the push
+  // charged to the group, and the next lossless epoch, with no update,
+  // re-sends the owed mark and the images, so the group reads 80.
+  sim::Network net(net::make_line(4), /*master_seed=*/1);
+  const net::SpanningTree tree = net::bfs_tree(net.graph(), 0);
+  net.set_one_item_per_node({10, 10, 10, 10});
+  SharedPlanScheduler sched(net, tree, kBound, kDelta, kHorizon);
+  const GroupId g = sched.ensure_stats_group({0, kBound, true});
+  sched.subscribe(g, 1, 0);
+  std::vector<GroupShare> shares;
+  sched.announce(shares);
+  sched.note_updates({}, 1, shares);  // cold edges: every node pushes
+  EXPECT_EQ(sched.collect_stats(g, 1).core.sum, 40u);
+
+  net.update_item(3, 0, 50);
+  const std::vector<NodeId> touched{3};
+  net.set_message_loss(1.0);
+  const auto before = net.summary(true);
+  EXPECT_THROW(sched.note_updates(touched, 2, shares), ProtocolError);
+  const auto after = net.summary(true);
+  net.set_message_loss(0.0);
+  ASSERT_EQ(shares.size(), 1u);
+  EXPECT_EQ(after.total_messages - before.total_messages, 1u);
+  // The mark's header and bit are the mark wave's; the image is the group's.
+  EXPECT_EQ(shares[0].share.bits + sim::kHeaderBits + 1,
+            after.total_bits - before.total_bits);
+
+  sched.note_updates({}, 3, shares);
+  const auto fresh = net.summary(true);
+  EXPECT_EQ(sched.collect_stats(g, 3).core.sum, 80u);
+  EXPECT_EQ(net.summary(true).total_bits, fresh.total_bits);
+}
+
 }  // namespace
 }  // namespace sensornet::service
