@@ -33,6 +33,8 @@ import tarfile
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+RESAMPLES = 2000  # bootstrap resamples of the paired ratios
+TIMEOUT_S = 600   # seconds one run may take
 
 
 def extract(rev, dest):
@@ -67,11 +69,11 @@ def metric(result, name):
     return float(node)
 
 
-def run(cmd, cwd, seed, timeout):
+def run(cmd, cwd, seed):
     argv = [a.replace("{seed}", str(seed)) for a in cmd]
     proc = subprocess.run(argv, cwd=cwd, stdout=subprocess.PIPE,
                           stderr=subprocess.DEVNULL, text=True,
-                          timeout=timeout)
+                          timeout=TIMEOUT_S)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         sys.exit(f"ab: {' '.join(argv)} exited {proc.returncode} in {cwd}")
@@ -85,13 +87,13 @@ def quartiles(xs):
     return q1, q2, q3
 
 
-def bootstrap(ratios, resamples, rng):
+def bootstrap(ratios, rng):
     """95% percentile interval of the median paired ratio."""
     medians = sorted(
         statistics.median(rng.choices(ratios, k=len(ratios)))
-        for _ in range(resamples))
-    return (medians[int(0.025 * (resamples - 1))],
-            medians[int(0.975 * (resamples - 1))])
+        for _ in range(RESAMPLES))
+    return (medians[int(0.025 * (RESAMPLES - 1))],
+            medians[int(0.975 * (RESAMPLES - 1))])
 
 
 def main():
@@ -104,9 +106,6 @@ def main():
     ap.add_argument("--metric", action="append", required=True)
     ap.add_argument("--build", help="shell command run once in each "
                     "revision's directory before the pairs")
-    ap.add_argument("--timeout", type=float, default=600.0,
-                    help="seconds one run may take")
-    ap.add_argument("--resamples", type=int, default=2000)
     ap.add_argument("--workdir", help="where the revisions are extracted "
                     "(default: a new temporary directory, deleted after)")
     ap.add_argument("--reuse", action="store_true",
@@ -137,7 +136,7 @@ def main():
             # falls on both sides alike.
             order = ("A", "B") if i % 2 == 0 else ("B", "A")
             for label in order:
-                result = run(cmd, sides[label], seed, args.timeout)
+                result = run(cmd, sides[label], seed)
                 for m in args.metric:
                     values[label][m].append(metric(result, m))
             print(f"pair {i + 1}/{args.pairs} seed {seed}: " + ", ".join(
@@ -154,7 +153,7 @@ def main():
         a, b = values["A"][m], values["B"][m]
         ratios = [y / x if x else float("inf") for x, y in zip(a, b)]
         qa, qb = quartiles(a), quartiles(b)
-        lo, hi = bootstrap(ratios, args.resamples, rng)
+        lo, hi = bootstrap(ratios, rng)
         lower = sum(1 for x, y in zip(a, b) if y < x)
         print(f"{m}: A median {qa[1]:.6g} [Q1 {qa[0]:.6g}, Q3 {qa[2]:.6g}]; "
               f"B median {qb[1]:.6g} [Q1 {qb[0]:.6g}, Q3 {qb[2]:.6g}]; "

@@ -529,6 +529,9 @@ void write_pr10(Json& j, const Scale& s, bool quick, unsigned threads,
       .field("residues_run", t.cube.residues_run)
       .field("standing_installs", t.cube.standing_installs)
       .field("standing_refreshed", t.cube.standing_refreshed)
+      .field("push_messages", t.cube.push_messages)
+      .field("push_image_bits", t.cube.push_image_bits)
+      .field("pushed_unread_image_bits", t.totals.pushed_unread_image_bits)
       .field("cell_edges_descended", t.cube.cell_edges_descended)
       .field("cell_edges_skipped", t.cube.cell_edges_skipped)
       .field("residue_edges_pruned", t.cube.residue_edges_pruned)

@@ -151,10 +151,13 @@ PartialStore::OnceCollection Cube::collect_residues(
 
 // ---- installs -------------------------------------------------------------
 
-WaveShare Cube::broadcast(std::uint32_t session, BitWriter payload) {
+WaveShare Cube::broadcast(std::uint32_t session, BitWriter payload,
+                          std::size_t* heard) {
   const sim::CommSummary before = net_.summary(/*include_headers=*/true);
   proto::TreeBroadcast install(
-      tree_, session, [](sim::Network&, NodeId, BitReader) { /* noted */ });
+      tree_, session, [heard](sim::Network&, NodeId, BitReader) {
+        if (heard != nullptr) ++*heard;
+      });
   install.execute(net_, std::move(payload));
   const sim::CommSummary after = net_.summary(/*include_headers=*/true);
   WaveShare cost;
@@ -177,8 +180,14 @@ WaveShare Cube::install_geometry() {
     encode_uint(w, store_.hll_width());
     encode_uint(w, kHllSalt);
   }
+  // The slot schedules enrolled so far ride it: announce() waits for it.
+  std::vector<std::pair<std::uint32_t, std::uint64_t>> entries;
+  const bool schedules = schedules_.write_changes(w, entries);
   ++stats_.geometry_installs;
-  return broadcast(kGeometrySession, std::move(w));
+  std::size_t heard = 0;
+  const WaveShare cost = broadcast(kGeometrySession, std::move(w), &heard);
+  if (schedules) schedules_.heard(heard == tree_.node_count());
+  return cost;
 }
 
 WaveShare Cube::install_standing(const std::vector<SlotId>& slots) {
@@ -200,12 +209,77 @@ WaveShare Cube::install_standing(const std::vector<SlotId>& slots) {
 void Cube::retire_standing(std::uint32_t epoch) {
   for (const auto& [key, s] : standing_) {
     SlotState& state = slot_state_[s];
-    if (!state.installed || epoch <= state.last_read + config_.horizon_epochs) {
+    if (!state.installed || epoch <= state.last_read + config_.horizon_epochs ||
+        schedules_.subscribed(s)) {
       continue;
     }
     store_.release(s);
     state.installed = false;
     ++stats_.standing_retired;
+  }
+}
+
+// ---- push -----------------------------------------------------------------
+
+std::vector<SlotId> Cube::subscribe(const query::CostedPlan& plan,
+                                    std::uint32_t period,
+                                    std::uint32_t phase) {
+  std::vector<SlotId> slots;
+  if (plan.strategy == query::Strategy::kApproxDistinct) return slots;
+  for (const query::PlanStep& step : plan.steps) {
+    slots.push_back(slot_for(step, /*sketch=*/false, /*standing=*/true));
+  }
+  std::sort(slots.begin(), slots.end());
+  slots.erase(std::unique(slots.begin(), slots.end()), slots.end());
+  for (const SlotId s : slots) schedules_.subscribe(s, period, phase);
+  return slots;
+}
+
+void Cube::unsubscribe(std::span<const SlotId> slots, std::uint32_t period,
+                       std::uint32_t phase) {
+  for (const SlotId s : slots) schedules_.unsubscribe(s, period, phase);
+}
+
+void Cube::announce(WaveShare& cost) {
+  cost = WaveShare{};
+  if (!geometry_installed_) return;  // the schedules ride its install
+  BitWriter w;
+  std::vector<std::pair<std::uint32_t, std::uint64_t>> entries;
+  if (!schedules_.write_changes(w, entries)) return;
+  std::size_t heard = 0;
+  cost = broadcast(next_residue_session_++, std::move(w), &heard);
+  schedules_.heard(heard == tree_.node_count());
+  if (heard != tree_.node_count()) {
+    throw ProtocolError("Cube: a schedule was lost");
+  }
+}
+
+std::unique_ptr<PartialStore::Push> Cube::push(std::uint32_t epoch) {
+  if (!geometry_installed_) return nullptr;
+  std::vector<SlotId> slots;
+  for (const SlotId s : schedules_.due(epoch)) {
+    if (!slot_state_[s].standing || slot_state_[s].installed) {
+      slots.push_back(s);
+    }
+  }
+  if (slots.empty()) return nullptr;
+  return std::make_unique<PartialStore::Push>(store_, slots, epoch);
+}
+
+void Cube::pushed(PartialStore::Push& push, bool delivered) {
+  const std::span<const SlotId> slots = push.slots();
+  for (std::size_t i = 0; i < slots.size(); ++i) {
+    (slot_state_[slots[i]].standing ? stats_.standing_bits
+                                    : stats_.cell_bits) +=
+        push.shares()[i].bits;
+    stats_.push_image_bits += push.image_bits()[i];
+  }
+  stats_.push_messages += push.messages();
+  if (!delivered) return;
+  push.finish();
+  for (const SlotId s : slots) {
+    ++(slot_state_[s].standing ? stats_.standing_refreshed
+                               : stats_.cells_refreshed);
   }
 }
 

@@ -55,6 +55,22 @@
 // (sketch residues in a second), pruned against the fresh slots. serve()
 // is the one-shot batch of one.
 //
+// Standing plans' stats slots are *pushed*, as the shared-plan scheduler's
+// standing groups are (see service/shared_plan.hpp). subscribe() enrols a
+// standing plan's cells and its residues' standing slots on the plan's
+// schedule (cube::PushSchedules); the schedules ride the geometry install
+// when they precede it, and announce() broadcasts later changes. In an
+// epoch where enrolled slots are due, push() is the cargo of the fused
+// mark wave (cube::PartialStore::Push): every dirty edge, and every edge
+// such a slot's partial went stale on earlier, carries the due slots'
+// delta images, with no request. A slot is pushed only once the nodes can
+// name it: after the geometry install, and for a standing slot after its
+// own install; a standing slot with a subscriber is not retired. Pushed
+// slots are fresh when the epoch's plans are priced, so those plans cost 0
+// and skip their drift brackets; one-shots still read the cells as they
+// are, brackets included. Sketch slots (HLL twins, distinct residues) stay
+// pulled.
+//
 // Answers composed from fresh slots + residues are byte-identical to a
 // whole-tree collection: slot regions partition the query range, stats
 // combine losslessly, and HLL partials replicate the oracle's exact sketch
@@ -65,6 +81,7 @@
 #include <atomic>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <span>
@@ -75,6 +92,7 @@
 #include "src/common/types.hpp"
 #include "src/cube/dirty.hpp"
 #include "src/cube/partials.hpp"
+#include "src/cube/schedule.hpp"
 #include "src/cube/stats.hpp"
 #include "src/net/spanning_tree.hpp"
 #include "src/query/aggregate.hpp"
@@ -119,6 +137,10 @@ struct CubeStats {
   std::uint64_t residue_edges_descended = 0;  // per (residue, edge)
   std::uint64_t residue_edges_pruned = 0;     // subtrees proven empty
   std::uint64_t standing_refreshed = 0;  // standing slots collected
+  // Fused-wave messages that carried cube slots' images, and the images'
+  // bits.
+  std::uint64_t push_messages = 0;
+  std::uint64_t push_image_bits = 0;
   std::uint64_t standing_installs = 0;   // standing slots installed
   std::uint64_t standing_retired = 0;    // ... and freed after the horizon
   std::uint64_t fresh_serves = 0;
@@ -221,6 +243,35 @@ class Cube final : public query::CubeCatalog {
   /// Requires no pending claims.
   ServeResult serve(const query::CostedPlan& plan, std::uint32_t epoch);
 
+  // ---- push (see the file comment) ---------------------------------------
+  /// Enrols a standing stats plan's slots for push on its schedule (due in
+  /// every epoch e with e % period == phase): the cells it reads and its
+  /// residues' standing slots, created on first use. Returns them,
+  /// ascending. An approx-distinct plan enrols nothing: sketch slots are
+  /// pulled.
+  std::vector<SlotId> subscribe(const query::CostedPlan& plan,
+                                std::uint32_t period, std::uint32_t phase);
+  /// Withdraws one subscribe() of the slots it returned.
+  void unsubscribe(std::span<const SlotId> slots, std::uint32_t period,
+                   std::uint32_t phase);
+  /// Broadcasts, in one message, the slot schedules that changed since the
+  /// nodes last heard them (PushSchedules' wire format); sends nothing when
+  /// none did, or before the geometry install, which they then ride. Sets
+  /// `cost` to what it sent, also when it throws ProtocolError because a
+  /// node missed it: the next announce() sends it again, and no push may
+  /// run before one returns.
+  void announce(WaveShare& cost);
+  /// The cargo of `epoch`'s fused wave (DirtyTracker::note_updates): the
+  /// slots the announced schedules make due that the nodes can push — the
+  /// geometry installed and, for a standing slot, its region — or null
+  /// when there is none.
+  std::unique_ptr<PartialStore::Push> push(std::uint32_t epoch);
+  /// After the push's wave, also one that threw: counts its shares in
+  /// cell_bits and standing_bits, and when `delivered`, finishes it (its
+  /// slots are fresh at the epoch, so the epoch's serve sends nothing for
+  /// them).
+  void pushed(PartialStore::Push& push, bool delivered);
+
   /// Zero-bit composition of per-cell drift brackets at each cell's own
   /// staleness (see BracketComposer; a cell at its refresh epoch is exact).
   /// Returns nullopt when the plan has non-cell steps, a cell was never
@@ -272,13 +323,16 @@ class Cube final : public query::CubeCatalog {
   SlotId installed_standing(const query::RegionSignature& region,
                             bool sketch) const;
   /// One tree broadcast of `payload` on `session`; returns what it cost.
-  WaveShare broadcast(std::uint32_t session, BitWriter payload);
+  /// Sets `heard`, when given, to the number of nodes that heard it.
+  WaveShare broadcast(std::uint32_t session, BitWriter payload,
+                      std::size_t* heard = nullptr);
   /// The lazy geometry install broadcast; returns what it cost.
   WaveShare install_geometry();
   /// One broadcast of the regions of `slots`, new standing slots; returns
   /// what it cost.
   WaveShare install_standing(const std::vector<SlotId>& slots);
-  /// Frees the standing slots no batch has read for horizon_epochs.
+  /// Frees the standing slots no batch has read for horizon_epochs and no
+  /// subscriber keeps pushed.
   void retire_standing(std::uint32_t epoch);
   /// One multiplexed residue wave over `ranges` (none: nothing is sent),
   /// pruned against the fresh slots; charges range i's wave share to plan
@@ -339,6 +393,7 @@ class Cube final : public query::CubeCatalog {
   // Standing slots by (region, sketch) key.
   std::map<std::pair<query::RegionSignature, bool>, SlotId> standing_;
   std::vector<Claim> claimed_;  // the pending batch
+  PushSchedules schedules_;     // of the pushed slots, by slot id
   bool geometry_installed_ = false;
   std::uint32_t next_residue_session_;
   CubeStats stats_;  // all but the store's and the pricing counters

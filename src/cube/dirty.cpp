@@ -102,6 +102,17 @@ DirtyTracker::DirtyTracker(sim::Network& net, const net::SpanningTree& tree)
   SENSORNET_EXPECTS(net.node_count() == tree.node_count());
 }
 
+void DirtyTracker::defer_updates(std::span<const NodeId> updated,
+                                 std::uint32_t epoch) {
+  SENSORNET_EXPECTS(epoch != kNever && epoch != kInvalidEpoch);
+  SENSORNET_EXPECTS(epoch > last_epoch_);
+  last_epoch_ = epoch;
+  for (const NodeId u : updated) {
+    SENSORNET_EXPECTS(u < tree_.node_count());
+    owed_.push_back(u);
+  }
+}
+
 void DirtyTracker::note_updates(std::span<const NodeId> updated,
                                 std::uint32_t epoch, Cargo* cargo) {
   SENSORNET_EXPECTS(epoch != kNever && epoch != kInvalidEpoch);

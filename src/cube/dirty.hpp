@@ -32,7 +32,13 @@
 // lost a message (its bits are spent and metered). Until the owed marks
 // arrive, an edge's stamp may lag the change below it; the epoch that threw
 // answers nothing, and the next one that delivers every mark sees every
-// change again. On lossless links the contract costs nothing.
+// change again. Both ends of an edge must agree on a fused wave's cargo:
+// its owners broadcast their push schedules (cube/schedule.hpp), and an
+// epoch whose schedule broadcast some node missed runs no wave at all —
+// its owner throws ProtocolError, the updated nodes owe their marks to the
+// next note_updates() (defer_updates()), and that one runs only after a
+// broadcast every node heard. On lossless links the contract costs
+// nothing.
 #pragma once
 
 #include <cstdint>
@@ -85,6 +91,11 @@ class DirtyTracker {
   /// was lost (see the file comment).
   void note_updates(std::span<const NodeId> updated, std::uint32_t epoch,
                     Cargo* cargo = nullptr);
+
+  /// Records an epoch that runs no wave (its announcement was lost, see
+  /// service/shared_plan.hpp): the updated nodes owe their marks to the
+  /// next note_updates(), as if their marks had been lost.
+  void defer_updates(std::span<const NodeId> updated, std::uint32_t epoch);
 
   /// Epoch of the last change at or below the node that its parent heard
   /// (the root: that it heard or saw).

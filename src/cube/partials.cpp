@@ -925,6 +925,8 @@ void PartialStore::Push::write(NodeId child, bool changed, BitWriter& w) {
     const std::uint64_t bits = w.bit_count() - before;
     ledger_.add(i, bits);
     image_bits_[i] += bits;
+    ++carried_;
+    ++store_.edges_descended_;
   }
   ++messages_;
   // A set mark bit makes the message the mark wave's: header and mark bit
@@ -949,6 +951,8 @@ void PartialStore::Push::read(NodeId child, bool changed, BitReader& r) {
 }
 
 void PartialStore::Push::finish() {
+  store_.edges_skipped_ +=
+      slots_.size() * (store_.tree_.node_count() - 1) - carried_;
   for (std::size_t i = 0; i < slots_.size(); ++i) {
     Slot& s = store_.slots_[slots_[i]];
     store_.take_root(s);

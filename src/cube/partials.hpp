@@ -342,6 +342,8 @@ class PartialStore {
     }
     /// Messages that carried images.
     std::uint64_t messages() const { return messages_; }
+    /// The pushed slots, ascending.
+    std::span<const SlotId> slots() const { return slots_; }
 
    private:
     /// True when slot i's image must ride edge `child`'s message.
@@ -354,6 +356,7 @@ class PartialStore {
     ShareLedger ledger_;
     std::vector<std::uint64_t> image_bits_;
     std::uint64_t messages_ = 0;
+    std::uint64_t carried_ = 0;  // (slot, edge) pairs
   };
 
   /// Collects every listed slot (strictly ascending ids) in one multiplexed
@@ -465,7 +468,9 @@ class PartialStore {
   sketch::Hll empty_hll() const;
   std::uint8_t hll_width() const { return hll_width_; }
 
-  /// Cumulative (slot, edge) pairs requested / served from partials.
+  /// Cumulative (slot, edge) pairs requested / served from partials. A
+  /// push counts the pairs it carried as requested and, once it finished,
+  /// every other pair of its slots as served from partials.
   std::uint64_t edges_descended() const { return edges_descended_; }
   std::uint64_t edges_skipped() const { return edges_skipped_; }
   /// Cumulative bits of the stats slots' delta images sent, and of the same

@@ -174,6 +174,10 @@ QueryService::LiveQuery QueryService::route(ParsedQuery&& parsed,
   };
   if (bundle && cube_) {
     lq.path = Path::kBundle;
+    if (adm.continuous) {
+      lq.pushed =
+          cube_->subscribe(lq.plan, lq.every, lq.registered_epoch % lq.every);
+    }
     adm.plan = "cube: " + lq.plan.description;
   } else if (bundle) {
     lq.path = Path::kBundle;
@@ -212,8 +216,10 @@ bool QueryService::cancel(QueryId id) {
   const auto it = live_.find(id);
   if (it == live_.end()) return false;
   const LiveQuery& lq = it->second;
-  if (lq.path == Path::kBundle && !cube_) {
-    // The nodes hear of it before the next epoch (run_epoch announces).
+  // The nodes hear of it before the next epoch (run_epoch announces).
+  if (lq.path == Path::kBundle && cube_) {
+    cube_->unsubscribe(lq.pushed, lq.every, lq.registered_epoch % lq.every);
+  } else if (lq.path == Path::kBundle) {
     scheduler_->unsubscribe(lq.group, lq.every,
                             lq.registered_epoch % lq.every);
   }
@@ -222,16 +228,30 @@ bool QueryService::cancel(QueryId id) {
 }
 
 void QueryService::announce() {
-  // No query pays it: a group outlives the query that installed it.
+  // No query pays it: a group outlives the query that installed it. A lost
+  // schedule has still spent its bits: they are charged before the error
+  // leaves.
   std::vector<GroupShare> shares;
-  scheduler_->announce(shares);
-  for (const GroupShare& g : shares) {
-    GroupCost& gc = group_costs_[g.group];
-    gc.bits_on_air += g.share.bits;
-    gc.messages += g.share.messages;
-    install_bits_on_air_ += g.share.bits;
-    install_messages_ += g.share.messages;
+  WaveShare cube_cost;
+  const auto charge = [&] {
+    for (const GroupShare& g : shares) {
+      GroupCost& gc = group_costs_[g.group];
+      gc.bits_on_air += g.share.bits;
+      gc.messages += g.share.messages;
+      install_bits_on_air_ += g.share.bits;
+      install_messages_ += g.share.messages;
+    }
+    install_bits_on_air_ += cube_cost.bits;
+    install_messages_ += cube_cost.messages;
+  };
+  try {
+    scheduler_->announce(shares);
+    if (cube_) cube_->announce(cube_cost);
+  } catch (const ProtocolError&) {
+    charge();
+    throw;
   }
+  charge();
 }
 
 void QueryService::charge(GroupId group, QueryId payer,
@@ -542,17 +562,29 @@ std::vector<Answer> QueryService::run_epoch(
   for (const auto& [id, lq] : live_) {  // map order == id order
     if (is_due(lq)) due.push_back(&lq);
   }
-  // The first due query of a pushed group pays its push.
-  const auto payer = [&](GroupId group) {
+  // The first due query of a pushed group or cube slot pays its push.
+  const auto reads = [&](const LiveQuery& lq, cube::SlotId slot) {
+    return std::find(lq.pushed.begin(), lq.pushed.end(), slot) !=
+           lq.pushed.end();
+  };
+  const auto payer = [&](auto&& pays) {
     const auto it = std::find_if(due.begin(), due.end(), [&](auto* lq) {
-      return lq->path == Path::kBundle && lq->group == group;
+      return lq->path == Path::kBundle && pays(*lq);
     });
-    SENSORNET_EXPECTS(it != due.end());  // the nodes push due groups only
+    SENSORNET_EXPECTS(it != due.end());  // the nodes push due ones only
     return (*it)->id;
   };
   std::vector<GroupShare> pushed;
+  std::unique_ptr<cube::PartialStore::Push> cube_push;
   if (config_.share_aggregation || config_.use_cube) {
-    announce();  // cancels since the last announcement
+    try {
+      announce();  // cancels since the last announcement
+    } catch (const ProtocolError&) {
+      // No wave runs on schedules the nodes disagree on: the epoch fails
+      // before its wave, and its marks go with the next one.
+      scheduler_->defer_updates(touched, epoch_);
+      throw;
+    }
     // The mark wave serves every incremental consumer at once (shared
     // groups and cube cells ride the same marks); no single query caused
     // it, so its bits land in the service-level bucket. The images pushed
@@ -564,30 +596,61 @@ std::vector<Answer> QueryService::run_epoch(
       for (const GroupShare& g : pushed) {
         d.bits -= g.share.bits;
         d.messages -= g.share.messages;
-        charge(g.group, payer(g.group), g.share);
+        charge(g.group,
+               payer([&](const LiveQuery& lq) { return lq.group == g.group; }),
+               g.share);
+      }
+      const std::span<const cube::SlotId> slots =
+          cube_push ? cube_push->slots() : std::span<const cube::SlotId>();
+      for (std::size_t i = 0; i < slots.size(); ++i) {
+        const WaveShare& share = cube_push->shares()[i];
+        d.bits -= share.bits;
+        d.messages -= share.messages;
+        QueryCost& qc = query_costs_[payer(
+            [&](const LiveQuery& lq) { return reads(lq, slots[i]); })];
+        qc.bits_on_air += share.bits;
+        qc.messages += share.messages;
       }
       mark_bits_on_air_ += d.bits;
       mark_messages_ += d.messages;
     };
+    if (cube_) cube_push = cube_->push(epoch_);
     try {
-      scheduler_->note_updates(touched, epoch_, pushed);
+      if (cube_push) {
+        scheduler_->note_updates(touched, epoch_, *cube_push);
+      } else {
+        scheduler_->note_updates(touched, epoch_, pushed);
+      }
     } catch (const ProtocolError&) {
+      if (cube_push) cube_->pushed(*cube_push, /*delivered=*/false);
       charge_wave();
       throw;
     }
+    if (cube_push) cube_->pushed(*cube_push, /*delivered=*/true);
     charge_wave();
   }
 
   const std::vector<Answer> answers = serve(due);
-  // Image bits pushed for a group that no due query read: the cache
-  // answered all of them.
-  for (const GroupShare& g : pushed) {
-    bool read = false;
+  // Image bits pushed for a group or cube slot that no due query read: the
+  // cache answered all of them.
+  const auto unread = [&](auto&& pushes, std::uint64_t image_bits) {
     for (std::size_t i = 0; i < due.size(); ++i) {
-      read = read || (due[i]->path == Path::kBundle &&
-                      due[i]->group == g.group && !answers[i].from_cache);
+      if (due[i]->path == Path::kBundle && pushes(*due[i]) &&
+          !answers[i].from_cache) {
+        return;
+      }
     }
-    if (!read) telemetry_.pushed_unread_image_bits += g.image_bits;
+    telemetry_.pushed_unread_image_bits += image_bits;
+  };
+  for (const GroupShare& g : pushed) {
+    unread([&](const LiveQuery& lq) { return lq.group == g.group; },
+           g.image_bits);
+  }
+  const std::span<const cube::SlotId> slots =
+      cube_push ? cube_push->slots() : std::span<const cube::SlotId>();
+  for (std::size_t i = 0; i < slots.size(); ++i) {
+    unread([&](const LiveQuery& lq) { return reads(lq, slots[i]); },
+           cube_push->image_bits()[i]);
   }
 
   obs::TraceRing& ring = obs::TraceRing::global();

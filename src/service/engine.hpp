@@ -283,6 +283,7 @@ class QueryService {
     query::CostedPlan plan;
     Path path = Path::kExecutor;
     GroupId group = 0;  // kDistinct, and kBundle without the cube
+    std::vector<cube::SlotId> pushed;  // kBundle with the cube: its push
     std::uint32_t registered_epoch = 0;
     std::uint32_t every = 0;  // 0 for one-shot
   };
@@ -308,8 +309,8 @@ class QueryService {
   /// serve_bundles() call, the rest by answer_fresh(). Answers come back
   /// aligned with `due`.
   std::vector<Answer> serve(std::span<const LiveQuery* const> due);
-  /// Runs the scheduler's announce() and charges it to the install bucket
-  /// and the announced groups.
+  /// Runs the scheduler's and the cube's announce() and charges them to
+  /// the install bucket (the scheduler's also to the announced groups).
   void announce();
   /// Charges one group's share of a wave to the group and to `payer`.
   void charge(GroupId group, QueryId payer, const WaveShare& share);

@@ -16,10 +16,6 @@ namespace {
 
 constexpr std::uint32_t kInvalidEpoch = cube::DirtyTracker::kInvalidEpoch;
 
-/// A continuous subscriber's schedule: due in epoch e iff e % period ==
-/// phase.
-using Due = std::pair<std::uint32_t, std::uint32_t>;  // (period, phase)
-
 }  // namespace
 
 // ---- group state ----------------------------------------------------------
@@ -35,30 +31,7 @@ struct SharedPlanScheduler::Group {
   double distinct_estimate = 0.0;
   std::uint32_t last_collect_epoch = kInvalidEpoch;
 
-  // Stats family: live subscribers per schedule, and the schedule the nodes
-  // last heard (no pair in it implied by another).
-  std::map<Due, std::uint32_t> subscribers;
-  std::vector<Due> announced;
   bool install_held = false;  // its install waits for announce()
-
-  /// The schedule the live subscribers need, less the pairs another pair
-  /// implies ((p, h) implies (q, g) when p divides q and g % p == h).
-  std::vector<Due> schedule() const {
-    std::vector<Due> out;
-    for (const auto& [due, count] : subscribers) {  // ascending period
-      const auto implied = [&](const Due& d) {
-        return due.first % d.first == 0 && due.second % d.first == d.second;
-      };
-      if (std::none_of(out.begin(), out.end(), implied)) out.push_back(due);
-    }
-    return out;
-  }
-
-  bool due(std::uint32_t epoch) const {
-    return std::any_of(announced.begin(), announced.end(), [&](const Due& d) {
-      return epoch % d.first == d.second;
-    });
-  }
 };
 
 // ---- dirty marks and pushes ------------------------------------------------
@@ -71,11 +44,17 @@ void SharedPlanScheduler::note_updates(std::span<const NodeId> updated,
 
 void SharedPlanScheduler::note_updates(std::span<const NodeId> updated,
                                        std::uint32_t epoch,
+                                       cube::DirtyTracker::Cargo& cargo) {
+  SENSORNET_EXPECTS(schedules_.due(epoch).empty());
+  dirty_.note_updates(updated, epoch, &cargo);
+}
+
+void SharedPlanScheduler::note_updates(std::span<const NodeId> updated,
+                                       std::uint32_t epoch,
                                        std::vector<GroupShare>& pushed) {
   pushed.clear();
   std::vector<cube::SlotId> slots;  // ascending, as groups are
-  for (GroupId id = 0; id < groups_.size(); ++id) {
-    if (!groups_[id]->due(epoch)) continue;
+  for (const GroupId id : schedules_.due(epoch)) {
     pushed.emplace_back().group = id;
     slots.push_back(groups_[id]->slot);
   }
@@ -117,19 +96,13 @@ void SharedPlanScheduler::note_updates(std::span<const NodeId> updated,
 void SharedPlanScheduler::subscribe(GroupId group, std::uint32_t period,
                                     std::uint32_t phase) {
   SENSORNET_EXPECTS(group < groups_.size());
-  SENSORNET_EXPECTS(period > 0 && phase < period);
-  Group& g = *groups_[group];
-  SENSORNET_EXPECTS(g.family == query::AggregateFamily::kStats);
-  ++g.subscribers[{period, phase}];
+  SENSORNET_EXPECTS(groups_[group]->family == query::AggregateFamily::kStats);
+  schedules_.subscribe(group, period, phase);
 }
 
 void SharedPlanScheduler::unsubscribe(GroupId group, std::uint32_t period,
                                       std::uint32_t phase) {
-  SENSORNET_EXPECTS(group < groups_.size());
-  Group& g = *groups_[group];
-  const auto it = g.subscribers.find({period, phase});
-  SENSORNET_EXPECTS(it != g.subscribers.end());
-  if (--it->second == 0) g.subscribers.erase(it);
+  schedules_.unsubscribe(group, period, phase);
 }
 
 void SharedPlanScheduler::hold_installs() { holding_ = true; }
@@ -138,23 +111,23 @@ void SharedPlanScheduler::announce(std::vector<GroupShare>& shares) {
   holding_ = false;
   shares.clear();
   std::vector<GroupId> held;
-  std::vector<std::pair<GroupId, std::vector<Due>>> changed;
   for (GroupId id = 0; id < groups_.size(); ++id) {
     Group& g = *groups_[id];
     if (g.install_held) held.push_back(id);
     g.install_held = false;
-    std::vector<Due> schedule = g.schedule();
-    if (schedule != g.announced) changed.emplace_back(id, std::move(schedule));
   }
+  const bool changed = schedules_.changed();
   // Broadcasts `w`, made of `entries` (a group and the bits it wrote), and
   // charges it: each group its own bits on every copy, and an even split of
   // the rest (header, count), the remainder and the messages to the first.
+  // Returns true when every node heard it.
   using Entries = std::vector<std::pair<GroupId, std::uint64_t>>;
   const auto broadcast = [&](BitWriter&& w, const Entries& entries) {
     const auto before = net_.summary(/*include_headers=*/true);
+    std::size_t heard = 0;
     proto::TreeBroadcast announcement(
         tree_, next_session_++,
-        [](sim::Network&, NodeId, BitReader) { /* noted */ });
+        [&heard](sim::Network&, NodeId, BitReader) { ++heard; });
     announcement.execute(net_, std::move(w));
     const auto after = net_.summary(/*include_headers=*/true);
     const std::uint64_t copies = after.total_messages - before.total_messages;
@@ -167,37 +140,29 @@ void SharedPlanScheduler::announce(std::vector<GroupShare>& shares) {
                      (j == 0 ? rest % entries.size() : 0);
       g.share.messages = j == 0 ? copies : 0;
     }
+    return heard == tree_.node_count();
   };
   // Installs go out one broadcast each, as ensure_*_group() sends them;
   // the schedules ride the last one (a message of its own kind), or go
   // alone when the batch installed nothing.
-  const bool ride = !held.empty() && !changed.empty();
+  const bool ride = !held.empty() && changed;
   for (std::size_t j = 0; j + (ride ? 1 : 0) < held.size(); ++j) {
     BitWriter w;
     write_install(*groups_[held[j]], w);
     const std::uint64_t bits = w.bit_count();
     broadcast(std::move(w), {{held[j], bits}});
   }
-  if (changed.empty()) return;
+  if (!changed) return;
   BitWriter w;
   Entries entries;
   if (ride) {
     write_install(*groups_[held.back()], w);
     entries.emplace_back(held.back(), w.bit_count());
   }
-  encode_uint(w, changed.size());
-  for (auto& [id, schedule] : changed) {
-    const std::size_t before = w.bit_count();
-    encode_uint(w, id);
-    encode_uint(w, schedule.size());
-    for (const auto& [period, phase] : schedule) {
-      encode_uint(w, period);
-      encode_uint(w, phase);
-    }
-    entries.emplace_back(id, w.bit_count() - before);
-    groups_[id]->announced = std::move(schedule);
-  }
-  broadcast(std::move(w), entries);
+  schedules_.write_changes(w, entries);
+  const bool heard = broadcast(std::move(w), entries);
+  schedules_.heard(heard);
+  if (!heard) throw ProtocolError("SharedPlanScheduler: a schedule was lost");
 }
 
 // ---- scheduler ------------------------------------------------------------

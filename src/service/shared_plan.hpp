@@ -28,8 +28,9 @@
 //
 // Standing groups are *pushed*, not pulled. A stats group with continuous
 // subscribers (subscribe()) is due in every epoch in which one of them is;
-// the nodes learn each group's schedule — its subscribers' (period, phase)
-// pairs, less those another pair implies — from announce(), one broadcast
+// the nodes learn each group's schedule (cube::PushSchedules: its
+// subscribers' (period, phase) pairs, less those another pair implies)
+// from announce(), one broadcast
 // that carries every schedule that changed since the last one and rides an
 // admission batch's last group install when it has one. In an epoch
 // where pushed groups are due, note_updates() runs the fused wave: every
@@ -49,7 +50,10 @@
 //
 // The scheduler assumes the service's deployment discipline: lossless links
 // (a lost message makes the collection throw ProtocolError) and one wave on
-// the shared simulated medium at a time.
+// the shared simulated medium at a time. A lost mark or push fails its
+// epoch, and so does a lost schedule announcement, which announce() sends
+// again before any push (cube/dirty.hpp's loss contract). A lost group
+// install is not detected: its nodes would aggregate without the region.
 #pragma once
 
 #include <cstdint>
@@ -62,6 +66,7 @@
 #include "src/common/types.hpp"
 #include "src/cube/dirty.hpp"
 #include "src/cube/partials.hpp"
+#include "src/cube/schedule.hpp"
 #include "src/cube/stats.hpp"
 #include "src/net/spanning_tree.hpp"
 #include "src/query/plan.hpp"
@@ -151,7 +156,11 @@ class SharedPlanScheduler {
   /// changed since the nodes last heard it — riding the last install, or
   /// alone when none is held. Sends nothing when there is neither. Ends
   /// hold_installs(). Sets `shares` to each group's share of the
-  /// broadcasts (they sum exactly to their bits and messages).
+  /// broadcasts (they sum exactly to their bits and messages), also when
+  /// it throws. Throws ProtocolError when a node missed the schedules
+  /// (the broadcast's handler sees every arrival); the next announce()
+  /// sends them again, and note_updates() must not run before one
+  /// returns, or a node could push by a schedule the others do not hold.
   void announce(std::vector<GroupShare>& shares);
 
   /// Records one epoch's sensor-update batch: stamps the updated nodes and
@@ -165,6 +174,15 @@ class SharedPlanScheduler {
                     std::vector<GroupShare>& pushed);
   /// The same, for callers that charge no group.
   void note_updates(std::span<const NodeId> updated, std::uint32_t epoch);
+  /// The same with another store's push as the wave's cargo (the cube's,
+  /// see cube::Cube::push); no stats group of this scheduler may be due.
+  void note_updates(std::span<const NodeId> updated, std::uint32_t epoch,
+                    cube::DirtyTracker::Cargo& cargo);
+  /// Records an epoch whose announce() threw: it runs no wave, and the
+  /// updated nodes owe their marks to the next note_updates().
+  void defer_updates(std::span<const NodeId> updated, std::uint32_t epoch) {
+    dirty_.defer_updates(updated, epoch);
+  }
 
   /// Collects every listed stats group (strictly ascending ids) in one
   /// multiplexed convergecast — see the file comment. Groups already
@@ -231,6 +249,7 @@ class SharedPlanScheduler {
   std::map<std::pair<query::RegionSignature, unsigned>, GroupId>
       distinct_index_;  // keyed by (region, registers)
 
+  cube::PushSchedules schedules_;  // of the stats groups, by group id
   std::uint32_t next_session_ = 0x7000;
   bool holding_ = false;  // installs wait for announce()
   SharedPlanStats stats_;  // the wave counts; stats() adds the rest

@@ -313,7 +313,7 @@ struct Replayed {
   std::uint64_t exact_distinct_checked = 0;
   std::uint64_t selections_checked = 0;
   std::uint64_t empty_selections = 0;
-  std::uint64_t push_messages = 0;  // the scheduler's fused-wave images
+  std::uint64_t push_messages = 0;  // fused-wave messages with images
 };
 
 /// Replays `script` on one configuration over `graph` and checks every
@@ -515,7 +515,7 @@ Replayed replay(const Script& script, const Config& c,
   return {snap.totals,           answers_hash,
           distinct_checked,      exact_distinct_checked,
           selections_checked,    empty_selections,
-          snap.plan.push_messages};
+          snap.plan.push_messages + snap.cube.push_messages};
 }
 
 /// replay() of a draw_script() script, which reaches every query family.
@@ -588,11 +588,14 @@ TEST(ServiceDifferential, EnrolmentChurnAgreesWithTheMirrorAtAnyWidth) {
   for (const std::uint64_t seed : {1u, 2u, 3u}) {
     SCOPED_TRACE(testing::Message() << "seed " << seed);
     const Script script = draw_enrolment_script(seed);
-    for (const bool cache : {false, true}) {
+    for (const Config& base : {Config{"shared", true, false, false},
+                               Config{"shared+cache", true, true, false},
+                               Config{"cube", true, false, true},
+                               Config{"cube+cache", true, true, true}}) {
       std::optional<std::uint64_t> stream;
       for (const unsigned threads : {1u, 2u, 8u}) {
-        const Config c{cache ? "shared+cache" : "shared", true, cache, false,
-                       ServiceConfig{}.cube_levels, threads};
+        Config c = base;
+        c.threads = threads;
         SCOPED_TRACE(testing::Message() << threads << " workers");
         const Replayed r = replay(script, c, net::make_grid(kSide, kSide));
         if (stream) {

@@ -67,6 +67,18 @@ std::uint64_t ledger_bits(const TelemetrySnapshot& snap) {
   return bits;
 }
 
+/// Bits and messages in the service ledger: mark + install + Σ query.
+std::pair<std::uint64_t, std::uint64_t> ledger(const QueryService& svc) {
+  const TelemetrySnapshot snap = svc.telemetry_snapshot();
+  std::uint64_t bits = snap.mark_bits_on_air + snap.install_bits_on_air;
+  std::uint64_t messages = snap.mark_messages + snap.install_messages;
+  for (const auto& [id, qc] : snap.queries) {
+    bits += qc.bits_on_air;
+    messages += qc.messages;
+  }
+  return {bits, messages};
+}
+
 TEST(QueryService, OneShotQueriesAnswerAtAdmission) {
   Fixture f;
   const auto r = f.svc.submit("SELECT SUM(v) FROM s WHERE v BETWEEN 50 AND 250");
@@ -429,6 +441,104 @@ TEST(QueryService, PushesLeaveTheMarkBucketAsAPlainMarkWave) {
   EXPECT_EQ(ledger_bits(snap), f.net.summary(true).total_bits);
 }
 
+TEST(QueryService, CubePushesStandingSlotsBesideTheMarks) {
+  // With the cube, a standing stats plan's cells and standing residue slots
+  // are pushed. The first serve pulls (the nodes learn the geometry from
+  // it, and the schedules ride that install), and so does the first serve
+  // that installs a standing residue slot; after that, every due slot rides
+  // the marks and no collect() sends. The mark bucket holds exactly what a
+  // bare tracker's marks cost, a re-subscription's schedule goes to the
+  // install bucket, and the answers stay exact.
+  ServiceConfig cfg;
+  cfg.use_cube = true;
+  Fixture f{cfg};
+  sim::Network bare_net(net::make_grid(6, 6), /*master_seed=*/11);
+  bare_net.set_one_item_per_node(f.mirror);
+  cube::DirtyTracker bare(bare_net, f.tree);
+  const QueryId sum =
+      f.svc.submit("SELECT SUM(v) FROM s EVERY 1 EPOCHS").value().id;
+  const QueryId count =
+      f.svc.submit("SELECT COUNT(v) FROM s WHERE v BETWEEN 40 AND 260 "
+                   "EVERY 2 EPOCHS")
+          .value()
+          .id;
+  QueryId tolerant =
+      f.svc.submit("SELECT MAX(v) FROM s WHERE v BETWEEN 0 AND 499 "
+                   "EVERY 1 EPOCHS ERROR 0.3")
+          .value()
+          .id;
+  std::uint64_t installs = 0;
+  for (std::uint32_t e = 1; e <= 8; ++e) {
+    if (e == 5) {  // re-enrol at another phase
+      installs = f.svc.telemetry_snapshot().install_bits_on_air;
+      ASSERT_TRUE(f.svc.cancel(tolerant));
+      tolerant = f.svc.submit("SELECT MAX(v) FROM s WHERE v BETWEEN 0 AND "
+                              "499 EVERY 2 EPOCHS ERROR 0.3")
+                     .value()
+                     .id;
+    }
+    const std::vector<SensorUpdate> batch{f.drift(e, 3), f.drift(30 - e, -2)};
+    std::vector<NodeId> touched;
+    for (const SensorUpdate& u : batch) {
+      bare_net.update_item(u.node, 0, u.value);
+      touched.push_back(u.node);
+    }
+    bare.note_updates(touched, e);
+    for (const Answer& a : f.svc.run_epoch(batch)) {
+      if (a.id == sum) {
+        EXPECT_DOUBLE_EQ(a.value, f.exact("SUM", 0, kBound));
+      }
+      if (a.id == count) {
+        EXPECT_DOUBLE_EQ(a.value, f.exact("COUNT", 40, 260));
+      }
+    }
+  }
+  const TelemetrySnapshot snap = f.svc.telemetry_snapshot();
+  EXPECT_EQ(snap.mark_bits_on_air, bare_net.summary(true).total_bits);
+  EXPECT_EQ(snap.mark_messages, bare_net.summary(true).total_messages);
+  EXPECT_EQ(snap.cube.refresh_waves, 2u);  // epoch 1, and the residue's
+  EXPECT_GT(snap.cube.standing_refreshed, 1u);
+  EXPECT_GT(snap.install_bits_on_air, installs);
+  EXPECT_EQ(ledger(f.svc), std::pair(f.net.summary(true).total_bits,
+                                     f.net.summary(true).total_messages));
+}
+
+TEST(QueryService, ALostScheduleFailsItsEpochAndItsMarksGoWithTheNext) {
+  // A cancel empties a pushed group's schedule, and the announcement before
+  // the next epoch is lost: that epoch throws before its wave, with the
+  // announcement charged. The next lossless epoch, with no update, sends
+  // the schedule again and the failed epoch's marks, so the exact
+  // subscriber reads its drifted readings.
+  Fixture f;
+  const QueryId exact =
+      f.svc.submit("SELECT SUM(v) FROM s WHERE v BETWEEN 20 AND 200 "
+                   "EVERY 1 EPOCHS")
+          .value()
+          .id;
+  const QueryId other =
+      f.svc.submit("SELECT COUNT(v) FROM s WHERE v BETWEEN 100 AND 280 "
+                   "EVERY 1 EPOCHS")
+          .value()
+          .id;
+  ASSERT_EQ(f.svc.run_epoch({}).size(), 2u);
+  ASSERT_TRUE(f.svc.cancel(other));
+  const auto installs = f.svc.telemetry_snapshot().install_bits_on_air;
+  f.net.set_message_loss(1.0);
+  const std::vector<SensorUpdate> batch{f.drift(1, 3), f.drift(2, -4)};
+  EXPECT_THROW(f.svc.run_epoch(batch), ProtocolError);
+  const auto total = f.net.summary(true);
+  EXPECT_EQ(ledger(f.svc), std::pair(total.total_bits, total.total_messages));
+  EXPECT_GT(f.svc.telemetry_snapshot().install_bits_on_air, installs);
+
+  f.net.set_message_loss(0.0);
+  const auto answers = f.svc.run_epoch({});
+  ASSERT_EQ(answers.size(), 1u);
+  EXPECT_EQ(answers[0].id, exact);
+  EXPECT_DOUBLE_EQ(answers[0].value, f.exact("SUM", 20, 200));
+  const auto after = f.net.summary(true);
+  EXPECT_EQ(ledger(f.svc), std::pair(after.total_bits, after.total_messages));
+}
+
 TEST(QueryService, MultiplexedWaveSplitsBitsExactlyAmongGroups) {
   Fixture f;
   // Two overlapping ranged groups (one with two subscribers) and one
@@ -572,20 +682,24 @@ TEST(QueryService, CubeStaleBracketsServeTolerantQueriesWithZeroBits) {
   cfg.use_cube = true;
   cfg.use_cache = false;  // isolate tier 2: no result-cache hits
   Fixture f{cfg};
-  f.svc.submit("SELECT AVG(v) FROM s EVERY 1 EPOCHS ERROR 0.2").value();
-  const auto first = f.svc.run_epoch({});
-  ASSERT_EQ(first.size(), 1u);
-  EXPECT_TRUE(first[0].exact);
+  // A standing plan's cells are pushed, so they are fresh whenever it is
+  // due; a one-shot reads the cells as they are. An exact one-shot
+  // refreshes the root cell, and the tolerant ones after the drift are
+  // answered from its bracket.
+  const auto first = f.svc.submit("SELECT AVG(v) FROM s").value();
+  ASSERT_TRUE(first.answer.has_value());
+  EXPECT_TRUE(first.answer->exact);
 
   const auto msgs_before = f.net.summary().total_messages;
   for (int e = 0; e < 3; ++e) {
     const std::vector<SensorUpdate> batch{f.drift(5, 2)};
-    const auto answers = f.svc.run_epoch(batch);
-    ASSERT_EQ(answers.size(), 1u);
-    EXPECT_FALSE(answers[0].from_cache);
-    EXPECT_GT(answers[0].error_bound, 0.0);
-    EXPECT_LE(std::abs(answers[0].value - f.exact("AVG", 0, kBound)),
-              answers[0].error_bound);
+    EXPECT_TRUE(f.svc.run_epoch(batch).empty());
+    const auto a =
+        f.svc.submit("SELECT AVG(v) FROM s ERROR 0.2").value().answer;
+    ASSERT_TRUE(a.has_value());
+    EXPECT_FALSE(a->from_cache);
+    EXPECT_GT(a->error_bound, 0.0);
+    EXPECT_LE(std::abs(a->value - f.exact("AVG", 0, kBound)), a->error_bound);
   }
   EXPECT_EQ(f.svc.telemetry().cube_stale_answers, 3u);
   // Stale serves never touch the air: only the dirty marks cost messages.
@@ -597,23 +711,29 @@ TEST(QueryService, CubeStaleServesCountOnlyServedBrackets) {
   cfg.use_cube = true;
   cfg.use_cache = false;  // every tolerant answer is a bracket or fresh
   Fixture f{cfg};
-  // A loose tolerance the whole-domain bracket meets, and a tight one the
-  // ranged cell's bracket exists for but misses: it is rejected each epoch.
-  f.svc.submit("SELECT AVG(v) FROM s EVERY 1 EPOCHS ERROR 0.2").value();
+  // One-shots (a standing plan's cells are pushed fresh): a loose tolerance
+  // the whole-domain bracket meets, and a tight one the ranged cell's
+  // bracket exists for but misses, so it goes fresh each time.
   const char* tight =
-      "SELECT SUM(v) FROM s WHERE v BETWEEN 0 AND 499 EVERY 1 EPOCHS "
-      "ERROR 0.0001";
-  f.svc.submit(tight).value();
-  f.svc.run_epoch({});
+      "SELECT SUM(v) FROM s WHERE v BETWEEN 0 AND 499 ERROR 0.0001";
+  ASSERT_EQ(f.svc.submit_batch({"SELECT AVG(v) FROM s",
+                                "SELECT SUM(v) FROM s WHERE v BETWEEN 0 AND "
+                                "499"})
+                .size(),
+            2u);
   const query::CostedPlan plan =
       f.svc.planner().plan(query::parse_query(tight)).value();
   for (int e = 0; e < 4; ++e) {
     const std::vector<SensorUpdate> batch{f.drift(5, 2), f.drift(20, -3)};
+    f.svc.run_epoch(batch);
     const auto br = f.svc.cube()->stale_bracket(
-        plan, query::AggregateKind::kSum, f.svc.epoch() + 1);
+        plan, query::AggregateKind::kSum, f.svc.epoch());
     ASSERT_TRUE(br.has_value());
     EXPECT_GT(br->bound, cube::tolerance_for(0.0001, br->value));
-    f.svc.run_epoch(batch);
+    for (const auto& r :
+         f.svc.submit_batch({"SELECT AVG(v) FROM s ERROR 0.2", tight})) {
+      ASSERT_TRUE(r.ok());
+    }
   }
   const TelemetrySnapshot snap = f.svc.telemetry_snapshot();
   EXPECT_EQ(snap.totals.cube_stale_answers, 4u);
@@ -803,18 +923,6 @@ TEST(QueryService, AggregatesOverABoundedDegreeTree) {
   EXPECT_EQ(&grid.svc.tree(), &grid.tree);
 }
 
-/// Bits and messages in the service ledger: mark + install + Σ query.
-std::pair<std::uint64_t, std::uint64_t> ledger(const QueryService& svc) {
-  const TelemetrySnapshot snap = svc.telemetry_snapshot();
-  std::uint64_t bits = snap.mark_bits_on_air + snap.install_bits_on_air;
-  std::uint64_t messages = snap.mark_messages + snap.install_messages;
-  for (const auto& [id, qc] : snap.queries) {
-    bits += qc.bits_on_air;
-    messages += qc.messages;
-  }
-  return {bits, messages};
-}
-
 /// Subscribes `text` (EVERY 2 EPOCHS) and runs it once on lossless links.
 /// The next epoch drifts the readings, losslessly: the subscriber is not
 /// due, so only marks travel. The one after, due and with nothing new to
@@ -925,6 +1033,30 @@ TEST_P(BundlePath, FailedWaveIsChargedToItsPayer) {
   expect_failed_wave_charged(
       f, "SELECT SUM(v) FROM s WHERE v BETWEEN 20 AND 200 EVERY 2 EPOCHS",
       [&] { return f.exact("SUM", 20, 200); });
+}
+
+TEST_P(BundlePath, FailedOneShotPullIsChargedToItsQuery) {
+  // One-shots are never pushed: a ranged one-shot SUM on the scheduler is
+  // pulled by collect_stats_batch(), on the cube by its batch's collect().
+  // A lost message fails the admission's serve, and its wave is still
+  // charged, so the ledger equals the network total; a lossless retry of
+  // the same text is exact.
+  Fixture f{config()};
+  f.svc.submit("SELECT COUNT(v) FROM s EVERY 1 EPOCHS").value();
+  const std::vector<SensorUpdate> batch{f.drift(7, 3), f.drift(30, -4)};
+  ASSERT_EQ(f.svc.run_epoch(batch).size(), 1u);
+  const std::string text = "SELECT SUM(v) FROM s WHERE v BETWEEN 20 AND 200";
+  f.net.set_message_loss(0.3);
+  EXPECT_THROW((void)f.svc.submit(text), ProtocolError);
+  const auto total = f.net.summary(true);
+  EXPECT_EQ(ledger(f.svc), std::pair(total.total_bits, total.total_messages));
+
+  f.net.set_message_loss(0.0);
+  const auto retry = f.svc.submit(text).value();
+  ASSERT_TRUE(retry.answer.has_value());
+  EXPECT_DOUBLE_EQ(retry.answer->value, f.exact("SUM", 20, 200));
+  const auto after = f.net.summary(true);
+  EXPECT_EQ(ledger(f.svc), std::pair(after.total_bits, after.total_messages));
 }
 
 TEST_P(BundlePath, CacheEvictionBetweenProbeAndAnswerIsHarmless) {

@@ -652,5 +652,36 @@ TEST(SharedPlan, ALostPushFailsTheEpochAndTheNextLosslessOneIsExact) {
   EXPECT_EQ(net.summary(true).total_bits, fresh.total_bits);
 }
 
+TEST(SharedPlan, ALostScheduleIsSentAgainBeforeAnyPush) {
+  // The schedule broadcast is lost: announce() throws with its bits in the
+  // shares, and the next announce() sends the schedule again. Only then do
+  // the nodes push the group, and its collection sends nothing.
+  sim::Network net(net::make_line(4), /*master_seed=*/1);
+  const net::SpanningTree tree = net::bfs_tree(net.graph(), 0);
+  net.set_one_item_per_node({10, 10, 10, 10});
+  SharedPlanScheduler sched(net, tree, kBound, kDelta, kHorizon);
+  const GroupId g = sched.ensure_stats_group({0, kBound, true});
+  sched.subscribe(g, 1, 0);
+  std::vector<GroupShare> shares;
+  net.set_message_loss(1.0);
+  EXPECT_THROW(sched.announce(shares), ProtocolError);
+  ASSERT_EQ(shares.size(), 1u);
+  EXPECT_EQ(shares[0].share.bits, net.summary(true).total_bits);
+  net.set_message_loss(0.0);
+
+  const auto before = net.summary(true);
+  sched.announce(shares);
+  ASSERT_EQ(shares.size(), 1u);
+  EXPECT_EQ(shares[0].share.bits, net.summary(true).total_bits -
+                                      before.total_bits);
+  sched.announce(shares);  // heard: nothing left to send
+  EXPECT_TRUE(shares.empty());
+  sched.note_updates({}, 1, shares);
+  ASSERT_EQ(shares.size(), 1u);  // cold edges: every node pushes
+  const auto pushed = net.summary(true);
+  EXPECT_EQ(sched.collect_stats(g, 1).core.sum, 40u);
+  EXPECT_EQ(net.summary(true).total_bits, pushed.total_bits);
+}
+
 }  // namespace
 }  // namespace sensornet::service
