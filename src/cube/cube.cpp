@@ -86,6 +86,13 @@ SlotId Cube::add_slot(const query::RegionSignature& region, bool sketch) {
   return store_.add_slot(region, kRefreshSessionBase + id, sketch);
 }
 
+bool Cube::reads_sketches(const query::CostedPlan& plan) const {
+  if (plan.strategy != query::Strategy::kApproxDistinct) return false;
+  SENSORNET_EXPECTS(config_.distinct_registers > 0 &&
+                    plan.registers == config_.distinct_registers);
+  return true;
+}
+
 SlotId Cube::slot_for(const query::PlanStep& step, bool sketch,
                       bool standing) {
   if (step.kind == query::StepKind::kCubeCell) {
@@ -167,8 +174,7 @@ WaveShare Cube::broadcast(std::uint32_t session, BitWriter payload,
   return cost;
 }
 
-WaveShare Cube::install_geometry() {
-  geometry_installed_ = true;
+void Cube::install_geometry(ServeResult& payer) {
   // Nodes must learn the grid (levels, margin) and, for distinct partials,
   // the sketch geometry — paid once, on first serve, metered like any bits.
   BitWriter w;
@@ -181,16 +187,21 @@ WaveShare Cube::install_geometry() {
     encode_uint(w, kHllSalt);
   }
   // The slot schedules enrolled so far ride it: announce() waits for it.
-  std::vector<std::pair<std::uint32_t, std::uint64_t>> entries;
-  const bool schedules = schedules_.write_changes(w, entries);
+  const bool schedules = write_schedules(w);
   ++stats_.geometry_installs;
   std::size_t heard = 0;
   const WaveShare cost = broadcast(kGeometrySession, std::move(w), &heard);
-  if (schedules) schedules_.heard(heard == tree_.node_count());
-  return cost;
+  payer.bits += cost.bits;
+  payer.messages += cost.messages;
+  geometry_installed_ = heard == tree_.node_count();
+  if (schedules) heard_schedules(geometry_installed_);
+  if (!geometry_installed_) {
+    throw ProtocolError("Cube: the geometry install was lost");
+  }
 }
 
-WaveShare Cube::install_standing(const std::vector<SlotId>& slots) {
+void Cube::install_standing(const std::vector<SlotId>& slots,
+                            ServeResult& payer) {
   // Nodes must learn each new slot's region and kind; they number the slots
   // in install order, so the collect masks name them.
   BitWriter w;
@@ -200,10 +211,16 @@ WaveShare Cube::install_standing(const std::vector<SlotId>& slots) {
     encode_uint(w, static_cast<std::uint64_t>(region.hi - region.lo));
     w.write_bit(store_.sketch(s));
   }
-  const WaveShare cost = broadcast(next_residue_session_++, std::move(w));
+  std::size_t heard = 0;
+  const WaveShare cost =
+      broadcast(next_residue_session_++, std::move(w), &heard);
+  payer.bits += cost.bits;
+  payer.messages += cost.messages;
+  if (heard != tree_.node_count()) {
+    throw ProtocolError("Cube: a standing-slot install was lost");
+  }
   for (const SlotId s : slots) slot_state_[s].installed = true;
   stats_.standing_installs += slots.size();
-  return cost;
 }
 
 void Cube::retire_standing(std::uint32_t epoch) {
@@ -224,10 +241,10 @@ void Cube::retire_standing(std::uint32_t epoch) {
 std::vector<SlotId> Cube::subscribe(const query::CostedPlan& plan,
                                     std::uint32_t period,
                                     std::uint32_t phase) {
+  const bool sketch = reads_sketches(plan);
   std::vector<SlotId> slots;
-  if (plan.strategy == query::Strategy::kApproxDistinct) return slots;
   for (const query::PlanStep& step : plan.steps) {
-    slots.push_back(slot_for(step, /*sketch=*/false, /*standing=*/true));
+    slots.push_back(slot_for(step, sketch, /*standing=*/true));
   }
   std::sort(slots.begin(), slots.end());
   slots.erase(std::unique(slots.begin(), slots.end()), slots.end());
@@ -244,23 +261,48 @@ void Cube::announce(WaveShare& cost) {
   cost = WaveShare{};
   if (!geometry_installed_) return;  // the schedules ride its install
   BitWriter w;
-  std::vector<std::pair<std::uint32_t, std::uint64_t>> entries;
-  if (!schedules_.write_changes(w, entries)) return;
+  if (!write_schedules(w)) return;
   std::size_t heard = 0;
   cost = broadcast(next_residue_session_++, std::move(w), &heard);
-  schedules_.heard(heard == tree_.node_count());
+  heard_schedules(heard == tree_.node_count());
   if (heard != tree_.node_count()) {
     throw ProtocolError("Cube: a schedule was lost");
   }
+}
+
+bool Cube::write_schedules(BitWriter& w) {
+  std::vector<std::pair<std::uint32_t, std::uint64_t>> entries;
+  if (!schedules_.write_changes(w, entries)) return false;
+  // A twin's id is the store's, which the nodes cannot map to its cell (a
+  // pull's mask names it within its wave; a push has no mask).
+  naming_.clear();
+  if (config_.distinct_registers == 0) return true;  // no twins
+  for (const auto& [id, bits] : entries) {
+    if (id < cell_count() || slot_state_[id].installed) continue;
+    const bool twin = !slot_state_[id].standing;
+    w.write_bit(twin);
+    if (!twin) continue;
+    encode_uint(w, static_cast<std::uint64_t>(
+                       std::find(twin_.begin(), twin_.end(), id) -
+                       twin_.begin()));
+    naming_.push_back(id);
+  }
+  return true;
+}
+
+void Cube::heard_schedules(bool every_node) {
+  schedules_.heard(every_node);
+  if (every_node) {
+    for (const SlotId s : naming_) slot_state_[s].installed = true;
+  }
+  naming_.clear();
 }
 
 std::unique_ptr<PartialStore::Push> Cube::push(std::uint32_t epoch) {
   if (!geometry_installed_) return nullptr;
   std::vector<SlotId> slots;
   for (const SlotId s : schedules_.due(epoch)) {
-    if (!slot_state_[s].standing || slot_state_[s].installed) {
-      slots.push_back(s);
-    }
+    if (s < cell_count() || slot_state_[s].installed) slots.push_back(s);
   }
   if (slots.empty()) return nullptr;
   return std::make_unique<PartialStore::Push>(store_, slots, epoch);
@@ -286,11 +328,7 @@ void Cube::pushed(PartialStore::Push& push, bool delivered) {
 // ---- serving --------------------------------------------------------------
 
 std::size_t Cube::claim(const query::CostedPlan& plan, bool standing) {
-  const bool sketch = plan.strategy == query::Strategy::kApproxDistinct;
-  if (sketch) {
-    SENSORNET_EXPECTS(config_.distinct_registers > 0 &&
-                      plan.registers == config_.distinct_registers);
-  }
+  const bool sketch = reads_sketches(plan);
   Claim c{plan, {}};
   for (const query::PlanStep& step : plan.steps) {
     const SlotId s = slot_for(step, sketch, standing);
@@ -307,11 +345,7 @@ void Cube::serve_claimed(std::uint32_t epoch, std::vector<ServeResult>& out) {
   for (SlotState& state : slot_state_) state.claimed = false;
   out.assign(claims.size(), ServeResult{});
   if (claims.empty()) return;
-  if (!geometry_installed_) {
-    const WaveShare install = install_geometry();
-    out[0].bits += install.bits;
-    out[0].messages += install.messages;
-  }
+  if (!geometry_installed_) install_geometry(out[0]);
 
   // Each slot and one-shot residue is owned by the first plan that claimed
   // it: that plan pays its wave share, the later ones ride for free. A
@@ -352,10 +386,7 @@ void Cube::serve_claimed(std::uint32_t epoch, std::vector<ServeResult>& out) {
     if (state.standing && !state.installed) installs.push_back(s);
   }
   if (!installs.empty()) {
-    const WaveShare install = install_standing(installs);
-    ServeResult& owner = out[slot_owner[installs.front()]];
-    owner.bits += install.bits;
-    owner.messages += install.messages;
+    install_standing(installs, out[slot_owner[installs.front()]]);
   }
   if (!slots.empty()) {
     const SimTime t0 = net_.now();

@@ -55,21 +55,28 @@
 // (sketch residues in a second), pruned against the fresh slots. serve()
 // is the one-shot batch of one.
 //
-// Standing plans' stats slots are *pushed*, as the shared-plan scheduler's
+// Standing plans' slots are *pushed*, as the shared-plan scheduler's
 // standing groups are (see service/shared_plan.hpp). subscribe() enrols a
-// standing plan's cells and its residues' standing slots on the plan's
-// schedule (cube::PushSchedules); the schedules ride the geometry install
-// when they precede it, and announce() broadcasts later changes. In an
-// epoch where enrolled slots are due, push() is the cargo of the fused
-// mark wave (cube::PartialStore::Push): every dirty edge, and every edge
-// such a slot's partial went stale on earlier, carries the due slots'
-// delta images, with no request. A slot is pushed only once the nodes can
-// name it: after the geometry install, and for a standing slot after its
-// own install; a standing slot with a subscriber is not retired. Pushed
-// slots are fresh when the epoch's plans are priced, so those plans cost 0
-// and skip their drift brackets; one-shots still read the cells as they
-// are, brackets included. Sketch slots (HLL twins, distinct residues) stay
-// pulled.
+// standing plan's slots on the plan's schedule (cube::PushSchedules): a
+// stats plan's cells and its residues' standing slots, an approx-distinct
+// plan's HLL twins and its residues' standing sketch slots. The schedules
+// ride the geometry install when they precede it, and announce()
+// broadcasts later changes. In an epoch where enrolled slots are due,
+// push() is the cargo of the fused mark wave (cube::PartialStore::Push):
+// every dirty edge, and every edge such a slot's partial went stale on
+// earlier, carries the due slots' delta images, stats or HLL, with no
+// request. A slot is pushed only once the nodes can name it: after the
+// geometry install, for a standing slot after its own install, and for a
+// twin after an announcement that named its cell; a standing slot with a
+// subscriber is not retired. Pushed slots are fresh when the epoch's plans
+// are priced, so those plans cost 0 and skip their drift brackets;
+// one-shots still read the cells as they are, brackets included. One-shot
+// residues stay wave-scoped (collect_once).
+//
+// Installs are checked for loss: the geometry install and a standing-slot
+// install count their hearers, and one that a node missed leaves the
+// geometry or the slots uninstalled and fails its serve with ProtocolError
+// (charged); the next serve sends it again.
 //
 // Answers composed from fresh slots + residues are byte-identical to a
 // whole-tree collection: slot regions partition the query range, stats
@@ -137,17 +144,18 @@ struct CubeStats {
   std::uint64_t residue_edges_descended = 0;  // per (residue, edge)
   std::uint64_t residue_edges_pruned = 0;     // subtrees proven empty
   std::uint64_t standing_refreshed = 0;  // standing slots collected
-  // Fused-wave messages that carried cube slots' images, and the images'
-  // bits.
+  // Fused-wave messages that carried cube slots' images (stats and HLL),
+  // and the images' bits.
   std::uint64_t push_messages = 0;
   std::uint64_t push_image_bits = 0;
   std::uint64_t standing_installs = 0;   // standing slots installed
   std::uint64_t standing_retired = 0;    // ... and freed after the horizon
   std::uint64_t fresh_serves = 0;
-  std::uint64_t geometry_installs = 0;  // lazy one-time broadcast
+  std::uint64_t geometry_installs = 0;  // lazy broadcasts, lost ones too
   // Bits on air by what sent them; they sum to every bit the cube sent.
   std::uint64_t cell_bits = 0;      // cell and twin shares of collect()
-  std::uint64_t standing_bits = 0;  // standing slots' shares of collect()
+                                    // and of pushes
+  std::uint64_t standing_bits = 0;  // standing slots' shares of both
   std::uint64_t once_bits = 0;      // one-shot residue waves
   std::uint64_t install_bits = 0;   // geometry and standing-slot installs
   // Pricing-table builds (one tree pass each), and the distinct store
@@ -234,9 +242,11 @@ class Cube final : public query::CubeCatalog {
   /// approx-distinct plan, the HLL estimate alone). Results come in claim
   /// order. The cube's first serve pays a one-time geometry install
   /// broadcast. Standing slots unclaimed for horizon_epochs are then freed.
-  /// Throws ProtocolError when a message is lost; the claims are cleared
-  /// anyway, and `out` already holds each plan's bits and messages of
-  /// every wave sent, the failed one included.
+  /// Throws ProtocolError when a message is lost, an install's included
+  /// (the geometry or the slots stay uninstalled, and the next serve
+  /// installs them); the claims are cleared anyway, and `out` already holds
+  /// each plan's bits and messages of every wave sent, the failed one
+  /// included.
   void serve_claimed(std::uint32_t epoch, std::vector<ServeResult>& out);
 
   /// The one-shot batch of one: claim(plan), then serve_claimed(epoch).
@@ -244,27 +254,28 @@ class Cube final : public query::CubeCatalog {
   ServeResult serve(const query::CostedPlan& plan, std::uint32_t epoch);
 
   // ---- push (see the file comment) ---------------------------------------
-  /// Enrols a standing stats plan's slots for push on its schedule (due in
-  /// every epoch e with e % period == phase): the cells it reads and its
-  /// residues' standing slots, created on first use. Returns them,
-  /// ascending. An approx-distinct plan enrols nothing: sketch slots are
-  /// pulled.
+  /// Enrols a standing plan's slots for push on its schedule (due in every
+  /// epoch e with e % period == phase): the slots its claim reads — cells
+  /// (an approx-distinct plan's HLL twins) and its residues' standing
+  /// slots — created on first use. Returns them, ascending.
   std::vector<SlotId> subscribe(const query::CostedPlan& plan,
                                 std::uint32_t period, std::uint32_t phase);
   /// Withdraws one subscribe() of the slots it returned.
   void unsubscribe(std::span<const SlotId> slots, std::uint32_t period,
                    std::uint32_t phase);
   /// Broadcasts, in one message, the slot schedules that changed since the
-  /// nodes last heard them (PushSchedules' wire format); sends nothing when
-  /// none did, or before the geometry install, which they then ride. Sets
+  /// nodes last heard them (PushSchedules' wire format, then the names of
+  /// the slots in it the nodes cannot name yet; see write_schedules());
+  /// sends nothing when none did, or before the geometry install, which
+  /// they then ride. Sets
   /// `cost` to what it sent, also when it throws ProtocolError because a
   /// node missed it: the next announce() sends it again, and no push may
   /// run before one returns.
   void announce(WaveShare& cost);
   /// The cargo of `epoch`'s fused wave (DirtyTracker::note_updates): the
   /// slots the announced schedules make due that the nodes can push — the
-  /// geometry installed and, for a standing slot, its region — or null
-  /// when there is none.
+  /// geometry installed and, for a standing slot or a twin, its region or
+  /// its cell heard — or null when there is none.
   std::unique_ptr<PartialStore::Push> push(std::uint32_t epoch);
   /// After the push's wave, also one that threw: counts its shares in
   /// cell_bits and standing_bits, and when `delivered`, finishes it (its
@@ -304,7 +315,9 @@ class Cube final : public query::CubeCatalog {
   struct SlotState {
     bool claimed = false;    // read by the pending batch
     bool standing = false;   // a standing residue slot
-    bool installed = false;  // ... whose region the nodes hold
+    // The nodes can name it: every node heard a standing slot's region (its
+    // install) or a twin's cell (a schedule announcement).
+    bool installed = false;
     std::uint32_t last_read = 0;  // the last epoch a batch read it
   };
   /// A claimed plan and, per step, the slot it reads (kNoSlot: a one-shot
@@ -316,6 +329,9 @@ class Cube final : public query::CubeCatalog {
   static constexpr SlotId kNoSlot = static_cast<SlotId>(-1);
 
   SlotId add_slot(const query::RegionSignature& region, bool sketch);
+  /// True for an approx-distinct plan, which reads sketch slots (checked
+  /// against the cube's registers).
+  bool reads_sketches(const query::CostedPlan& plan) const;
   /// The slot a claimed step reads, creating a twin or standing slot on
   /// first use.
   SlotId slot_for(const query::PlanStep& step, bool sketch, bool standing);
@@ -326,11 +342,22 @@ class Cube final : public query::CubeCatalog {
   /// Sets `heard`, when given, to the number of nodes that heard it.
   WaveShare broadcast(std::uint32_t session, BitWriter payload,
                       std::size_t* heard = nullptr);
-  /// The lazy geometry install broadcast; returns what it cost.
-  WaveShare install_geometry();
-  /// One broadcast of the regions of `slots`, new standing slots; returns
-  /// what it cost.
-  WaveShare install_standing(const std::vector<SlotId>& slots);
+  /// The lazy geometry install broadcast, charged to `payer`. Throws
+  /// ProtocolError when a node missed it: the geometry stays uninstalled.
+  void install_geometry(ServeResult& payer);
+  /// One broadcast of the regions of `slots`, new standing slots, charged
+  /// to `payer`. Throws ProtocolError when a node missed it: the slots stay
+  /// uninstalled.
+  void install_standing(const std::vector<SlotId>& slots, ServeResult& payer);
+  /// Writes the schedules that changed (PushSchedules::write_changes), then
+  /// for each written slot the nodes cannot name yet, when the cube keeps
+  /// distinct partials: one bit, set for a twin, and a twin's cell ordinal
+  /// (encode_uint); a standing slot's region comes with its install.
+  /// Returns false, writing nothing, when no schedule changed.
+  bool write_schedules(BitWriter& w);
+  /// Ends the broadcast of the last write_schedules(): when every node heard
+  /// it, the schedules are the nodes' and its twins are named.
+  void heard_schedules(bool every_node);
   /// Frees the standing slots no batch has read for horizon_epochs and no
   /// subscriber keeps pushed.
   void retire_standing(std::uint32_t epoch);
@@ -394,6 +421,7 @@ class Cube final : public query::CubeCatalog {
   std::map<std::pair<query::RegionSignature, bool>, SlotId> standing_;
   std::vector<Claim> claimed_;  // the pending batch
   PushSchedules schedules_;     // of the pushed slots, by slot id
+  std::vector<SlotId> naming_;  // twins the last write_schedules() named
   bool geometry_installed_ = false;
   std::uint32_t next_residue_session_;
   CubeStats stats_;  // all but the store's and the pricing counters

@@ -210,12 +210,6 @@ void put_stats_image(Sink& w, const StatsBundle& b, bool whole_domain) {
   }
 }
 
-/// The image shape of a (region, sketch) entry.
-ImageShape image_shape(const query::RegionSignature& region, bool sketch) {
-  if (sketch) return ImageShape::kHll;
-  return region.whole_domain ? ImageShape::kWholeDomain : ImageShape::kRanged;
-}
-
 }  // namespace
 
 void encode_stats_image(BitWriter& w, const StatsBundle& b,
@@ -429,6 +423,34 @@ void decode_residue_request(BitReader& r, Value domain_bound,
   }
 }
 
+namespace {
+
+/// One stats entry's image: a delta image against `base`, read with the
+/// store's `margin`, or the full image when there is no base.
+StatsBundle decode_stats_entry(BitReader& r, bool whole_domain,
+                               const StatsBundle* base, Value margin) {
+  return base != nullptr ? decode_stats_delta(r, *base, whole_domain, margin)
+                         : decode_stats_image(r, whole_domain);
+}
+
+/// One sketch entry's image: a delta image against `base`, or a full HLL
+/// image, which must have `geometry`'s shape.
+sketch::Hll decode_hll_entry(BitReader& r, const sketch::Hll& geometry,
+                             const sketch::Hll* base) {
+  if (base != nullptr) {
+    SENSORNET_EXPECTS(base->same_geometry(geometry));
+    return decode_hll_delta(r, *base);
+  }
+  Result<sketch::Hll> h = sketch::Hll::decode(r);
+  if (!h.ok()) throw WireFormatError("stats response: " + h.error());
+  if (!h.value().same_geometry(geometry)) {
+    throw WireFormatError("stats response: sketch of another geometry");
+  }
+  return std::move(h).value();
+}
+
+}  // namespace
+
 void decode_stats_response(BitReader& r,
                            const std::vector<std::uint8_t>& mask,
                            const std::vector<ImageShape>& shapes,
@@ -445,24 +467,12 @@ void decode_stats_response(BitReader& r,
     if (!mask[i]) continue;
     const Baseline base = baselines.empty() ? Baseline{} : baselines[i];
     if (shapes[i] != ImageShape::kHll) {
-      const bool whole = shapes[i] == ImageShape::kWholeDomain;
-      images.push_back(base.bundle != nullptr
-                           ? decode_stats_delta(r, *base.bundle, whole, margin)
-                           : decode_stats_image(r, whole));
+      images.push_back(decode_stats_entry(
+          r, shapes[i] == ImageShape::kWholeDomain, base.bundle, margin));
       continue;
     }
     SENSORNET_EXPECTS(geometry != nullptr);
-    if (base.hll != nullptr) {
-      SENSORNET_EXPECTS(base.hll->same_geometry(*geometry));
-      sketches->push_back(decode_hll_delta(r, *base.hll));
-      continue;
-    }
-    Result<sketch::Hll> h = sketch::Hll::decode(r);
-    if (!h.ok()) throw WireFormatError("stats response: " + h.error());
-    if (!h.value().same_geometry(*geometry)) {
-      throw WireFormatError("stats response: sketch of another geometry");
-    }
-    sketches->push_back(std::move(h).value());
+    sketches->push_back(decode_hll_entry(r, *geometry, base.hll));
   }
   if (r.remaining() != 0) {
     throw WireFormatError("stats response: trailing bits");
@@ -502,7 +512,6 @@ class PartialStore::Collect {
                 store.edges_skipped_) {
     epoch_ = epoch;
     for (const SlotId id : batch) slots_.push_back(&store.slots_[id]);
-    init_shapes();
   }
 
   /// collect_once(): the wave-scoped slots `once`, one per range; the edge
@@ -518,7 +527,6 @@ class PartialStore::Collect {
       // Containment is a property of the range: take the candidates once.
       containing_.push_back(store.containing_slots(s.region));
     }
-    init_shapes();
   }
 
   std::vector<WaveShare>& shares() { return ledger_.shares(); }
@@ -580,26 +588,12 @@ class PartialStore::Collect {
   }
 
   void on_response(NodeId /*node*/, NodeId child, BitReader& r) {
-    std::copy_n(requested_.begin() + child * k_, k_, mask_.begin());
     for (std::size_t i = 0; i < k_; ++i) {
-      baselines_[i] = mask_[i] ? baseline(i, child) : Baseline{};
+      if (!requested_[child * k_ + i]) continue;
+      store_.read_image(slot(i), child, baseline(i, child), r, epoch_);
     }
-    decode_stats_response(r, mask_, shapes_, images_,
-                          geometry_ ? &*geometry_ : nullptr,
-                          geometry_ ? &sketches_ : nullptr, baselines_,
-                          store_.margin_);
-    std::size_t stats = 0;
-    std::size_t hlls = 0;
-    for (std::size_t i = 0; i < k_; ++i) {
-      if (!mask_[i]) continue;
-      Slot& s = slot(i);
-      if (s.sketch) {
-        s.edge_hll[child] = std::move(sketches_[hlls++]);
-        if (!s.edge_unanswered.empty()) s.edge_unanswered[child] = 0;
-        s.edge_epoch[child] = epoch_;
-      } else {
-        store_.keep(s, child, images_[stats++], epoch_);
-      }
+    if (r.remaining() != 0) {
+      throw WireFormatError("stats response: trailing bits");
     }
     answered_[child] = 1;
   }
@@ -635,28 +629,14 @@ class PartialStore::Collect {
           std::uint64_t& skipped)
       : store_(store),
         k_(k),
-        shapes_(k),
         requested_(store.tree_.node_count() * k, 0),
         resync_(store.tree_.node_count(), 0),
         answered_(store.tree_.node_count(), 0),
         mask_(k),
-        baselines_(k),
         ledger_(k),
         descended_(descended),
         skipped_(skipped) {
     std::fill_n(requested_.begin() + store.tree_.root * k_, k_, 1);
-  }
-
-  /// Each entry's response shape; sketch entries decode against the
-  /// store's HLL geometry.
-  void init_shapes() {
-    for (std::size_t i = 0; i < k_; ++i) {
-      shapes_[i] = image_shape(slot(i).region, slot(i).sketch);
-    }
-    if (std::find(shapes_.begin(), shapes_.end(), ImageShape::kHll) !=
-        shapes_.end()) {
-      geometry_ = store_.empty_hll();
-    }
   }
 
   Slot& slot(std::size_t i) { return *slots_[i]; }
@@ -704,15 +684,10 @@ class PartialStore::Collect {
   // installed slots that may prove an edge empty for its range.
   std::vector<query::RegionSignature> ranges_;
   std::vector<std::vector<SlotId>> containing_;
-  std::vector<ImageShape> shapes_;       // per entry: the response shape
   std::vector<std::uint8_t> requested_;  // [node * k + i]: request names i
   std::vector<std::uint8_t> resync_;     // per node: its request's resync
   std::vector<std::uint8_t> answered_;   // per node: its response arrived
   std::vector<std::uint8_t> mask_;       // scratch: one message's mask
-  std::vector<Baseline> baselines_;      // scratch: per entry
-  std::optional<sketch::Hll> geometry_;  // waves with sketch entries only
-  std::vector<StatsBundle> images_;      // scratch: one response's images
-  std::vector<sketch::Hll> sketches_;    // scratch: their sketches
   ShareLedger ledger_;
   std::uint64_t& descended_;  // (entry, edge) pairs requested
   std::uint64_t& skipped_;    // ... served from partials or pruned
@@ -733,7 +708,7 @@ PartialStore::PartialStore(sim::Network& net, const net::SpanningTree& tree,
   if (hll_registers_ > 0) {
     hll_width_ = static_cast<std::uint8_t>(sketch::packed_width_for(
         static_cast<std::uint64_t>(net.node_count()) + 1));
-    (void)empty_hll();  // validates registers/width geometry once, up front
+    geometry_ = empty_hll();  // validates the geometry once, up front
   }
 }
 
@@ -871,10 +846,15 @@ void PartialStore::write_image(const Slot& slot, NodeId node, Baseline base,
   delta_image_full_bits_ += stats_image_bits(b, whole);
 }
 
-void PartialStore::keep(Slot& slot, NodeId child, const StatsBundle& b,
-                        std::uint32_t epoch) const {
-  slot.edge_bundle[child] = b;
-  slot.edge_outer_empty[child] = b.outer.count == 0;
+void PartialStore::read_image(Slot& slot, NodeId child, Baseline base,
+                              BitReader& r, std::uint32_t epoch) const {
+  if (slot.sketch) {
+    slot.edge_hll[child] = decode_hll_entry(r, *geometry_, base.hll);
+  } else {
+    slot.edge_bundle[child] = decode_stats_entry(
+        r, slot.region.whole_domain, base.bundle, margin_);
+    slot.edge_outer_empty[child] = slot.edge_bundle[child].outer.count == 0;
+  }
   if (!slot.edge_unanswered.empty()) slot.edge_unanswered[child] = 0;
   slot.edge_epoch[child] = epoch;
 }
@@ -892,9 +872,7 @@ PartialStore::Push::Push(PartialStore& store, std::span<const SlotId> slots,
   for (std::size_t i = 0; i < slots_.size(); ++i) {
     SENSORNET_EXPECTS(slots_[i] < store.slots_.size());
     SENSORNET_EXPECTS(i == 0 || slots_[i - 1] < slots_[i]);  // wire order
-    Slot& s = store.slots_[slots_[i]];
-    SENSORNET_EXPECTS(!s.sketch);
-    if (!store.has_edges(slots_[i])) store.size_edges(s);
+    if (!store.has_edges(slots_[i])) store.size_edges(store.slots_[slots_[i]]);
   }
   ++store.generation_;  // the wave rewrites edge partials, even if it fails
 }
@@ -938,15 +916,10 @@ void PartialStore::Push::read(NodeId child, bool changed, BitReader& r) {
   for (std::size_t i = 0; i < slots_.size(); ++i) {
     if (!carries(i, child, changed)) continue;
     Slot& s = store_.slots_[slots_[i]];
-    const bool whole = s.region.whole_domain;
-    const Baseline base =
-        store_.baseline(s, child, store_.edge_unanswered(slots_[i], child));
-    store_.keep(s, child,
-                base.bundle != nullptr
-                    ? decode_stats_delta(r, *base.bundle, whole,
-                                         store_.margin_)
-                    : decode_stats_image(r, whole),
-                epoch_);
+    store_.read_image(
+        s, child,
+        store_.baseline(s, child, store_.edge_unanswered(slots_[i], child)),
+        r, epoch_);
   }
 }
 

@@ -110,7 +110,8 @@
 // partial and its edges' partials, so the wave keeps no per-node
 // accumulator. Each node knows every slot's region and kind: the owner of
 // the store installs them (the cube broadcasts its geometry and each
-// standing residue's region once).
+// standing residue's region once, and names a pushed HLL twin's cell in its
+// schedule announcement).
 //
 // collect_once() runs the same wave over *one-shot slots*: ranges no node
 // has installed (the cube's one-shot residues). Each is a wave-scoped slot,
@@ -129,20 +130,26 @@
 // k and whether the ranges are sketch entries are fixed per wave (its
 // session), so at k = 1 a one-shot request is the bit 1 and one range. A
 // one-shot slot has no baseline: its images are always full, and its
-// request carries no resync bit. Every response on the service path is
-// read by decode_stats_response().
+// request carries no resync bit. Every image on the service path is read
+// by the store's read_image(), entry by entry, with the per-entry decoders
+// decode_stats_response() runs.
 //
-// A *push* brings installed stats slots up to an epoch with no request at
-// all: the slots ride the epoch's fused wave (DirtyTracker::note_updates
-// with a Push as its cargo). A node that sends on that wave appends, after
-// its mark bit, the image of every pushed slot whose partial on its edge is
-// stale: all of them when the mark bit is set, otherwise those whose edge
-// stamp is newer than the partial. Both ends derive that list from the
-// stamps and partials they hold, so no mask is sent:
+// A *push* brings installed slots, stats and sketch alike, up to an epoch
+// with no request at all: the slots ride the epoch's fused wave
+// (DirtyTracker::note_updates with a Push as its cargo). A node that sends
+// on that wave appends, after its mark bit, the image of every pushed slot
+// whose partial on its edge is stale: all of them when the mark bit is set,
+// otherwise those whose edge stamp is newer than the partial. Both ends
+// derive that list from the stamps and partials they hold, so no mask is
+// sent:
 //
-//   push     (c -> u)   mark bit, then the listed slots' stats images in
-//                       slot order, each a delta image against the edge's
-//                       partial, or full on a cold edge
+//   push     (c -> u)   mark bit, then the listed slots' images in slot
+//                       order, as a collect() response codes them: a stats
+//                       image or an HLL image alone, each a delta image
+//                       against the edge's partial, or full on a cold edge
+//
+// A push's images are read as a response's are (read_image), so a pushed
+// full HLL must have the store's geometry too.
 //
 // The baseline rule is the collect() rule with the push in place of the
 // request: a delta image iff the edge holds a partial for the slot and has
@@ -320,7 +327,8 @@ class PartialStore {
   /// cargo handed to DirtyTracker::note_updates.
   class Push final : public DirtyTracker::Cargo {
    public:
-    /// `slots`: stats slots, strictly ascending. The store must outlive it.
+    /// `slots`: installed slots, stats or sketch, strictly ascending. The
+    /// store must outlive it.
     Push(PartialStore& store, std::span<const SlotId> slots,
          std::uint32_t epoch);
 
@@ -529,10 +537,13 @@ class PartialStore {
   /// length.
   void write_image(const Slot& slot, NodeId node, Baseline base,
                    BitWriter& w);
-  /// Keeps `b` as the stats slot's partial for edge `child`, taken at
-  /// `epoch`, and clears the edge's unanswered mark.
-  void keep(Slot& slot, NodeId child, const StatsBundle& b,
-            std::uint32_t epoch) const;
+  /// Reads the slot's image written by write_image(slot, child, base) —
+  /// a collect() response's or a push's — and keeps it as the partial for
+  /// edge `child`, taken at `epoch`, clearing the edge's unanswered mark.
+  /// Throws WireFormatError on a truncated or corrupt image or a full HLL
+  /// of another geometry (the caller checks for trailing bits).
+  void read_image(Slot& slot, NodeId child, Baseline base, BitReader& r,
+                  std::uint32_t epoch) const;
 
   sim::Network& net_;
   const net::SpanningTree& tree_;
@@ -540,6 +551,7 @@ class PartialStore {
   Value margin_;
   unsigned hll_registers_;
   std::uint8_t hll_width_ = 0;
+  std::optional<sketch::Hll> geometry_;  // sketch-keeping stores: empty_hll()
   std::vector<Slot> slots_;
   std::uint64_t generation_ = 0;  // the store's own share of generation()
   std::uint64_t edges_descended_ = 0;

@@ -54,6 +54,9 @@
 // epoch, and so does a lost schedule announcement, which announce() sends
 // again before any push (cube/dirty.hpp's loss contract). A lost group
 // install is not detected: its nodes would aggregate without the region.
+// The cube's geometry and standing-slot installs count their hearers and
+// fail their serve when one is lost (cube/cube.hpp); the group installs here
+// stay unchecked.
 #pragma once
 
 #include <cstdint>

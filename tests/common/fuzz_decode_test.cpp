@@ -16,6 +16,9 @@
 #include "src/common/codec.hpp"
 #include "src/common/error.hpp"
 #include "src/common/rng.hpp"
+#include "src/net/spanning_tree.hpp"
+#include "src/net/topology.hpp"
+#include "src/cube/dirty.hpp"
 #include "src/cube/partials.hpp"
 #include "src/cube/stats.hpp"
 #include "src/proto/aggregations.hpp"
@@ -1213,6 +1216,59 @@ TEST(FuzzDecode, BitFlippedSketchResponsesAreWireErrors) {
       }
     }
   }
+}
+
+TEST(FuzzDecode, PushedHllImagesRejectPrefixesAndForeignGeometry) {
+  // A push reads a sketch slot's image with the pull's decoder: on a cold
+  // edge a full HLL image of the store's geometry is kept, then a delta
+  // image against it; every proper prefix of either is rejected, and so is
+  // a full image of another register count or width.
+  sim::Network net(net::make_grid(3, 3), 7);
+  const net::SpanningTree tree = net::bfs_tree(net.graph(), 0);
+  cube::DirtyTracker dirty(net, tree);
+  cube::PartialStore store(net, tree, dirty, /*margin=*/8, /*registers=*/32);
+  const cube::SlotId slot =
+      store.add_slot(query::RegionSignature{0, 500, false}, 0x7800, true);
+  const std::array<cube::SlotId, 1> slots{slot};
+  const NodeId child = tree.children[tree.root].front();
+  // Reads one pushed image of `bits` bits at `epoch` (the mark bit set, so
+  // the slot rides) and returns the bits left over.
+  const auto read = [&](const std::vector<std::uint8_t>& bytes,
+                        std::size_t bits, std::uint32_t epoch) {
+    cube::PartialStore::Push push(store, slots, epoch);
+    BitReader r(bytes.data(), bits);
+    push.read(child, /*changed=*/true, r);
+    return r.remaining();
+  };
+  const auto prefixes_throw = [&](const std::vector<std::uint8_t>& bytes,
+                                  std::size_t bits, std::uint32_t epoch) {
+    for (std::size_t cut = 0; cut < bits; ++cut) {
+      EXPECT_THROW((void)read(bytes, cut, epoch), WireFormatError)
+          << "cut " << cut << " of " << bits;
+    }
+  };
+  Xoshiro256 rng(53);
+  const unsigned width = store.hll_width();
+  for (const auto& [registers, foreign_width] :
+       {std::pair{64u, width}, std::pair{16u, width}, std::pair{32u, 8u}}) {
+    const sketch::Hll foreign = random_hll(rng, registers, foreign_width, 20);
+    EXPECT_THROW((void)read(hll_bytes(foreign), foreign.wire_bits(), 1),
+                 WireFormatError)
+        << registers << " registers of width " << foreign_width;
+  }
+  sketch::Hll first = store.empty_hll();
+  for (int j = 0; j < 20; ++j) first.add(rng.next_u64(), cube::kHllSalt);
+  prefixes_throw(hll_bytes(first), first.wire_bits(), 1);
+  EXPECT_EQ(read(hll_bytes(first), first.wire_bits(), 1), 0u);
+  EXPECT_EQ(hll_bytes(store.edge_hll(slot, child)), hll_bytes(first));
+
+  const sketch::Hll second = drifted(rng, first);
+  BitWriter w;
+  cube::encode_hll_delta(w, first, second);
+  const std::vector<std::uint8_t> delta(w.bytes().begin(), w.bytes().end());
+  prefixes_throw(delta, w.bit_count(), 2);
+  EXPECT_EQ(read(delta, w.bit_count(), 2), 0u);
+  EXPECT_EQ(hll_bytes(store.edge_hll(slot, child)), hll_bytes(second));
 }
 
 }  // namespace

@@ -958,5 +958,36 @@ TEST(Cube, LostMessageFailsTheServeAndTheRetryIsExact) {
   }
 }
 
+TEST(Cube, ALostInstallFailsItsServeAndTheRetryInstallsAgain) {
+  // The geometry install, then a standing slot's install, each broadcast
+  // under 30% loss: a node misses it, so the serve throws with the
+  // broadcast charged, and nothing counts as installed. A lossless retry
+  // sends the install again and answers exactly.
+  Fixture f;
+  const query::CostedPlan plan = cover_plan(f, kStandingText);
+  std::vector<ServeResult> served;
+  f.net.set_message_loss(0.3);
+  f.cube.claim(plan, /*standing=*/true);
+  EXPECT_THROW(f.cube.serve_claimed(0, served), ProtocolError);
+  EXPECT_EQ(f.cube.stats().geometry_installs, 1u);
+  EXPECT_EQ(served.front().bits, f.net.summary(true).total_bits);
+  EXPECT_EQ(charged_bits(f.cube.stats()), f.net.summary(true).total_bits);
+  f.net.set_message_loss(0.0);
+  f.cube.serve(f.plan_for("SELECT SUM(v) FROM s"), 0);
+  EXPECT_EQ(f.cube.stats().geometry_installs, 2u);
+
+  f.net.set_message_loss(0.3);
+  f.cube.claim(plan, /*standing=*/true);
+  EXPECT_THROW(f.cube.serve_claimed(0, served), ProtocolError);
+  EXPECT_EQ(f.cube.stats().standing_installs, 0u);
+  EXPECT_EQ(charged_bits(f.cube.stats()), f.net.summary(true).total_bits);
+  f.net.set_message_loss(0.0);
+  f.cube.claim(plan, /*standing=*/true);
+  f.cube.serve_claimed(0, served);
+  EXPECT_EQ(f.cube.stats().standing_installs, 1u);
+  EXPECT_EQ(served.front().bundle.core, direct_core(f.net, plan.region));
+  EXPECT_EQ(charged_bits(f.cube.stats()), f.net.summary(true).total_bits);
+}
+
 }  // namespace
 }  // namespace sensornet::cube

@@ -9,7 +9,9 @@
 // delta images against the parent's partial — stats deltas, or the changed
 // registers of an HLL — and stay exact (a rebuilt edge HLL encodes as the
 // child's); after a lost message the retry resyncs the unanswered edges
-// with full images, and a released slot starts over from full images.
+// with full images, and a released slot starts over from full images. A
+// push of sketch and stats slots on the fused mark wave leaves the same
+// edge partials and roots as a pull, and recovers from a lost push.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -410,10 +412,9 @@ TEST(Collect, AReleasedSlotIsCollectedAfreshAndExactly) {
   EXPECT_TRUE(f.store.root_hll(hll) == f.oracle_hll(range_of(100, 700)));
 }
 
-/// One epoch of small drift: `count` random nodes move their first reading
-/// by at most 8, within [0, kBound].
-void nudge(Fixture& f, Xoshiro256& rng, std::size_t count,
-           std::uint32_t epoch) {
+/// Small drift: `count` random nodes move their first reading by at most 8,
+/// within [0, kBound]. Returns the nodes touched.
+std::vector<NodeId> drift(Fixture& f, Xoshiro256& rng, std::size_t count) {
   std::vector<NodeId> touched;
   for (std::size_t i = 0; i < count; ++i) {
     const auto u = static_cast<NodeId>(rng.next_below(f.net.node_count()));
@@ -422,7 +423,13 @@ void nudge(Fixture& f, Xoshiro256& rng, std::size_t count,
     f.net.update_item(u, 0, std::clamp<Value>(v, 0, kBound));
     touched.push_back(u);
   }
-  f.dirty.note_updates(touched, epoch);
+  return touched;
+}
+
+/// One epoch of drift(), marked on the tracker.
+void nudge(Fixture& f, Xoshiro256& rng, std::size_t count,
+           std::uint32_t epoch) {
+  f.dirty.note_updates(drift(f, rng, count), epoch);
 }
 
 /// Stats, whole-domain stats and HLL-only slots over overlapping ranges.
@@ -686,6 +693,98 @@ TEST(Collect, ALostMessageResyncsTheUnansweredSketchEdges) {
     ++checked;
   }
   EXPECT_GE(checked, 3);
+}
+
+/// Pushes `slots` on epoch `epoch`'s fused wave, marking `touched`, and
+/// finishes the push when no message was lost.
+void push(Fixture& f, std::span<const SlotId> slots,
+          std::span<const NodeId> touched, std::uint32_t epoch) {
+  PartialStore::Push cargo(f.store, slots, epoch);
+  f.dirty.note_updates(touched, epoch, &cargo);
+  cargo.finish();
+}
+
+/// Every sketch slot's edge HLLs and root HLL, and every stats slot's root,
+/// encode alike in both stores.
+void expect_same_partials(const Fixture& a, const Fixture& b,
+                          std::span<const SlotId> slots) {
+  for (const SlotId s : slots) {
+    if (!a.store.sketch(s)) {
+      EXPECT_EQ(a.store.root(s), b.store.root(s)) << "slot " << s;
+      continue;
+    }
+    for (NodeId c = 0; c < a.tree.node_count(); ++c) {
+      if (c == a.tree.root) continue;
+      ASSERT_EQ(encoded(a.store.edge_hll(s, c)),
+                encoded(b.store.edge_hll(s, c)))
+          << "slot " << s << " edge " << c;
+    }
+    EXPECT_EQ(encoded(a.store.root_hll(s)), encoded(b.store.root_hll(s)))
+        << "slot " << s;
+  }
+}
+
+TEST(Push, SketchSlotsRideTheMarksAsExactlyAsAPull) {
+  // A push of a cell's HLL twin (a sketch slot over a cell's region), a
+  // standing sketch slot and a stats slot, next to a store that pulls the
+  // same slots with collect() at the same epochs over the same drift: every
+  // edge HLL and every root is bit-identical, and after a push the epoch's
+  // collect() sends nothing. A lost push fails its epoch; the next lossless
+  // push is exact.
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    Fixture pushed(seed, kRegisters);
+    Fixture pulled(seed, kRegisters);
+    std::vector<SlotId> slots;
+    for (Fixture* f : {&pushed, &pulled}) {
+      slots = {f->store.add_slot(range_of(0, 499), 0x7800, true),
+               f->store.add_slot(range_of(130, 777), 0x7801, true),
+               f->store.add_slot(range_of(300, 900), 0x7802)};
+    }
+    Xoshiro256 push_rng(seed * 29);
+    Xoshiro256 pull_rng(seed * 29);
+    for (std::uint32_t epoch = 1; epoch <= 8; ++epoch) {
+      // The first epoch is cold: every edge pushes full images.
+      const std::size_t count = epoch == 1 ? 0 : 6;
+      push(pushed, slots, drift(pushed, push_rng, count), epoch);
+      pulled.dirty.note_updates(drift(pulled, pull_rng, count), epoch);
+      collect(pulled.store, slots, epoch);
+      expect_same_partials(pushed, pulled, slots);
+      expect_exact_roots(pushed, slots);
+      const std::uint64_t bits = pushed.net.summary(true).total_bits;
+      for (const WaveShare& share : collect(pushed.store, slots, epoch)) {
+        EXPECT_FALSE(share.collected);
+      }
+      EXPECT_EQ(pushed.net.summary(true).total_bits, bits);
+    }
+    EXPECT_GT(pushed.store.hll_delta_image_bits(), 0u);
+    EXPECT_EQ(pushed.store.hll_delta_image_bits(),
+              pulled.store.hll_delta_image_bits());
+
+    // Epoch 9's push loses messages; epoch 10's, lossless, owes the marks.
+    const std::vector<NodeId> touched = drift(pushed, push_rng, 40);
+    pushed.net.set_message_loss(0.3);
+    {
+      PartialStore::Push cargo(pushed.store, slots, 9);
+      EXPECT_THROW(pushed.dirty.note_updates(touched, 9, &cargo),
+                   ProtocolError);
+    }
+    pushed.net.set_message_loss(0.0);
+    push(pushed, slots, {}, 10);
+    pulled.dirty.note_updates(drift(pulled, pull_rng, 40), 9);
+    pulled.dirty.note_updates({}, 10);
+    collect(pulled.store, slots, 10);
+    expect_same_partials(pushed, pulled, slots);
+    expect_exact_roots(pushed, slots);
+    for (const SlotId s : slots) {
+      if (!pushed.store.sketch(s)) continue;
+      for (NodeId c = 0; c < pushed.tree.node_count(); ++c) {
+        if (c == pushed.tree.root) continue;
+        ASSERT_EQ(encoded(pushed.store.edge_hll(s, c)),
+                  encoded(subtree_hll(pushed, s, c)))
+            << "seed " << seed << " edge " << c;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -24,10 +24,11 @@
 //     the estimate of a one-shot HLL (64 registers, salt 1) over it,
 //   - account for every bit and message on the air: query, mark and
 //     group-install ledgers add up to the network total after every epoch.
-// An enrolment-churn script (continuous stats subscribers over EVERY 1, 2
-// and 3 that are cancelled and subscribed again, some in one batch, with
-// quiet epochs and a whole-domain group) replays on shared and shared +
-// cache at 1, 2 and 8 workers, which must give one answer stream.
+// An enrolment-churn script (continuous subscribers over EVERY 1, 2 and 3,
+// stats and COUNT_DISTINCT ... ERROR 0.15, that are cancelled and
+// subscribed again, some in one batch, with quiet epochs and a whole-domain
+// group) replays on shared, shared + cache, cube and cube + cache at 1, 2
+// and 8 workers, which must give one answer stream.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -232,16 +233,23 @@ Script draw_enrolment_script(std::uint64_t seed) {
   Script script;
   script.initial.resize(kNodes);
   for (Value& v : script.initial) v = static_cast<Value>(rng.next_below(400));
+  // The cube's cells at its default levels include [0, 499]: a distinct
+  // subscriber there reads an HLL twin, one over [37, 213] standing sketch
+  // slots.
   const std::vector<std::pair<Value, Value>> regions{
-      {0, kBound}, {100, 300}, {37, 213}};
+      {0, kBound}, {100, 300}, {37, 213}, {0, 499}};
   const query::AggregateKind aggs[] = {
       query::AggregateKind::kCount, query::AggregateKind::kSum,
       query::AggregateKind::kAvg, query::AggregateKind::kMin,
       query::AggregateKind::kMax};
   const char* errors[] = {nullptr, "0.1", "0.5"};
-  const auto subscriber = [&](std::size_t region, std::uint64_t every) {
+  // A stats subscriber, or with `sketch` a COUNT_DISTINCT ... ERROR 0.15.
+  const auto subscriber = [&](std::size_t region, std::uint64_t every,
+                              bool sketch = false) {
     Submit s;
-    s.agg = aggs[rng.next_below(5)];
+    s.sketch = sketch;
+    s.agg = sketch ? query::AggregateKind::kCountDistinct
+                   : aggs[rng.next_below(5)];
     std::tie(s.lo, s.hi) = regions[region];
     std::ostringstream os;
     os << "SELECT " << query::agg_name(s.agg) << "(v) FROM s";
@@ -249,7 +257,11 @@ Script draw_enrolment_script(std::uint64_t seed) {
       os << " WHERE v BETWEEN " << s.lo << " AND " << s.hi;
     }
     os << " EVERY " << every << " EPOCHS";
-    if (const char* err = errors[rng.next_below(3)]) os << " ERROR " << err;
+    if (sketch) {
+      os << " ERROR 0.15";
+    } else if (const char* err = errors[rng.next_below(3)]) {
+      os << " ERROR " << err;
+    }
     s.text = os.str();
     return s;
   };
@@ -265,12 +277,15 @@ Script draw_enrolment_script(std::uint64_t seed) {
         step.burst.push_back(subscriber(every - 1, every));
       }
       step.burst.push_back(subscriber(0, 2));
+      step.burst.push_back(subscriber(3, 1, /*sketch=*/true));
+      step.burst.push_back(subscriber(2, 2, /*sketch=*/true));
     }
     step.submits = std::move(again);
     again.clear();
     for (auto k = rng.next_below(3); k > 0; --k) {
-      step.submits.push_back(
-          subscriber(rng.next_below(regions.size()), 1 + rng.next_below(3)));
+      step.submits.push_back(subscriber(rng.next_below(regions.size()),
+                                        1 + rng.next_below(3),
+                                        rng.next_below(4) == 0));
     }
     for (const Submit& sub : step.submits) {
       live.push_back(submitted.size());
@@ -603,6 +618,7 @@ TEST(ServiceDifferential, EnrolmentChurnAgreesWithTheMirrorAtAnyWidth) {
         }
         stream = r.answers_hash;
         EXPECT_GT(r.push_messages, 0u);
+        EXPECT_GT(r.distinct_checked, 0u);
       }
     }
   }

@@ -12,9 +12,11 @@
 
 #include "src/common/error.hpp"
 #include "src/common/rng.hpp"
+#include "src/cube/partials.hpp"
 #include "src/net/topology.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/query/parser.hpp"
+#include "src/sketch/hll.hpp"
 
 namespace sensornet::service {
 namespace {
@@ -499,6 +501,99 @@ TEST(QueryService, CubePushesStandingSlotsBesideTheMarks) {
   EXPECT_EQ(snap.cube.refresh_waves, 2u);  // epoch 1, and the residue's
   EXPECT_GT(snap.cube.standing_refreshed, 1u);
   EXPECT_GT(snap.install_bits_on_air, installs);
+  EXPECT_EQ(ledger(f.svc), std::pair(f.net.summary(true).total_bits,
+                                     f.net.summary(true).total_messages));
+}
+
+TEST(QueryService, CubePushesStandingDistinctSlotsBesideTheMarks) {
+  // A continuous approximate COUNT_DISTINCT in cube mode, over a cell (its
+  // HLL twin) and over an unaligned range (standing sketch slots). The
+  // first due epoch pulls: the geometry install carries the schedule and
+  // names the twin's cell, and the standing slot is installed then. Every
+  // later epoch pushes the sketch slots beside the marks and runs no
+  // refresh wave. Each answer equals a one-shot HLL of the store's
+  // geometry, the ledger matches the air, and every pushed HLL image was
+  // read.
+  struct Case {
+    Value lo;
+    Value hi;
+    bool twin_only;  // a single cell: no standing slot
+  };
+  for (const Case c : {Case{0, 499, true}, Case{30, 270, false}}) {
+    SCOPED_TRACE(testing::Message() << c.lo << ".." << c.hi);
+    ServiceConfig cfg;
+    cfg.use_cube = true;
+    cfg.cube_distinct_registers = 64;
+    Fixture f{cfg};
+    const auto oracle = [&] {
+      sketch::Hll h =
+          sketch::Hll::make_by_registers(
+              64, {.width = sketch::packed_width_for(f.mirror.size() + 1),
+                   .sparse = true})
+              .value();
+      for (const Value v : f.mirror) {
+        if (v >= c.lo && v <= c.hi) {
+          h.add(static_cast<std::uint64_t>(v), cube::kHllSalt);
+        }
+      }
+      return h.estimate();
+    };
+    const QueryId id =
+        f.svc
+            .submit("SELECT COUNT_DISTINCT(v) FROM s WHERE v BETWEEN " +
+                    std::to_string(c.lo) + " AND " + std::to_string(c.hi) +
+                    " EVERY 1 EPOCHS ERROR 0.15")
+            .value()
+            .id;
+    std::uint64_t waves = 0;
+    for (std::uint32_t e = 1; e <= 8; ++e) {
+      const std::vector<SensorUpdate> batch{f.drift(e, 3),
+                                            f.drift(20 + e, -4)};
+      const std::vector<Answer> answers = f.svc.run_epoch(batch);
+      ASSERT_EQ(answers.size(), 1u);
+      EXPECT_EQ(answers[0].id, id);
+      EXPECT_DOUBLE_EQ(answers[0].value, oracle()) << "epoch " << e;
+      const TelemetrySnapshot snap = f.svc.telemetry_snapshot();
+      if (e == 1) waves = snap.cube.refresh_waves;
+      EXPECT_EQ(snap.cube.refresh_waves, waves) << "epoch " << e;
+      EXPECT_EQ(ledger(f.svc), std::pair(f.net.summary(true).total_bits,
+                                         f.net.summary(true).total_messages));
+    }
+    const TelemetrySnapshot snap = f.svc.telemetry_snapshot();
+    EXPECT_EQ(waves, 1u);
+    EXPECT_EQ(snap.cube.standing_installs == 0, c.twin_only);
+    EXPECT_GT(snap.cube.push_messages, 0u);
+    EXPECT_GT(snap.cube.push_image_bits, 0u);
+    EXPECT_GT(snap.cube.hll_delta_image_bits, 0u);
+    EXPECT_EQ(snap.totals.pushed_unread_image_bits, 0u);
+  }
+}
+
+TEST(QueryService, ALostCubeInstallFailsItsEpochAndTheRetryReinstalls) {
+  // The cube's first serve broadcasts its geometry install. Under 30% loss
+  // a node misses it: the epoch throws with the install charged, so mark +
+  // install + Σ query bits still equal the network total. A lossless retry
+  // sends the install again and answers exactly.
+  ServiceConfig cfg;
+  cfg.use_cube = true;
+  Fixture f{cfg};
+  const QueryId id = f.svc
+                         .submit("SELECT SUM(v) FROM s WHERE v BETWEEN 77 "
+                                 "AND 901 EVERY 1 EPOCHS")
+                         .value()
+                         .id;
+  f.net.set_message_loss(0.3);
+  EXPECT_THROW(f.svc.run_epoch({}), ProtocolError);
+  EXPECT_EQ(f.svc.telemetry_snapshot().cube.geometry_installs, 1u);
+  EXPECT_GT(f.net.summary(true).total_bits, 0u);
+  EXPECT_EQ(ledger(f.svc), std::pair(f.net.summary(true).total_bits,
+                                     f.net.summary(true).total_messages));
+  f.net.set_message_loss(0.0);
+  const std::vector<Answer> answers = f.svc.run_epoch({});
+  ASSERT_EQ(answers.size(), 1u);
+  EXPECT_EQ(answers[0].id, id);
+  EXPECT_DOUBLE_EQ(answers[0].value, f.exact("SUM", 77, 901));
+  EXPECT_EQ(f.svc.telemetry_snapshot().cube.geometry_installs, 2u);
   EXPECT_EQ(ledger(f.svc), std::pair(f.net.summary(true).total_bits,
                                      f.net.summary(true).total_messages));
 }
