@@ -318,12 +318,12 @@ void gate_claims(Gates& gates, bool quick, const LaneResult& shared,
              " coded in full");
   // An unchanged bundle costs 3 bits and margins that moved with the core
   // one bit each, so the lanes' delta images (pushed ones included) take
-  // 0.46819 (quick) and 0.52024 (full) of their full length. The bound is
-  // each ratio rounded up in the fourth decimal, a one-sided pin: coding an
-  // unchanged image in full reads 0.46843 / 0.52037, margins that never
-  // ride 0.584 / 0.612. A change to the delta layout or to the lanes'
-  // workload re-measures it.
-  const std::uint64_t ratio_bound = quick ? 4682 : 5203;  // per 10,000
+  // 0.34096 (quick) and 0.34747 (full) of their full length on the leafy
+  // aggregation tree. The bound is each ratio rounded up in the fourth
+  // decimal, a one-sided pin: coding an unchanged image in full reads
+  // 0.34182 / 0.34867, margins that never ride 0.409 / 0.399. A change to
+  // the delta layout, to the lanes' workload or to the tree re-measures it.
+  const std::uint64_t ratio_bound = quick ? 3410 : 3475;  // per 10,000
   gates.gate(shared.delta_image_bits * 10000 <=
                  shared.delta_image_full_bits * ratio_bound,
              "delta images took ", shared.delta_image_bits, " bits, above ",

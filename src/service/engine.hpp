@@ -42,10 +42,12 @@
 //
 // Every wave runs on one bounded-degree tree, the scheduler's aggregation
 // tree (SharedPlanScheduler::tree()): the tree the service is handed,
-// rebuilt so that no node adopts more than net::kAggregationFanIn children
-// when it is wider. Fact 2.1's O(log N) individual bound needs a
-// bounded-degree tree; on a geometric deployment a BFS root adopts all its
-// radio neighbours and alone sets the busiest node's bits.
+// capped so that no node adopts more than net::kAggregationFanIn children
+// when it is wider, then rebuilt as a leafy tree of the same depths. Fact
+// 2.1's O(log N) individual bound needs a bounded-degree tree (on a
+// geometric deployment a BFS root adopts all its radio neighbours and
+// alone sets the busiest node's bits), and every edge whose subtree
+// changed pays a message per epoch, so fewer relays send fewer marks.
 //
 // Concurrency model: submit_batch() parses, plans and canonicalizes regions
 // on a deterministic work-stealing farm (pure, per-cell work); everything

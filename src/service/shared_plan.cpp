@@ -32,6 +32,7 @@ struct SharedPlanScheduler::Group {
   std::uint32_t last_collect_epoch = kInvalidEpoch;
 
   bool install_held = false;  // its install waits for announce()
+  bool installed = false;     // every node heard its install
 };
 
 // ---- dirty marks and pushes ------------------------------------------------
@@ -53,9 +54,11 @@ void SharedPlanScheduler::note_updates(std::span<const NodeId> updated,
                                        std::uint32_t epoch,
                                        std::vector<GroupShare>& pushed) {
   pushed.clear();
+  std::vector<GroupId> due;
   std::vector<cube::SlotId> slots;  // ascending, as groups are
   for (const GroupId id : schedules_.due(epoch)) {
     pushed.emplace_back().group = id;
+    due.push_back(id);
     slots.push_back(groups_[id]->slot);
   }
   if (slots.empty()) {
@@ -63,6 +66,22 @@ void SharedPlanScheduler::note_updates(std::span<const NodeId> updated,
     return;
   }
   const SimTime t0 = net_.now();
+  // A due group whose install was lost is installed again before the wave;
+  // a lost copy fails the epoch before it, and its marks go with the next.
+  std::vector<WaveShare> installs;
+  const auto add_installs = [&] {
+    for (std::size_t j = 0; j < pushed.size(); ++j) {
+      pushed[j].share.bits += installs[j].bits;
+      pushed[j].share.messages += installs[j].messages;
+    }
+  };
+  try {
+    install_lost(due, installs);
+  } catch (const ProtocolError&) {
+    dirty_.defer_updates(updated, epoch);
+    add_installs();
+    throw;
+  }
   cube::PartialStore::Push push(store_, slots, epoch);
   // Charged as sent: a wave that loses a message has still spent its bits.
   const auto take_shares = [&] {
@@ -77,10 +96,12 @@ void SharedPlanScheduler::note_updates(std::span<const NodeId> updated,
     dirty_.note_updates(updated, epoch, &push);
   } catch (...) {
     take_shares();
+    add_installs();
     throw;
   }
   push.finish();
   take_shares();
+  add_installs();
   stats_.stats_waves += pushed.size();
   obs::TraceRing& ring = obs::TraceRing::global();
   if (ring.enabled()) {
@@ -107,6 +128,53 @@ void SharedPlanScheduler::unsubscribe(GroupId group, std::uint32_t period,
 
 void SharedPlanScheduler::hold_installs() { holding_ = true; }
 
+bool SharedPlanScheduler::broadcast(BitWriter&& w, const Entries& entries,
+                                    std::vector<GroupShare>& shares) {
+  const auto before = net_.summary(/*include_headers=*/true);
+  std::size_t heard = 0;
+  proto::TreeBroadcast announcement(
+      tree_, next_session_++,
+      [&heard](sim::Network&, NodeId, BitReader) { ++heard; });
+  announcement.execute(net_, std::move(w));
+  const auto after = net_.summary(/*include_headers=*/true);
+  const std::uint64_t copies = after.total_messages - before.total_messages;
+  std::uint64_t rest = after.total_bits - before.total_bits;
+  for (const auto& [id, bits] : entries) rest -= bits * copies;
+  for (std::size_t j = 0; j < entries.size(); ++j) {
+    GroupShare& g = shares.emplace_back();
+    g.group = entries[j].first;
+    g.share.bits = entries[j].second * copies + rest / entries.size() +
+                   (j == 0 ? rest % entries.size() : 0);
+    g.share.messages = j == 0 ? copies : 0;
+  }
+  return heard == tree_.node_count();
+}
+
+bool SharedPlanScheduler::install(GroupId id, std::vector<GroupShare>& shares,
+                                  bool with_schedules) {
+  Group& g = *groups_[id];
+  BitWriter w;
+  write_install(g, w);
+  Entries entries{{id, w.bit_count()}};
+  if (with_schedules) schedules_.write_changes(w, entries);
+  g.installed = broadcast(std::move(w), entries, shares);
+  if (with_schedules) schedules_.heard(g.installed);
+  return g.installed;
+}
+
+void SharedPlanScheduler::install_lost(std::span<const GroupId> groups,
+                                       std::vector<WaveShare>& costs) {
+  costs.assign(groups.size(), WaveShare{});
+  bool heard = true;
+  for (std::size_t j = 0; j < groups.size(); ++j) {
+    if (groups_[groups[j]]->installed) continue;
+    std::vector<GroupShare> shares;
+    heard &= install(groups[j], shares, /*with_schedules=*/false);
+    costs[j] = shares.front().share;
+  }
+  if (!heard) throw ProtocolError("SharedPlanScheduler: an install was lost");
+}
+
 void SharedPlanScheduler::announce(std::vector<GroupShare>& shares) {
   holding_ = false;
   shares.clear();
@@ -117,52 +185,25 @@ void SharedPlanScheduler::announce(std::vector<GroupShare>& shares) {
     g.install_held = false;
   }
   const bool changed = schedules_.changed();
-  // Broadcasts `w`, made of `entries` (a group and the bits it wrote), and
-  // charges it: each group its own bits on every copy, and an even split of
-  // the rest (header, count), the remainder and the messages to the first.
-  // Returns true when every node heard it.
-  using Entries = std::vector<std::pair<GroupId, std::uint64_t>>;
-  const auto broadcast = [&](BitWriter&& w, const Entries& entries) {
-    const auto before = net_.summary(/*include_headers=*/true);
-    std::size_t heard = 0;
-    proto::TreeBroadcast announcement(
-        tree_, next_session_++,
-        [&heard](sim::Network&, NodeId, BitReader) { ++heard; });
-    announcement.execute(net_, std::move(w));
-    const auto after = net_.summary(/*include_headers=*/true);
-    const std::uint64_t copies = after.total_messages - before.total_messages;
-    std::uint64_t rest = after.total_bits - before.total_bits;
-    for (const auto& [id, bits] : entries) rest -= bits * copies;
-    for (std::size_t j = 0; j < entries.size(); ++j) {
-      GroupShare& g = shares.emplace_back();
-      g.group = entries[j].first;
-      g.share.bits = entries[j].second * copies + rest / entries.size() +
-                     (j == 0 ? rest % entries.size() : 0);
-      g.share.messages = j == 0 ? copies : 0;
-    }
-    return heard == tree_.node_count();
-  };
   // Installs go out one broadcast each, as ensure_*_group() sends them;
   // the schedules ride the last one (a message of its own kind), or go
-  // alone when the batch installed nothing.
-  const bool ride = !held.empty() && changed;
-  for (std::size_t j = 0; j + (ride ? 1 : 0) < held.size(); ++j) {
+  // alone when the batch installed nothing. Every broadcast is sent and
+  // charged before a lost one throws.
+  bool heard = true;
+  for (std::size_t j = 0; j < held.size(); ++j) {
+    heard &= install(held[j], shares, changed && j + 1 == held.size());
+  }
+  if (changed && held.empty()) {
     BitWriter w;
-    write_install(*groups_[held[j]], w);
-    const std::uint64_t bits = w.bit_count();
-    broadcast(std::move(w), {{held[j], bits}});
+    Entries entries;
+    schedules_.write_changes(w, entries);
+    const bool all = broadcast(std::move(w), entries, shares);
+    schedules_.heard(all);
+    heard &= all;
   }
-  if (!changed) return;
-  BitWriter w;
-  Entries entries;
-  if (ride) {
-    write_install(*groups_[held.back()], w);
-    entries.emplace_back(held.back(), w.bit_count());
+  if (!heard) {
+    throw ProtocolError("SharedPlanScheduler: an install or a schedule was lost");
   }
-  schedules_.write_changes(w, entries);
-  const bool heard = broadcast(std::move(w), entries);
-  schedules_.heard(heard);
-  if (!heard) throw ProtocolError("SharedPlanScheduler: a schedule was lost");
 }
 
 // ---- scheduler ------------------------------------------------------------
@@ -173,8 +214,7 @@ SharedPlanScheduler::SharedPlanScheduler(sim::Network& net,
                                          Value max_delta,
                                          std::uint32_t horizon_epochs)
     : net_(net),
-      capped_tree_(net::aggregation_tree(net.graph(), tree)),
-      tree_(capped_tree_ ? *capped_tree_ : tree),
+      tree_(net::aggregation_tree(net.graph(), tree)),
       max_value_bound_(max_value_bound),
       max_delta_(max_delta),
       horizon_epochs_(horizon_epochs),
@@ -193,6 +233,7 @@ GroupId SharedPlanScheduler::ensure_stats_group(
   }
   const GroupId id = add_group(query::AggregateFamily::kStats, region, 0);
   stats_index_.emplace(region, id);
+  install_now(id);
   return id;
 }
 
@@ -205,6 +246,7 @@ GroupId SharedPlanScheduler::ensure_distinct_group(
   const GroupId id =
       add_group(query::AggregateFamily::kDistinct, region, registers);
   distinct_index_.emplace(key, id);
+  install_now(id);
   return id;
 }
 
@@ -222,18 +264,16 @@ GroupId SharedPlanScheduler::add_group(query::AggregateFamily family,
   }
   // Nodes must learn the region (and a stats group the margin it brackets)
   // — paid once per group, amortized over every subscriber and epoch.
-  if (!region.whole_domain && holding_) {
-    g->install_held = true;
-  } else if (!region.whole_domain) {
-    proto::TreeBroadcast install(
-        tree_, next_session_++,
-        [](sim::Network&, NodeId, BitReader) { /* region noted */ });
-    BitWriter w;
-    write_install(*g, w);
-    install.execute(net_, std::move(w));
-  }
+  g->installed = region.whole_domain;
+  g->install_held = !g->installed && holding_;
   groups_.push_back(std::move(g));
   return id;
+}
+
+void SharedPlanScheduler::install_now(GroupId id) {
+  if (groups_[id]->install_held) return;
+  std::vector<WaveShare> costs;
+  install_lost(std::span(&id, 1), costs);
 }
 
 void SharedPlanScheduler::write_install(const Group& g, BitWriter& w) const {
@@ -258,7 +298,25 @@ void SharedPlanScheduler::collect_stats_batch(std::span<const GroupId> groups,
     slots.push_back(g.slot);
   }
   const SimTime t0 = net_.now();
-  store_.collect(slots, epoch, shares);
+  // A group whose install was lost is installed again first; the copies
+  // are its share of the serve.
+  shares.clear();
+  std::vector<WaveShare> installs;
+  const auto add_installs = [&] {
+    shares.resize(groups.size());
+    for (std::size_t j = 0; j < groups.size(); ++j) {
+      shares[j].bits += installs[j].bits;
+      shares[j].messages += installs[j].messages;
+    }
+  };
+  try {
+    install_lost(groups, installs);
+    store_.collect(slots, epoch, shares);
+  } catch (const ProtocolError&) {
+    add_installs();
+    throw;
+  }
+  add_installs();
   std::uint64_t collected = 0;
   std::uint64_t messages = 0;  // the shares split the wave's messages
   for (const WaveShare& s : shares) {
@@ -312,6 +370,8 @@ double SharedPlanScheduler::collect_distinct(GroupId group,
   Group& g = *groups_[group];
   SENSORNET_EXPECTS(g.family == query::AggregateFamily::kDistinct);
   if (g.last_collect_epoch == epoch) return g.distinct_estimate;
+  std::vector<WaveShare> installs;
+  install_lost(std::span(&group, 1), installs);
   // Every node learned the region at the group's install.
   const proto::WindowView view({g.region.lo, g.region.hi});
   const SimTime t0 = net_.now();

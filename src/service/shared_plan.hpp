@@ -41,31 +41,35 @@
 // pull remains for one-shots and for groups the nodes do not push.
 //
 // The scheduler aggregates over net::aggregation_tree() of the tree it is
-// handed: that tree itself when no node has more than net::kAggregationFanIn
-// children, else a rebuilt one capped at that fan-in (Fact 2.1's O(log N)
-// individual bound needs a bounded-degree tree; on a geometric deployment a
-// BFS root adopts all its radio neighbours and alone sets the busiest node's
-// bits). Its mark wave, its stats waves and every consumer of dirty() run on
-// that one tree, tree().
+// handed, a tree it owns: the given tree, capped at net::kAggregationFanIn
+// children when it is wider (Fact 2.1's O(log N) individual bound needs a
+// bounded-degree tree; on a geometric deployment a BFS root adopts all its
+// radio neighbours and alone sets the busiest node's bits), rebuilt as a
+// leafy tree of the same depths (every edge whose subtree changed pays a
+// message per epoch, and a leafy tree has fewer such edges; see
+// net/spanning_tree.hpp). Its mark wave, its stats waves and every consumer
+// of dirty() run on that one tree, tree().
 //
 // The scheduler assumes the service's deployment discipline: lossless links
 // (a lost message makes the collection throw ProtocolError) and one wave on
 // the shared simulated medium at a time. A lost mark or push fails its
 // epoch, and so does a lost schedule announcement, which announce() sends
-// again before any push (cube/dirty.hpp's loss contract). A lost group
-// install is not detected: its nodes would aggregate without the region.
-// The cube's geometry and standing-slot installs count their hearers and
-// fail their serve when one is lost (cube/cube.hpp); the group installs here
-// stay unchecked.
+// again before any push (cube/dirty.hpp's loss contract). Group installs
+// count their hearers, as the cube's do (cube/cube.hpp): a lost one is
+// charged, throws ProtocolError from ensure_*_group() or announce(), and
+// leaves its group uninstalled; the group's next collection or push
+// installs it again before its wave, and fails in turn if that copy is
+// lost.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
+#include "src/common/bitio.hpp"
 #include "src/common/types.hpp"
 #include "src/cube/dirty.hpp"
 #include "src/cube/partials.hpp"
@@ -134,7 +138,9 @@ class SharedPlanScheduler {
   /// Returns the stats group for `region`, creating it on first use. A new
   /// group pays one region-install broadcast (nodes must learn the range
   /// and margin they aggregate over — those bits are metered like any
-  /// others), or rides the next announce() while installs are held.
+  /// others), or rides the next announce() while installs are held. Throws
+  /// ProtocolError when a node missed the install: the group exists, and
+  /// its next collection or push installs it again first.
   GroupId ensure_stats_group(const query::RegionSignature& region);
 
   /// The distinct-family analogue; `registers` == 0 selects the exact
@@ -160,10 +166,12 @@ class SharedPlanScheduler {
   /// alone when none is held. Sends nothing when there is neither. Ends
   /// hold_installs(). Sets `shares` to each group's share of the
   /// broadcasts (they sum exactly to their bits and messages), also when
-  /// it throws. Throws ProtocolError when a node missed the schedules
-  /// (the broadcast's handler sees every arrival); the next announce()
-  /// sends them again, and note_updates() must not run before one
-  /// returns, or a node could push by a schedule the others do not hold.
+  /// it throws. Throws ProtocolError, after sending every broadcast, when
+  /// a node missed the schedules or an install (the broadcast's handler
+  /// sees every arrival); the next announce() sends the schedules again,
+  /// and note_updates() must not run before one returns, or a node could
+  /// push by a schedule the others do not hold. A group whose install was
+  /// lost is installed again by its next collection or push.
   void announce(std::vector<GroupShare>& shares);
 
   /// Records one epoch's sensor-update batch: stamps the updated nodes and
@@ -172,7 +180,10 @@ class SharedPlanScheduler {
   /// the updates are applied to the network and before collections of the
   /// same epoch. Sets `pushed` to each pushed group's share, also when the
   /// wave throws (a lost message: see cube/dirty.hpp); the rest of the
-  /// wave's bits are the marks'.
+  /// wave's bits are the marks'. A due group whose install was lost is
+  /// installed again first, in its share; if that copy is lost too, the
+  /// epoch throws before its wave and the updated nodes owe their marks to
+  /// the next one.
   void note_updates(std::span<const NodeId> updated, std::uint32_t epoch,
                     std::vector<GroupShare>& pushed);
   /// The same, for callers that charge no group.
@@ -213,8 +224,8 @@ class SharedPlanScheduler {
   /// scheduler's stats waves, the cube's cell refreshes).
   const cube::DirtyTracker& dirty() const { return dirty_; }
 
-  /// The tree every wave runs on (see the file comment); the given tree
-  /// itself when it is narrow enough.
+  /// The tree every wave runs on (see the file comment), built from the
+  /// given one.
   const net::SpanningTree& tree() const { return tree_; }
 
   /// The wave counts, plus the store's edge and delta-image counters and
@@ -225,18 +236,35 @@ class SharedPlanScheduler {
  private:
   struct Group;
 
-  /// Creates a group and pays its region-install broadcast unless the
-  /// region is the whole domain, or holds the install (hold_installs()).
+  /// Creates a group: installed when its region is the whole domain, else
+  /// held (hold_installs()) or left for install_now().
   GroupId add_group(query::AggregateFamily family,
                     const query::RegionSignature& region, unsigned registers);
+  /// Pays a new group's region-install broadcast unless it is held.
+  void install_now(GroupId id);
+  /// Installs again each of `groups` whose install was lost, one broadcast
+  /// each; `costs` gets each one's cost, aligned with `groups`. Throws
+  /// ProtocolError, after sending them all, when a copy was lost.
+  void install_lost(std::span<const GroupId> groups,
+                    std::vector<WaveShare>& costs);
+  /// Broadcasts a group's install, with the changed schedules riding it
+  /// when `with_schedules`, appends its shares, and marks the group
+  /// installed when every node heard it, as it returns.
+  bool install(GroupId id, std::vector<GroupShare>& shares,
+               bool with_schedules);
+  /// Broadcasts `w`, made of `entries` (a group and the bits it wrote), and
+  /// appends its shares: each group its own bits on every copy, and an even
+  /// split of the rest (header, count), the remainder and the messages to
+  /// the first. Returns true when every node heard it.
+  using Entries = std::vector<std::pair<std::uint32_t, std::uint64_t>>;
+  bool broadcast(BitWriter&& w, const Entries& entries,
+                 std::vector<GroupShare>& shares);
   /// A group's install payload: its region, and a stats group's margin.
   void write_install(const Group& g, BitWriter& w) const;
 
   sim::Network& net_;
-  /// net::aggregation_tree's capped tree, when the given tree is wider than
-  /// the cap; tree_ names it then, so it is declared first.
-  std::optional<net::SpanningTree> capped_tree_;
-  const net::SpanningTree& tree_;
+  /// net::aggregation_tree of the given tree; dirty_ and store_ hold it.
+  const net::SpanningTree tree_;
   Value max_value_bound_;
   Value max_delta_;
   std::uint32_t horizon_epochs_;

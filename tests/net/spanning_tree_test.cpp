@@ -2,11 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <numbers>
-#include <optional>
+#include <utility>
+#include <vector>
 
 #include "src/common/error.hpp"
+#include "src/common/rng.hpp"
 #include "src/net/topology.hpp"
 #include "src/proto/counting_service.hpp"
 #include "src/sim/network.hpp"
@@ -103,17 +106,37 @@ std::size_t widest_fan_in(const SpanningTree& t) {
   return widest;
 }
 
+std::size_t internal_nodes(const SpanningTree& t) {
+  return static_cast<std::size_t>(
+      std::count_if(t.children.begin(), t.children.end(),
+                    [](const auto& c) { return !c.empty(); }));
+}
+
+/// aggregation_tree's base, by its documented rule: the given tree when no
+/// node has more than Δ children, else the first capped BFS tree no taller.
+SpanningTree aggregation_base(const Graph& g, const SpanningTree& given) {
+  for (unsigned cap = kAggregationFanIn; cap < widest_fan_in(given); ++cap) {
+    try {
+      SpanningTree t = capped_bfs_tree(g, given.root, cap);
+      if (t.height() <= given.height()) return t;
+    } catch (const ProtocolError&) {
+    }
+  }
+  return given;
+}
+
 TEST(AggregationTree, CapsServicebenchsGeometricDeploymentAtDelta) {
   // servicebench's standing_cube layout: its BFS root adopts all 21 of its
   // neighbours, and capped BFS at Δ keeps the height.
   const Graph g = geometric(2048, 0x6e0de5);
   const SpanningTree bfs = bfs_tree(g, 0);
   ASSERT_EQ(widest_fan_in(bfs), 21u);
-  const std::optional<SpanningTree> t = aggregation_tree(g, bfs);
-  ASSERT_TRUE(t.has_value());
-  EXPECT_TRUE(validate_tree(g, *t));
-  EXPECT_EQ(widest_fan_in(*t), kAggregationFanIn);
-  EXPECT_EQ(t->height(), bfs.height());
+  const SpanningTree t = aggregation_tree(g, bfs);
+  EXPECT_TRUE(validate_tree(g, t));
+  EXPECT_LE(widest_fan_in(t), kAggregationFanIn);
+  EXPECT_EQ(t.height(), bfs.height());
+  EXPECT_LT(internal_nodes(t),
+            internal_nodes(capped_bfs_tree(g, 0, kAggregationFanIn)));
 }
 
 TEST(AggregationTree, NeverWidensOrGrowsARandomGeometricTree) {
@@ -123,7 +146,7 @@ TEST(AggregationTree, NeverWidensOrGrowsARandomGeometricTree) {
       SCOPED_TRACE(testing::Message() << "n " << n << " seed " << seed);
       const Graph g = geometric(n, seed);
       const SpanningTree bfs = bfs_tree(g, 0);
-      const SpanningTree t = aggregation_tree(g, bfs).value_or(bfs);
+      const SpanningTree t = aggregation_tree(g, bfs);
       EXPECT_TRUE(validate_tree(g, t));
       EXPECT_EQ(t.root, bfs.root);
       EXPECT_LE(t.height(), bfs.height());
@@ -144,25 +167,119 @@ TEST(AggregationTree, NeverWidensOrGrowsARandomGeometricTree) {
   EXPECT_GT(at_delta, 0);
 }
 
-TEST(AggregationTree, KeepsANarrowTree) {
+TEST(AggregationTree, LeafyTreeKeepsDepthsFanInAndNeverAddsRelays) {
+  // Grids, lines and random geometric graphs of n = 64 to 2,048: the leafy
+  // tree of aggregation_tree's base is valid, keeps every node's depth and
+  // the fan-in bound, and has no more internal nodes than the base.
+  std::vector<Graph> graphs{make_grid(48, 48), make_grid(5, 7), make_line(9)};
+  for (const std::size_t n : {64u, 256u, 1024u, 2048u}) {
+    for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u, 6u}) {
+      graphs.push_back(geometric(n, seed));
+    }
+  }
+  int fewer = 0;
+  for (std::size_t i = 0; i < graphs.size(); ++i) {
+    SCOPED_TRACE(testing::Message() << "graph " << i);
+    const Graph& g = graphs[i];
+    const SpanningTree base = aggregation_base(g, bfs_tree(g, 0));
+    const SpanningTree t = aggregation_tree(g, bfs_tree(g, 0));
+    ASSERT_TRUE(validate_tree(g, t));
+    EXPECT_EQ(t.depth, base.depth);
+    EXPECT_LE(widest_fan_in(t),
+              std::max<std::size_t>(kAggregationFanIn, widest_fan_in(base)));
+    EXPECT_LE(internal_nodes(t), internal_nodes(base));
+    fewer += internal_nodes(t) < internal_nodes(base) ? 1 : 0;
+  }
+  EXPECT_GE(fewer, 24);  // every random geometric graph, at least
+}
+
+TEST(AggregationTree, NeverTallerNeverWiderALineStaysALine) {
   for (const Graph& g : {make_grid(48, 48), make_grid(5, 7), make_line(9)}) {
     for (const NodeId root : {NodeId{0}, NodeId{4}}) {
       const SpanningTree given = bfs_tree(g, root);
       ASSERT_LE(widest_fan_in(given), kAggregationFanIn);
-      EXPECT_FALSE(aggregation_tree(g, given).has_value());
+      const SpanningTree t = aggregation_tree(g, given);
+      EXPECT_TRUE(validate_tree(g, t));
+      EXPECT_EQ(t.depth, given.depth);
+      EXPECT_LE(widest_fan_in(t), kAggregationFanIn);
     }
+  }
+  const Graph line = make_line(9);
+  for (const NodeId root : {NodeId{0}, NodeId{4}}) {
+    const SpanningTree given = bfs_tree(line, root);
+    EXPECT_EQ(aggregation_tree(line, given).parent, given.parent);
   }
 }
 
 TEST(AggregationTree, KeepsTheGivenTreeWhenNoCapSpans) {
-  // Rooted at its hub, a star strands a leaf at every cap below n - 1.
+  // Rooted at its hub, a star strands a leaf at every cap below n - 1, and
+  // its one layer has one parent to cover it.
   constexpr std::size_t kLeaves = 12;
   Graph star(kLeaves + 1);
   for (NodeId u = 1; u <= kLeaves; ++u) star.add_edge(0, u);
   const Graph g = star.compact();
-  std::optional<SpanningTree> t;
-  EXPECT_NO_THROW(t = aggregation_tree(g, bfs_tree(g, 0)));
-  EXPECT_FALSE(t.has_value());
+  const SpanningTree given = bfs_tree(g, 0);
+  SpanningTree t;
+  EXPECT_NO_THROW(t = aggregation_tree(g, given));
+  EXPECT_EQ(t.parent, given.parent);
+  EXPECT_EQ(t.children, given.children);
+}
+
+/// Edges dirtied by one update set: the union of the updated nodes' paths
+/// to the root, as a mark wave sends them.
+std::size_t dirty_edges(const SpanningTree& t, const std::vector<NodeId>& set) {
+  std::vector<bool> marked(t.node_count(), false);
+  std::size_t edges = 0;
+  for (NodeId v : set) {
+    for (; v != t.root && !marked[v]; v = t.parent[v]) {
+      marked[v] = true;
+      ++edges;
+    }
+  }
+  return edges;
+}
+
+TEST(AggregationTree, ALeafyGridTreeDirtiesFewerEdges) {
+  // servicebench's 48x48 grid: BFS from a corner is a comb whose teeth are
+  // the columns. Each drift batch is a fixed seeded set; the model's
+  // expected dirty edges per batch, sum over v of P(subtree(v) drifts), are
+  // in the comments.
+  constexpr std::size_t kSide = 48;
+  const Graph g = make_grid(kSide, kSide);
+  const SpanningTree comb = bfs_tree(g, 0);
+  const SpanningTree leafy = aggregation_tree(g, comb);
+  ASSERT_EQ(comb.children[1], (std::vector<NodeId>{2, kSide + 1}));
+  // Sums each tree's dirty edges over 64 batches: every node of `drifts`
+  // joins a batch with probability 1 / `odds`.
+  const auto totals = [&](auto&& drifts, std::uint64_t odds) {
+    Xoshiro256 rng(34);
+    std::pair<std::size_t, std::size_t> sum{0, 0};
+    for (int batch = 0; batch < 64; ++batch) {
+      std::vector<NodeId> set;
+      for (NodeId v = 0; v < g.node_count(); ++v) {
+        if (drifts(v / kSide, v % kSide) && rng.next_below(odds) == 0) {
+          set.push_back(v);
+        }
+      }
+      sum.first += dirty_edges(comb, set);
+      sum.second += dirty_edges(leafy, set);
+    }
+    return sum;
+  };
+  // Independent 1/8 drift: 1,967.6 edges on the comb, 1,239.2 on the leafy
+  // tree.
+  const auto iid = totals([](std::size_t, std::size_t) { return true; }, 8);
+  EXPECT_LE(static_cast<double>(iid.second),
+            0.65 * static_cast<double>(iid.first));
+  // Every 4th row drifting at 1/2: 1,967.1 against 1,143.7.
+  const auto rows =
+      totals([](std::size_t r, std::size_t) { return r % 4 == 0; }, 2);
+  EXPECT_LT(rows.second, rows.first);
+  // Every 4th column at 1/2 is the trade's cost: the columns are exactly
+  // the comb's teeth, so the comb wins, 596.0 against 884.3.
+  const auto columns =
+      totals([](std::size_t, std::size_t c) { return c % 4 == 0; }, 2);
+  EXPECT_LT(columns.first, columns.second);
 }
 
 TEST(AggregationTree, NoCountWaveCostsTheBusiestNodeMore) {
@@ -173,7 +290,7 @@ TEST(AggregationTree, NoCountWaveCostsTheBusiestNodeMore) {
       SCOPED_TRACE(testing::Message() << "n " << n << " seed " << seed);
       const Graph g = geometric(n, seed);
       const SpanningTree bfs = bfs_tree(g, 0);
-      const SpanningTree capped = aggregation_tree(g, bfs).value_or(bfs);
+      const SpanningTree capped = aggregation_tree(g, bfs);
       const auto busiest = [&](const SpanningTree& tree) {
         sim::Network net(g, seed);
         net.set_one_item_per_node(ValueSet(n, 7));

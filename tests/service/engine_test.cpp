@@ -400,7 +400,7 @@ TEST(QueryService, PushesLeaveTheMarkBucketAsAPlainMarkWave) {
   Fixture f;
   sim::Network bare_net(net::make_grid(6, 6), /*master_seed=*/11);
   bare_net.set_one_item_per_node(f.mirror);
-  cube::DirtyTracker bare(bare_net, f.tree);
+  cube::DirtyTracker bare(bare_net, f.svc.tree());
   const QueryId exact =
       f.svc.submit("SELECT SUM(v) FROM s WHERE v BETWEEN 20 AND 200 "
                    "EVERY 1 EPOCHS")
@@ -456,7 +456,7 @@ TEST(QueryService, CubePushesStandingSlotsBesideTheMarks) {
   Fixture f{cfg};
   sim::Network bare_net(net::make_grid(6, 6), /*master_seed=*/11);
   bare_net.set_one_item_per_node(f.mirror);
-  cube::DirtyTracker bare(bare_net, f.tree);
+  cube::DirtyTracker bare(bare_net, f.svc.tree());
   const QueryId sum =
       f.svc.submit("SELECT SUM(v) FROM s EVERY 1 EPOCHS").value().id;
   const QueryId count =
@@ -1013,9 +1013,20 @@ TEST(QueryService, AggregatesOverABoundedDegreeTree) {
   ASSERT_TRUE(r.ok());
   EXPECT_DOUBLE_EQ(r.value().answer->value, 7.0 * 48 * 49 / 2);
 
-  // A grid's BFS tree is narrow already: the service runs on it, uncopied.
+  // A grid's BFS tree is narrow already: the service's tree keeps every
+  // depth and the fan-in bound, and relays no more nodes.
   Fixture grid;
-  EXPECT_EQ(&grid.svc.tree(), &grid.tree);
+  const net::SpanningTree& leafy = grid.svc.tree();
+  EXPECT_TRUE(net::validate_tree(grid.net.graph(), leafy));
+  EXPECT_EQ(leafy.depth, grid.tree.depth);
+  const auto relays = [](const net::SpanningTree& t) {
+    return std::count_if(t.children.begin(), t.children.end(),
+                         [](const auto& c) { return !c.empty(); });
+  };
+  EXPECT_LT(relays(leafy), relays(grid.tree));
+  for (const auto& children : leafy.children) {
+    EXPECT_LE(children.size(), net::kAggregationFanIn);
+  }
 }
 
 /// Subscribes `text` (EVERY 2 EPOCHS) and runs it once on lossless links.
@@ -1135,12 +1146,16 @@ TEST_P(BundlePath, FailedOneShotPullIsChargedToItsQuery) {
   // pulled by collect_stats_batch(), on the cube by its batch's collect().
   // A lost message fails the admission's serve, and its wave is still
   // charged, so the ledger equals the network total; a lossless retry of
-  // the same text is exact.
+  // the same text is exact. The text runs once losslessly first, so that
+  // its group (or the cube's geometry) is installed and the lossy serve is
+  // the pull alone.
   Fixture f{config()};
   f.svc.submit("SELECT COUNT(v) FROM s EVERY 1 EPOCHS").value();
+  const std::string text = "SELECT SUM(v) FROM s WHERE v BETWEEN 20 AND 200";
+  EXPECT_DOUBLE_EQ(f.svc.submit(text).value().answer->value,
+                   f.exact("SUM", 20, 200));
   const std::vector<SensorUpdate> batch{f.drift(7, 3), f.drift(30, -4)};
   ASSERT_EQ(f.svc.run_epoch(batch).size(), 1u);
-  const std::string text = "SELECT SUM(v) FROM s WHERE v BETWEEN 20 AND 200";
   f.net.set_message_loss(0.3);
   EXPECT_THROW((void)f.svc.submit(text), ProtocolError);
   const auto total = f.net.summary(true);
