@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/util/exact_mirror.hpp"
 #include "src/common/types.hpp"
 #include "src/net/spanning_tree.hpp"
 #include "src/net/topology.hpp"
@@ -76,40 +77,13 @@ struct Fnv1a {
   }
 };
 
-/// Exact aggregate over the mirror; `empty` reports an empty selection.
-inline double exact_over(const std::vector<Value>& mirror,
-                         const ContinuousSpec& s, bool& empty) {
-  std::uint64_t count = 0;
-  std::int64_t sum = 0;
-  Value mn = kBound, mx = 0;
-  for (Value v : mirror) {
-    if (v < s.lo || v > s.hi) continue;
-    ++count;
-    sum += v;
-    mn = std::min(mn, v);
-    mx = std::max(mx, v);
-  }
-  empty = count == 0;
-  switch (s.agg) {
-    case query::AggregateKind::kCount: return static_cast<double>(count);
-    case query::AggregateKind::kSum: return static_cast<double>(sum);
-    case query::AggregateKind::kAvg:
-      return empty ? 0.0 : static_cast<double>(sum) / count;
-    case query::AggregateKind::kMin:
-      return empty ? 0.0 : static_cast<double>(mn);
-    case query::AggregateKind::kMax:
-      return empty ? 0.0 : static_cast<double>(mx);
-    default: return 0.0;
-  }
-}
-
 /// True when `a` lies within its error bound of the mirror's exact answer
 /// (an empty selection always does); prints the violation otherwise.
 inline bool within_bound(const service::Answer& a, const ContinuousSpec& spec,
                          const std::vector<Value>& mirror,
                          std::uint32_t epoch) {
   bool empty = false;
-  const double truth = exact_over(mirror, spec, empty);
+  const double truth = exact_over(spec.agg, spec.lo, spec.hi, mirror, empty);
   if (empty || std::abs(a.value - truth) <= a.error_bound + 1e-9) return true;
   std::cerr << "bound violation: id=" << a.id << " epoch=" << epoch
             << " value=" << a.value << " truth=" << truth

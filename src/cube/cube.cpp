@@ -161,11 +161,10 @@ PartialStore::OnceCollection Cube::collect_residues(
 WaveShare Cube::broadcast(std::uint32_t session, BitWriter payload,
                           std::size_t* heard) {
   const sim::CommSummary before = net_.summary(/*include_headers=*/true);
-  proto::TreeBroadcast install(
-      tree_, session, [heard](sim::Network&, NodeId, BitReader) {
-        if (heard != nullptr) ++*heard;
-      });
-  install.execute(net_, std::move(payload));
+  proto::TreeBroadcast install(tree_, session,
+                               [](sim::Network&, NodeId, BitReader) {});
+  const std::size_t applied = install.execute(net_, std::move(payload));
+  if (heard != nullptr) *heard = applied;
   const sim::CommSummary after = net_.summary(/*include_headers=*/true);
   WaveShare cost;
   cost.bits = after.total_bits - before.total_bits;

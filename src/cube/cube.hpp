@@ -55,10 +55,12 @@
 // (sketch residues in a second), pruned against the fresh slots. serve()
 // is the one-shot batch of one.
 //
-// Standing plans' slots are *pushed*, as the shared-plan scheduler's
-// standing groups are (see service/shared_plan.hpp). subscribe() enrols a
-// standing plan's slots on the plan's schedule (cube::PushSchedules): a
-// stats plan's cells and its residues' standing slots, an approx-distinct
+// Standing plans' slots are *pushed*, through the same push()/pushed()
+// pair as the shared-plan scheduler's standing groups (see
+// service/shared_plan.hpp), so the service drives both owners through one
+// path. subscribe() enrols a standing plan's slots on the plan's schedule
+// (cube::PushSchedules): a stats plan's cells and its residues' standing
+// slots, an approx-distinct
 // plan's HLL twins and its residues' standing sketch slots. The schedules
 // ride the geometry install when they precede it, and announce()
 // broadcasts later changes. In an epoch where enrolled slots are due,

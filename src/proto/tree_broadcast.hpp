@@ -6,6 +6,7 @@
 // arrives* — session state is only ever installed by bits that traveled.
 #pragma once
 
+#include <cstddef>
 #include <functional>
 
 #include "src/net/spanning_tree.hpp"
@@ -23,8 +24,9 @@ class TreeBroadcast final : public sim::ProtocolHandler {
                 Apply apply);
 
   /// Floods the payload down the tree (applying it at the root without any
-  /// wire cost) and runs the network to quiescence.
-  void execute(sim::Network& net, BitWriter&& payload);
+  /// wire cost) and runs the network to quiescence. Returns how many nodes
+  /// applied it, the root included: under loss, fewer than the tree's.
+  std::size_t execute(sim::Network& net, BitWriter&& payload);
 
   void on_message(sim::Network& net, NodeId receiver,
                   const sim::Message& msg) override;
@@ -40,6 +42,7 @@ class TreeBroadcast final : public sim::ProtocolHandler {
   const net::SpanningTree& tree_;
   std::uint32_t session_;
   Apply apply_;
+  std::size_t applied_ = 0;  // nodes that applied the payload
 };
 
 }  // namespace sensornet::proto

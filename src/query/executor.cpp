@@ -35,7 +35,11 @@ proto::ValueWindow Executor::install_filter(const proto::ValueWindow& where) {
   const bool filtered = where != proto::ValueWindow{};
   w.write_bit(filtered);
   if (filtered) where.encode(w);
-  bc.execute(deployment_.net, std::move(w));
+  // A node that missed the window would filter by another one.
+  if (bc.execute(deployment_.net, std::move(w)) !=
+      deployment_.tree.node_count()) {
+    throw ProtocolError("Executor: a node missed the filter");
+  }
   return installed;
 }
 

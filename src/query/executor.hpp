@@ -65,6 +65,7 @@ class Executor {
  private:
   /// Installs `where` at every node via a tree broadcast (the whole-domain
   /// window clears the filter); returns the window the nodes decoded.
+  /// Throws ProtocolError when a node missed it.
   proto::ValueWindow install_filter(const proto::ValueWindow& where);
 
   Deployment deployment_;

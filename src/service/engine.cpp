@@ -15,14 +15,9 @@ namespace {
 
 /// Bits/messages spent on the network since `before` — the unit of cost
 /// attribution (headers included: bits on air are bits paid).
-struct CostDelta {
-  std::uint64_t bits = 0;
-  std::uint64_t messages = 0;
-};
-
-CostDelta cost_since(const sim::Network& net, const sim::CommSummary& before) {
+WaveShare cost_since(const sim::Network& net, const sim::CommSummary& before) {
   const sim::CommSummary after = net.summary(/*include_headers=*/true);
-  return CostDelta{after.total_bits - before.total_bits,
+  return WaveShare{after.total_bits - before.total_bits,
                    after.total_messages - before.total_messages};
 }
 
@@ -142,7 +137,13 @@ std::vector<Result<Admission>> QueryService::admit(
     }
     out.push_back(std::move(adm));
   }
-  announce();  // the batch's installs and subscribers
+  try {
+    announce();  // the batch's installs and subscribers
+  } catch (const ProtocolError&) {
+    // Charged already, and the batch's queries are admitted: the schedules
+    // stay pending until the next announce(), and a group whose install was
+    // lost is installed again by its first collection.
+  }
   const std::vector<Answer> answers = serve(due);
   for (std::size_t i = 0; i < answers.size(); ++i) {
     out[admission_of[i]].value().answer = answers[i];
@@ -184,7 +185,8 @@ QueryService::LiveQuery QueryService::route(ParsedQuery&& parsed,
     install_group(
         [&] { return scheduler_->ensure_stats_group(lq.plan.region); });
     if (adm.continuous) {
-      scheduler_->subscribe(lq.group, lq.every, lq.registered_epoch % lq.every);
+      lq.pushed = {scheduler_->subscribe(lq.group, lq.every,
+                                         lq.registered_epoch % lq.every)};
     }
     adm.plan = "shared stats bundle, group " + std::to_string(lq.group);
   } else if (config_.share_aggregation &&
@@ -254,13 +256,14 @@ void QueryService::announce() {
   charge();
 }
 
-void QueryService::charge(GroupId group, QueryId payer,
-                          const WaveShare& share) {
-  GroupCost& gc = group_costs_[group];
-  gc.bits_on_air += share.bits;
-  gc.messages += share.messages;
-  gc.collections += share.collected ? 1 : 0;
-  QueryCost& qc = query_costs_[payer];
+void QueryService::charge(const LiveQuery& payer, const WaveShare& share) {
+  if (payer.path == Path::kDistinct || (payer.path == Path::kBundle && !cube_)) {
+    GroupCost& gc = group_costs_[payer.group];
+    gc.bits_on_air += share.bits;
+    gc.messages += share.messages;
+    gc.collections += share.collected ? 1 : 0;
+  }
+  QueryCost& qc = query_costs_[payer.id];
   qc.bits_on_air += share.bits;
   qc.messages += share.messages;
 }
@@ -311,8 +314,7 @@ std::vector<Answer> QueryService::serve_bundles(
     std::span<const LiveQuery* const> due) {
   // One key per (region, sketch): what a fresh collection answers at once.
   struct Key {
-    QueryId payer = 0;  // the key's first due query pays its wave shares
-    GroupId group = 0;  // stats backend
+    const LiveQuery* payer = nullptr;  // the key's first due query pays
     bool fresh = false;
     std::size_t batch = 0;     // cube backend: the claim's place in the batch
     cube::ServeResult served;  // a fresh key's bundle and wave shares
@@ -337,10 +339,7 @@ std::vector<Answer> QueryService::serve_bundles(
     const bool sketch = lq.q.agg == query::AggregateKind::kCountDistinct;
     const auto [it, added] = keys.try_emplace({lq.plan.region, sketch});
     route.key = &it->second;
-    if (added) {
-      route.key->payer = lq.id;
-      route.key->group = lq.group;
-    }
+    if (added) route.key->payer = &lq;
     if (route.key->fresh) continue;
     if (config_.use_cache && !sketch) {
       route.zero_bit =
@@ -370,8 +369,9 @@ std::vector<Answer> QueryService::serve_bundles(
   for (auto& [k, key] : keys) {
     if (key.fresh) fresh.push_back(&key);
   }
-  std::sort(fresh.begin(), fresh.end(),
-            [](const Key* a, const Key* b) { return a->group < b->group; });
+  std::sort(fresh.begin(), fresh.end(), [](const Key* a, const Key* b) {
+    return a->payer->group < b->payer->group;
+  });
   std::vector<cube::ServeResult> served;  // by batch position
   std::vector<WaveShare> shares;          // aligned with `fresh`
   // A wave that loses a message has still spent its bits: the shares are
@@ -380,13 +380,11 @@ std::vector<Answer> QueryService::serve_bundles(
     for (std::size_t j = 0; j < fresh.size(); ++j) {
       Key& key = *fresh[j];
       if (!cube_) {
-        charge(key.group, key.payer, shares[j]);
+        charge(*key.payer, shares[j]);
         continue;
       }
       key.served = std::move(served[key.batch]);
-      QueryCost& qc = query_costs_[key.payer];
-      qc.bits_on_air += key.served.bits;
-      qc.messages += key.served.messages;
+      charge(*key.payer, WaveShare{key.served.bits, key.served.messages});
     }
   };
   try {
@@ -394,7 +392,7 @@ std::vector<Answer> QueryService::serve_bundles(
       cube_->serve_claimed(epoch_, served);
     } else {
       std::vector<GroupId> groups;
-      for (const Key* key : fresh) groups.push_back(key->group);
+      for (const Key* key : fresh) groups.push_back(key->payer->group);
       scheduler_->collect_stats_batch(groups, epoch_, shares);
     }
   } catch (const ProtocolError&) {
@@ -404,7 +402,8 @@ std::vector<Answer> QueryService::serve_bundles(
   charge_fresh();
   if (!cube_) {
     for (Key* key : fresh) {
-      key->served.bundle = scheduler_->collect_stats(key->group, epoch_);
+      key->served.bundle =
+          scheduler_->collect_stats(key->payer->group, epoch_);
     }
   }
 
@@ -477,23 +476,15 @@ std::vector<Answer> QueryService::serve_bundles(
 
 Answer QueryService::answer_fresh(const LiveQuery& lq) {
   const auto before = deployment_.net.summary(true);
-  const SharedPlanStats waves_before = scheduler_->stats();
-  QueryCost& qc = query_costs_[lq.id];
+  const std::uint64_t waves_before = scheduler_->stats().distinct_waves;
   // Marginal-cost attribution: a distinct collection is idempotent per
   // (group, epoch), so the first due subscriber pays it here and later
   // groupmates see a zero delta. A wave that loses a message has still
   // spent its bits: they are charged before the error leaves.
-  const auto charge = [&] {
-    const CostDelta d = cost_since(deployment_.net, before);
-    qc.bits_on_air += d.bits;
-    qc.messages += d.messages;
-    if (lq.path == Path::kDistinct) {
-      GroupCost& gc = group_costs_[lq.group];
-      gc.bits_on_air += d.bits;
-      gc.messages += d.messages;
-      gc.collections +=
-          scheduler_->stats().distinct_waves - waves_before.distinct_waves;
-    }
+  const auto charge_run = [&] {
+    WaveShare cost = cost_since(deployment_.net, before);
+    cost.collected = scheduler_->stats().distinct_waves > waves_before;
+    charge(lq, cost);
   };
   Answer a;
   try {
@@ -512,13 +503,14 @@ Answer QueryService::answer_fresh(const LiveQuery& lq) {
       telemetry_.selection_resummaries += r.selection_resummaries;
     }
   } catch (const ProtocolError&) {
-    charge();
+    charge_run();
     throw;
   }
-  charge();
+  charge_run();
   a.id = lq.id;
   a.epoch = epoch_;
   ++telemetry_.answers;
+  QueryCost& qc = query_costs_[lq.id];
   ++qc.answers;
   ++qc.fresh;
 
@@ -562,20 +554,13 @@ std::vector<Answer> QueryService::run_epoch(
   for (const auto& [id, lq] : live_) {  // map order == id order
     if (is_due(lq)) due.push_back(&lq);
   }
-  // The first due query of a pushed group or cube slot pays its push.
+  // A pushed slot, a stats group's or the cube's, is read by the due
+  // queries whose push carries it; the first of them pays its share.
   const auto reads = [&](const LiveQuery& lq, cube::SlotId slot) {
     return std::find(lq.pushed.begin(), lq.pushed.end(), slot) !=
            lq.pushed.end();
   };
-  const auto payer = [&](auto&& pays) {
-    const auto it = std::find_if(due.begin(), due.end(), [&](auto* lq) {
-      return lq->path == Path::kBundle && pays(*lq);
-    });
-    SENSORNET_EXPECTS(it != due.end());  // the nodes push due ones only
-    return (*it)->id;
-  };
-  std::vector<GroupShare> pushed;
-  std::unique_ptr<cube::PartialStore::Push> cube_push;
+  std::unique_ptr<cube::PartialStore::Push> push;
   if (config_.share_aggregation || config_.use_cube) {
     try {
       announce();  // cancels since the last announcement
@@ -588,69 +573,46 @@ std::vector<Answer> QueryService::run_epoch(
     // The mark wave serves every incremental consumer at once (shared
     // groups and cube cells ride the same marks); no single query caused
     // it, so its bits land in the service-level bucket. The images pushed
-    // beside the marks are their groups'. A wave that loses a message has
-    // still spent its bits: they are charged before the error leaves.
+    // beside the marks are their slots' payers'. A wave that loses a
+    // message has still spent its bits: they are charged before the error
+    // leaves.
     const auto before = deployment_.net.summary(true);
-    const auto charge_wave = [&] {
-      CostDelta d = cost_since(deployment_.net, before);
-      for (const GroupShare& g : pushed) {
-        d.bits -= g.share.bits;
-        d.messages -= g.share.messages;
-        charge(g.group,
-               payer([&](const LiveQuery& lq) { return lq.group == g.group; }),
-               g.share);
+    push = cube_ ? cube_->push(epoch_) : scheduler_->push(epoch_);
+    const auto charge_wave = [&](bool delivered) {
+      if (push && cube_) cube_->pushed(*push, delivered);
+      if (push && !cube_) scheduler_->pushed(*push, delivered);
+      WaveShare marks = cost_since(deployment_.net, before);
+      for (std::size_t i = 0; push && i < push->slots().size(); ++i) {
+        const WaveShare& share = push->shares()[i];
+        marks.bits -= share.bits;
+        marks.messages -= share.messages;
+        const auto payer = std::find_if(due.begin(), due.end(), [&](auto* lq) {
+          return reads(*lq, push->slots()[i]);
+        });
+        SENSORNET_EXPECTS(payer != due.end());  // the nodes push due ones only
+        charge(**payer, share);
       }
-      const std::span<const cube::SlotId> slots =
-          cube_push ? cube_push->slots() : std::span<const cube::SlotId>();
-      for (std::size_t i = 0; i < slots.size(); ++i) {
-        const WaveShare& share = cube_push->shares()[i];
-        d.bits -= share.bits;
-        d.messages -= share.messages;
-        QueryCost& qc = query_costs_[payer(
-            [&](const LiveQuery& lq) { return reads(lq, slots[i]); })];
-        qc.bits_on_air += share.bits;
-        qc.messages += share.messages;
-      }
-      mark_bits_on_air_ += d.bits;
-      mark_messages_ += d.messages;
+      mark_bits_on_air_ += marks.bits;
+      mark_messages_ += marks.messages;
     };
-    if (cube_) cube_push = cube_->push(epoch_);
     try {
-      if (cube_push) {
-        scheduler_->note_updates(touched, epoch_, *cube_push);
-      } else {
-        scheduler_->note_updates(touched, epoch_, pushed);
-      }
+      scheduler_->note_updates(touched, epoch_, push.get());
     } catch (const ProtocolError&) {
-      if (cube_push) cube_->pushed(*cube_push, /*delivered=*/false);
-      charge_wave();
+      charge_wave(/*delivered=*/false);
       throw;
     }
-    if (cube_push) cube_->pushed(*cube_push, /*delivered=*/true);
-    charge_wave();
+    charge_wave(/*delivered=*/true);
   }
 
   const std::vector<Answer> answers = serve(due);
-  // Image bits pushed for a group or cube slot that no due query read: the
-  // cache answered all of them.
-  const auto unread = [&](auto&& pushes, std::uint64_t image_bits) {
-    for (std::size_t i = 0; i < due.size(); ++i) {
-      if (due[i]->path == Path::kBundle && pushes(*due[i]) &&
-          !answers[i].from_cache) {
-        return;
-      }
+  // Image bits pushed for a slot that no due query read: the cache answered
+  // all of them.
+  for (std::size_t i = 0; push && i < push->slots().size(); ++i) {
+    bool read = false;
+    for (std::size_t j = 0; j < due.size() && !read; ++j) {
+      read = reads(*due[j], push->slots()[i]) && !answers[j].from_cache;
     }
-    telemetry_.pushed_unread_image_bits += image_bits;
-  };
-  for (const GroupShare& g : pushed) {
-    unread([&](const LiveQuery& lq) { return lq.group == g.group; },
-           g.image_bits);
-  }
-  const std::span<const cube::SlotId> slots =
-      cube_push ? cube_push->slots() : std::span<const cube::SlotId>();
-  for (std::size_t i = 0; i < slots.size(); ++i) {
-    unread([&](const LiveQuery& lq) { return reads(lq, slots[i]); },
-           cube_push->image_bits()[i]);
+    if (!read) telemetry_.pushed_unread_image_bits += push->image_bits()[i];
   }
 
   obs::TraceRing& ring = obs::TraceRing::global();

@@ -14,9 +14,12 @@
 //      Exact COUNT_DISTINCT shares one distinct group per region.
 //   2. Incremental re-evaluation — collections descend only into subtrees
 //      that changed since the group's or cell's last visit, driven by the
-//      scheduler's dirty marks. A stats group with continuous subscribers
-//      is pushed instead: its delta images ride the epoch's mark wave, and
-//      the epoch's collection finds it fresh (see shared_plan.hpp).
+//      scheduler's dirty marks. A slot with continuous subscribers, a stats
+//      group or a cube cell or standing slot, is pushed instead: its delta
+//      images ride the epoch's mark wave, and the epoch's collection finds
+//      it fresh. Both owners offer the same push()/pushed() pair, so an
+//      epoch runs one fused wave whichever owns the slots (see
+//      shared_plan.hpp and cube.hpp).
 //   3. Bounded-error result cache — a query with an ERROR tolerance can be
 //      answered from a stale stats bundle when the deterministic drift
 //      bound (staleness x max_delta, see result_cache.hpp) fits its
@@ -159,8 +162,8 @@ struct ServiceTelemetry {
   std::uint64_t cube_fresh_answers = 0;
   std::uint64_t cube_stale_answers = 0;
   std::uint64_t updates_applied = 0;
-  /// Image bits pushed for a stats group in an epoch whose due queries of
-  /// the group were all answered without reading it (from the cache).
+  /// Image bits pushed for a group or cube slot in an epoch whose due
+  /// queries that read it were all answered from the cache.
   std::uint64_t pushed_unread_image_bits = 0;
 };
 
@@ -170,8 +173,8 @@ struct ServiceTelemetry {
 /// of the epoch's multiplexed wave (see WaveShare) or of its push, or the
 /// key's share of the cube batch's waves, the cells and residues its plan
 /// claimed first (see cube::ServeResult) — and everyone after rides it for
-/// free. A push is paid by the group's first due query even when the cache
-/// answers it. Summing
+/// free. A pushed slot is paid by the first due query that reads it, even
+/// when the cache answers it. Summing
 /// bits_on_air over queries plus the service-level mark and install buckets
 /// (see TelemetrySnapshot) therefore reproduces the network total.
 struct QueryCost {
@@ -285,7 +288,9 @@ class QueryService {
     query::CostedPlan plan;
     Path path = Path::kExecutor;
     GroupId group = 0;  // kDistinct, and kBundle without the cube
-    std::vector<cube::SlotId> pushed;  // kBundle with the cube: its push
+    /// A continuous kBundle query's pushed slots: its group's slot, or with
+    /// the cube the cells and standing slots its plan reads.
+    std::vector<cube::SlotId> pushed;
     std::uint32_t registered_epoch = 0;
     std::uint32_t every = 0;  // 0 for one-shot
   };
@@ -314,8 +319,9 @@ class QueryService {
   /// Runs the scheduler's and the cube's announce() and charges them to
   /// the install bucket (the scheduler's also to the announced groups).
   void announce();
-  /// Charges one group's share of a wave to the group and to `payer`.
-  void charge(GroupId group, QueryId payer, const WaveShare& share);
+  /// Charges a share of a wave to `payer` and, when it has a group (a
+  /// distinct group, or a stats group without the cube), to the group.
+  void charge(const LiveQuery& payer, const WaveShare& share);
   /// Answers kDistinct and kExecutor queries, charging the bits it spends.
   Answer answer_fresh(const LiveQuery& lq);
   /// Answers a serve's kBundle queries by the routing rule in the file

@@ -38,87 +38,53 @@ struct SharedPlanScheduler::Group {
 // ---- dirty marks and pushes ------------------------------------------------
 
 void SharedPlanScheduler::note_updates(std::span<const NodeId> updated,
-                                       std::uint32_t epoch) {
-  std::vector<GroupShare> pushed;
-  note_updates(updated, epoch, pushed);
+                                       std::uint32_t epoch,
+                                       cube::DirtyTracker::Cargo* cargo) {
+  dirty_.note_updates(updated, epoch, cargo);
 }
 
-void SharedPlanScheduler::note_updates(std::span<const NodeId> updated,
-                                       std::uint32_t epoch,
-                                       cube::DirtyTracker::Cargo& cargo) {
-  SENSORNET_EXPECTS(schedules_.due(epoch).empty());
-  dirty_.note_updates(updated, epoch, &cargo);
-}
-
-void SharedPlanScheduler::note_updates(std::span<const NodeId> updated,
-                                       std::uint32_t epoch,
-                                       std::vector<GroupShare>& pushed) {
-  pushed.clear();
-  std::vector<GroupId> due;
+std::unique_ptr<cube::PartialStore::Push> SharedPlanScheduler::push(
+    std::uint32_t epoch) {
+  push_groups_.clear();
   std::vector<cube::SlotId> slots;  // ascending, as groups are
   for (const GroupId id : schedules_.due(epoch)) {
-    pushed.emplace_back().group = id;
-    due.push_back(id);
+    if (!groups_[id]->installed) continue;  // pulled: see the file comment
+    push_groups_.push_back(id);
     slots.push_back(groups_[id]->slot);
   }
-  if (slots.empty()) {
-    dirty_.note_updates(updated, epoch);
-    return;
+  if (slots.empty()) return nullptr;
+  push_t0_ = net_.now();
+  push_epoch_ = epoch;
+  return std::make_unique<cube::PartialStore::Push>(store_, slots, epoch);
+}
+
+void SharedPlanScheduler::pushed(cube::PartialStore::Push& push,
+                                 bool delivered) {
+  for (const std::uint64_t bits : push.image_bits()) {
+    stats_.push_image_bits += bits;
   }
-  const SimTime t0 = net_.now();
-  // A due group whose install was lost is installed again before the wave;
-  // a lost copy fails the epoch before it, and its marks go with the next.
-  std::vector<WaveShare> installs;
-  const auto add_installs = [&] {
-    for (std::size_t j = 0; j < pushed.size(); ++j) {
-      pushed[j].share.bits += installs[j].bits;
-      pushed[j].share.messages += installs[j].messages;
-    }
-  };
-  try {
-    install_lost(due, installs);
-  } catch (const ProtocolError&) {
-    dirty_.defer_updates(updated, epoch);
-    add_installs();
-    throw;
-  }
-  cube::PartialStore::Push push(store_, slots, epoch);
-  // Charged as sent: a wave that loses a message has still spent its bits.
-  const auto take_shares = [&] {
-    for (std::size_t j = 0; j < pushed.size(); ++j) {
-      pushed[j].share = push.shares()[j];
-      pushed[j].image_bits = push.image_bits()[j];
-      stats_.push_image_bits += push.image_bits()[j];
-    }
-    stats_.push_messages += push.messages();
-  };
-  try {
-    dirty_.note_updates(updated, epoch, &push);
-  } catch (...) {
-    take_shares();
-    add_installs();
-    throw;
-  }
+  stats_.push_messages += push.messages();
+  if (!delivered) return;
   push.finish();
-  take_shares();
-  add_installs();
-  stats_.stats_waves += pushed.size();
+  stats_.stats_waves += push.slots().size();
   obs::TraceRing& ring = obs::TraceRing::global();
   if (ring.enabled()) {
-    for (const GroupShare& g : pushed) {
-      ring.complete("push.stats", "service", t0, net_.now() - t0, 0, "group",
-                    g.group, "epoch", epoch);
+    for (const GroupId id : push_groups_) {
+      ring.complete("push.stats", "service", push_t0_, net_.now() - push_t0_,
+                    0, "group", id, "epoch", push_epoch_);
     }
   }
 }
 
 // ---- subscriptions --------------------------------------------------------
 
-void SharedPlanScheduler::subscribe(GroupId group, std::uint32_t period,
-                                    std::uint32_t phase) {
+cube::SlotId SharedPlanScheduler::subscribe(GroupId group,
+                                            std::uint32_t period,
+                                            std::uint32_t phase) {
   SENSORNET_EXPECTS(group < groups_.size());
   SENSORNET_EXPECTS(groups_[group]->family == query::AggregateFamily::kStats);
   schedules_.subscribe(group, period, phase);
+  return groups_[group]->slot;
 }
 
 void SharedPlanScheduler::unsubscribe(GroupId group, std::uint32_t period,
@@ -131,11 +97,9 @@ void SharedPlanScheduler::hold_installs() { holding_ = true; }
 bool SharedPlanScheduler::broadcast(BitWriter&& w, const Entries& entries,
                                     std::vector<GroupShare>& shares) {
   const auto before = net_.summary(/*include_headers=*/true);
-  std::size_t heard = 0;
-  proto::TreeBroadcast announcement(
-      tree_, next_session_++,
-      [&heard](sim::Network&, NodeId, BitReader) { ++heard; });
-  announcement.execute(net_, std::move(w));
+  proto::TreeBroadcast announcement(tree_, next_session_++,
+                                    [](sim::Network&, NodeId, BitReader) {});
+  const std::size_t heard = announcement.execute(net_, std::move(w));
   const auto after = net_.summary(/*include_headers=*/true);
   const std::uint64_t copies = after.total_messages - before.total_messages;
   std::uint64_t rest = after.total_bits - before.total_bits;

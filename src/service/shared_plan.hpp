@@ -26,19 +26,21 @@
 // images and the per-group cost split are documented once, in
 // cube/partials.hpp.
 //
-// Standing groups are *pushed*, not pulled. A stats group with continuous
-// subscribers (subscribe()) is due in every epoch in which one of them is;
-// the nodes learn each group's schedule (cube::PushSchedules: its
-// subscribers' (period, phase) pairs, less those another pair implies)
-// from announce(), one broadcast
+// Standing groups are *pushed*, not pulled, through the interface the
+// cube's standing slots use (cube::Cube::push/pushed): one push path for
+// both slot owners. A stats group with continuous subscribers (subscribe())
+// is due in every epoch in which one of them is; the nodes learn each
+// group's schedule (cube::PushSchedules: its subscribers' (period, phase)
+// pairs, less those another pair implies) from announce(), one broadcast
 // that carries every schedule that changed since the last one and rides an
-// admission batch's last group install when it has one. In an epoch
-// where pushed groups are due, note_updates() runs the fused wave: every
-// dirty edge, and every edge whose partial went stale in an earlier epoch,
-// carries its mark bit and the due groups' delta images up in one message,
-// with no request (cube::PartialStore::Push). The groups' partials are then
-// fresh, so that epoch's collect_stats_batch() sends nothing for them. The
-// pull remains for one-shots and for groups the nodes do not push.
+// admission batch's last group install when it has one. In an epoch where
+// pushed groups are due, push() is the cargo of note_updates()'s fused
+// wave: every dirty edge, and every edge whose partial went stale in an
+// earlier epoch, carries its mark bit and the due groups' delta images up
+// in one message, with no request (cube::PartialStore::Push). The groups'
+// partials are then fresh, so that epoch's collect_stats_batch() sends
+// nothing for them. The pull remains for one-shots and for groups the
+// nodes do not push.
 //
 // The scheduler aggregates over net::aggregation_tree() of the tree it is
 // handed, a tree it owns: the given tree, capped at net::kAggregationFanIn
@@ -57,9 +59,9 @@
 // again before any push (cube/dirty.hpp's loss contract). Group installs
 // count their hearers, as the cube's do (cube/cube.hpp): a lost one is
 // charged, throws ProtocolError from ensure_*_group() or announce(), and
-// leaves its group uninstalled; the group's next collection or push
-// installs it again before its wave, and fails in turn if that copy is
-// lost.
+// leaves its group uninstalled. Such a group is pulled, not pushed, as a
+// cube slot the nodes cannot name is: its next collection installs it
+// again before its wave, and fails in turn if that copy is lost.
 #pragma once
 
 #include <cstdint>
@@ -107,13 +109,11 @@ struct SharedPlanStats {
 /// One group's share of a multiplexed stats wave (see cube::WaveShare).
 using cube::WaveShare;
 
-/// One group's share of a wave or broadcast the scheduler ran for several
-/// groups: a push (its images, and the headers of messages that carried no
-/// mark) or an announcement.
+/// One group's share of an announcement (announce()): its install, and its
+/// part of the schedules'.
 struct GroupShare {
   GroupId group = 0;
   WaveShare share;
-  std::uint64_t image_bits = 0;  // a push's images alone
 };
 
 /// A parent-side cache entry: a stats group's subtree bundle for one edge
@@ -140,7 +140,7 @@ class SharedPlanScheduler {
   /// and margin they aggregate over — those bits are metered like any
   /// others), or rides the next announce() while installs are held. Throws
   /// ProtocolError when a node missed the install: the group exists, and
-  /// its next collection or push installs it again first.
+  /// its next collection installs it again first.
   GroupId ensure_stats_group(const query::RegionSignature& region);
 
   /// The distinct-family analogue; `registers` == 0 selects the exact
@@ -150,8 +150,10 @@ class SharedPlanScheduler {
 
   /// Enrols a continuous subscriber of a stats group, due in every epoch e
   /// with e % period == phase (phase < period). The nodes push the group
-  /// once they hear its schedule (announce()).
-  void subscribe(GroupId group, std::uint32_t period, std::uint32_t phase);
+  /// once they hear its schedule (announce()). Returns the group's slot,
+  /// the name push() gives it.
+  cube::SlotId subscribe(GroupId group, std::uint32_t period,
+                         std::uint32_t phase);
   /// Withdraws one subscribe() of the same arguments.
   void unsubscribe(GroupId group, std::uint32_t period, std::uint32_t phase);
 
@@ -167,31 +169,31 @@ class SharedPlanScheduler {
   /// hold_installs(). Sets `shares` to each group's share of the
   /// broadcasts (they sum exactly to their bits and messages), also when
   /// it throws. Throws ProtocolError, after sending every broadcast, when
-  /// a node missed the schedules or an install (the broadcast's handler
-  /// sees every arrival); the next announce() sends the schedules again,
-  /// and note_updates() must not run before one returns, or a node could
-  /// push by a schedule the others do not hold. A group whose install was
-  /// lost is installed again by its next collection or push.
+  /// a node missed the schedules or an install (the broadcast counts every
+  /// node that applied it); the next announce() sends the schedules again,
+  /// and no push may run before one returns, or a node could push by a
+  /// schedule the others do not hold. A group whose install was lost is
+  /// installed again by its next collection.
   void announce(std::vector<GroupShare>& shares);
 
+  /// The cargo of `epoch`'s fused wave (note_updates()): the announced
+  /// stats groups due this epoch whose install every node heard, or null
+  /// when there is none. A due group whose install was lost is pulled.
+  std::unique_ptr<cube::PartialStore::Push> push(std::uint32_t epoch);
+  /// After the push's wave, also one that threw: counts its messages and
+  /// image bits, and when `delivered`, finishes it (its groups are fresh at
+  /// the epoch, so the epoch's collect_stats_batch() sends nothing for
+  /// them).
+  void pushed(cube::PartialStore::Push& push, bool delivered);
+
   /// Records one epoch's sensor-update batch: stamps the updated nodes and
-  /// ships coalesced dirty marks up the tree (bits metered), fused with the
-  /// pushes of the announced groups due this epoch. Must be called after
-  /// the updates are applied to the network and before collections of the
-  /// same epoch. Sets `pushed` to each pushed group's share, also when the
-  /// wave throws (a lost message: see cube/dirty.hpp); the rest of the
-  /// wave's bits are the marks'. A due group whose install was lost is
-  /// installed again first, in its share; if that copy is lost too, the
-  /// epoch throws before its wave and the updated nodes owe their marks to
-  /// the next one.
+  /// ships coalesced dirty marks up the tree (bits metered), fused with
+  /// `cargo`'s images when given (push(), or the cube's). Must be called
+  /// after the updates are applied to the network and before collections
+  /// of the same epoch. Throws ProtocolError after a wave that lost a
+  /// message (see cube/dirty.hpp).
   void note_updates(std::span<const NodeId> updated, std::uint32_t epoch,
-                    std::vector<GroupShare>& pushed);
-  /// The same, for callers that charge no group.
-  void note_updates(std::span<const NodeId> updated, std::uint32_t epoch);
-  /// The same with another store's push as the wave's cargo (the cube's,
-  /// see cube::Cube::push); no stats group of this scheduler may be due.
-  void note_updates(std::span<const NodeId> updated, std::uint32_t epoch,
-                    cube::DirtyTracker::Cargo& cargo);
+                    cube::DirtyTracker::Cargo* cargo = nullptr);
   /// Records an epoch whose announce() threw: it runs no wave, and the
   /// updated nodes owe their marks to the next note_updates().
   void defer_updates(std::span<const NodeId> updated, std::uint32_t epoch) {
@@ -283,6 +285,10 @@ class SharedPlanScheduler {
   cube::PushSchedules schedules_;  // of the stats groups, by group id
   std::uint32_t next_session_ = 0x7000;
   bool holding_ = false;  // installs wait for announce()
+  // The last push()'s groups and start, for their trace events.
+  std::vector<GroupId> push_groups_;
+  SimTime push_t0_ = 0;
+  std::uint32_t push_epoch_ = 0;
   SharedPlanStats stats_;  // the wave counts; stats() adds the rest
 };
 

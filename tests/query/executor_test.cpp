@@ -81,6 +81,20 @@ TEST(Executor, FilterClearedBetweenQueries) {
   EXPECT_DOUBLE_EQ(f.exec.run("SELECT COUNT(v) FROM sensors").value, 8.0);
 }
 
+TEST(Executor, ALostFilterInstallThrowsBeforeAnyWave) {
+  // A node that missed the WHERE window would count by another one, so a
+  // lossy filter install fails the run before its wave: only the
+  // broadcast's first copies go on the air. A lossless retry is exact.
+  Fixture f({1, 2, 3, 4, 5, 6, 7, 8});
+  const std::string text = "SELECT COUNT(v) FROM sensors WHERE v < 5";
+  f.net.set_message_loss(1.0);
+  EXPECT_THROW((void)f.exec.run(text), ProtocolError);
+  EXPECT_EQ(f.net.summary(true).total_messages,
+            f.tree.children[f.tree.root].size());
+  f.net.set_message_loss(0.0);
+  EXPECT_DOUBLE_EQ(f.exec.run(text).value, 4.0);
+}
+
 TEST(Executor, MedianWithWhere) {
   const ValueSet xs{1, 2, 3, 4, 100, 200, 300, 400};
   Fixture f(xs);

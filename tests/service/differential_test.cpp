@@ -43,6 +43,7 @@
 #include <utility>
 #include <vector>
 
+#include "bench/util/exact_mirror.hpp"
 #include "src/common/rng.hpp"
 #include "src/net/topology.hpp"
 #include "src/service/engine.hpp"
@@ -426,31 +427,9 @@ Replayed replay(const Script& script, const Config& c,
           << "epoch " << a.epoch;
       return;
     }
-    RangeStats truth;
-    for (const Value v : mirror) {
-      if (v >= s.lo && v <= s.hi) truth.observe(v);
-    }
-    double value = 0.0;
-    switch (s.agg) {
-      case query::AggregateKind::kCount:
-        value = static_cast<double>(truth.count);
-        break;
-      case query::AggregateKind::kSum:
-        value = static_cast<double>(truth.sum);
-        break;
-      case query::AggregateKind::kMin:
-        value = static_cast<double>(truth.min);
-        break;
-      case query::AggregateKind::kMax:
-        value = static_cast<double>(truth.max);
-        break;
-      default:
-        value = truth.count == 0 ? 0.0
-                                 : static_cast<double>(truth.sum) /
-                                       static_cast<double>(truth.count);
-    }
-    const bool undefined = truth.count == 0 &&
-                           s.agg != query::AggregateKind::kCount &&
+    bool empty = false;
+    const double value = bench::exact_over(s.agg, s.lo, s.hi, mirror, empty);
+    const bool undefined = empty && s.agg != query::AggregateKind::kCount &&
                            s.agg != query::AggregateKind::kSum;
     if (a.exact) {
       if (undefined) {

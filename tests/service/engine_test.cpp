@@ -62,13 +62,6 @@ struct Fixture {
   }
 };
 
-/// Mark + install + Σ query bits of a snapshot.
-std::uint64_t ledger_bits(const TelemetrySnapshot& snap) {
-  std::uint64_t bits = snap.mark_bits_on_air + snap.install_bits_on_air;
-  for (const auto& [id, qc] : snap.queries) bits += qc.bits_on_air;
-  return bits;
-}
-
 /// Bits and messages in the service ledger: mark + install + Σ query.
 std::pair<std::uint64_t, std::uint64_t> ledger(const QueryService& svc) {
   const TelemetrySnapshot snap = svc.telemetry_snapshot();
@@ -390,119 +383,6 @@ TEST(QueryService, AttributedBitsPlusMarksEqualNetworkTotal) {
   EXPECT_EQ(snap.install_messages, admitted.total_messages);
   EXPECT_EQ(attributed, total.total_bits);
   EXPECT_EQ(attributed_msgs, total.total_messages);
-}
-
-TEST(QueryService, PushesLeaveTheMarkBucketAsAPlainMarkWave) {
-  // Standing groups are pushed beside the marks. The mark bucket must still
-  // hold exactly what a bare tracker's marks cost on the same updates (the
-  // check servicebench's traced twin makes), the images must go to the
-  // groups' subscribers, and a re-subscription must not change that.
-  Fixture f;
-  sim::Network bare_net(net::make_grid(6, 6), /*master_seed=*/11);
-  bare_net.set_one_item_per_node(f.mirror);
-  cube::DirtyTracker bare(bare_net, f.svc.tree());
-  const QueryId exact =
-      f.svc.submit("SELECT SUM(v) FROM s WHERE v BETWEEN 20 AND 200 "
-                   "EVERY 1 EPOCHS")
-          .value()
-          .id;
-  QueryId tolerant =
-      f.svc.submit("SELECT COUNT(v) FROM s EVERY 2 EPOCHS ERROR 0.5")
-          .value()
-          .id;
-  for (std::uint32_t e = 1; e <= 8; ++e) {
-    if (e == 5) {  // re-enrol at another phase
-      ASSERT_TRUE(f.svc.cancel(tolerant));
-      tolerant =
-          f.svc.submit("SELECT COUNT(v) FROM s EVERY 2 EPOCHS ERROR 0.5")
-              .value()
-              .id;
-    }
-    const std::vector<SensorUpdate> batch{f.drift(e, 3), f.drift(30 - e, -2)};
-    std::vector<NodeId> touched;
-    for (const SensorUpdate& u : batch) {
-      bare_net.update_item(u.node, 0, u.value);
-      touched.push_back(u.node);
-    }
-    bare.note_updates(touched, e);
-    for (const Answer& a : f.svc.run_epoch(batch)) {
-      if (a.id == exact) {
-        EXPECT_DOUBLE_EQ(a.value, f.exact("SUM", 20, 200));
-      }
-    }
-  }
-  const TelemetrySnapshot snap = f.svc.telemetry_snapshot();
-  EXPECT_EQ(snap.mark_bits_on_air, bare_net.summary(true).total_bits);
-  EXPECT_EQ(snap.mark_messages, bare_net.summary(true).total_messages);
-  EXPECT_GT(snap.plan.push_messages, 0u);
-  EXPECT_EQ(snap.plan.stats_convergecasts, 0u);  // no pull at all
-  EXPECT_GT(snap.queries.at(exact).bits_on_air, 0u);
-  // The whole-domain COUNT never moves, so the cache answers it and its
-  // pushes go unread.
-  EXPECT_GT(snap.totals.pushed_unread_image_bits, 0u);
-  EXPECT_EQ(ledger_bits(snap), f.net.summary(true).total_bits);
-}
-
-TEST(QueryService, CubePushesStandingSlotsBesideTheMarks) {
-  // With the cube, a standing stats plan's cells and standing residue slots
-  // are pushed. The first serve pulls (the nodes learn the geometry from
-  // it, and the schedules ride that install), and so does the first serve
-  // that installs a standing residue slot; after that, every due slot rides
-  // the marks and no collect() sends. The mark bucket holds exactly what a
-  // bare tracker's marks cost, a re-subscription's schedule goes to the
-  // install bucket, and the answers stay exact.
-  ServiceConfig cfg;
-  cfg.use_cube = true;
-  Fixture f{cfg};
-  sim::Network bare_net(net::make_grid(6, 6), /*master_seed=*/11);
-  bare_net.set_one_item_per_node(f.mirror);
-  cube::DirtyTracker bare(bare_net, f.svc.tree());
-  const QueryId sum =
-      f.svc.submit("SELECT SUM(v) FROM s EVERY 1 EPOCHS").value().id;
-  const QueryId count =
-      f.svc.submit("SELECT COUNT(v) FROM s WHERE v BETWEEN 40 AND 260 "
-                   "EVERY 2 EPOCHS")
-          .value()
-          .id;
-  QueryId tolerant =
-      f.svc.submit("SELECT MAX(v) FROM s WHERE v BETWEEN 0 AND 499 "
-                   "EVERY 1 EPOCHS ERROR 0.3")
-          .value()
-          .id;
-  std::uint64_t installs = 0;
-  for (std::uint32_t e = 1; e <= 8; ++e) {
-    if (e == 5) {  // re-enrol at another phase
-      installs = f.svc.telemetry_snapshot().install_bits_on_air;
-      ASSERT_TRUE(f.svc.cancel(tolerant));
-      tolerant = f.svc.submit("SELECT MAX(v) FROM s WHERE v BETWEEN 0 AND "
-                              "499 EVERY 2 EPOCHS ERROR 0.3")
-                     .value()
-                     .id;
-    }
-    const std::vector<SensorUpdate> batch{f.drift(e, 3), f.drift(30 - e, -2)};
-    std::vector<NodeId> touched;
-    for (const SensorUpdate& u : batch) {
-      bare_net.update_item(u.node, 0, u.value);
-      touched.push_back(u.node);
-    }
-    bare.note_updates(touched, e);
-    for (const Answer& a : f.svc.run_epoch(batch)) {
-      if (a.id == sum) {
-        EXPECT_DOUBLE_EQ(a.value, f.exact("SUM", 0, kBound));
-      }
-      if (a.id == count) {
-        EXPECT_DOUBLE_EQ(a.value, f.exact("COUNT", 40, 260));
-      }
-    }
-  }
-  const TelemetrySnapshot snap = f.svc.telemetry_snapshot();
-  EXPECT_EQ(snap.mark_bits_on_air, bare_net.summary(true).total_bits);
-  EXPECT_EQ(snap.mark_messages, bare_net.summary(true).total_messages);
-  EXPECT_EQ(snap.cube.refresh_waves, 2u);  // epoch 1, and the residue's
-  EXPECT_GT(snap.cube.standing_refreshed, 1u);
-  EXPECT_GT(snap.install_bits_on_air, installs);
-  EXPECT_EQ(ledger(f.svc), std::pair(f.net.summary(true).total_bits,
-                                     f.net.summary(true).total_messages));
 }
 
 TEST(QueryService, CubePushesStandingDistinctSlotsBesideTheMarks) {
@@ -1165,6 +1045,132 @@ TEST_P(BundlePath, FailedOneShotPullIsChargedToItsQuery) {
   const auto retry = f.svc.submit(text).value();
   ASSERT_TRUE(retry.answer.has_value());
   EXPECT_DOUBLE_EQ(retry.answer->value, f.exact("SUM", 20, 200));
+  const auto after = f.net.summary(true);
+  EXPECT_EQ(ledger(f.svc), std::pair(after.total_bits, after.total_messages));
+}
+
+TEST_P(BundlePath, PushesLeaveTheMarkBucketAsAPlainMarkWave) {
+  // Standing slots, stats groups or the cube's cells and standing residue
+  // slots, are pushed beside the marks. The mark bucket must still hold
+  // exactly what a bare tracker's marks cost on the same updates (the check
+  // servicebench's traced twin makes), the images must go to the slots'
+  // subscribers, a re-subscription's schedule goes to the install bucket,
+  // and the answers stay exact. On the cube the first serve pulls (the
+  // nodes learn the geometry from it, and the schedules ride that
+  // install), and so does the first serve that installs a standing residue
+  // slot; after that, every due slot rides the marks.
+  Fixture f{config()};
+  sim::Network bare_net(net::make_grid(6, 6), /*master_seed=*/11);
+  bare_net.set_one_item_per_node(f.mirror);
+  cube::DirtyTracker bare(bare_net, f.svc.tree());
+  const QueryId exact =
+      f.svc.submit("SELECT SUM(v) FROM s WHERE v BETWEEN 20 AND 200 "
+                   "EVERY 1 EPOCHS")
+          .value()
+          .id;
+  const QueryId sum =
+      f.svc.submit("SELECT SUM(v) FROM s EVERY 1 EPOCHS").value().id;
+  const QueryId count =
+      f.svc.submit("SELECT COUNT(v) FROM s WHERE v BETWEEN 40 AND 260 "
+                   "EVERY 2 EPOCHS")
+          .value()
+          .id;
+  QueryId whole =
+      f.svc.submit("SELECT COUNT(v) FROM s EVERY 2 EPOCHS ERROR 0.5")
+          .value()
+          .id;
+  QueryId tolerant =
+      f.svc.submit("SELECT MAX(v) FROM s WHERE v BETWEEN 0 AND 499 "
+                   "EVERY 1 EPOCHS ERROR 0.3")
+          .value()
+          .id;
+  std::uint64_t installs = 0;
+  for (std::uint32_t e = 1; e <= 8; ++e) {
+    if (e == 5) {  // re-enrol at another phase
+      installs = f.svc.telemetry_snapshot().install_bits_on_air;
+      ASSERT_TRUE(f.svc.cancel(whole));
+      ASSERT_TRUE(f.svc.cancel(tolerant));
+      whole = f.svc.submit("SELECT COUNT(v) FROM s EVERY 2 EPOCHS ERROR 0.5")
+                  .value()
+                  .id;
+      tolerant = f.svc.submit("SELECT MAX(v) FROM s WHERE v BETWEEN 0 AND "
+                              "499 EVERY 2 EPOCHS ERROR 0.3")
+                     .value()
+                     .id;
+    }
+    const std::vector<SensorUpdate> batch{f.drift(e, 3), f.drift(30 - e, -2)};
+    std::vector<NodeId> touched;
+    for (const SensorUpdate& u : batch) {
+      bare_net.update_item(u.node, 0, u.value);
+      touched.push_back(u.node);
+    }
+    bare.note_updates(touched, e);
+    for (const Answer& a : f.svc.run_epoch(batch)) {
+      if (a.id == exact) {
+        EXPECT_DOUBLE_EQ(a.value, f.exact("SUM", 20, 200));
+      }
+      if (a.id == sum) {
+        EXPECT_DOUBLE_EQ(a.value, f.exact("SUM", 0, kBound));
+      }
+      if (a.id == count) {
+        EXPECT_DOUBLE_EQ(a.value, f.exact("COUNT", 40, 260));
+      }
+    }
+  }
+  const TelemetrySnapshot snap = f.svc.telemetry_snapshot();
+  EXPECT_EQ(snap.mark_bits_on_air, bare_net.summary(true).total_bits);
+  EXPECT_EQ(snap.mark_messages, bare_net.summary(true).total_messages);
+  EXPECT_GT(snap.queries.at(exact).bits_on_air, 0u);
+  EXPECT_GT(snap.install_bits_on_air, installs);
+  // The whole-domain COUNT never moves, so the cache answers it and its
+  // pushes go unread.
+  EXPECT_GT(snap.totals.pushed_unread_image_bits, 0u);
+  if (GetParam().use_cube) {
+    EXPECT_EQ(snap.cube.refresh_waves, 2u);  // epoch 1, and the residue's
+    EXPECT_GT(snap.cube.standing_refreshed, 1u);
+    EXPECT_GT(snap.cube.push_messages, 0u);
+  } else {
+    EXPECT_GT(snap.plan.push_messages, 0u);
+    EXPECT_EQ(snap.plan.stats_convergecasts, 0u);  // no pull at all
+  }
+  EXPECT_EQ(ledger(f.svc), std::pair(f.net.summary(true).total_bits,
+                                     f.net.summary(true).total_messages));
+}
+
+TEST_P(BundlePath, AdmissionSurvivesALostAnnouncement) {
+  // A lost schedule broadcast (and, on the stats groups, the install it
+  // rides) is charged and leaves the admission standing: the query has an
+  // id and is live. The next epoch's announcement sends the schedule again,
+  // the group's first collection installs it, and both queries are exact.
+  Fixture f{config()};
+  const QueryId first =
+      f.svc.submit("SELECT SUM(v) FROM s WHERE v BETWEEN 20 AND 200 "
+                   "EVERY 1 EPOCHS")
+          .value()
+          .id;
+  // On the cube the first epoch installs the geometry, so that the next
+  // admission's schedule goes out alone.
+  if (GetParam().use_cube) {
+    ASSERT_EQ(f.svc.run_epoch({}).size(), 1u);
+  }
+  f.net.set_message_loss(1.0);
+  const Result<Admission> second = f.svc.submit(
+      "SELECT COUNT(v) FROM s WHERE v BETWEEN 40 AND 260 EVERY 1 EPOCHS");
+  f.net.set_message_loss(0.0);
+  ASSERT_TRUE(second.ok());
+  EXPECT_TRUE(second.value().continuous);
+  EXPECT_EQ(f.svc.live_queries(), 2u);
+  const auto lost = f.net.summary(true);
+  EXPECT_GT(f.svc.telemetry_snapshot().install_bits_on_air, 0u);
+  EXPECT_EQ(ledger(f.svc), std::pair(lost.total_bits, lost.total_messages));
+
+  const std::vector<SensorUpdate> batch{f.drift(7, 3), f.drift(30, -4)};
+  const std::vector<Answer> answers = f.svc.run_epoch(batch);
+  ASSERT_EQ(answers.size(), 2u);
+  EXPECT_EQ(answers[0].id, first);
+  EXPECT_DOUBLE_EQ(answers[0].value, f.exact("SUM", 20, 200));
+  EXPECT_EQ(answers[1].id, second.value().id);
+  EXPECT_DOUBLE_EQ(answers[1].value, f.exact("COUNT", 40, 260));
   const auto after = f.net.summary(true);
   EXPECT_EQ(ledger(f.svc), std::pair(after.total_bits, after.total_messages));
 }

@@ -502,9 +502,31 @@ TEST(SharedPlan, LostMessageFailsTheCollectionAndTheRetryIsExact) {
   EXPECT_EQ(f.sched.collect_stats(g, 1), direct_bundle(f.net, ranged));
 }
 
+/// Runs the epoch's fused wave as the service does: push(), note_updates()
+/// with it as the cargo, then pushed(). Sets `pushed` to the pushed groups'
+/// shares (none when no group is pushed), also when the wave throws.
+void fused_wave(SharedPlanScheduler& sched, std::span<const NodeId> touched,
+                std::uint32_t epoch, std::vector<WaveShare>& pushed) {
+  const std::unique_ptr<cube::PartialStore::Push> push = sched.push(epoch);
+  pushed.clear();
+  try {
+    sched.note_updates(touched, epoch, push.get());
+  } catch (const ProtocolError&) {
+    if (push) {
+      sched.pushed(*push, /*delivered=*/false);
+      pushed = push->shares();
+    }
+    throw;
+  }
+  if (push) {
+    sched.pushed(*push, /*delivered=*/true);
+    pushed = push->shares();
+  }
+}
+
 /// Writes `updates` into the network and runs the epoch's fused wave:
 /// returns the pushed groups' shares.
-std::vector<GroupShare> push_drift(
+std::vector<WaveShare> push_drift(
     Fixture& f, const std::vector<std::pair<NodeId, Value>>& updates,
     std::uint32_t epoch) {
   std::vector<NodeId> touched;
@@ -512,19 +534,26 @@ std::vector<GroupShare> push_drift(
     f.net.update_item(u, 0, v);
     touched.push_back(u);
   }
-  std::vector<GroupShare> pushed;
-  f.sched.note_updates(touched, epoch, pushed);
+  std::vector<WaveShare> pushed;
+  fused_wave(f.sched, touched, epoch, pushed);
   return pushed;
 }
 
 std::pair<std::uint64_t, std::uint64_t> sum_shares(
-    const std::vector<GroupShare>& shares) {
+    const std::vector<WaveShare>& shares) {
   std::pair<std::uint64_t, std::uint64_t> sum;
-  for (const GroupShare& g : shares) {
-    sum.first += g.share.bits;
-    sum.second += g.share.messages;
+  for (const WaveShare& s : shares) {
+    sum.first += s.bits;
+    sum.second += s.messages;
   }
   return sum;
+}
+
+std::pair<std::uint64_t, std::uint64_t> sum_shares(
+    const std::vector<GroupShare>& shares) {
+  std::vector<WaveShare> waves;
+  for (const GroupShare& g : shares) waves.push_back(g.share);
+  return sum_shares(waves);
 }
 
 TEST(SharedPlan, PushedGroupsRideTheMarksAndTheirCollectionSendsNothing) {
@@ -561,7 +590,7 @@ TEST(SharedPlan, PushedGroupsRideTheMarksAndTheirCollectionSendsNothing) {
     apply_drift(plain, updates, epoch);
     const auto p1 = plain.net.summary(true);
     const auto f0 = f.net.summary(true);
-    const std::vector<GroupShare> pushed = push_drift(f, updates, epoch);
+    const std::vector<WaveShare> pushed = push_drift(f, updates, epoch);
     const auto f1 = f.net.summary(true);
     ASSERT_EQ(pushed.size(), 2u);
     const auto [bits, messages] = sum_shares(pushed);
@@ -573,7 +602,7 @@ TEST(SharedPlan, PushedGroupsRideTheMarksAndTheirCollectionSendsNothing) {
     f.sched.collect_stats_batch(groups, epoch, shares);
     EXPECT_EQ(f.net.summary(true).total_bits, f1.total_bits);
     for (std::size_t j = 0; j < groups.size(); ++j) {
-      EXPECT_TRUE(pushed[j].share.collected);
+      EXPECT_TRUE(pushed[j].collected);
       EXPECT_EQ(f.sched.collect_stats(groups[j], epoch),
                 direct_bundle(f.net, regions[j]));
     }
@@ -628,25 +657,26 @@ TEST(SharedPlan, ALostPushFailsTheEpochAndTheNextLosslessOneIsExact) {
   SharedPlanScheduler sched(net, tree, kBound, kDelta, kHorizon);
   const GroupId g = sched.ensure_stats_group({0, kBound, true});
   sched.subscribe(g, 1, 0);
-  std::vector<GroupShare> shares;
-  sched.announce(shares);
-  sched.note_updates({}, 1, shares);  // cold edges: every node pushes
+  std::vector<GroupShare> announced;
+  sched.announce(announced);
+  std::vector<WaveShare> shares;
+  fused_wave(sched, {}, 1, shares);  // cold edges: every node pushes
   EXPECT_EQ(sched.collect_stats(g, 1).core.sum, 40u);
 
   net.update_item(3, 0, 50);
   const std::vector<NodeId> touched{3};
   net.set_message_loss(1.0);
   const auto before = net.summary(true);
-  EXPECT_THROW(sched.note_updates(touched, 2, shares), ProtocolError);
+  EXPECT_THROW(fused_wave(sched, touched, 2, shares), ProtocolError);
   const auto after = net.summary(true);
   net.set_message_loss(0.0);
   ASSERT_EQ(shares.size(), 1u);
   EXPECT_EQ(after.total_messages - before.total_messages, 1u);
   // The mark's header and bit are the mark wave's; the image is the group's.
-  EXPECT_EQ(shares[0].share.bits + sim::kHeaderBits + 1,
+  EXPECT_EQ(shares[0].bits + sim::kHeaderBits + 1,
             after.total_bits - before.total_bits);
 
-  sched.note_updates({}, 3, shares);
+  fused_wave(sched, {}, 3, shares);
   const auto fresh = net.summary(true);
   EXPECT_EQ(sched.collect_stats(g, 3).core.sum, 80u);
   EXPECT_EQ(net.summary(true).total_bits, fresh.total_bits);
@@ -676,19 +706,19 @@ TEST(SharedPlan, ALostScheduleIsSentAgainBeforeAnyPush) {
                                       before.total_bits);
   sched.announce(shares);  // heard: nothing left to send
   EXPECT_TRUE(shares.empty());
-  sched.note_updates({}, 1, shares);
-  ASSERT_EQ(shares.size(), 1u);  // cold edges: every node pushes
-  const auto pushed = net.summary(true);
+  std::vector<WaveShare> pushed;
+  fused_wave(sched, {}, 1, pushed);
+  ASSERT_EQ(pushed.size(), 1u);  // cold edges: every node pushes
+  const auto after_push = net.summary(true);
   EXPECT_EQ(sched.collect_stats(g, 1).core.sum, 40u);
-  EXPECT_EQ(net.summary(true).total_bits, pushed.total_bits);
+  EXPECT_EQ(net.summary(true).total_bits, after_push.total_bits);
 }
 
 TEST(SharedPlan, ALostGroupInstallFailsItsServeAndTheRetryReinstalls) {
   // Group installs count their hearers. A lost one is charged, throws, and
-  // leaves the group uninstalled; its next collection or push installs it
-  // again before its wave, with the copy in the group's share. A lost
-  // reinstall fails the push's epoch before its wave, and the epoch's marks
-  // go with the next one.
+  // leaves the group uninstalled; its next collection installs it again
+  // before its wave, with the copy in the group's share. A due group whose
+  // install was lost is pulled, not pushed, until that collection.
   sim::Network net(net::make_line(4), /*master_seed=*/1);
   const net::SpanningTree tree = net::bfs_tree(net.graph(), 0);
   net.set_one_item_per_node({10, 20, 30, 40});
@@ -712,8 +742,7 @@ TEST(SharedPlan, ALostGroupInstallFailsItsServeAndTheRetryReinstalls) {
   EXPECT_EQ(shares[0].bits, 0u);  // installed: a quiescent epoch is free
 
   // A held install rides with the schedule and both are lost; the next
-  // announce() sends the schedule alone, and the first push installs the
-  // group before the wave.
+  // announce() sends the schedule alone.
   sched.hold_installs();
   const GroupId h = sched.ensure_stats_group({5, 25, false});
   sched.subscribe(h, 1, 0);
@@ -725,26 +754,39 @@ TEST(SharedPlan, ALostGroupInstallFailsItsServeAndTheRetryReinstalls) {
   sched.announce(announced);
   ASSERT_EQ(announced.size(), 1u);  // the schedule alone
 
-  // The push's reinstall is lost: the epoch fails before its wave.
+  // The lossy epoch sends its marks alone: the group is not pushed.
   net.update_item(1, 0, 22);
   const std::vector<NodeId> touched{1};
-  std::vector<GroupShare> pushed;
-  const auto before_lost = net.summary(true);
+  std::vector<WaveShare> pushed;
   net.set_message_loss(1.0);
-  EXPECT_THROW(sched.note_updates(touched, 3, pushed), ProtocolError);
-  ASSERT_EQ(pushed.size(), 1u);
-  EXPECT_EQ(pushed[0].share.bits,
-            net.summary(true).total_bits - before_lost.total_bits);
-  EXPECT_EQ(pushed[0].image_bits, 0u);
+  EXPECT_THROW(fused_wave(sched, touched, 3, pushed), ProtocolError);
+  EXPECT_TRUE(pushed.empty());
   net.set_message_loss(0.0);
-  sched.note_updates({}, 4, pushed);
-  ASSERT_EQ(pushed.size(), 1u);
-  EXPECT_GT(pushed[0].share.messages, 3u);  // the install's copies, then pushes
+
+  // The next epoch pushes nothing either; the group's collection holds the
+  // install's copies and the pull.
+  const auto before_pull = net.summary(true);
+  fused_wave(sched, {}, 4, pushed);  // the owed mark
+  EXPECT_TRUE(pushed.empty());
+  const auto marked = net.summary(true);
+  EXPECT_EQ(marked.total_messages - before_pull.total_messages, 1u);
+  sched.collect_stats_batch(std::span(&h, 1), 4, shares);
+  ASSERT_EQ(shares.size(), 1u);
+  const auto pulled_h = net.summary(true);
+  EXPECT_EQ(shares[0].bits, pulled_h.total_bits - marked.total_bits);
+  EXPECT_EQ(shares[0].messages, 3u + 2u * 3u);  // the install, then the pull
   EXPECT_EQ(sched.collect_stats(h, 4).core.sum, 32u);
   EXPECT_EQ(sched.collect_stats(g, 4).core.sum, 52u);  // the deferred mark
-  const auto installed = net.summary(true);
-  sched.note_updates({}, 5, pushed);  // installed: no copy goes again
-  EXPECT_LT(net.summary(true).total_bits - installed.total_bits, install_bits);
+
+  // Installed now: the epoch after pushes the group, and its collection
+  // sends nothing.
+  fused_wave(sched, {}, 5, pushed);
+  ASSERT_EQ(pushed.size(), 1u);
+  EXPECT_TRUE(pushed[0].collected);
+  const auto after_push = net.summary(true);
+  sched.collect_stats_batch(std::span(&h, 1), 5, shares);
+  EXPECT_EQ(net.summary(true).total_bits, after_push.total_bits);
+  EXPECT_EQ(sched.collect_stats(h, 5).core.sum, 32u);
 }
 
 }  // namespace
