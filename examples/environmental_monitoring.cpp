@@ -120,8 +120,8 @@ int main() {
 
   std::cout << "\nnote: Fig.4's bill is dominated by its repetition-schedule "
                "constants (~m * 32q per search step). Its win is asymptotic "
-               "-- see bench/exp_apx_median2 for the flat (log log N)^3 "
-               "ratio vs Fig.1's growing log^2 N.\n";
+               "-- bench/exp_paper's EXP-C48 section shows it has not set in "
+               "by N = 4096: its (log log N)^3 ratio still rises there.\n";
 
   // Quantile sweep with the exact driver: the generalization of Section 3.4.
   std::cout << "\nquantiles via Fig.1 order statistics (one deployment, "

@@ -146,7 +146,10 @@ ApxMedian2Result approx_median2(sim::Network& net,
     try {
       os = approx_median(minmax, counter, os_params);
     } catch (const PreconditionError&) {
-      break;  // every item went passive (estimation noise) — stop refining
+      // Every item went passive (estimation noise): stop refining. At
+      // stage 1 nothing is passive yet, so the input was empty.
+      res.stopped_early = stage > 1;
+      break;
     }
     res.apx_count_calls += os.apx_count_calls;
     const Value mu_hat =

@@ -66,6 +66,11 @@ struct ApxMedian2Result {
   /// with every register zero, or stage 1's exact MIN wave found none): no
   /// stage ran and `value` means nothing.
   bool empty_input = false;
+  /// The zoom ended before its ceil(log2(1/beta)) planned stages because
+  /// every item went passive (estimation noise pinned an interval that holds
+  /// no item), not because it pinned a single value: the interval may be
+  /// wider than beta * X.
+  bool stopped_early = false;
   std::vector<Median2StageTrace> trace;
 };
 

@@ -73,9 +73,34 @@ TEST(ApxMedian2, IntervalShrinksMonotonically) {
     EXPECT_LE(width, prev_width) << "stage " << stage.stage;
     prev_width = width;
   }
-  // Final interval meets the beta target (each stage halves at least).
+  // A zoom that ran to the end meets the beta target: width <= beta * X.
+  EXPECT_FALSE(res.stopped_early);
   EXPECT_LE(static_cast<double>(prev_width),
-            std::max(1.0, (1.0 / 64) * static_cast<double>(X) * 2.0));
+            (1.0 / 64) * static_cast<double>(X));
+}
+
+TEST(ApxMedian2, ReportsAZoomThatStopsEarly) {
+  // Estimation noise can pin a dyadic interval that holds no item: every
+  // node goes passive and the zoom ends before its ceil(log2(1/beta))
+  // stages, with an interval wider than beta * X. The result must say so.
+  const Value X = 1 << 16;
+  const double beta = 1.0 / 512;  // 9 planned stages
+  const auto run = [&](std::uint64_t seed) {
+    Xoshiro256 rng(seed);
+    Net f(net::make_line(16),
+          generate_workload(WorkloadKind::kUniform, 16, X, rng), seed);
+    return approx_median2(f.net, f.tree, fast_params(X, beta));
+  };
+  const auto stopped = run(1);
+  EXPECT_TRUE(stopped.stopped_early);
+  EXPECT_LT(stopped.stages, 9u);
+  EXPECT_GT(static_cast<double>(stopped.interval_hi - stopped.interval_lo),
+            beta * static_cast<double>(X));
+  // Pinning a single value before the last stage meets beta: not early.
+  const auto pinned = run(2);
+  EXPECT_FALSE(pinned.stopped_early);
+  EXPECT_LT(pinned.stages, 9u);
+  EXPECT_EQ(pinned.interval_lo, pinned.interval_hi);
 }
 
 TEST(ApxMedian2, MedianLandsNearReference) {
